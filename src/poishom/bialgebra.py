@@ -15,6 +15,7 @@ from . import linalg
 from .exterior import (
     ExteriorElement,
     ad_extension,
+    ad_terms,
     is_ad_invariant,
     schouten_square,
 )
@@ -78,13 +79,18 @@ class CocommutatorMap:
 def cocycle_check(g: LieAlgebra, delta: CocommutatorMap) -> Optional[tuple[int, int]]:
     """First basis pair violating
     delta([X, Y]) = ad_X(delta Y) - ad_Y(delta X), or None."""
+    full = g.full_table()
+    images = [im.terms for im in delta.images]
     for i in range(g.dim):
-        xi = g.basis_vector(i)
         for j in range(i + 1, g.dim):
-            xj = g.basis_vector(j)
-            lhs = delta.apply(g.bracket(xi, xj))
-            rhs = ad_extension(g, xi, delta.images[j]) - ad_extension(g, xj, delta.images[i])
-            if lhs != rhs:
+            # delta([e_i, e_j]) - ad_{e_i}(delta e_j) + ad_{e_j}(delta e_i)
+            diff: dict[tuple[int, ...], Fraction] = {}
+            for k, c in full.get((i, j), {}).items():
+                for key, d in images[k].items():
+                    diff[key] = diff.get(key, 0) + c * d
+            ad_terms(full, ((i, -1),), images[j], diff)
+            ad_terms(full, ((j, 1),), images[i], diff)
+            if any(diff.values()):
                 return (i, j)
     return None
 
@@ -104,16 +110,11 @@ def delta_from_dual(g: LieAlgebra, dual: LieAlgebra) -> CocommutatorMap:
     """Transpose a dual-algebra bracket table back to a cocommutator on g."""
     if dual.dim != g.dim:
         raise ValueError("dimension mismatch")
-    images = []
-    for k in range(g.dim):
-        terms = {}
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                c = dual.structure_constant(i, j, k)
-                if c:
-                    terms[(i, j)] = c
-        images.append(ExteriorElement(g, 2, terms, False))
-    return CocommutatorMap(g, images)
+    terms: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(g.dim)]
+    for (i, j), image in sorted(dual._table.items()):
+        for k, c in image.items():
+            terms[k][(i, j)] = c
+    return CocommutatorMap(g, [ExteriorElement(g, 2, t, False) for t in terms])
 
 
 class LieBialgebra:
@@ -157,9 +158,6 @@ class LieBialgebra:
     def dual_modular_character(self) -> Vector:
         """chi_{g*} reinterpreted as an element of g via the canonical pairing."""
         return Vector(self.g, self.dual.modular_character().coords)
-
-    def zero_double(self) -> "DoubleElement":
-        return DoubleElement(self, self.g.zero_vector(), self.g.zero_covector())
 
     def double_element(self, x: Vector | None = None, xi: Covector | None = None):
         return DoubleElement(
@@ -254,26 +252,35 @@ def double_bracket(B: LieBialgebra, a: DoubleElement, b: DoubleElement) -> Doubl
 
 
 def double_algebra(B: LieBialgebra) -> LieAlgebra:
-    """The double as a structure-constant algebra on basis (e_1..e_m, e^1..e^m)."""
+    """The double as a structure-constant algebra on basis (e_1..e_m, e^1..e^m).
+
+    With [e_i, e_j] = C_ij^k e_k on g and [e^a, e^b]_* = F^ab_c e^c on g*, the
+    constants are read off in closed form (summing over repeated indices):
+
+        [e_i, e_j] = C_ij^k e_k,   [e^a, e^b] = F^ab_c e^c,
+        [e_i, e^a] = F^ac_i e_c - C_ic^a e^c,
+
+    which is ``double_bracket`` on basis elements.
+    """
     m = B.dim
-    basis = [B.double_element(x=B.g.basis_vector(i)) for i in range(m)] + [
-        B.double_element(xi=B.g.basis_covector(i)) for i in range(m)
-    ]
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (i, j), image in B.g._table.items():
+        brackets[(i, j)] = dict(image)
+    for (a, b), image in B.dual._table.items():
+        brackets[(m + a, m + b)] = {m + c: f for c, f in image.items()}
+    # each (key, index) below is reached from exactly one table entry
+    for (a, b), image in B.dual._table.items():
+        for i, f in image.items():
+            brackets.setdefault((i, m + a), {})[b] = f  # F^ab_i e_b in [e_i, e^a]
+            brackets.setdefault((i, m + b), {})[a] = -f  # F^ba_i e_a in [e_i, e^b]
+    for (i, c), image in B.g._table.items():
+        for a, f in image.items():
+            brackets.setdefault((i, m + a), {})[m + c] = -f  # -C_ic^a e^c in [e_i, e^a]
+            brackets.setdefault((c, m + a), {})[m + i] = f  # -C_ci^a e^i in [e_c, e^a]
     labels = list(B.g.labels) + list(B.g.dual_labels)
-    brackets = {}
-    for i in range(2 * m):
-        for j in range(i + 1, 2 * m):
-            out = double_bracket(B, basis[i], basis[j])
-            entry = {}
-            for k, c in enumerate(out.x.coords):
-                if c:
-                    entry[k] = c
-            for k, c in enumerate(out.xi.coords):
-                if c:
-                    entry[m + k] = c
-            if entry:
-                brackets[(i, j)] = entry
-    return LieAlgebra(labels, brackets)
+    return LieAlgebra(
+        labels, {key: dict(sorted(image.items())) for key, image in sorted(brackets.items())}
+    )
 
 
 def double_jacobi_check(B: LieBialgebra) -> Optional[tuple[int, int, int]]:
@@ -288,84 +295,76 @@ def double_jacobi_check(B: LieBialgebra) -> Optional[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def sln_basis_matrices(n: int) -> tuple[list[str], list[list[list[Fraction]]]]:
-    """Labels and matrices for the split basis of sl(n): traceless diagonals
-    D_k, symmetric S_ij and antisymmetric Q_ij off-diagonal pairs."""
+def _sln_basis(n: int) -> tuple[list[str], list[dict[tuple[int, int], Fraction]]]:
+    """Labels and sparse {(row, col): entry} matrices for the split basis of
+    sl(n): traceless diagonals D_k, symmetric S_ij and antisymmetric Q_ij
+    off-diagonal pairs."""
+    one = Fraction(1)
     labels: list[str] = []
-    mats: list[list[list[Fraction]]] = []
-
-    def zero():
-        return [[Fraction(0)] * n for _ in range(n)]
-
+    mats: list[dict[tuple[int, int], Fraction]] = []
     for k in range(n - 1):
-        m = zero()
-        m[k][k] = Fraction(1)
-        m[k + 1][k + 1] = Fraction(-1)
         labels.append(f"D{k+1}")
-        mats.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = zero()
-            m[i][j] = Fraction(1)
-            m[j][i] = Fraction(1)
-            labels.append(f"S{i+1}{j+1}")
-            mats.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = zero()
-            m[i][j] = Fraction(1)
-            m[j][i] = Fraction(-1)
-            labels.append(f"Q{i+1}{j+1}")
-            mats.append(m)
+        mats.append({(k, k): one, (k + 1, k + 1): -one})
+    for name, sign in (("S", one), ("Q", -one)):
+        for i in range(n):
+            for j in range(i + 1, n):
+                labels.append(f"{name}{i+1}{j+1}")
+                mats.append({(i, j): one, (j, i): sign})
     return labels, mats
 
 
-def _mat_commutator(a, b):
-    n = len(a)
-    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
+def sln_basis_matrices(n: int) -> tuple[list[str], list[list[list[Fraction]]]]:
+    """Labels and dense matrices for the split basis of sl(n)."""
+    labels, sparse = _sln_basis(n)
+    mats = []
+    for entries in sparse:
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for (r, c), x in entries.items():
+            m[r][c] = x
+        mats.append(m)
+    return labels, mats
 
 
-def _sln_coords(m, n: int) -> list[Fraction]:
-    """Coordinates of a traceless matrix on the D/S/Q basis."""
-    coords: list[Fraction] = []
-    partial = Fraction(0)
-    for k in range(n - 1):
-        partial += m[k][k]
-        coords.append(partial)
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords.append((m[i][j] + m[j][i]) / 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords.append((m[i][j] - m[j][i]) / 2)
+def _commutator(a: dict, b: dict) -> dict:
+    """AB - BA for sparse {(row, col): entry} matrices."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (r, t), x in a.items():
+        for (u, c), y in b.items():
+            if t == u:
+                out[(r, c)] = out.get((r, c), 0) + x * y
+            if c == r:
+                out[(u, t)] = out.get((u, t), 0) - y * x
+    return out
+
+
+def _sln_coords(m: dict, n: int) -> list[Fraction]:
+    """Coordinates of a sparse traceless matrix on the D/S/Q basis."""
+    pairs = n * (n - 1) // 2
+    coords = [Fraction(0)] * (n - 1 + 2 * pairs)
+    for (r, c), x in m.items():
+        if r == c:
+            # the D coordinates are the partial sums of the diagonal
+            for k in range(r, n - 1):
+                coords[k] += x
+            continue
+        i, j = min(r, c), max(r, c)
+        s = n - 1 + i * n - i * (i + 1) // 2 + (j - i - 1)
+        coords[s] += x / 2
+        coords[s + pairs] += x / 2 if r < c else -x / 2
     return coords
 
 
 def sln_algebra(n: int) -> LieAlgebra:
-    labels, mats = sln_basis_matrices(n)
+    labels, mats = _sln_basis(n)
     dim = len(labels)
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            coords = _sln_coords(_mat_commutator(mats[i], mats[j]), n)
+            coords = _sln_coords(_commutator(mats[i], mats[j]), n)
             entry = {k: c for k, c in enumerate(coords) if c}
             if entry:
                 brackets[(i, j)] = entry
     return LieAlgebra(labels, brackets)
-
-
-def _triangular_split(m, n: int):
-    """R(M) = lower(M) - upper(M) on strict triangular parts."""
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i > j:
-                out[i][j] = m[i][j]
-            elif i < j:
-                out[i][j] = -m[i][j]
-    return out
 
 
 def sln_standard_bialgebra(n: int, eta=1) -> LieBialgebra:
@@ -374,40 +373,36 @@ def sln_standard_bialgebra(n: int, eta=1) -> LieBialgebra:
     scaled by eta."""
     eta = frac(eta)
     g = sln_algebra(n)
-    labels, mats = sln_basis_matrices(n)
+    labels, mats = _sln_basis(n)
     dim = len(labels)
-    gram = [
-        [
-            sum(mats[a][i][j] * mats[b][j][i] for i in range(n) for j in range(n))
-            for b in range(dim)
-        ]
-        for a in range(dim)
-    ]
-    gram_inv = linalg.invert(gram)
 
-    def covector_matrix(coords):
-        w = linalg.mat_vec(gram_inv, list(coords))
-        return [
-            [sum(w[a] * mats[a][i][j] for a in range(dim)) for j in range(n)]
-            for i in range(n)
-        ]
+    def trace_pairing(a: dict, b: dict) -> Fraction:
+        return sum((x * b.get((c, r), 0) for (r, c), x in a.items()), Fraction(0))
+
+    gram_inv = linalg.invert([[trace_pairing(a, b) for b in mats] for a in mats])
+    # the matrix of each dual basis covector X^a under the trace pairing, and
+    # its triangular split R(M) = lower(M) - upper(M)
+    covs, splits = [], []
+    for a in range(dim):
+        ma: dict[tuple[int, int], Fraction] = {}
+        for b in range(dim):
+            w = gram_inv[b][a]
+            if w:
+                for key, x in mats[b].items():
+                    ma[key] = ma.get(key, 0) + w * x
+        covs.append(ma)
+        splits.append({(r, c): x if r > c else -x for (r, c), x in ma.items() if r != c})
 
     dual_brackets = {}
     for a in range(dim):
-        ma = covector_matrix([Fraction(1 if t == a else 0) for t in range(dim)])
         for b in range(a + 1, dim):
-            mb = covector_matrix([Fraction(1 if t == b else 0) for t in range(dim)])
-            res = [
-                [x + y for x, y in zip(r1, r2)]
-                for r1, r2 in zip(
-                    _mat_commutator(_triangular_split(ma, n), mb),
-                    _mat_commutator(ma, _triangular_split(mb, n)),
-                )
-            ]
+            res = _commutator(splits[a], covs[b])
+            for key, x in _commutator(covs[a], splits[b]).items():
+                res[key] = res.get(key, 0) + x
             # back to dual coordinates: component on X^k is Tr(res * e_k)
             entry = {}
             for k in range(dim):
-                val = sum(res[i][j] * mats[k][j][i] for i in range(n) for j in range(n))
+                val = trace_pairing(mats[k], res)
                 if val:
                     entry[k] = eta * val
             if entry:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -70,7 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_eta(raw: str) -> Fraction:
-    eta = Fraction(raw)
+    try:
+        eta = Fraction(raw)
+    except ZeroDivisionError:
+        raise ValueError(f"eta {raw!r} has a zero denominator") from None
     if eta == 0:
         raise ValueError("eta must be nonzero")
     return eta
@@ -162,8 +166,18 @@ def cmd_tables(args) -> int:
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 
+def _check_steps(T: float, dt: float) -> None:
+    """The integrator needs finite positive --T and --dt with at least one step."""
+    for name, value in (("--T", T), ("--dt", dt)):
+        if not math.isfinite(value) or value <= 0:
+            raise ValueError(f"{name} must be a finite positive number, got {value}")
+    if not 0.5 < T / dt < math.inf:  # the integrator takes round(T / dt) steps
+        raise ValueError(f"--T {T} and --dt {dt} do not give a finite number of steps >= 1")
+
+
 def cmd_dynamics(args) -> int:
     eta = _parse_eta(args.eta)
+    _check_steps(args.T, args.dt)
     case = catalog.DYNAMICS_CASES[args.case]
     bundle = catalog.build_model(
         case["model"], eta if case["model"] not in ("toda-n3", "compartmental", "canonical2d") else 1

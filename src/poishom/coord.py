@@ -142,10 +142,6 @@ class PolynomialPoissonModel:
         n = self.dim
         return [[self.bracket_entry(i, j) for j in range(n)] for i in range(n)]
 
-    def poly(self, expr: str = None, **named) -> Polynomial:
-        """Convenience constructors for polynomials over this model's variables."""
-        raise NotImplementedError  # parsing lives in the spec-file frontend
-
     def variable(self, name: str) -> Polynomial:
         return Polynomial.variable(self.vars, name)
 
@@ -176,6 +172,11 @@ def poisson_bracket(model: PolynomialPoissonModel, f: Polynomial, g: Polynomial)
     return hamiltonian_vf(model, f)(g)
 
 
+def _magnitude(x: Fraction) -> float:
+    """abs(x) as a float, never rounded down to 0.0 for a nonzero x."""
+    return abs(float(x)) or math.ulp(0.0)
+
+
 @dataclass
 class JacobiVerdict:
     ok: bool
@@ -189,7 +190,8 @@ def jacobi_symbolic(
 ) -> JacobiVerdict:
     """Jacobi identity of the bracket.  Unconstrained models are checked by
     full symbolic expansion; constrained models at exact rational points on
-    the variety drawn from the model's sampler."""
+    the variety drawn from the model's sampler, failing on the first nonzero
+    exact residual (reported by its float magnitude)."""
     n = model.dim
     xs = [model.variable(v) for v in model.vars]
 
@@ -216,16 +218,13 @@ def jacobi_symbolic(
         for j in range(i + 1, n)
         for k in range(j + 1, n)
     }
-    worst = 0.0
     for _ in range(points):
         pt = model.sampler(rng)
         for triple, p in polys.items():
             val = p.eval(pt)
             if val:
-                worst = max(worst, abs(float(val)))
-                if worst > 1e-10:
-                    return JacobiVerdict(False, False, worst, triple)
-    return JacobiVerdict(True, False, worst)
+                return JacobiVerdict(False, False, _magnitude(val), triple)
+    return JacobiVerdict(True, False)
 
 
 def divergence(
@@ -408,8 +407,8 @@ def multiplicativity_spotcheck(
     """At random variety pairs (g, h): compare Pi(gh) with
     JL Pi(h) JL^T + JR Pi(g) JR^T, the Jacobians taken of the multiplication
     map in each argument.  Also asserts Pi vanishes at the base point.
-    Returns the max absolute entry residual (exact arithmetic, so 0.0 when
-    the structure is multiplicative)."""
+    Returns the float magnitude of the max absolute entry residual; the
+    residuals are exact, so it is 0.0 exactly when every one vanishes."""
     if model.group_mult is None:
         raise ValueError("model carries no group multiplication map")
     if model.sampler is None:
@@ -443,7 +442,9 @@ def multiplicativity_spotcheck(
                             rhs += jl[a][i] * pi_h[i][j] * jl[b][j]
                         if pi_g[i][j]:
                             rhs += jr[a][i] * pi_g[i][j] * jr[b][j]
-                worst = max(worst, abs(float(lhs - rhs)))
+                residual = lhs - rhs
+                if residual:
+                    worst = max(worst, _magnitude(residual))
     return worst
 
 

@@ -290,15 +290,25 @@ def ad_extension(L: LieAlgebra, x: Vector, p: ExteriorElement) -> ExteriorElemen
         raise ValueError("the extended adjoint action acts on primal elements")
     if x.algebra is not L or p.algebra is not L:
         raise ValueError("mismatched algebra")
-    out = ExteriorElement.zero(L, p.degree, False)
-    for idx, c in p.terms.items():
+    x_items = [(s, a) for s, a in enumerate(x.coords) if a]
+    return ExteriorElement(L, p.degree, ad_terms(L.full_table(), x_items, p.terms, {}), False)
+
+
+def ad_terms(full: dict, x_items, terms: dict, out: dict) -> dict:
+    """Accumulate the terms of ad_x p into ``out`` and return it.
+
+    ``full`` is the algebra's ``full_table()``, x is given by its nonzero
+    (index, coefficient) pairs and p by its sparse terms; the derivation
+    replaces each factor e_i by [x, e_i] = sum_s x_s C_si^k e_k in place.
+    """
+    empty: dict[int, Fraction] = {}
+    for idx, c in terms.items():
         for r, i in enumerate(idx):
-            image = L.bracket(x, L.basis_vector(i))
-            if image.is_zero():
-                continue
-            left = ExteriorElement.basis(L, idx[:r], False)
-            right = ExteriorElement.basis(L, idx[r + 1:], False)
-            out = out + c * left.wedge(ExteriorElement.from_vector(image)).wedge(right)
+            for s, xs in x_items:
+                for k, ck in full.get((s, i), empty).items():
+                    merged, sign = _sort_tuple(idx[:r] + (k,) + idx[r + 1:])
+                    if merged is not None:
+                        out[merged] = out.get(merged, 0) + sign * xs * ck * c
     return out
 
 

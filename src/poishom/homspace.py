@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .bialgebra import DoubleElement, LieBialgebra, double_algebra
+from .bialgebra import LieBialgebra, double_algebra
 from .exterior import (
     ExteriorElement,
     ce_differential,
@@ -288,16 +288,6 @@ def semi_invariant_solutions(S: HomogeneousSpaceSpec) -> SemiInvariantSolutions:
         feasible=True,
         particular=witness,
         homogeneous=[Covector(g, v) for v in null],
-    )
-
-
-def semi_invariant_certificate(S: HomogeneousSpaceSpec) -> Optional[VolumeCertificate]:
-    sols = semi_invariant_solutions(S)
-    if not sols.feasible:
-        return None
-    v0 = canonical_v0(S)
-    return VolumeCertificate(
-        v0=v0, theta0=sols.particular, kind="semi_invariant_algebra_level"
     )
 
 

@@ -91,6 +91,32 @@ def _dual_label(label: str) -> str:
     return f"{head}^{tail}" if tail else f"{label}^"
 
 
+def sparse(coords: Iterable) -> dict[int, Fraction]:
+    """The nonzero coordinates as {index: coefficient}."""
+    return {i: c for i, c in enumerate(coords) if c}
+
+
+def bracket_terms(table: dict, u: dict, v: dict) -> dict[int, Fraction]:
+    """[u, v] as {k: coefficient}, for u and v given as sparse
+    {index: coefficient} maps and a structure-constant table keyed by i < j."""
+    out: dict[int, Fraction] = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            if i < j:
+                image = table.get((i, j))
+                if image:
+                    s = a * b
+                    for k, c in image.items():
+                        out[k] = out.get(k, 0) + s * c
+            elif i > j:
+                image = table.get((j, i))
+                if image:
+                    s = -(a * b)
+                    for k, c in image.items():
+                        out[k] = out.get(k, 0) + s * c
+    return out
+
+
 class LieAlgebra:
     """Lie algebra with rational structure constants on a labeled basis."""
 
@@ -161,31 +187,34 @@ class LieAlgebra:
         if u.algebra is not self or v.algebra is not self:
             raise ValueError("vectors belong to a different algebra")
         out = [Fraction(0)] * self.dim
-        for i, a in enumerate(u.coords):
-            if not a:
-                continue
-            for j, b in enumerate(v.coords):
-                if not b or i == j:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] += a * b * c
+        for k, c in bracket_terms(self._table, sparse(u.coords), sparse(v.coords)).items():
+            out[k] = c
         return Vector(self, out)
 
+    def full_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """[e_i, e_j] for every ordered pair (i, j) with a nonzero bracket."""
+        full = {}
+        for (i, j), image in self._table.items():
+            full[(i, j)] = image
+            full[(j, i)] = {k: -c for k, c in image.items()}
+        return full
+
     def jacobi_check(self) -> Optional[tuple[int, int, int]]:
-        """None if the Jacobi identity holds; else the first violating triple."""
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
-            for j in range(i + 1, self.dim):
-                ej = self.basis_vector(j)
-                bij = self.bracket(ei, ej)
-                for k in range(j + 1, self.dim):
-                    ek = self.basis_vector(k)
-                    jacobiator = (
-                        self.bracket(bij, ek)
-                        + self.bracket(self.bracket(ej, ek), ei)
-                        + self.bracket(self.bracket(ek, ei), ej)
-                    )
-                    if not jacobiator.is_zero():
+        """None if the Jacobi identity holds; else the first violating triple
+        (i < j < k, in lexicographic order)."""
+        full = self.full_table()
+        empty: dict[int, Fraction] = {}
+        n = self.dim
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+                    acc: dict[int, Fraction] = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for l, x in full.get((a, b), empty).items():
+                            for p, y in full.get((l, c), empty).items():
+                                acc[p] = acc.get(p, 0) + x * y
+                    if any(acc.values()):
                         return (i, j, k)
         return None
 
@@ -209,13 +238,14 @@ class LieAlgebra:
 
     def is_subalgebra(self, basis: Sequence[Vector]) -> bool:
         """True iff the span of ``basis`` is closed under the bracket."""
-        rows = [list(v.coords) for v in basis]
-        if linalg.rank(rows) != len(rows):
-            raise ValueError("dependent basis")
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                image = self.bracket(basis[a], basis[b])
-                if not linalg.in_span(rows, list(image.coords)):
+        try:
+            span = linalg.RowSpan([list(v.coords) for v in basis])
+        except ValueError:
+            raise ValueError("dependent basis") from None
+        vecs = [sparse(v.coords) for v in basis]
+        for a in range(len(vecs)):
+            for b in range(a + 1, len(vecs)):
+                if not span.contains(bracket_terms(self._table, vecs[a], vecs[b])):
                     return False
         return True
 
@@ -257,12 +287,13 @@ class Subalgebra:
     def induced_algebra(self, labels: Sequence[str] | None = None) -> LieAlgebra:
         """The abstract Lie algebra on this basis, with induced constants."""
         n = self.dim
-        rows = [list(v.coords) for v in self.basis]
+        span = linalg.RowSpan([list(v.coords) for v in self.basis])
+        vecs = [sparse(v.coords) for v in self.basis]
         brackets = {}
         for i in range(n):
             for j in range(i + 1, n):
-                image = self.parent.bracket(self.basis[i], self.basis[j])
-                coeffs = linalg.solve(linalg.transpose(rows), list(image.coords))
+                image = bracket_terms(self.parent._table, vecs[i], vecs[j])
+                coeffs = span.coordinates(image)
                 if coeffs is None:
                     raise ValueError("bracket leaves the subalgebra")
                 entry = {k: c for k, c in enumerate(coeffs) if c}

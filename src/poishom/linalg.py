@@ -32,21 +32,6 @@ def identity(n: int) -> Matrix:
     return m
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for j in range(m):
-            s = Fraction(0)
-            for t in range(k):
-                if ai[t]:
-                    s += ai[t] * b[t][j]
-            oi[j] = s
-    return out
-
-
 def mat_vec(a: Matrix, v: Row) -> Row:
     return [sum((aij * vj for aij, vj in zip(row, v) if aij), Fraction(0)) for row in a]
 
@@ -160,3 +145,53 @@ def in_span(vectors: list[Row], v: Row) -> bool:
         return not any(v)
     base = [list(w) for w in vectors]
     return rank(base) == rank(base + [list(v)])
+
+
+class RowSpan:
+    """The span of independent rows, eliminated once.
+
+    One ``rref`` of ``[rows | I]`` gives the reduced rows R and the transform
+    T with T @ rows = R.  A vector v is in the span exactly when it equals
+    sum_r v[p_r] R_r, p_r being the pivot columns, and its coefficients on
+    the original rows are then sum_r v[p_r] T_r.  Vectors are passed sparse,
+    as {column: value} maps, so a test costs in proportion to their support.
+    """
+
+    def __init__(self, rows: Matrix):
+        n = len(rows)
+        cols = len(rows[0]) if rows else 0
+        red, pivots = rref([list(row) + e for row, e in zip(rows, identity(n))])
+        if pivots and pivots[-1] >= cols:
+            raise ValueError("rows are linearly dependent")
+        # per pivot column p_r: the nonzero entries of R_r off the pivot, and T_r
+        self.reduced = {
+            p: [(c, x) for c, x in enumerate(row[:cols]) if x and c != p]
+            for p, row in zip(pivots, red)
+        }
+        self.transform = {
+            p: [(s, x) for s, x in enumerate(row[cols:]) if x] for p, row in zip(pivots, red)
+        }
+        self.dim = n
+
+    def contains(self, v: dict[int, Fraction]) -> bool:
+        rest: dict[int, Fraction] = {}
+        for k, x in v.items():
+            terms = self.reduced.get(k)
+            if terms is None:
+                rest[k] = rest.get(k, 0) + x
+            elif x:
+                for c, y in terms:
+                    rest[c] = rest.get(c, 0) - x * y
+        return not any(rest.values())
+
+    def coordinates(self, v: dict[int, Fraction]) -> Row | None:
+        """The coefficients of v on the original rows, or None when v is
+        outside their span."""
+        if not self.contains(v):
+            return None
+        out = [Fraction(0)] * self.dim
+        for k, x in v.items():
+            if x and k in self.transform:
+                for s, y in self.transform[k]:
+                    out[s] += x * y
+        return out

@@ -256,7 +256,7 @@ def run_all(eta=1, seed: int = catalog.DEFAULT_SEED) -> list[CheckResult]:
             lambda b=bundle: multiplicativity_spotcheck(
                 b.model, pairs=25, rng=random.Random(seed)
             )
-            < 1e-10,
+            == 0.0,
         )
         check(
             f"jacobi-on-variety:{name}",

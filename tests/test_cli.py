@@ -68,6 +68,35 @@ def test_tables_eta_zero_rejected(capsys):
     assert run(["tables", "--eta", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["analyze", "mu-plane"], ["dynamics", "compartmental"], ["verify-all"]]
+)
+def test_eta_with_zero_denominator_rejected(argv, capsys):
+    assert run(argv + ["--eta", "1/0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--dt", "0"],
+        ["--dt", "-0.1"],
+        ["--T", "0"],
+        ["--T", "-1"],
+        ["--T", "nan"],
+        ["--dt", "inf"],
+        ["--T", "1e300", "--dt", "1e-10"],
+        ["--T", "0.0004"],
+    ],
+)
+def test_dynamics_rejects_bad_steps(flags, capsys):
+    assert run(["dynamics", "compartmental"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
 def test_tables_corrupted_golden(tmp_path, capsys):
     from poishom.verify import load_golden
 

@@ -149,6 +149,37 @@ def test_jacobi_violation_detected():
     assert not verdict.ok and verdict.violating_triple == (0, 1, 2)
 
 
+def _sphere_point(rng):
+    """An exact rational point on the unit sphere (inverse stereographic)."""
+    a = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    b = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    d = a * a + b * b + 1
+    return (2 * a / d, 2 * b / d, (a * a + b * b - 1) / d)
+
+
+def test_jacobi_tiny_residual_on_variety_fails():
+    # {x, y} = z + eps x on the rotation bracket: the Jacobiator is eps y, a
+    # nonzero rational far below any float tolerance one might set
+    v = ("x", "y", "z")
+    x, y, z = (Polynomial.variable(v, n) for n in v)
+    eps = Fraction(1, 10**12)
+    model = PolynomialPoissonModel(
+        "perturbed-sphere",
+        v,
+        {(0, 1): z + eps * x, (1, 2): x, (0, 2): -1 * y},
+        constraints=[x * x + y * y + z * z - 1],
+        sampler=_sphere_point,
+    )
+    verdict = jacobi_symbolic(model, rng=random.Random(3), points=20)
+    assert not verdict.ok and not verdict.symbolic
+    assert 0 < verdict.max_residual < 1e-10
+    exact = PolynomialPoissonModel(
+        "sphere", v, {(0, 1): z, (1, 2): x, (0, 2): -1 * y},
+        constraints=[x * x + y * y + z * z - 1], sampler=_sphere_point,
+    )
+    assert jacobi_symbolic(exact, rng=random.Random(3), points=20).ok
+
+
 # ---------------------------------------------------------------------------
 # divergence
 # ---------------------------------------------------------------------------
@@ -382,6 +413,26 @@ def test_multiplicativity_zero_bracket():
         sampler=lambda rng: (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))),
     )
     assert multiplicativity_spotcheck(M, pairs=10, rng=random.Random(0)) == 0.0
+
+
+def test_multiplicativity_residual_below_float_range_is_nonzero():
+    # {x, y} = eps x y is not multiplicative for additive multiplication; the
+    # residual eps (x y' + x' y) lies far below the smallest positive float
+    v = ("x", "y")
+    names = list(v) + ["x'", "y'"]
+    x, y = (Polynomial.variable(v, n) for n in v)
+    mult = [Polynomial.variable(names, "x") + Polynomial.variable(names, "x'"),
+            Polynomial.variable(names, "y") + Polynomial.variable(names, "y'")]
+    M = PolynomialPoissonModel(
+        "perturbed-abelian",
+        v,
+        {(0, 1): Fraction(1, 10**400) * x * y},
+        base_point=(0, 0),
+        poisson_lie=True,
+        group_mult=mult,
+        sampler=lambda rng: (Fraction(rng.randint(1, 3)), Fraction(rng.randint(1, 3))),
+    )
+    assert multiplicativity_spotcheck(M, pairs=3, rng=random.Random(0)) > 0.0
 
 
 def test_multiplicativity_requires_data(comp):

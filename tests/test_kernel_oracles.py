@@ -1,0 +1,319 @@
+"""The sparse structure-constant kernel against its dense reference.
+
+The Jacobi and cocycle checks, the adjoint action on multivectors, the double
+and the sl(n) builder contract the sparse bracket tables directly.  The
+references below are the dense, object-level constructions they replaced:
+Jacobiators of ``Vector`` brackets, ``ExteriorElement`` wedges for the adjoint
+action, ``double_bracket`` on ``DoubleElement`` pairs, and sl(n) through dense
+n x n matrices, Gram inversion and trace loops.  Every result must agree
+exactly, including the first violating triple or pair.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from poishom import catalog, linalg
+from poishom.bialgebra import (
+    CocommutatorMap,
+    cocycle_check,
+    double_algebra,
+    double_bracket,
+    sln_algebra,
+    sln_basis_matrices,
+    sln_standard_bialgebra,
+)
+from poishom.exterior import ExteriorElement, ad_extension
+from poishom.lie import LieAlgebra, sparse
+
+# ---------------------------------------------------------------------------
+# dense references
+# ---------------------------------------------------------------------------
+
+
+def ref_jacobi_check(L):
+    for i in range(L.dim):
+        ei = L.basis_vector(i)
+        for j in range(i + 1, L.dim):
+            ej = L.basis_vector(j)
+            bij = L.bracket(ei, ej)
+            for k in range(j + 1, L.dim):
+                ek = L.basis_vector(k)
+                jacobiator = (
+                    L.bracket(bij, ek)
+                    + L.bracket(L.bracket(ej, ek), ei)
+                    + L.bracket(L.bracket(ek, ei), ej)
+                )
+                if not jacobiator.is_zero():
+                    return (i, j, k)
+    return None
+
+
+def ref_bracket(L, u, v):
+    out = [Fraction(0)] * L.dim
+    for i, a in enumerate(u.coords):
+        for j, b in enumerate(v.coords):
+            for k in range(L.dim):
+                out[k] += a * b * L.structure_constant(i, j, k)
+    return L.vector(out)
+
+
+def ref_ad_extension(L, x, p):
+    out = ExteriorElement.zero(L, p.degree, False)
+    for idx, c in p.terms.items():
+        for r, i in enumerate(idx):
+            image = L.bracket(x, L.basis_vector(i))
+            if image.is_zero():
+                continue
+            left = ExteriorElement.basis(L, idx[:r], False)
+            right = ExteriorElement.basis(L, idx[r + 1:], False)
+            out = out + c * left.wedge(ExteriorElement.from_vector(image)).wedge(right)
+    return out
+
+
+def ref_cocycle_check(g, delta):
+    for i in range(g.dim):
+        xi = g.basis_vector(i)
+        for j in range(i + 1, g.dim):
+            xj = g.basis_vector(j)
+            lhs = delta.apply(g.bracket(xi, xj))
+            rhs = ref_ad_extension(g, xi, delta.images[j]) - ref_ad_extension(
+                g, xj, delta.images[i]
+            )
+            if lhs != rhs:
+                return (i, j)
+    return None
+
+
+def ref_double_table(B):
+    m = B.dim
+    basis = [B.double_element(x=B.g.basis_vector(i)) for i in range(m)] + [
+        B.double_element(xi=B.g.basis_covector(i)) for i in range(m)
+    ]
+    brackets = {}
+    for i in range(2 * m):
+        for j in range(i + 1, 2 * m):
+            out = double_bracket(B, basis[i], basis[j])
+            entry = {k: c for k, c in enumerate(out.x.coords) if c}
+            entry.update({m + k: c for k, c in enumerate(out.xi.coords) if c})
+            if entry:
+                brackets[(i, j)] = entry
+    return LieAlgebra(list(B.g.labels) + list(B.g.dual_labels), brackets)._table
+
+
+def _mat_commutator(a, b):
+    n = len(a)
+    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
+
+
+def _dense_sln_coords(m, n):
+    coords = []
+    partial = Fraction(0)
+    for k in range(n - 1):
+        partial += m[k][k]
+        coords.append(partial)
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords.append((m[i][j] + m[j][i]) / 2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords.append((m[i][j] - m[j][i]) / 2)
+    return coords
+
+
+def _triangular_split(m, n):
+    return [
+        [m[i][j] if i > j else -m[i][j] if i < j else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def ref_sln_tables(n, eta):
+    """Brackets of sl(n) and of its standard dual, from dense matrices."""
+    labels, mats = sln_basis_matrices(n)
+    dim = len(labels)
+    g_brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            coords = _dense_sln_coords(_mat_commutator(mats[i], mats[j]), n)
+            entry = {k: c for k, c in enumerate(coords) if c}
+            if entry:
+                g_brackets[(i, j)] = entry
+    gram = [
+        [sum(mats[a][i][j] * mats[b][j][i] for i in range(n) for j in range(n)) for b in range(dim)]
+        for a in range(dim)
+    ]
+    gram_inv = linalg.invert(gram)
+
+    def covector_matrix(a):
+        w = [gram_inv[b][a] for b in range(dim)]
+        return [[sum(w[b] * mats[b][i][j] for b in range(dim)) for j in range(n)] for i in range(n)]
+
+    dual_brackets = {}
+    for a in range(dim):
+        ma = covector_matrix(a)
+        for b in range(a + 1, dim):
+            mb = covector_matrix(b)
+            res = [
+                [x + y for x, y in zip(r1, r2)]
+                for r1, r2 in zip(
+                    _mat_commutator(_triangular_split(ma, n), mb),
+                    _mat_commutator(ma, _triangular_split(mb, n)),
+                )
+            ]
+            entry = {}
+            for k in range(dim):
+                val = sum(res[i][j] * mats[k][j][i] for i in range(n) for j in range(n))
+                if val:
+                    entry[k] = eta * val
+            if entry:
+                dual_brackets[(a, b)] = entry
+    return LieAlgebra(labels, g_brackets)._table, LieAlgebra(labels, dual_brackets)._table
+
+
+# ---------------------------------------------------------------------------
+# random sparse tables
+# ---------------------------------------------------------------------------
+
+small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def sparse_algebras(draw, max_dim=5, density=0.35):
+    """Random sparse rational tables; most fail the Jacobi identity, some at a
+    late triple, some not at all."""
+    dim = draw(st.integers(2, max_dim))
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if draw(st.floats(0, 1)) < density:
+                k = draw(st.integers(0, dim - 1))
+                brackets[(i, j)] = {k: draw(small_rational)}
+    return LieAlgebra([f"e{i}" for i in range(dim)], brackets)
+
+
+@st.composite
+def sparse_cocommutators(draw, g, density=0.3):
+    images = {}
+    for k in range(g.dim):
+        terms = {}
+        for i in range(g.dim):
+            for j in range(i + 1, g.dim):
+                if draw(st.floats(0, 1)) < density:
+                    terms[(i, j)] = draw(small_rational)
+        images[k] = terms
+    return CocommutatorMap.from_images(g, images)
+
+
+VALID_ALGEBRAS = [
+    catalog.so3_algebra(),
+    catalog.sl2_boost_algebra(),
+    catalog.solvable3_algebra(),
+    catalog.r2xr2_algebra(),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_algebras())
+def test_jacobi_check_matches_dense_reference(L):
+    assert L.jacobi_check() == ref_jacobi_check(L)
+
+
+def test_jacobi_check_reference_sees_both_verdicts():
+    for L in VALID_ALGEBRAS:
+        assert L.jacobi_check() is None and ref_jacobi_check(L) is None
+    # a violation at the last triple of a 4-dimensional table
+    late = LieAlgebra(("a", "b", "c", "d"), {(1, 2): {1: 1}, (2, 3): {2: 1}, (1, 3): {3: 1}})
+    assert ref_jacobi_check(late) == (1, 2, 3)
+    assert late.jacobi_check() == (1, 2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cocycle_check_matches_dense_reference(data):
+    g = data.draw(st.one_of(st.sampled_from(VALID_ALGEBRAS), sparse_algebras(max_dim=4)))
+    delta = data.draw(sparse_cocommutators(g))
+    assert cocycle_check(g, delta) == ref_cocycle_check(g, delta)
+
+
+def test_cocycle_check_reference_on_catalog_bialgebras():
+    for name in catalog.HOMSPACE_NAMES:
+        B = catalog.build_homspace(name).bialgebra
+        assert cocycle_check(B.g, B.delta) is None
+        assert ref_cocycle_check(B.g, B.delta) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bracket_and_ad_extension_match_dense_reference(data):
+    L = data.draw(st.one_of(st.sampled_from(VALID_ALGEBRAS), sparse_algebras()))
+    coords = st.lists(small_rational, min_size=L.dim, max_size=L.dim)
+    u, v = L.vector(data.draw(coords)), L.vector(data.draw(coords))
+    assert L.bracket(u, v) == ref_bracket(L, u, v)
+    degree = data.draw(st.integers(1, L.dim))
+    p = ExteriorElement(
+        L,
+        degree,
+        {idx: c for idx, c in zip(combinations(range(L.dim), degree), data.draw(coords)) if c},
+        False,
+    )
+    assert ad_extension(L, u, p) == ref_ad_extension(L, u, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_row_span_matches_rank_and_solve(data):
+    cols = data.draw(st.integers(1, 5))
+    row = st.lists(small_rational, min_size=cols, max_size=cols)
+    rows = data.draw(st.lists(row, min_size=1, max_size=cols))
+    v = data.draw(row)
+    if linalg.rank(rows) < len(rows):
+        with pytest.raises(ValueError):
+            linalg.RowSpan(rows)
+        return
+    span = linalg.RowSpan(rows)
+    inside = linalg.in_span(rows, v)
+    assert span.contains(sparse(v)) == inside
+    want = linalg.solve(linalg.transpose(rows), v) if inside else None
+    assert span.coordinates(sparse(v)) == want
+    # a combination of the rows is inside, with its own coefficients back
+    coeffs = data.draw(st.lists(small_rational, min_size=len(rows), max_size=len(rows)))
+    w = [sum((c * r[k] for c, r in zip(coeffs, rows)), Fraction(0)) for k in range(cols)]
+    assert span.coordinates(sparse(w)) == coeffs
+    assert span.coordinates(dict(enumerate(w))) == coeffs  # explicit zeros are harmless
+
+
+# ---------------------------------------------------------------------------
+# the double and the sl(n) builder
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", catalog.HOMSPACE_NAMES)
+def test_double_algebra_matches_double_bracket_catalog(name):
+    B = catalog.build_homspace(name).bialgebra
+    table = double_algebra(B)._table
+    ref = ref_double_table(B)
+    assert list(table.items()) == list(ref.items())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_double_algebra_matches_double_bracket_sln(n):
+    B = sln_standard_bialgebra(n, Fraction(-2, 3))
+    table = double_algebra(B)._table
+    ref = ref_double_table(B)
+    assert list(table.items()) == list(ref.items())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("eta", [Fraction(1), Fraction(-2, 3), Fraction(5, 2)])
+def test_sln_standard_bialgebra_matches_dense_construction(n, eta):
+    g_ref, dual_ref = ref_sln_tables(n, eta)
+    B = sln_standard_bialgebra(n, eta)
+    assert list(B.g._table.items()) == list(g_ref.items())
+    assert list(sln_algebra(n)._table.items()) == list(g_ref.items())
+    assert B.dual._table == dual_ref
+    assert B.g.labels == tuple(sln_basis_matrices(n)[0])
