@@ -609,22 +609,18 @@ DYNAMICS_CASES = {
     "compartmental": {
         "model": "compartmental",
         "start": (1, 1, 1),
-        "preserved": True,
     },
     "sphere-morse": {
         "model": "su2",
         "start": (Fraction(2, 3), Fraction(1, 3), Fraction(2, 3), 0),
-        "preserved": True,
         "morse": True,
     },
     "canonical2d": {
         "model": "canonical2d",
         "start": (1, 0),
-        "preserved": True,
     },
     "toda-n3": {
         "model": "toda-n3",
         "start": toda_singular_point(2),
-        "preserved": False,
     },
 }

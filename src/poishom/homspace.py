@@ -12,19 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
 from .bialgebra import LieBialgebra, double_algebra
-from .exterior import (
-    ExteriorElement,
-    ce_differential,
-    interior,
-    theta0_from_v0,
-    top_wedge,
-)
-from .lie import Covector, LieAlgebra, Subalgebra, Vector, is_closed_one_form, restrict_covector
-from .linalg import frac
+from .exterior import ExteriorElement, ce_differential, interior, top_wedge
+from .lie import Covector, LieAlgebra, Subalgebra, Vector, is_closed_one_form, sparse
 
 SIMPLY_CONNECTED_CAVEAT = (
     "algebra-level verdict: the closed 1-cocycle integrates to a multiplicative "
@@ -116,62 +110,11 @@ class SemiInvariantSolutions:
 
 
 # ---------------------------------------------------------------------------
-# basic structure of the pair (g, h)
+# the linear systems
 # ---------------------------------------------------------------------------
 
 
-def annihilator_in_dual(S: HomogeneousSpaceSpec) -> list[Vector]:
-    """The annihilator basis, reinterpreted as vectors of the dual algebra."""
-    dual = S.bialgebra.dual
-    return [Vector(dual, xi.coords) for xi in S.bialgebra.g.annihilator(S.h)]
-
-
-def coisotropy_check(S: HomogeneousSpaceSpec) -> bool:
-    """h0 is a subalgebra of g* exactly when the quotient is coisotropic."""
-    ann = annihilator_in_dual(S)
-    if not ann:
-        return True
-    return S.bialgebra.dual.is_subalgebra(ann)
-
-
-def subgroup_type(S: HomogeneousSpaceSpec) -> str:
-    if not coisotropy_check(S):
-        return NOT_COISOTROPIC
-    dual = S.bialgebra.dual
-    ann = annihilator_in_dual(S)
-    rows = [list(v.coords) for v in ann]
-    for xi in ann:
-        for a in range(dual.dim):
-            image = dual.bracket(xi, dual.basis_vector(a))
-            if not linalg.in_span(rows, list(image.coords)):
-                return COISOTROPIC_ONLY
-    return PL_SUBGROUP
-
-
-def h0_subalgebra(S: HomogeneousSpaceSpec) -> Subalgebra:
-    if not coisotropy_check(S):
-        raise ValueError("h0 is not a subalgebra: the quotient is not coisotropic")
-    return Subalgebra(S.bialgebra.dual, annihilator_in_dual(S), verify=True)
-
-
-def chi_h0(S: HomogeneousSpaceSpec) -> tuple[tuple[Fraction, ...], Vector]:
-    """Modular character of (h0, [.,.]_*) on the annihilator basis, together
-    with a lift x in g satisfying xi(x) = chi(xi) for every xi in h0."""
-    sub = h0_subalgebra(S)
-    values = sub.modular_character_values()
-    rows = [list(v.coords) for v in sub.basis]
-    lift = linalg.solve(rows, list(values))
-    if lift is None:  # the pairing system is always consistent
-        raise AssertionError("annihilator pairing system must be solvable")
-    return values, Vector(S.bialgebra.g, lift)
-
-
-# ---------------------------------------------------------------------------
-# volume-form feasibility systems
-# ---------------------------------------------------------------------------
-
-
-def _closedness_rows(L: LieAlgebra) -> list[list[Fraction]]:
+def _closedness_rows(L: LieAlgebra) -> linalg.Matrix:
     rows = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
@@ -184,23 +127,10 @@ def _closedness_rows(L: LieAlgebra) -> list[list[Fraction]]:
     return rows
 
 
-def _restriction_rows(S: HomogeneousSpaceSpec) -> tuple[list[list[Fraction]], list[Fraction]]:
-    chi_g = S.bialgebra.g.modular_character()
-    chi_h_vals = S.h.modular_character_values()
-    rows, rhs = [], []
-    for v, chv in zip(S.h.basis, chi_h_vals):
-        rows.append(list(v.coords))
-        rhs.append(chi_g(v) - chv)
-    return rows, rhs
-
-
-def _mu_rows(S: HomogeneousSpaceSpec) -> tuple[list[list[Fraction]], list[Fraction]]:
+def _mu_rows(B: LieBialgebra, chi_g: Covector, chi_gs: Vector) -> tuple[linalg.Matrix, linalg.Row]:
     """Linearized horizontal-field condition, one g-valued equation per basis
     vector: 1/2 ([X, chi_g*] - i(chi_g) delta X) + i(theta0) delta X = 0."""
-    B = S.bialgebra
     g = B.g
-    chi_g = g.modular_character()
-    chi_gs = B.dual_modular_character()
     rows, rhs = [], []
     for i in range(g.dim):
         delta_i = B.delta.images[i]
@@ -225,18 +155,16 @@ def _mu_rows(S: HomogeneousSpaceSpec) -> tuple[list[list[Fraction]], list[Fracti
 
 
 def _preferred_witness(
-    S: HomogeneousSpaceSpec,
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    degenerate_first: bool,
-) -> Optional[Covector]:
+    chi: Covector, rows: linalg.Matrix, rhs: linalg.Row, degenerate_first: bool
+) -> tuple[Optional[Covector], linalg.Matrix]:
     """Solve the affine system for theta0, preferring the canonical cocycles
-    chi_g and chi_g/2 over the raw pivot solution when they are solutions."""
-    g = S.bialgebra.g
+    chi_g and chi_g/2 over the raw pivot solution when they are solutions.
+    Returns (theta0 or None when infeasible, null space basis)."""
+    if not rows:  # no condition: every covector is a solution
+        rows, rhs = [[Fraction(0)] * chi.algebra.dim], [Fraction(0)]
     part, null = linalg.solve_affine(rows, rhs)
     if part is None:
-        return None
-    chi = g.modular_character()
+        return None, null
     half = Fraction(1, 2) * chi
     candidates = [half, chi] if degenerate_first else [chi, half]
     for cand in candidates:
@@ -244,50 +172,161 @@ def _preferred_witness(
             sum((r * c for r, c in zip(row, cand.coords)), Fraction(0)) == b
             for row, b in zip(rows, rhs)
         ):
-            return cand
-    return Covector(g, part)
+            return cand, null
+    return Covector(chi.algebra, part), null
+
+
+# ---------------------------------------------------------------------------
+# one analysis of the pair (g, h)
+# ---------------------------------------------------------------------------
+
+
+class _Analysis:
+    """Everything the verdicts on one pair (g, h) read, each piece computed
+    at most once.  Every public function below builds one and reads it."""
+
+    def __init__(self, S: HomogeneousSpaceSpec):
+        self.S = S
+        self.g = S.bialgebra.g
+
+    @cached_property
+    def ann(self) -> list[Covector]:
+        return self.g.annihilator(self.S.h)
+
+    @cached_property
+    def h0(self) -> Subalgebra:
+        """h0 inside (g*, [.,.]_*); its one RowSpan serves the closure and
+        ideal tests and the modular character."""
+        dual = self.S.bialgebra.dual
+        return Subalgebra(dual, [Vector(dual, xi.coords) for xi in self.ann], verify=False)
+
+    @cached_property
+    def coisotropic(self) -> bool:
+        """h0 is a subalgebra of g* exactly when the quotient is coisotropic."""
+        return self.h0.is_closed()
+
+    @cached_property
+    def subgroup_type(self) -> str:
+        if not self.coisotropic:
+            return NOT_COISOTROPIC
+        return PL_SUBGROUP if self.h0.is_ideal() else COISOTROPIC_ONLY
+
+    @cached_property
+    def chi_g(self) -> Covector:
+        return self.g.modular_character()
+
+    @cached_property
+    def chi_gs(self) -> Vector:
+        return self.S.bialgebra.dual_modular_character()
+
+    @cached_property
+    def restriction_rhs(self) -> linalg.Row:
+        """chi_g - chi_h on the basis of h."""
+        chi_h = self.S.h.modular_character_values()
+        return [self.chi_g(v) - c for v, c in zip(self.S.h.basis, chi_h)]
+
+    @cached_property
+    def chi_h0(self) -> tuple[tuple[Fraction, ...], Vector]:
+        if not self.coisotropic:
+            raise ValueError("h0 is not a subalgebra: the quotient is not coisotropic")
+        values = self.h0.modular_character_values()
+        lift = [Fraction(0)] * self.g.dim
+        for p, x in self.h0.span.lift(values).items():
+            lift[p] = x
+        return values, Vector(self.g, lift)
+
+    @cached_property
+    def v0(self) -> ExteriorElement:
+        return top_wedge(self.g, self.ann)
+
+    @cached_property
+    def volume(self) -> VolumeCertificate:
+        kind = "none" if any(self.restriction_rhs) else "invariant"
+        return VolumeCertificate(v0=self.v0, theta0=None, kind=kind)
+
+    @cached_property
+    def semi_rows(self) -> tuple[linalg.Matrix, linalg.Row]:
+        """Closedness of theta0 and theta0|_h = chi_g|_h - chi_h."""
+        rows = _closedness_rows(self.g)
+        rhs = [Fraction(0)] * len(rows)
+        return rows + [list(v.coords) for v in self.S.h.basis], rhs + self.restriction_rhs
+
+    @cached_property
+    def semi_invariant(self) -> tuple[Optional[Covector], linalg.Matrix]:
+        return _preferred_witness(self.chi_g, *self.semi_rows, degenerate_first=False)
+
+    @cached_property
+    def mu(self) -> tuple[Optional[Covector], linalg.Matrix]:
+        """The semi-invariant system extended by the horizontal-field rows."""
+        rows, rhs = self.semi_rows
+        r3, b3 = _mu_rows(self.S.bialgebra, self.chi_g, self.chi_gs)
+        return _preferred_witness(
+            self.chi_g, rows + r3, rhs + b3, degenerate_first=self.S.h.dim == 0
+        )
+
+    @cached_property
+    def report(self) -> UnimodularityReport:
+        values, lift = self.chi_h0
+        unimodular = not any(values)
+        witness, null = self.mu if unimodular else (None, [])
+        if witness is not None:
+            # re-verify the witness against the wedge identity before reporting
+            rhs_form = -1 * ExteriorElement.from_vector(witness).wedge(self.v0)
+            if ce_differential(self.g, self.v0) != rhs_form:
+                raise AssertionError("witness violates the wedge identity for V0")
+            if not is_closed_one_form(self.g, witness):
+                raise AssertionError("witness is not closed")
+        status = MU_FAILS_I if not unimodular else MU_FAILS_II if witness is None else MU_OK
+        return UnimodularityReport(
+            chi_h0=values,
+            x_h0=lift,
+            x_h0_in_h=self.S.h.span.contains(sparse(lift.coords)),
+            h0_unimodular=unimodular,
+            mu_status=status,
+            mu_witness_theta0=witness,
+            cocycle_solution_space_dim=len(null),
+        )
+
+
+# ---------------------------------------------------------------------------
+# verdicts
+# ---------------------------------------------------------------------------
+
+
+def coisotropy_check(S: HomogeneousSpaceSpec) -> bool:
+    """h0 is a subalgebra of g* exactly when the quotient is coisotropic."""
+    return _Analysis(S).coisotropic
+
+
+def subgroup_type(S: HomogeneousSpaceSpec) -> str:
+    return _Analysis(S).subgroup_type
+
+
+def chi_h0(S: HomogeneousSpaceSpec) -> tuple[tuple[Fraction, ...], Vector]:
+    """Modular character of (h0, [.,.]_*) on the annihilator basis, together
+    with a lift x in g satisfying xi(x) = chi(xi) for every xi in h0."""
+    return _Analysis(S).chi_h0
 
 
 def canonical_v0(S: HomogeneousSpaceSpec) -> ExteriorElement:
     """Top wedge of the annihilator basis (a generator of the line
     Lambda^(m-n) h0)."""
-    return top_wedge(S.bialgebra.g, S.bialgebra.g.annihilator(S.h))
+    return _Analysis(S).v0
 
 
 def invariant_volume_exists(S: HomogeneousSpaceSpec) -> tuple[bool, VolumeCertificate]:
-    g = S.bialgebra.g
-    chi_g = g.modular_character()
-    chi_h_vals = S.h.modular_character_values()
-    matches = all(chi_g(v) == chv for v, chv in zip(S.h.basis, chi_h_vals))
-    v0 = canonical_v0(S)
-    if matches:
-        return True, VolumeCertificate(v0=v0, theta0=None, kind="invariant")
-    return False, VolumeCertificate(v0=v0, theta0=None, kind="none")
+    cert = _Analysis(S).volume
+    return cert.kind == "invariant", cert
 
 
 def semi_invariant_solutions(S: HomogeneousSpaceSpec) -> SemiInvariantSolutions:
     """All closed theta0 with theta0|_h = chi_g|_h - chi_h, as an affine set."""
-    g = S.bialgebra.g
-    rows = _closedness_rows(g)
-    rhs = [Fraction(0)] * len(rows)
-    r2, b2 = _restriction_rows(S)
-    rows += r2
-    rhs += b2
-    if not rows:
-        # everything is a solution: abelian g with h = 0
-        return SemiInvariantSolutions(
-            feasible=True,
-            particular=g.zero_covector(),
-            homogeneous=[g.basis_covector(i) for i in range(g.dim)],
-        )
-    witness = _preferred_witness(S, rows, rhs, degenerate_first=False)
+    witness, null = _Analysis(S).semi_invariant
     if witness is None:
         return SemiInvariantSolutions(feasible=False, particular=None)
-    null = linalg.nullspace(rows)
+    g = S.bialgebra.g
     return SemiInvariantSolutions(
-        feasible=True,
-        particular=witness,
-        homogeneous=[Covector(g, v) for v in null],
+        feasible=True, particular=witness, homogeneous=[Covector(g, v) for v in null]
     )
 
 
@@ -301,74 +340,10 @@ def multiplicative_unimodularity_check(S: HomogeneousSpaceSpec) -> Unimodularity
     the exactness condition on the group is reported as satisfied under
     simple connectedness rather than decided.
     """
-    if not coisotropy_check(S):
+    A = _Analysis(S)
+    if not A.coisotropic:
         raise ValueError("multiplicative unimodularity requires a coisotropic quotient")
-    chi_vals, lift = chi_h0(S)
-    h_rows = [list(v.coords) for v in S.h.basis]
-    in_h = linalg.in_span(h_rows, list(lift.coords)) if h_rows else lift.is_zero()
-    unimodular = not any(chi_vals)
-
-    g = S.bialgebra.g
-    rows = _closedness_rows(g)
-    rhs = [Fraction(0)] * len(rows)
-    r2, b2 = _restriction_rows(S)
-    rows += r2
-    rhs += b2
-    r3, b3 = _mu_rows(S)
-    rows += r3
-    rhs += b3
-
-    if not unimodular:
-        return UnimodularityReport(
-            chi_h0=chi_vals,
-            x_h0=lift,
-            x_h0_in_h=in_h,
-            h0_unimodular=False,
-            mu_status=MU_FAILS_I,
-            mu_witness_theta0=None,
-            cocycle_solution_space_dim=0,
-        )
-
-    if not rows:
-        witness = _preferred_witness(S, [[Fraction(0)] * g.dim], [Fraction(0)], S.h.dim == 0)
-        return UnimodularityReport(
-            chi_h0=chi_vals,
-            x_h0=lift,
-            x_h0_in_h=in_h,
-            h0_unimodular=True,
-            mu_status=MU_OK,
-            mu_witness_theta0=witness,
-            cocycle_solution_space_dim=g.dim,
-        )
-
-    witness = _preferred_witness(S, rows, rhs, degenerate_first=S.h.dim == 0)
-    if witness is None:
-        return UnimodularityReport(
-            chi_h0=chi_vals,
-            x_h0=lift,
-            x_h0_in_h=in_h,
-            h0_unimodular=True,
-            mu_status=MU_FAILS_II,
-            mu_witness_theta0=None,
-            cocycle_solution_space_dim=0,
-        )
-    # re-verify the witness against the wedge identity before reporting
-    v0 = canonical_v0(S)
-    dv0 = ce_differential(g, v0)
-    rhs_form = -1 * ExteriorElement.from_vector(witness).wedge(v0)
-    if dv0 != rhs_form:
-        raise AssertionError("witness violates the wedge identity for V0")
-    if not is_closed_one_form(g, witness):
-        raise AssertionError("witness is not closed")
-    return UnimodularityReport(
-        chi_h0=chi_vals,
-        x_h0=lift,
-        x_h0_in_h=in_h,
-        h0_unimodular=True,
-        mu_status=MU_OK,
-        mu_witness_theta0=witness,
-        cocycle_solution_space_dim=len(linalg.nullspace(rows)),
-    )
+    return A.report
 
 
 # ---------------------------------------------------------------------------
@@ -380,47 +355,35 @@ def lu_crosscheck(S: HomogeneousSpaceSpec) -> bool:
     """Check, on every annihilator basis covector xi, that the modular
     character of l = h (+) h0 inside the double agrees with the pairing
     against -chi_g* + 2 x_h0."""
-    if not coisotropy_check(S):
+    A = _Analysis(S)
+    if not A.coisotropic:
         raise ValueError("the Lagrangian subalgebra h + h0 needs a coisotropic quotient")
-    B = S.bialgebra
-    D = double_algebra(B)
-    m = B.dim
-    ann = B.g.annihilator(S.h)
-    vectors = []
-    for v in S.h.basis:
-        vectors.append(Vector(D, list(v.coords) + [Fraction(0)] * m))
-    for xi in ann:
-        vectors.append(Vector(D, [Fraction(0)] * m + list(xi.coords)))
-    sub = D.subalgebra(vectors, verify=True)
-    chi_l = sub.modular_character_values()
-    _, x_h0 = chi_h0(S)
-    target = -1 * B.dual_modular_character() + 2 * x_h0
+    D = double_algebra(S.bialgebra)
+    zeros = [Fraction(0)] * S.bialgebra.dim
+    vectors = [Vector(D, list(v.coords) + zeros) for v in S.h.basis]
+    vectors += [Vector(D, zeros + list(xi.coords)) for xi in A.ann]
+    chi_l = D.subalgebra(vectors, verify=True).modular_character_values()
+    target = -1 * A.chi_gs + 2 * A.chi_h0[1]
     n = S.h.dim
-    for r, xi in enumerate(ann):
-        if chi_l[n + r] != xi(target):
-            return False
-    return True
+    return all(chi_l[n + r] == xi(target) for r, xi in enumerate(A.ann))
 
 
 def classification_row(S: HomogeneousSpaceSpec) -> dict:
-    kind = subgroup_type(S)
+    A = _Analysis(S)
     row = {
         "name": S.name,
-        "coisotropic": kind != NOT_COISOTROPIC,
-        "subgroup_type": kind,
+        "coisotropic": A.coisotropic,
+        "subgroup_type": A.subgroup_type,
+        "invariant_volume": A.volume.kind == "invariant",
+        "semi_invariant": A.semi_invariant[0] is not None,
     }
-    inv, _ = invariant_volume_exists(S)
-    row["invariant_volume"] = inv
-    row["semi_invariant"] = semi_invariant_solutions(S).feasible
-    if kind == NOT_COISOTROPIC:
+    if not A.coisotropic:
         row.update(chi_h0_zero=None, mu_status=None, witness_theta0=None)
         return row
-    report = multiplicative_unimodularity_check(S)
+    report, witness = A.report, A.report.mu_witness_theta0
     row["chi_h0_zero"] = report.h0_unimodular
     row["mu_status"] = report.mu_status
-    row["witness_theta0"] = (
-        repr(report.mu_witness_theta0) if report.mu_witness_theta0 is not None else None
-    )
+    row["witness_theta0"] = repr(witness) if witness is not None else None
     return row
 
 

@@ -238,16 +238,7 @@ class LieAlgebra:
 
     def is_subalgebra(self, basis: Sequence[Vector]) -> bool:
         """True iff the span of ``basis`` is closed under the bracket."""
-        try:
-            span = linalg.RowSpan([list(v.coords) for v in basis])
-        except ValueError:
-            raise ValueError("dependent basis") from None
-        vecs = [sparse(v.coords) for v in basis]
-        for a in range(len(vecs)):
-            for b in range(a + 1, len(vecs)):
-                if not span.contains(bracket_terms(self._table, vecs[a], vecs[b])):
-                    return False
-        return True
+        return Subalgebra(self, basis, verify=False).is_closed()
 
     def subalgebra(self, basis: Sequence, verify: bool = True) -> "Subalgebra":
         vecs = []
@@ -271,12 +262,14 @@ class Subalgebra:
     def __init__(self, parent: LieAlgebra, basis: Sequence[Vector], verify: bool = True):
         self.parent = parent
         self.basis = tuple(basis)
-        rows = [list(v.coords) for v in self.basis]
-        if linalg.rank(rows) != len(rows):
-            raise ValueError("subalgebra basis is linearly dependent")
+        try:
+            # the basis eliminated once: membership and coordinates of brackets
+            self.span = linalg.RowSpan([list(v.coords) for v in self.basis])
+        except ValueError:
+            raise ValueError("subalgebra basis is linearly dependent") from None
         self.verified = False
         if verify:
-            if not parent.is_subalgebra(list(self.basis)):
+            if not self.is_closed():
                 raise ValueError("basis does not span a subalgebra")
             self.verified = True
 
@@ -284,23 +277,40 @@ class Subalgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    def _brackets(self):
+        """((i, j), [b_i, b_j]) for i < j, as sparse maps in the parent basis."""
+        vecs = [sparse(v.coords) for v in self.basis]
+        for i in range(len(vecs)):
+            for j in range(i + 1, len(vecs)):
+                yield (i, j), bracket_terms(self.parent._table, vecs[i], vecs[j])
+
+    def is_closed(self) -> bool:
+        """True iff the span of the basis is closed under the parent bracket."""
+        return all(self.span.contains(image) for _, image in self._brackets())
+
+    def is_ideal(self) -> bool:
+        """True iff [b, e_a] lies in the span for every basis vector b and
+        every parent basis vector e_a."""
+        one = Fraction(1)
+        for v in self.basis:
+            b = sparse(v.coords)
+            for a in range(self.parent.dim):
+                if not self.span.contains(bracket_terms(self.parent._table, b, {a: one})):
+                    return False
+        return True
+
     def induced_algebra(self, labels: Sequence[str] | None = None) -> LieAlgebra:
         """The abstract Lie algebra on this basis, with induced constants."""
-        n = self.dim
-        span = linalg.RowSpan([list(v.coords) for v in self.basis])
-        vecs = [sparse(v.coords) for v in self.basis]
         brackets = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                image = bracket_terms(self.parent._table, vecs[i], vecs[j])
-                coeffs = span.coordinates(image)
-                if coeffs is None:
-                    raise ValueError("bracket leaves the subalgebra")
-                entry = {k: c for k, c in enumerate(coeffs) if c}
-                if entry:
-                    brackets[(i, j)] = entry
+        for (i, j), image in self._brackets():
+            coeffs = self.span.coordinates(image)
+            if coeffs is None:
+                raise ValueError("bracket leaves the subalgebra")
+            entry = {k: c for k, c in enumerate(coeffs) if c}
+            if entry:
+                brackets[(i, j)] = entry
         if labels is None:
-            labels = [f"b{i+1}" for i in range(n)]
+            labels = [f"b{i+1}" for i in range(self.dim)]
         return LieAlgebra(labels, brackets)
 
     def modular_character_values(self) -> tuple[Fraction, ...]:

@@ -72,42 +72,35 @@ def rank(mat: Matrix) -> int:
 
 def nullspace(mat: Matrix) -> list[Row]:
     """Basis of the right null space {v : mat @ v = 0}."""
-    if not mat:
-        return []
-    cols = len(mat[0])
-    red, pivots = rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
-    return basis
+    return solve_affine(mat, [Fraction(0)] * len(mat))[1]
 
 
 def solve(mat: Matrix, rhs: Row) -> Row | None:
     """One solution of mat @ x = rhs (free variables set to 0), or None."""
-    if not mat:
-        return [] if not any(rhs) else None
-    cols = len(mat[0])
-    aug = [row[:] + [b] for row, b in zip(mat, rhs)]
-    red, pivots = rref(aug)
-    if cols in pivots:  # pivot in the rhs column: inconsistent
-        return None
-    x = [Fraction(0)] * cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][cols]
-    return x
+    return solve_affine(mat, rhs)[0]
 
 
 def solve_affine(mat: Matrix, rhs: Row) -> tuple[Row | None, list[Row]]:
-    """Full solution set of mat @ x = rhs: (particular or None, nullspace)."""
-    part = solve(mat, rhs)
-    if part is None:
+    """Full solution set of mat @ x = rhs: (one solution with the free
+    variables set to 0, or None; null space basis), both read off one
+    ``rref`` of [mat | rhs]."""
+    if not mat:
+        return ([] if not any(rhs) else None), []
+    cols = len(mat[0])
+    red, pivots = rref([row[:] + [b] for row, b in zip(mat, rhs)])
+    if cols in pivots:  # pivot in the rhs column: inconsistent
         return None, []
-    return part, nullspace(mat)
+    x = [Fraction(0)] * cols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][cols]
+    null = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        null.append(v)
+    return x, null
 
 
 def invert(mat: Matrix) -> Matrix:
@@ -183,6 +176,14 @@ class RowSpan:
                 for c, y in terms:
                     rest[c] = rest.get(c, 0) - x * y
         return not any(rest.values())
+
+    def lift(self, values: Row) -> dict[int, Fraction]:
+        """The x supported on the pivot columns with row_s . x = values[s] for
+        every original row s, as {column: value}."""
+        return {
+            p: sum((values[s] * y for s, y in terms), Fraction(0))
+            for p, terms in self.transform.items()
+        }
 
     def coordinates(self, v: dict[int, Fraction]) -> Row | None:
         """The coefficients of v on the original rows, or None when v is

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from poishom import catalog
 from poishom.cli import run
 
 
@@ -62,6 +63,22 @@ def test_tables_match_golden(capsys):
 def test_tables_eta_generic(capsys):
     assert run(["tables", "--eta", "2"]) == 0
     assert run(["tables", "--eta", "1/3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "coisotropic-sphere", "--json"],
+        ["tables", "--json"],
+        ["dynamics", "sphere-morse", "--T", "0.01", "--json"],
+        ["verify-all", "--json"],
+    ],
+)
+def test_negative_rational_eta_as_separate_argument(argv, capsys):
+    assert run(argv + ["--eta=-5/2"]) == 0
+    joined = capsys.readouterr()
+    assert run(argv + ["--eta", "-5/2"]) == 0
+    assert capsys.readouterr() == joined
 
 
 def test_tables_eta_zero_rejected(capsys):
@@ -136,6 +153,19 @@ def test_dynamics_sphere_morse(capsys):
     assert data["verdict"] == "volume preserved"
     assert data["hessian"] == [["1/2", "0"], ["0", "1/2"]]
     assert abs(data["div_integral"]) < 1e-8
+
+
+def test_dynamics_verdict_follows_the_exact_divergence(capsys):
+    verdicts = {}
+    for case in catalog.DYNAMICS_CASES:
+        assert run(["dynamics", case, "--T", "0.01", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        if "certificate" in data:
+            continue
+        preserved = data["verdict"] == "volume preserved"
+        assert preserved == data["divergence_zero"], case
+        verdicts[case] = preserved
+    assert verdicts == {"compartmental": True, "sphere-morse": True, "canonical2d": True}
 
 
 def test_dynamics_unknown_case():

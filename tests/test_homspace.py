@@ -70,6 +70,24 @@ def test_non_coisotropic_case():
         rep = multiplicative_unimodularity_check(S)
         assert rep.mu_status in (MU_OK, MU_FAILS_I, MU_FAILS_II)
 
+    # h = <X1 + X2 + X3> in the solvable3 structure: h0 is not closed under [.,.]_*
+    B = catalog.solvable3_bialgebra()
+    S = HomogeneousSpaceSpec("diagonal", B, B.g.subalgebra([B.g.vector([1, 1, 1])]))
+    assert not coisotropy_check(S)
+    assert classification_row(S) == {
+        "name": "diagonal",
+        "coisotropic": False,
+        "subgroup_type": "not_coisotropic",
+        "invariant_volume": False,
+        "semi_invariant": True,
+        "chi_h0_zero": None,
+        "mu_status": None,
+        "witness_theta0": None,
+    }
+    for fn in (chi_h0, multiplicative_unimodularity_check, lu_crosscheck):
+        with pytest.raises(ValueError):
+            fn(S)
+
 
 # ---------------------------------------------------------------------------
 # chi_h0 and its lift
@@ -96,6 +114,15 @@ def test_chi_h0_toda_lift():
     g = S.bialgebra.g
     assert lift == -2 * g.basis_vector("D1") - 2 * g.basis_vector("D2")
     assert values == (-2, -2, 0, 0, 0)
+
+
+def test_chi_h0_of_the_whole_group():
+    # h = g: h0 = 0, so chi_h0 has no values and its lift is 0
+    B = catalog.so3_bialgebra(1)
+    S = HomogeneousSpaceSpec("point", B, B.g.subalgebra(["J1", "J2", "J3"]))
+    assert chi_h0(S) == ((), B.g.zero_vector())
+    assert classification_row(S)["mu_status"] == MU_FAILS_II
+    assert lu_crosscheck(S)
 
 
 def test_chi_h0_requires_coisotropy(so3):
