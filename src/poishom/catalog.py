@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bialgebra import (
     CocommutatorMap,
@@ -241,11 +241,6 @@ class CoordModelBundle:
         return field_from_character_data(
             self.model, self.left_chi, self.right_chi, self.chi_g_form
         )
-
-
-def _poly(variables, build) -> Polynomial:
-    xs = {v: Polynomial.variable(variables, v) for v in variables}
-    return build(xs)
 
 
 def _field(variables, comps) -> PolyVectorField:
@@ -606,21 +601,8 @@ def build_model(name: str, eta=1) -> CoordModelBundle:
 # ---------------------------------------------------------------------------
 
 DYNAMICS_CASES = {
-    "compartmental": {
-        "model": "compartmental",
-        "start": (1, 1, 1),
-    },
-    "sphere-morse": {
-        "model": "su2",
-        "start": (Fraction(2, 3), Fraction(1, 3), Fraction(2, 3), 0),
-        "morse": True,
-    },
-    "canonical2d": {
-        "model": "canonical2d",
-        "start": (1, 0),
-    },
-    "toda-n3": {
-        "model": "toda-n3",
-        "start": toda_singular_point(2),
-    },
+    "compartmental": {"model": "compartmental"},
+    "sphere-morse": {"model": "su2", "morse": True},
+    "canonical2d": {"model": "canonical2d"},
+    "toda-n3": {"model": "toda-n3"},
 }

@@ -28,6 +28,7 @@ from .specfile import SpecParseError, parse_spec
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+MAX_STEPS = 10**6  # 100 times the default dynamics run; every state is kept
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -163,12 +164,14 @@ def cmd_tables(args) -> int:
 
 
 def _check_steps(T: float, dt: float) -> None:
-    """The integrator needs finite positive --T and --dt with at least one step."""
+    """The integrator needs finite positive --T and --dt with 1..MAX_STEPS steps."""
     for name, value in (("--T", T), ("--dt", dt)):
         if not math.isfinite(value) or value <= 0:
             raise ValueError(f"{name} must be a finite positive number, got {value}")
     if not 0.5 < T / dt < math.inf:  # the integrator takes round(T / dt) steps
         raise ValueError(f"--T {T} and --dt {dt} do not give a finite number of steps >= 1")
+    if round(T / dt) > MAX_STEPS:
+        raise ValueError(f"--T {T} and --dt {dt} give more than {MAX_STEPS} steps")
 
 
 def cmd_dynamics(args) -> int:
@@ -200,8 +203,8 @@ def cmd_dynamics(args) -> int:
         ]
     else:
         try:
-            trace = rk4_flow(model, h, case["start"], T=args.T, dt=args.dt)
-        except (ConstraintDriftError, ValueError) as exc:
+            trace = rk4_flow(model, h, bundle.flow_start, T=args.T, dt=args.dt)
+        except (ConstraintDriftError, ValueError, OverflowError) as exc:
             print(f"integrator abort: {exc}", file=sys.stderr)
             return EXIT_VERIFICATION
         out["div_integral"] = trace.final_div_integral()

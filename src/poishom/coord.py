@@ -529,7 +529,8 @@ def rk4_flow(
 ) -> FlowTrace:
     """Classical RK4 on X_h with fixed step, no projection.  The trace records
     the accumulated divergence integral (Simpson on half-steps) and the max
-    constraint drift; a step is rejected when the drift passes the tolerance.
+    constraint drift; a step is rejected when the drift passes the tolerance,
+    and a run whose final state or divergence integral is not finite raises.
     """
     field = hamiltonian_vf(model, h)
     div = divergence(model, field, log_density)
@@ -574,6 +575,9 @@ def rk4_flow(
         states.append(list(x))
         div_int.append(acc)
         drifts.append(drift)
+    # RK4 on a polynomial field never turns inf or nan back into a finite value
+    if not all(math.isfinite(v) for v in x + [acc]):
+        raise ValueError(f"non-finite state or divergence integral after {steps} steps of {dt}")
     return FlowTrace(
         variables=model.vars,
         times=times,

@@ -6,7 +6,7 @@ coefficients, tagged with the space they live in.  The two graded worlds are
 kept disjoint; no operation mixes a primal with a dual element.
 
 Sign conventions, fixed once and verified by the calibration tests:
-  * wedge sign = parity of the merge permutation;
+  * wedge sign = parity of the permutation sorting the concatenated tuples;
   * interior product contracts the first slot,
     i_a(e_{i1} ^ ... ^ e_{ik}) = sum_r (-1)^(r-1) a(e_{ir}) e_{i1} ^ .. ^ e_{ik};
   * the differential is the degree +1 derivation with
@@ -16,34 +16,11 @@ Sign conventions, fixed once and verified by the calibration tests:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .lie import Covector, LieAlgebra, Subalgebra, Vector
 from .linalg import frac
-
-
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
-    """Merge two increasing tuples; returns (merged, sign) or (None, 0)."""
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
-            return None, 0
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            merged.append(b)
-            j += 1
-            # b jumps over the remaining len(left) - i factors of `left`
-            if (len(left) - i) % 2:
-                sign = -sign
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return tuple(merged), sign
 
 
 def _sort_tuple(idx: Sequence[int]):
@@ -104,14 +81,6 @@ class ExteriorElement:
         terms = {(i,): c for i, c in enumerate(v.coords) if c}
         return cls(v.algebra, 1, terms, dual)
 
-    def to_covector(self) -> Covector:
-        if self.degree != 1 or not self.dual:
-            raise ValueError("only degree-1 dual elements convert to covectors")
-        coords = [Fraction(0)] * self.algebra.dim
-        for (i,), c in self.terms.items():
-            coords[i] = c
-        return Covector(self.algebra, coords)
-
     # -- ring structure -----------------------------------------------------
     def _check(self, other: "ExteriorElement"):
         if self.algebra is not other.algebra:
@@ -148,10 +117,9 @@ class ExteriorElement:
         terms: dict[tuple[int, ...], Fraction] = {}
         for ia, ca in self.terms.items():
             for ib, cb in other.terms.items():
-                merged, sign = _merge_sign(ia, ib)
-                if merged is None:
-                    continue
-                terms[merged] = terms.get(merged, Fraction(0)) + sign * ca * cb
+                merged, sign = _sort_tuple(ia + ib)
+                if merged is not None:
+                    terms[merged] = terms.get(merged, Fraction(0)) + sign * ca * cb
         return ExteriorElement(self.algebra, deg, terms, self.dual)
 
     def __xor__(self, other):
@@ -219,8 +187,9 @@ def evaluate_form(omega: ExteriorElement, vectors: Sequence[Vector]) -> Fraction
 
 
 def ce_differential(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
-    """Differential of the algebra on forms, extended as a degree +1 derivation
-    from (d X^a)(e_i, e_j) = -X^a([e_i, e_j])."""
+    """Differential of the algebra on forms: the degree +1 derivation that
+    replaces the factor X^a in slot r of each term by (-1)^r d X^a, with
+    d X^a = -sum_{i<j} C_ij^a X^i ^ X^j read off the sparse bracket table."""
     if not omega.dual:
         raise ValueError("the differential acts on dual elements")
     if omega.algebra is not L:
@@ -228,32 +197,19 @@ def ce_differential(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
     if omega.degree == L.dim:
         # d of a top form vanishes; keep it representable at top degree
         return ExteriorElement.zero(L, L.dim, True)
-    out = ExteriorElement.zero(L, omega.degree + 1, True)
-    d_basis = _differential_of_basis(L)
+    d_basis: dict[int, list] = {}
+    for pair, image in L._table.items():
+        for a, c in image.items():
+            d_basis.setdefault(a, []).append((pair, c))
+    terms: dict[tuple[int, ...], Fraction] = {}
     for idx, c in omega.terms.items():
         for r, a in enumerate(idx):
-            da = d_basis[a]
-            if da.is_zero():
-                continue
-            sign = -1 if r % 2 else 1
-            left = ExteriorElement.basis(L, idx[:r], True)
-            right = ExteriorElement.basis(L, idx[r + 1:], True)
-            out = out + (sign * c) * left.wedge(da).wedge(right)
-    return out
-
-
-def _differential_of_basis(L: LieAlgebra) -> list[ExteriorElement]:
-    """d X^a = - sum_{i<j} C_ij^a X^i ^ X^j, for each basis covector."""
-    diffs = []
-    for a in range(L.dim):
-        terms = {}
-        for i in range(L.dim):
-            for j in range(i + 1, L.dim):
-                c = L.structure_constant(i, j, a)
-                if c:
-                    terms[(i, j)] = -c
-        diffs.append(ExteriorElement(L, 2, terms, True))
-    return diffs
+            slot = c if r % 2 else -c  # (-1)^r times the leading minus of d X^a
+            for pair, cij in d_basis.get(a, ()):
+                merged, sign = _sort_tuple(idx[:r] + pair + idx[r + 1:])
+                if merged is not None:
+                    terms[merged] = terms.get(merged, 0) + sign * slot * cij
+    return ExteriorElement(L, omega.degree + 1, terms, True)
 
 
 def ce_differential_by_formula(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
@@ -315,35 +271,31 @@ def ad_terms(full: dict, x_items, terms: dict, out: dict) -> dict:
 def schouten_square(L: LieAlgebra, r: ExteriorElement) -> ExteriorElement:
     """[r, r] in Lambda^3 g for r in Lambda^2 g, by bilinear expansion of
 
-    [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c.
+    [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c
 
-    Only vanishing and ad-invariance of the result are consumed downstream,
-    so the overall normalization is immaterial.
+    on the sparse bracket table.  Only vanishing and ad-invariance of the
+    result are consumed downstream, so the overall normalization is immaterial.
     """
     if r.dual or r.degree != 2:
         raise ValueError("expected a degree-2 primal element")
-    out = ExteriorElement.zero(L, 3, False)
+    full = L.full_table()
+    empty: dict[int, Fraction] = {}
+    terms: dict[tuple[int, ...], Fraction] = {}
     items = list(r.terms.items())
-    for (ia, ca) in items:
-        a, b = ia
-        ea, eb = L.basis_vector(a), L.basis_vector(b)
-        for (ib, cb) in items:
-            c, d = ib
-            ec, ed = L.basis_vector(c), L.basis_vector(d)
+    for (a, b), ca in items:
+        for (c, d), cb in items:
             coeff = ca * cb
-            for u, rest in (
-                (L.bracket(ea, ec), (b, d)),
-                (-1 * L.bracket(ea, ed), (b, c)),
-                (-1 * L.bracket(eb, ec), (a, d)),
-                (L.bracket(eb, ed), (a, c)),
+            for pair, rest, weight in (
+                ((a, c), (b, d), coeff),
+                ((a, d), (b, c), -coeff),
+                ((b, c), (a, d), -coeff),
+                ((b, d), (a, c), coeff),
             ):
-                if u.is_zero():
-                    continue
-                term = ExteriorElement.from_vector(u).wedge(
-                    ExteriorElement.basis(L, rest, False)
-                )
-                out = out + coeff * term
-    return out
+                for k, ck in full.get(pair, empty).items():
+                    merged, sign = _sort_tuple((k,) + rest)
+                    if merged is not None:
+                        terms[merged] = terms.get(merged, 0) + sign * weight * ck
+    return ExteriorElement(L, 3, terms, False)
 
 
 def is_ad_invariant(L: LieAlgebra, p: ExteriorElement) -> bool:

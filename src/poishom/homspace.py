@@ -270,10 +270,8 @@ class _Analysis:
         unimodular = not any(values)
         witness, null = self.mu if unimodular else (None, [])
         if witness is not None:
-            # re-verify the witness against the wedge identity before reporting
-            rhs_form = -1 * ExteriorElement.from_vector(witness).wedge(self.v0)
-            if ce_differential(self.g, self.v0) != rhs_form:
-                raise AssertionError("witness violates the wedge identity for V0")
+            # re-verify the witness before reporting: d V0 = -theta0 ^ V0, then closedness
+            VolumeCertificate(self.v0, witness, "semi_invariant_algebra_level")
             if not is_closed_one_form(self.g, witness):
                 raise AssertionError("witness is not closed")
         status = MU_FAILS_I if not unimodular else MU_FAILS_II if witness is None else MU_OK

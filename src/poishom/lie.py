@@ -233,9 +233,6 @@ class LieAlgebra:
             vals.append(t)
         return Covector(self, vals)
 
-    def is_unimodular(self) -> bool:
-        return self.modular_character().is_zero()
-
     def is_subalgebra(self, basis: Sequence[Vector]) -> bool:
         """True iff the span of ``basis`` is closed under the bracket."""
         return Subalgebra(self, basis, verify=False).is_closed()

@@ -56,11 +56,11 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        m[r] = [x * inv if x else x for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m, pivots

@@ -105,6 +105,7 @@ def test_eta_with_zero_denominator_rejected(argv, capsys):
         ["--dt", "inf"],
         ["--T", "1e300", "--dt", "1e-10"],
         ["--T", "0.0004"],
+        ["--T", "1e9", "--dt", "1e-9"],  # 1e18 steps, over the step budget
     ],
 )
 def test_dynamics_rejects_bad_steps(flags, capsys):
@@ -112,6 +113,21 @@ def test_dynamics_rejects_bad_steps(flags, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canonical2d", "--T", "10000", "--dt", "10"],  # nan from step 116 on
+        ["compartmental", "--T", "10000", "--dt", "10"],  # +-inf from step 85 on
+        ["sphere-morse", "--T", "1000", "--dt", "100"],  # float overflow in step 0
+    ],
+)
+def test_dynamics_aborts_a_flow_that_leaves_the_floats(argv, capsys):
+    assert run(["dynamics"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("integrator abort:") and captured.err.count("\n") == 1
 
 
 def test_tables_corrupted_golden(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """The sparse structure-constant kernel against its dense reference.
 
-The Jacobi and cocycle checks, the adjoint action on multivectors, the double
-and the sl(n) builder contract the sparse bracket tables directly.  The
-references below are the dense, object-level constructions they replaced:
-Jacobiators of ``Vector`` brackets, ``ExteriorElement`` wedges for the adjoint
-action, ``double_bracket`` on ``DoubleElement`` pairs, and sl(n) through dense
-n x n matrices, Gram inversion and trace loops.  Every result must agree
-exactly, including the first violating triple or pair.
+The Jacobi and cocycle checks, the adjoint action on multivectors, the
+differential on forms, the Schouten square, the double and the sl(n) builder
+contract the sparse bracket tables directly.  The references below are the
+dense, object-level constructions they replaced: Jacobiators of ``Vector``
+brackets, ``ExteriorElement`` wedges for the adjoint action and the Schouten
+square, ``double_bracket`` on ``DoubleElement`` pairs, and sl(n) through dense
+n x n matrices, Gram inversion and trace loops.  The differential is checked
+against the alternating-sum formula.  Every result must agree exactly,
+including the first violating triple or pair.
 """
 
 from fractions import Fraction
@@ -25,7 +27,14 @@ from poishom.bialgebra import (
     sln_basis_matrices,
     sln_standard_bialgebra,
 )
-from poishom.exterior import ExteriorElement, ad_extension
+from poishom.exterior import (
+    ExteriorElement,
+    ad_extension,
+    ce_differential,
+    ce_differential_by_formula,
+    schouten_square,
+    top_wedge,
+)
 from poishom.lie import LieAlgebra, sparse
 
 # ---------------------------------------------------------------------------
@@ -70,6 +79,26 @@ def ref_ad_extension(L, x, p):
             left = ExteriorElement.basis(L, idx[:r], False)
             right = ExteriorElement.basis(L, idx[r + 1:], False)
             out = out + c * left.wedge(ExteriorElement.from_vector(image)).wedge(right)
+    return out
+
+
+def ref_schouten_square(L, r):
+    out = ExteriorElement.zero(L, 3, False)
+    items = list(r.terms.items())
+    for (a, b), ca in items:
+        ea, eb = L.basis_vector(a), L.basis_vector(b)
+        for (c, d), cb in items:
+            ec, ed = L.basis_vector(c), L.basis_vector(d)
+            for u, rest in (
+                (L.bracket(ea, ec), (b, d)),
+                (-1 * L.bracket(ea, ed), (b, c)),
+                (-1 * L.bracket(eb, ec), (a, d)),
+                (L.bracket(eb, ed), (a, c)),
+            ):
+                if u.is_zero():
+                    continue
+                term = ExteriorElement.from_vector(u).wedge(ExteriorElement.basis(L, rest, False))
+                out = out + (ca * cb) * term
     return out
 
 
@@ -317,3 +346,72 @@ def test_sln_standard_bialgebra_matches_dense_construction(n, eta):
     assert list(sln_algebra(n)._table.items()) == list(g_ref.items())
     assert B.dual._table == dual_ref
     assert B.g.labels == tuple(sln_basis_matrices(n)[0])
+
+
+# ---------------------------------------------------------------------------
+# the differential on forms and the Schouten square
+# ---------------------------------------------------------------------------
+
+
+def random_element(data, L, dual):
+    degree = data.draw(st.integers(0, L.dim))
+    idxs = list(combinations(range(L.dim), degree))
+    coeffs = data.draw(st.lists(small_rational, min_size=len(idxs), max_size=len(idxs)))
+    return ExteriorElement(L, degree, dict(zip(idxs, coeffs)), dual)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ce_differential_matches_alternating_sum(data):
+    """The derivation rule and the alternating sum agree on any table: neither
+    uses the Jacobi identity, so the non-Jacobi tables count too."""
+    L = data.draw(st.one_of(st.sampled_from(VALID_ALGEBRAS), sparse_algebras()))
+    w = random_element(data, L, dual=True)
+    assert ce_differential(L, w) == ce_differential_by_formula(L, w)
+
+
+def sl3_quotient_volumes():
+    """Top wedges V0 of the annihilator for the sl(3) Cartan, so(3) and the
+    Borel of upper-triangular matrices."""
+    g = sln_algebra(3)
+
+    def vec(entries):
+        return g.vector([entries.get(label, 0) for label in g.labels])
+
+    cartan = [vec({"D1": 1}), vec({"D2": 1})]
+    subs = {
+        "cartan": cartan,
+        "so3": [vec({f"Q{i}{j}": 1}) for i, j in ((1, 2), (1, 3), (2, 3))],
+        "borel": cartan + [vec({f"S{i}{j}": 1, f"Q{i}{j}": 1}) for i, j in ((1, 2), (1, 3), (2, 3))],
+    }
+    return g, {k: top_wedge(g, g.annihilator(g.subalgebra(b))) for k, b in subs.items()}
+
+
+def test_ce_differential_matches_alternating_sum_on_sl3_volumes():
+    g, volumes = sl3_quotient_volumes()
+    for kind, v0 in volumes.items():
+        assert not v0.is_zero(), kind
+        assert ce_differential(g, v0) == ce_differential_by_formula(g, v0), kind
+
+
+SCHOUTEN_ALGEBRAS = [
+    catalog.so3_algebra(),
+    catalog.sl2_boost_algebra(),
+    catalog.sl2_triangular_algebra(),
+    sln_algebra(3),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_schouten_square_matches_object_level_reference(data):
+    L = data.draw(st.sampled_from(SCHOUTEN_ALGEBRAS))
+    pairs = list(combinations(range(L.dim), 2))
+    density = data.draw(st.sampled_from([0.15, 0.5, 1.0]))
+    r = ExteriorElement(
+        L,
+        2,
+        {p: data.draw(small_rational) for p in pairs if data.draw(st.floats(0, 1)) < density},
+        False,
+    )
+    assert schouten_square(L, r) == ref_schouten_square(L, r)
