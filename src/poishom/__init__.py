@@ -19,7 +19,6 @@ from .coord import (
     PolyVectorField,
     basic_function_check,
     divergence,
-    evaluate_field_at,
     field_from_character_data,
     hamiltonian_vf,
     hessian_at,

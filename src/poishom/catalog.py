@@ -306,25 +306,16 @@ def _su2_group_mult(variables) -> list[Polynomial]:
     ]
 
 
-def _sl2_group_mult(variables) -> list[Polynomial]:
+def _matrix_group_mult(variables, n) -> list[Polynomial]:
+    """Entries of the product of two n x n matrices, each given row by row by
+    ``variables``, the second one primed."""
     names = list(variables) + [f"{v}'" for v in variables]
-    g = {v: Polynomial.variable(names, v) for v in names}
-    x, y, z, t = (g[v] for v in variables)
-    xp, yp, zp, tp = (g[f"{v}'"] for v in variables)
-    return [x * xp + y * zp, x * yp + y * tp, z * xp + t * zp, z * yp + t * tp]
-
-
-def _sl3_group_mult(variables) -> list[Polynomial]:
-    names = list(variables) + [f"{v}'" for v in variables]
-    g = {v: Polynomial.variable(names, v) for v in names}
-    out = []
-    for i in range(3):
-        for j in range(3):
-            p = Polynomial.zero(names)
-            for k in range(3):
-                p = p + g[f"a{i+1}{k+1}"] * g[f"a{k+1}{j+1}'"]
-            out.append(p)
-    return out
+    g = [Polynomial.variable(names, v) for v in names]
+    return [
+        sum((g[i * n + k] * g[n * n + k * n + j] for k in range(n)), Polynomial.zero(names))
+        for i in range(n)
+        for j in range(n)
+    ]
 
 
 def _build_su2(eta: Fraction) -> CoordModelBundle:
@@ -439,7 +430,7 @@ def _build_sl2(structure: str, eta: Fraction) -> CoordModelBundle:
         constraints=[x * t - y * z - 1],
         base_point=(1, 0, 0, 1),
         poisson_lie=True,
-        group_mult=_sl2_group_mult(v),
+        group_mult=_matrix_group_mult(v, 2),
         sampler=_sl2_sampler,
     )
     # left P1 with P1 = (E12 - E21)/2; kills the two-sheeted-quotient energy
@@ -498,7 +489,7 @@ def _build_toda3() -> CoordModelBundle:
         constraints=[det - 1],
         base_point=(1, 0, 0, 0, 1, 0, 0, 0, 1),
         poisson_lie=True,
-        group_mult=_sl3_group_mult(v),
+        group_mult=_matrix_group_mult(v, 3),
         sampler=_sl3_sampler,
     )
     zero = Polynomial.zero(v)

@@ -14,8 +14,9 @@ check run in floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -138,9 +139,15 @@ class PolynomialPoissonModel:
             return self._table.get((i, j), Polynomial.zero(self.vars))
         return -self._table.get((j, i), Polynomial.zero(self.vars))
 
-    def matrix(self) -> list[list[Polynomial]]:
+    def matrix_at(self, point) -> list[list[Fraction]]:
+        """Pi at an exact point: each upper-triangle entry of the table is
+        evaluated once, the rest follows by antisymmetry."""
         n = self.dim
-        return [[self.bracket_entry(i, j) for j in range(n)] for i in range(n)]
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), p in self._table.items():
+            out[i][j] = p.eval(point)
+            out[j][i] = -out[i][j]
+        return out
 
     def variable(self, name: str) -> Polynomial:
         return Polynomial.variable(self.vars, name)
@@ -168,10 +175,6 @@ def hamiltonian_vf(model: PolynomialPoissonModel, h: Polynomial) -> PolyVectorFi
     return model.sharp(grad)
 
 
-def poisson_bracket(model: PolynomialPoissonModel, f: Polynomial, g: Polynomial) -> Polynomial:
-    return hamiltonian_vf(model, f)(g)
-
-
 def _magnitude(x: Fraction) -> float:
     """abs(x) as a float, never rounded down to 0.0 for a nonzero x."""
     return abs(float(x)) or math.ulp(0.0)
@@ -193,31 +196,23 @@ def jacobi_symbolic(
     the variety drawn from the model's sampler, failing on the first nonzero
     exact residual (reported by its float magnitude)."""
     n = model.dim
-    xs = [model.variable(v) for v in model.vars]
+    pi = model.bracket_entry
+    # X_{x_i} has components Pi[i][l], so {x_i, {x_j, x_k}} = X_{x_i}(Pi[j][k])
+    fields = [PolyVectorField(model.vars, [pi(i, l) for l in range(n)]) for i in range(n)]
 
     def jacobiator(i, j, k) -> Polynomial:
-        return (
-            poisson_bracket(model, xs[i], poisson_bracket(model, xs[j], xs[k]))
-            + poisson_bracket(model, xs[j], poisson_bracket(model, xs[k], xs[i]))
-            + poisson_bracket(model, xs[k], poisson_bracket(model, xs[i], xs[j]))
-        )
+        return fields[i](pi(j, k)) + fields[j](pi(k, i)) + fields[k](pi(i, j))
 
+    triples = itertools.combinations(range(n), 3)
     if not model.constraints:
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if not jacobiator(i, j, k).is_zero():
-                        return JacobiVerdict(False, True, math.inf, (i, j, k))
+        for triple in triples:
+            if not jacobiator(*triple).is_zero():
+                return JacobiVerdict(False, True, math.inf, triple)
         return JacobiVerdict(True, True)
 
     if model.sampler is None:
         raise ValueError("constrained model without a variety sampler")
-    polys = {
-        (i, j, k): jacobiator(i, j, k)
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(j + 1, n)
-    }
+    polys = {triple: jacobiator(*triple) for triple in triples}
     for _ in range(points):
         pt = model.sampler(rng)
         for triple, p in polys.items():
@@ -269,11 +264,8 @@ def kernel_obstruction_verify(
     n = model.dim
     if len(covector) != n:
         raise ValueError("covector length must match the model dimension")
-    for i in range(n):
-        residual = Polynomial.zero(model.vars)
-        for j in range(n):
-            if not covector[j].is_zero():
-                residual = residual + covector[j] * model.bracket_entry(i, j)
+    # by antisymmetry, row i of the residual is minus component i of Pi#(c)
+    for i, residual in enumerate(model.sharp(covector).components):
         if not residual.is_zero():
             raise ValueError(f"kernel residual is nonzero in row {i}: not a certificate")
     obstruction = Polynomial.zero(model.vars)
@@ -343,17 +335,13 @@ def preservation_residual(
 ) -> Polynomial:
     """X_h(sigma + tau) + (right(h) - left(h) - <chi_g form, X_h>) / 2;
     identically zero exactly when the flow of X_h preserves the volume data
-    encoded by (sigma, tau)."""
-    xh = hamiltonian_vf(model, h)
-    out = xh(sigma + tau)
-    half = Fraction(1, 2)
-    out = out + half * (right_field(h) - left_field(h))
-    if chi_g_form is not None:
-        pairing = Polynomial.zero(model.vars)
-        for w, comp in zip(chi_g_form, xh.components):
-            pairing = pairing + w * comp
-        out = out - half * pairing
-    return out
+    encoded by (sigma, tau).  Since <w, X_h> = -(Pi#w)(h) and
+    X_h(f) = -X_f(h), this is the horizontal field with log density
+    sigma + tau applied to h."""
+    horizontal = field_from_character_data(
+        model, left_field, right_field, chi_g_form, sigma + tau
+    )
+    return horizontal(h)
 
 
 def basic_function_check(
@@ -361,16 +349,6 @@ def basic_function_check(
 ) -> bool:
     """True iff every vertical field kills h as a polynomial identity."""
     return all(V(h).is_zero() for V in vertical_fields)
-
-
-def evaluate_field_at(obj, point) -> object:
-    """Exact rational evaluation of a field (tuple) or polynomial (scalar)."""
-    pt = tuple(frac(c) for c in point)
-    if isinstance(obj, PolyVectorField):
-        return obj.eval(pt)
-    if isinstance(obj, Polynomial):
-        return obj.eval(pt)
-    raise TypeError("expected a PolyVectorField or Polynomial")
 
 
 def hessian_at(
@@ -383,10 +361,10 @@ def hessian_at(
     frame.  Raises if the point is not critical along the frame; the result is
     checked to be symmetric (true at critical points)."""
     pt = tuple(frac(c) for c in point)
-    for k, V in enumerate(frame):
-        if V(h).eval(pt) != 0:
-            raise ValueError(f"dh does not vanish along frame direction {k} at the point")
     firsts = [V(h) for V in frame]
+    for k, first in enumerate(firsts):
+        if first.eval(pt) != 0:
+            raise ValueError(f"dh does not vanish along frame direction {k} at the point")
     n = len(frame)
     H = [[frame[i](firsts[j]).eval(pt) for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -414,11 +392,8 @@ def multiplicativity_spotcheck(
     if model.sampler is None:
         raise ValueError("model carries no variety sampler")
     n = model.dim
-    if model.base_point is not None:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if model.bracket_entry(i, j).eval(model.base_point) != 0:
-                    raise AssertionError("bracket does not vanish at the identity")
+    if model.base_point is not None and any(map(any, model.matrix_at(model.base_point))):
+        raise AssertionError("bracket does not vanish at the identity")
     mvars = model.group_mult[0].vars  # x-block then y-block
     d_left = [[m.diff(mvars[n + j]) for j in range(n)] for m in model.group_mult]
     d_right = [[m.diff(mvars[j]) for j in range(n)] for m in model.group_mult]
@@ -427,22 +402,21 @@ def multiplicativity_spotcheck(
         g = model.sampler(rng)
         h = model.sampler(rng)
         gh_args = tuple(g) + tuple(h)
-        prod = tuple(m.eval(gh_args) for m in model.group_mult)
-        jl = [[d_left[i][j].eval(gh_args) for j in range(n)] for i in range(n)]
-        jr = [[d_right[i][j].eval(gh_args) for j in range(n)] for i in range(n)]
-        pi_h = [[model.bracket_entry(i, j).eval(h) for j in range(n)] for i in range(n)]
-        pi_g = [[model.bracket_entry(i, j).eval(g) for j in range(n)] for i in range(n)]
+        lhs = model.matrix_at([m.eval(gh_args) for m in model.group_mult])
+        # each term J Pi J^T is kept as the pair (J, J Pi)
+        terms = []
+        for d, pi in ((d_left, model.matrix_at(h)), (d_right, model.matrix_at(g))):
+            jac = [[p.eval(gh_args) for p in row] for row in d]
+            jpi = [
+                [sum(row[i] * pi[i][j] for i in range(n) if pi[i][j]) for j in range(n)]
+                for row in jac
+            ]
+            terms.append((jac, jpi))
+        # the residual matrix is antisymmetric, so its upper triangle decides it
         for a in range(n):
-            for b in range(n):
-                lhs = model.bracket_entry(a, b).eval(prod)
-                rhs = Fraction(0)
-                for i in range(n):
-                    for j in range(n):
-                        if pi_h[i][j]:
-                            rhs += jl[a][i] * pi_h[i][j] * jl[b][j]
-                        if pi_g[i][j]:
-                            rhs += jr[a][i] * pi_g[i][j] * jr[b][j]
-                residual = lhs - rhs
+            for b in range(a + 1, n):
+                rhs = sum(jpi[a][j] * jac[b][j] for jac, jpi in terms for j in range(n))
+                residual = lhs[a][b] - rhs
                 if residual:
                     worst = max(worst, _magnitude(residual))
     return worst
@@ -529,8 +503,10 @@ def rk4_flow(
 ) -> FlowTrace:
     """Classical RK4 on X_h with fixed step, no projection.  The trace records
     the accumulated divergence integral (Simpson on half-steps) and the max
-    constraint drift; a step is rejected when the drift passes the tolerance,
-    and a run whose final state or divergence integral is not finite raises.
+    constraint drift.  The run stops with an error at the first step (counted
+    from 1) whose state or divergence integral is not finite, or whose drift
+    passes the tolerance.  Each step's end-of-step divergence value starts the
+    next step's Simpson sum.
     """
     field = hamiltonian_vf(model, h)
     div = divergence(model, field, log_density)
@@ -559,25 +535,27 @@ def rk4_flow(
     drift0 = max((abs(c.eval_float(x)) for c in model.constraints), default=0.0)
     drifts = [drift0]
     acc = 0.0
-    for k in range(steps):
-        f0 = div.eval_float(x)
+    f0 = div.eval_float(x)
+    for k in range(1, steps + 1):
         xm = step(x, dt / 2.0)
         fm = div.eval_float(xm)
         x = step(xm, dt / 2.0)
         f1 = div.eval_float(x)
         acc += dt / 6.0 * (f0 + 4.0 * fm + f1)
+        f0 = f1
+        if not (all(map(math.isfinite, x)) and math.isfinite(acc)):
+            raise ValueError(
+                f"non-finite state or divergence integral at step {k} (t = {k * dt:g}, dt = {dt})"
+            )
         drift = max((abs(c.eval_float(x)) for c in model.constraints), default=0.0)
         if drift > drift_tolerance:
             raise ConstraintDriftError(
                 f"constraint drift {drift:.3e} exceeded {drift_tolerance:.1e} at step {k}"
             )
-        times.append((k + 1) * dt)
+        times.append(k * dt)
         states.append(list(x))
         div_int.append(acc)
         drifts.append(drift)
-    # RK4 on a polynomial field never turns inf or nan back into a finite value
-    if not all(math.isfinite(v) for v in x + [acc]):
-        raise ValueError(f"non-finite state or divergence integral after {steps} steps of {dt}")
     return FlowTrace(
         variables=model.vars,
         times=times,

@@ -128,6 +128,9 @@ def test_dynamics_aborts_a_flow_that_leaves_the_floats(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("integrator abort:") and captured.err.count("\n") == 1
+    # the run stops at the first non-finite state, not after its last step
+    first_nonfinite = {"canonical2d": "step 116 (t = 1160,", "compartmental": "step 85 (t = 850,"}
+    assert first_nonfinite.get(argv[0], "") in captured.err
 
 
 def test_tables_corrupted_golden(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,11 +9,11 @@ from poishom import catalog
 from poishom.coord import (
     ConstraintDriftError,
     FlowTrace,
+    JacobiVerdict,
     PolynomialPoissonModel,
     PolyVectorField,
     basic_function_check,
     divergence,
-    evaluate_field_at,
     field_from_character_data,
     hamiltonian_vf,
     hessian_at,
@@ -19,7 +21,6 @@ from poishom.coord import (
     kernel_obstruction_verify,
     linearization_vs_cocommutator,
     multiplicativity_spotcheck,
-    poisson_bracket,
     preservation_residual,
     rk4_flow,
 )
@@ -335,16 +336,16 @@ def test_elliptic_vertical_field_kills_energy():
 def test_evaluate_field_at_toda(toda):
     X = hamiltonian_vf(toda.model, toda.hamiltonian)
     for a in (Fraction(2), Fraction(3), Fraction(1, 2)):
-        assert all(v == 0 for v in evaluate_field_at(X, catalog.toda_singular_point(a)))
+        assert all(v == 0 for v in X.eval(catalog.toda_singular_point(a)))
     H = toda.horizontal_field()
-    val = evaluate_field_at(H(toda.hamiltonian), catalog.toda_singular_point(2))
+    val = H(toda.hamiltonian).eval(catalog.toda_singular_point(2))
     assert val == -15
 
 
 def test_evaluate_constant_term():
     v = ("x", "y")
     p = Polynomial.variable(v, "x") * 2 + 5
-    assert evaluate_field_at(p, (0, 0)) == 5
+    assert p.eval((0, 0)) == 5
 
 
 def test_hessian_su2_morse(su2):
@@ -492,6 +493,50 @@ def test_rk4_rejects_bad_start(su2):
         rk4_flow(su2.model, su2.hamiltonian, (1, 1, 0, 0), T=1.0, dt=1e-3)
 
 
+def _rk4_fresh_simpson(model, h, x0, steps, dt, log_density):
+    """rk4_flow's state and divergence integral, with the divergence at the
+    start of every step evaluated afresh instead of carried over."""
+    field = hamiltonian_vf(model, h)
+    div = divergence(model, field, log_density)
+
+    def step(state, hstep):
+        k1 = field.eval_float(state)
+        k2 = field.eval_float([s + 0.5 * hstep * k for s, k in zip(state, k1)])
+        k3 = field.eval_float([s + 0.5 * hstep * k for s, k in zip(state, k2)])
+        k4 = field.eval_float([s + hstep * k for s, k in zip(state, k3)])
+        return [
+            s + hstep / 6.0 * (a + 2 * b + 2 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+        ]
+
+    x, acc, out = [float(c) for c in x0], 0.0, [0.0]
+    for _ in range(steps):
+        f0 = div.eval_float(x)
+        xm = step(x, dt / 2.0)
+        fm = div.eval_float(xm)
+        x = step(xm, dt / 2.0)
+        acc += dt / 6.0 * (f0 + 4.0 * fm + div.eval_float(x))
+        out.append(acc)
+    return x, out
+
+
+def test_rk4_carried_divergence_is_bit_identical(comp):
+    # the catalog flows are divergence-free; a log density, and the affine
+    # bracket {x, y} = x with h = y + x^2 (divergence -1 - 2x), are not
+    v = ("x", "y")
+    x, y = (Polynomial.variable(v, n) for n in v)
+    affine = PolynomialPoissonModel("affine", v, {(0, 1): x})
+    cases = [
+        (comp.model, comp.hamiltonian, (1, 1, 1), Polynomial.variable(comp.model.vars, "x2")),
+        (affine, y + x * x, (1, 0), None),
+    ]
+    for model, h, x0, rho in cases:
+        trace = rk4_flow(model, h, x0, T=0.2, dt=1e-3, log_density=rho)
+        state, div_int = _rk4_fresh_simpson(model, h, x0, 200, 1e-3, rho)
+        assert trace.states[-1] == state and trace.div_integral == div_int
+        assert div_int[-1] != 0.0
+
+
 def test_rk4_constraint_drift_abort():
     # flow that leaves the "variety" x = 0 immediately
     v = ("x", "y")
@@ -560,3 +605,180 @@ def test_divergence_matches_monodromy_log_volume(comp):
     x0 = [1.0, 1.0, 1.0]
     drift = math.log(abs(det)) + state[1] - x0[1]
     assert abs(acc - drift) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# exact identities against the formulas they replaced
+# ---------------------------------------------------------------------------
+#
+# jacobi_symbolic reads each Jacobiator off the coordinate fields X_{x_i}
+# (components Pi[i][l]), preservation_residual off the horizontal field with
+# log density sigma, and multiplicativity_spotcheck off the upper triangle of
+# an antisymmetric residual.  The references below are the nested-bracket,
+# pairing and full-matrix formulas they replaced; every result must agree
+# exactly, including the first violating triple and the float magnitude.
+
+
+def _random_poly(rng, variables, terms=3, degree=2):
+    out = {}
+    for _ in range(terms):
+        e = [0] * len(variables)
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(len(variables))] += 1
+        out[tuple(e)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Polynomial(variables, out)
+
+
+def _jacobi_nested(model, rng=None, points=100):
+    """jacobi_symbolic with the Jacobiator {x_i, {x_j, x_k}} + cyclic written
+    as nested brackets, each one a Hamiltonian field applied to a polynomial."""
+
+    def bracket(f, g):
+        return hamiltonian_vf(model, f)(g)
+
+    xs = [model.variable(v) for v in model.vars]
+
+    def jacobiator(i, j, k):
+        return (
+            bracket(xs[i], bracket(xs[j], xs[k]))
+            + bracket(xs[j], bracket(xs[k], xs[i]))
+            + bracket(xs[k], bracket(xs[i], xs[j]))
+        )
+
+    triples = list(itertools.combinations(range(model.dim), 3))
+    if not model.constraints:
+        for t in triples:
+            if not jacobiator(*t).is_zero():
+                return JacobiVerdict(False, True, math.inf, t)
+        return JacobiVerdict(True, True)
+    polys = {t: jacobiator(*t) for t in triples}
+    for _ in range(points):
+        pt = model.sampler(rng)
+        for t, p in polys.items():
+            val = p.eval(pt)
+            if val:
+                return JacobiVerdict(False, False, abs(float(val)) or math.ulp(0.0), t)
+    return JacobiVerdict(True, False)
+
+
+def _nambu_brackets(f, C):
+    """{x_i, x_j} = f eps_ijk dC/dx_k on three variables: Poisson for every f, C."""
+    x, y, z = f.vars
+    return {(0, 1): f * C.diff(z), (1, 2): f * C.diff(x), (0, 2): -1 * f * C.diff(y)}
+
+
+def test_jacobi_symbolic_matches_nested_brackets_on_random_models():
+    rng = random.Random(20)
+    v3, v4 = ("x", "y", "z"), ("x", "y", "z", "t")
+    sphere = Polynomial.variable(v3, "x") ** 2 + Polynomial.variable(v3, "y") ** 2
+    sphere = sphere + Polynomial.variable(v3, "z") ** 2 - 1
+    outcomes = set()
+    for trial in range(12):
+        f, C = _random_poly(rng, v3), _random_poly(rng, v3, degree=3)
+        candidates = [
+            PolynomialPoissonModel("nambu", v3, _nambu_brackets(f, C)),
+            PolynomialPoissonModel(
+                "random", v4,
+                {(i, j): _random_poly(rng, v4) for i in range(4) for j in range(i + 1, 4)},
+            ),
+            # on the sphere: Poisson with C = |x|^2, and a random perturbation
+            PolynomialPoissonModel(
+                "nambu-sphere", v3, _nambu_brackets(f, sphere + 1),
+                constraints=[sphere], sampler=_sphere_point,
+            ),
+            PolynomialPoissonModel(
+                "random-sphere", v3,
+                {k: p + Fraction(1, 10**9) * _random_poly(rng, v3)
+                 for k, p in _nambu_brackets(f, sphere + 1).items()},
+                constraints=[sphere], sampler=_sphere_point,
+            ),
+        ]
+        for model in candidates:
+            got = jacobi_symbolic(model, rng=random.Random(trial), points=5)
+            assert got == _jacobi_nested(model, rng=random.Random(trial), points=5)
+            outcomes.add((got.ok, got.symbolic))
+    assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_jacobi_symbolic_matches_nested_brackets_on_catalog_models():
+    for name in ("su2", "sl2-hyperbolic", "sl2-parabolic", "compartmental", "canonical2d"):
+        model = catalog.build_model(name, Fraction(-5, 2)).model
+        got = jacobi_symbolic(model, rng=random.Random(7), points=5)
+        assert got.ok and got == _jacobi_nested(model, rng=random.Random(7), points=5)
+
+
+def _preservation_by_pairing(model, h, sigma, tau, left, right, chi_g_form):
+    """X_h(sigma + tau) + (right(h) - left(h) - <chi_g form, X_h>) / 2, with
+    the pairing summed component by component."""
+    xh = hamiltonian_vf(model, h)
+    out = xh(sigma + tau) + Fraction(1, 2) * (right(h) - left(h))
+    if chi_g_form is not None:
+        pairing = Polynomial.zero(model.vars)
+        for w, comp in zip(chi_g_form, xh.components):
+            pairing = pairing + w * comp
+        out = out - Fraction(1, 2) * pairing
+    return out
+
+
+@pytest.mark.parametrize("name", ["su2", "sl2-elliptic", "sl2-parabolic", "toda-n3"])
+def test_preservation_residual_matches_pairing_formula(name):
+    b = catalog.build_model(name, Fraction(1, 3))
+    v = b.model.vars
+    rng = random.Random(name)
+    for _ in range(3):
+        sigma, tau = _random_poly(rng, v), _random_poly(rng, v)
+        chi = [_random_poly(rng, v, terms=2, degree=1) for _ in v]
+        for chi_g_form in (None, chi):
+            args = (b.model, b.hamiltonian, sigma, tau, b.left_chi, b.right_chi, chi_g_form)
+            got = preservation_residual(*args)
+            assert got == _preservation_by_pairing(*args)
+            assert not got.is_zero()
+
+
+def _multiplicativity_full_matrix(model, pairs, rng):
+    """multiplicativity_spotcheck over every entry (a, b) of
+    Pi(gh) - JL Pi(h) JL^T - JR Pi(g) JR^T, each entry a double sum."""
+    n = model.dim
+    mvars = model.group_mult[0].vars
+    d_left = [[m.diff(mvars[n + j]) for j in range(n)] for m in model.group_mult]
+    d_right = [[m.diff(mvars[j]) for j in range(n)] for m in model.group_mult]
+    worst = 0.0
+    for _ in range(pairs):
+        g, h = model.sampler(rng), model.sampler(rng)
+        gh = tuple(g) + tuple(h)
+        prod = tuple(m.eval(gh) for m in model.group_mult)
+        jl = [[p.eval(gh) for p in row] for row in d_left]
+        jr = [[p.eval(gh) for p in row] for row in d_right]
+        pi_h = [[model.bracket_entry(i, j).eval(h) for j in range(n)] for i in range(n)]
+        pi_g = [[model.bracket_entry(i, j).eval(g) for j in range(n)] for i in range(n)]
+        for a in range(n):
+            for b in range(n):
+                rhs = sum(
+                    jl[a][i] * pi_h[i][j] * jl[b][j] + jr[a][i] * pi_g[i][j] * jr[b][j]
+                    for i in range(n)
+                    for j in range(n)
+                )
+                residual = model.bracket_entry(a, b).eval(prod) - rhs
+                if residual:
+                    worst = max(worst, abs(float(residual)))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["su2", "sl2-hyperbolic", "sl2-elliptic"])
+def test_multiplicativity_matches_full_matrix_formula(name):
+    b = catalog.build_model(name, 2)
+    model = b.model
+    v = model.vars
+    rng = random.Random(name)
+    # a perturbation that still vanishes at the identity, so only the
+    # multiplicativity residual can fail
+    bump = _random_poly(rng, v) * (model.variable(v[1]) ** 2)
+    perturbed = PolynomialPoissonModel(
+        "perturbed", v, {**model._table, (0, 1): model.bracket_entry(0, 1) + bump},
+        constraints=model.constraints, base_point=model.base_point, poisson_lie=True,
+        group_mult=model.group_mult, sampler=model.sampler,
+    )
+    for m in (model, perturbed):
+        got = multiplicativity_spotcheck(m, pairs=4, rng=random.Random(5))
+        assert got == _multiplicativity_full_matrix(m, pairs=4, rng=random.Random(5))
+    assert got > 0.0
