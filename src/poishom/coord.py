@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .linalg import frac
-from .poly import Polynomial
+from .poly import Polynomial, float_evaluator
+
+# seed of the spot checks' random draws when the caller passes no rng
+SPOTCHECK_SEED = 5571
 
 
 class PolyVectorField:
@@ -75,9 +79,6 @@ class PolyVectorField:
 
     def eval(self, point) -> tuple[Fraction, ...]:
         return tuple(c.eval(point) for c in self.components)
-
-    def eval_float(self, point) -> list[float]:
-        return [c.eval_float(point) for c in self.components]
 
     def __repr__(self):
         parts = [f"({c!r}) d/d{v}" for v, c in zip(self.vars, self.components) if not c.is_zero()]
@@ -193,8 +194,9 @@ def jacobi_symbolic(
 ) -> JacobiVerdict:
     """Jacobi identity of the bracket.  Unconstrained models are checked by
     full symbolic expansion; constrained models at exact rational points on
-    the variety drawn from the model's sampler, failing on the first nonzero
-    exact residual (reported by its float magnitude)."""
+    the variety drawn from the model's sampler (with ``rng``, by default one
+    seeded with SPOTCHECK_SEED), failing on the first nonzero exact residual
+    (reported by its float magnitude)."""
     n = model.dim
     pi = model.bracket_entry
     # X_{x_i} has components Pi[i][l], so {x_i, {x_j, x_k}} = X_{x_i}(Pi[j][k])
@@ -212,6 +214,8 @@ def jacobi_symbolic(
 
     if model.sampler is None:
         raise ValueError("constrained model without a variety sampler")
+    if rng is None:
+        rng = random.Random(SPOTCHECK_SEED)
     polys = {triple: jacobiator(*triple) for triple in triples}
     for _ in range(points):
         pt = model.sampler(rng)
@@ -277,16 +281,18 @@ def kernel_obstruction_verify(
         if all(c.eval(cand) == 0 for c in model.constraints) and obstruction.eval(cand):
             point = cand
     if point is None:
-        import random
-
-        rng = random.Random(5571)
+        # random rational points all but never lie on a variety
+        if model.constraints and model.sampler is None:
+            raise ValueError(
+                "no variety point was sampled: the model is constrained and has no "
+                "variety sampler (give a witness point on the variety)"
+            )
+        rng = random.Random(SPOTCHECK_SEED)
         for _ in range(2000):
             if model.sampler is not None:
                 cand = model.sampler(rng)
             else:
                 cand = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
-                if any(c.eval(cand) != 0 for c in model.constraints):
-                    continue
             if obstruction.eval(cand):
                 point = cand
                 break
@@ -384,13 +390,16 @@ def multiplicativity_spotcheck(
 ) -> float:
     """At random variety pairs (g, h): compare Pi(gh) with
     JL Pi(h) JL^T + JR Pi(g) JR^T, the Jacobians taken of the multiplication
-    map in each argument.  Also asserts Pi vanishes at the base point.
+    map in each argument, at pairs drawn with ``rng`` (by default one seeded
+    with SPOTCHECK_SEED).  Also asserts Pi vanishes at the base point.
     Returns the float magnitude of the max absolute entry residual; the
     residuals are exact, so it is 0.0 exactly when every one vanishes."""
     if model.group_mult is None:
         raise ValueError("model carries no group multiplication map")
     if model.sampler is None:
         raise ValueError("model carries no variety sampler")
+    if rng is None:
+        rng = random.Random(SPOTCHECK_SEED)
     n = model.dim
     if model.base_point is not None and any(map(any, model.matrix_at(model.base_point))):
         raise AssertionError("bracket does not vanish at the identity")
@@ -441,18 +450,18 @@ def linearization_vs_cocommutator(
     n = model.dim
     base = [float(c) for c in model.base_point]
     fr = [[float(c) for c in direction] for direction in frame]
+    pairs = list(itertools.combinations(range(n), 2))
+    entries = float_evaluator(model.vars, [model.bracket_entry(a, b) for a, b in pairs])
     worst = 0.0
     for k, image in enumerate(delta_images):
-        plus = [b + step * d for b, d in zip(base, fr[k])]
-        minus = [b - step * d for b, d in zip(base, fr[k])]
-        for a in range(n):
-            for b in range(a + 1, n):
-                p = model.bracket_entry(a, b)
-                numeric = (p.eval_float(plus) - p.eval_float(minus)) / (2 * step)
-                expected = 0.0
-                for (i, j), c in image.items():
-                    expected += float(c) * (fr[i][a] * fr[j][b] - fr[i][b] * fr[j][a])
-                worst = max(worst, abs(numeric - sign * expected))
+        plus = entries(*[b + step * d for b, d in zip(base, fr[k])])
+        minus = entries(*[b - step * d for b, d in zip(base, fr[k])])
+        for (a, b), p_plus, p_minus in zip(pairs, plus, minus):
+            numeric = (p_plus - p_minus) / (2 * step)
+            expected = 0.0
+            for (i, j), c in image.items():
+                expected += float(c) * (fr[i][a] * fr[j][b] - fr[i][b] * fr[j][a])
+            worst = max(worst, abs(numeric - sign * expected))
     return worst
 
 
@@ -507,24 +516,29 @@ def rk4_flow(
     from 1) whose state or divergence integral is not finite, or whose drift
     passes the tolerance.  Each step's end-of-step divergence value starts the
     next step's Simpson sum.
+
+    The field, and the divergence with the constraints, are each compiled
+    once per call into one ``float_evaluator``, so an RK4 stage is one call.
     """
     field = hamiltonian_vf(model, h)
     div = divergence(model, field, log_density)
+    rhs = float_evaluator(model.vars, field.components)
+    div_and_constraints = float_evaluator(model.vars, [div, *model.constraints])
     x = [float(c) for c in x0]
-    for c in model.constraints:
-        if abs(c.eval_float(x)) > 1e-12:
-            raise ValueError("initial point violates the constraints")
-
-    def rhs(state):
-        return field.eval_float(state)
+    if len(x) != model.dim:
+        raise ValueError("start point length does not match the model dimension")
+    f0, *residuals = div_and_constraints(*x)
+    if any(abs(r) > 1e-12 for r in residuals):
+        raise ValueError("initial point violates the constraints")
 
     def step(state, hstep):
-        k1 = rhs(state)
-        k2 = rhs([s + 0.5 * hstep * k for s, k in zip(state, k1)])
-        k3 = rhs([s + 0.5 * hstep * k for s, k in zip(state, k2)])
-        k4 = rhs([s + hstep * k for s, k in zip(state, k3)])
+        half, sixth = 0.5 * hstep, hstep / 6.0
+        k1 = rhs(*state)
+        k2 = rhs(*[s + half * k for s, k in zip(state, k1)])
+        k3 = rhs(*[s + half * k for s, k in zip(state, k2)])
+        k4 = rhs(*[s + hstep * k for s, k in zip(state, k3)])
         return [
-            s + hstep / 6.0 * (a + 2 * b + 2 * c + d)
+            s + sixth * (a + 2 * b + 2 * c + d)
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)
         ]
 
@@ -532,22 +546,20 @@ def rk4_flow(
     times = [0.0]
     states = [list(x)]
     div_int = [0.0]
-    drift0 = max((abs(c.eval_float(x)) for c in model.constraints), default=0.0)
-    drifts = [drift0]
+    drifts = [max(map(abs, residuals), default=0.0)]
     acc = 0.0
-    f0 = div.eval_float(x)
     for k in range(1, steps + 1):
         xm = step(x, dt / 2.0)
-        fm = div.eval_float(xm)
+        fm = div_and_constraints(*xm)[0]
         x = step(xm, dt / 2.0)
-        f1 = div.eval_float(x)
+        f1, *residuals = div_and_constraints(*x)
         acc += dt / 6.0 * (f0 + 4.0 * fm + f1)
         f0 = f1
         if not (all(map(math.isfinite, x)) and math.isfinite(acc)):
             raise ValueError(
                 f"non-finite state or divergence integral at step {k} (t = {k * dt:g}, dt = {dt})"
             )
-        drift = max((abs(c.eval_float(x)) for c in model.constraints), default=0.0)
+        drift = max(map(abs, residuals), default=0.0)
         if drift > drift_tolerance:
             raise ConstraintDriftError(
                 f"constraint drift {drift:.3e} exceeded {drift_tolerance:.1e} at step {k}"

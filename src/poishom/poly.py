@@ -2,8 +2,9 @@
 
 Terms are stored as a map from exponent tuples to ``Fraction``; no zero
 coefficient is ever kept.  Polynomials over the same variable tuple form a
-ring under +, -, *; evaluation is exact on rational points and float-based
-for the numerical integrators.
+ring under +, -, *; evaluation is exact on rational points, and float
+evaluation goes through one compiled evaluator per polynomial list
+(``float_evaluator``), which the numerical integrators build once per run.
 """
 
 from __future__ import annotations
@@ -138,14 +139,9 @@ class Polynomial:
         return total
 
     def eval_float(self, point: Sequence[float]) -> float:
-        total = 0.0
-        for e, c in self.terms.items():
-            v = float(c)
-            for p, k in zip(point, e):
-                if k:
-                    v *= p ** k
-            total += v
-        return total
+        """Float value at one point; compiles a one-off ``float_evaluator``,
+        so code evaluating many points builds the evaluator itself."""
+        return float_evaluator(self.vars, [self])(*point)[0]
 
     def subs_vars(self, new_vars: Sequence[str], images: Sequence["Polynomial"]) -> "Polynomial":
         """Substitute each of this polynomial's variables by a polynomial in
@@ -183,3 +179,38 @@ class Polynomial:
             else:
                 parts.append(f"{c} {mono}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+# terms per generated sum; a sum of a few thousand terms overflows the
+# compiler's recursion limit, so longer polynomials are summed in statements
+_SUM_CHUNK = 256
+
+
+def float_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):
+    """Compile ``polys`` once into a straight-line function of the n
+    coordinates that returns every polynomial's float value as a tuple.
+
+    Each polynomial is summed in ``terms`` order, from 0.0 (so -0.0 terms sum
+    to 0.0), each term as ``float(c) * x_i**k_i * ...`` left to right over the
+    nonzero exponents.  The generated source holds only ``repr(float(c))``
+    literals, the names x0..x{n-1} and v0.., operators and int exponents."""
+    variables = tuple(variables)
+    args = ", ".join(f"x{i}" for i in range(len(variables)))
+    lines = [f"def _evaluate({args}):"]
+    values = []
+    for j, p in enumerate(polys):
+        if p.vars != variables:
+            raise ValueError("polynomial over different variables")
+        terms = [
+            " * ".join([repr(float(c))] + [f"x{i}**{k}" for i, k in enumerate(e) if k])
+            for e, c in p.terms.items()
+        ]
+        total = "0.0"
+        for start in range(0, len(terms), _SUM_CHUNK):
+            lines.append(f"    v{j} = " + " + ".join([total, *terms[start:start + _SUM_CHUNK]]))
+            total = f"v{j}"
+        values.append(total)
+    lines.append(f"    return ({''.join(f'{v}, ' for v in values)})")
+    namespace: dict = {"__builtins__": {}}
+    exec(compile("\n".join(lines) + "\n", "<float_evaluator>", "exec"), namespace)
+    return namespace["_evaluate"]

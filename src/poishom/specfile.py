@@ -130,7 +130,10 @@ def _strip_comment(line: str) -> str:
 def _parse_rational(tok: str, lineno: int, col: int = 0) -> Fraction:
     if not _RATIONAL.match(tok):
         raise SpecParseError(f"expected a rational literal, got {tok!r}", lineno, col)
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise SpecParseError(f"zero denominator in {tok!r}", lineno, col) from None
 
 
 def _parse_combo_terms(text: str, lineno: int):
@@ -152,7 +155,7 @@ def _term_coeff_and_factors(toks, lineno, eta: Fraction):
         if _RATIONAL.match(t):
             if seen_number:
                 raise SpecParseError("two numeric literals in one term", lineno)
-            coeff *= Fraction(t)
+            coeff *= _parse_rational(t, lineno)
             seen_number = True
         elif t == "eta":
             coeff *= eta

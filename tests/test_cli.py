@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -52,6 +54,32 @@ def test_analyze_bad_file(tmp_path, capsys):
     path.write_text("[algebra]\nbasis: a a\n", encoding="utf-8")
     assert run(["analyze", str(path), "--file"]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+SPEC_ALGEBRA = "[algebra]\nbasis: J1 J2 J3\n{b12}\nJ2,J3 -> 1 J1\nJ3,J1 -> 1 J2\n"
+SPEC_REST = "[rmatrix]\n1 eta J1^J2\n[subalgebra]\n{sub}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # a [subalgebra] coefficient
+        (SPEC_ALGEBRA.format(b12="J1,J2 -> 1 J3") + SPEC_REST.format(sub="1/0 J3"), 9),
+        # an [algebra] bracket coefficient
+        (SPEC_ALGEBRA.format(b12="J1,J2 -> 3/0 J3") + SPEC_REST.format(sub="J3"), 3),
+        # a [coordinate_model] base point
+        ("[coordinate_model]\nvariables: x y\nbase: 1/0 0\n", 3),
+    ],
+    ids=["subalgebra", "algebra-bracket", "model-base"],
+)
+def test_spec_zero_denominator_is_an_input_error(tmp_path, capsys, text, line):
+    path = tmp_path / "zero.spec"
+    path.write_text(text, encoding="utf-8")
+    assert run(["analyze", str(path), "--file"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: line {line},") and captured.err.count("\n") == 1
+    assert "zero denominator" in captured.err
 
 
 def test_tables_match_golden(capsys):
@@ -197,6 +225,14 @@ def test_catalog_list(capsys):
     out = capsys.readouterr().out
     for name in ("subgroup-sphere", "toda-n3", "sphere-morse", "su2"):
         assert name in out
+
+
+def test_python_dash_m_poishom(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["poishom", "catalog", "list"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("poishom", run_name="__main__", alter_sys=True)
+    assert done.value.code == 0
+    assert "sphere-morse" in capsys.readouterr().out
 
 
 def test_verify_all_passes_and_counts(capsys):

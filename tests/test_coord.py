@@ -26,6 +26,8 @@ from poishom.coord import (
 )
 from poishom.poly import Polynomial
 
+from float_reference import eval_field, eval_float
+
 
 @pytest.fixture(scope="module")
 def comp():
@@ -261,6 +263,31 @@ def test_kernel_obstruction_inconclusive_raises(su2):
         kernel_obstruction_verify(su2.model, su2.kernel_covector, tangent)
 
 
+def test_kernel_obstruction_without_variety_points_says_so(su2):
+    # the su2 table and constraint without the sampler: random rational points
+    # all but miss the sphere, so the verdict is that no variety point was
+    # sampled, not that the obstruction vanishes at every one
+    m = su2.model
+    bare = PolynomialPoissonModel(
+        "su2-no-sampler",
+        m.vars,
+        {(i, j): m.bracket_entry(i, j) for i, j in itertools.combinations(range(m.dim), 2)},
+        constraints=m.constraints,
+        base_point=m.base_point,
+    )
+    with pytest.raises(ValueError, match="no variety point was sampled"):
+        kernel_obstruction_verify(bare, su2.kernel_covector, su2.horizontal_field())
+    cert = kernel_obstruction_verify(m, su2.kernel_covector, su2.horizontal_field())
+    assert cert.witness_value == Fraction(17984, 90601)
+
+
+def test_spot_checks_default_rng_is_seeded(su2):
+    # with rng=None both draw from the model's sampler with a seeded rng
+    first = jacobi_symbolic(su2.model, points=20)
+    assert first == JacobiVerdict(True, False) == jacobi_symbolic(su2.model, points=20)
+    assert multiplicativity_spotcheck(su2.model, pairs=5) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # character-data fields and preservation
 # ---------------------------------------------------------------------------
@@ -491,19 +518,23 @@ def test_rk4_flow_su2_morse(su2):
 def test_rk4_rejects_bad_start(su2):
     with pytest.raises(ValueError):
         rk4_flow(su2.model, su2.hamiltonian, (1, 1, 0, 0), T=1.0, dt=1e-3)
+    # a start point of the wrong length is rejected, not truncated
+    with pytest.raises(ValueError, match="length"):
+        rk4_flow(su2.model, su2.hamiltonian, (0, 0, 0), T=1.0, dt=1e-3)
 
 
 def _rk4_fresh_simpson(model, h, x0, steps, dt, log_density):
     """rk4_flow's state and divergence integral, with the divergence at the
-    start of every step evaluated afresh instead of carried over."""
-    field = hamiltonian_vf(model, h)
-    div = divergence(model, field, log_density)
+    start of every step evaluated afresh instead of carried over, and every
+    polynomial through the test-side interpretive loop."""
+    X = hamiltonian_vf(model, h)
+    field, div = X.components, divergence(model, X, log_density)
 
     def step(state, hstep):
-        k1 = field.eval_float(state)
-        k2 = field.eval_float([s + 0.5 * hstep * k for s, k in zip(state, k1)])
-        k3 = field.eval_float([s + 0.5 * hstep * k for s, k in zip(state, k2)])
-        k4 = field.eval_float([s + hstep * k for s, k in zip(state, k3)])
+        k1 = eval_field(field, state)
+        k2 = eval_field(field, [s + 0.5 * hstep * k for s, k in zip(state, k1)])
+        k3 = eval_field(field, [s + 0.5 * hstep * k for s, k in zip(state, k2)])
+        k4 = eval_field(field, [s + hstep * k for s, k in zip(state, k3)])
         return [
             s + hstep / 6.0 * (a + 2 * b + 2 * c + d)
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)
@@ -511,11 +542,11 @@ def _rk4_fresh_simpson(model, h, x0, steps, dt, log_density):
 
     x, acc, out = [float(c) for c in x0], 0.0, [0.0]
     for _ in range(steps):
-        f0 = div.eval_float(x)
+        f0 = eval_float(div, x)
         xm = step(x, dt / 2.0)
-        fm = div.eval_float(xm)
+        fm = eval_float(div, xm)
         x = step(xm, dt / 2.0)
-        acc += dt / 6.0 * (f0 + 4.0 * fm + div.eval_float(x))
+        acc += dt / 6.0 * (f0 + 4.0 * fm + eval_float(div, x))
         out.append(acc)
     return x, out
 
@@ -575,8 +606,8 @@ def test_divergence_matches_monodromy_log_volume(comp):
     def rhs(state):
         x = state[:n]
         m = [state[n + i * n:n + (i + 1) * n] for i in range(n)]
-        dx = field.eval_float(x)
-        jx = [[jac[i][j].eval_float(x) for j in range(n)] for i in range(n)]
+        dx = eval_field(field.components, x)
+        jx = [[eval_float(jac[i][j], x) for j in range(n)] for i in range(n)]
         dm = [[sum(jx[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         return dx + [dm[i][j] for i in range(n) for j in range(n)]
 
@@ -584,7 +615,7 @@ def test_divergence_matches_monodromy_log_volume(comp):
     dt, steps = 1e-3, 2000
     acc = 0.0
     for _ in range(steps):
-        f0 = div.eval_float(state[:n])
+        f0 = eval_float(div, state[:n])
         k1 = rhs(state)
         k2 = rhs([s + 0.5 * dt * k for s, k in zip(state, k1)])
         k3 = rhs([s + 0.5 * dt * k for s, k in zip(state, k2)])
@@ -593,7 +624,7 @@ def test_divergence_matches_monodromy_log_volume(comp):
             s + dt / 6.0 * (a + 2 * b + 2 * c + d)
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)
         ]
-        acc += 0.5 * dt * (f0 + div.eval_float(state[:n]))
+        acc += 0.5 * dt * (f0 + eval_float(div, state[:n]))
     m = [state[n + i * n:n + (i + 1) * n] for i in range(n)]
     det = (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
