@@ -14,6 +14,7 @@ check run in floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -501,6 +502,69 @@ class ConstraintDriftError(RuntimeError):
     pass
 
 
+@functools.lru_cache(maxsize=None)
+def _rk4_loop(n: int, m: int):
+    """Compile rk4_flow's step loop for n coordinates and m constraints.
+
+    The state lives in the locals x0..x{n-1}.  Each step makes two RK4
+    half-steps of length h = dt / 2 (stages a, b, c, d: ``s + half * k``
+    twice, ``s + h * k``, then ``s + sixth * (a + 2 * b + 2 * c + d)``),
+    evaluating ``div_and_constraints`` after each, adds the Simpson term
+    ``dt / 6 * (f0 + 4 * fm + f1)`` and carries f1 into the next step.  The
+    loop appends each accepted step to the trace lists and returns None, or
+    ``(k, drift)`` at the first step k whose state or integral is not finite
+    (drift None) or whose drift passes the tolerance.  The source depends on
+    the shape only, so it is cached; the evaluators come in as arguments.
+    (``2.0 * b`` is ``2 * b``: the int converts to 2.0 exactly.)"""
+
+    def row(fmt: str) -> str:
+        return "(" + "".join(fmt.format(i=i) + ", " for i in range(n)) + ")"
+
+    state = row("x{i}")
+    half_step = [
+        f"{row('a{i}')} = rhs{state}",
+        f"{row('b{i}')} = rhs{row('x{i} + half * a{i}')}",
+        f"{row('c{i}')} = rhs{row('x{i} + half * b{i}')}",
+        f"{row('d{i}')} = rhs{row('x{i} + h * c{i}')}",
+        f"{state} = {row('x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}",
+    ]
+    residuals = "".join(f"r{j}, " for j in range(m))
+    drift = ", ".join(f"abs(r{j})" for j in range(m)) or "0.0"
+    if m > 1:
+        drift = f"max({drift})"
+    finite = "".join(f"isfinite(x{i}) and " for i in range(n)) + "isfinite(acc)"
+    body = [
+        "def _loop(rhs, div_and_constraints, f0, dt, steps, drift_tolerance,",
+        f"          times, states, div_int, drifts, {state[1:]}:",
+        "    h = dt / 2.0",
+        "    half, sixth = 0.5 * h, h / 6.0",
+        "    simpson = dt / 6.0",
+        "    acc = 0.0",
+        "    for k in range(1, steps + 1):",
+        *(f"        {line}" for line in half_step),
+        f"        fm = div_and_constraints{state}[0]",
+        *(f"        {line}" for line in half_step),
+        f"        (f1, {residuals}) = div_and_constraints{state}",
+        "        acc += simpson * (f0 + 4.0 * fm + f1)",
+        "        f0 = f1",
+        f"        if not ({finite}):",
+        "            return k, None",
+        f"        drift = {drift}",
+        "        if drift > drift_tolerance:",
+        "            return k, drift",
+        "        times.append(k * dt)",
+        f"        states.append([{state[1:-1]}])",
+        "        div_int.append(acc)",
+        "        drifts.append(drift)",
+        "    return None",
+    ]
+    namespace: dict = {
+        "__builtins__": {}, "range": range, "abs": abs, "max": max, "isfinite": math.isfinite
+    }
+    exec(compile("\n".join(body) + "\n", "<rk4_loop>", "exec"), namespace)
+    return namespace["_loop"]
+
+
 def rk4_flow(
     model: PolynomialPoissonModel,
     h: Polynomial,
@@ -518,7 +582,9 @@ def rk4_flow(
     next step's Simpson sum.
 
     The field, and the divergence with the constraints, are each compiled
-    once per call into one ``float_evaluator``, so an RK4 stage is one call.
+    once per call into one ``float_evaluator``, and the step loop is
+    generated code over the coordinates (``_rk4_loop``), so an RK4 stage is
+    one call and the state is never a list.
     """
     field = hamiltonian_vf(model, h)
     div = divergence(model, field, log_density)
@@ -530,48 +596,25 @@ def rk4_flow(
     f0, *residuals = div_and_constraints(*x)
     if any(abs(r) > 1e-12 for r in residuals):
         raise ValueError("initial point violates the constraints")
-
-    def step(state, hstep):
-        half, sixth = 0.5 * hstep, hstep / 6.0
-        k1 = rhs(*state)
-        k2 = rhs(*[s + half * k for s, k in zip(state, k1)])
-        k3 = rhs(*[s + half * k for s, k in zip(state, k2)])
-        k4 = rhs(*[s + hstep * k for s, k in zip(state, k3)])
-        return [
-            s + sixth * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ]
-
-    steps = int(round(T / dt))
-    times = [0.0]
-    states = [list(x)]
-    div_int = [0.0]
-    drifts = [max(map(abs, residuals), default=0.0)]
-    acc = 0.0
-    for k in range(1, steps + 1):
-        xm = step(x, dt / 2.0)
-        fm = div_and_constraints(*xm)[0]
-        x = step(xm, dt / 2.0)
-        f1, *residuals = div_and_constraints(*x)
-        acc += dt / 6.0 * (f0 + 4.0 * fm + f1)
-        f0 = f1
-        if not (all(map(math.isfinite, x)) and math.isfinite(acc)):
-            raise ValueError(
-                f"non-finite state or divergence integral at step {k} (t = {k * dt:g}, dt = {dt})"
-            )
-        drift = max(map(abs, residuals), default=0.0)
-        if drift > drift_tolerance:
-            raise ConstraintDriftError(
-                f"constraint drift {drift:.3e} exceeded {drift_tolerance:.1e} at step {k}"
-            )
-        times.append(k * dt)
-        states.append(list(x))
-        div_int.append(acc)
-        drifts.append(drift)
-    return FlowTrace(
+    trace = FlowTrace(
         variables=model.vars,
-        times=times,
-        states=states,
-        div_integral=div_int,
-        constraint_drift=drifts,
+        times=[0.0],
+        states=[x],
+        div_integral=[0.0],
+        constraint_drift=[max(map(abs, residuals), default=0.0)],
+    )
+    loop = _rk4_loop(model.dim, len(residuals))
+    abort = loop(
+        rhs, div_and_constraints, f0, dt, int(round(T / dt)), drift_tolerance,
+        trace.times, trace.states, trace.div_integral, trace.constraint_drift, *x,
+    )
+    if abort is None:
+        return trace
+    k, drift = abort
+    if drift is None:
+        raise ValueError(
+            f"non-finite state or divergence integral at step {k} (t = {k * dt:g}, dt = {dt})"
+        )
+    raise ConstraintDriftError(
+        f"constraint drift {drift:.3e} exceeded {drift_tolerance:.1e} at step {k}"
     )

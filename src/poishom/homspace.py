@@ -10,6 +10,7 @@ the resulting 1-cocycle is not decidable here; reports carry an explicit
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -52,24 +53,37 @@ class HomogeneousSpaceSpec:
 @dataclass
 class VolumeCertificate:
     """Volume data at the base point: a top element of the annihilator and,
-    for the semi-invariant case, the covector with d V0 = -theta0 ^ V0."""
+    for the semi-invariant case, the covector with d V0 = -theta0 ^ V0.  The
+    certificate keeps d V0, so ``witnessed`` re-checks another theta0 on the
+    same V0 without differentiating it again."""
 
     v0: ExteriorElement
     theta0: Optional[Covector]
     kind: str  # invariant | semi_invariant_algebra_level | none
+    dv0: ExteriorElement = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        L = self.v0.algebra
-        dv0 = ce_differential(L, self.v0)
+        self.dv0 = ce_differential(self.v0.algebra, self.v0)
+        self._check()
+
+    def _check(self):
         if self.kind == "invariant":
-            if not dv0.is_zero():
+            if not self.dv0.is_zero():
                 raise ValueError("invariant certificate requires d V0 = 0")
         elif self.kind == "semi_invariant_algebra_level":
             if self.theta0 is None:
                 raise ValueError("semi-invariant certificate requires theta0")
             rhs = -1 * ExteriorElement.from_vector(self.theta0).wedge(self.v0)
-            if dv0 != rhs:
+            if self.dv0 != rhs:
                 raise ValueError("certificate violates d V0 = -theta0 ^ V0")
+
+    def witnessed(self, theta0: Covector) -> "VolumeCertificate":
+        """The semi-invariant certificate of theta0 on this V0, checked against
+        the stored d V0."""
+        cert = copy.copy(self)
+        cert.theta0, cert.kind = theta0, "semi_invariant_algebra_level"
+        cert._check()
+        return cert
 
 
 @dataclass
@@ -270,8 +284,9 @@ class _Analysis:
         unimodular = not any(values)
         witness, null = self.mu if unimodular else (None, [])
         if witness is not None:
-            # re-verify the witness before reporting: d V0 = -theta0 ^ V0, then closedness
-            VolumeCertificate(self.v0, witness, "semi_invariant_algebra_level")
+            # re-verify the witness before reporting: d V0 = -theta0 ^ V0 (on the
+            # d V0 the volume certificate already holds), then closedness
+            self.volume.witnessed(witness)
             if not is_closed_one_form(self.g, witness):
                 raise AssertionError("witness is not closed")
         status = MU_FAILS_I if not unimodular else MU_FAILS_II if witness is None else MU_OK

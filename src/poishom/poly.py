@@ -190,26 +190,38 @@ def float_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):
     """Compile ``polys`` once into a straight-line function of the n
     coordinates that returns every polynomial's float value as a tuple.
 
-    Each polynomial is summed in ``terms`` order, from 0.0 (so -0.0 terms sum
-    to 0.0), each term as ``float(c) * x_i**k_i * ...`` left to right over the
-    nonzero exponents.  The generated source holds only ``repr(float(c))``
-    literals, the names x0..x{n-1} and v0.., operators and int exponents."""
+    Each distinct power x_i**k (``**`` kept for k = 1) is bound once, at the
+    top, to the local p{i}_{k}.  Each polynomial is summed in ``terms`` order,
+    from 0.0 (so -0.0 terms sum to 0.0), each term as ``float(c) * p * q ...``
+    left to right over the nonzero exponents.  Float ``**`` is pure, so every
+    value and every OverflowError is that of the term-by-term loop.  The
+    generated source holds only ``repr(float(c))`` literals, the names
+    x0..x{n-1}, p{i}_{k} and v0.., operators and int exponents."""
     variables = tuple(variables)
     args = ", ".join(f"x{i}" for i in range(len(variables)))
-    lines = [f"def _evaluate({args}):"]
+    powers: dict[str, str] = {}  # local name -> its power, in first-use order
+    sums = []
     values = []
     for j, p in enumerate(polys):
         if p.vars != variables:
             raise ValueError("polynomial over different variables")
-        terms = [
-            " * ".join([repr(float(c))] + [f"x{i}**{k}" for i, k in enumerate(e) if k])
-            for e, c in p.terms.items()
-        ]
+        terms = []
+        for e, c in p.terms.items():
+            factors = [repr(float(c))]
+            for i, k in enumerate(e):
+                if k:
+                    name = f"p{i}_{k}"
+                    powers.setdefault(name, f"x{i}**{k}")
+                    factors.append(name)
+            terms.append(" * ".join(factors))
         total = "0.0"
         for start in range(0, len(terms), _SUM_CHUNK):
-            lines.append(f"    v{j} = " + " + ".join([total, *terms[start:start + _SUM_CHUNK]]))
+            sums.append(f"    v{j} = " + " + ".join([total, *terms[start:start + _SUM_CHUNK]]))
             total = f"v{j}"
         values.append(total)
+    lines = [f"def _evaluate({args}):"]
+    lines += [f"    {name} = {power}" for name, power in powers.items()]
+    lines += sums
     lines.append(f"    return ({''.join(f'{v}, ' for v in values)})")
     namespace: dict = {"__builtins__": {}}
     exec(compile("\n".join(lines) + "\n", "<float_evaluator>", "exec"), namespace)

@@ -267,6 +267,9 @@ def parse_spec_text(text: str, eta=1) -> SpecDocument:
 
         if section == "algebra":
             if line.startswith("basis:"):
+                if doc.labels:
+                    # brackets and labels read so far index the first basis
+                    raise SpecParseError("basis given twice", lineno)
                 labels = line[len("basis:"):].split()
                 if not labels:
                     raise SpecParseError("empty basis", lineno)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from poishom import catalog
 from poishom.coord import (
@@ -26,7 +27,7 @@ from poishom.coord import (
 )
 from poishom.poly import Polynomial
 
-from float_reference import eval_field, eval_float
+from float_reference import eval_field, eval_float, rk4_reference
 
 
 @pytest.fixture(scope="module")
@@ -578,6 +579,80 @@ def test_rk4_constraint_drift_abort():
     )
     with pytest.raises(ConstraintDriftError):
         rk4_flow(M, y, (0, 0), T=1.0, dt=1e-2)
+
+
+def _flow_outcome(run):
+    """Every trace row as float.hex strings, or the abort raised."""
+    try:
+        times, states, div_int, drifts = run()
+    except (ValueError, ConstraintDriftError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    rows = zip(times, states, div_int, drifts)
+    return "ok", [[v.hex() for v in (t, *x, dv, cd)] for t, x, dv, cd in rows]
+
+
+def _rk4_outcome(model, h, x0, T, dt, **kw):
+    def run():
+        tr = rk4_flow(model, h, x0, T=T, dt=dt, **kw)
+        return tr.times, tr.states, tr.div_integral, tr.constraint_drift
+
+    return _flow_outcome(run)
+
+
+_NAMES = ("a", "b", "c", "d")
+_small_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# dyadic coordinates, so a constraint q - q(x0) is exactly 0.0 at the start
+_starts = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def _flow_problems(draw):
+    n = draw(st.integers(1, 4))
+    names = _NAMES[:n]
+
+    def poly(max_degree, max_terms):
+        expo = st.tuples(*[st.integers(0, max_degree)] * n)
+        return Polynomial(names, draw(st.dictionaries(expo, _small_coeffs, max_size=max_terms)))
+
+    brackets = {(i, j): poly(2, 2) for i in range(n) for j in range(i + 1, n)}
+    x0 = draw(st.tuples(*[_starts] * n))
+    constraints = [q - q.eval(x0) for q in (poly(2, 3) for _ in range(draw(st.integers(0, 2))))]
+    model = PolynomialPoissonModel("random", names, brackets, constraints=constraints)
+    h = poly(3, 4)
+    log_density = poly(2, 2) if draw(st.booleans()) else None
+    dt = draw(st.sampled_from([1e-3, 0.01, 0.05, 0.1, 0.3, 1.0, 3.0]))
+    steps = draw(st.integers(0, 40))
+    tolerance = draw(st.sampled_from([1e-6, 1e-2, math.inf]))
+    return model, h, x0, steps * dt, dt, log_density, tolerance
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flow_problems())
+def test_rk4_flow_matches_list_based_reference(problem):
+    # every trace row bit for bit, and the same abort (non-finite state at
+    # step k, drift at step k, overflowing power) with the same message
+    model, h, x0, T, dt, rho, tol = problem
+    kw = dict(log_density=rho, drift_tolerance=tol)
+    want = _flow_outcome(lambda: rk4_reference(model, h, x0, T, dt, **kw))
+    event(want[1].split(" at step")[0] if want[0] == "ValueError" else want[0])
+    assert _rk4_outcome(model, h, x0, T, dt, **kw) == want
+
+
+@pytest.mark.parametrize(
+    "case, T, dt, kind",
+    [
+        ("canonical2d", 10000, 10.0, "ValueError"),  # nan from step 116 on
+        ("compartmental", 10000, 10.0, "ValueError"),  # +-inf from step 85 on
+        ("su2", 1000, 100.0, "OverflowError"),  # float overflow in the first step
+        ("su2", 200, 3.5, "ConstraintDriftError"),  # drift past 1e-6 at step 5
+        ("su2", 2, 1e-3, "ok"),
+    ],
+)
+def test_rk4_flow_aborts_like_reference(case, T, dt, kind):
+    b = catalog.build_model(case, 1)
+    want = _flow_outcome(lambda: rk4_reference(b.model, b.hamiltonian, b.flow_start, T, dt))
+    assert want[0] == kind
+    assert _rk4_outcome(b.model, b.hamiltonian, b.flow_start, T, dt) == want
 
 
 def test_flow_trace_csv(tmp_path, comp):

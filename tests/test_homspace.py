@@ -243,6 +243,27 @@ def test_mu_witness_lies_in_semi_invariant_solution_set():
         assert semi_invariant_solutions(S).contains(rep.mu_witness_theta0)
 
 
+def test_witness_recheck_reuses_the_volume_differential(monkeypatch):
+    # a row with a multiplicative witness differentiates V0 once: the witness
+    # re-check reads d V0 off the row's volume certificate
+    from poishom import homspace
+
+    calls = []
+    monkeypatch.setattr(
+        homspace, "ce_differential", lambda L, w: calls.append(w) or ce_differential(L, w)
+    )
+    for name in ("mu-plane", "full-group", "compartmental-quotient"):
+        calls.clear()
+        row = classification_row(spec(name))
+        assert row["witness_theta0"] is not None and len(calls) == 1
+    # the re-check is kept: a wrong theta0 on the stored d V0 is refused
+    A = homspace._Analysis(spec("compartmental-quotient"))
+    witness = A.report.mu_witness_theta0
+    assert A.volume.witnessed(witness).dv0 is A.volume.dv0
+    with pytest.raises(ValueError, match="d V0 = -theta0"):
+        A.volume.witnessed(2 * witness)
+
+
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dis
 import math
 from fractions import Fraction
 
@@ -205,5 +206,14 @@ def test_float_evaluator_source_names_no_variable():
     evaluate = float_evaluator(names, [p, p])
     code = evaluate.__code__
     assert code.co_names == ()
-    assert set(code.co_varnames) <= {"x0", "x1", "v0", "v1"}
+    # the hoisted powers x0**1, x1**2 and x1**1 are its only other locals
+    assert set(code.co_varnames) <= {"x0", "x1", "v0", "v1", "p0_1", "p1_2", "p1_1"}
+    # each distinct power is computed once, though both polynomials use it
+    ops = list(dis.get_instructions(code))
+    powers = [
+        (base.argval, exponent.argval)
+        for base, exponent, op in zip(ops, ops[1:], ops[2:])
+        if op.opname == "BINARY_OP" and op.argrepr == "**"
+    ]
+    assert sorted(powers) == [("x0", 1), ("x1", 1), ("x1", 2)]
     assert evaluate(2.0, 0.5) == (eval_float(p, (2.0, 0.5)),) * 2

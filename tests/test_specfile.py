@@ -1,8 +1,14 @@
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from poishom import catalog
+from poishom.cli import run
 from poishom.homspace import classification_row
 from poishom.specfile import (
     SpecParseError,
@@ -205,3 +211,74 @@ X1
     for key in ("coisotropic", "subgroup_type", "chi_h0_zero", "invariant_volume",
                 "semi_invariant", "mu_status"):
         assert row[key] == base[key]
+
+
+def test_second_basis_line_rejected():
+    # brackets and labels already read index the first basis
+    text = SPHERE.replace("J1,J2 -> 1 J3\n", "J1,J2 -> 1 J3\nbasis: X1\n")
+    with pytest.raises(SpecParseError, match="line 4.*basis given twice"):
+        parse_spec_text(text)
+
+
+# ---------------------------------------------------------------------------
+# mutated spec text: every input is parsed or refused with one input error
+# ---------------------------------------------------------------------------
+
+_FUZZ_TOKENS = (
+    "", "0", "-1", "1/2", "1/0", "0/0", "+-1", "2 3", "eta", "eta eta", "+", "^", ",", ":",
+    "#", "[", "]", "->", "X1 ->", "-> 1 X1", "X9", "X1^X1", "J1^J2^J3", "1 X1 + 1 X1", "0 X1",
+    "X1,X1 ->", "X1,X2 -> 1 X1^X2", "X3 -> 0", "X3 -> 1 X3^X3", "basis:", "basis: X1",
+    "basis: X1 X2 X3 X4", "[algebra]", "[delta]", "[rmatrix]", "[subalgebra]",
+    "[coordinate_model]", "variables: x", "base: 1 0", "x1^", "x1^99", "mult x1: 1 x1",
+    "field f: 1 x1",
+)
+
+
+@st.composite
+def _mutated_specs(draw):
+    lines = draw(st.sampled_from([MU_PLANE, SPHERE, MODEL + "\n" + MU_PLANE])).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["delete", "duplicate", "replace token", "insert", "edit"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, draw(st.sampled_from(lines)))
+        elif op == "replace token":
+            toks = lines[i].split(" ")
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(st.sampled_from(_FUZZ_TOKENS))
+            lines[i] = " ".join(toks)
+        elif op == "insert":
+            lines.insert(i, draw(st.sampled_from(_FUZZ_TOKENS)))
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:j] + draw(st.sampled_from("0/-+^,:#[] eXJx\t")) + lines[i][j + 1:]
+        if not lines:
+            lines = [""]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_specs())
+@example(SPHERE.replace("J1,J2 -> 1 J3\n", "J1,J2 -> 1 J3\nbasis: X1\n"))
+@example(MU_PLANE.replace("[subalgebra]\nX1", "[subalgebra]\n1/0 X1"))
+def test_mutated_spec_text_exits_cleanly(text):
+    try:
+        parse_spec_text(text)
+    except SpecParseError:
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.spec")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["analyze", path, "--file"])
+    errors = err.getvalue().splitlines()
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(errors) == 1 and errors[0].startswith("input error:")
+        assert out.getvalue() == ""
+    else:
+        assert errors == [] and out.getvalue()
