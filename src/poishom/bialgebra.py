@@ -19,7 +19,7 @@ from .exterior import (
     is_ad_invariant,
     schouten_square,
 )
-from .lie import Covector, LieAlgebra, Vector
+from .lie import Covector, LieAlgebra, Vector, integer_table
 from .linalg import frac
 
 
@@ -78,13 +78,15 @@ class CocommutatorMap:
 
 def cocycle_check(g: LieAlgebra, delta: CocommutatorMap) -> Optional[tuple[int, int]]:
     """First basis pair violating
-    delta([X, Y]) = ad_X(delta Y) - ad_Y(delta X), or None."""
-    full = g.full_table()
-    images = [im.terms for im in delta.images]
+    delta([X, Y]) = ad_X(delta Y) - ad_Y(delta X), or None.  The residual is
+    bilinear in the structure constants and delta, so it runs on the two
+    tables scaled to ints separately."""
+    full = integer_table(g.full_table())
+    images = integer_table({k: im.terms for k, im in enumerate(delta.images)})
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             # delta([e_i, e_j]) - ad_{e_i}(delta e_j) + ad_{e_j}(delta e_i)
-            diff: dict[tuple[int, ...], Fraction] = {}
+            diff: dict[tuple[int, ...], int] = {}
             for k, c in full.get((i, j), {}).items():
                 for key, d in images[k].items():
                     diff[key] = diff.get(key, 0) + c * d
@@ -375,11 +377,24 @@ def sln_standard_bialgebra(n: int, eta=1) -> LieBialgebra:
     g = sln_algebra(n)
     labels, mats = _sln_basis(n)
     dim = len(labels)
+    # Tr(e_k M) = sum M[c][r] e_k[r][c]: each entry (c, r) of M pairs with
+    # the basis matrices that are nonzero at (r, c)
+    index: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for k, m in enumerate(mats):
+        for (r, c), x in m.items():
+            index.setdefault((c, r), []).append((k, x))
 
-    def trace_pairing(a: dict, b: dict) -> Fraction:
-        return sum((x * b.get((c, r), 0) for (r, c), x in a.items()), Fraction(0))
+    def trace_coords(m: dict) -> dict[int, Fraction]:
+        """{k: Tr(e_k m)} over the basis matrices e_k that pair with m."""
+        out: dict[int, Fraction] = {}
+        for key, y in m.items():
+            for k, x in index.get(key, ()):
+                out[k] = out.get(k, 0) + x * y
+        return out
 
-    gram_inv = linalg.invert([[trace_pairing(a, b) for b in mats] for a in mats])
+    # the trace form is symmetric, so row a of the Gram matrix is e_a's coords
+    gram = [[row.get(b, Fraction(0)) for b in range(dim)] for row in map(trace_coords, mats)]
+    gram_inv = linalg.invert(gram)
     # the matrix of each dual basis covector X^a under the trace pairing, and
     # its triangular split R(M) = lower(M) - upper(M)
     covs, splits = [], []
@@ -400,11 +415,7 @@ def sln_standard_bialgebra(n: int, eta=1) -> LieBialgebra:
             for key, x in _commutator(covs[a], splits[b]).items():
                 res[key] = res.get(key, 0) + x
             # back to dual coordinates: component on X^k is Tr(res * e_k)
-            entry = {}
-            for k in range(dim):
-                val = trace_pairing(mats[k], res)
-                if val:
-                    entry[k] = eta * val
+            entry = {k: eta * val for k, val in sorted(trace_coords(res).items()) if val}
             if entry:
                 dual_brackets[(a, b)] = entry
     dual = LieAlgebra(g.dual_labels, dual_brackets)

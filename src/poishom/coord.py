@@ -263,9 +263,14 @@ def kernel_obstruction_verify(
     covector: Sequence[Polynomial],
     target: PolyVectorField,
     witness_point: Sequence = None,
+    rng=None,
 ) -> KernelObstructionCertificate:
     """Verify that sum_j c_j Pi[i][j] is the zero polynomial for every i, and
-    that sum_j c_j target_j is nonzero at an exact point on the variety."""
+    that sum_j c_j target_j is nonzero at an exact point on the variety.  The
+    point is the witness point when it qualifies, else the first qualifying
+    draw from the model's sampler (or of random rationals, for an
+    unconstrained model) with ``rng``, by default one seeded with
+    SPOTCHECK_SEED."""
     n = model.dim
     if len(covector) != n:
         raise ValueError("covector length must match the model dimension")
@@ -288,7 +293,8 @@ def kernel_obstruction_verify(
                 "no variety point was sampled: the model is constrained and has no "
                 "variety sampler (give a witness point on the variety)"
             )
-        rng = random.Random(SPOTCHECK_SEED)
+        if rng is None:
+            rng = random.Random(SPOTCHECK_SEED)
         for _ in range(2000):
             if model.sampler is not None:
                 cand = model.sampler(rng)
@@ -584,8 +590,15 @@ def rk4_flow(
     The field, and the divergence with the constraints, are each compiled
     once per call into one ``float_evaluator``, and the step loop is
     generated code over the coordinates (``_rk4_loop``), so an RK4 stage is
-    one call and the state is never a list.
+    one call and the state is never a list.  T and dt must be finite and
+    positive and give round(T / dt) >= 1 steps; anything else raises
+    ValueError.
     """
+    for name, value in (("T", T), ("dt", dt)):
+        if not math.isfinite(value) or value <= 0:
+            raise ValueError(f"{name} must be a finite positive number, got {value}")
+    if not 0.5 < T / dt < math.inf:  # round(T / dt) steps, at least one
+        raise ValueError(f"T = {T} and dt = {dt} do not give a finite number of steps >= 1")
     field = hamiltonian_vf(model, h)
     div = divergence(model, field, log_density)
     rhs = float_evaluator(model.vars, field.components)

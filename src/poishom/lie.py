@@ -9,6 +9,7 @@ function on immutable data.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -94,6 +95,21 @@ def _dual_label(label: str) -> str:
 def sparse(coords: Iterable) -> dict[int, Fraction]:
     """The nonzero coordinates as {index: coefficient}."""
     return {i: c for i, c in enumerate(coords) if c}
+
+
+def integer_table(table: dict) -> dict:
+    """A sparse {key: {k: coefficient}} table times the lcm of its
+    denominators, with int entries.
+
+    An identity that is homogeneous in the table (the Jacobiator is quadratic
+    in the structure constants, the cocycle residual bilinear in them and the
+    cocommutator) vanishes on the scaled table exactly where it vanishes on
+    the original, so its zero tests can run on ints in place of Fractions."""
+    scale = math.lcm(*{c.denominator for image in table.values() for c in image.values()})
+    return {
+        key: {k: c.numerator * (scale // c.denominator) for k, c in image.items()}
+        for key, image in table.items()
+    }
 
 
 def bracket_terms(table: dict, u: dict, v: dict) -> dict[int, Fraction]:
@@ -201,15 +217,16 @@ class LieAlgebra:
 
     def jacobi_check(self) -> Optional[tuple[int, int, int]]:
         """None if the Jacobi identity holds; else the first violating triple
-        (i < j < k, in lexicographic order)."""
-        full = self.full_table()
-        empty: dict[int, Fraction] = {}
+        (i < j < k, in lexicographic order).  The Jacobiator is quadratic in
+        the constants, so it runs on the integer-scaled table."""
+        full = integer_table(self.full_table())
+        empty: dict[int, int] = {}
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-                    acc: dict[int, Fraction] = {}
+                    acc: dict[int, int] = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                         for l, x in full.get((a, b), empty).items():
                             for p, y in full.get((l, c), empty).items():
@@ -224,13 +241,13 @@ class LieAlgebra:
         return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
 
     def modular_character(self) -> Covector:
-        """chi(e_a) = tr(ad_{e_a}); zero exactly when the algebra is unimodular."""
-        vals = []
-        for a in range(self.dim):
-            t = Fraction(0)
-            for b in range(self.dim):
-                t += self.structure_constant(a, b, b)
-            vals.append(t)
+        """chi(e_a) = tr(ad_{e_a}) = sum_b C_ab^b; zero exactly when the
+        algebra is unimodular.  One pass over the table: C_ij^j counts for
+        e_i and C_ji^i = -C_ij^i for e_j."""
+        vals = [Fraction(0)] * self.dim
+        for (i, j), image in self._table.items():
+            vals[i] += image.get(j, 0)
+            vals[j] -= image.get(i, 0)
         return Covector(self, vals)
 
     def is_subalgebra(self, basis: Sequence[Vector]) -> bool:

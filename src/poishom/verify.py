@@ -245,7 +245,11 @@ def run_all(eta=1, seed: int = catalog.DEFAULT_SEED) -> list[CheckResult]:
             f"kernel-certificate:{name}",
             f"certificate:{name}",
             lambda b=bundle: kernel_obstruction_verify(
-                b.model, b.kernel_covector, b.horizontal_field(), b.kernel_witness
+                b.model,
+                b.kernel_covector,
+                b.horizontal_field(),
+                b.kernel_witness,
+                rng=random.Random(seed),
             ).witness_value
             != 0,
         )

@@ -29,6 +29,11 @@ def rk4_reference(model, h, x0, T, dt, log_density=None, drift_tolerance=1e-6):
     evaluation: the bit-for-bit reference of its generated step loop.
     Returns (times, states, div_integral, constraint_drift) and raises what
     rk4_flow raises, with the same messages."""
+    for name, value in (("T", T), ("dt", dt)):
+        if not math.isfinite(value) or value <= 0:
+            raise ValueError(f"{name} must be a finite positive number, got {value}")
+    if not (math.isfinite(T / dt) and round(T / dt) >= 1):
+        raise ValueError(f"T = {T} and dt = {dt} do not give a finite number of steps >= 1")
     X = hamiltonian_vf(model, h)
     field = X.components
     div_and_constraints = [divergence(model, X, log_density), *model.constraints]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -282,6 +283,26 @@ def test_kernel_obstruction_without_variety_points_says_so(su2):
     assert cert.witness_value == Fraction(17984, 90601)
 
 
+def test_kernel_obstruction_sample_follows_rng(su2):
+    # with no witness point, the point is the first draw from the sampler
+    # (with the given rng) at which the obstruction is nonzero
+    field = su2.horizontal_field()
+    default = kernel_obstruction_verify(su2.model, su2.kernel_covector, field)
+    points = set()
+    for seed in (1, 2, 3):
+        cert = kernel_obstruction_verify(
+            su2.model, su2.kernel_covector, field, rng=random.Random(seed)
+        )
+        rng = random.Random(seed)
+        pt = su2.model.sampler(rng)
+        while not cert.obstruction.eval(pt):
+            pt = su2.model.sampler(rng)
+        assert cert.witness_point == pt
+        assert cert.witness_value == cert.obstruction.eval(pt) != 0
+        points.add(pt)
+    assert len(points) > 1 and default.witness_point not in points
+
+
 def test_spot_checks_default_rng_is_seeded(su2):
     # with rng=None both draw from the model's sampler with a seeded rng
     first = jacobi_symbolic(su2.model, points=20)
@@ -522,6 +543,24 @@ def test_rk4_rejects_bad_start(su2):
     # a start point of the wrong length is rejected, not truncated
     with pytest.raises(ValueError, match="length"):
         rk4_flow(su2.model, su2.hamiltonian, (0, 0, 0), T=1.0, dt=1e-3)
+
+
+@pytest.mark.parametrize(
+    "T, dt, match",
+    [
+        (1.0, -0.1, "dt must be a finite positive number, got -0.1"),
+        (-1.0, 0.1, "T must be a finite positive number, got -1.0"),
+        (1.0, math.nan, "dt must be a finite positive number, got nan"),
+        (0.04, 0.1, "do not give a finite number of steps >= 1"),  # round(0.4) = 0
+        (1e308, 1e-300, "do not give a finite number of steps >= 1"),  # T / dt = inf
+    ],
+)
+def test_rk4_flow_rejects_bad_step_arguments(T, dt, match):
+    # a non-positive or non-finite T or dt, or one that gives no step, was a
+    # silent one-row trace (or a NaN-to-int conversion error)
+    b = catalog.build_model("canonical2d")
+    with pytest.raises(ValueError, match=re.escape(match)):
+        rk4_flow(b.model, b.hamiltonian, (1, 0), T=T, dt=dt)
 
 
 def _rk4_fresh_simpson(model, h, x0, steps, dt, log_density):

@@ -261,6 +261,35 @@ def test_jacobi_check_reference_sees_both_verdicts():
     assert late.jacobi_check() == (1, 2, 3)
 
 
+# coprime denominators near 10^50, and a constant of order 10^-400: below the
+# smallest float, so a float evaluation of either identity rounds it to 0.0
+# and cancels the rest exactly
+P, R, A = 10**50 + 3, 10**50 + 7, 10**49 + 9
+EPS = Fraction(1, 10**400 + 1)
+
+
+def test_jacobi_check_exact_on_a_tiny_residual():
+    # [e0, e1] = p e1, [e0, e2] = eps e2, [e0, e3] = p e3, [e1, e2] = r e3: the
+    # Jacobiator of (0, 1, 2) is eps r e3, nonzero only in exact arithmetic
+    p, r = Fraction(-(10**49) - 1, P), Fraction(7 * 10**49 + 1, R)
+    L = LieAlgebra(
+        ("a", "b", "c", "d"),
+        {(0, 1): {1: p}, (0, 2): {2: EPS}, (0, 3): {3: p}, (1, 2): {3: r}},
+    )
+    assert ref_jacobi_check(L) == (0, 1, 2)
+    assert L.jacobi_check() == (0, 1, 2)
+
+
+def test_cocycle_check_exact_on_a_tiny_residual():
+    # g: [e0, e1] = p e1, [e0, e2] = eps e2; delta(e1) = a e1^e2: the residual
+    # of the pair (0, 1) is -eps a e1^e2, nonzero only in exact arithmetic
+    p, a = Fraction(3 * 10**49 + 1, P), Fraction(-(10**48) - 1, A)
+    g = LieAlgebra(("a", "b", "c"), {(0, 1): {1: p}, (0, 2): {2: EPS}})
+    delta = CocommutatorMap.from_images(g, {1: {(1, 2): a}})
+    assert ref_cocycle_check(g, delta) == (0, 1)
+    assert cocycle_check(g, delta) == (0, 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_cocycle_check_matches_dense_reference(data):
