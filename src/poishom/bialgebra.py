@@ -19,8 +19,8 @@ from .exterior import (
     is_ad_invariant,
     schouten_square,
 )
-from .lie import Covector, LieAlgebra, Vector, integer_table
-from .linalg import frac
+from .lie import Covector, LieAlgebra, Vector
+from .linalg import frac, integer_table
 
 
 class CocommutatorMap:
@@ -81,8 +81,8 @@ def cocycle_check(g: LieAlgebra, delta: CocommutatorMap) -> Optional[tuple[int, 
     delta([X, Y]) = ad_X(delta Y) - ad_Y(delta X), or None.  The residual is
     bilinear in the structure constants and delta, so it runs on the two
     tables scaled to ints separately."""
-    full = integer_table(g.full_table())
-    images = integer_table({k: im.terms for k, im in enumerate(delta.images)})
+    _, full = integer_table(g.full_table())
+    _, images = integer_table({k: im.terms for k, im in enumerate(delta.images)})
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             # delta([e_i, e_j]) - ad_{e_i}(delta e_j) + ad_{e_j}(delta e_i)

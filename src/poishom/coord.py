@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .linalg import frac
-from .poly import Polynomial, float_evaluator
+from .linalg import frac, integer_table
+from .poly import Polynomial, exact_evaluator, float_evaluator
 
 # seed of the spot checks' random draws when the caller passes no rng
 SPOTCHECK_SEED = 5571
@@ -117,6 +117,10 @@ class PolynomialPoissonModel:
         self.base_point = (
             tuple(frac(c) for c in base_point) if base_point is not None else None
         )
+        if self.base_point is not None and len(self.base_point) != n:
+            raise ValueError(
+                f"base point has {len(self.base_point)} coordinates, the model {n} variables"
+            )
         self.poisson_lie = poisson_lie
         self.group_mult = tuple(group_mult) if group_mult is not None else None
         self.sampler = sampler
@@ -140,16 +144,6 @@ class PolynomialPoissonModel:
         if i < j:
             return self._table.get((i, j), Polynomial.zero(self.vars))
         return -self._table.get((j, i), Polynomial.zero(self.vars))
-
-    def matrix_at(self, point) -> list[list[Fraction]]:
-        """Pi at an exact point: each upper-triangle entry of the table is
-        evaluated once, the rest follows by antisymmetry."""
-        n = self.dim
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), p in self._table.items():
-            out[i][j] = p.eval(point)
-            out[j][i] = -out[i][j]
-        return out
 
     def variable(self, name: str) -> Polynomial:
         return Polynomial.variable(self.vars, name)
@@ -197,19 +191,49 @@ def jacobi_symbolic(
     full symbolic expansion; constrained models at exact rational points on
     the variety drawn from the model's sampler (with ``rng``, by default one
     seeded with SPOTCHECK_SEED), failing on the first nonzero exact residual
-    (reported by its float magnitude)."""
+    (reported by its float magnitude).  Triples are visited in
+    ``itertools.combinations`` order, each Jacobiator expanded into one
+    exponent -> int dict over the integer-scaled table; the constrained
+    branch compiles all of them into one ``exact_evaluator``."""
     n = model.dim
-    pi = model.bracket_entry
-    # X_{x_i} has components Pi[i][l], so {x_i, {x_j, x_k}} = X_{x_i}(Pi[j][k])
-    fields = [PolyVectorField(model.vars, [pi(i, l) for l in range(n)]) for i in range(n)]
+    # the table times the lcm L of its denominators, with int coefficients;
+    # a Jacobiator is quadratic in the table, so on the scaled table it is
+    # L^2 times the true one and vanishes exactly where the true one does
+    scale, table = integer_table({key: p.terms for key, p in model._table.items()})
+    # Pi[a][b] and its gradient, as scaled int dicts, for both orders of each
+    # nonzero entry; each entry is differentiated once
+    pi, grads = {}, {}
+    for (a, b), terms in table.items():
+        grad = [
+            {e[:l] + (e[l] - 1,) + e[l + 1:]: c * e[l] for e, c in terms.items() if e[l]}
+            for l in range(n)
+        ]
+        pi[a, b], grads[a, b] = terms, grad
+        pi[b, a] = {e: -c for e, c in terms.items()}
+        grads[b, a] = [{e: -c for e, c in d.items()} for d in grad]
+    rows = [[(l, pi[a, l]) for l in range(n) if (a, l) in pi] for a in range(n)]
 
-    def jacobiator(i, j, k) -> Polynomial:
-        return fields[i](pi(j, k)) + fields[j](pi(k, i)) + fields[k](pi(i, j))
+    def jacobiator(i, j, k) -> dict[tuple[int, ...], int]:
+        """L^2 times the Jacobiator of (i, j, k) as exponent -> int, zeros
+        kept: {x_a, {x_b, x_c}} = sum_l Pi[a][l] d Pi[b][c] / dx_l, summed
+        over the cyclic (a, b, c) into one dict."""
+        acc: dict[tuple[int, ...], int] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            grad = grads.get((b, c))
+            if grad is None:
+                continue
+            for l, outer in rows[a]:
+                d = grad[l]
+                for e1, c1 in outer.items():
+                    for e2, c2 in d.items():
+                        e = tuple([x + y for x, y in zip(e1, e2)])
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        return acc
 
-    triples = itertools.combinations(range(n), 3)
+    triples = list(itertools.combinations(range(n), 3))
     if not model.constraints:
         for triple in triples:
-            if not jacobiator(*triple).is_zero():
+            if any(jacobiator(*triple).values()):
                 return JacobiVerdict(False, True, math.inf, triple)
         return JacobiVerdict(True, True)
 
@@ -217,13 +241,14 @@ def jacobi_symbolic(
         raise ValueError("constrained model without a variety sampler")
     if rng is None:
         rng = random.Random(SPOTCHECK_SEED)
-    polys = {triple: jacobiator(*triple) for triple in triples}
+    evaluate = exact_evaluator(
+        model.vars, [Polynomial(model.vars, jacobiator(*triple)) for triple in triples]
+    )
     for _ in range(points):
-        pt = model.sampler(rng)
-        for triple, p in polys.items():
-            val = p.eval(pt)
-            if val:
-                return JacobiVerdict(False, False, _magnitude(val), triple)
+        values, q = evaluate(*model.sampler(rng))
+        for triple, v in zip(triples, values):
+            if v:
+                return JacobiVerdict(False, False, _magnitude(Fraction(v, q * scale**2)), triple)
     return JacobiVerdict(True, False)
 
 
@@ -400,7 +425,13 @@ def multiplicativity_spotcheck(
     map in each argument, at pairs drawn with ``rng`` (by default one seeded
     with SPOTCHECK_SEED).  Also asserts Pi vanishes at the base point.
     Returns the float magnitude of the max absolute entry residual; the
-    residuals are exact, so it is 0.0 exactly when every one vanishes."""
+    residuals are exact, so it is 0.0 exactly when every one vanishes.
+
+    Two ``exact_evaluator``s do the evaluation: one for the product and both
+    Jacobian blocks at (g, h), over the shared denominator Q_J, and one for
+    the table at g, h, gh and the base point (Q_g, Q_h, Q_gh).  Each residual
+    times the positive Q_J^2 Q_h Q_g Q_gh is an int, decided on ints; a
+    Fraction is built only for a nonzero one."""
     if model.group_mult is None:
         raise ValueError("model carries no group multiplication map")
     if model.sampler is None:
@@ -408,33 +439,48 @@ def multiplicativity_spotcheck(
     if rng is None:
         rng = random.Random(SPOTCHECK_SEED)
     n = model.dim
-    if model.base_point is not None and any(map(any, model.matrix_at(model.base_point))):
+    keys = list(model._table)
+    entries = exact_evaluator(model.vars, [model._table[key] for key in keys])
+    if model.base_point is not None and any(entries(*model.base_point)[0]):
         raise AssertionError("bracket does not vanish at the identity")
     mvars = model.group_mult[0].vars  # x-block then y-block
-    d_left = [[m.diff(mvars[n + j]) for j in range(n)] for m in model.group_mult]
-    d_right = [[m.diff(mvars[j]) for j in range(n)] for m in model.group_mult]
+    d_left = [m.diff(mvars[n + j]) for m in model.group_mult for j in range(n)]
+    d_right = [m.diff(mvars[j]) for m in model.group_mult for j in range(n)]
+    product_and_jacobians = exact_evaluator(mvars, [*model.group_mult, *d_left, *d_right])
+
+    def times_pi(jac, pi):
+        """J Pi, with Pi given by its table values (Pi[j][i] = -Pi[i][j])."""
+        out = [[0] * n for _ in range(n)]
+        for (i, j), p in zip(keys, pi):
+            if p:
+                for row, out_row in zip(jac, out):
+                    out_row[j] += row[i] * p
+                    out_row[i] -= row[j] * p
+        return out
+
     worst = 0.0
     for _ in range(pairs):
         g = model.sampler(rng)
         h = model.sampler(rng)
-        gh_args = tuple(g) + tuple(h)
-        lhs = model.matrix_at([m.eval(gh_args) for m in model.group_mult])
-        # each term J Pi J^T is kept as the pair (J, J Pi)
-        terms = []
-        for d, pi in ((d_left, model.matrix_at(h)), (d_right, model.matrix_at(g))):
-            jac = [[p.eval(gh_args) for p in row] for row in d]
-            jpi = [
-                [sum(row[i] * pi[i][j] for i in range(n) if pi[i][j]) for j in range(n)]
-                for row in jac
-            ]
-            terms.append((jac, jpi))
+        values, q_j = product_and_jacobians(*g, *h)
+        jl = [values[n + a * n:n + (a + 1) * n] for a in range(n)]
+        jr = [values[n + (n + a) * n:n + (n + a + 1) * n] for a in range(n)]
+        pi_gh, q_gh = entries(*[Fraction(v, q_j) for v in values[:n]])
+        pi_h, q_h = entries(*h)
+        pi_g, q_g = entries(*g)
+        lhs = dict(zip(keys, pi_gh))
+        jl_pi, jr_pi = times_pi(jl, pi_h), times_pi(jr, pi_g)
+        # Pi(gh) - JL Pi(h) JL^T - JR Pi(g) JR^T times q_rhs * q_gh, where
+        # JL Pi(h) JL^T has denominator q_j^2 q_h and JR Pi(g) JR^T q_j^2 q_g
+        q_rhs = q_j * q_j * q_h * q_g
         # the residual matrix is antisymmetric, so its upper triangle decides it
         for a in range(n):
             for b in range(a + 1, n):
-                rhs = sum(jpi[a][j] * jac[b][j] for jac, jpi in terms for j in range(n))
-                residual = lhs[a][b] - rhs
-                if residual:
-                    worst = max(worst, _magnitude(residual))
+                left = sum(x * y for x, y in zip(jl_pi[a], jl[b]))
+                right = sum(x * y for x, y in zip(jr_pi[a], jr[b]))
+                num = lhs.get((a, b), 0) * q_rhs - q_gh * (q_g * left + q_h * right)
+                if num:
+                    worst = max(worst, _magnitude(Fraction(num, q_rhs * q_gh)))
     return worst
 
 

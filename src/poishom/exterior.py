@@ -212,34 +212,6 @@ def ce_differential(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
     return ExteriorElement(L, omega.degree + 1, terms, True)
 
 
-def ce_differential_by_formula(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
-    """Alternating-sum form of the differential, used as an independent oracle:
-
-    (d w)(X_0..X_k) = sum_{i<j} (-1)^(i+j) w([X_i,X_j], X_0..^i..^j..X_k).
-    """
-    if not omega.dual:
-        raise ValueError("the differential acts on dual elements")
-    k = omega.degree
-    m = L.dim
-    if k >= m:
-        return ExteriorElement.zero(L, m, True)
-    from itertools import combinations
-
-    basis = [L.basis_vector(i) for i in range(m)]
-    terms = {}
-    for idx in combinations(range(m), k + 1):
-        args = [basis[i] for i in idx]
-        val = Fraction(0)
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                rest = [args[r] for r in range(k + 1) if r not in (i, j)]
-                sign = -1 if (i + j) % 2 else 1
-                val += sign * evaluate_form(omega, [L.bracket(args[i], args[j])] + rest)
-        if val:
-            terms[idx] = val
-    return ExteriorElement(L, k + 1, terms, True)
-
-
 def ad_extension(L: LieAlgebra, x: Vector, p: ExteriorElement) -> ExteriorElement:
     """Adjoint action extended to multivectors as a derivation."""
     if p.dual:

@@ -9,12 +9,11 @@ function on immutable data.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .linalg import frac
+from .linalg import frac, integer_table
 
 
 class Vector:
@@ -95,21 +94,6 @@ def _dual_label(label: str) -> str:
 def sparse(coords: Iterable) -> dict[int, Fraction]:
     """The nonzero coordinates as {index: coefficient}."""
     return {i: c for i, c in enumerate(coords) if c}
-
-
-def integer_table(table: dict) -> dict:
-    """A sparse {key: {k: coefficient}} table times the lcm of its
-    denominators, with int entries.
-
-    An identity that is homogeneous in the table (the Jacobiator is quadratic
-    in the structure constants, the cocycle residual bilinear in them and the
-    cocommutator) vanishes on the scaled table exactly where it vanishes on
-    the original, so its zero tests can run on ints in place of Fractions."""
-    scale = math.lcm(*{c.denominator for image in table.values() for c in image.values()})
-    return {
-        key: {k: c.numerator * (scale // c.denominator) for k, c in image.items()}
-        for key, image in table.items()
-    }
 
 
 def bracket_terms(table: dict, u: dict, v: dict) -> dict[int, Fraction]:
@@ -219,7 +203,7 @@ class LieAlgebra:
         """None if the Jacobi identity holds; else the first violating triple
         (i < j < k, in lexicographic order).  The Jacobiator is quadratic in
         the constants, so it runs on the integer-scaled table."""
-        full = integer_table(self.full_table())
+        _, full = integer_table(self.full_table())
         empty: dict[int, int] = {}
         n = self.dim
         for i in range(n):
@@ -234,11 +218,6 @@ class LieAlgebra:
                     if any(acc.values()):
                         return (i, j, k)
         return None
-
-    def adjoint_matrix(self, x: Vector) -> linalg.Matrix:
-        """Matrix of ad_x; column j holds [x, e_j] in basis coordinates."""
-        cols = [self.bracket(x, self.basis_vector(j)).coords for j in range(self.dim)]
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
 
     def modular_character(self) -> Covector:
         """chi(e_a) = tr(ad_{e_a}) = sum_b C_ab^b; zero exactly when the

@@ -8,6 +8,7 @@ leaves the rationals.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Row = list[Fraction]
@@ -19,6 +20,23 @@ def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def integer_table(table: dict) -> tuple[int, dict]:
+    """``(s, scaled)`` for a sparse {key: {k: coefficient}} table: s is the
+    lcm of its denominators (1 for an empty table) and ``scaled`` is the
+    table times s, with int entries, in the same order.
+
+    An identity that is homogeneous of degree d in the table (the Jacobiator
+    is quadratic in structure constants or in a Poisson bracket table, the
+    cocycle residual bilinear in the constants and the cocommutator) is s^d
+    times its value on the original, so it vanishes exactly where the
+    original does and its zero tests can run on ints in place of Fractions."""
+    scale = math.lcm(*{c.denominator for image in table.values() for c in image.values()})
+    return scale, {
+        key: {k: c.numerator * (scale // c.denominator) for k, c in image.items()}
+        for key, image in table.items()
+    }
 
 
 def zeros(rows: int, cols: int) -> Matrix:

@@ -2,17 +2,21 @@
 
 Terms are stored as a map from exponent tuples to ``Fraction``; no zero
 coefficient is ever kept.  Polynomials over the same variable tuple form a
-ring under +, -, *; evaluation is exact on rational points, and float
-evaluation goes through one compiled evaluator per polynomial list
-(``float_evaluator``), which the numerical integrators build once per run.
+ring under +, -, *.  ``Polynomial.eval`` is the exact value at one rational
+point.  Code that evaluates a list of polynomials at many points compiles it
+once into generated straight-line code: ``exact_evaluator`` returns int
+numerators over one shared positive denominator, so the exact checks decide
+zero on ints and build a ``Fraction`` only for a value they report, and
+``float_evaluator`` returns floats, for the numerical integrators.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import frac
+from .linalg import frac, integer_table
 
 
 class Polynomial:
@@ -127,7 +131,12 @@ class Polynomial:
         return Polynomial(self.vars, out)
 
     def eval(self, point: Sequence) -> Fraction:
-        """Exact evaluation at a rational point."""
+        """Exact evaluation at a rational point with one coordinate per
+        variable."""
+        if len(point) != len(self.vars):
+            raise ValueError(
+                f"point has {len(point)} coordinates, the polynomial {len(self.vars)} variables"
+            )
         pt = [frac(p) for p in point]
         total = Fraction(0)
         for e, c in self.terms.items():
@@ -142,20 +151,6 @@ class Polynomial:
         """Float value at one point; compiles a one-off ``float_evaluator``,
         so code evaluating many points builds the evaluator itself."""
         return float_evaluator(self.vars, [self])(*point)[0]
-
-    def subs_vars(self, new_vars: Sequence[str], images: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute each of this polynomial's variables by a polynomial in
-        ``new_vars`` (used to compose with the group multiplication map)."""
-        if len(images) != len(self.vars):
-            raise ValueError("one image per variable is required")
-        out = Polynomial.zero(new_vars)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(new_vars, c)
-            for img, k in zip(images, e):
-                if k:
-                    term = term * img ** k
-            out = out + term
-        return out
 
     def __repr__(self):
         if not self.terms:
@@ -186,6 +181,39 @@ class Polynomial:
 _SUM_CHUNK = 256
 
 
+def _check_vars(variables, polys) -> None:
+    variables = tuple(variables)
+    if any(p.vars != variables for p in polys):
+        raise ValueError("polynomial over different variables")
+
+
+def _compile_sums(coefficients, params: str, term, zero: str, suffix: str, filename: str):
+    """Generate and compile ``_evaluate(params)`` over a list of exponent ->
+    coefficient maps: each power that ``term`` registers in ``powers`` (local
+    name -> power) is bound once at the top, in first-use order; map j is
+    summed in its own order from ``zero`` into v{j}, at most _SUM_CHUNK terms
+    per statement, each term the expression ``term(e, c, powers)``; the
+    function returns the tuple of the values, followed by ``suffix``, and
+    runs with empty builtins."""
+    powers: dict[str, str] = {}
+    sums = []
+    values = []
+    for j, coeffs in enumerate(coefficients):
+        terms = [term(e, c, powers) for e, c in coeffs.items()]
+        total = zero
+        for start in range(0, len(terms), _SUM_CHUNK):
+            sums.append(f"    v{j} = " + " + ".join([total, *terms[start:start + _SUM_CHUNK]]))
+            total = f"v{j}"
+        values.append(total)
+    lines = [f"def _evaluate({params}):"]
+    lines += [f"    {name} = {power}" for name, power in powers.items()]
+    lines += sums
+    lines.append(f"    return ({''.join(f'{v}, ' for v in values)}){suffix}")
+    namespace: dict = {"__builtins__": {}}
+    exec(compile("\n".join(lines) + "\n", filename, "exec"), namespace)
+    return namespace["_evaluate"]
+
+
 def float_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):
     """Compile ``polys`` once into a straight-line function of the n
     coordinates that returns every polynomial's float value as a tuple.
@@ -197,32 +225,67 @@ def float_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):
     value and every OverflowError is that of the term-by-term loop.  The
     generated source holds only ``repr(float(c))`` literals, the names
     x0..x{n-1}, p{i}_{k} and v0.., operators and int exponents."""
-    variables = tuple(variables)
-    args = ", ".join(f"x{i}" for i in range(len(variables)))
-    powers: dict[str, str] = {}  # local name -> its power, in first-use order
-    sums = []
-    values = []
-    for j, p in enumerate(polys):
-        if p.vars != variables:
-            raise ValueError("polynomial over different variables")
-        terms = []
-        for e, c in p.terms.items():
-            factors = [repr(float(c))]
-            for i, k in enumerate(e):
-                if k:
-                    name = f"p{i}_{k}"
-                    powers.setdefault(name, f"x{i}**{k}")
-                    factors.append(name)
-            terms.append(" * ".join(factors))
-        total = "0.0"
-        for start in range(0, len(terms), _SUM_CHUNK):
-            sums.append(f"    v{j} = " + " + ".join([total, *terms[start:start + _SUM_CHUNK]]))
-            total = f"v{j}"
-        values.append(total)
-    lines = [f"def _evaluate({args}):"]
-    lines += [f"    {name} = {power}" for name, power in powers.items()]
-    lines += sums
-    lines.append(f"    return ({''.join(f'{v}, ' for v in values)})")
-    namespace: dict = {"__builtins__": {}}
-    exec(compile("\n".join(lines) + "\n", "<float_evaluator>", "exec"), namespace)
-    return namespace["_evaluate"]
+
+    def term(e, c, powers):
+        factors = [repr(float(c))]
+        for i, k in enumerate(e):
+            if k:
+                name = f"p{i}_{k}"
+                powers.setdefault(name, f"x{i}**{k}")
+                factors.append(name)
+        return " * ".join(factors)
+
+    _check_vars(variables, polys)
+    params = ", ".join(f"x{i}" for i in range(len(variables)))
+    coefficients = [p.terms for p in polys]
+    return _compile_sums(coefficients, params, term, "0.0", "", "<float_evaluator>")
+
+
+def exact_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):
+    """Compile ``polys`` once into a function of the n int or Fraction
+    coordinates that returns ``(ints, Q)``: value j is ``ints[j] / Q``, with
+    one int Q > 0 shared by every value.  A point of the wrong length raises
+    TypeError.
+
+    With D the lcm of the coordinates' denominators, n_i = x_i * D, deg the
+    largest degree in ``polys`` and L the lcm of all coefficient
+    denominators (``linalg.integer_table``), each term c x^e is the int ``c * L`` times the powers
+    n_i**k times D**(deg - |e|), and Q = L * D**deg.  Every product and sum
+    is an int, so a value is zero exactly when its int is.  The generated
+    function takes (D, n_0, .., n_{n-1}) as (D, x0, .., x{n-1}), binds each
+    distinct power n_i**k (k > 1) to p{i}_{k} and D**m to d{m} once, and
+    holds only int literals (in hex, which has no digit limit), those names,
+    v0.. and int exponents."""
+    _check_vars(variables, polys)
+    n = len(variables)
+    scale, coefficients = integer_table({j: p.terms for j, p in enumerate(polys)})
+    deg = max((p.degree() for p in polys), default=0)
+
+    def term(e, c, powers):
+        factors = [hex(c)]
+        for i, k in enumerate(e):
+            if k > 1:
+                name = f"p{i}_{k}"
+                powers.setdefault(name, f"x{i}**{k}")
+                factors.append(name)
+            elif k:
+                factors.append(f"x{i}")
+        missing = deg - sum(e)
+        if missing:
+            powers.setdefault(f"d{missing}", f"D**{missing}")
+            factors.append(f"d{missing}")
+        return " * ".join(factors)
+
+    params = "".join(f", x{i}" for i in range(n))
+    suffix = f", {hex(scale)} * D**{deg}"
+    compiled = _compile_sums(
+        coefficients.values(), f"D{params}", term, "0", suffix, "<exact_evaluator>"
+    )
+
+    def evaluate(*point):
+        if len(point) != n:
+            raise TypeError(f"expected {n} coordinates, got {len(point)}")
+        D = math.lcm(*[x.denominator for x in point])
+        return compiled(D, *[x.numerator * (D // x.denominator) for x in point])
+
+    return evaluate

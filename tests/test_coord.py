@@ -485,6 +485,15 @@ def test_multiplicativity_residual_below_float_range_is_nonzero():
     assert multiplicativity_spotcheck(M, pairs=3, rng=random.Random(0)) > 0.0
 
 
+def test_model_rejects_a_base_point_of_the_wrong_length():
+    v = ("x", "y")
+    x, y = (Polynomial.variable(v, n) for n in v)
+    for point in ((0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="base point has"):
+            PolynomialPoissonModel("short", v, {(0, 1): x * y}, base_point=point)
+    assert PolynomialPoissonModel("ok", v, {(0, 1): x * y}, base_point=(0, 0)).base_point == (0, 0)
+
+
 def test_multiplicativity_requires_data(comp):
     with pytest.raises(ValueError):
         multiplicativity_spotcheck(comp.model, pairs=1, rng=random.Random(0))

@@ -8,7 +8,6 @@ from poishom.exterior import (
     ExteriorElement,
     ad_extension,
     ce_differential,
-    ce_differential_by_formula,
     evaluate_form,
     interior,
     is_ad_invariant,
@@ -20,6 +19,7 @@ from poishom.exterior import (
 from poishom.lie import LieAlgebra
 
 from conftest import rational
+from oracles import ce_differential_by_formula
 
 
 def dual_basis_elt(L, *indices, coeff=1):

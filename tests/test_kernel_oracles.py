@@ -31,11 +31,12 @@ from poishom.exterior import (
     ExteriorElement,
     ad_extension,
     ce_differential,
-    ce_differential_by_formula,
     schouten_square,
     top_wedge,
 )
 from poishom.lie import LieAlgebra, sparse
+
+from oracles import ce_differential_by_formula
 
 # ---------------------------------------------------------------------------
 # dense references

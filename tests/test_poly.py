@@ -1,13 +1,17 @@
 import dis
+import inspect
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poishom.poly import Polynomial, float_evaluator
+from poishom.poly import Polynomial, exact_evaluator, float_evaluator
 
 from float_reference import eval_float
+from oracles import subs_vars
 
 V = ("x", "y", "z")
 
@@ -70,12 +74,23 @@ def test_eval_exact():
     assert p.eval_float((1.0, 2.0, 2.0)) == pytest.approx(-1.0)
 
 
+def test_eval_rejects_a_point_of_the_wrong_length():
+    # the point is not truncated or padded: x*y + 3 once gave 5 at (2,) and
+    # 13 at (2, 5, 7)
+    xy = ("x", "y")
+    p = Polynomial.variable(xy, "x") * Polynomial.variable(xy, "y") + 3
+    assert p.eval((2, 5)) == 13
+    for point in ((2,), (2, 5, 7), ()):
+        with pytest.raises(ValueError, match="coordinates"):
+            p.eval(point)
+
+
 def test_subs_vars_composition():
     new = ("u", "v")
     u = Polynomial.variable(new, "u")
     v = Polynomial.variable(new, "v")
     p = x() * y() + z()
-    q = p.subs_vars(new, [u + v, u - v, u * v])
+    q = subs_vars(p, new, [u + v, u - v, u * v])
     assert q == (u + v) * (u - v) + u * v
 
 
@@ -217,3 +232,85 @@ def test_float_evaluator_source_names_no_variable():
     ]
     assert sorted(powers) == [("x0", 1), ("x1", 1), ("x1", 2)]
     assert evaluate(2.0, 0.5) == (eval_float(p, (2.0, 0.5)),) * 2
+
+
+# ---------------------------------------------------------------------------
+# compiled exact evaluation against Polynomial.eval
+# ---------------------------------------------------------------------------
+
+# numerators and denominators up to 10**50
+big = st.integers(-(10**50), 10**50)
+exact_coeffs = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, big, st.integers(1, 10**50)),
+)
+exact_exponents = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+
+
+def _long_poly(seed):
+    """300 terms over three denominators up to 10**50 (one lcm of a few
+    hundred unrelated 50-digit denominators would make every literal and
+    every value tens of thousands of digits long)."""
+    rng = random.Random(seed)
+    denominators = [rng.randint(1, 10**50) for _ in range(3)]
+    terms = {}
+    while len(terms) < 300:
+        e = (rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7))
+        terms[e] = Fraction(rng.randint(-(10**50), 10**50) or 1, rng.choice(denominators))
+    return Polynomial(V, terms)
+
+
+exact_polys = st.one_of(
+    st.dictionaries(exact_exponents, exact_coeffs, max_size=8).map(lambda t: Polynomial(V, t)),
+    st.just(Polynomial.zero(V)),
+    exact_coeffs.map(lambda c: Polynomial.constant(V, c)),
+    st.integers(0, 2**32).map(_long_poly),
+)
+exact_coordinates = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-(10**6), 10**6),
+    st.builds(Fraction, big, st.integers(1, 10**50)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(exact_polys, max_size=3), st.tuples(*[exact_coordinates] * 3))
+def test_exact_evaluator_matches_eval(polys, point):
+    ints, q = exact_evaluator(V, polys)(*point)
+    assert type(q) is int and q > 0
+    assert all(type(v) is int for v in ints)
+    assert [Fraction(v, q) for v in ints] == [p.eval(point) for p in polys]
+
+
+def test_exact_evaluator_edge_cases():
+    assert exact_evaluator(V, [])(1, 2, 3) == ((), 1)
+    assert exact_evaluator((), [Polynomial.constant((), Fraction(3, 4))])() == ((3,), 4)
+    (value,), q = exact_evaluator(V, [Polynomial.zero(V)])(Fraction(1, 3), 0, 5)
+    assert value == 0 and q == 1
+    with pytest.raises(ValueError, match="different variables"):
+        exact_evaluator(V, [Polynomial.variable(("a",), "a")])
+
+
+def test_exact_evaluator_rejects_a_point_of_the_wrong_length():
+    evaluate = exact_evaluator(V, [x() * y() + 3])
+    for point in ((2,), (2, 5), (2, 5, 7, 1)):
+        with pytest.raises(TypeError):
+            evaluate(*point)
+
+
+def test_exact_evaluator_source_names_only_its_locals():
+    # variable names and coefficient text never enter the generated code: it
+    # reads its arguments and locals only, and looks up no global or builtin
+    names = ("__import__", "os")
+    p = Polynomial(names, {(1, 2): 3, (0, 1): Fraction(-1, 3), (0, 0): 7})
+    evaluate = exact_evaluator(names, [p, p * p, Polynomial.zero(names)])
+    code = inspect.getclosurevars(evaluate).nonlocals["compiled"].__code__
+    assert code.co_names == ()
+    assert code.co_varnames[:3] == ("D", "x0", "x1")
+    local = re.compile(r"(D|x\d+|p\d+_\d+|d\d+|v\d+)")
+    assert all(local.fullmatch(name) for name in code.co_varnames), code.co_varnames
+    assert all(type(c) is int or c is None for c in code.co_consts)
+    point = (Fraction(2, 3), Fraction(-5, 7))
+    ints, q = evaluate(*point)
+    assert [Fraction(v, q) for v in ints] == [p.eval(point), (p * p).eval(point), 0]
