@@ -279,18 +279,16 @@ def _sl3_sampler(rng: random.Random):
     d1, d2 = small_nonzero(), small_nonzero()
     l21, l31, l32 = small(), small(), small()
     u12, u13, u23 = small(), small(), small()
-    lower = [[1, 0, 0], [l21, 1, 0], [l31, l32, 1]]
-    diag = [[d1, 0, 0], [0, d2, 0], [0, 0, 1 / (d1 * d2)]]
-    upper = [[1, u12, u13], [0, 1, u23], [0, 0, 1]]
-
-    def mul(a, b):
-        return [
-            [sum(frac(a[i][k]) * frac(b[k][j]) for k in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-
-    m = mul(mul(lower, diag), upper)
-    return tuple(m[i][j] for i in range(3) for j in range(3))
+    d3 = 1 / (d1 * d2)
+    # lower @ diag(d1, d2, d3) @ upper, expanded over the zero entries of the
+    # unit triangular factors
+    a, b = l21 * d1, l31 * d1
+    c = l32 * d2
+    return (
+        d1, d1 * u12, d1 * u13,
+        a, a * u12 + d2, a * u13 + d2 * u23,
+        b, b * u12 + c, b * u13 + c * u23 + d3,
+    )
 
 
 def _su2_group_mult(variables) -> list[Polynomial]:

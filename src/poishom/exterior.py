@@ -15,6 +15,7 @@ Sign conventions, fixed once and verified by the calibration tests:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,6 +38,28 @@ def _sort_tuple(idx: Sequence[int]):
         if a == b:
             return None, 0
     return tuple(idx), sign
+
+
+def _integer_terms(terms: dict) -> tuple[int, list[tuple[tuple[int, ...], int, int]]]:
+    """``(den, [(index tuple, mask, int coefficient)])``: den is the lcm of
+    the coefficients' denominators (1 for no terms), mask has bit i set for
+    each index i, and each coefficient is scaled by den, in the terms' order."""
+    den = math.lcm(*{c.denominator for c in terms.values()})
+    return den, [
+        (idx, sum(1 << i for i in idx), c.numerator * (den // c.denominator))
+        for idx, c in terms.items()
+    ]
+
+
+def _from_masks(L: LieAlgebra, degree: int, acc: dict, den: int, dual: bool):
+    """The element with terms ``Fraction(v, den)`` on the index tuple of each
+    mask of ``acc`` whose int sum v is nonzero."""
+    terms = {
+        tuple(i for i in range(L.dim) if mask >> i & 1): Fraction(v, den)
+        for mask, v in acc.items()
+        if v
+    }
+    return ExteriorElement(L, degree, terms, dual)
 
 
 class ExteriorElement:
@@ -114,13 +137,21 @@ class ExteriorElement:
         deg = self.degree + other.degree
         if deg > self.algebra.dim:
             return ExteriorElement.zero(self.algebra, min(deg, self.algebra.dim), self.dual)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                merged, sign = _sort_tuple(ia + ib)
-                if merged is not None:
-                    terms[merged] = terms.get(merged, Fraction(0)) + sign * ca * cb
-        return ExteriorElement(self.algebra, deg, terms, self.dual)
+        sa, left = _integer_terms(self.terms)
+        sb, right = _integer_terms(other.terms)
+        # #{x in I : x > y} is the popcount of I's mask shifted right by y + 1
+        right = [(mb, [y + 1 for y in ib], cb) for ib, mb, cb in right]
+        acc: dict[int, int] = {}
+        for _, ma, ca in left:
+            for mb, shifts, cb in right:
+                if ma & mb:
+                    continue
+                v = ca * cb
+                if sum([(ma >> s).bit_count() for s in shifts]) & 1:
+                    v = -v
+                key = ma | mb
+                acc[key] = acc.get(key, 0) + v
+        return _from_masks(self.algebra, deg, acc, sa * sb, self.dual)
 
     def __xor__(self, other):
         return self.wedge(other)
@@ -189,7 +220,13 @@ def evaluate_form(omega: ExteriorElement, vectors: Sequence[Vector]) -> Fraction
 def ce_differential(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
     """Differential of the algebra on forms: the degree +1 derivation that
     replaces the factor X^a in slot r of each term by (-1)^r d X^a, with
-    d X^a = -sum_{i<j} C_ij^a X^i ^ X^j read off the sparse bracket table."""
+    d X^a = -sum_{i<j} C_ij^a X^i ^ X^j read off the sparse bracket table.
+
+    Runs on ints: the table is scaled by the lcm of its denominators and the
+    form by the lcm of its own, and terms are keyed by index bitmasks.  With
+    ``rest`` the term's indices without a, the slot is r = #{rest < a}, and
+    putting X^i ^ X^j (i < j) into place in rest costs the sign
+    (-1)^(#{rest < i} + #{rest < j}) = (-1)^#{rest between i and j}."""
     if not omega.dual:
         raise ValueError("the differential acts on dual elements")
     if omega.algebra is not L:
@@ -197,19 +234,27 @@ def ce_differential(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
     if omega.degree == L.dim:
         # d of a top form vanishes; keep it representable at top degree
         return ExteriorElement.zero(L, L.dim, True)
+    scale, table = linalg.integer_table(L._table)
     d_basis: dict[int, list] = {}
-    for pair, image in L._table.items():
+    for (i, j), image in table.items():
+        pair, between = (1 << i) | (1 << j), (1 << j) - (2 << i)
         for a, c in image.items():
-            d_basis.setdefault(a, []).append((pair, c))
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for idx, c in omega.terms.items():
+            d_basis.setdefault(a, []).append((pair, between, c))
+    den, terms = _integer_terms(omega.terms)
+    acc: dict[int, int] = {}
+    for idx, mask, c in terms:
         for r, a in enumerate(idx):
+            rest = mask ^ (1 << a)
             slot = c if r % 2 else -c  # (-1)^r times the leading minus of d X^a
-            for pair, cij in d_basis.get(a, ()):
-                merged, sign = _sort_tuple(idx[:r] + pair + idx[r + 1:])
-                if merged is not None:
-                    terms[merged] = terms.get(merged, 0) + sign * slot * cij
-    return ExteriorElement(L, omega.degree + 1, terms, True)
+            for pair, between, cij in d_basis.get(a, ()):
+                if rest & pair:
+                    continue
+                v = slot * cij
+                if (rest & between).bit_count() & 1:
+                    v = -v
+                key = rest | pair
+                acc[key] = acc.get(key, 0) + v
+    return _from_masks(L, omega.degree + 1, acc, scale * den, True)
 
 
 def ad_extension(L: LieAlgebra, x: Vector, p: ExteriorElement) -> ExteriorElement:

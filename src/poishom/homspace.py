@@ -6,6 +6,15 @@ existence of invariant and semi-invariant volume data, and the linear
 feasibility test for multiplicative unimodularity.  Group-level exactness of
 the resulting 1-cocycle is not decidable here; reports carry an explicit
 "assumes simply connected group" flag instead.
+
+The semi-invariant system [closedness; h | rhs] is eliminated once.  The mu
+system is the same rows plus the horizontal-field rows, and its elimination
+starts from the semi-invariant system's nonzero reduced rows plus those
+rows.  Both stacks span the same row space, and the reduced row echelon form
+of a matrix is unique given its row space, so the pivot rows, hence the
+particular solution (free variables at 0) and the null basis, are exactly
+those of eliminating the full stack.  When the semi-invariant rows are
+already inconsistent, so is the mu system, and nothing more is eliminated.
 """
 
 from __future__ import annotations
@@ -148,42 +157,49 @@ def _mu_rows(B: LieBialgebra, chi_g: Covector, chi_gs: Vector) -> tuple[linalg.M
     rows, rhs = [], []
     for i in range(g.dim):
         delta_i = B.delta.images[i]
-        constant = g.bracket(g.basis_vector(i), chi_gs).coords
-        correction = interior(chi_g, delta_i)
-        corr = [Fraction(0)] * g.dim
-        for (a,), c in correction.terms.items():
-            corr[a] = c
+        # [X, chi_g*] - i(chi_g) delta X, by its nonzero components
+        offset = sparse(g.bracket(g.basis_vector(i), chi_gs).coords)
+        for (a,), c in interior(chi_g, delta_i).terms.items():
+            offset[a] = offset.get(a, 0) - c
+        # component on e_k of i(theta) (e_a ^ e_b) = theta_a d_bk - theta_b d_ak
+        block: dict[int, dict[int, Fraction]] = {}
+        for (a, b), c in delta_i.terms.items():
+            row_b, row_a = block.setdefault(b, {}), block.setdefault(a, {})
+            row_b[a] = row_b.get(a, 0) + c
+            row_a[b] = row_a.get(b, 0) - c
         for k in range(g.dim):
-            row = [Fraction(0)] * g.dim
-            for (a, b), c in delta_i.terms.items():
-                # component on e_k of i(theta) (e_a ^ e_b) = theta_a d_bk - theta_b d_ak
-                if b == k:
-                    row[a] += c
-                if a == k:
-                    row[b] -= c
-            rhs_val = -(constant[k] - corr[k]) / 2
-            if any(row) or rhs_val:
+            entries = block.get(k, {})
+            rhs_val = -offset[k] / 2 if k in offset else Fraction(0)
+            if any(entries.values()) or rhs_val:
+                row = [Fraction(0)] * g.dim
+                for a, c in entries.items():
+                    row[a] = c
                 rows.append(row)
                 rhs.append(rhs_val)
     return rows, rhs
 
 
 def _preferred_witness(
-    chi: Covector, rows: linalg.Matrix, rhs: linalg.Row, degenerate_first: bool
+    chi: Covector,
+    rows: linalg.Matrix,
+    rhs: linalg.Row,
+    reduced: tuple[linalg.Matrix, list[int]],
+    degenerate_first: bool,
 ) -> tuple[Optional[Covector], linalg.Matrix]:
-    """Solve the affine system for theta0, preferring the canonical cocycles
-    chi_g and chi_g/2 over the raw pivot solution when they are solutions.
-    Returns (theta0 or None when infeasible, null space basis)."""
-    if not rows:  # no condition: every covector is a solution
-        rows, rhs = [[Fraction(0)] * chi.algebra.dim], [Fraction(0)]
-    part, null = linalg.solve_affine(rows, rhs)
+    """Solve the affine system rows @ theta0 = rhs for theta0, preferring the
+    canonical cocycles chi_g and chi_g/2 over the raw pivot solution when
+    they are solutions.  ``reduced`` is the rref of a stack of augmented rows
+    with the same span as [rows | rhs].  Returns (theta0 or None when
+    infeasible, null space basis)."""
+    part, null = linalg.read_solution(*reduced, chi.algebra.dim)
     if part is None:
         return None, null
     half = Fraction(1, 2) * chi
     candidates = [half, chi] if degenerate_first else [chi, half]
     for cand in candidates:
+        support = [(k, x) for k, x in enumerate(cand.coords) if x]
         if all(
-            sum((r * c for r, c in zip(row, cand.coords)), Fraction(0)) == b
+            sum((row[k] * x for k, x in support if row[k]), Fraction(0)) == b
             for row, b in zip(rows, rhs)
         ):
             return cand, null
@@ -266,16 +282,32 @@ class _Analysis:
         return rows + [list(v.coords) for v in self.S.h.basis], rhs + self.restriction_rhs
 
     @cached_property
+    def semi_reduced(self) -> tuple[linalg.Matrix, list[int]]:
+        """The one elimination of [closedness; h | rhs]: the semi-invariant
+        solve reads it, and the mu solve starts from its nonzero rows."""
+        rows, rhs = self.semi_rows
+        return linalg.rref([row + [b] for row, b in zip(rows, rhs)])
+
+    @cached_property
     def semi_invariant(self) -> tuple[Optional[Covector], linalg.Matrix]:
-        return _preferred_witness(self.chi_g, *self.semi_rows, degenerate_first=False)
+        return _preferred_witness(
+            self.chi_g, *self.semi_rows, self.semi_reduced, degenerate_first=False
+        )
 
     @cached_property
     def mu(self) -> tuple[Optional[Covector], linalg.Matrix]:
-        """The semi-invariant system extended by the horizontal-field rows."""
+        """The semi-invariant system extended by the horizontal-field rows.
+        Its reduced form is that of the semi-invariant system's nonzero
+        reduced rows stacked on the horizontal rows: the two stacks span the
+        same row space, and the reduced form depends on nothing else."""
+        red, pivots = self.semi_reduced
+        if self.g.dim in pivots:  # the semi-invariant rows alone are inconsistent
+            return None, []
         rows, rhs = self.semi_rows
         r3, b3 = _mu_rows(self.S.bialgebra, self.chi_g, self.chi_gs)
+        reduced = linalg.rref(red[: len(pivots)] + [row + [b] for row, b in zip(r3, b3)])
         return _preferred_witness(
-            self.chi_g, rows + r3, rhs + b3, degenerate_first=self.S.h.dim == 0
+            self.chi_g, rows + r3, rhs + b3, reduced, degenerate_first=self.S.h.dim == 0
         )
 
     @cached_property

@@ -106,6 +106,14 @@ def solve_affine(mat: Matrix, rhs: Row) -> tuple[Row | None, list[Row]]:
         return ([] if not any(rhs) else None), []
     cols = len(mat[0])
     red, pivots = rref([row[:] + [b] for row, b in zip(mat, rhs)])
+    return read_solution(red, pivots, cols)
+
+
+def read_solution(red: Matrix, pivots: list[int], cols: int) -> tuple[Row | None, list[Row]]:
+    """``solve_affine``'s answer read off the reduced row echelon form
+    (red, pivots) of an augmented [mat | rhs] with ``cols`` unknowns.  It
+    reads only the pivot rows, and the reduced form depends only on the row
+    space, so any stack of rows with the same span gives the same answer."""
     if cols in pivots:  # pivot in the rhs column: inconsistent
         return None, []
     x = [Fraction(0)] * cols

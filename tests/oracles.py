@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from poishom.exterior import ExteriorElement, evaluate_form
+from poishom.exterior import ExteriorElement, _sort_tuple, evaluate_form
 from poishom.lie import LieAlgebra, Vector
 from poishom.poly import Polynomial
 
@@ -49,6 +49,46 @@ def ce_differential_by_formula(L: LieAlgebra, omega: ExteriorElement) -> Exterio
         if val:
             terms[idx] = val
     return ExteriorElement(L, k + 1, terms, True)
+
+
+def wedge_by_sorting(a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:
+    """The wedge on Fractions: each pair of terms lands on its sorted
+    concatenated index tuple, signed by the parity of the sorting
+    permutation (``_sort_tuple``)."""
+    a._check(b)
+    deg = a.degree + b.degree
+    if deg > a.algebra.dim:
+        return ExteriorElement.zero(a.algebra, min(deg, a.algebra.dim), a.dual)
+    terms = {}
+    for ia, ca in a.terms.items():
+        for ib, cb in b.terms.items():
+            merged, sign = _sort_tuple(ia + ib)
+            if merged is not None:
+                terms[merged] = terms.get(merged, Fraction(0)) + sign * ca * cb
+    return ExteriorElement(a.algebra, deg, terms, a.dual)
+
+
+def ce_differential_by_sorting(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
+    """The derivation rule on Fractions: the factor X^a in slot r becomes
+    (-1)^r d X^a, d X^a = -sum_{i<j} C_ij^a X^i ^ X^j, and each resulting
+    index tuple is sorted with its sign by ``_sort_tuple``."""
+    if not omega.dual:
+        raise ValueError("the differential acts on dual elements")
+    if omega.degree == L.dim:
+        return ExteriorElement.zero(L, L.dim, True)
+    d_basis = {}
+    for pair, image in L._table.items():
+        for a, c in image.items():
+            d_basis.setdefault(a, []).append((pair, c))
+    terms = {}
+    for idx, c in omega.terms.items():
+        for r, a in enumerate(idx):
+            slot = c if r % 2 else -c
+            for pair, cij in d_basis.get(a, ()):
+                merged, sign = _sort_tuple(idx[:r] + pair + idx[r + 1:])
+                if merged is not None:
+                    terms[merged] = terms.get(merged, 0) + sign * slot * cij
+    return ExteriorElement(L, omega.degree + 1, terms, True)
 
 
 def adjoint_matrix(L: LieAlgebra, x: Vector) -> list[list[Fraction]]:

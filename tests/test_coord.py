@@ -936,3 +936,27 @@ def test_multiplicativity_matches_full_matrix_formula(name):
         got = multiplicativity_spotcheck(m, pairs=4, rng=random.Random(5))
         assert got == _multiplicativity_full_matrix(m, pairs=4, rng=random.Random(5))
     assert got > 0.0
+
+
+def test_sl3_sampler_first_draws_are_pinned():
+    """The toda-n3 sampler's points from Random(DEFAULT_SEED), and the state it
+    leaves: the spot checks' verdicts and ``verify-all --seed`` depend on
+    both.  Each draw is L diag(d1, d2, 1/(d1 d2)) U, so its determinant is 1."""
+    rng = random.Random(catalog.DEFAULT_SEED)
+    draws = [catalog._sl3_sampler(rng) for _ in range(5)]
+    assert [" ".join(map(str, d)) for d in draws] == [
+        "1 0 -1 -1/3 1 -1/6 1/3 -2/3 1",
+        "3 -3 2 -3/2 1/2 -3/2 0 3 7/6",
+        "1 1 3 0 -1/3 2/9 -1 -4/3 -52/9",
+        "-3/2 3/4 -9/2 9/2 -21/4 31/2 1/2 -9/4 55/18",
+        "-1 -1/3 -3/2 1/3 -8/9 2 -1 -1 1/2",
+    ]
+    assert rng.randint(0, 10**6) == 730981
+    for d in draws:
+        assert all(type(c) is Fraction for c in d)
+        m = [d[0:3], d[3:6], d[6:9]]
+        assert (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        ) == 1

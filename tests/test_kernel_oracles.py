@@ -7,8 +7,9 @@ dense, object-level constructions they replaced: Jacobiators of ``Vector``
 brackets, ``ExteriorElement`` wedges for the adjoint action and the Schouten
 square, ``double_bracket`` on ``DoubleElement`` pairs, and sl(n) through dense
 n x n matrices, Gram inversion and trace loops.  The differential is checked
-against the alternating-sum formula.  Every result must agree exactly,
-including the first violating triple or pair.
+against the alternating-sum formula, and the integer bitmask wedge and
+differential against the Fraction loops that sort index tuples.  Every
+result must agree exactly, including the first violating triple or pair.
 """
 
 from fractions import Fraction
@@ -36,7 +37,7 @@ from poishom.exterior import (
 )
 from poishom.lie import LieAlgebra, sparse
 
-from oracles import ce_differential_by_formula
+from oracles import ce_differential_by_formula, ce_differential_by_sorting, wedge_by_sorting
 
 # ---------------------------------------------------------------------------
 # dense references
@@ -445,3 +446,113 @@ def test_schouten_square_matches_object_level_reference(data):
         False,
     )
     assert schouten_square(L, r) == ref_schouten_square(L, r)
+
+
+# ---------------------------------------------------------------------------
+# the integer wedge and differential against the tuple-sorting loops
+# ---------------------------------------------------------------------------
+
+TINY = Fraction(1, 10**400 + 1)  # 0.0 as a float; any rounding path loses it
+huge_rational = st.builds(Fraction, st.integers(-(10**50), 10**50), st.integers(1, 10**50))
+wide_rational = st.one_of(small_rational, huge_rational, st.just(TINY))
+
+
+@st.composite
+def wide_algebras(draw, max_dim=6):
+    """Random tables (Jacobi or not) with coefficients from tiny to 50-digit
+    numerators and denominators, on 1 to ``max_dim`` basis vectors."""
+    dim = draw(st.integers(1, max_dim))
+    density = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if draw(st.floats(0, 1)) < density:
+                ks = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=3))
+                brackets[(i, j)] = {k: draw(wide_rational) for k in sorted(ks)}
+    return LieAlgebra([f"e{i}" for i in range(dim)], brackets)
+
+
+def wide_element(data, L, dual, degree):
+    """A form or multivector of the given degree; empty about one time in
+    four, otherwise on a random set of index tuples in random order."""
+    idxs = list(combinations(range(L.dim), degree))
+    density = data.draw(st.sampled_from([0.0, 0.4, 1.0]))
+    picked = [idx for idx in idxs if data.draw(st.floats(0, 1)) < density]
+    picked = data.draw(st.permutations(picked))
+    return ExteriorElement(L, degree, {idx: data.draw(wide_rational) for idx in picked}, dual)
+
+
+def same_terms(got, want):
+    """Equal degree, space and terms, term for term in the same order, every
+    coefficient a Fraction."""
+    assert (got.degree, got.dual) == (want.degree, want.dual)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_wedge_matches_sorting_reference(data):
+    """Every pair of degrees 0..dim, so p + q runs through below-top, top and
+    beyond-top; primal and dual alike."""
+    L = data.draw(wide_algebras())
+    dual = data.draw(st.booleans())
+    p = data.draw(st.integers(0, L.dim))
+    q = data.draw(st.integers(0, L.dim))
+    a, b = wide_element(data, L, dual, p), wide_element(data, L, dual, q)
+    same_terms(a.wedge(b), wedge_by_sorting(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ce_differential_matches_sorting_reference(data):
+    """Degrees 0..dim, the top degree included."""
+    L = data.draw(st.one_of(st.sampled_from(VALID_ALGEBRAS), wide_algebras()))
+    w = wide_element(data, L, True, data.draw(st.integers(0, L.dim)))
+    same_terms(ce_differential(L, w), ce_differential_by_sorting(L, w))
+
+
+def test_integer_kernels_edge_cases():
+    """Empty forms at every degree, the top and beyond-top branches, and a
+    1/(10^400 + 1) coefficient in the table and in the forms."""
+    L = LieAlgebra(
+        ["e0", "e1", "e2", "e3"],
+        {
+            (0, 1): {2: TINY, 3: Fraction(10**50, 3)},
+            (1, 2): {0: 1},
+            (0, 3): {1: Fraction(-7, 10**50)},
+        },
+    )
+    for dual in (True, False):
+        for p in range(L.dim + 1):
+            empty = ExteriorElement.zero(L, p, dual)
+            for q in range(L.dim + 1):
+                idxs = combinations(range(L.dim), q)
+                full = ExteriorElement(L, q, {idx: TINY for idx in idxs}, dual)
+                same_terms(empty.wedge(full), wedge_by_sorting(empty, full))
+                same_terms(full.wedge(empty), wedge_by_sorting(full, empty))
+                got = full.wedge(full)
+                same_terms(got, wedge_by_sorting(full, full))
+                if q == 0:
+                    assert got.terms == {(): TINY * TINY}
+                if 2 * q > L.dim:
+                    assert got.is_zero() and got.degree == L.dim  # beyond top
+    for p in range(L.dim + 1):
+        empty = ExteriorElement.zero(L, p, True)
+        same_terms(ce_differential(L, empty), ExteriorElement.zero(L, min(p + 1, L.dim), True))
+        idxs = combinations(range(L.dim), p)
+        w = ExteriorElement(L, p, {idx: TINY + k for k, idx in enumerate(idxs)}, True)
+        same_terms(ce_differential(L, w), ce_differential_by_sorting(L, w))
+    # d X^2 = -TINY X^0 ^ X^1: nothing rounds the coefficient away
+    assert ce_differential(L, ExteriorElement.basis(L, [2], True)).terms == {(0, 1): -TINY}
+    top = ExteriorElement(L, L.dim, {(0, 1, 2, 3): TINY}, True)
+    assert ce_differential(L, top) == ExteriorElement.zero(L, L.dim, True)
+
+
+def test_integer_kernels_on_sl3_volumes():
+    g, volumes = sl3_quotient_volumes()
+    for kind, v0 in volumes.items():
+        same_terms(ce_differential(g, v0), ce_differential_by_sorting(g, v0))
+        for xi in g.annihilator(g.subalgebra([g.basis_vector(0)])):
+            x = ExteriorElement.from_vector(xi)
+            same_terms(x.wedge(v0), wedge_by_sorting(x, v0))
