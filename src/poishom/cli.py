@@ -10,6 +10,7 @@ verdict), ``verify-all`` (the full re-verification manifest) and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from .coord import (
     hessian_at,
     rk4_flow,
 )
-from .specfile import SpecParseError, parse_spec
+from .specfile import parse_spec_text
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -80,10 +81,12 @@ def _parse_eta(raw: str) -> Fraction:
     return eta
 
 
-def _report_row(S, anchors) -> dict:
-    row = homspace.classification_row(S)
-    row["anchors"] = anchors
-    return row
+def _open(path: str, mode: str):
+    """open(path), a path that cannot be opened being an input error."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _render_row(row: dict) -> str:
@@ -104,12 +107,8 @@ def _render_row(row: dict) -> str:
 def cmd_analyze(args) -> int:
     eta = _parse_eta(args.eta)
     if args.file:
-        try:
-            doc = parse_spec(args.target, eta=eta)
-            S = doc.build_homspace(name=args.target)
-        except (OSError, SpecParseError, ValueError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        with _open(args.target, "r") as fh:
+            S = parse_spec_text(fh.read(), eta=eta).build_homspace(name=args.target)
         anchors = [f"file:{args.target}"]
     else:
         try:
@@ -118,7 +117,7 @@ def cmd_analyze(args) -> int:
             print(f"input error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         anchors = [f"catalog:{args.target}"]
-    row = _report_row(S, anchors)
+    row = dict(homspace.classification_row(S), anchors=anchors)
     if args.json:
         print(json.dumps(row, indent=2, default=str))
     else:
@@ -129,12 +128,8 @@ def cmd_analyze(args) -> int:
 def cmd_tables(args) -> int:
     eta = _parse_eta(args.eta)
     if args.golden:
-        try:
-            with open(args.golden, "r", encoding="utf-8") as fh:
-                golden = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        with _open(args.golden, "r") as fh:
+            golden = json.load(fh)
     else:
         golden = verify.load_golden()
     failures = []
@@ -201,12 +196,18 @@ def cmd_dynamics(args) -> int:
             f"  horizontal field applied to the Hamiltonian is {value} != 0 at the "
             f"singular point with a = 2, so no volume form is preserved.",
         ]
+        if args.out:
+            print(f"note: {args.case} integrates no flow; no trace written", file=sys.stderr)
     else:
-        try:
-            trace = rk4_flow(model, h, bundle.flow_start, T=args.T, dt=args.dt)
-        except (ConstraintDriftError, ValueError, OverflowError) as exc:
-            print(f"integrator abort: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION
+        # --out is opened before the first step: an unwritable path costs no run
+        with _open(args.out, "w") if args.out else contextlib.nullcontext() as sink:
+            try:
+                trace = rk4_flow(model, h, bundle.flow_start, T=args.T, dt=args.dt)
+            except (ConstraintDriftError, ValueError, OverflowError) as exc:
+                print(f"integrator abort: {exc}", file=sys.stderr)
+                return EXIT_VERIFICATION
+            if sink:
+                sink.write(trace.csv())
         out["div_integral"] = trace.final_div_integral()
         out["max_constraint_drift"] = trace.max_drift()
         out["verdict"] = "volume preserved" if out["divergence_zero"] else "no preserved volume"
@@ -220,7 +221,6 @@ def cmd_dynamics(args) -> int:
             out["hessian"] = [[str(c) for c in row] for row in H]
             lines.append(f"  base-point Hessian along the quotient frame: {H}")
         if args.out:
-            trace.write_csv(args.out)
             lines.append(f"  trace written to {args.out}")
     if args.json:
         print(json.dumps(out, indent=2, default=str))

@@ -15,11 +15,18 @@ of a matrix is unique given its row space, so the pivot rows, hence the
 particular solution (free variables at 0) and the null basis, are exactly
 those of eliminating the full stack.  When the semi-invariant rows are
 already inconsistent, so is the mu system, and nothing more is eliminated.
+
+Volume data.  No verdict builds V0, the top wedge of h0 = ann(h).  Since h is
+closed, ann(h) generates a differential ideal, so d V0 = -alpha ^ V0 with
+alpha(h_i) = t_i = tr(ad_{h_i} on g/h), the quotient trace (the modular class
+of the quotient, after Evens-Lu-Weinstein), and theta ^ V0 depends only on
+theta|_h.  So d V0 = -theta0 ^ V0 exactly when theta0|_h = t, and d V0 = 0
+exactly when t = 0.  The traces come from the bracket table, the restriction
+chi_g - chi_h from h's induced algebra; each pair compares the two.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +34,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .bialgebra import LieBialgebra, double_algebra
-from .exterior import ExteriorElement, ce_differential, interior, top_wedge
+from .exterior import ExteriorElement, top_wedge
 from .lie import Covector, LieAlgebra, Subalgebra, Vector, is_closed_one_form, sparse
 
 SIMPLY_CONNECTED_CAVEAT = (
@@ -59,40 +66,13 @@ class HomogeneousSpaceSpec:
             raise ValueError("subalgebra must be verified closed under the bracket")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VolumeCertificate:
-    """Volume data at the base point: a top element of the annihilator and,
-    for the semi-invariant case, the covector with d V0 = -theta0 ^ V0.  The
-    certificate keeps d V0, so ``witnessed`` re-checks another theta0 on the
-    same V0 without differentiating it again."""
+    """Volume data at the base point: the quotient traces t_i = tr(ad_{h_i} on
+    g/h) on the basis of h.  V0 is invariant exactly when t = 0 (module docstring)."""
 
-    v0: ExteriorElement
-    theta0: Optional[Covector]
-    kind: str  # invariant | semi_invariant_algebra_level | none
-    dv0: ExteriorElement = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.dv0 = ce_differential(self.v0.algebra, self.v0)
-        self._check()
-
-    def _check(self):
-        if self.kind == "invariant":
-            if not self.dv0.is_zero():
-                raise ValueError("invariant certificate requires d V0 = 0")
-        elif self.kind == "semi_invariant_algebra_level":
-            if self.theta0 is None:
-                raise ValueError("semi-invariant certificate requires theta0")
-            rhs = -1 * ExteriorElement.from_vector(self.theta0).wedge(self.v0)
-            if self.dv0 != rhs:
-                raise ValueError("certificate violates d V0 = -theta0 ^ V0")
-
-    def witnessed(self, theta0: Covector) -> "VolumeCertificate":
-        """The semi-invariant certificate of theta0 on this V0, checked against
-        the stored d V0."""
-        cert = copy.copy(self)
-        cert.theta0, cert.kind = theta0, "semi_invariant_algebra_level"
-        cert._check()
-        return cert
+    traces: tuple[Fraction, ...]
+    kind: str  # invariant | none
 
 
 @dataclass
@@ -138,38 +118,57 @@ class SemiInvariantSolutions:
 
 
 def _closedness_rows(L: LieAlgebra) -> linalg.Matrix:
-    rows = []
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            image = L.bracket_basis(i, j)
-            if image:
-                row = [Fraction(0)] * L.dim
-                for k, c in image.items():
-                    row[k] = c
-                rows.append(row)
-    return rows
+    """theta is closed exactly when it kills every [e_i, e_j]: one row per
+    direction of a nonzero bracket, scaled to lead with 1 (a row that is a
+    multiple of an earlier one adds nothing to the row space)."""
+    zero, directions = Fraction(0), {}
+    for _, image in sorted(L._table.items()):
+        lead = image[min(image)]
+        directions.setdefault(tuple((k, image[k] / lead) for k in sorted(image)), None)
+    return [[d.get(k, zero) for k in range(L.dim)] for d in map(dict, directions)]
+
+
+def _quotient_traces(h: Subalgebra) -> tuple[Fraction, ...]:
+    """t_i = tr(ad_{h_i} on g/h) on the basis of h.  g/h is spanned by the
+    unit vectors e_a off the pivots of ``h.span``; [e_j, e_a] reduced mod h
+    has e_a component v_a - sum_p v_p R_p[a], R_p being the reduced row of
+    pivot p.  So t_i = sum_j h_ij w_j, with w_j the sum of those components
+    over the free columns a, read only for the j in the support of h."""
+    g, reduced = h.parent, h.span.reduced
+    columns = {a: {} for a in range(g.dim) if a not in reduced}  # free columns of the R_p
+    for p, terms in reduced.items():
+        for a, x in terms:
+            columns[a][p] = x
+    w = {}
+    for j in {j for v in h.basis for j, x in enumerate(v.coords) if x}:
+        w[j] = Fraction(0)
+        for a, column in columns.items():
+            for k, c in g.bracket_basis(j, a).items():
+                if k == a:
+                    w[j] += c
+                elif k in column:
+                    w[j] -= c * column[k]
+    return tuple(sum((x * w[j] for j, x in enumerate(v.coords) if x), Fraction(0)) for v in h.basis)
 
 
 def _mu_rows(B: LieBialgebra, chi_g: Covector, chi_gs: Vector) -> tuple[linalg.Matrix, linalg.Row]:
     """Linearized horizontal-field condition, one g-valued equation per basis
     vector: 1/2 ([X, chi_g*] - i(chi_g) delta X) + i(theta0) delta X = 0."""
-    g = B.g
+    g, chi = B.g, chi_g.coords
     rows, rhs = [], []
     for i in range(g.dim):
-        delta_i = B.delta.images[i]
-        # [X, chi_g*] - i(chi_g) delta X, by its nonzero components
-        offset = sparse(g.bracket(g.basis_vector(i), chi_gs).coords)
-        for (a,), c in interior(chi_g, delta_i).terms.items():
-            offset[a] = offset.get(a, 0) - c
+        bracket = sparse(g.bracket(g.basis_vector(i), chi_gs).coords)  # [X, chi_g*]
         # component on e_k of i(theta) (e_a ^ e_b) = theta_a d_bk - theta_b d_ak
         block: dict[int, dict[int, Fraction]] = {}
-        for (a, b), c in delta_i.terms.items():
+        for (a, b), c in B.delta.images[i].terms.items():
             row_b, row_a = block.setdefault(b, {}), block.setdefault(a, {})
             row_b[a] = row_b.get(a, 0) + c
             row_a[b] = row_a.get(b, 0) - c
         for k in range(g.dim):
             entries = block.get(k, {})
-            rhs_val = -offset[k] / 2 if k in offset else Fraction(0)
+            # -1/2 ([X, chi_g*] - i(chi_g) delta X) on e_k; i(chi_g) delta X is the block at chi_g
+            i_chi = sum((c * chi[a] for a, c in entries.items()), Fraction(0))
+            rhs_val = (i_chi - bracket.get(k, 0)) / 2
             if any(entries.values()) or rhs_val:
                 row = [Fraction(0)] * g.dim
                 for a, c in entries.items():
@@ -266,13 +265,11 @@ class _Analysis:
         return values, Vector(self.g, lift)
 
     @cached_property
-    def v0(self) -> ExteriorElement:
-        return top_wedge(self.g, self.ann)
-
-    @cached_property
     def volume(self) -> VolumeCertificate:
-        kind = "none" if any(self.restriction_rhs) else "invariant"
-        return VolumeCertificate(v0=self.v0, theta0=None, kind=kind)
+        traces = _quotient_traces(self.S.h)
+        if list(traces) != self.restriction_rhs:
+            raise AssertionError("quotient traces differ from chi_g - chi_h on h")
+        return VolumeCertificate(traces, "none" if any(traces) else "invariant")
 
     @cached_property
     def semi_rows(self) -> tuple[linalg.Matrix, linalg.Row]:
@@ -316,9 +313,10 @@ class _Analysis:
         unimodular = not any(values)
         witness, null = self.mu if unimodular else (None, [])
         if witness is not None:
-            # re-verify the witness before reporting: d V0 = -theta0 ^ V0 (on the
-            # d V0 the volume certificate already holds), then closedness
-            self.volume.witnessed(witness)
+            # re-verify the witness before reporting: theta0|_h equals the
+            # quotient traces (d V0 = -theta0 ^ V0, by the lemma), then closedness
+            if tuple(witness(v) for v in self.S.h.basis) != self.volume.traces:
+                raise AssertionError("witness does not restrict to the quotient traces")
             if not is_closed_one_form(self.g, witness):
                 raise AssertionError("witness is not closed")
         status = MU_FAILS_I if not unimodular else MU_FAILS_II if witness is None else MU_OK
@@ -355,8 +353,8 @@ def chi_h0(S: HomogeneousSpaceSpec) -> tuple[tuple[Fraction, ...], Vector]:
 
 def canonical_v0(S: HomogeneousSpaceSpec) -> ExteriorElement:
     """Top wedge of the annihilator basis (a generator of the line
-    Lambda^(m-n) h0)."""
-    return _Analysis(S).v0
+    Lambda^(m-n) h0).  The verdicts never build it: see the module docstring."""
+    return top_wedge(S.bialgebra.g, S.bialgebra.g.annihilator(S.h))
 
 
 def invariant_volume_exists(S: HomogeneousSpaceSpec) -> tuple[bool, VolumeCertificate]:

@@ -77,7 +77,7 @@ class Covector(Vector):
             raise TypeError("covectors pair against vectors")
         if v.algebra is not self.algebra:
             raise ValueError("vector belongs to a different algebra")
-        return sum((a * b for a, b in zip(self.coords, v.coords)), Fraction(0))
+        return sum((a * b for a, b in zip(self.coords, v.coords) if a and b), Fraction(0))
 
     def __repr__(self):
         labels = self.algebra.dual_labels

@@ -5,8 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from poishom.exterior import ExteriorElement, _sort_tuple, evaluate_form
-from poishom.lie import LieAlgebra, Vector
+from poishom.exterior import ExteriorElement, _sort_tuple, ce_differential, evaluate_form, top_wedge
+from poishom.lie import Covector, LieAlgebra, Vector
 from poishom.poly import Polynomial
 
 
@@ -95,3 +95,19 @@ def adjoint_matrix(L: LieAlgebra, x: Vector) -> list[list[Fraction]]:
     """Matrix of ad_x; column j holds [x, e_j] in basis coordinates."""
     cols = [L.bracket(x, L.basis_vector(j)).coords for j in range(L.dim)]
     return [[cols[j][k] for j in range(L.dim)] for k in range(L.dim)]
+
+
+def v0_certificate(S):
+    """The exterior volume certificate of a homogeneous space S: V0 is the top
+    wedge of ann(h), differentiated once.  Returns ``holds(theta0)``, which
+    says whether d V0 = -theta0 ^ V0, or d V0 = 0 when theta0 is None."""
+    g = S.bialgebra.g
+    v0 = top_wedge(g, g.annihilator(S.h))
+    dv0 = ce_differential(g, v0)
+
+    def holds(theta0: Covector | None) -> bool:
+        if theta0 is None:
+            return dv0.is_zero()
+        return dv0 == -1 * ExteriorElement.from_vector(theta0).wedge(v0)
+
+    return holds

@@ -187,6 +187,28 @@ def test_dynamics_compartmental(tmp_path, capsys):
     assert header == "t,x1,x2,x3,divint,constraint_drift"
 
 
+def test_dynamics_unwritable_out_exits_before_integrating(tmp_path, capsys, monkeypatch):
+    from poishom import cli
+
+    steps, flow = [], cli.rk4_flow
+    monkeypatch.setattr(cli, "rk4_flow", lambda *a, **k: steps.append(a) or flow(*a, **k))
+    bad = tmp_path / "missing" / "x.csv"
+    assert run(["dynamics", "canonical2d", "--out", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not steps
+    (line,) = captured.err.splitlines()
+    assert line.startswith("input error:") and str(bad) in line
+
+
+def test_dynamics_out_without_a_flow_says_so(tmp_path, capsys):
+    out_csv = tmp_path / "trace.csv"
+    assert run(["dynamics", "toda-n3", "--out", str(out_csv)]) == 0
+    captured = capsys.readouterr()
+    assert "no preserved volume (certificate)" in captured.out
+    assert captured.err == "note: toda-n3 integrates no flow; no trace written\n"
+    assert not out_csv.exists()
+
+
 def test_dynamics_toda_certificate(capsys):
     assert run(["dynamics", "toda-n3", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

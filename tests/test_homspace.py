@@ -143,7 +143,8 @@ def test_invariant_volume_solvable3_quotient():
     ok, cert = invariant_volume_exists(S)
     assert ok and cert.kind == "invariant"
     # V0 spans X^2 ^ X^3 and is closed
-    assert cert.v0 == ExteriorElement(S.bialgebra.g, 2, {(1, 2): 1}, True)
+    assert cert.traces == (0,)
+    assert canonical_v0(S) == ExteriorElement(S.bialgebra.g, 2, {(1, 2): 1}, True)
 
 
 def test_no_invariant_volume_r2xr2_quotient():
@@ -152,9 +153,11 @@ def test_no_invariant_volume_r2xr2_quotient():
 
 
 def test_invariant_volume_toda():
-    ok, cert = invariant_volume_exists(spec("toda-n3"))
-    assert ok
-    assert ce_differential(cert.v0.algebra, cert.v0).is_zero()
+    S = spec("toda-n3")
+    ok, cert = invariant_volume_exists(S)
+    assert ok and not any(cert.traces)
+    v0 = canonical_v0(S)
+    assert ce_differential(v0.algebra, v0).is_zero()
 
 
 def test_semi_invariant_r2xr2_quotient():
@@ -243,25 +246,40 @@ def test_mu_witness_lies_in_semi_invariant_solution_set():
         assert semi_invariant_solutions(S).contains(rep.mu_witness_theta0)
 
 
-def test_witness_recheck_reuses_the_volume_differential(monkeypatch):
-    # a row with a multiplicative witness differentiates V0 once: the witness
-    # re-check reads d V0 off the row's volume certificate
+def test_witness_recheck_refuses_a_wrong_restriction_to_h():
+    # the report re-checks its witness against the quotient traces: 2 theta0
+    # is still closed, but restricts to 2 t != t on h
     from poishom import homspace
 
+    S = spec("compartmental-quotient")
+    A = homspace._Analysis(S)
+    witness, null = A.mu
+    assert any(A.volume.traces)
+    wrong = homspace._Analysis(S)
+    wrong.mu = (2 * witness, null)
+    with pytest.raises(AssertionError, match="quotient traces"):
+        wrong.report
+
+
+def test_classification_row_builds_no_exterior_algebra(monkeypatch):
+    # the volume verdict and the witness re-check read the quotient traces:
+    # no V0, no differential, no wedge and no contraction on the decision path
+    from poishom import exterior, homspace
+
+    specs = [spec(name) for name in catalog.HOMSPACE_NAMES]
     calls = []
-    monkeypatch.setattr(
-        homspace, "ce_differential", lambda L, w: calls.append(w) or ce_differential(L, w)
-    )
-    for name in ("mu-plane", "full-group", "compartmental-quotient"):
-        calls.clear()
-        row = classification_row(spec(name))
-        assert row["witness_theta0"] is not None and len(calls) == 1
-    # the re-check is kept: a wrong theta0 on the stored d V0 is refused
-    A = homspace._Analysis(spec("compartmental-quotient"))
-    witness = A.report.mu_witness_theta0
-    assert A.volume.witnessed(witness).dv0 is A.volume.dv0
-    with pytest.raises(ValueError, match="d V0 = -theta0"):
-        A.volume.witnessed(2 * witness)
+
+    def counted(name, f):
+        return lambda *args: calls.append(name) or f(*args)
+
+    for module in (exterior, homspace):
+        for name in ("ce_differential", "top_wedge", "interior"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(ExteriorElement, "wedge", counted("wedge", ExteriorElement.wedge))
+    rows = [classification_row(S) for S in specs]
+    assert calls == []
+    assert any(row["witness_theta0"] for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 ``homspace._Analysis`` eliminates the semi-invariant system [closedness; h |
 rhs] once, and starts the mu system from its nonzero reduced rows plus the
 horizontal-field rows.  Here both answers are compared with the plain path:
-``linalg.solve_affine`` on the full stacked rows, then the preference for
-chi_g and chi_g/2.  Inputs are every catalog entry at several etas of the
+``linalg.solve_affine`` on the full stacked rows, with one closedness row
+per nonzero bracket [e_i, e_j], then the preference for chi_g and chi_g/2.  Inputs are every catalog entry at several etas of the
 benchmark's pool, and the sl(3)/sl(4) Cartan, so(n) and Borel subalgebras the
 benchmark classifies, built from ``perfbench/workloads.py`` (read-only).
 """
@@ -49,11 +49,26 @@ def full_solve(chi, rows, rhs, degenerate_first):
     return Covector(chi.algebra, part), null
 
 
+def full_semi_rows(S):
+    """[closedness; h | rhs] with one closedness row per nonzero bracket."""
+    g = S.bialgebra.g
+    rows = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            image = g.bracket_basis(i, j)
+            if image:
+                rows.append([image.get(k, Fraction(0)) for k in range(g.dim)])
+    chi_g = g.modular_character()
+    rhs = [Fraction(0)] * len(rows)
+    rhs += [chi_g(v) - c for v, c in zip(S.h.basis, S.h.modular_character_values())]
+    return rows + [list(v.coords) for v in S.h.basis], rhs
+
+
 def assert_matches_full_solves(S):
     """Both solves of one pair agree with the full ones; returns whether the
     semi-invariant system was consistent."""
     A = _Analysis(S)
-    rows, rhs = A.semi_rows
+    rows, rhs = full_semi_rows(S)
     assert A.semi_invariant == full_solve(A.chi_g, rows, rhs, False), S.name
     r3, b3 = _mu_rows(S.bialgebra, A.chi_g, A.chi_gs)
     assert A.mu == full_solve(A.chi_g, rows + r3, rhs + b3, S.h.dim == 0), S.name

@@ -1,0 +1,83 @@
+"""The quotient-trace volume certificate against the exterior one.
+
+``homspace._Analysis.volume`` reads the traces t_i = tr(ad_{h_i} on g/h) off
+the bracket table.  The oracle builds V0, the top wedge of ann(h), and
+differentiates it (``oracles.v0_certificate``).  By the top-annihilator lemma
+d V0 = -theta ^ V0 holds for any theta with theta|_h = t, and d V0 = 0 exactly
+when t = 0.  Inputs are every catalog entry at several etas, the sl(3)/sl(4)
+Cartan, so(n) and Borel subalgebras the benchmark classifies, built from
+``perfbench/workloads.py`` (read-only), and the sl(5) Borel (V0 has 1024
+terms).
+"""
+
+import importlib.util
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from poishom import catalog
+from poishom.homspace import _Analysis, invariant_volume_exists
+from poishom.lie import Covector
+
+from oracles import v0_certificate
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        # its dataclass looks its module up in sys.modules while it is defined
+        mp.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+def lift(S, values) -> Covector:
+    """A covector on g taking the given values on the basis of h."""
+    coords = [Fraction(0)] * S.bialgebra.g.dim
+    for p, x in S.h.span.lift(list(values)).items():
+        coords[p] = x
+    return Covector(S.bialgebra.g, coords)
+
+
+def assert_certificates_agree(S):
+    """The trace certificate and the exterior one agree on S; returns whether
+    some trace is nonzero."""
+    traces = _Analysis(S).volume.traces
+    ok, cert = invariant_volume_exists(S)
+    assert cert.traces == traces and ok == (cert.kind == "invariant")
+    holds = v0_certificate(S)
+    assert holds(lift(S, traces)), S.name
+    assert holds(None) == ok, S.name
+    if any(traces):
+        # the identity pins theta0 on h: a lift of 2 t fails it
+        assert not holds(lift(S, [2 * t for t in traces])), S.name
+    return any(traces)
+
+
+@pytest.mark.parametrize("name", catalog.HOMSPACE_NAMES)
+def test_catalog_traces_match_the_exterior_certificate(name):
+    for eta in (1, 2, Fraction(-5, 2)):
+        assert_certificates_agree(catalog.build_homspace(name, eta))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sl_subalgebra_traces_match_the_exterior_certificate(workloads, n):
+    kinds = ["cartan", "so"] + workloads.borels(n)
+    nonzero = [
+        assert_certificates_agree(S)
+        for _, S in workloads.sl_homspaces(n, workloads.ETA_POOL[0], kinds)
+    ]
+    # the Cartan and so(n) quotients are invariant, the Borels are not
+    assert nonzero == [False, False] + [True] * (len(kinds) - 2)
+
+
+def test_sl5_borel_traces_match_the_exterior_certificate(workloads):
+    ((_, S),) = workloads.sl_homspaces(5, 1, ["borel-01234"])
+    assert len(_Analysis(S).ann) == 10  # V0 has 2^10 terms in the D/S/Q basis
+    assert assert_certificates_agree(S)
