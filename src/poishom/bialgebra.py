@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import linalg
 from .exterior import (
     ExteriorElement,
     ad_extension,
@@ -297,21 +296,20 @@ def double_jacobi_check(B: LieBialgebra) -> Optional[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _sln_basis(n: int) -> tuple[list[str], list[dict[tuple[int, int], Fraction]]]:
-    """Labels and sparse {(row, col): entry} matrices for the split basis of
+def _sln_basis(n: int) -> tuple[list[str], list[dict[tuple[int, int], int]]]:
+    """Labels and sparse {(row, col): +-1} matrices for the split basis of
     sl(n): traceless diagonals D_k, symmetric S_ij and antisymmetric Q_ij
     off-diagonal pairs."""
-    one = Fraction(1)
     labels: list[str] = []
-    mats: list[dict[tuple[int, int], Fraction]] = []
+    mats: list[dict[tuple[int, int], int]] = []
     for k in range(n - 1):
         labels.append(f"D{k+1}")
-        mats.append({(k, k): one, (k + 1, k + 1): -one})
-    for name, sign in (("S", one), ("Q", -one)):
+        mats.append({(k, k): 1, (k + 1, k + 1): -1})
+    for name, sign in (("S", 1), ("Q", -1)):
         for i in range(n):
             for j in range(i + 1, n):
                 labels.append(f"{name}{i+1}{j+1}")
-                mats.append({(i, j): one, (j, i): sign})
+                mats.append({(i, j): 1, (j, i): sign})
     return labels, mats
 
 
@@ -322,14 +320,14 @@ def sln_basis_matrices(n: int) -> tuple[list[str], list[list[list[Fraction]]]]:
     for entries in sparse:
         m = [[Fraction(0)] * n for _ in range(n)]
         for (r, c), x in entries.items():
-            m[r][c] = x
+            m[r][c] = Fraction(x)
         mats.append(m)
     return labels, mats
 
 
 def _commutator(a: dict, b: dict) -> dict:
     """AB - BA for sparse {(row, col): entry} matrices."""
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], int] = {}
     for (r, t), x in a.items():
         for (u, c), y in b.items():
             if t == u:
@@ -339,20 +337,20 @@ def _commutator(a: dict, b: dict) -> dict:
     return out
 
 
-def _sln_coords(m: dict, n: int) -> list[Fraction]:
-    """Coordinates of a sparse traceless matrix on the D/S/Q basis."""
+def _sln_coords(m: dict, n: int) -> list[int]:
+    """Twice the coordinates of a sparse traceless int matrix on the D/S/Q basis."""
     pairs = n * (n - 1) // 2
-    coords = [Fraction(0)] * (n - 1 + 2 * pairs)
+    coords = [0] * (n - 1 + 2 * pairs)
     for (r, c), x in m.items():
         if r == c:
             # the D coordinates are the partial sums of the diagonal
             for k in range(r, n - 1):
-                coords[k] += x
+                coords[k] += 2 * x
             continue
         i, j = min(r, c), max(r, c)
         s = n - 1 + i * n - i * (i + 1) // 2 + (j - i - 1)
-        coords[s] += x / 2
-        coords[s + pairs] += x / 2 if r < c else -x / 2
+        coords[s] += x
+        coords[s + pairs] += x if r < c else -x
     return coords
 
 
@@ -363,48 +361,53 @@ def sln_algebra(n: int) -> LieAlgebra:
     for i in range(dim):
         for j in range(i + 1, dim):
             coords = _sln_coords(_commutator(mats[i], mats[j]), n)
-            entry = {k: c for k, c in enumerate(coords) if c}
+            entry = {k: Fraction(c, 2) for k, c in enumerate(coords) if c}
             if entry:
                 brackets[(i, j)] = entry
     return LieAlgebra(labels, brackets)
 
 
+def _sln_gram_inverse(n: int) -> list[list[tuple[int, int]]]:
+    """2n times the inverse of the Gram matrix Tr(e_a e_b), as sparse int rows
+    [(b, entry)].  The Gram matrix is 2 on S, -2 on Q and on D the Cartan
+    matrix of A_(n-1), whose inverse is min(k, l)(n - max(k, l))/n."""
+    d, pairs = n - 1, n * (n - 1) // 2
+    rows = [[(l, 2 * (min(k, l) + 1) * (d - max(k, l))) for l in range(d)] for k in range(d)]
+    return rows + [[(a, n if a < d + pairs else -n)] for a in range(d, d + 2 * pairs)]
+
+
 def sln_standard_bialgebra(n: int, eta=1) -> LieBialgebra:
     """Standard bialgebra on sl(n): dual bracket from the triangular R-map,
     transferred to dual-basis coordinates through the trace pairing and
-    scaled by eta."""
-    eta = frac(eta)
+    scaled by eta.  It runs on ints: the dual basis matrices are scaled by
+    2n, so the bracket [RA, B] + [A, RB], bilinear in them, is (2n)^2 times."""
+    unit = frac(eta) / (4 * n * n)
     g = sln_algebra(n)
     labels, mats = _sln_basis(n)
     dim = len(labels)
     # Tr(e_k M) = sum M[c][r] e_k[r][c]: each entry (c, r) of M pairs with
     # the basis matrices that are nonzero at (r, c)
-    index: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    index: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for k, m in enumerate(mats):
         for (r, c), x in m.items():
             index.setdefault((c, r), []).append((k, x))
 
-    def trace_coords(m: dict) -> dict[int, Fraction]:
+    def trace_coords(m: dict) -> dict[int, int]:
         """{k: Tr(e_k m)} over the basis matrices e_k that pair with m."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for key, y in m.items():
             for k, x in index.get(key, ()):
                 out[k] = out.get(k, 0) + x * y
         return out
 
-    # the trace form is symmetric, so row a of the Gram matrix is e_a's coords
-    gram = [[row.get(b, Fraction(0)) for b in range(dim)] for row in map(trace_coords, mats)]
-    gram_inv = linalg.invert(gram)
-    # the matrix of each dual basis covector X^a under the trace pairing, and
-    # its triangular split R(M) = lower(M) - upper(M)
+    # 2n times the matrix of each dual basis covector X^a under the trace
+    # pairing, and its triangular split R(M) = lower(M) - upper(M)
     covs, splits = [], []
-    for a in range(dim):
-        ma: dict[tuple[int, int], Fraction] = {}
-        for b in range(dim):
-            w = gram_inv[b][a]
-            if w:
-                for key, x in mats[b].items():
-                    ma[key] = ma.get(key, 0) + w * x
+    for row in _sln_gram_inverse(n):
+        ma: dict[tuple[int, int], int] = {}
+        for b, w in row:
+            for key, x in mats[b].items():
+                ma[key] = ma.get(key, 0) + w * x
         covs.append(ma)
         splits.append({(r, c): x if r > c else -x for (r, c), x in ma.items() if r != c})
 
@@ -415,7 +418,7 @@ def sln_standard_bialgebra(n: int, eta=1) -> LieBialgebra:
             for key, x in _commutator(covs[a], splits[b]).items():
                 res[key] = res.get(key, 0) + x
             # back to dual coordinates: component on X^k is Tr(res * e_k)
-            entry = {k: eta * val for k, val in sorted(trace_coords(res).items()) if val}
+            entry = {k: unit * val for k, val in sorted(trace_coords(res).items()) if val}
             if entry:
                 dual_brackets[(a, b)] = entry
     dual = LieAlgebra(g.dual_labels, dual_brackets)

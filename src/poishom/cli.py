@@ -4,7 +4,8 @@ Verbs: ``analyze`` (catalog entry or spec file), ``tables`` (recompute the
 quotient classification tables and diff against the golden data),
 ``dynamics`` (integrate a catalog Hamiltonian system and report the volume
 verdict), ``verify-all`` (the full re-verification manifest) and
-``catalog list``.  Exit codes: 0 ok, 1 verification failure, 2 input error.
+``catalog list``.  Exit codes: 0 ok, 1 verification failure, 2 input error,
+141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from .specfile import parse_spec_text
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a closed pipe
 MAX_STEPS = 10**6  # 100 times the default dynamics run; every state is kept
 
 
@@ -299,7 +302,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout (``| head``): drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -21,8 +21,9 @@ closed, ann(h) generates a differential ideal, so d V0 = -alpha ^ V0 with
 alpha(h_i) = t_i = tr(ad_{h_i} on g/h), the quotient trace (the modular class
 of the quotient, after Evens-Lu-Weinstein), and theta ^ V0 depends only on
 theta|_h.  So d V0 = -theta0 ^ V0 exactly when theta0|_h = t, and d V0 = 0
-exactly when t = 0.  The traces come from the bracket table, the restriction
-chi_g - chi_h from h's induced algebra; each pair compares the two.
+exactly when t = 0.  t and chi_h = tr(ad on h) are both read from the bracket
+table through the reduced basis of h (``Subalgebra.bracket_traces``), and each
+pair checks t + chi_h = chi_g on h: the traces on g/h and on h add up to it.
 """
 
 from __future__ import annotations
@@ -130,25 +131,12 @@ def _closedness_rows(L: LieAlgebra) -> linalg.Matrix:
 
 def _quotient_traces(h: Subalgebra) -> tuple[Fraction, ...]:
     """t_i = tr(ad_{h_i} on g/h) on the basis of h.  g/h is spanned by the
-    unit vectors e_a off the pivots of ``h.span``; [e_j, e_a] reduced mod h
-    has e_a component v_a - sum_p v_p R_p[a], R_p being the reduced row of
-    pivot p.  So t_i = sum_j h_ij w_j, with w_j the sum of those components
-    over the free columns a, read only for the j in the support of h."""
-    g, reduced = h.parent, h.span.reduced
-    columns = {a: {} for a in range(g.dim) if a not in reduced}  # free columns of the R_p
-    for p, terms in reduced.items():
-        for a, x in terms:
-            columns[a][p] = x
-    w = {}
-    for j in {j for v in h.basis for j, x in enumerate(v.coords) if x}:
-        w[j] = Fraction(0)
-        for a, column in columns.items():
-            for k, c in g.bracket_basis(j, a).items():
-                if k == a:
-                    w[j] += c
-                elif k in column:
-                    w[j] -= c * column[k]
-    return tuple(sum((x * w[j] for j, x in enumerate(v.coords) if x), Fraction(0)) for v in h.basis)
+    unit vectors e_a off the pivots of ``h.span``, and [e_j, e_a] reduced mod
+    h has e_a component v_a - sum_p v_p R_p[a], R_p being the reduced row of
+    pivot p (whose entries off p are all on such free columns a)."""
+    reduced = h.span.reduced
+    free = [(a, a, 1) for a in range(h.parent.dim) if a not in reduced]
+    return h.bracket_traces(free + [(a, p, -x) for p in reduced for a, x in reduced[p]])
 
 
 def _mu_rows(B: LieBialgebra, chi_g: Covector, chi_gs: Vector) -> tuple[linalg.Matrix, linalg.Row]:
@@ -267,8 +255,8 @@ class _Analysis:
     @cached_property
     def volume(self) -> VolumeCertificate:
         traces = _quotient_traces(self.S.h)
-        if list(traces) != self.restriction_rhs:
-            raise AssertionError("quotient traces differ from chi_g - chi_h on h")
+        if list(traces) != self.restriction_rhs:  # t + chi_h = chi_g on h
+            raise AssertionError("the traces on g/h and on h do not add up to chi_g on h")
         return VolumeCertificate(traces, "none" if any(traces) else "invariant")
 
     @cached_property

@@ -102,18 +102,11 @@ def bracket_terms(table: dict, u: dict, v: dict) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for i, a in u.items():
         for j, b in v.items():
-            if i < j:
-                image = table.get((i, j))
-                if image:
-                    s = a * b
-                    for k, c in image.items():
-                        out[k] = out.get(k, 0) + s * c
-            elif i > j:
-                image = table.get((j, i))
-                if image:
-                    s = -(a * b)
-                    for k, c in image.items():
-                        out[k] = out.get(k, 0) + s * c
+            image = table.get((i, j) if i < j else (j, i))  # (i, i) is never a key
+            if image:
+                s = a * b if i < j else -(a * b)
+                for k, c in image.items():
+                    out[k] = out.get(k, 0) + s * c
     return out
 
 
@@ -130,7 +123,7 @@ class LieAlgebra:
         for (i, j), image in brackets.items():
             if not (0 <= i < j < len(self.labels)):
                 raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-            cleaned = {k: frac(c) for k, c in image.items() if frac(c)}
+            cleaned = {k: c for k, c in zip(image, map(frac, image.values())) if c}
             if cleaned:
                 table[(i, j)] = cleaned
         self._table = table
@@ -201,23 +194,30 @@ class LieAlgebra:
 
     def jacobi_check(self) -> Optional[tuple[int, int, int]]:
         """None if the Jacobi identity holds; else the first violating triple
-        (i < j < k, in lexicographic order).  The Jacobiator is quadratic in
-        the constants, so it runs on the integer-scaled table."""
-        _, full = integer_table(self.full_table())
-        empty: dict[int, int] = {}
+        (i < j < k, in lexicographic order).  It runs on the integer-scaled
+        table (the Jacobiator is quadratic in the constants) and visits only
+        nonzero terms: [[e_a, e_b], e_c] with a < b and c != a, b is a cyclic
+        term of the sorted triple, with sign - when a < c < b."""
+        _, table = integer_table(self._table)
         n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    # [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-                    acc: dict[int, int] = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for l, x in full.get((a, b), empty).items():
-                            for p, y in full.get((l, c), empty).items():
-                                acc[p] = acc.get(p, 0) + x * y
-                    if any(acc.values()):
-                        return (i, j, k)
-        return None
+        rows: list[list] = [[] for _ in range(n)]  # (c, [e_l, e_c]) for each l
+        for (i, j), image in table.items():
+            rows[i].append((j, list(image.items())))
+            rows[j].append((i, [(k, -y) for k, y in image.items()]))
+        # the e_p component of triple (i, j, k) is keyed ((i n + j) n + k) n + p,
+        # so the least key with a nonzero sum is on the first violating triple
+        acc: dict[int, int] = {}
+        for (a, b), image in table.items():
+            for l, x in image.items():
+                for c, terms in rows[l]:
+                    if c == a or c == b:
+                        continue
+                    i, j, k, s = (a, b, c, x) if c > b else (c, a, b, x) if c < a else (a, c, b, -x)
+                    key = ((i * n + j) * n + k) * n
+                    for p, y in terms:
+                        acc[key + p] = acc.get(key + p, 0) + s * y
+        first = min((key for key, v in acc.items() if v), default=None)
+        return None if first is None else (first // n**3, first // n**2 % n, first // n % n)
 
     def modular_character(self) -> Covector:
         """chi(e_a) = tr(ad_{e_a}) = sum_b C_ab^b; zero exactly when the
@@ -306,11 +306,29 @@ class Subalgebra:
             labels = [f"b{i+1}" for i in range(self.dim)]
         return LieAlgebra(labels, brackets)
 
+    def bracket_traces(self, weights) -> tuple[Fraction, ...]:
+        """sum_j b_j w_j on each basis vector b, with w_j the sum of
+        r [e_j, e_c]_p over the (c, p, r) in ``weights``, read only for the j
+        in the support of the basis."""
+        table, empty, w = self.parent._table, {}, {}
+        for j in {j for v in self.basis for j, x in enumerate(v.coords) if x}:
+            w[j] = 0
+            for c, p, r in weights:
+                key, r = ((j, c), r) if j < c else ((c, j), -r)
+                y = table.get(key, empty).get(p)
+                if y:
+                    w[j] += r * y
+        return tuple(
+            sum((x * w[j] for j, x in enumerate(v.coords) if x and w[j]), Fraction(0))
+            for v in self.basis
+        )
+
     def modular_character_values(self) -> tuple[Fraction, ...]:
-        """chi_h evaluated on this basis (via the induced structure constants)."""
-        if self.dim == 0:
-            return ()
-        return self.induced_algebra().modular_character().coords
+        """chi_h on this basis.  In the reduced rows R_p of ``span`` (1 at
+        pivot p, 0 at the other pivots) the R_p coordinate of a vector of h
+        is its p entry, so tr(ad_x on h) = sum_p [x, R_p]_p."""
+        reduced = self.span.reduced
+        return self.bracket_traces([(c, p, r) for p in reduced for c, r in [(p, 1), *reduced[p]]])
 
 
 def restrict_covector(theta: Covector, h: Subalgebra) -> tuple[Fraction, ...]:

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from poishom import linalg
+from poishom.bialgebra import LieBialgebra, delta_from_dual, sln_basis_matrices
 from poishom.exterior import ExteriorElement, _sort_tuple, ce_differential, evaluate_form, top_wedge
 from poishom.lie import Covector, LieAlgebra, Vector
 from poishom.poly import Polynomial
@@ -111,3 +113,73 @@ def v0_certificate(S):
         return dv0 == -1 * ExteriorElement.from_vector(theta0).wedge(v0)
 
     return holds
+
+
+def sln_bialgebra_by_fractions(n: int, eta) -> LieBialgebra:
+    """The standard bialgebra of sl(n) on Fractions: basis commutators read
+    back through the D/S/Q coordinates, the dual basis through
+    ``linalg.invert`` of the trace-form Gram matrix, and [RA, B] + [A, RB]
+    read back through traces.  Same basis order and insertion order as
+    ``sln_standard_bialgebra``."""
+    labels, dense = sln_basis_matrices(n)
+    mats = [{(r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x} for m in dense]
+    dim, pairs = len(mats), n * (n - 1) // 2
+
+    def commutator(a, b):
+        out = {}
+        for (r, t), x in a.items():
+            for (u, c), y in b.items():
+                if t == u:
+                    out[(r, c)] = out.get((r, c), 0) + x * y
+                if c == r:
+                    out[(u, t)] = out.get((u, t), 0) - y * x
+        return out
+
+    def coords(m):
+        out = [Fraction(0)] * dim
+        for (r, c), x in m.items():
+            if r == c:
+                for k in range(r, n - 1):
+                    out[k] += x
+                continue
+            i, j = min(r, c), max(r, c)
+            s = n - 1 + i * n - i * (i + 1) // 2 + (j - i - 1)
+            out[s] += x / 2
+            out[s + pairs] += x / 2 if r < c else -x / 2
+        return out
+
+    def traces(m):
+        out = {}
+        for k, e in enumerate(mats):
+            val = sum((x * m.get((c, r), 0) for (r, c), x in e.items()), Fraction(0))
+            if val:
+                out[k] = val
+        return out
+
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            entry = {k: c for k, c in enumerate(coords(commutator(mats[i], mats[j]))) if c}
+            if entry:
+                brackets[(i, j)] = entry
+    g = LieAlgebra(labels, brackets)
+    gram_inv = linalg.invert([[traces(a).get(b, Fraction(0)) for b in range(dim)] for a in mats])
+    covs, splits = [], []
+    for a in range(dim):
+        ma = {}
+        for b in range(dim):
+            for key, x in mats[b].items():
+                if gram_inv[b][a]:
+                    ma[key] = ma.get(key, 0) + gram_inv[b][a] * x
+        covs.append(ma)
+        splits.append({(r, c): x if r > c else -x for (r, c), x in ma.items() if r != c})
+    dual_brackets = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            res = commutator(splits[a], covs[b])
+            for key, x in commutator(covs[a], splits[b]).items():
+                res[key] = res.get(key, 0) + x
+            entry = {k: eta * v for k, v in traces(res).items()}
+            if entry:
+                dual_brackets[(a, b)] = entry
+    return LieBialgebra(g, delta_from_dual(g, LieAlgebra(labels, dual_brackets)), check=False)

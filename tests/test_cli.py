@@ -1,9 +1,13 @@
 import json
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import poishom
 from poishom import catalog
 from poishom.cli import run
 
@@ -255,6 +259,22 @@ def test_python_dash_m_poishom(monkeypatch, capsys):
         runpy.run_module("poishom", run_name="__main__", alter_sys=True)
     assert done.value.code == 0
     assert "sphere-morse" in capsys.readouterr().out
+
+
+def test_stdout_closed_after_one_line_exits_141_quietly():
+    """A reader that stops after one line, as ``| head -1`` does, ends the run
+    with exit 141 and nothing on stderr.  The trace (about 600 kB) outgrows
+    the pipe, so the command is still writing when the pipe closes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(poishom.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "poishom", "dynamics", "compartmental", "--out", "/dev/stdout"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"t,")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141
+    assert err == ""
 
 
 def test_verify_all_passes_and_counts(capsys):

@@ -24,6 +24,8 @@ from poishom.bialgebra import (
     cocycle_check,
     double_algebra,
     double_bracket,
+    _sln_basis,
+    _sln_gram_inverse,
     sln_algebra,
     sln_basis_matrices,
     sln_standard_bialgebra,
@@ -37,7 +39,12 @@ from poishom.exterior import (
 )
 from poishom.lie import LieAlgebra, sparse
 
-from oracles import ce_differential_by_formula, ce_differential_by_sorting, wedge_by_sorting
+from oracles import (
+    ce_differential_by_formula,
+    ce_differential_by_sorting,
+    sln_bialgebra_by_fractions,
+    wedge_by_sorting,
+)
 
 # ---------------------------------------------------------------------------
 # dense references
@@ -263,6 +270,45 @@ def test_jacobi_check_reference_sees_both_verdicts():
     assert late.jacobi_check() == (1, 2, 3)
 
 
+@st.composite
+def perturbed_algebras(draw):
+    """A Jacobi algebra with, most of the time, one structure constant moved,
+    so the first violating triple can be anywhere in the table."""
+    L = draw(st.sampled_from(VALID_ALGEBRAS + [sln_algebra(3)]))
+    brackets = {key: dict(image) for key, image in L._table.items()}
+    if draw(st.booleans()) or draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, L.dim - 1), min_size=2, max_size=2, unique=True)))
+        k = draw(st.integers(0, L.dim - 1))
+        image = brackets.setdefault((i, j), {})
+        image[k] = image.get(k, 0) + draw(small_rational)
+    return LieAlgebra(L.labels, brackets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_algebras())
+def test_jacobi_check_matches_dense_reference_on_perturbed_algebras(L):
+    assert L.jacobi_check() == ref_jacobi_check(L)
+
+
+def test_jacobi_check_sees_exact_cancellation():
+    # sl(2) = <h, e, f> plus d with [e, d] = d: the terms of (h, e, f) are
+    # 2h, 0 and -2h and cancel, and (h, e, d) fails with 2d
+    L = LieAlgebra(
+        ("h", "e", "f", "d"), {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}, (1, 3): {3: 1}}
+    )
+    assert ref_jacobi_check(L) == (0, 1, 3)
+    assert L.jacobi_check() == (0, 1, 3)
+
+
+def test_jacobi_check_first_violation_is_not_the_first_touched():
+    # the sweep starts at [e0, e3] = e3 and touches (0, 2, 3) first, whose terms
+    # 0, -e3 and e3 cancel; the first violating triple, (0, 1, 2), comes later
+    L = LieAlgebra(("a", "b", "c", "d"), {(0, 3): {3: 1}, (1, 2): {3: 1}, (2, 3): {3: 1}})
+    assert list(L._table) == [(0, 3), (1, 2), (2, 3)]
+    assert ref_jacobi_check(L) == (0, 1, 2)
+    assert L.jacobi_check() == (0, 1, 2)
+
+
 # coprime denominators near 10^50, and a constant of order 10^-400: below the
 # smallest float, so a float evaluation of either identity rounds it to 0.0
 # and cancels the rest exactly
@@ -377,6 +423,34 @@ def test_sln_standard_bialgebra_matches_dense_construction(n, eta):
     assert list(sln_algebra(n)._table.items()) == list(g_ref.items())
     assert B.dual._table == dual_ref
     assert B.g.labels == tuple(sln_basis_matrices(n)[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("eta", [Fraction(1), Fraction(-2, 3), Fraction(5, 2)])
+def test_sln_standard_bialgebra_matches_fraction_construction(n, eta):
+    """The integer builder against the Fraction one it replaced, entry for
+    entry and in insertion order."""
+    B, R = sln_standard_bialgebra(n, eta), sln_bialgebra_by_fractions(n, eta)
+    for got, want in ((B.g, R.g), (B.dual, R.dual)):
+        assert list(got._table.items()) == list(want._table.items())
+        assert all(type(c) is Fraction for image in got._table.values() for c in image.values())
+    assert [list(im.terms.items()) for im in B.delta.images] == [
+        list(im.terms.items()) for im in R.delta.images
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_sln_gram_inverse_closed_form(n):
+    _, mats = _sln_basis(n)
+    gram = [
+        [Fraction(sum(x * b.get((c, r), 0) for (r, c), x in a.items())) for b in mats]
+        for a in mats
+    ]
+    closed = [[Fraction(0)] * len(mats) for _ in mats]
+    for a, row in enumerate(_sln_gram_inverse(n)):
+        for b, w in row:
+            closed[a][b] = Fraction(w, 2 * n)
+    assert closed == linalg.invert(gram)
 
 
 # ---------------------------------------------------------------------------
