@@ -9,12 +9,12 @@ is a 1-cocycle and that the dual satisfies the Jacobi identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .exterior import (
     ExteriorElement,
     ad_extension,
-    ad_terms,
     is_ad_invariant,
     schouten_square,
 )
@@ -76,24 +76,42 @@ class CocommutatorMap:
 
 
 def cocycle_check(g: LieAlgebra, delta: CocommutatorMap) -> Optional[tuple[int, int]]:
-    """First basis pair violating
+    """First basis pair (i < j, in lexicographic order) violating
     delta([X, Y]) = ad_X(delta Y) - ad_Y(delta X), or None.  The residual is
-    bilinear in the structure constants and delta, so it runs on the two
-    tables scaled to ints separately."""
-    _, full = integer_table(g.full_table())
+    bilinear in the constants and delta, so it runs on the two tables scaled
+    to ints.  All its terms go into one accumulator: delta([e_i, e_j]) on the
+    pair (i, j), ad_{e_x}(delta e_y) with - on (x, y) if x < y, + on (y, x) if x > y."""
+    _, table = integer_table(g._table)
     _, images = integer_table({k: im.terms for k, im in enumerate(delta.images)})
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            # delta([e_i, e_j]) - ad_{e_i}(delta e_j) + ad_{e_j}(delta e_i)
-            diff: dict[tuple[int, ...], int] = {}
-            for k, c in full.get((i, j), {}).items():
-                for key, d in images[k].items():
-                    diff[key] = diff.get(key, 0) + c * d
-            ad_terms(full, ((i, -1),), images[j], diff)
-            ad_terms(full, ((j, 1),), images[i], diff)
-            if any(diff.values()):
-                return (i, j)
-    return None
+    n = g.dim
+    # the e_a ^ e_b component of pair (i, j) is keyed ((i n + j) n + a) n + b,
+    # so the least key with a nonzero sum is on the first violating pair
+    acc: dict[int, int] = {}
+    rows: list[list] = [[] for _ in range(n)]  # (x, [e_x, e_a]) for each a
+    for (i, j), image in table.items():
+        rows[j].append((i, list(image.items())))
+        rows[i].append((j, [(k, -c) for k, c in image.items()]))
+        base = (i * n + j) * n * n
+        for k, c in image.items():
+            for (a, b), d in images[k].items():
+                acc[base + a * n + b] = acc.get(base + a * n + b, 0) + c * d
+    for y, terms in images.items():
+        for (a, b), d in terms.items():
+            # e_u replaced by [e_x, e_u] = sum c e_k gives s e_k ^ e_v, v the other factor
+            for u, v, s in ((a, b, d), (b, a, -d)):
+                for x, bracket in rows[u]:
+                    if x == y:
+                        continue
+                    base, t = ((x * n + y) * n, -s) if x < y else ((y * n + x) * n, s)
+                    for k, c in bracket:
+                        if k < v:
+                            key = (base + k) * n + v
+                            acc[key] = acc.get(key, 0) + t * c
+                        elif k > v:
+                            key = (base + v) * n + k
+                            acc[key] = acc.get(key, 0) - t * c
+    first = min((key for key, v in acc.items() if v), default=None)
+    return None if first is None else (first // n**3, first // n**2 % n)
 
 
 def dual_constants(delta: CocommutatorMap) -> LieAlgebra:
@@ -118,6 +136,11 @@ def delta_from_dual(g: LieAlgebra, dual: LieAlgebra) -> CocommutatorMap:
     return CocommutatorMap(g, [ExteriorElement(g, 2, t, False) for t in terms])
 
 
+def _named(indices: tuple[int, ...], L: LieAlgebra) -> str:
+    """A violating basis tuple by label, then by index: '(a, b) = (0, 1)'."""
+    return f"({', '.join(L.labels[i] for i in indices)}) = {indices}"
+
+
 class LieBialgebra:
     """A compatible pair (g, delta), with the derived dual algebra."""
 
@@ -131,10 +154,11 @@ class LieBialgebra:
         if check:
             bad = self.dual.jacobi_check()
             if bad is not None:
+                bad = _named(bad, self.dual)
                 raise ValueError(f"dual constants fail the Jacobi identity at {bad}")
             bad = cocycle_check(g, delta)
             if bad is not None:
-                raise ValueError(f"cocommutator fails the 1-cocycle condition at {bad}")
+                raise ValueError(f"cocommutator fails the 1-cocycle condition at {_named(bad, g)}")
 
     @classmethod
     def trivial(cls, g: LieAlgebra) -> "LieBialgebra":
@@ -156,6 +180,11 @@ class LieBialgebra:
     def dim(self) -> int:
         return self.g.dim
 
+    @cached_property
+    def double(self) -> LieAlgebra:
+        """The double g (+) g*, built once for its Jacobi and Lagrangian checks."""
+        return double_algebra(self)
+
     def dual_modular_character(self) -> Vector:
         """chi_{g*} reinterpreted as an element of g via the canonical pairing."""
         return Vector(self.g, self.dual.modular_character().coords)
@@ -169,7 +198,7 @@ class LieBialgebra:
 
 
 class DoubleElement:
-    """Element X + xi of g (+) g*."""
+    """Element X + xi of g (+) g*, the argument and value of ``double_bracket``."""
 
     __slots__ = ("bialgebra", "x", "xi")
 
@@ -180,17 +209,6 @@ class DoubleElement:
         self.x = x
         self.xi = xi
 
-    def __add__(self, other):
-        self._check(other)
-        return DoubleElement(self.bialgebra, self.x + other.x, self.xi + other.xi)
-
-    def __sub__(self, other):
-        self._check(other)
-        return DoubleElement(self.bialgebra, self.x - other.x, self.xi - other.xi)
-
-    def __rmul__(self, c):
-        return DoubleElement(self.bialgebra, frac(c) * self.x, frac(c) * self.xi)
-
     def __eq__(self, other):
         return (
             isinstance(other, DoubleElement)
@@ -198,13 +216,6 @@ class DoubleElement:
             and self.x == other.x
             and self.xi == other.xi
         )
-
-    def is_zero(self):
-        return self.x.is_zero() and self.xi.is_zero()
-
-    def _check(self, other):
-        if self.bialgebra is not other.bialgebra:
-            raise ValueError("elements of different doubles")
 
     def __repr__(self):
         return f"({self.x!r}) + ({self.xi!r})"
@@ -286,7 +297,7 @@ def double_algebra(B: LieBialgebra) -> LieAlgebra:
 
 def double_jacobi_check(B: LieBialgebra) -> Optional[tuple[int, int, int]]:
     """Jacobi identity of the double on all basis triples (None when it holds)."""
-    return double_algebra(B).jacobi_check()
+    return B.double.jacobi_check()
 
 
 # ---------------------------------------------------------------------------

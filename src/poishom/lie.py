@@ -250,14 +250,15 @@ class LieAlgebra:
 
 
 class Subalgebra:
-    """A subalgebra of a parent algebra, given by an independent basis."""
+    """A subalgebra of a parent algebra, given by an independent basis; ``span``
+    may pass in the ``RowSpan`` of exactly these rows, already eliminated."""
 
-    def __init__(self, parent: LieAlgebra, basis: Sequence[Vector], verify: bool = True):
+    def __init__(self, parent: LieAlgebra, basis: Sequence[Vector], verify: bool = True, span=None):
         self.parent = parent
         self.basis = tuple(basis)
         try:
             # the basis eliminated once: membership and coordinates of brackets
-            self.span = linalg.RowSpan([list(v.coords) for v in self.basis])
+            self.span = span or linalg.RowSpan([list(v.coords) for v in self.basis])
         except ValueError:
             raise ValueError("subalgebra basis is linearly dependent") from None
         self.verified = False

@@ -192,6 +192,21 @@ class RowSpan:
         }
         self.dim = n
 
+    @classmethod
+    def direct_sum(cls, first: "RowSpan", second: "RowSpan", shift: int) -> "RowSpan":
+        """``RowSpan`` of first's rows padded on the right and second's padded
+        on the left (``shift`` = first's column count), with no elimination:
+        the stack is block diagonal, so its reduced rows and transform are
+        first's next to second's, moved by ``shift`` columns and first.dim rows."""
+        out = cls.__new__(cls)
+        out.reduced = dict(first.reduced)
+        out.transform = dict(first.transform)
+        for p, terms in second.reduced.items():
+            out.reduced[p + shift] = [(c + shift, x) for c, x in terms]
+            out.transform[p + shift] = [(s + first.dim, x) for s, x in second.transform[p]]
+        out.dim = first.dim + second.dim
+        return out
+
     def contains(self, v: dict[int, Fraction]) -> bool:
         rest: dict[int, Fraction] = {}
         for k, x in v.items():

@@ -6,9 +6,17 @@ from itertools import combinations
 from typing import Sequence
 
 from poishom import linalg
-from poishom.bialgebra import LieBialgebra, delta_from_dual, sln_basis_matrices
-from poishom.exterior import ExteriorElement, _sort_tuple, ce_differential, evaluate_form, top_wedge
+from poishom.bialgebra import CocommutatorMap, LieBialgebra, delta_from_dual, sln_basis_matrices
+from poishom.exterior import (
+    ExteriorElement,
+    _sort_tuple,
+    ad_terms,
+    ce_differential,
+    evaluate_form,
+    top_wedge,
+)
 from poishom.lie import Covector, LieAlgebra, Vector
+from poishom.linalg import integer_table
 from poishom.poly import Polynomial
 
 
@@ -91,6 +99,26 @@ def ce_differential_by_sorting(L: LieAlgebra, omega: ExteriorElement) -> Exterio
                 if merged is not None:
                     terms[merged] = terms.get(merged, 0) + sign * slot * cij
     return ExteriorElement(L, omega.degree + 1, terms, True)
+
+
+def cocycle_check_by_ad_terms(g: LieAlgebra, delta: CocommutatorMap) -> tuple[int, int] | None:
+    """The pair-by-pair cocycle check: for each i < j in order, expand
+    delta([e_i, e_j]) - ad_{e_i}(delta e_j) + ad_{e_j}(delta e_i) on the
+    integer-scaled tables through ``ad_terms`` (one ``_sort_tuple`` per
+    wedge term) and return the first pair with a nonzero residual."""
+    _, full = integer_table(g.full_table())
+    _, images = integer_table({k: im.terms for k, im in enumerate(delta.images)})
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            diff: dict[tuple[int, ...], int] = {}
+            for k, c in full.get((i, j), {}).items():
+                for key, d in images[k].items():
+                    diff[key] = diff.get(key, 0) + c * d
+            ad_terms(full, ((i, -1),), images[j], diff)
+            ad_terms(full, ((j, 1),), images[i], diff)
+            if any(diff.values()):
+                return (i, j)
+    return None
 
 
 def adjoint_matrix(L: LieAlgebra, x: Vector) -> list[list[Fraction]]:

@@ -86,6 +86,33 @@ def test_spec_zero_denominator_is_an_input_error(tmp_path, capsys, text, line):
     assert "zero denominator" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # so(3) with delta(J3) = J1^J2: the dual is Heisenberg, but delta is no cocycle
+        (
+            SPEC_ALGEBRA.format(b12="J1,J2 -> 1 J3")
+            + "[delta]\nJ3 -> 1 J1^J2\n[subalgebra]\nJ3\n",
+            "cocommutator fails the 1-cocycle condition at (J1, J2) = (0, 1)",
+        ),
+        # abelian g whose transposed dual bracket fails the Jacobi identity
+        (
+            "[algebra]\nbasis: X1 X2 X3\n"
+            "[delta]\nX1 -> 1 X1^X2\nX2 -> 1 X2^X3\nX3 -> 1 X1^X3\n[subalgebra]\nX1\n",
+            "dual constants fail the Jacobi identity at (X^1, X^2, X^3) = (0, 1, 2)",
+        ),
+    ],
+    ids=["cocycle", "dual-jacobi"],
+)
+def test_invalid_bialgebra_names_the_basis_elements(tmp_path, capsys, text, message):
+    path = tmp_path / "delta.spec"
+    path.write_text(text, encoding="utf-8")
+    assert run(["analyze", str(path), "--file"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_tables_match_golden(capsys):
     assert run(["tables"]) == 0
     out = capsys.readouterr().out

@@ -12,6 +12,7 @@ differential against the Fraction loops that sort index tuples.  Every
 result must agree exactly, including the first violating triple or pair.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,6 +42,7 @@ from poishom.lie import LieAlgebra, sparse
 
 from oracles import (
     ce_differential_by_formula,
+    cocycle_check_by_ad_terms,
     ce_differential_by_sorting,
     sln_bialgebra_by_fractions,
     wedge_by_sorting,
@@ -351,6 +353,57 @@ def test_cocycle_check_reference_on_catalog_bialgebras():
         B = catalog.build_homspace(name).bialgebra
         assert cocycle_check(B.g, B.delta) is None
         assert ref_cocycle_check(B.g, B.delta) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cocycle_accumulator_matches_pair_by_pair_check(data):
+    g = data.draw(st.one_of(st.sampled_from(VALID_ALGEBRAS), sparse_algebras(max_dim=5)))
+    delta = data.draw(sparse_cocommutators(g))
+    assert cocycle_check(g, delta) == cocycle_check_by_ad_terms(g, delta)
+
+
+@functools.cache
+def unchecked_sln(n):
+    """The standard bialgebra of sl(n) at eta -5/2, built without validation, so
+    a broken cocycle check fails the tests below and not the construction."""
+    return sln_bialgebra_by_fractions(n, Fraction(-5, 2))
+
+
+@st.composite
+def perturbed_sln_cocommutators(draw):
+    """The standard delta of sl(3..5) with one image entry moved by a nonzero
+    rational, so the first violating pair can be anywhere."""
+    B = unchecked_sln(draw(st.integers(3, 5)))
+    images = {k: dict(im.terms) for k, im in enumerate(B.delta.images)}
+    k = draw(st.integers(0, B.dim - 1))
+    a, b = sorted(draw(st.lists(st.integers(0, B.dim - 1), min_size=2, max_size=2, unique=True)))
+    images[k][(a, b)] = images[k].get((a, b), 0) + draw(small_rational.filter(bool))
+    return B.g, CocommutatorMap.from_images(B.g, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_sln_cocommutators())
+def test_cocycle_accumulator_matches_pair_by_pair_check_on_perturbed_sln(case):
+    g, delta = case
+    assert cocycle_check(g, delta) == cocycle_check_by_ad_terms(g, delta)
+
+
+def test_cocycle_accumulator_on_the_standard_sln_deltas():
+    for B in map(unchecked_sln, (3, 4, 5)):
+        assert cocycle_check(B.g, B.delta) is None
+        assert cocycle_check_by_ad_terms(B.g, B.delta) is None
+
+
+def test_cocycle_check_first_violation_is_not_the_first_touched():
+    # [b, c] = -c, delta(a) = a^b, delta(c) = b^c: the sweep starts at [b, c] and
+    # touches (1, 2) first, where delta([b, c]) = -b^c and ad_b(delta c) = -b^c
+    # cancel; the first violating pair, (0, 2) with ad_c(delta a) = a^c, comes later
+    g = LieAlgebra(("a", "b", "c"), {(1, 2): {2: -1}})
+    delta = CocommutatorMap.from_images(g, {0: {(0, 1): 1}, 2: {(1, 2): 1}})
+    assert ref_cocycle_check(g, delta) == (0, 2)
+    assert cocycle_check_by_ad_terms(g, delta) == (0, 2)
+    assert cocycle_check(g, delta) == (0, 2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,0 +1,97 @@
+"""The double held once per bialgebra, and the span of l = h + h0 in it.
+
+``LieBialgebra.double`` builds g (+) g* once, and both ``double_jacobi_check``
+and ``lu_crosscheck`` read it.  ``lu_crosscheck`` assembles the span of
+l = h + h0 from the spans of h and h0 (``RowSpan.direct_sum``) with no
+elimination; it must equal ``RowSpan`` of the stacked rows, key order
+included, and l must still be refused when it is not closed.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from poishom import catalog, homspace, linalg
+from poishom.bialgebra import double_jacobi_check, sln_standard_bialgebra
+from poishom.homspace import HomogeneousSpaceSpec, _Analysis
+from poishom.lie import LieAlgebra, Vector
+
+
+def stacked_rows(S):
+    """The basis of l in the double: h padded on the right, h0 on the left."""
+    zeros = [Fraction(0)] * S.bialgebra.dim
+    rows = [list(v.coords) + zeros for v in S.h.basis]
+    return rows + [zeros + list(xi.coords) for xi in _Analysis(S).ann]
+
+
+def assert_span_is_the_eliminated_one(S):
+    built = linalg.RowSpan.direct_sum(S.h.span, _Analysis(S).h0.span, S.bialgebra.dim)
+    ref = linalg.RowSpan(stacked_rows(S))
+    assert list(built.reduced.items()) == list(ref.reduced.items())
+    assert list(built.transform.items()) == list(ref.transform.items())
+    assert built.dim == ref.dim == S.bialgebra.dim
+
+
+@pytest.mark.parametrize("eta", [Fraction(1), Fraction(2), Fraction(-5, 2)])
+def test_lagrangian_span_on_catalog_entries(eta):
+    for name in catalog.HOMSPACE_NAMES:
+        assert_span_is_the_eliminated_one(catalog.build_homspace(name, eta))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lagrangian_span_on_sln(workloads, n):
+    B = sln_standard_bialgebra(n, Fraction(-5, 2))
+    assert_span_is_the_eliminated_one(
+        HomogeneousSpaceSpec("so", B, B.g.subalgebra(workloads.so_labels(n)))
+    )
+    # a Borel is not spanned by basis vectors: its reduced rows have entries
+    # off their pivots
+    ((_, S),) = workloads.sl_homspaces(n, Fraction(-5, 2), [workloads.borels(n)[-1]])
+    assert_span_is_the_eliminated_one(S)
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["h=0", "h=g"])
+def test_lagrangian_span_edge_cases(whole):
+    B = sln_standard_bialgebra(3, 1)
+    h = B.g.subalgebra(list(B.g.labels) if whole else [])
+    S = HomogeneousSpaceSpec("edge", B, h)
+    assert_span_is_the_eliminated_one(S)
+    assert homspace.lu_crosscheck(S)
+
+
+def test_double_is_built_once_for_both_checks(monkeypatch):
+    B = sln_standard_bialgebra(4, Fraction(3, 2))
+    S = HomogeneousSpaceSpec("so", B, B.g.subalgebra(["Q12", "Q13", "Q14", "Q23", "Q24", "Q34"]))
+    labels = B.g.labels + B.g.dual_labels
+    built = []
+    init = LieAlgebra.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.labels == labels)
+
+    monkeypatch.setattr(LieAlgebra, "__init__", counted)
+    assert double_jacobi_check(B) is None
+    assert homspace.lu_crosscheck(S)
+    assert built.count(True) == 1
+
+
+def test_lu_crosscheck_refuses_an_l_that_is_not_closed():
+    # toda-n3: h = so(3) = <Q12, Q13, Q23>, so e^S12 is in h0 and e_D1 is in
+    # neither h nor g*; adding e_D1 to [e_Q12, e^S12] takes l out of itself
+    S = catalog.build_homspace("toda-n3", 1)
+    B, m = S.bialgebra, S.bialgebra.dim
+    D = B.double
+    q12, s12, d1 = (B.g.index(label) for label in ("Q12", "S12", "D1"))
+    table = {key: dict(image) for key, image in D._table.items()}
+    image = table.setdefault((q12, m + s12), {})
+    image[d1] = image.get(d1, 0) + 1
+    broken = LieAlgebra(D.labels, table)
+    vectors = [Vector(broken, row) for row in stacked_rows(S)]
+    with pytest.raises(ValueError, match="does not span a subalgebra"):
+        broken.subalgebra(vectors, verify=True)
+    B.__dict__["double"] = broken  # the bialgebra's cached double
+    with pytest.raises(ValueError, match="does not span a subalgebra"):
+        homspace.lu_crosscheck(S)
+    assert homspace.lu_crosscheck(catalog.build_homspace("toda-n3", 1))
+

@@ -18,10 +18,7 @@ subalgebras and the Lagrangian l = h + h0 of ``lu_crosscheck`` for sl(3..5);
 no verdict builds an induced algebra.
 """
 
-import importlib.util
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -31,20 +28,6 @@ from poishom.homspace import _Analysis, invariant_volume_exists
 from poishom.lie import Covector, Subalgebra, Vector
 
 from oracles import v0_certificate
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    with pytest.MonkeyPatch.context() as mp:
-        # its dataclass looks its module up in sys.modules while it is defined
-        mp.setitem(sys.modules, spec.name, module)
-        spec.loader.exec_module(module)
-    return module
-
 
 def lift(S, values) -> Covector:
     """A covector on g taking the given values on the basis of h."""
