@@ -57,13 +57,6 @@ class CocommutatorMap:
             images[idx] = ExteriorElement(algebra, 2, terms, False)
         return cls(algebra, images)
 
-    def apply(self, x: Vector) -> ExteriorElement:
-        out = ExteriorElement.zero(self.algebra, 2, False)
-        for i, c in enumerate(x.coords):
-            if c:
-                out = out + c * self.images[i]
-        return out
-
     def is_zero(self) -> bool:
         return all(im.is_zero() for im in self.images)
 
@@ -236,7 +229,9 @@ def _coadjoint_g_on_dual(B: LieBialgebra, x: Vector, xi: Covector) -> Covector:
     comps = []
     for a in range(B.dim):
         bracket = B.g.bracket(x, B.g.basis_vector(a))
-        comps.append(-sum((c * xi.coords[k] for k, c in enumerate(bracket.coords) if c), Fraction(0)))
+        comps.append(
+            -sum((c * xi.coords[k] for k, c in enumerate(bracket.coords) if c), Fraction(0))
+        )
     return Covector(B.g, comps)
 
 

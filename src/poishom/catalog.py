@@ -16,6 +16,7 @@ The quotient-level compartmental model carries sign +1.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -150,36 +151,47 @@ def toda_bialgebra(n: int = 3, eta=1) -> LieBialgebra:
 # ---------------------------------------------------------------------------
 
 
-def _spec(name: str, B: LieBialgebra, h_labels: Sequence[str]) -> HomogeneousSpaceSpec:
-    return HomogeneousSpaceSpec(name=name, bialgebra=B, h=B.g.subalgebra(list(h_labels)))
+# Each bialgebra at eta, by name; solvable3 and r2xr2 carry no eta.
+BIALGEBRAS = {
+    "so3-structure": so3_bialgebra,
+    **{
+        f"sl2-{structure}{suffix}": functools.partial(sl2_bialgebra, structure, basis)
+        for suffix, basis in (("", "boost"), ("-tri", "triangular"))
+        for structure in ("hyperbolic", "elliptic", "parabolic")
+    },
+    "solvable3-structure": lambda eta: solvable3_bialgebra(),
+    "r2xr2-structure": lambda eta: r2xr2_bialgebra(),
+    "sl3-standard-structure": lambda eta: toda_bialgebra(3, eta),
+}
+
+# Each homogeneous space: (the name of its bialgebra, the basis labels of h).
+HOMSPACES = {
+    "subgroup-sphere": ("so3-structure", ("J3",)),
+    "coisotropic-sphere": ("so3-structure", ("J1",)),
+    **{
+        f"{quotient}-{structure}": (f"sl2-{structure}{suffix}", (label,))
+        for structure in ("hyperbolic", "elliptic", "parabolic")
+        for quotient, suffix, label in (
+            ("ads2", "", "J12"), ("h2", "", "P1"), ("lightcone", "-tri", "J+")
+        )
+    },
+    "mu-plane": ("solvable3-structure", ("X1",)),
+    "full-group": ("solvable3-structure", ()),
+    "compartmental-quotient": ("r2xr2-structure", ("X4",)),
+    "toda-n3": ("sl3-standard-structure", ("Q12", "Q13", "Q23")),
+}
+
+
+def homspace_on(name: str, B: LieBialgebra) -> HomogeneousSpaceSpec:
+    """The catalog entry ``name`` with h taken in the already built ``B``."""
+    labels = HOMSPACES[name][1]
+    return HomogeneousSpaceSpec(name=name, bialgebra=B, h=B.g.subalgebra(list(labels)))
 
 
 def build_homspace(name: str, eta=1) -> HomogeneousSpaceSpec:
-    eta = frac(eta)
-    if name == "subgroup-sphere":
-        return _spec(name, so3_bialgebra(eta), ["J3"])
-    if name == "coisotropic-sphere":
-        return _spec(name, so3_bialgebra(eta), ["J1"])
-    if name.startswith(("ads2-", "h2-", "lightcone-")):
-        quotient, structure = name.split("-", 1)
-        if structure not in ("hyperbolic", "elliptic", "parabolic"):
-            raise KeyError(f"unknown catalog entry {name!r}")
-        if quotient == "lightcone":
-            B = sl2_bialgebra(structure, "triangular", eta)
-            return _spec(name, B, ["J+"])
-        B = sl2_bialgebra(structure, "boost", eta)
-        return _spec(name, B, ["J12"] if quotient == "ads2" else ["P1"])
-    if name == "mu-plane":
-        return _spec(name, solvable3_bialgebra(), ["X1"])
-    if name == "full-group":
-        B = solvable3_bialgebra()
-        return HomogeneousSpaceSpec(name=name, bialgebra=B, h=B.g.subalgebra([]))
-    if name == "compartmental-quotient":
-        return _spec(name, r2xr2_bialgebra(), ["X4"])
-    if name == "toda-n3":
-        B = toda_bialgebra(3, eta)
-        return _spec(name, B, ["Q12", "Q13", "Q23"])
-    raise KeyError(f"unknown catalog entry {name!r}")
+    if name not in HOMSPACES:
+        raise KeyError(f"unknown catalog entry {name!r}")
+    return homspace_on(name, BIALGEBRAS[HOMSPACES[name][0]](frac(eta)))
 
 
 TABLE1_NAMES = ("subgroup-sphere", "coisotropic-sphere")
@@ -188,11 +200,8 @@ TABLE2_NAMES = tuple(
     for s in ("hyperbolic", "elliptic", "parabolic")
     for q in ("ads2", "h2", "lightcone")
 )
-HOMSPACE_NAMES = (
-    TABLE1_NAMES
-    + TABLE2_NAMES
-    + ("mu-plane", "full-group", "compartmental-quotient", "toda-n3")
-)
+EXTRA_NAMES = ("mu-plane", "full-group", "compartmental-quotient", "toda-n3")
+HOMSPACE_NAMES = TABLE1_NAMES + TABLE2_NAMES + EXTRA_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -559,30 +568,24 @@ def _build_canonical2d() -> CoordModelBundle:
     )
 
 
-MODEL_NAMES = (
-    "su2",
-    "sl2-hyperbolic",
-    "sl2-elliptic",
-    "sl2-parabolic",
-    "toda-n3",
-    "compartmental",
-    "canonical2d",
-)
+# Each coordinate model at eta; toda-n3, compartmental and canonical2d carry no eta.
+MODELS = {
+    "su2": _build_su2,
+    **{
+        f"sl2-{structure}": functools.partial(_build_sl2, structure)
+        for structure in ("hyperbolic", "elliptic", "parabolic")
+    },
+    "toda-n3": lambda eta: _build_toda3(),
+    "compartmental": lambda eta: _build_compartmental(),
+    "canonical2d": lambda eta: _build_canonical2d(),
+}
+MODEL_NAMES = tuple(MODELS)
 
 
 def build_model(name: str, eta=1) -> CoordModelBundle:
-    eta = frac(eta)
-    if name == "su2":
-        return _build_su2(eta)
-    if name.startswith("sl2-"):
-        return _build_sl2(name[4:], eta)
-    if name == "toda-n3":
-        return _build_toda3()
-    if name == "compartmental":
-        return _build_compartmental()
-    if name == "canonical2d":
-        return _build_canonical2d()
-    raise KeyError(f"unknown coordinate model {name!r}")
+    if name not in MODELS:
+        raise KeyError(f"unknown coordinate model {name!r}")
+    return MODELS[name](frac(eta))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -22,6 +22,7 @@ from . import catalog, homspace, verify
 from .coord import (
     ConstraintDriftError,
     divergence,
+    flow_steps,
     hamiltonian_vf,
     hessian_at,
     rk4_flow,
@@ -99,7 +100,9 @@ def _render_row(row: dict) -> str:
     if row.get("chi_h0_zero") is not None:
         lines.append(f"  chi_h0 zero:        {row['chi_h0_zero']}")
     lines.append(f"  invariant volume:   {row['invariant_volume']}")
-    lines.append(f"  semi-invariant:     {row['semi_invariant']} ({homspace.SIMPLY_CONNECTED_CAVEAT})")
+    lines.append(
+        f"  semi-invariant:     {row['semi_invariant']} ({homspace.SIMPLY_CONNECTED_CAVEAT})"
+    )
     if row.get("mu_status") is not None:
         lines.append(f"  multiplicative unimodularity: {row['mu_status']}")
     if row.get("witness_theta0"):
@@ -116,8 +119,8 @@ def cmd_analyze(args) -> int:
     else:
         try:
             S = catalog.build_homspace(args.target, eta)
-        except KeyError as exc:
-            print(f"input error: {exc}", file=sys.stderr)
+        except KeyError as exc:  # the message, not the KeyError's repr of it
+            print(f"input error: {exc.args[0]}", file=sys.stderr)
             return EXIT_INPUT
         anchors = [f"catalog:{args.target}"]
     row = dict(homspace.classification_row(S), anchors=anchors)
@@ -135,18 +138,11 @@ def cmd_tables(args) -> int:
             golden = json.load(fh)
     else:
         golden = verify.load_golden()
-    failures = []
-    rows = []
+    rows, failures = [], []
     for section, names in (("table1", catalog.TABLE1_NAMES), ("table2", catalog.TABLE2_NAMES)):
-        want_rows = golden.get(section, {})
-        for name in names:
-            S = catalog.build_homspace(name, eta)
-            row = homspace.classification_row(S)
-            rows.append(row)
-            if name not in want_rows:
-                failures.append(f"{name}: missing from golden data")
-            elif diffs := verify.golden_mismatch(row, want_rows[name]):
-                failures.append(f"{name}: {diffs}")
+        section_rows, section_failures = verify.golden_table(golden, section, names, eta)
+        rows += section_rows
+        failures += section_failures
     if args.json:
         print(json.dumps({"rows": rows, "failures": failures}, indent=2, default=str))
     else:
@@ -161,20 +157,10 @@ def cmd_tables(args) -> int:
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 
-def _check_steps(T: float, dt: float) -> None:
-    """The integrator needs finite positive --T and --dt with 1..MAX_STEPS steps."""
-    for name, value in (("--T", T), ("--dt", dt)):
-        if not math.isfinite(value) or value <= 0:
-            raise ValueError(f"{name} must be a finite positive number, got {value}")
-    if not 0.5 < T / dt < math.inf:  # the integrator takes round(T / dt) steps
-        raise ValueError(f"--T {T} and --dt {dt} do not give a finite number of steps >= 1")
-    if round(T / dt) > MAX_STEPS:
-        raise ValueError(f"--T {T} and --dt {dt} give more than {MAX_STEPS} steps")
-
-
 def cmd_dynamics(args) -> int:
     eta = _parse_eta(args.eta)
-    _check_steps(args.T, args.dt)
+    if flow_steps(args.T, args.dt) > MAX_STEPS:
+        raise ValueError(f"--T {args.T} and --dt {args.dt} give more than {MAX_STEPS} steps")
     case = catalog.DYNAMICS_CASES[args.case]
     bundle = catalog.build_model(case["model"], eta)
     model = bundle.model
@@ -237,15 +223,7 @@ def cmd_verify_all(args) -> int:
     results = verify.run_all(eta=eta, seed=args.seed)
     bad = [r for r in results if not r.ok]
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {"name": r.name, "anchor": r.anchor, "ok": r.ok, "detail": r.detail}
-                    for r in results
-                ],
-                indent=2,
-            )
-        )
+        print(json.dumps([dataclasses.asdict(r) for r in results], indent=2))
     else:
         for r in results:
             status = "ok  " if r.ok else "FAIL"

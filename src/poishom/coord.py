@@ -537,10 +537,6 @@ class FlowTrace:
     def max_drift(self) -> float:
         return max(self.constraint_drift)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.csv())
-
     def csv(self) -> str:
         header = "t," + ",".join(self.variables) + ",divint,constraint_drift"
         lines = [header]
@@ -617,6 +613,18 @@ def _rk4_loop(n: int, m: int):
     return namespace["_loop"]
 
 
+def flow_steps(T: float, dt: float) -> int:
+    """round(T / dt), the number of RK4 steps of a run to T with step dt.  T
+    and dt must be finite and positive and give at least one step; anything
+    else raises ValueError."""
+    for name, value in (("T", T), ("dt", dt)):
+        if not math.isfinite(value) or value <= 0:
+            raise ValueError(f"{name} must be a finite positive number, got {value}")
+    if not 0.5 < T / dt < math.inf:  # round(T / dt) steps, at least one
+        raise ValueError(f"T = {T} and dt = {dt} do not give a finite number of steps >= 1")
+    return int(round(T / dt))
+
+
 def rk4_flow(
     model: PolynomialPoissonModel,
     h: Polynomial,
@@ -636,15 +644,10 @@ def rk4_flow(
     The field, and the divergence with the constraints, are each compiled
     once per call into one ``float_evaluator``, and the step loop is
     generated code over the coordinates (``_rk4_loop``), so an RK4 stage is
-    one call and the state is never a list.  T and dt must be finite and
-    positive and give round(T / dt) >= 1 steps; anything else raises
-    ValueError.
+    one call and the state is never a list.  T and dt are checked by
+    ``flow_steps``.
     """
-    for name, value in (("T", T), ("dt", dt)):
-        if not math.isfinite(value) or value <= 0:
-            raise ValueError(f"{name} must be a finite positive number, got {value}")
-    if not 0.5 < T / dt < math.inf:  # round(T / dt) steps, at least one
-        raise ValueError(f"T = {T} and dt = {dt} do not give a finite number of steps >= 1")
+    steps = flow_steps(T, dt)
     field = hamiltonian_vf(model, h)
     div = divergence(model, field, log_density)
     rhs = float_evaluator(model.vars, field.components)
@@ -664,7 +667,7 @@ def rk4_flow(
     )
     loop = _rk4_loop(model.dim, len(residuals))
     abort = loop(
-        rhs, div_and_constraints, f0, dt, int(round(T / dt)), drift_tolerance,
+        rhs, div_and_constraints, f0, dt, steps, drift_tolerance,
         trace.times, trace.states, trace.div_integral, trace.constraint_drift, *x,
     )
     if abort is None:

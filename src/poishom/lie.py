@@ -161,13 +161,6 @@ class LieAlgebra:
     def zero_covector(self) -> Covector:
         return Covector(self, [0] * self.dim)
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self._table.get((i, j), {}).get(k, Fraction(0))
-        return -self._table.get((j, i), {}).get(k, Fraction(0))
-
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
         """[e_i, e_j] as a sparse {k: coefficient} map."""
         if i == j:

@@ -50,14 +50,6 @@ def identity(n: int) -> Matrix:
     return m
 
 
-def mat_vec(a: Matrix, v: Row) -> Row:
-    return [sum((aij * vj for aij, vj in zip(row, v) if aij), Fraction(0)) for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
     m = [row[:] for row in mat]

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bialgebra import CocommutatorMap, LieBialgebra
-from .coord import PolynomialPoissonModel, PolyVectorField
+from .coord import PolynomialPoissonModel
 from .exterior import ExteriorElement
 from .homspace import HomogeneousSpaceSpec
 from .lie import LieAlgebra
@@ -191,11 +191,6 @@ def _parse_poly(text: str, variables, lineno: int, eta: Fraction) -> Polynomial:
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
-
-
-def parse_spec(path: str, eta=1) -> SpecDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec_text(fh.read(), eta=eta)
 
 
 def parse_spec_text(text: str, eta=1) -> SpecDocument:

@@ -40,6 +40,7 @@ def test_analyze_json_schema(capsys):
 
 def test_analyze_unknown_entry(capsys):
     assert run(["analyze", "nonexistent-entry"]) == 2
+    assert capsys.readouterr().err == "input error: unknown catalog entry 'nonexistent-entry'\n"
 
 
 def test_analyze_spec_file(tmp_path, capsys):

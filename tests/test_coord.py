@@ -703,11 +703,9 @@ def test_rk4_flow_aborts_like_reference(case, T, dt, kind):
     assert _rk4_outcome(b.model, b.hamiltonian, b.flow_start, T, dt) == want
 
 
-def test_flow_trace_csv(tmp_path, comp):
+def test_flow_trace_csv(comp):
     trace = rk4_flow(comp.model, comp.hamiltonian, (1, 1, 1), T=0.01, dt=1e-3)
-    path = tmp_path / "trace.csv"
-    trace.write_csv(path)
-    lines = path.read_text().strip().splitlines()
+    lines = trace.csv().strip().splitlines()
     assert lines[0] == "t,x1,x2,x3,divint,constraint_drift"
     assert len(lines) == 12
     cells = lines[1].split(",")

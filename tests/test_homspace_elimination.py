@@ -44,7 +44,7 @@ def full_solve(chi, rows, rhs, degenerate_first):
         return None, null
     half = Fraction(1, 2) * chi
     for cand in [half, chi] if degenerate_first else [chi, half]:
-        if linalg.mat_vec(rows, list(cand.coords)) == rhs:
+        if [sum((a * c for a, c in zip(row, cand.coords)), Fraction(0)) for row in rows] == rhs:
             return cand, null
     return Covector(chi.algebra, part), null
 

@@ -156,6 +156,6 @@ def test_subalgebra_induced_structure(so3):
 
 
 def test_structure_constant_antisymmetry_by_construction(solvable3):
-    assert solvable3.structure_constant(0, 2, 1) == 1
-    assert solvable3.structure_constant(2, 0, 1) == -1
-    assert solvable3.structure_constant(1, 1, 0) == 0
+    assert solvable3.bracket_basis(0, 2) == {1: 1}
+    assert solvable3.bracket_basis(2, 0) == {1: -1}
+    assert solvable3.bracket_basis(1, 1) == {}

@@ -162,7 +162,10 @@ def test_modular_character_closed_under_basis_change_suite():
         for i in range(n):
             for j in range(i + 1, n):
                 image = L.bracket(new_basis[i], new_basis[j])
-                coords = linalg.mat_vec(linalg.transpose(minv), list(image.coords))
+                coords = [
+                    sum((minv[a][k] * c for a, c in enumerate(image.coords)), Fraction(0))
+                    for k in range(n)
+                ]
                 entry = {k: c for k, c in enumerate(coords) if c}
                 if entry:
                     brackets[(i, j)] = entry

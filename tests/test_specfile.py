@@ -12,7 +12,6 @@ from poishom.cli import run
 from poishom.homspace import classification_row
 from poishom.specfile import (
     SpecParseError,
-    parse_spec,
     parse_spec_text,
     serialize_spec,
 )
@@ -189,7 +188,7 @@ def test_round_trip_identity():
 def test_parse_spec_from_file(tmp_path):
     path = tmp_path / "sphere.spec"
     path.write_text(SPHERE, encoding="utf-8")
-    doc = parse_spec(str(path), eta=Fraction(2))
+    doc = parse_spec_text(path.read_text(encoding="utf-8"), eta=Fraction(2))
     assert doc.rmatrix == {(0, 1): Fraction(2)}
 
 
