@@ -2,12 +2,15 @@
 
 The cocommutator delta: g -> Lambda^2 g and the dual bracket determine each
 other by transposition, <[xi, zeta]_*, X> = (delta X)(xi, zeta).  A
-``LieBialgebra`` always carries both and validates on construction that delta
-is a 1-cocycle and that the dual satisfies the Jacobi identity.
+``CocommutatorMap`` holds both, the dual built once with it, and a
+``LieBialgebra`` validates on construction that delta is a 1-cocycle and
+that the dual satisfies the Jacobi identity, both on the int tables.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -19,13 +22,14 @@ from .exterior import (
     schouten_square,
 )
 from .lie import Covector, LieAlgebra, Vector
-from .linalg import frac, integer_table
+from .linalg import frac
 
 
 class CocommutatorMap:
-    """Linear map g -> Lambda^2 g given by its images on the basis."""
+    """Linear map g -> Lambda^2 g given by its images on the basis, and the
+    bracket on g* it transposes to (``dual_constants``), built once or passed in."""
 
-    def __init__(self, algebra: LieAlgebra, images: Sequence[ExteriorElement]):
+    def __init__(self, algebra: LieAlgebra, images: Sequence[ExteriorElement], dual=None):
         if len(images) != algebra.dim:
             raise ValueError("one image per basis vector is required")
         for im in images:
@@ -33,6 +37,7 @@ class CocommutatorMap:
                 raise ValueError("images must be degree-2 primal elements")
         self.algebra = algebra
         self.images = tuple(images)
+        self.dual = dual_constants(self) if dual is None else dual
 
     @classmethod
     def zero(cls, algebra: LieAlgebra) -> "CocommutatorMap":
@@ -43,10 +48,8 @@ class CocommutatorMap:
         """Coboundary cocommutator delta(X) = ad_X r."""
         if r.dual or r.degree != 2:
             raise ValueError("r must be a degree-2 primal element")
-        return cls(
-            algebra,
-            [ad_extension(algebra, algebra.basis_vector(i), r) for i in range(algebra.dim)],
-        )
+        images = [ad_extension(algebra, algebra.basis_vector(i), r) for i in range(algebra.dim)]
+        return cls(algebra, images)
 
     @classmethod
     def from_images(cls, algebra: LieAlgebra, table: dict) -> "CocommutatorMap":
@@ -71,12 +74,12 @@ class CocommutatorMap:
 def cocycle_check(g: LieAlgebra, delta: CocommutatorMap) -> Optional[tuple[int, int]]:
     """First basis pair (i < j, in lexicographic order) violating
     delta([X, Y]) = ad_X(delta Y) - ad_Y(delta X), or None.  The residual is
-    bilinear in the constants and delta, so it runs on the two tables scaled
-    to ints.  All its terms go into one accumulator: delta([e_i, e_j]) on the
-    pair (i, j), ad_{e_x}(delta e_y) with - on (x, y) if x < y, + on (y, x) if x > y."""
-    _, table = integer_table(g._table)
-    _, images = integer_table({k: im.terms for k, im in enumerate(delta.images)})
-    n = g.dim
+    bilinear in the constants and delta, so it runs on the int tables of g
+    and of delta's dual, read transposed: (delta e_y)^{ab} = [e^a, e^b]_*^y.
+    All its terms go into one accumulator: delta([e_i, e_j]) on the pair
+    (i, j), ad_{e_x}(delta e_y) with - on (x, y) if x < y, + on (y, x) if x > y."""
+    table, dual, n = g.ints, delta.dual.ints, g.dim
+    images = _transpose(dual)  # {y: {(a, b): (delta e_y)^{ab}}}
     # the e_a ^ e_b component of pair (i, j) is keyed ((i n + j) n + a) n + b,
     # so the least key with a nonzero sum is on the first violating pair
     acc: dict[int, int] = {}
@@ -86,10 +89,10 @@ def cocycle_check(g: LieAlgebra, delta: CocommutatorMap) -> Optional[tuple[int, 
         rows[i].append((j, [(k, -c) for k, c in image.items()]))
         base = (i * n + j) * n * n
         for k, c in image.items():
-            for (a, b), d in images[k].items():
+            for (a, b), d in images.get(k, {}).items():
                 acc[base + a * n + b] = acc.get(base + a * n + b, 0) + c * d
-    for y, terms in images.items():
-        for (a, b), d in terms.items():
+    for (a, b), image in dual.items():
+        for y, d in image.items():
             # e_u replaced by [e_x, e_u] = sum c e_k gives s e_k ^ e_v, v the other factor
             for u, v, s in ((a, b, d), (b, a, -d)):
                 for x, bracket in rows[u]:
@@ -107,26 +110,34 @@ def cocycle_check(g: LieAlgebra, delta: CocommutatorMap) -> Optional[tuple[int, 
     return None if first is None else (first // n**3, first // n**2 % n)
 
 
+def _transpose(table: dict) -> dict:
+    """{inner: {outer: c}} from {outer: {inner: c}}, in first-seen order."""
+    out: dict = {}
+    for k, terms in table.items():
+        for key, c in terms.items():
+            out.setdefault(key, {})[k] = c
+    return out
+
+
 def dual_constants(delta: CocommutatorMap) -> LieAlgebra:
-    """The bracket on g* transposed from delta:
+    """The bracket on g* transposed from delta's images:
     [X^i, X^j]_* = sum_k (delta X_k)^{ij} X^k."""
     g = delta.algebra
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for k in range(g.dim):
-        for (i, j), c in delta.images[k].terms.items():
-            brackets.setdefault((i, j), {})[k] = c
-    return LieAlgebra(g.dual_labels, brackets)
+    return LieAlgebra(g.dual_labels, _transpose({k: im.terms for k, im in enumerate(delta.images)}))
 
 
 def delta_from_dual(g: LieAlgebra, dual: LieAlgebra) -> CocommutatorMap:
-    """Transpose a dual-algebra bracket table back to a cocommutator on g."""
+    """Transpose a dual-algebra bracket table back to a cocommutator on g.
+    The map keeps the dual, on the same ints, in ``dual_constants``' order."""
     if dual.dim != g.dim:
         raise ValueError("dimension mismatch")
-    terms: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(g.dim)]
-    for (i, j), image in sorted(dual._table.items()):
-        for k, c in image.items():
-            terms[k][(i, j)] = c
-    return CocommutatorMap(g, [ExteriorElement(g, 2, t, False) for t in terms])
+    terms = _transpose(dict(sorted(dual.ints.items())))
+    terms = {k: terms.get(k, {}) for k in range(g.dim)}
+    images = [
+        ExteriorElement(g, 2, {key: Fraction(c, dual.den) for key, c in t.items()}, False)
+        for t in terms.values()
+    ]
+    return CocommutatorMap(g, images, LieAlgebra(g.dual_labels, _transpose(terms), dual.den))
 
 
 def _named(indices: tuple[int, ...], L: LieAlgebra) -> str:
@@ -142,7 +153,7 @@ class LieBialgebra:
             raise ValueError("cocommutator is over a different algebra")
         self.g = g
         self.delta = delta
-        self.dual = dual_constants(delta)
+        self.dual = delta.dual
         self.yang_baxter: Optional[str] = None  # set for coboundary structures
         if check:
             bad = self.dual.jacobi_check()
@@ -159,14 +170,10 @@ class LieBialgebra:
 
     @classmethod
     def from_rmatrix(cls, g: LieAlgebra, r: ExteriorElement) -> "LieBialgebra":
-        b = cls(g, CocommutatorMap.from_rmatrix(g, r))
-        square = schouten_square(g, r)
-        if square.is_zero():
-            b.yang_baxter = "cybe"
-        elif is_ad_invariant(g, square):
-            b.yang_baxter = "mcybe"
-        else:
-            b.yang_baxter = "other"
+        b, square = cls(g, CocommutatorMap.from_rmatrix(g, r)), schouten_square(g, r)
+        b.yang_baxter = (
+            "cybe" if square.is_zero() else "mcybe" if is_ad_invariant(g, square) else "other"
+        )
         return b
 
     @property
@@ -183,32 +190,20 @@ class LieBialgebra:
         return Vector(self.g, self.dual.modular_character().coords)
 
     def double_element(self, x: Vector | None = None, xi: Covector | None = None):
-        return DoubleElement(
-            self,
-            x if x is not None else self.g.zero_vector(),
-            xi if xi is not None else self.g.zero_covector(),
-        )
+        return DoubleElement(self, x or self.g.zero_vector(), xi or self.g.zero_covector())
 
 
+@dataclass
 class DoubleElement:
     """Element X + xi of g (+) g*, the argument and value of ``double_bracket``."""
 
-    __slots__ = ("bialgebra", "x", "xi")
+    bialgebra: LieBialgebra
+    x: Vector
+    xi: Covector
 
-    def __init__(self, bialgebra: LieBialgebra, x: Vector, xi: Covector):
-        if x.algebra is not bialgebra.g or xi.algebra is not bialgebra.g:
+    def __post_init__(self):
+        if self.x.algebra is not self.bialgebra.g or self.xi.algebra is not self.bialgebra.g:
             raise ValueError("components over a different algebra")
-        self.bialgebra = bialgebra
-        self.x = x
-        self.xi = xi
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DoubleElement)
-            and self.bialgebra is other.bialgebra
-            and self.x == other.x
-            and self.xi == other.xi
-        )
 
     def __repr__(self):
         return f"({self.x!r}) + ({self.xi!r})"
@@ -267,26 +262,27 @@ def double_algebra(B: LieBialgebra) -> LieAlgebra:
         [e_i, e_j] = C_ij^k e_k,   [e^a, e^b] = F^ab_c e^c,
         [e_i, e^a] = F^ac_i e_c - C_ic^a e^c,
 
-    which is ``double_bracket`` on basis elements.
+    which is ``double_bracket`` on basis elements.  It is built on ints,
+    over the lcm of the denominators of g and g*.
     """
-    m = B.dim
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), image in B.g._table.items():
-        brackets[(i, j)] = dict(image)
-    for (a, b), image in B.dual._table.items():
-        brackets[(m + a, m + b)] = {m + c: f for c, f in image.items()}
+    m, g, dual = B.dim, B.g, B.dual
+    den = math.lcm(g.den, dual.den)
+    C = {key: {k: c * (den // g.den) for k, c in im.items()} for key, im in g.ints.items()}
+    F = {key: {k: f * (den // dual.den) for k, f in im.items()} for key, im in dual.ints.items()}
+    brackets: dict[tuple[int, int], dict[int, int]] = dict(C)
     # each (key, index) below is reached from exactly one table entry
-    for (a, b), image in B.dual._table.items():
+    for (a, b), image in F.items():
+        brackets[(m + a, m + b)] = {m + c: f for c, f in image.items()}
         for i, f in image.items():
             brackets.setdefault((i, m + a), {})[b] = f  # F^ab_i e_b in [e_i, e^a]
             brackets.setdefault((i, m + b), {})[a] = -f  # F^ba_i e_a in [e_i, e^b]
-    for (i, c), image in B.g._table.items():
+    for (i, c), image in C.items():
         for a, f in image.items():
             brackets.setdefault((i, m + a), {})[m + c] = -f  # -C_ic^a e^c in [e_i, e^a]
             brackets.setdefault((c, m + a), {})[m + i] = f  # -C_ci^a e^i in [e_c, e^a]
-    labels = list(B.g.labels) + list(B.g.dual_labels)
+    labels = list(g.labels) + list(g.dual_labels)
     return LieAlgebra(
-        labels, {key: dict(sorted(image.items())) for key, image in sorted(brackets.items())}
+        labels, {key: dict(sorted(image.items())) for key, image in sorted(brackets.items())}, den
     )
 
 
@@ -322,13 +318,8 @@ def _sln_basis(n: int) -> tuple[list[str], list[dict[tuple[int, int], int]]]:
 def sln_basis_matrices(n: int) -> tuple[list[str], list[list[list[Fraction]]]]:
     """Labels and dense matrices for the split basis of sl(n)."""
     labels, sparse = _sln_basis(n)
-    mats = []
-    for entries in sparse:
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for (r, c), x in entries.items():
-            m[r][c] = Fraction(x)
-        mats.append(m)
-    return labels, mats
+    dense = [[[Fraction(m.get((r, c), 0)) for c in range(n)] for r in range(n)] for m in sparse]
+    return labels, dense
 
 
 def _commutator(a: dict, b: dict) -> dict:
@@ -343,34 +334,35 @@ def _commutator(a: dict, b: dict) -> dict:
     return out
 
 
-def _sln_coords(m: dict, n: int) -> list[int]:
-    """Twice the coordinates of a sparse traceless int matrix on the D/S/Q basis."""
+def _sln_coords(m: dict, n: int) -> dict[int, int]:
+    """Twice the coordinates of a sparse traceless int matrix on the D/S/Q
+    basis, as {index: coordinate} over the nonzero ones in index order."""
     pairs = n * (n - 1) // 2
-    coords = [0] * (n - 1 + 2 * pairs)
+    coords: dict[int, int] = {}
     for (r, c), x in m.items():
         if r == c:
             # the D coordinates are the partial sums of the diagonal
             for k in range(r, n - 1):
-                coords[k] += 2 * x
+                coords[k] = coords.get(k, 0) + 2 * x
             continue
         i, j = min(r, c), max(r, c)
         s = n - 1 + i * n - i * (i + 1) // 2 + (j - i - 1)
-        coords[s] += x
-        coords[s + pairs] += x if r < c else -x
-    return coords
+        coords[s] = coords.get(s, 0) + x
+        coords[s + pairs] = coords.get(s + pairs, 0) + (x if r < c else -x)
+    return {k: x for k, x in sorted(coords.items()) if x}
 
 
 def sln_algebra(n: int) -> LieAlgebra:
+    """sl(n) on the D/S/Q basis, on ints over the denominator 2."""
     labels, mats = _sln_basis(n)
     dim = len(labels)
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            coords = _sln_coords(_commutator(mats[i], mats[j]), n)
-            entry = {k: Fraction(c, 2) for k, c in enumerate(coords) if c}
+            entry = _sln_coords(_commutator(mats[i], mats[j]), n)
             if entry:
                 brackets[(i, j)] = entry
-    return LieAlgebra(labels, brackets)
+    return LieAlgebra(labels, brackets, 2)
 
 
 def _sln_gram_inverse(n: int) -> list[list[tuple[int, int]]]:
@@ -386,8 +378,9 @@ def sln_standard_bialgebra(n: int, eta=1) -> LieBialgebra:
     """Standard bialgebra on sl(n): dual bracket from the triangular R-map,
     transferred to dual-basis coordinates through the trace pairing and
     scaled by eta.  It runs on ints: the dual basis matrices are scaled by
-    2n, so the bracket [RA, B] + [A, RB], bilinear in them, is (2n)^2 times."""
-    unit = frac(eta) / (4 * n * n)
+    2n, so the bracket [RA, B] + [A, RB], bilinear in them, is (2n)^2 times,
+    and the dual is built on ints over 4 n^2 times eta's denominator."""
+    eta = frac(eta)
     g = sln_algebra(n)
     labels, mats = _sln_basis(n)
     dim = len(labels)
@@ -424,8 +417,8 @@ def sln_standard_bialgebra(n: int, eta=1) -> LieBialgebra:
             for key, x in _commutator(covs[a], splits[b]).items():
                 res[key] = res.get(key, 0) + x
             # back to dual coordinates: component on X^k is Tr(res * e_k)
-            entry = {k: unit * val for k, val in sorted(trace_coords(res).items()) if val}
+            entry = {k: eta.numerator * v for k, v in sorted(trace_coords(res).items()) if v}
             if entry:
                 dual_brackets[(a, b)] = entry
-    dual = LieAlgebra(g.dual_labels, dual_brackets)
+    dual = LieAlgebra(g.dual_labels, dual_brackets, 4 * n * n * eta.denominator)
     return LieBialgebra(g, delta_from_dual(g, dual))

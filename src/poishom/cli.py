@@ -140,7 +140,8 @@ def cmd_tables(args) -> int:
         golden = verify.load_golden()
     rows, failures = [], []
     for section, names in (("table1", catalog.TABLE1_NAMES), ("table2", catalog.TABLE2_NAMES)):
-        section_rows, section_failures = verify.golden_table(golden, section, names, eta)
+        specs = [catalog.build_homspace(name, eta) for name in names]
+        section_rows, section_failures = verify.golden_table(golden, section, specs)
         rows += section_rows
         failures += section_failures
     if args.json:

@@ -15,13 +15,12 @@ Sign conventions, fixed once and verified by the calibration tests:
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .lie import Covector, LieAlgebra, Subalgebra, Vector
-from .linalg import frac
+from .linalg import frac, integer_row
 
 
 def _sort_tuple(idx: Sequence[int]):
@@ -44,11 +43,8 @@ def _integer_terms(terms: dict) -> tuple[int, list[tuple[tuple[int, ...], int, i
     """``(den, [(index tuple, mask, int coefficient)])``: den is the lcm of
     the coefficients' denominators (1 for no terms), mask has bit i set for
     each index i, and each coefficient is scaled by den, in the terms' order."""
-    den = math.lcm(*{c.denominator for c in terms.values()})
-    return den, [
-        (idx, sum(1 << i for i in idx), c.numerator * (den // c.denominator))
-        for idx, c in terms.items()
-    ]
+    den, ints = integer_row(terms)
+    return den, [(idx, sum(1 << i for i in idx), c) for idx, c in ints.items()]
 
 
 def _from_masks(L: LieAlgebra, degree: int, acc: dict, den: int, dual: bool):
@@ -222,8 +218,8 @@ def ce_differential(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
     replaces the factor X^a in slot r of each term by (-1)^r d X^a, with
     d X^a = -sum_{i<j} C_ij^a X^i ^ X^j read off the sparse bracket table.
 
-    Runs on ints: the table is scaled by the lcm of its denominators and the
-    form by the lcm of its own, and terms are keyed by index bitmasks.  With
+    Runs on ints: the algebra's ``ints`` over its ``den``, the form scaled
+    by the lcm of its own denominators, and terms keyed by index bitmasks.  With
     ``rest`` the term's indices without a, the slot is r = #{rest < a}, and
     putting X^i ^ X^j (i < j) into place in rest costs the sign
     (-1)^(#{rest < i} + #{rest < j}) = (-1)^#{rest between i and j}."""
@@ -234,9 +230,8 @@ def ce_differential(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
     if omega.degree == L.dim:
         # d of a top form vanishes; keep it representable at top degree
         return ExteriorElement.zero(L, L.dim, True)
-    scale, table = linalg.integer_table(L._table)
     d_basis: dict[int, list] = {}
-    for (i, j), image in table.items():
+    for (i, j), image in L.ints.items():
         pair, between = (1 << i) | (1 << j), (1 << j) - (2 << i)
         for a, c in image.items():
             d_basis.setdefault(a, []).append((pair, between, c))
@@ -254,7 +249,7 @@ def ce_differential(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
                     v = -v
                 key = rest | pair
                 acc[key] = acc.get(key, 0) + v
-    return _from_masks(L, omega.degree + 1, acc, scale * den, True)
+    return _from_masks(L, omega.degree + 1, acc, L.den * den, True)
 
 
 def ad_extension(L: LieAlgebra, x: Vector, p: ExteriorElement) -> ExteriorElement:
@@ -374,16 +369,8 @@ def theta0_from_v0(
     scale = evaluate_form(v0, ys)
     if not scale:
         raise ValueError("v0 does not span the top of the annihilator")
-    theta = Covector(
-        L,
-        [
-            -sum(
-                (coeffs[i] / scale) * completion[i][a]
-                for i in range(n)
-            )
-            for a in range(m)
-        ],
-    )
+    coeffs = [c / scale for c in coeffs]
+    theta = Covector(L, [-sum(coeffs[i] * completion[i][a] for i in range(n)) for a in range(m)])
     lhs = dv0
     rhs = -1 * ExteriorElement.from_vector(theta).wedge(v0)
     if lhs != rhs:

@@ -28,6 +28,7 @@ pair checks t + chi_h = chi_g on h: the traces on g/h and on h add up to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -120,23 +121,24 @@ class SemiInvariantSolutions:
 
 def _closedness_rows(L: LieAlgebra) -> linalg.Matrix:
     """theta is closed exactly when it kills every [e_i, e_j]: one row per
-    direction of a nonzero bracket, scaled to lead with 1 (a row that is a
-    multiple of an earlier one adds nothing to the row space)."""
-    zero, directions = Fraction(0), {}
-    for _, image in sorted(L._table.items()):
-        lead = image[min(image)]
-        directions.setdefault(tuple((k, image[k] / lead) for k in sorted(image)), None)
-    return [[d.get(k, zero) for k in range(L.dim)] for d in map(dict, directions)]
+    direction of a nonzero bracket, its int image divided by the gcd of its
+    entries and signed to lead positive (a row that is a multiple of an
+    earlier one adds nothing to the row space)."""
+    zero, n, directions = Fraction(0), L.dim, {}
+    for _, image in sorted(L.ints.items()):
+        g = math.gcd(*image.values()) * (1 if image[min(image)] > 0 else -1)
+        directions.setdefault(tuple((k, image[k] // g) for k in sorted(image)), None)
+    return [[Fraction(d[k]) if k in d else zero for k in range(n)] for d in map(dict, directions)]
 
 
 def _quotient_traces(h: Subalgebra) -> tuple[Fraction, ...]:
     """t_i = tr(ad_{h_i} on g/h) on the basis of h.  g/h is spanned by the
     unit vectors e_a off the pivots of ``h.span``, and [e_j, e_a] reduced mod
     h has e_a component v_a - sum_p v_p R_p[a], R_p being the reduced row of
-    pivot p (whose entries off p are all on such free columns a)."""
-    reduced = h.span.reduced
-    free = [(a, a, 1) for a in range(h.parent.dim) if a not in reduced]
-    return h.bracket_traces(free + [(a, p, -x) for p in reduced for a, x in reduced[p]])
+    pivot p (whose entries off p are all on such free columns a), on ints."""
+    scaled, one = h.span.scaled, h.span.scale
+    free = [(a, a, one) for a in range(h.parent.dim) if a not in scaled]
+    return h.bracket_traces(free + [(a, p, -x) for p in scaled for a, x in scaled[p].items()])
 
 
 def _mu_rows(B: LieBialgebra, chi_g: Covector, chi_gs: Vector) -> tuple[linalg.Matrix, linalg.Row]:

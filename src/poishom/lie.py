@@ -2,18 +2,20 @@
 
 A ``LieAlgebra`` stores a sparse table C with [e_i, e_j] = sum_k C[i][j][k] e_k
 for i < j; the (j, i) entries are implied by antisymmetry, so antisymmetry
-holds by construction.  Vectors and covectors are exact rational coefficient
-tuples tagged with the space they live in, and every operation is a pure
-function on immutable data.
+holds by construction.  C is held once as ints over one positive ``den``,
+and every check and trace reads those ints; ``_table`` is C on Fractions.
+Vectors and covectors are exact rational coefficient tuples tagged with the
+space they live in, and every operation is a pure function on immutable data.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .linalg import frac, integer_table
+from .linalg import frac, integer_row, integer_table
 
 
 class Vector:
@@ -43,11 +45,8 @@ class Vector:
         return type(self)(self.algebra, [c * a for a in self.coords])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, type(self))
-            and self.algebra is other.algebra
-            and self.coords == other.coords
-        )
+        same = isinstance(other, type(self)) and self.algebra is other.algebra
+        return same and self.coords == other.coords
 
     def __hash__(self):
         return hash((id(self.algebra), self.coords))
@@ -60,10 +59,8 @@ class Vector:
             raise ValueError("operands live in different spaces")
 
     def __repr__(self):
-        labels = self.algebra.labels
-        terms = [
-            f"{c} {labels[i]}" for i, c in enumerate(self.coords) if c
-        ]
+        labels = self.algebra.dual_labels if isinstance(self, Covector) else self.algebra.labels
+        terms = [f"{c} {labels[i]}" for i, c in enumerate(self.coords) if c]
         return " + ".join(terms) if terms else "0"
 
 
@@ -79,11 +76,6 @@ class Covector(Vector):
             raise ValueError("vector belongs to a different algebra")
         return sum((a * b for a, b in zip(self.coords, v.coords) if a and b), Fraction(0))
 
-    def __repr__(self):
-        labels = self.algebra.dual_labels
-        terms = [f"{c} {labels[i]}" for i, c in enumerate(self.coords) if c]
-        return " + ".join(terms) if terms else "0"
-
 
 def _dual_label(label: str) -> str:
     head = label.rstrip("0123456789+-")
@@ -96,10 +88,11 @@ def sparse(coords: Iterable) -> dict[int, Fraction]:
     return {i: c for i, c in enumerate(coords) if c}
 
 
-def bracket_terms(table: dict, u: dict, v: dict) -> dict[int, Fraction]:
+def bracket_terms(table: dict, u: dict, v: dict) -> dict:
     """[u, v] as {k: coefficient}, for u and v given as sparse
-    {index: coefficient} maps and a structure-constant table keyed by i < j."""
-    out: dict[int, Fraction] = {}
+    {index: coefficient} maps and a structure-constant table keyed by i < j;
+    on int tables and int maps it stays on ints."""
+    out: dict = {}
     for i, a in u.items():
         for j, b in v.items():
             image = table.get((i, j) if i < j else (j, i))  # (i, i) is never a key
@@ -113,20 +106,33 @@ def bracket_terms(table: dict, u: dict, v: dict) -> dict[int, Fraction]:
 class LieAlgebra:
     """Lie algebra with rational structure constants on a labeled basis."""
 
-    def __init__(self, labels: Sequence[str], brackets: dict):
-        """brackets maps (i, j) with i < j to {k: coefficient} for [e_i, e_j]."""
+    def __init__(self, labels: Sequence[str], brackets: dict, den: Optional[int] = None):
+        """brackets maps (i, j) with i < j to {k: coefficient} for [e_i, e_j]:
+        rationals, or int numerators over the positive int ``den``."""
         self.labels = tuple(labels)
         self.dual_labels = tuple(_dual_label(l) for l in labels)
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate basis labels")
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        if den is not None and den < 1:
+            raise ValueError("the denominator must be a positive int")
+        table: dict[tuple[int, int], dict] = {}
         for (i, j), image in brackets.items():
             if not (0 <= i < j < len(self.labels)):
                 raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-            cleaned = {k: c for k, c in zip(image, map(frac, image.values())) if c}
+            pairs = image.items() if den else zip(image, map(frac, image.values()))
+            cleaned = {k: c for k, c in pairs if c}
             if cleaned:
                 table[(i, j)] = cleaned
-        self._table = table
+        if den is None:
+            self._table = table
+            den, table = integer_table(table)
+        self.den, self.ints = den, table
+
+    @cached_property
+    def _table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The table on Fractions, in the order of ``ints``."""
+        den = self.den
+        return {key: {k: Fraction(c, den) for k, c in im.items()} for key, im in self.ints.items()}
 
     @property
     def dim(self) -> int:
@@ -143,11 +149,7 @@ class LieAlgebra:
         return Vector(self, coords)
 
     def basis_covector(self, i) -> Covector:
-        if isinstance(i, str):
-            i = self.index(i)
-        coords = [Fraction(0)] * self.dim
-        coords[i] = Fraction(1)
-        return Covector(self, coords)
+        return Covector(self, self.basis_vector(i).coords)
 
     def vector(self, coords) -> Vector:
         return Vector(self, coords)
@@ -173,8 +175,8 @@ class LieAlgebra:
         if u.algebra is not self or v.algebra is not self:
             raise ValueError("vectors belong to a different algebra")
         out = [Fraction(0)] * self.dim
-        for k, c in bracket_terms(self._table, sparse(u.coords), sparse(v.coords)).items():
-            out[k] = c
+        for k, c in bracket_terms(self.ints, sparse(u.coords), sparse(v.coords)).items():
+            out[k] = c / self.den
         return Vector(self, out)
 
     def full_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
@@ -187,12 +189,11 @@ class LieAlgebra:
 
     def jacobi_check(self) -> Optional[tuple[int, int, int]]:
         """None if the Jacobi identity holds; else the first violating triple
-        (i < j < k, in lexicographic order).  It runs on the integer-scaled
-        table (the Jacobiator is quadratic in the constants) and visits only
-        nonzero terms: [[e_a, e_b], e_c] with a < b and c != a, b is a cyclic
-        term of the sorted triple, with sign - when a < c < b."""
-        _, table = integer_table(self._table)
-        n = self.dim
+        (i < j < k, in lexicographic order).  It runs on ``ints`` (the
+        Jacobiator is quadratic in the constants) and visits only nonzero
+        terms: [[e_a, e_b], e_c] with a < b and c != a, b is a cyclic term of
+        the sorted triple, with sign - when a < c < b."""
+        table, n = self.ints, self.dim
         rows: list[list] = [[] for _ in range(n)]  # (c, [e_l, e_c]) for each l
         for (i, j), image in table.items():
             rows[i].append((j, list(image.items())))
@@ -215,12 +216,12 @@ class LieAlgebra:
     def modular_character(self) -> Covector:
         """chi(e_a) = tr(ad_{e_a}) = sum_b C_ab^b; zero exactly when the
         algebra is unimodular.  One pass over the table: C_ij^j counts for
-        e_i and C_ji^i = -C_ij^i for e_j."""
-        vals = [Fraction(0)] * self.dim
-        for (i, j), image in self._table.items():
+        e_i and C_ji^i = -C_ij^i for e_j, on ints, divided once at the end."""
+        vals = [0] * self.dim
+        for (i, j), image in self.ints.items():
             vals[i] += image.get(j, 0)
             vals[j] -= image.get(i, 0)
-        return Covector(self, vals)
+        return Covector(self, [Fraction(v, self.den) for v in vals])
 
     def is_subalgebra(self, basis: Sequence[Vector]) -> bool:
         """True iff the span of ``basis`` is closed under the bracket."""
@@ -244,7 +245,8 @@ class LieAlgebra:
 
 class Subalgebra:
     """A subalgebra of a parent algebra, given by an independent basis; ``span``
-    may pass in the ``RowSpan`` of exactly these rows, already eliminated."""
+    may pass in the ``RowSpan`` of exactly these rows, already eliminated.
+    ``int_basis`` holds each basis vector b as (s, s b), s b on ints."""
 
     def __init__(self, parent: LieAlgebra, basis: Sequence[Vector], verify: bool = True, span=None):
         self.parent = parent
@@ -254,6 +256,7 @@ class Subalgebra:
             self.span = span or linalg.RowSpan([list(v.coords) for v in self.basis])
         except ValueError:
             raise ValueError("subalgebra basis is linearly dependent") from None
+        self.int_basis = [integer_row(sparse(v.coords)) for v in self.basis]
         self.verified = False
         if verify:
             if not self.is_closed():
@@ -265,11 +268,12 @@ class Subalgebra:
         return len(self.basis)
 
     def _brackets(self):
-        """((i, j), [b_i, b_j]) for i < j, as sparse maps in the parent basis."""
-        vecs = [sparse(v.coords) for v in self.basis]
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                yield (i, j), bracket_terms(self.parent._table, vecs[i], vecs[j])
+        """((i, j), den s_i s_j [b_i, b_j]) for i < j, as sparse int maps in
+        the parent basis, s_i b_i being the int row of b_i."""
+        table, rows = self.parent.ints, [row for _, row in self.int_basis]
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                yield (i, j), bracket_terms(table, rows[i], rows[j])
 
     def is_closed(self) -> bool:
         """True iff the span of the basis is closed under the parent bracket."""
@@ -278,22 +282,18 @@ class Subalgebra:
     def is_ideal(self) -> bool:
         """True iff [b, e_a] lies in the span for every basis vector b and
         every parent basis vector e_a."""
-        one = Fraction(1)
-        for v in self.basis:
-            b = sparse(v.coords)
-            for a in range(self.parent.dim):
-                if not self.span.contains(bracket_terms(self.parent._table, b, {a: one})):
-                    return False
-        return True
+        table, units = self.parent.ints, [{a: 1} for a in range(self.parent.dim)]
+        rows = [row for _, row in self.int_basis]
+        return all(self.span.contains(bracket_terms(table, b, e)) for b in rows for e in units)
 
     def induced_algebra(self, labels: Sequence[str] | None = None) -> LieAlgebra:
         """The abstract Lie algebra on this basis, with induced constants."""
-        brackets = {}
+        brackets, den, s = {}, self.parent.den, [s for s, _ in self.int_basis]
         for (i, j), image in self._brackets():
             coeffs = self.span.coordinates(image)
             if coeffs is None:
                 raise ValueError("bracket leaves the subalgebra")
-            entry = {k: c for k, c in enumerate(coeffs) if c}
+            entry = {k: c / (den * s[i] * s[j]) for k, c in enumerate(coeffs) if c}
             if entry:
                 brackets[(i, j)] = entry
         if labels is None:
@@ -303,26 +303,28 @@ class Subalgebra:
     def bracket_traces(self, weights) -> tuple[Fraction, ...]:
         """sum_j b_j w_j on each basis vector b, with w_j the sum of
         r [e_j, e_c]_p over the (c, p, r) in ``weights``, read only for the j
-        in the support of the basis."""
-        table, empty, w = self.parent._table, {}, {}
-        for j in {j for v in self.basis for j, x in enumerate(v.coords) if x}:
+        in the support of the basis.  The r are ints, ``span.scale`` times the
+        weights meant, and each value is divided once, at the end."""
+        table, empty, w = self.parent.ints, {}, {}
+        for j in {j for _, row in self.int_basis for j in row}:
             w[j] = 0
             for c, p, r in weights:
                 key, r = ((j, c), r) if j < c else ((c, j), -r)
                 y = table.get(key, empty).get(p)
                 if y:
                     w[j] += r * y
+        den = self.parent.den * self.span.scale
         return tuple(
-            sum((x * w[j] for j, x in enumerate(v.coords) if x and w[j]), Fraction(0))
-            for v in self.basis
+            Fraction(sum([x * w[j] for j, x in row.items()]), s * den) for s, row in self.int_basis
         )
 
     def modular_character_values(self) -> tuple[Fraction, ...]:
         """chi_h on this basis.  In the reduced rows R_p of ``span`` (1 at
         pivot p, 0 at the other pivots) the R_p coordinate of a vector of h
         is its p entry, so tr(ad_x on h) = sum_p [x, R_p]_p."""
-        reduced = self.span.reduced
-        return self.bracket_traces([(c, p, r) for p in reduced for c, r in [(p, 1), *reduced[p]]])
+        one, scaled = self.span.scale, self.span.scaled
+        weights = [(c, p, r) for p in scaled for c, r in [(p, one), *scaled[p].items()]]
+        return self.bracket_traces(weights)
 
 
 def restrict_covector(theta: Covector, h: Subalgebra) -> tuple[Fraction, ...]:
@@ -334,14 +336,8 @@ def restrict_covector(theta: Covector, h: Subalgebra) -> tuple[Fraction, ...]:
 
 def is_closed_one_form(L: LieAlgebra, theta: Covector) -> bool:
     """True iff theta kills every bracket, i.e. theta is a 1-cocycle for the
-    trivial representation."""
+    trivial representation: one pass over ``ints``, theta scaled to ints."""
     if theta.algebra is not L:
         raise ValueError("covector belongs to a different algebra")
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            val = Fraction(0)
-            for k, c in L.bracket_basis(i, j).items():
-                val += c * theta.coords[k]
-            if val:
-                return False
-    return True
+    _, t = integer_row(sparse(theta.coords))
+    return not any(sum([c * t.get(k, 0) for k, c in image.items()]) for image in L.ints.values())

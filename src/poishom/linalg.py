@@ -39,6 +39,13 @@ def integer_table(table: dict) -> tuple[int, dict]:
     }
 
 
+def integer_row(row: dict) -> tuple[int, dict]:
+    """``(s, scaled)`` for a sparse {index: Fraction} row: s is the lcm of its
+    denominators (1 for no entries) and ``scaled`` the row times s, as ints."""
+    scale = math.lcm(*{c.denominator for c in row.values()})
+    return scale, {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
+
+
 def zeros(rows: int, cols: int) -> Matrix:
     return [[Fraction(0)] * cols for _ in range(rows)]
 
@@ -166,6 +173,8 @@ class RowSpan:
     sum_r v[p_r] R_r, p_r being the pivot columns, and its coefficients on
     the original rows are then sum_r v[p_r] T_r.  Vectors are passed sparse,
     as {column: value} maps, so a test costs in proportion to their support.
+    Membership runs on ints: ``scaled`` holds S R_r off its pivot, S being
+    ``scale``, and v is in the span when S v - sum_r v[p_r] S R_r vanishes.
     """
 
     def __init__(self, rows: Matrix):
@@ -183,6 +192,10 @@ class RowSpan:
             p: [(s, x) for s, x in enumerate(row[cols:]) if x] for p, row in zip(pivots, red)
         }
         self.dim = n
+        self._scale()
+
+    def _scale(self):
+        self.scale, self.scaled = integer_table({p: dict(t) for p, t in self.reduced.items()})
 
     @classmethod
     def direct_sum(cls, first: "RowSpan", second: "RowSpan", shift: int) -> "RowSpan":
@@ -197,16 +210,18 @@ class RowSpan:
             out.reduced[p + shift] = [(c + shift, x) for c, x in terms]
             out.transform[p + shift] = [(s + first.dim, x) for s, x in second.transform[p]]
         out.dim = first.dim + second.dim
+        out._scale()
         return out
 
-    def contains(self, v: dict[int, Fraction]) -> bool:
-        rest: dict[int, Fraction] = {}
+    def contains(self, v: dict) -> bool:
+        """Is the sparse v (int or Fraction values) in the span?"""
+        rest: dict = {}
         for k, x in v.items():
-            terms = self.reduced.get(k)
+            terms = self.scaled.get(k)
             if terms is None:
-                rest[k] = rest.get(k, 0) + x
+                rest[k] = rest.get(k, 0) + self.scale * x
             elif x:
-                for c, y in terms:
+                for c, y in terms.items():
                     rest[c] = rest.get(c, 0) - x * y
         return not any(rest.values())
 

@@ -72,19 +72,19 @@ def _random_form(L, degree, rng):
     return ExteriorElement(L, degree, terms, dual=True)
 
 
-def golden_table(golden: dict, section: str, names, eta) -> tuple[list[dict], list[str]]:
-    """The classification rows of the catalog entries ``names`` at eta, and
+def golden_table(golden: dict, section: str, specs) -> tuple[list[dict], list[str]]:
+    """The classification rows of the built catalog entries ``specs``, and
     one ``"<name>: <reason>"`` line for each row that is missing from, or
     differs from, the ``section`` of the golden data."""
     want = golden.get(section, {})
     rows, failures = [], []
-    for name in names:
-        row = homspace.classification_row(catalog.build_homspace(name, eta))
+    for S in specs:
+        row = homspace.classification_row(S)
         rows.append(row)
-        if name not in want:
-            failures.append(f"{name}: missing from golden data")
-        elif diffs := golden_mismatch(row, want[name]):
-            failures.append(f"{name}: {diffs}")
+        if S.name not in want:
+            failures.append(f"{S.name}: missing from golden data")
+        elif diffs := golden_mismatch(row, want[S.name]):
+            failures.append(f"{S.name}: {diffs}")
     return rows, failures
 
 
@@ -229,14 +229,14 @@ def _checks(eta: Fraction, seed: int):
         test = functools.partial(_dual_character_holds, structure, index, coeff)
         yield f"dual-character:{suffix}", f"catalog:{anchor}", test
     golden = load_golden()
+    specs = {n: catalog.homspace_on(n, bialgebras[b]) for n, (b, _) in catalog.HOMSPACES.items()}
     for check, section, names in GOLDEN_TABLES:
-        test = functools.partial(golden_table, golden, section, names, eta)
+        test = functools.partial(golden_table, golden, section, [specs[n] for n in names])
         yield f"table:{check}", f"golden:{section}", lambda t=test: not t()[1]
     yield "table:eta-genericity", "golden:table1", functools.partial(_eta_generic, golden)
     for name in catalog.HOMSPACE_NAMES:
-        S = catalog.homspace_on(name, bialgebras[catalog.HOMSPACES[name][0]])
         for check, test in HOMSPACE_CHECKS:
-            yield f"{check}:{name}", f"catalog:{name}", functools.partial(test, S)
+            yield f"{check}:{name}", f"catalog:{name}", functools.partial(test, specs[name])
     models = {name: catalog.build_model(name, eta) for name in CHECKED_MODELS}
     for name in GROUP_MODELS:
         for check, kind, test in GROUP_MODEL_CHECKS:

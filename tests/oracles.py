@@ -6,7 +6,12 @@ from itertools import combinations
 from typing import Sequence
 
 from poishom import linalg
-from poishom.bialgebra import CocommutatorMap, LieBialgebra, delta_from_dual, sln_basis_matrices
+from poishom.bialgebra import (
+    CocommutatorMap,
+    LieBialgebra,
+    delta_from_dual,
+    sln_basis_matrices,
+)
 from poishom.exterior import (
     ExteriorElement,
     _sort_tuple,
@@ -15,7 +20,7 @@ from poishom.exterior import (
     evaluate_form,
     top_wedge,
 )
-from poishom.lie import Covector, LieAlgebra, Vector
+from poishom.lie import Covector, LieAlgebra, Subalgebra, Vector, bracket_terms, sparse
 from poishom.linalg import integer_table
 from poishom.poly import Polynomial
 
@@ -143,25 +148,30 @@ def v0_certificate(S):
     return holds
 
 
-def sln_bialgebra_by_fractions(n: int, eta) -> LieBialgebra:
-    """The standard bialgebra of sl(n) on Fractions: basis commutators read
-    back through the D/S/Q coordinates, the dual basis through
-    ``linalg.invert`` of the trace-form Gram matrix, and [RA, B] + [A, RB]
-    read back through traces.  Same basis order and insertion order as
-    ``sln_standard_bialgebra``."""
+def _sparse_sln_matrices(n: int):
+    """Labels and sparse {(row, col): entry} basis matrices of sl(n)."""
     labels, dense = sln_basis_matrices(n)
     mats = [{(r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x} for m in dense]
-    dim, pairs = len(mats), n * (n - 1) // 2
+    return labels, mats
 
-    def commutator(a, b):
-        out = {}
-        for (r, t), x in a.items():
-            for (u, c), y in b.items():
-                if t == u:
-                    out[(r, c)] = out.get((r, c), 0) + x * y
-                if c == r:
-                    out[(u, t)] = out.get((u, t), 0) - y * x
-        return out
+
+def commutator(a, b):
+    """AB - BA for sparse {(row, col): entry} matrices."""
+    out = {}
+    for (r, t), x in a.items():
+        for (u, c), y in b.items():
+            if t == u:
+                out[(r, c)] = out.get((r, c), 0) + x * y
+            if c == r:
+                out[(u, t)] = out.get((u, t), 0) - y * x
+    return out
+
+
+def sln_algebra_by_fractions(n: int) -> LieAlgebra:
+    """sl(n) on Fractions: basis commutators read back through dense D/S/Q
+    coordinates, in ``sln_algebra``'s basis and insertion order."""
+    labels, mats = _sparse_sln_matrices(n)
+    dim, pairs = len(mats), n * (n - 1) // 2
 
     def coords(m):
         out = [Fraction(0)] * dim
@@ -176,6 +186,24 @@ def sln_bialgebra_by_fractions(n: int, eta) -> LieBialgebra:
             out[s + pairs] += x / 2 if r < c else -x / 2
         return out
 
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            entry = {k: c for k, c in enumerate(coords(commutator(mats[i], mats[j]))) if c}
+            if entry:
+                brackets[(i, j)] = entry
+    return LieAlgebra(labels, brackets)
+
+
+def sln_bialgebra_by_fractions(n: int, eta) -> LieBialgebra:
+    """The standard bialgebra of sl(n) on Fractions: basis commutators read
+    back through the D/S/Q coordinates, the dual basis through
+    ``linalg.invert`` of the trace-form Gram matrix, and [RA, B] + [A, RB]
+    read back through traces.  Same basis order and insertion order as
+    ``sln_standard_bialgebra``."""
+    labels, mats = _sparse_sln_matrices(n)
+    dim = len(mats)
+
     def traces(m):
         out = {}
         for k, e in enumerate(mats):
@@ -184,13 +212,7 @@ def sln_bialgebra_by_fractions(n: int, eta) -> LieBialgebra:
                 out[k] = val
         return out
 
-    brackets = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            entry = {k: c for k, c in enumerate(coords(commutator(mats[i], mats[j]))) if c}
-            if entry:
-                brackets[(i, j)] = entry
-    g = LieAlgebra(labels, brackets)
+    g = sln_algebra_by_fractions(n)
     gram_inv = linalg.invert([[traces(a).get(b, Fraction(0)) for b in range(dim)] for a in mats])
     covs, splits = [], []
     for a in range(dim):
@@ -211,3 +233,120 @@ def sln_bialgebra_by_fractions(n: int, eta) -> LieBialgebra:
             if entry:
                 dual_brackets[(a, b)] = entry
     return LieBialgebra(g, delta_from_dual(g, LieAlgebra(labels, dual_brackets)), check=False)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction paths the integer kernel replaced
+# ---------------------------------------------------------------------------
+
+
+def double_table_by_fractions(B: LieBialgebra) -> dict:
+    """The double's constants read off the Fraction tables of g and g*, in
+    sorted order: [e_i, e^a] = F^ac_i e_c - C_ic^a e^c."""
+    m = B.dim
+    brackets = {key: dict(image) for key, image in B.g._table.items()}
+    for (a, b), image in B.dual._table.items():
+        brackets[(m + a, m + b)] = {m + c: f for c, f in image.items()}
+    for (a, b), image in B.dual._table.items():
+        for i, f in image.items():
+            brackets.setdefault((i, m + a), {})[b] = f
+            brackets.setdefault((i, m + b), {})[a] = -f
+    for (i, c), image in B.g._table.items():
+        for a, f in image.items():
+            brackets.setdefault((i, m + a), {})[m + c] = -f
+            brackets.setdefault((c, m + a), {})[m + i] = f
+    return {key: dict(sorted(image.items())) for key, image in sorted(brackets.items())}
+
+
+def jacobi_check_by_fractions(L: LieAlgebra) -> tuple[int, int, int] | None:
+    """The first triple i < j < k whose Jacobiator, expanded through
+    ``bracket_terms`` on the Fraction table, is nonzero."""
+    table = L._table
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            for k in range(j + 1, L.dim):
+                total: dict = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    inner = bracket_terms(table, {a: Fraction(1)}, {b: Fraction(1)})
+                    for p, x in bracket_terms(table, inner, {c: Fraction(1)}).items():
+                        total[p] = total.get(p, 0) + x
+                if any(total.values()):
+                    return (i, j, k)
+    return None
+
+
+def contains_by_fractions(span: linalg.RowSpan, v: dict) -> bool:
+    """Membership read off the Fraction reduced rows: v minus sum_p v_p R_p
+    vanishes."""
+    rest: dict = {}
+    for k, x in v.items():
+        terms = span.reduced.get(k)
+        if terms is None:
+            rest[k] = rest.get(k, 0) + x
+        elif x:
+            for c, y in terms:
+                rest[c] = rest.get(c, 0) - x * y
+    return not any(rest.values())
+
+
+def is_closed_by_fractions(h: Subalgebra) -> bool:
+    vecs = [sparse(v.coords) for v in h.basis]
+    return all(
+        contains_by_fractions(h.span, bracket_terms(h.parent._table, vecs[i], vecs[j]))
+        for i in range(len(vecs))
+        for j in range(i + 1, len(vecs))
+    )
+
+
+def is_ideal_by_fractions(h: Subalgebra) -> bool:
+    return all(
+        contains_by_fractions(
+            h.span, bracket_terms(h.parent._table, sparse(v.coords), {a: Fraction(1)})
+        )
+        for v in h.basis
+        for a in range(h.parent.dim)
+    )
+
+
+def bracket_traces_by_fractions(h: Subalgebra, weights) -> tuple[Fraction, ...]:
+    """sum_j b_j w_j on each basis vector b, w_j = sum of r [e_j, e_c]_p over
+    the Fraction weights (c, p, r), on the Fraction table."""
+    table, empty, w = h.parent._table, {}, {}
+    for j in {j for v in h.basis for j, x in enumerate(v.coords) if x}:
+        w[j] = 0
+        for c, p, r in weights:
+            key, r = ((j, c), r) if j < c else ((c, j), -r)
+            y = table.get(key, empty).get(p)
+            if y:
+                w[j] += r * y
+    return tuple(
+        sum((x * w[j] for j, x in enumerate(v.coords) if x and w[j]), Fraction(0))
+        for v in h.basis
+    )
+
+
+def modular_character_values_by_fractions(h: Subalgebra) -> tuple[Fraction, ...]:
+    reduced = h.span.reduced
+    return bracket_traces_by_fractions(
+        h, [(c, p, r) for p in reduced for c, r in [(p, Fraction(1)), *reduced[p]]]
+    )
+
+
+def quotient_traces_by_fractions(h: Subalgebra) -> tuple[Fraction, ...]:
+    reduced = h.span.reduced
+    free = [(a, a, Fraction(1)) for a in range(h.parent.dim) if a not in reduced]
+    return bracket_traces_by_fractions(
+        h, free + [(a, p, -x) for p in reduced for a, x in reduced[p]]
+    )
+
+
+def is_closed_one_form_by_pairs(L: LieAlgebra, theta: Covector) -> bool:
+    """theta kills [e_i, e_j] for every pair i < j, read by ``bracket_basis``."""
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            val = Fraction(0)
+            for k, c in L.bracket_basis(i, j).items():
+                val += c * theta.coords[k]
+            if val:
+                return False
+    return True

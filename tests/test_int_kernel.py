@@ -1,0 +1,268 @@
+"""The integer Lie kernel against the Fraction paths it replaced.
+
+Each ``LieAlgebra`` holds its constants once, as a positive int ``den`` and a
+sparse int table ``ints``; Jacobi, the cocycle identity, closure, ideals,
+traces and closed one-forms all read them.  Here each of those is compared
+with the Fraction path in ``oracles.py`` on catalog subalgebras, the sl(3..5)
+Cartan, so(n) and Borels, h0 in g* and l = h + h0 in the double, perturbed
+bases and tables, and constants with coprime denominators near 10^50.  The
+``_table`` view is pinned entry for entry, in insertion order, and a guard
+counts the Fractions the checks make on a prebuilt sl(4).
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from poishom import catalog, linalg, verify
+from poishom.bialgebra import (
+    CocommutatorMap,
+    LieBialgebra,
+    cocycle_check,
+    dual_constants,
+    sln_standard_bialgebra,
+)
+from poishom.exterior import ExteriorElement, ce_differential
+from poishom.homspace import HomogeneousSpaceSpec, _closedness_rows, _quotient_traces
+from poishom.lie import LieAlgebra, Subalgebra, Vector, is_closed_one_form
+
+from oracles import (
+    cocycle_check_by_ad_terms,
+    double_table_by_fractions,
+    is_closed_by_fractions,
+    is_closed_one_form_by_pairs,
+    is_ideal_by_fractions,
+    jacobi_check_by_fractions,
+    modular_character_values_by_fractions,
+    quotient_traces_by_fractions,
+    sln_algebra_by_fractions,
+)
+
+ETAS = (Fraction(1), Fraction(-5, 2))
+# coprime denominators near 10^50, as in test_kernel_oracles.py
+P, R, A = 10**50 + 3, 10**50 + 7, 10**49 + 9
+HUGE = LieAlgebra(
+    ("a", "b", "c", "d"),
+    {
+        (0, 1): {1: Fraction(-(10**49) - 1, P)},
+        (0, 2): {2: Fraction(7 * 10**49 + 1, R), 3: Fraction(1, A)},
+        (0, 3): {3: Fraction(3 * 10**49 + 1, P)},
+        (1, 2): {3: Fraction(-(10**48) - 1, A)},
+    },
+)
+HUGE_DELTA = {1: {(1, 2): Fraction(-(10**48) - 1, A)}, 3: {(0, 3): Fraction(5, P)}}
+
+small_rational = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+huge_rational = st.builds(Fraction, st.integers(-(10**50), 10**50), st.integers(1, 10**50))
+
+
+def catalog_bialgebras():
+    return [build(eta) for build in catalog.BIALGEBRAS.values() for eta in ETAS]
+
+
+@pytest.fixture(scope="module")
+def subspaces(workloads):
+    """(parent, basis rows): h in g, h0 in g* and l = h + h0 in the double for
+    every catalog entry at two etas and for the sl(3..5) Cartan, so(n) and
+    three Borels, plus subspaces of the 10^50 algebra."""
+    specs = [catalog.build_homspace(name, eta) for name in catalog.HOMSPACE_NAMES for eta in ETAS]
+    for n in (3, 4, 5):
+        B = sln_standard_bialgebra(n, Fraction(-5, 2))
+        subs = workloads.sl_subalgebras(n, B.g)
+        borels = workloads.borels(n)
+        for kind in ["cartan", "so", borels[0], borels[len(borels) // 2], borels[-1]]:
+            h = B.g.subalgebra([B.g.vector(row) for row in subs[kind]])
+            specs.append(HomogeneousSpaceSpec(kind, B, h))
+    out = [(HUGE, [[1, 0, 0, 0]]), (HUGE, [[0, 1, 0, 0], [0, 0, 0, 1]]), (HUGE, [[0, 0, 1, 0]])]
+    for S in specs:
+        g, m = S.bialgebra.g, S.bialgebra.dim
+        h = [list(v.coords) for v in S.h.basis]
+        h0 = [list(xi.coords) for xi in g.annihilator(S.h)]
+        out += [(g, h), (S.bialgebra.dual, h0)]
+        out.append((S.bialgebra.double, [r + [0] * m for r in h] + [[0] * m + r for r in h0]))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_closure_ideal_and_traces_match_the_fraction_paths(subspaces, data):
+    L, rows = data.draw(st.sampled_from(subspaces))
+    rows = [list(r) for r in rows]
+    if rows and data.draw(st.booleans()):
+        # a perturbed basis: one entry moved, usually out of closure
+        i, a = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, L.dim - 1))
+        rows[i][a] += data.draw(st.one_of(small_rational, huge_rational).filter(bool))
+    # each basis vector rescaled, so its int row has a scale of its own
+    scales = [data.draw(small_rational.filter(bool)) for _ in rows]
+    try:
+        h = Subalgebra(L, [Vector(L, [s * x for x in r]) for s, r in zip(scales, rows)], False)
+    except ValueError:  # the perturbation made the basis dependent
+        assume(False)
+    assert h.is_closed() == is_closed_by_fractions(h)
+    assert h.is_ideal() == is_ideal_by_fractions(h)
+    assert h.modular_character_values() == modular_character_values_by_fractions(h)
+    assert _quotient_traces(h) == quotient_traces_by_fractions(h)
+
+
+def pair(data, dim: int) -> tuple[int, int]:
+    """Two basis indices i < j."""
+    return tuple(sorted(data.draw(st.sets(st.integers(0, dim - 1), min_size=2, max_size=2))))
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """(bialgebra, whether the dense Jacobi oracle runs on its double) for
+    the catalog bialgebras at two etas and sl(3..5)."""
+    out = [(B, B.dim <= 8) for B in catalog_bialgebras()]
+    out += [(sln_standard_bialgebra(n, Fraction(-5, 2)), n <= 4) for n in (3, 4, 5)]
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_jacobi_and_cocycle_match_the_fraction_paths(tables, data):
+    choice = data.draw(st.integers(0, len(tables)))
+    if choice == len(tables):
+        g, images = HUGE, {k: dict(t) for k, t in HUGE_DELTA.items()}
+        algebras = [HUGE]
+    else:
+        B, with_double = tables[choice]
+        g, images = B.g, {k: dict(im.terms) for k, im in enumerate(B.delta.images)}
+        algebras = [B.g, B.dual] + ([B.double] if with_double else [])
+    L = data.draw(st.sampled_from(algebras))
+    if data.draw(st.booleans()):
+        # one constant moved, on the int table or on the Fraction one
+        i, j = pair(data, L.dim)
+        k = data.draw(st.integers(0, L.dim - 1))
+        if data.draw(st.booleans()):
+            ints = {key: dict(image) for key, image in L.ints.items()}
+            image = ints.setdefault((i, j), {})
+            image[k] = image.get(k, 0) + data.draw(st.integers(-3, 3))
+            L = LieAlgebra(L.labels, ints, L.den)
+        else:
+            table = {key: dict(image) for key, image in L._table.items()}
+            image = table.setdefault((i, j), {})
+            image[k] = image.get(k, 0) + data.draw(st.one_of(small_rational, huge_rational))
+            L = LieAlgebra(L.labels, table)
+    assert L.jacobi_check() == jacobi_check_by_fractions(L)
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, g.dim - 1))
+        a, b = pair(data, g.dim)
+        images.setdefault(k, {})
+        images[k][(a, b)] = images[k].get((a, b), 0) + data.draw(small_rational.filter(bool))
+    delta = CocommutatorMap.from_images(g, images)
+    assert cocycle_check(g, delta) == cocycle_check_by_ad_terms(g, delta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_is_closed_one_form_matches_the_pairwise_loop(tables, data):
+    choice = data.draw(st.integers(0, len(tables)))
+    if choice == len(tables):
+        L = HUGE
+    else:
+        B, _ = tables[choice]
+        L = data.draw(st.sampled_from([B.g, B.dual, B.double]))
+    closed = linalg.nullspace(_closedness_rows(L)) if L.ints else []
+    coeffs = data.draw(st.lists(small_rational, min_size=len(closed), max_size=len(closed)))
+    coords = [sum((c * v[a] for c, v in zip(coeffs, closed)), Fraction(0)) for a in range(L.dim)]
+    if data.draw(st.booleans()):
+        a = data.draw(st.integers(0, L.dim - 1))
+        coords[a] += data.draw(st.one_of(small_rational, huge_rational))
+    theta = L.covector(coords)
+    assert is_closed_one_form(L, theta) == is_closed_one_form_by_pairs(L, theta)
+
+
+def test_is_closed_one_form_sees_both_verdicts():
+    B = sln_standard_bialgebra(3, Fraction(-5, 2))
+    for L in (B.g, B.dual, B.double, HUGE):
+        theta = L.modular_character()
+        assert is_closed_one_form(L, theta) and is_closed_one_form_by_pairs(L, theta)
+    # sl(3) is perfect: no nonzero form kills every bracket
+    theta = B.g.basis_covector(0)
+    assert not is_closed_one_form(B.g, theta) and not is_closed_one_form_by_pairs(B.g, theta)
+    theta = HUGE.covector([0, 0, 0, Fraction(1, P)])
+    assert not is_closed_one_form(HUGE, theta) and not is_closed_one_form_by_pairs(HUGE, theta)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction view and the int path
+# ---------------------------------------------------------------------------
+
+
+def assert_view(L, want):
+    """L's ``_table`` is ``want`` entry for entry, in insertion order, on
+    Fractions, and it is ``ints`` over ``den``, in the same order."""
+    assert list(L._table.items()) == list(want.items())
+    assert all(type(c) is Fraction for image in L._table.values() for c in image.values())
+    assert list(L.ints) == list(L._table)
+    assert all(
+        list(L._table[key]) == list(image)
+        and all(Fraction(c, L.den) == L._table[key][k] for k, c in image.items())
+        for key, image in L.ints.items()
+    )
+
+
+def test_table_view_of_every_catalog_algebra_dual_and_double():
+    for B in catalog_bialgebras():
+        assert_view(B.g, dict(B.g._table))
+        assert_view(B.dual, dual_constants(B.delta)._table)
+        assert_view(B.double, double_table_by_fractions(B))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_table_view_of_sln_at_the_digest_etas(n):
+    g = sln_algebra_by_fractions(n)._table
+    for eta in ("1", "-5/2", "2/3"):
+        B = sln_standard_bialgebra(n, eta)
+        assert_view(B.g, g)
+        assert_view(B.dual, dual_constants(B.delta)._table)
+        assert_view(B.double, double_table_by_fractions(B))
+
+
+def test_kernel_checks_make_no_fraction_in_their_loops(monkeypatch):
+    B = sln_standard_bialgebra(4, Fraction(-5, 2))
+    D = B.double
+    h = B.g.subalgebra(["Q12", "Q13", "Q14", "Q23", "Q24", "Q34"])
+    omega = ExteriorElement(
+        B.g, 2, {(0, 1): Fraction(1, 3), (2, 7): Fraction(-5, 2), (4, 9): 2}, True
+    )
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic's constructor on Python >= 3.12
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(
+            Fraction, "_from_coprime_ints", classmethod(lambda _, *a: made.append(a) or coprime(*a))
+        )
+    assert B.g.jacobi_check() is None and B.dual.jacobi_check() is None
+    assert D.jacobi_check() is None
+    assert cocycle_check(B.g, B.delta) is None
+    assert h.is_closed()
+    assert made == []
+    d = ce_differential(B.g, omega)
+    # one Fraction per term of the result, made after the int loop
+    assert d.terms and len(made) == len(d.terms)
+
+
+def test_verify_all_builds_the_catalog_bialgebras_once(monkeypatch):
+    """One ``verify-all`` run builds the 10 catalog structures once, the 4
+    dual-character structures at 3 etas, the 11 table entries at eta = 2 and
+    the toda model's sl(3): the golden tables read the catalog specs."""
+    built = []
+    init = LieBialgebra.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LieBialgebra, "__init__", counted)
+    results = verify.run_all()
+    assert all(r.ok for r in results)
+    assert len(built) == 10 + 4 * 3 + 11 + 1
