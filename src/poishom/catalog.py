@@ -2,24 +2,30 @@
 homogeneous quotients, and the coordinate Poisson models used by the dynamics
 commands.
 
-Every entry is built from an r-matrix or an explicit cocommutator and is
-re-validated on construction (dual Jacobi, cocycle condition).  The scaling
-parameter ``eta`` is instantiated as an exact rational (default 1); all
-catalog verdicts are generic in eta != 0.
+Every entry is built from an r-matrix (``R_MATRICES``) or an explicit
+cocommutator and is re-validated on construction (dual Jacobi, cocycle
+condition).  The scaling parameter ``eta`` is instantiated as an exact
+rational (default 1); all catalog verdicts are generic in eta != 0.
 
-Calibration metadata: for the group-level coordinate models the displayed
-bracket realizes the opposite orientation of the coboundary cocommutator
-(equivalently, the model integrates -r); this is recorded per model as
-``cocommutator_sign = -1`` and consumed by the linearization spot check.
-The quotient-level compartmental model carries sign +1.
+Each group-level coordinate model is generated by ``model_on`` from its row
+of ``GROUP_MODELS`` (structure, product table, frame) and its structure B.
+The bracket is the Sklyanin bivector of -r, r^R - r^L (Semenov-Tian-Shansky,
+"What is a classical r-matrix?", 1983): the model integrates -r, which it
+records as ``cocommutator_sign = -1`` for the linearization spot check.  The
+character fields are the left and right translates of B's dual modular
+character, and the cocommutator images are B's.  The quotient-level
+compartmental model is written out and carries sign +1.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 from .bialgebra import (
     CocommutatorMap,
@@ -27,11 +33,11 @@ from .bialgebra import (
     sln_basis_matrices,
     sln_standard_bialgebra,
 )
-from .coord import PolynomialPoissonModel, PolyVectorField
+from .coord import PolynomialPoissonModel, PolyVectorField, field_from_character_data
 from .exterior import ExteriorElement
 from .homspace import HomogeneousSpaceSpec
 from .lie import LieAlgebra
-from .linalg import frac
+from .linalg import frac, integer_row
 from .poly import Polynomial
 
 DEFAULT_SEED = 20250810
@@ -89,42 +95,45 @@ def r2xr2_algebra() -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _rmatrix(L: LieAlgebra, terms: dict, eta) -> ExteriorElement:
-    eta = frac(eta)
-    return ExteriorElement(L, 2, {k: eta * frac(c) for k, c in terms.items()}, False)
+# The r-matrix of each coboundary structure at eta = 1, by structure name, as
+# {(X, Y): c} for the terms c X ^ Y.  The two presentations of one named sl(2)
+# structure are separate catalog objects, identified only up to rescaling eta.
+R_MATRICES = {
+    "so3-structure": {("J1", "J2"): 1},
+    "sl2-hyperbolic": {("P1", "P2"): 2},
+    "sl2-elliptic": {("J12", "P2"): 2},
+    "sl2-parabolic": {("J12", "P1"): 1, ("J12", "P2"): 1},
+    "sl2-hyperbolic-tri": {("J+", "J-"): 1},
+    "sl2-elliptic-tri": {("J3", "J+"): 1, ("J3", "J-"): 1},
+    "sl2-parabolic-tri": {("J3", "J+"): Fraction(1, 2)},
+    # sum_{i<j} E_ij ^ E_ji = -1/2 sum_{i<j} S_ij ^ Q_ij
+    "sl3-standard-structure": {(f"S{p}", f"Q{p}"): Fraction(-1, 2) for p in ("12", "13", "23")},
+}
+
+
+def _rmatrix(L: LieAlgebra, structure: str, eta) -> ExteriorElement:
+    """eta times the r-matrix of ``structure``, on L."""
+    r = ExteriorElement.zero(L, 2, False)
+    for (a, b), c in R_MATRICES[structure].items():
+        r = r + ExteriorElement.basis(L, (L.index(a), L.index(b)), False, frac(eta) * c)
+    return r
 
 
 def so3_bialgebra(eta=1) -> LieBialgebra:
     L = so3_algebra()
-    return LieBialgebra.from_rmatrix(L, _rmatrix(L, {(0, 1): 1}, eta))  # eta J1^J2
+    return LieBialgebra.from_rmatrix(L, _rmatrix(L, "so3-structure", eta))
 
 
 def sl2_bialgebra(structure: str, basis: str, eta=1) -> LieBialgebra:
-    """The three coboundary structures in either basis.
-
-    boost basis r-matrices:  hyperbolic 2 eta P1^P2, elliptic 2 eta J12^P2,
-    parabolic eta J12^(P1+P2); triangular basis: eta J+^J-,
-    eta J3^(J+ + J-), eta/2 J3^J+.  The two presentations of the same named
-    structure are separate catalog objects (each self-consistent; they are
-    identified only up to rescaling eta).
-    """
+    """The hyperbolic, elliptic or parabolic coboundary structure on the boost
+    or the triangular basis."""
     if basis == "boost":
-        L = sl2_boost_algebra()
-        terms = {
-            "hyperbolic": {(0, 1): 2},            # 2 eta P1 ^ P2
-            "elliptic": {(1, 2): -2},             # 2 eta J12 ^ P2 = -2 eta P2 ^ J12
-            "parabolic": {(0, 2): -1, (1, 2): -1},  # eta J12 ^ (P1+P2)
-        }[structure]
+        L, suffix = sl2_boost_algebra(), ""
     elif basis == "triangular":
-        L = sl2_triangular_algebra()
-        terms = {
-            "hyperbolic": {(1, 2): 1},                       # eta J+ ^ J-
-            "elliptic": {(0, 1): 1, (0, 2): 1},              # eta J3 ^ (J+ + J-)
-            "parabolic": {(0, 1): Fraction(1, 2)},           # eta/2 J3 ^ J+
-        }[structure]
+        L, suffix = sl2_triangular_algebra(), "-tri"
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    return LieBialgebra.from_rmatrix(L, _rmatrix(L, terms, eta))
+    return LieBialgebra.from_rmatrix(L, _rmatrix(L, f"sl2-{structure}{suffix}", eta))
 
 
 def solvable3_bialgebra() -> LieBialgebra:
@@ -209,51 +218,28 @@ HOMSPACE_NAMES = TABLE1_NAMES + TABLE2_NAMES + EXTRA_NAMES
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False)
 class CoordModelBundle:
-    """A coordinate model plus its transcribed invariant-field data."""
+    """A coordinate model plus its invariant-field data: generated from the
+    catalog structure for a group model (``model_on``), written out for the
+    compartmental and canonical models."""
 
-    def __init__(
-        self,
-        model: PolynomialPoissonModel,
-        left_chi: Optional[PolyVectorField] = None,
-        right_chi: Optional[PolyVectorField] = None,
-        chi_g_form=None,
-        vertical_fields: Sequence[PolyVectorField] = (),
-        morse_frame: Sequence[PolyVectorField] = (),
-        frame: Sequence[Sequence] = (),
-        delta_images: Sequence[dict] = (),
-        cocommutator_sign: int = -1,
-        kernel_covector: Optional[Sequence[Polynomial]] = None,
-        kernel_witness: Optional[Sequence] = None,
-        hamiltonian: Optional[Polynomial] = None,
-        flow_start: Optional[Sequence] = None,
-        notes: str = "",
-    ):
-        self.model = model
-        self.left_chi = left_chi
-        self.right_chi = right_chi
-        self.chi_g_form = chi_g_form
-        self.vertical_fields = tuple(vertical_fields)
-        self.morse_frame = tuple(morse_frame)
-        self.frame = tuple(tuple(frac(c) for c in f) for f in frame)
-        self.delta_images = tuple(delta_images)
-        self.cocommutator_sign = cocommutator_sign
-        self.kernel_covector = tuple(kernel_covector) if kernel_covector else None
-        self.kernel_witness = tuple(frac(c) for c in kernel_witness) if kernel_witness else None
-        self.hamiltonian = hamiltonian
-        self.flow_start = tuple(frac(c) for c in flow_start) if flow_start else None
-        self.notes = notes
+    model: PolynomialPoissonModel
+    left_chi: Optional[PolyVectorField] = None
+    right_chi: Optional[PolyVectorField] = None
+    vertical_fields: tuple[PolyVectorField, ...] = ()
+    morse_frame: tuple[PolyVectorField, ...] = ()
+    frame: tuple[tuple, ...] = ()
+    delta_images: tuple[dict, ...] = ()
+    cocommutator_sign: int = -1
+    kernel_covector: Optional[tuple[Polynomial, ...]] = None
+    kernel_witness: Optional[tuple] = None
+    hamiltonian: Optional[Polynomial] = None
+    flow_start: Optional[tuple] = None
+    notes: str = ""
 
     def horizontal_field(self) -> PolyVectorField:
-        from .coord import field_from_character_data
-
-        return field_from_character_data(
-            self.model, self.left_chi, self.right_chi, self.chi_g_form
-        )
-
-
-def _field(variables, comps) -> PolyVectorField:
-    return PolyVectorField(variables, list(comps))
+        return field_from_character_data(self.model, self.left_chi, self.right_chi)
 
 
 def _sphere_sampler(rng: random.Random):
@@ -300,230 +286,221 @@ def _sl3_sampler(rng: random.Random):
     )
 
 
-def _su2_group_mult(variables) -> list[Polynomial]:
-    names = list(variables) + [f"{v}'" for v in variables]
-    g = {v: Polynomial.variable(names, v) for v in names}
-    x, y, z, t = (g[v] for v in variables)
-    xp, yp, zp, tp = (g[f"{v}'"] for v in variables)
-    return [
-        x * xp - y * yp - z * zp - t * tp,
-        x * yp + y * xp + t * zp - z * tp,
-        x * zp + z * xp - t * yp + y * tp,
-        t * xp + x * tp + z * yp - y * zp,
-    ]
+HALF = Fraction(1, 2)
+
+# SU(2) as the unit quaternions x - y i - z j - t k, one line of its
+# product table per coordinate p
+_SU2_PRODUCT = (
+    (0, 0, 0, 1), (0, 1, 1, -1), (0, 2, 2, -1), (0, 3, 3, -1),
+    (1, 0, 1, 1), (1, 1, 0, 1), (1, 3, 2, 1), (1, 2, 3, -1),
+    (2, 0, 2, 1), (2, 2, 0, 1), (2, 3, 1, -1), (2, 1, 3, 1),
+    (3, 3, 0, 1), (3, 0, 3, 1), (3, 2, 1, 1), (3, 1, 2, -1),
+)
 
 
-def _matrix_group_mult(variables, n) -> list[Polynomial]:
-    """Entries of the product of two n x n matrices, each given row by row by
-    ``variables``, the second one primed."""
-    names = list(variables) + [f"{v}'" for v in variables]
-    g = [Polynomial.variable(names, v) for v in names]
-    return [
-        sum((g[i * n + k] * g[n * n + k * n + j] for k in range(n)), Polynomial.zero(names))
-        for i in range(n)
-        for j in range(n)
-    ]
-
-
-def _build_su2(eta: Fraction) -> CoordModelBundle:
-    v = ("x", "y", "z", "t")
-    X = {n: Polynomial.variable(v, n) for n in v}
-    x, y, z, t = X["x"], X["y"], X["z"], X["t"]
-    half = eta / 2
-    brackets = {
-        (0, 1): half * (z * z + t * t),
-        (0, 2): -half * y * z,
-        (0, 3): -half * y * t,
-        (1, 2): half * x * z,
-        (1, 3): half * x * t,
-    }
-    constraint = x * x + y * y + z * z + t * t - 1
-    model = PolynomialPoissonModel(
-        "su2",
-        v,
-        brackets,
-        constraints=[constraint],
-        base_point=(1, 0, 0, 0),
-        poisson_lie=True,
-        group_mult=_su2_group_mult(v),
-        sampler=_sphere_sampler,
-    )
-    left = _field(v, [eta * y, -eta * x, eta * t, -eta * z])
-    right = _field(v, [eta * y, -eta * x, -eta * t, eta * z])
-    zero = Polynomial.zero(v)
-    half_f = Fraction(1, 2)
-    vertical = _field(v, [-half_f * y, half_f * x, -half_f * t, half_f * z])  # left J3
-    morse_frame = (
-        _field(v, [-half_f * t, -half_f * z, half_f * y, half_f * x]),  # left J1
-        _field(v, [-half_f * z, half_f * t, half_f * x, -half_f * y]),  # left J2
-    )
-    return CoordModelBundle(
-        model=model,
-        left_chi=left,
-        right_chi=right,
-        vertical_fields=[vertical],
-        morse_frame=morse_frame,
-        frame=[(0, 0, 0, half_f), (0, 0, half_f, 0), (0, half_f, 0, 0)],
-        delta_images=[{(0, 2): eta}, {(1, 2): eta}, {}],
-        cocommutator_sign=-1,
-        kernel_covector=[zero, zero, -t, z],
-        kernel_witness=(0, 0, 1, 0),
-        hamiltonian=(x * x + y * y) * (z * z + t * t),
-        flow_start=(Fraction(2, 3), Fraction(1, 3), Fraction(2, 3), 0),
-        notes="coordinate bracket realizes the opposite r-matrix orientation",
+def _matrix_product(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The product table of n x n matrices, each given row by row."""
+    return tuple(
+        (i * n + j, i * n + k, k * n + j, 1) for i in range(n) for j in range(n) for k in range(n)
     )
 
 
-def _build_sl2(structure: str, eta: Fraction) -> CoordModelBundle:
-    v = ("x", "y", "z", "t")
-    X = {n: Polynomial.variable(v, n) for n in v}
-    x, y, z, t = X["x"], X["y"], X["z"], X["t"]
-    zero = Polynomial.zero(v)
-    half = eta / 2
-    if structure == "hyperbolic":
-        brackets = {
-            (0, 1): eta * x * y,
-            (0, 2): eta * x * z,
-            (0, 3): 2 * eta * y * z,
-            (1, 3): eta * y * t,
-            (2, 3): eta * z * t,
-        }
-        left = _field(v, [-2 * eta * x, 2 * eta * y, -2 * eta * z, 2 * eta * t])
-        right = _field(v, [-2 * eta * x, -2 * eta * y, 2 * eta * z, 2 * eta * t])
-        kernel = [zero, z, -y, zero]
-        witness = (1, 1, 1, 2)
-        frame = [(1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)]  # J3, J+, J-
-        delta_images = [{}, {(0, 1): -eta}, {(0, 2): -eta}]
-    elif structure == "elliptic":
-        brackets = {
-            (0, 1): half * (x * (t - x) - y * (y + z)),
-            (0, 2): half * (x * (x - t) + z * (y + z)),
-            (0, 3): half * (x - t) * (y - z),
-            (1, 2): half * (x + t) * (y + z),
-            (1, 3): half * (-t * (x - t) + y * (y + z)),
-            (2, 3): half * (t * (x - t) - z * (y + z)),
-        }
-        left = _field(v, [2 * eta * y, -2 * eta * x, 2 * eta * t, -2 * eta * z])
-        right = _field(v, [-2 * eta * z, -2 * eta * t, 2 * eta * x, 2 * eta * y])
-        kernel = [-(y + z), x - t, x - t, y + z]
-        witness = (2, 1, 1, 1)
-        frame = [  # P1, P2, J12 realized as (E12-E21)/2, (E12+E21)/2, diag(1,-1)/2
-            (0, Fraction(1, 2), -Fraction(1, 2), 0),
-            (0, Fraction(1, 2), Fraction(1, 2), 0),
-            (Fraction(1, 2), 0, 0, -Fraction(1, 2)),
-        ]
-        delta_images = [{}, {(0, 1): -2 * eta}, {(0, 2): -2 * eta}]
-    elif structure == "parabolic":
-        brackets = {
-            (0, 1): half * (-x * (x - t) - y * z),
-            (0, 2): half * z * z,
-            (0, 3): -half * (x - t) * z,
-            (1, 2): half * (x + t) * z,
-            (1, 3): half * (-t * (x - t) + y * z),
-            (2, 3): -half * z * z,
-        }
-        left = _field(v, [zero, -2 * eta * x, zero, -2 * eta * z])
-        right = _field(v, [-2 * eta * z, -2 * eta * t, zero, zero])
-        kernel = [-z, zero, x - t, z]
-        witness = (0, -1, 1, 0)
-        frame = [(1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)]  # J3, J+, J-
-        delta_images = [{(0, 1): eta}, {}, {(1, 2): -eta}]
-    else:
-        raise KeyError(structure)
-    model = PolynomialPoissonModel(
-        f"sl2-{structure}",
-        v,
-        brackets,
-        constraints=[x * t - y * z - 1],
+@dataclass(frozen=True)
+class GroupModel:
+    """A Poisson-Lie group in coordinates, less what ``model_on`` derives from
+    its catalog structure.  Elements of the Lie algebra are given by their
+    coordinates at the identity; ``constraint``, ``hamiltonian`` and
+    ``kernel`` take the coordinate polynomials."""
+
+    structure: str
+    variables: tuple[str, ...]
+    product: tuple[tuple[int, int, int, int], ...]  # terms (p, s, t, c): (g h)_p += c g_s h_t
+    frame: tuple[tuple, ...]  # the structure's basis vectors
+    constraint: Callable
+    base_point: tuple
+    sampler: Callable
+    hamiltonian: Callable
+    vertical: tuple[tuple, ...] = ()  # whose left translates are the vertical fields
+    morse: tuple[tuple, ...] = ()  # whose left translates are the Morse frame
+    kernel: Optional[Callable] = None
+    witness: Optional[tuple] = None
+    flow_start: Optional[tuple] = None
+    eta: Optional[int] = None  # a fixed eta; None takes the eta asked for
+    notes: str = "coordinate bracket realizes the opposite r-matrix orientation"
+
+
+_SU2_FRAME = ((0, 0, 0, HALF), (0, 0, HALF, 0), (0, HALF, 0, 0))  # J1, J2, J3
+_TRIANGULAR_FRAME = ((1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0))  # J3, J+, J-
+# P1, P2, J12 realized as (E12 - E21)/2, (E12 + E21)/2, diag(1, -1)/2
+_BOOST_FRAME = ((0, HALF, -HALF, 0), (0, HALF, HALF, 0), (HALF, 0, 0, -HALF))
+
+
+def _sl2(structure: str, frame: tuple, kernel: Callable, witness: tuple) -> GroupModel:
+    return GroupModel(
+        structure=structure,
+        variables=("x", "y", "z", "t"),
+        product=_matrix_product(2),
+        frame=frame,
+        constraint=lambda x, y, z, t: x * t - y * z - 1,
         base_point=(1, 0, 0, 1),
-        poisson_lie=True,
-        group_mult=_matrix_group_mult(v, 2),
         sampler=_sl2_sampler,
-    )
-    # left P1 with P1 = (E12 - E21)/2; kills the two-sheeted-quotient energy
-    vertical_p1 = _field(
-        v,
-        [
-            -Fraction(1, 2) * y,
-            Fraction(1, 2) * x,
-            -Fraction(1, 2) * t,
-            Fraction(1, 2) * z,
-        ],
-    )
-    return CoordModelBundle(
-        model=model,
-        left_chi=left,
-        right_chi=right,
-        vertical_fields=[vertical_p1],
-        frame=frame,
-        delta_images=delta_images,
-        cocommutator_sign=-1,
-        kernel_covector=kernel,
-        kernel_witness=witness,
-        hamiltonian=Fraction(1, 2) * (x * x + y * y + z * z + t * t),
-        notes="coordinate bracket realizes the opposite r-matrix orientation",
+        hamiltonian=lambda x, y, z, t: HALF * (x * x + y * y + z * z + t * t),
+        vertical=(_BOOST_FRAME[0],),  # left P1 kills the two-sheeted-quotient energy
+        kernel=kernel,
+        witness=witness,
     )
 
 
-def _build_toda3() -> CoordModelBundle:
-    v = tuple(f"a{i}{j}" for i in range(1, 4) for j in range(1, 4))
-    X = {n: Polynomial.variable(v, n) for n in v}
-
-    def a(i, j):
-        return X[f"a{i}{j}"]
-
-    def sgn(d):
-        return (d > 0) - (d < 0)
-
-    brackets = {}
-    idx = {(i, j): 3 * (i - 1) + (j - 1) for i in range(1, 4) for j in range(1, 4)}
-    for (i, j), p in idx.items():
-        for (k, l), q in idx.items():
-            if p >= q:
-                continue
-            coeff = sgn(k - i) + sgn(l - j)
-            if coeff:
-                brackets[(p, q)] = coeff * a(i, l) * a(k, j)
-    det = (
-        a(1, 1) * (a(2, 2) * a(3, 3) - a(2, 3) * a(3, 2))
-        - a(1, 2) * (a(2, 1) * a(3, 3) - a(2, 3) * a(3, 1))
-        + a(1, 3) * (a(2, 1) * a(3, 2) - a(2, 2) * a(3, 1))
-    )
-    model = PolynomialPoissonModel(
-        "toda-n3",
-        v,
-        brackets,
-        constraints=[det - 1],
+GROUP_MODELS = {
+    "su2": GroupModel(
+        structure="so3-structure",
+        variables=("x", "y", "z", "t"),
+        product=_SU2_PRODUCT,
+        frame=_SU2_FRAME,
+        constraint=lambda x, y, z, t: x * x + y * y + z * z + t * t - 1,
+        base_point=(1, 0, 0, 0),
+        sampler=_sphere_sampler,
+        hamiltonian=lambda x, y, z, t: (x * x + y * y) * (z * z + t * t),
+        vertical=_SU2_FRAME[2:],
+        morse=_SU2_FRAME[:2],
+        kernel=lambda x, y, z, t: (0, 0, -t, z),
+        witness=(0, 0, 1, 0),
+        flow_start=(Fraction(2, 3), Fraction(1, 3), Fraction(2, 3), 0),
+    ),
+    "sl2-hyperbolic": _sl2(
+        "sl2-hyperbolic-tri", _TRIANGULAR_FRAME, lambda x, y, z, t: (0, z, -y, 0), (1, 1, 1, 2)
+    ),
+    "sl2-elliptic": _sl2(
+        "sl2-elliptic",
+        _BOOST_FRAME,
+        lambda x, y, z, t: (-(y + z), x - t, x - t, y + z),
+        (2, 1, 1, 1),
+    ),
+    "sl2-parabolic": _sl2(
+        "sl2-parabolic-tri", _TRIANGULAR_FRAME, lambda x, y, z, t: (-z, 0, x - t, z), (0, -1, 1, 0)
+    ),
+    "toda-n3": GroupModel(
+        structure="sl3-standard-structure",
+        variables=tuple(f"a{i}{j}" for i in range(1, 4) for j in range(1, 4)),
+        product=_matrix_product(3),
+        frame=tuple(tuple(c for row in m for c in row) for m in sln_basis_matrices(3)[1]),
+        constraint=lambda *a: (
+            a[0] * (a[4] * a[8] - a[5] * a[7])
+            - a[1] * (a[3] * a[8] - a[5] * a[6])
+            + a[2] * (a[3] * a[7] - a[4] * a[6])
+            - 1
+        ),
         base_point=(1, 0, 0, 0, 1, 0, 0, 0, 1),
-        poisson_lie=True,
-        group_mult=_matrix_group_mult(v, 3),
         sampler=_sl3_sampler,
-    )
-    zero = Polynomial.zero(v)
-    left_comps = [zero] * 9
-    right_comps = [zero] * 9
-    for i in range(1, 4):
-        left_comps[idx[(i, 1)]] = -4 * a(i, 1)
-        left_comps[idx[(i, 3)]] = 4 * a(i, 3)
-        right_comps[idx[(1, i)]] = -4 * a(1, i)
-        right_comps[idx[(3, i)]] = 4 * a(3, i)
-    labels, mats = sln_basis_matrices(3)
-    frame = [tuple(m[i][j] for i in range(3) for j in range(3)) for m in mats]
-    B = toda_bialgebra(3, 1)
-    delta_images = [dict(im.terms) for im in B.delta.images]
-    ham = Polynomial.zero(v)
-    for n in v:
-        ham = ham + X[n] * X[n]
-    return CoordModelBundle(
-        model=model,
-        left_chi=_field(v, left_comps),
-        right_chi=_field(v, right_comps),
-        frame=frame,
-        delta_images=delta_images,
-        cocommutator_sign=-1,
-        hamiltonian=ham,
+        hamiltonian=lambda *a: sum(x * x for x in a),
+        eta=1,
         notes="fixed at eta = 1; vanishing-corner typo in the displayed "
         "horizontal field corrected by assembling (right - left)/2",
+    ),
+}
+
+
+def _translates(product, a, n: int) -> tuple[list[dict], list[dict]]:
+    """The left and right translates g a and a g of the element a, given in
+    coordinates at the identity: per coordinate, one linear form {s: c} in
+    the coordinates g_s of g."""
+    left: list[dict] = [{} for _ in range(n)]
+    right: list[dict] = [{} for _ in range(n)]
+    for p, s, t, c in product:
+        if a[t]:
+            left[p][s] = left[p].get(s, 0) + c * a[t]
+        if a[s]:
+            right[p][t] = right[p].get(t, 0) + c * a[s]
+    return left, right
+
+
+def _monomial(n: int, *indices: int) -> tuple[int, ...]:
+    """The exponent of the product of the variables ``indices``."""
+    return tuple(indices.count(k) for k in range(n))
+
+
+def _linear_field(variables, forms) -> PolyVectorField:
+    n = len(variables)
+    return PolyVectorField(
+        variables,
+        [Polynomial(variables, {_monomial(n, s): c for s, c in f.items()}) for f in forms],
+    )
+
+
+def _sklyanin(product, frame, r: ExteriorElement, n: int) -> dict:
+    """The Sklyanin bivector r^R - r^L of -r, with r^L and r^R the left and
+    right translates of r pushed through the frame, as {(i, j): {exponent:
+    coefficient}} over i < j, each in descending exponent order.  It runs on
+    ints: the frame times the lcm D of its denominators, r times its own den,
+    and each term x_u x_v keyed by (u, v) until the one division at the end."""
+    D = math.lcm(*(c.denominator for f in frame for c in f))
+    den, ints = integer_row(r.terms)
+    acc: dict = {}
+    for (a, b), w in ints.items():
+        la, ra = _translates(product, [int(c * D) for c in frame[a]], n)
+        lb, rb = _translates(product, [int(c * D) for c in frame[b]], n)
+        for A, B, s in ((la, lb, -w), (ra, rb, w)):
+            # s (A^i B^j - A^j B^i) on the pair i < j
+            for i, j in itertools.permutations(range(n), 2):
+                key, t = ((i, j), s) if i < j else ((j, i), -s)
+                entry = acc.setdefault(key, {})
+                for u, x in A[i].items():
+                    for v, y in B[j].items():
+                        uv = (u, v) if u <= v else (v, u)
+                        entry[uv] = entry.get(uv, 0) + t * x * y
+    scale = den * D * D
+    return {
+        key: dict(sorted(((_monomial(n, *uv), Fraction(c, scale)) for uv, c in terms.items() if c),
+                         reverse=True))
+        for key, terms in sorted(acc.items())
+    }
+
+
+def model_on(name: str, B: LieBialgebra, eta) -> CoordModelBundle:
+    """The group model ``name`` on its structure B, already built at eta: the
+    bracket is the Sklyanin bivector of -r, r the structure's r-matrix at eta,
+    the character fields are the left and right translates of B's dual
+    modular character, each vertical and Morse field is the left translate of
+    its element, and the cocommutator is B's, all through the model's frame."""
+    row = GROUP_MODELS[name]
+    v, n = row.variables, len(row.variables)
+    r = _rmatrix(B.g, row.structure, eta)
+    brackets = {key: Polynomial(v, t) for key, t in _sklyanin(row.product, row.frame, r, n).items()}
+    mult: list[dict] = [{} for _ in range(n)]
+    for p, s, t, c in row.product:
+        mult[p][_monomial(2 * n, s, n + t)] = c
+    X = [Polynomial.variable(v, s) for s in v]
+    model = PolynomialPoissonModel(
+        name,
+        v,
+        brackets,
+        constraints=[row.constraint(*X)],
+        base_point=row.base_point,
+        poisson_lie=True,
+        group_mult=[Polynomial(v + tuple(f"{s}'" for s in v), m) for m in mult],
+        sampler=row.sampler,
+    )
+    coords = B.dual_modular_character().coords
+    chi = [sum((c * f[i] for c, f in zip(coords, row.frame)), Fraction(0)) for i in range(n)]
+    left, right = _translates(row.product, chi, n)
+    zero = Polynomial.zero(v)
+
+    def left_field(a) -> PolyVectorField:
+        return _linear_field(v, _translates(row.product, a, n)[0])
+
+    return CoordModelBundle(
+        model=model,
+        left_chi=_linear_field(v, left),
+        right_chi=_linear_field(v, right),
+        vertical_fields=tuple(map(left_field, row.vertical)),
+        morse_frame=tuple(map(left_field, row.morse)),
+        frame=row.frame,
+        delta_images=tuple(dict(im.terms) for im in B.delta.images),
+        kernel_covector=row.kernel and tuple(zero + c for c in row.kernel(*X)),
+        kernel_witness=row.witness,
+        hamiltonian=row.hamiltonian(*X),
+        flow_start=row.flow_start,
+        notes=row.notes,
     )
 
 
@@ -534,8 +511,7 @@ def toda_singular_point(a) -> tuple[Fraction, ...]:
 
 def _build_compartmental() -> CoordModelBundle:
     v = ("x1", "x2", "x3")
-    X = {n: Polynomial.variable(v, n) for n in v}
-    x1, x2, x3 = X["x1"], X["x2"], X["x3"]
+    x1, x2, x3 = (Polynomial.variable(v, n) for n in v)
     model = PolynomialPoissonModel(
         "compartmental",
         v,
@@ -545,8 +521,8 @@ def _build_compartmental() -> CoordModelBundle:
     )
     return CoordModelBundle(
         model=model,
-        frame=[(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-        delta_images=[{(0, 1): 1}, {}, {(1, 2): 1}],
+        frame=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        delta_images=({(0, 1): 1}, {}, {(1, 2): 1}),
         cocommutator_sign=1,
         hamiltonian=x1 + x2 + x3,
         flow_start=(1, 1, 1),
@@ -556,11 +532,8 @@ def _build_compartmental() -> CoordModelBundle:
 
 def _build_canonical2d() -> CoordModelBundle:
     v = ("q", "p")
-    q = Polynomial.variable(v, "q")
-    p = Polynomial.variable(v, "p")
-    model = PolynomialPoissonModel(
-        "canonical2d", v, {(0, 1): Polynomial.constant(v, 1)}
-    )
+    q, p = (Polynomial.variable(v, n) for n in v)
+    model = PolynomialPoissonModel("canonical2d", v, {(0, 1): Polynomial.constant(v, 1)})
     return CoordModelBundle(
         model=model,
         hamiltonian=Fraction(1, 2) * (q * q + p * p),
@@ -568,24 +541,21 @@ def _build_canonical2d() -> CoordModelBundle:
     )
 
 
-# Each coordinate model at eta; toda-n3, compartmental and canonical2d carry no eta.
-MODELS = {
-    "su2": _build_su2,
-    **{
-        f"sl2-{structure}": functools.partial(_build_sl2, structure)
-        for structure in ("hyperbolic", "elliptic", "parabolic")
-    },
-    "toda-n3": lambda eta: _build_toda3(),
-    "compartmental": lambda eta: _build_compartmental(),
-    "canonical2d": lambda eta: _build_canonical2d(),
-}
-MODEL_NAMES = tuple(MODELS)
+# Each quotient-level coordinate model; neither carries eta.
+MODELS = {"compartmental": _build_compartmental, "canonical2d": _build_canonical2d}
+MODEL_NAMES = tuple(GROUP_MODELS) + tuple(MODELS)
 
 
 def build_model(name: str, eta=1) -> CoordModelBundle:
+    """The coordinate model ``name``; a group model on its structure at eta,
+    or at its own fixed eta."""
+    if name in GROUP_MODELS:
+        row = GROUP_MODELS[name]
+        eta = frac(eta if row.eta is None else row.eta)
+        return model_on(name, BIALGEBRAS[row.structure](eta), eta)
     if name not in MODELS:
         raise KeyError(f"unknown coordinate model {name!r}")
-    return MODELS[name](frac(eta))
+    return MODELS[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ and prints one line per check with its anchor into the catalog/golden data.
 ``_checks``, which builds each structure of ``catalog.BIALGEBRAS``, each
 homogeneous space of ``catalog.HOMSPACES`` (on those same bialgebras, so one
 double serves the double-Jacobi and Lu cross-checks of a structure) and each
-coordinate model once at eta.  ``golden_table`` is the one comparison of
-recomputed classification rows with the golden data; ``tables`` uses it too.
+coordinate model once at eta, a group model on its bialgebra unless it fixes
+its own eta.  ``golden_table`` is the one comparison of recomputed
+classification rows with the golden data; ``tables`` uses it too.
 """
 
 from __future__ import annotations
@@ -237,7 +238,12 @@ def _checks(eta: Fraction, seed: int):
     for name in catalog.HOMSPACE_NAMES:
         for check, test in HOMSPACE_CHECKS:
             yield f"{check}:{name}", f"catalog:{name}", functools.partial(test, specs[name])
-    models = {name: catalog.build_model(name, eta) for name in CHECKED_MODELS}
+    models = {
+        name: catalog.model_on(name, bialgebras[row.structure], eta)
+        if (row := catalog.GROUP_MODELS.get(name)) and row.eta in (None, eta)
+        else catalog.build_model(name, eta)
+        for name in CHECKED_MODELS
+    }
     for name in GROUP_MODELS:
         for check, kind, test in GROUP_MODEL_CHECKS:
             test = functools.partial(test, models[name], random.Random(seed))

@@ -11,6 +11,7 @@ from poishom.bialgebra import (
     LieBialgebra,
     delta_from_dual,
     sln_basis_matrices,
+    sln_standard_bialgebra,
 )
 from poishom.exterior import (
     ExteriorElement,
@@ -350,3 +351,160 @@ def is_closed_one_form_by_pairs(L: LieAlgebra, theta: Covector) -> bool:
             if val:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the group-level coordinate models as transcribed by hand, the reference the
+# generated ones (``catalog.model_on``) are compared with
+# ---------------------------------------------------------------------------
+
+
+def _quaternion_mult(variables) -> list[Polynomial]:
+    names = list(variables) + [f"{v}'" for v in variables]
+    g = {v: Polynomial.variable(names, v) for v in names}
+    x, y, z, t = (g[v] for v in variables)
+    xp, yp, zp, tp = (g[f"{v}'"] for v in variables)
+    return [
+        x * xp - y * yp - z * zp - t * tp,
+        x * yp + y * xp + t * zp - z * tp,
+        x * zp + z * xp - t * yp + y * tp,
+        t * xp + x * tp + z * yp - y * zp,
+    ]
+
+
+def _matrix_mult(variables, n) -> list[Polynomial]:
+    """Entries of the product of two n x n matrices, each given row by row by
+    ``variables``, the second one primed."""
+    names = list(variables) + [f"{v}'" for v in variables]
+    g = [Polynomial.variable(names, v) for v in names]
+    return [
+        sum((g[i * n + k] * g[n * n + k * n + j] for k in range(n)), Polynomial.zero(names))
+        for i in range(n)
+        for j in range(n)
+    ]
+
+
+def su2_by_hand(eta) -> dict:
+    """su2 at eta: bracket, character, vertical and Morse fields, frame,
+    cocommutator images and product, as the catalog once wrote them out."""
+    eta = Fraction(eta)
+    v = ("x", "y", "z", "t")
+    x, y, z, t = (Polynomial.variable(v, n) for n in v)
+    half, h = eta / 2, Fraction(1, 2)
+    return {
+        "brackets": {
+            (0, 1): half * (z * z + t * t),
+            (0, 2): -half * y * z,
+            (0, 3): -half * y * t,
+            (1, 2): half * x * z,
+            (1, 3): half * x * t,
+        },
+        "left_chi": [eta * y, -eta * x, eta * t, -eta * z],
+        "right_chi": [eta * y, -eta * x, -eta * t, eta * z],
+        "vertical": [[-h * y, h * x, -h * t, h * z]],  # left J3
+        "morse": [
+            [-h * t, -h * z, h * y, h * x],  # left J1
+            [-h * z, h * t, h * x, -h * y],  # left J2
+        ],
+        "frame": [(0, 0, 0, h), (0, 0, h, 0), (0, h, 0, 0)],
+        "delta_images": [{(0, 2): eta}, {(1, 2): eta}, {}],
+        "group_mult": _quaternion_mult(v),
+    }
+
+
+def sl2_by_hand(structure: str, eta) -> dict:
+    """sl2-<structure> at eta, as the catalog once wrote it out."""
+    eta = Fraction(eta)
+    v = ("x", "y", "z", "t")
+    x, y, z, t = (Polynomial.variable(v, n) for n in v)
+    zero = Polynomial.zero(v)
+    half, h = eta / 2, Fraction(1, 2)
+    triangular = [(1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)]  # J3, J+, J-
+    if structure == "hyperbolic":
+        brackets = {
+            (0, 1): eta * x * y,
+            (0, 2): eta * x * z,
+            (0, 3): 2 * eta * y * z,
+            (1, 3): eta * y * t,
+            (2, 3): eta * z * t,
+        }
+        left = [-2 * eta * x, 2 * eta * y, -2 * eta * z, 2 * eta * t]
+        right = [-2 * eta * x, -2 * eta * y, 2 * eta * z, 2 * eta * t]
+        frame = triangular
+        delta_images = [{}, {(0, 1): -eta}, {(0, 2): -eta}]
+    elif structure == "elliptic":
+        brackets = {
+            (0, 1): half * (x * (t - x) - y * (y + z)),
+            (0, 2): half * (x * (x - t) + z * (y + z)),
+            (0, 3): half * (x - t) * (y - z),
+            (1, 2): half * (x + t) * (y + z),
+            (1, 3): half * (-t * (x - t) + y * (y + z)),
+            (2, 3): half * (t * (x - t) - z * (y + z)),
+        }
+        left = [2 * eta * y, -2 * eta * x, 2 * eta * t, -2 * eta * z]
+        right = [-2 * eta * z, -2 * eta * t, 2 * eta * x, 2 * eta * y]
+        frame = [(0, h, -h, 0), (0, h, h, 0), (h, 0, 0, -h)]  # P1, P2, J12
+        delta_images = [{}, {(0, 1): -2 * eta}, {(0, 2): -2 * eta}]
+    elif structure == "parabolic":
+        brackets = {
+            (0, 1): half * (-x * (x - t) - y * z),
+            (0, 2): half * z * z,
+            (0, 3): -half * (x - t) * z,
+            (1, 2): half * (x + t) * z,
+            (1, 3): half * (-t * (x - t) + y * z),
+            (2, 3): -half * z * z,
+        }
+        left = [zero, -2 * eta * x, zero, -2 * eta * z]
+        right = [-2 * eta * z, -2 * eta * t, zero, zero]
+        frame = triangular
+        delta_images = [{(0, 1): eta}, {}, {(1, 2): -eta}]
+    else:
+        raise KeyError(structure)
+    return {
+        "brackets": brackets,
+        "left_chi": left,
+        "right_chi": right,
+        "vertical": [[-h * y, h * x, -h * t, h * z]],  # left P1, P1 = (E12 - E21)/2
+        "morse": [],
+        "frame": frame,
+        "delta_images": delta_images,
+        "group_mult": _matrix_mult(v, 2),
+    }
+
+
+def toda3_by_hand() -> dict:
+    """toda-n3 (eta = 1), as the catalog once wrote it out; its cocommutator
+    images were read from the standard sl(3) structure."""
+    v = tuple(f"a{i}{j}" for i in range(1, 4) for j in range(1, 4))
+    X = {n: Polynomial.variable(v, n) for n in v}
+    idx = {(i, j): 3 * (i - 1) + (j - 1) for i in range(1, 4) for j in range(1, 4)}
+
+    def a(i, j):
+        return X[f"a{i}{j}"]
+
+    def sgn(d):
+        return (d > 0) - (d < 0)
+
+    brackets = {}
+    for (i, j), p in idx.items():
+        for (k, l), q in idx.items():
+            coeff = sgn(k - i) + sgn(l - j)
+            if p < q and coeff:
+                brackets[(p, q)] = coeff * a(i, l) * a(k, j)
+    zero = Polynomial.zero(v)
+    left, right = [zero] * 9, [zero] * 9
+    for i in range(1, 4):
+        left[idx[(i, 1)]] = -4 * a(i, 1)
+        left[idx[(i, 3)]] = 4 * a(i, 3)
+        right[idx[(1, i)]] = -4 * a(1, i)
+        right[idx[(3, i)]] = 4 * a(3, i)
+    return {
+        "brackets": brackets,
+        "left_chi": left,
+        "right_chi": right,
+        "vertical": [],
+        "morse": [],
+        "frame": [tuple(c for row in m for c in row) for m in sln_basis_matrices(3)[1]],
+        "delta_images": [dict(im.terms) for im in sln_standard_bialgebra(3, 1).delta.images],
+        "group_mult": _matrix_mult(v, 3),
+    }

@@ -1,0 +1,54 @@
+"""The group models that ``catalog.model_on`` generates from their catalog
+structures, against the hand-written models of ``oracles``, and the toda
+r-matrix against the standard cocommutator on sl(3)."""
+
+from fractions import Fraction
+
+import pytest
+
+from poishom import catalog
+from poishom.bialgebra import CocommutatorMap, sln_standard_bialgebra
+
+from oracles import sl2_by_hand, su2_by_hand, toda3_by_hand
+
+ETAS = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 2))
+
+
+def _by_hand(name: str, eta) -> dict:
+    if name == "su2":
+        return su2_by_hand(eta)
+    if name == "toda-n3":
+        return toda3_by_hand()  # fixed at eta = 1
+    return sl2_by_hand(name.removeprefix("sl2-"), eta)
+
+
+@pytest.mark.parametrize("eta", ETAS, ids=str)
+@pytest.mark.parametrize("name", tuple(catalog.GROUP_MODELS))
+def test_generated_group_model_matches_the_hand_written_one(name, eta):
+    b, want = catalog.build_model(name, eta), _by_hand(name, eta)
+    assert b.model._table == want["brackets"]
+    assert list(b.left_chi.components) == want["left_chi"]
+    assert list(b.right_chi.components) == want["right_chi"]
+    assert [list(f.components) for f in b.vertical_fields] == want["vertical"]
+    assert [list(f.components) for f in b.morse_frame] == want["morse"]
+    assert list(b.frame) == want["frame"]
+    assert list(b.delta_images) == want["delta_images"]
+    assert list(b.model.group_mult) == want["group_mult"]
+
+
+def test_su2_bracket_keeps_the_hand_written_term_order():
+    """The float flow sums each bracket entry in term order, so the flow
+    digests pin su2's order, not only its polynomials."""
+    for eta in ETAS:
+        got = catalog.build_model("su2", eta).model._table
+        want = su2_by_hand(eta)["brackets"]
+        assert list(got) == list(want)
+        assert [list(p.terms) for p in got.values()] == [list(p.terms) for p in want.values()]
+
+
+@pytest.mark.parametrize("eta", (Fraction(1), Fraction(2)), ids=str)
+def test_toda_rmatrix_coboundary_is_the_standard_cocommutator(eta):
+    B = sln_standard_bialgebra(3, eta)
+    r = catalog._rmatrix(B.g, "sl3-standard-structure", eta)
+    delta = CocommutatorMap.from_rmatrix(B.g, r)
+    assert [im.terms for im in delta.images] == [im.terms for im in B.delta.images]

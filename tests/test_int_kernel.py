@@ -253,8 +253,9 @@ def test_kernel_checks_make_no_fraction_in_their_loops(monkeypatch):
 
 def test_verify_all_builds_the_catalog_bialgebras_once(monkeypatch):
     """One ``verify-all`` run builds the 10 catalog structures once, the 4
-    dual-character structures at 3 etas, the 11 table entries at eta = 2 and
-    the toda model's sl(3): the golden tables read the catalog specs."""
+    dual-character structures at 3 etas and the 11 table entries at eta = 2:
+    the golden tables read the catalog specs, and the group models are put
+    on the catalog structures."""
     built = []
     init = LieBialgebra.__init__
 
@@ -265,4 +266,4 @@ def test_verify_all_builds_the_catalog_bialgebras_once(monkeypatch):
     monkeypatch.setattr(LieBialgebra, "__init__", counted)
     results = verify.run_all()
     assert all(r.ok for r in results)
-    assert len(built) == 10 + 4 * 3 + 11 + 1
+    assert len(built) == 10 + 4 * 3 + 11

@@ -42,11 +42,16 @@ def test_verify_all_reports_one_failing_check(target, replacement, line, monkeyp
 def test_run_all_builds_each_structure_once(monkeypatch):
     doubles, models = [], Counter()
     double_algebra, build_model = bialgebra.double_algebra, catalog.build_model
+    model_on = catalog.model_on
     monkeypatch.setattr(
         bialgebra, "double_algebra", lambda B: doubles.append(B) or double_algebra(B)
     )
     monkeypatch.setattr(
         catalog, "build_model", lambda name, eta=1: models.update([name]) or build_model(name, eta)
+    )
+    # a group model goes on the catalog bialgebra through model_on
+    monkeypatch.setattr(
+        catalog, "model_on", lambda name, B, eta: models.update([name]) or model_on(name, B, eta)
     )
     results = verify.run_all()
     assert len(results) == 133 and all(r.ok for r in results)
