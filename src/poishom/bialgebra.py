@@ -5,6 +5,10 @@ other by transposition, <[xi, zeta]_*, X> = (delta X)(xi, zeta).  A
 ``CocommutatorMap`` holds both, the dual built once with it, and a
 ``LieBialgebra`` validates on construction that delta is a 1-cocycle and
 that the dual satisfies the Jacobi identity, both on the int tables.
+
+Every coboundary structure, the standard one on sl(n) included, is built
+one way: ``CocommutatorMap.from_rmatrix`` computes delta = ad r on g's int
+table and keeps r, from which ``LieBialgebra.yang_baxter`` is read.
 """
 
 from __future__ import annotations
@@ -15,21 +19,18 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .exterior import (
-    ExteriorElement,
-    ad_extension,
-    is_ad_invariant,
-    schouten_square,
-)
+from .exterior import ExteriorElement, is_ad_invariant, schouten_square
 from .lie import Covector, LieAlgebra, Vector
-from .linalg import frac
+from .linalg import frac, integer_row
 
 
 class CocommutatorMap:
     """Linear map g -> Lambda^2 g given by its images on the basis, and the
-    bracket on g* it transposes to (``dual_constants``), built once or passed in."""
+    bracket on g* it transposes to (``dual_constants``), built once or passed
+    in.  ``r`` is the r-matrix of a coboundary map, None for one given by its
+    images."""
 
-    def __init__(self, algebra: LieAlgebra, images: Sequence[ExteriorElement], dual=None):
+    def __init__(self, algebra: LieAlgebra, images: Sequence[ExteriorElement], dual=None, r=None):
         if len(images) != algebra.dim:
             raise ValueError("one image per basis vector is required")
         for im in images:
@@ -38,6 +39,7 @@ class CocommutatorMap:
         self.algebra = algebra
         self.images = tuple(images)
         self.dual = dual_constants(self) if dual is None else dual
+        self.r = r
 
     @classmethod
     def zero(cls, algebra: LieAlgebra) -> "CocommutatorMap":
@@ -45,11 +47,33 @@ class CocommutatorMap:
 
     @classmethod
     def from_rmatrix(cls, algebra: LieAlgebra, r: ExteriorElement) -> "CocommutatorMap":
-        """Coboundary cocommutator delta(X) = ad_X r."""
-        if r.dual or r.degree != 2:
-            raise ValueError("r must be a degree-2 primal element")
-        images = [ad_extension(algebra, algebra.basis_vector(i), r) for i in range(algebra.dim)]
-        return cls(algebra, images)
+        """Coboundary cocommutator delta(X) = ad_X r, in one pass over r's
+        terms on the int table: ad_{e_x} (e_u ^ e_v) = [e_x, e_u] ^ e_v +
+        e_u ^ [e_x, e_v], so a term w e_a ^ e_b meets the bracket row of e_a
+        with weight w and that of e_b with weight -w.  The images, their
+        terms sorted by key, and the dual, their transpose, are on ints over
+        g's den times r's."""
+        if r.dual or r.degree != 2 or r.algebra is not algebra:
+            raise ValueError("r must be a degree-2 primal element over the algebra")
+        rden, ints = integer_row(r.terms)
+        rows = algebra.bracket_rows()
+        acc: list[dict] = [{} for _ in range(algebra.dim)]  # {(k, v): int} for each x
+        for (a, b), w in ints.items():
+            for u, v, s in ((a, b, w), (b, a, -w)):
+                for x, bracket in rows[u]:
+                    image = acc[x]
+                    for k, c in bracket:
+                        if k < v:
+                            image[(k, v)] = image.get((k, v), 0) + s * c
+                        elif k > v:
+                            image[(v, k)] = image.get((v, k), 0) - s * c
+        terms = {x: {key: c for key, c in sorted(im.items()) if c} for x, im in enumerate(acc)}
+        den = algebra.den * rden
+        images = [
+            ExteriorElement(algebra, 2, {key: Fraction(c, den) for key, c in t.items()}, False)
+            for t in terms.values()
+        ]
+        return cls(algebra, images, LieAlgebra(algebra.dual_labels, _transpose(terms), den), r)
 
     @classmethod
     def from_images(cls, algebra: LieAlgebra, table: dict) -> "CocommutatorMap":
@@ -83,14 +107,12 @@ def cocycle_check(g: LieAlgebra, delta: CocommutatorMap) -> Optional[tuple[int, 
     # the e_a ^ e_b component of pair (i, j) is keyed ((i n + j) n + a) n + b,
     # so the least key with a nonzero sum is on the first violating pair
     acc: dict[int, int] = {}
-    rows: list[list] = [[] for _ in range(n)]  # (x, [e_x, e_a]) for each a
     for (i, j), image in table.items():
-        rows[j].append((i, list(image.items())))
-        rows[i].append((j, [(k, -c) for k, c in image.items()]))
         base = (i * n + j) * n * n
         for k, c in image.items():
             for (a, b), d in images.get(k, {}).items():
                 acc[base + a * n + b] = acc.get(base + a * n + b, 0) + c * d
+    rows = g.bracket_rows()
     for (a, b), image in dual.items():
         for y, d in image.items():
             # e_u replaced by [e_x, e_u] = sum c e_k gives s e_k ^ e_v, v the other factor
@@ -154,7 +176,6 @@ class LieBialgebra:
         self.g = g
         self.delta = delta
         self.dual = delta.dual
-        self.yang_baxter: Optional[str] = None  # set for coboundary structures
         if check:
             bad = self.dual.jacobi_check()
             if bad is not None:
@@ -170,11 +191,18 @@ class LieBialgebra:
 
     @classmethod
     def from_rmatrix(cls, g: LieAlgebra, r: ExteriorElement) -> "LieBialgebra":
-        b, square = cls(g, CocommutatorMap.from_rmatrix(g, r)), schouten_square(g, r)
-        b.yang_baxter = (
-            "cybe" if square.is_zero() else "mcybe" if is_ad_invariant(g, square) else "other"
-        )
-        return b
+        return cls(g, CocommutatorMap.from_rmatrix(g, r))
+
+    @cached_property
+    def yang_baxter(self) -> Optional[str]:
+        """The equation r satisfies, by its Schouten square [r, r]: "cybe" if
+        it vanishes, "mcybe" if it is ad-invariant, else "other"; None when
+        delta holds no r-matrix."""
+        r = self.delta.r
+        if r is None:
+            return None
+        g, square = self.g, schouten_square(self.g, r)
+        return "cybe" if square.is_zero() else "mcybe" if is_ad_invariant(g, square) else "other"
 
     @property
     def dim(self) -> int:
@@ -292,9 +320,8 @@ def double_jacobi_check(B: LieBialgebra) -> Optional[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# sl(n, R) with its standard bialgebra structure, generated from the
-# triangular-splitting map R (R = -1 on strict upper, 0 on diagonal, +1 on
-# strict lower part) via [A, B]_* = [RA, B] + [A, RB] under the trace pairing.
+# sl(n, R) with its standard bialgebra structure, the coboundary of the
+# r-matrix sum_{i<j} E_ij ^ E_ji.
 # ---------------------------------------------------------------------------
 
 
@@ -365,60 +392,10 @@ def sln_algebra(n: int) -> LieAlgebra:
     return LieAlgebra(labels, brackets, 2)
 
 
-def _sln_gram_inverse(n: int) -> list[list[tuple[int, int]]]:
-    """2n times the inverse of the Gram matrix Tr(e_a e_b), as sparse int rows
-    [(b, entry)].  The Gram matrix is 2 on S, -2 on Q and on D the Cartan
-    matrix of A_(n-1), whose inverse is min(k, l)(n - max(k, l))/n."""
-    d, pairs = n - 1, n * (n - 1) // 2
-    rows = [[(l, 2 * (min(k, l) + 1) * (d - max(k, l))) for l in range(d)] for k in range(d)]
-    return rows + [[(a, n if a < d + pairs else -n)] for a in range(d, d + 2 * pairs)]
-
-
 def sln_standard_bialgebra(n: int, eta=1) -> LieBialgebra:
-    """Standard bialgebra on sl(n): dual bracket from the triangular R-map,
-    transferred to dual-basis coordinates through the trace pairing and
-    scaled by eta.  It runs on ints: the dual basis matrices are scaled by
-    2n, so the bracket [RA, B] + [A, RB], bilinear in them, is (2n)^2 times,
-    and the dual is built on ints over 4 n^2 times eta's denominator."""
-    eta = frac(eta)
-    g = sln_algebra(n)
-    labels, mats = _sln_basis(n)
-    dim = len(labels)
-    # Tr(e_k M) = sum M[c][r] e_k[r][c]: each entry (c, r) of M pairs with
-    # the basis matrices that are nonzero at (r, c)
-    index: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for k, m in enumerate(mats):
-        for (r, c), x in m.items():
-            index.setdefault((c, r), []).append((k, x))
-
-    def trace_coords(m: dict) -> dict[int, int]:
-        """{k: Tr(e_k m)} over the basis matrices e_k that pair with m."""
-        out: dict[int, int] = {}
-        for key, y in m.items():
-            for k, x in index.get(key, ()):
-                out[k] = out.get(k, 0) + x * y
-        return out
-
-    # 2n times the matrix of each dual basis covector X^a under the trace
-    # pairing, and its triangular split R(M) = lower(M) - upper(M)
-    covs, splits = [], []
-    for row in _sln_gram_inverse(n):
-        ma: dict[tuple[int, int], int] = {}
-        for b, w in row:
-            for key, x in mats[b].items():
-                ma[key] = ma.get(key, 0) + w * x
-        covs.append(ma)
-        splits.append({(r, c): x if r > c else -x for (r, c), x in ma.items() if r != c})
-
-    dual_brackets = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            res = _commutator(splits[a], covs[b])
-            for key, x in _commutator(covs[a], splits[b]).items():
-                res[key] = res.get(key, 0) + x
-            # back to dual coordinates: component on X^k is Tr(res * e_k)
-            entry = {k: eta.numerator * v for k, v in sorted(trace_coords(res).items()) if v}
-            if entry:
-                dual_brackets[(a, b)] = entry
-    dual = LieAlgebra(g.dual_labels, dual_brackets, 4 * n * n * eta.denominator)
-    return LieBialgebra(g, delta_from_dual(g, dual))
+    """Standard bialgebra on sl(n): the coboundary of eta sum_{i<j} E_ij ^ E_ji
+    = -eta/2 sum_{i<j} S_ij ^ Q_ij, whose dual bracket is the triangular
+    R-map's [RA, B] + [A, RB] under the trace pairing."""
+    g, d, pairs = sln_algebra(n), n - 1, n * (n - 1) // 2
+    r = ExteriorElement(g, 2, {(d + p, d + pairs + p): -frac(eta) / 2 for p in range(pairs)}, False)
+    return LieBialgebra.from_rmatrix(g, r)

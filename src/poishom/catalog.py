@@ -2,13 +2,15 @@
 homogeneous quotients, and the coordinate Poisson models used by the dynamics
 commands.
 
-Every entry is built from an r-matrix (``R_MATRICES``) or an explicit
-cocommutator and is re-validated on construction (dual Jacobi, cocycle
-condition).  The scaling parameter ``eta`` is instantiated as an exact
-rational (default 1); all catalog verdicts are generic in eta != 0.
+Every entry is built from an r-matrix (``R_MATRICES``, or the standard one
+of ``sln_standard_bialgebra`` for sl(3)) or an explicit cocommutator and is
+re-validated on construction (dual Jacobi, cocycle condition).  The scaling
+parameter ``eta`` is instantiated as an exact rational (default 1); all
+catalog verdicts are generic in eta != 0.
 
 Each group-level coordinate model is generated by ``model_on`` from its row
-of ``GROUP_MODELS`` (structure, product table, frame) and its structure B.
+of ``GROUP_MODELS`` (structure, product table, frame) and its structure B,
+whose r-matrix it reads as ``B.delta.r``.
 The bracket is the Sklyanin bivector of -r, r^R - r^L (Semenov-Tian-Shansky,
 "What is a classical r-matrix?", 1983): the model integrates -r, which it
 records as ``cocommutator_sign = -1`` for the linearization spot check.  The
@@ -95,8 +97,8 @@ def r2xr2_algebra() -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 
-# The r-matrix of each coboundary structure at eta = 1, by structure name, as
-# {(X, Y): c} for the terms c X ^ Y.  The two presentations of one named sl(2)
+# The r-matrix of each so(3) and sl(2) coboundary structure at eta = 1, by
+# structure name, as {(X, Y): c} for the terms c X ^ Y.  The two presentations of one named sl(2)
 # structure are separate catalog objects, identified only up to rescaling eta.
 R_MATRICES = {
     "so3-structure": {("J1", "J2"): 1},
@@ -106,8 +108,6 @@ R_MATRICES = {
     "sl2-hyperbolic-tri": {("J+", "J-"): 1},
     "sl2-elliptic-tri": {("J3", "J+"): 1, ("J3", "J-"): 1},
     "sl2-parabolic-tri": {("J3", "J+"): Fraction(1, 2)},
-    # sum_{i<j} E_ij ^ E_ji = -1/2 sum_{i<j} S_ij ^ Q_ij
-    "sl3-standard-structure": {(f"S{p}", f"Q{p}"): Fraction(-1, 2) for p in ("12", "13", "23")},
 }
 
 
@@ -456,15 +456,14 @@ def _sklyanin(product, frame, r: ExteriorElement, n: int) -> dict:
     }
 
 
-def model_on(name: str, B: LieBialgebra, eta) -> CoordModelBundle:
-    """The group model ``name`` on its structure B, already built at eta: the
-    bracket is the Sklyanin bivector of -r, r the structure's r-matrix at eta,
-    the character fields are the left and right translates of B's dual
-    modular character, each vertical and Morse field is the left translate of
-    its element, and the cocommutator is B's, all through the model's frame."""
+def model_on(name: str, B: LieBialgebra) -> CoordModelBundle:
+    """The group model ``name`` on its coboundary structure B: the bracket is
+    the Sklyanin bivector of -r, r = ``B.delta.r``, the character fields are
+    the left and right translates of B's dual modular character, each
+    vertical and Morse field is the left translate of its element, and the
+    cocommutator is B's, all through the model's frame."""
     row = GROUP_MODELS[name]
-    v, n = row.variables, len(row.variables)
-    r = _rmatrix(B.g, row.structure, eta)
+    v, n, r = row.variables, len(row.variables), B.delta.r
     brackets = {key: Polynomial(v, t) for key, t in _sklyanin(row.product, row.frame, r, n).items()}
     mult: list[dict] = [{} for _ in range(n)]
     for p, s, t, c in row.product:
@@ -551,8 +550,7 @@ def build_model(name: str, eta=1) -> CoordModelBundle:
     or at its own fixed eta."""
     if name in GROUP_MODELS:
         row = GROUP_MODELS[name]
-        eta = frac(eta if row.eta is None else row.eta)
-        return model_on(name, BIALGEBRAS[row.structure](eta), eta)
+        return model_on(name, BIALGEBRAS[row.structure](eta if row.eta is None else row.eta))
     if name not in MODELS:
         raise KeyError(f"unknown coordinate model {name!r}")
     return MODELS[name]()

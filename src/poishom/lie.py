@@ -187,17 +187,24 @@ class LieAlgebra:
             full[(j, i)] = {k: -c for k, c in image.items()}
         return full
 
+    def bracket_rows(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+        """For each basis index u, the pairs (x, [e_x, e_u]) over the x with
+        a nonzero bracket, each bracket as (k, c) pairs on ``ints``, in the
+        order of ``ints``."""
+        rows: list[list] = [[] for _ in range(self.dim)]
+        for (i, j), image in self.ints.items():
+            rows[j].append((i, list(image.items())))
+            rows[i].append((j, [(k, -c) for k, c in image.items()]))
+        return rows
+
     def jacobi_check(self) -> Optional[tuple[int, int, int]]:
         """None if the Jacobi identity holds; else the first violating triple
         (i < j < k, in lexicographic order).  It runs on ``ints`` (the
         Jacobiator is quadratic in the constants) and visits only nonzero
-        terms: [[e_a, e_b], e_c] with a < b and c != a, b is a cyclic term of
-        the sorted triple, with sign - when a < c < b."""
-        table, n = self.ints, self.dim
-        rows: list[list] = [[] for _ in range(n)]  # (c, [e_l, e_c]) for each l
-        for (i, j), image in table.items():
-            rows[i].append((j, list(image.items())))
-            rows[j].append((i, [(k, -y) for k, y in image.items()]))
+        terms: [e_c, [e_a, e_b]] with a < b and c != a, b is a term of the
+        sorted triple's cyclic sum [e_k, [e_i, e_j]] + [e_i, [e_j, e_k]] +
+        [e_j, [e_k, e_i]], with sign - when a < c < b."""
+        table, n, rows = self.ints, self.dim, self.bracket_rows()
         # the e_p component of triple (i, j, k) is keyed ((i n + j) n + k) n + p,
         # so the least key with a nonzero sum is on the first violating triple
         acc: dict[int, int] = {}

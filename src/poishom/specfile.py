@@ -118,6 +118,17 @@ class SpecDocument:
         )
 
 
+# Each section header and the empty value it starts on the document; each
+# but [algebra] may appear once, and [rmatrix] and [delta] exclude each other.
+_SECTIONS = {
+    "algebra": None,
+    "rmatrix": dict,
+    "delta": dict,
+    "subalgebra": list,
+    "coordinate_model": CoordinateModelDoc,
+}
+
+
 # ---------------------------------------------------------------------------
 # tokenizing helpers
 # ---------------------------------------------------------------------------
@@ -246,16 +257,15 @@ def parse_spec_text(text: str, eta=1) -> SpecDocument:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in ("algebra", "rmatrix", "delta", "subalgebra", "coordinate_model"):
+            if section not in _SECTIONS:
                 raise SpecParseError(f"unknown section {section!r}", lineno)
-            if section == "rmatrix":
-                doc.rmatrix = {}
-            elif section == "delta":
-                doc.delta = {}
-            elif section == "subalgebra":
-                doc.subalgebra = []
-            elif section == "coordinate_model":
-                doc.model = CoordinateModelDoc()
+            if section != "algebra":
+                attr = "model" if section == "coordinate_model" else section
+                if getattr(doc, attr) is not None:
+                    raise SpecParseError(f"[{section}] section given twice", lineno)
+                if section in ("rmatrix", "delta") and (doc.rmatrix, doc.delta) != (None, None):
+                    raise SpecParseError("give an [rmatrix] or a [delta] section, not both", lineno)
+                setattr(doc, attr, _SECTIONS[section]())
             continue
         if section is None:
             raise SpecParseError("content before the first section header", lineno)

@@ -239,7 +239,7 @@ def _checks(eta: Fraction, seed: int):
         for check, test in HOMSPACE_CHECKS:
             yield f"{check}:{name}", f"catalog:{name}", functools.partial(test, specs[name])
     models = {
-        name: catalog.model_on(name, bialgebras[row.structure], eta)
+        name: catalog.model_on(name, bialgebras[row.structure])
         if (row := catalog.GROUP_MODELS.get(name)) and row.eta in (None, eta)
         else catalog.build_model(name, eta)
         for name in CHECKED_MODELS

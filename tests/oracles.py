@@ -16,6 +16,7 @@ from poishom.bialgebra import (
 from poishom.exterior import (
     ExteriorElement,
     _sort_tuple,
+    ad_extension,
     ad_terms,
     ce_differential,
     evaluate_form,
@@ -105,6 +106,12 @@ def ce_differential_by_sorting(L: LieAlgebra, omega: ExteriorElement) -> Exterio
                 if merged is not None:
                     terms[merged] = terms.get(merged, 0) + sign * slot * cij
     return ExteriorElement(L, omega.degree + 1, terms, True)
+
+
+def coboundary_by_ad_extension(g: LieAlgebra, r: ExteriorElement) -> list[ExteriorElement]:
+    """The coboundary images ad_{e_i} r, one ``ad_extension`` on Fractions
+    per basis vector, with their terms in ``ad_extension``'s order."""
+    return [ad_extension(g, g.basis_vector(i), r) for i in range(g.dim)]
 
 
 def cocycle_check_by_ad_terms(g: LieAlgebra, delta: CocommutatorMap) -> tuple[int, int] | None:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from poishom import catalog
+from poishom import bialgebra, catalog
 from poishom.bialgebra import (
     CocommutatorMap,
     DoubleElement,
@@ -289,6 +289,27 @@ def test_sl3_yang_baxter_and_double():
     B = sln_standard_bialgebra(3, 1)
     assert cocycle_check(B.g, B.delta) is None
     assert double_jacobi_check(B) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("eta", [Fraction(1), Fraction(-5, 2)])
+def test_sln_standard_rmatrix_solves_the_modified_yang_baxter_equation(n, eta):
+    assert sln_standard_bialgebra(n, eta).yang_baxter == "mcybe"
+
+
+def test_yang_baxter_is_none_without_an_rmatrix():
+    B = catalog.solvable3_bialgebra()
+    assert B.delta.r is None and B.yang_baxter is None
+
+
+def test_yang_baxter_is_computed_once_when_read(monkeypatch):
+    calls = []
+    square = bialgebra.schouten_square
+    monkeypatch.setattr(bialgebra, "schouten_square", lambda g, r: calls.append(r) or square(g, r))
+    B = catalog.so3_bialgebra()
+    assert calls == []
+    assert B.yang_baxter == "mcybe" and B.yang_baxter == "mcybe"
+    assert calls == [B.delta.r]
 
 
 @pytest.mark.parametrize("eta", [Fraction(2), Fraction(1, 3)])

@@ -1,15 +1,15 @@
 """The group models that ``catalog.model_on`` generates from their catalog
 structures, against the hand-written models of ``oracles``, and the toda
-r-matrix against the standard cocommutator on sl(3)."""
+r-matrix against the R-map construction of the standard cocommutator on
+sl(3)."""
 
 from fractions import Fraction
 
 import pytest
 
 from poishom import catalog
-from poishom.bialgebra import CocommutatorMap, sln_standard_bialgebra
 
-from oracles import sl2_by_hand, su2_by_hand, toda3_by_hand
+from oracles import sl2_by_hand, sln_bialgebra_by_fractions, su2_by_hand, toda3_by_hand
 
 ETAS = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 2))
 
@@ -48,7 +48,10 @@ def test_su2_bracket_keeps_the_hand_written_term_order():
 
 @pytest.mark.parametrize("eta", (Fraction(1), Fraction(2)), ids=str)
 def test_toda_rmatrix_coboundary_is_the_standard_cocommutator(eta):
-    B = sln_standard_bialgebra(3, eta)
-    r = catalog._rmatrix(B.g, "sl3-standard-structure", eta)
-    delta = CocommutatorMap.from_rmatrix(B.g, r)
-    assert [im.terms for im in delta.images] == [im.terms for im in B.delta.images]
+    """The r-matrix toda-n3 reads off its structure, -eta/2 sum S_ij ^ Q_ij,
+    has the cocommutator of the triangular R-map under the trace pairing."""
+    B = catalog.BIALGEBRAS["sl3-standard-structure"](eta)
+    r = {(B.g.labels[a], B.g.labels[b]): c for (a, b), c in B.delta.r.terms.items()}
+    assert r == {(f"S{p}", f"Q{p}"): -eta / 2 for p in ("12", "13", "23")}
+    R = sln_bialgebra_by_fractions(3, eta)
+    assert [im.terms for im in B.delta.images] == [im.terms for im in R.delta.images]

@@ -1,13 +1,14 @@
 """The integer Lie kernel against the Fraction paths it replaced.
 
 Each ``LieAlgebra`` holds its constants once, as a positive int ``den`` and a
-sparse int table ``ints``; Jacobi, the cocycle identity, closure, ideals,
-traces and closed one-forms all read them.  Here each of those is compared
-with the Fraction path in ``oracles.py`` on catalog subalgebras, the sl(3..5)
-Cartan, so(n) and Borels, h0 in g* and l = h + h0 in the double, perturbed
-bases and tables, and constants with coprime denominators near 10^50.  The
-``_table`` view is pinned entry for entry, in insertion order, and a guard
-counts the Fractions the checks make on a prebuilt sl(4).
+sparse int table ``ints``; Jacobi, the coboundary of an r-matrix, the
+cocycle identity, closure, ideals, traces and closed one-forms all read them.
+Here each of those is compared with the Fraction path in ``oracles.py`` on
+catalog subalgebras, the sl(3..5) Cartan, so(n) and Borels, h0 in g* and
+l = h + h0 in the double, perturbed bases and tables, and constants with
+coprime denominators near 10^50.  The ``_table`` view is pinned entry for
+entry, in insertion order, and a guard counts the Fractions the checks make
+on a prebuilt sl(4).
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ from poishom.bialgebra import (
     LieBialgebra,
     cocycle_check,
     dual_constants,
+    sln_algebra,
     sln_standard_bialgebra,
 )
 from poishom.exterior import ExteriorElement, ce_differential
@@ -28,6 +30,7 @@ from poishom.homspace import HomogeneousSpaceSpec, _closedness_rows, _quotient_t
 from poishom.lie import LieAlgebra, Subalgebra, Vector, is_closed_one_form
 
 from oracles import (
+    coboundary_by_ad_extension,
     cocycle_check_by_ad_terms,
     double_table_by_fractions,
     is_closed_by_fractions,
@@ -219,6 +222,46 @@ def test_table_view_of_sln_at_the_digest_etas(n):
         assert_view(B.g, g)
         assert_view(B.dual, dual_constants(B.delta)._table)
         assert_view(B.double, double_table_by_fractions(B))
+
+
+COBOUNDARY_ALGEBRAS = (
+    catalog.so3_algebra(),
+    catalog.sl2_boost_algebra(),
+    catalog.sl2_triangular_algebra(),
+    catalog.solvable3_algebra(),
+    catalog.r2xr2_algebra(),
+    sln_algebra(3),
+    sln_algebra(4),
+    HUGE,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_coboundary_matches_ad_extension(data):
+    """``from_rmatrix`` on a random r against one ``ad_extension`` per basis
+    vector: image values, with terms sorted by key, and the dual it keeps."""
+    g = data.draw(st.sampled_from(COBOUNDARY_ALGEBRAS))
+    coeffs = st.one_of(small_rational, huge_rational).filter(bool)
+    terms = {pair(data, g.dim): data.draw(coeffs) for _ in range(data.draw(st.integers(0, 6)))}
+    r = ExteriorElement(g, 2, terms, False)
+    delta = CocommutatorMap.from_rmatrix(g, r)
+    want = [dict(sorted(im.terms.items())) for im in coboundary_by_ad_extension(g, r)]
+    assert [list(im.terms.items()) for im in delta.images] == [list(t.items()) for t in want]
+    assert delta.r is r
+    sorted_images = [ExteriorElement(g, 2, t, False) for t in want]
+    assert_view(delta.dual, dual_constants(CocommutatorMap(g, sorted_images))._table)
+
+
+def test_coboundary_rejects_an_r_off_lambda2_g():
+    g, so3 = sln_algebra(3), catalog.so3_algebra()
+    for r in (
+        ExteriorElement(g, 2, {(0, 1): 1}, True),  # a form on g
+        ExteriorElement(g, 3, {(0, 1, 2): 1}, False),
+        ExteriorElement(so3, 2, {(0, 1): 1}, False),  # a bivector of another algebra
+    ):
+        with pytest.raises(ValueError, match="degree-2 primal"):
+            CocommutatorMap.from_rmatrix(g, r)
 
 
 def test_kernel_checks_make_no_fraction_in_their_loops(monkeypatch):

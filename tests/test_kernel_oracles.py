@@ -25,8 +25,6 @@ from poishom.bialgebra import (
     cocycle_check,
     double_algebra,
     double_bracket,
-    _sln_basis,
-    _sln_gram_inverse,
     sln_algebra,
     sln_basis_matrices,
     sln_standard_bialgebra,
@@ -493,20 +491,6 @@ def test_sln_standard_bialgebra_matches_fraction_construction(n, eta):
     assert [list(im.terms.items()) for im in B.delta.images] == [
         list(im.terms.items()) for im in R.delta.images
     ]
-
-
-@pytest.mark.parametrize("n", range(2, 11))
-def test_sln_gram_inverse_closed_form(n):
-    _, mats = _sln_basis(n)
-    gram = [
-        [Fraction(sum(x * b.get((c, r), 0) for (r, c), x in a.items())) for b in mats]
-        for a in mats
-    ]
-    closed = [[Fraction(0)] * len(mats) for _ in mats]
-    for a, row in enumerate(_sln_gram_inverse(n)):
-        for b, w in row:
-            closed[a][b] = Fraction(w, 2 * n)
-    assert closed == linalg.invert(gram)
 
 
 # ---------------------------------------------------------------------------

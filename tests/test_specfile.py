@@ -219,6 +219,31 @@ def test_second_basis_line_rejected():
         parse_spec_text(text)
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # the r-matrix section would be built and the cocommutator dropped
+        (SPHERE.replace("[subalgebra]", "[delta]\nJ3 -> 1 J1^J2\n\n[subalgebra]"), 10, "not both"),
+        (MU_PLANE.replace("[subalgebra]", "[rmatrix]\n1 X1^X2\n\n[subalgebra]"), 11, "not both"),
+        # a repeated header would start its section afresh
+        (MU_PLANE + "[delta]\n", 13, r"\[delta\] section given twice"),
+        (SPHERE + "[rmatrix]\n1 J2^J3\n", 12, r"\[rmatrix\] section given twice"),
+        (SPHERE + "[subalgebra]\nJ1\n", 12, r"\[subalgebra\] section given twice"),
+        (MODEL + MODEL, 7, r"\[coordinate_model\] section given twice"),
+    ],
+    ids=["delta-after-rmatrix", "rmatrix-after-delta", "delta", "rmatrix", "subalgebra", "model"],
+)
+def test_conflicting_section_headers_rejected(tmp_path, capsys, text, line, message):
+    with pytest.raises(SpecParseError, match=f"line {line},.*{message}"):
+        parse_spec_text(text)
+    path = tmp_path / "input.spec"
+    path.write_text(text, encoding="utf-8")
+    assert run(["analyze", str(path), "--file"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"input error: line {line},")
+
+
 # ---------------------------------------------------------------------------
 # mutated spec text: every input is parsed or refused with one input error
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_run_all_builds_each_structure_once(monkeypatch):
     )
     # a group model goes on the catalog bialgebra through model_on
     monkeypatch.setattr(
-        catalog, "model_on", lambda name, B, eta: models.update([name]) or model_on(name, B, eta)
+        catalog, "model_on", lambda name, B: models.update([name]) or model_on(name, B)
     )
     results = verify.run_all()
     assert len(results) == 133 and all(r.ok for r in results)
