@@ -56,7 +56,7 @@ class CocommutatorMap:
         if r.dual or r.degree != 2 or r.algebra is not algebra:
             raise ValueError("r must be a degree-2 primal element over the algebra")
         rden, ints = integer_row(r.terms)
-        rows = algebra.bracket_rows()
+        rows = algebra.bracket_rows
         acc: list[dict] = [{} for _ in range(algebra.dim)]  # {(k, v): int} for each x
         for (a, b), w in ints.items():
             for u, v, s in ((a, b, w), (b, a, -w)):
@@ -112,7 +112,7 @@ def cocycle_check(g: LieAlgebra, delta: CocommutatorMap) -> Optional[tuple[int, 
         for k, c in image.items():
             for (a, b), d in images.get(k, {}).items():
                 acc[base + a * n + b] = acc.get(base + a * n + b, 0) + c * d
-    rows = g.bracket_rows()
+    rows = g.bracket_rows
     for (a, b), image in dual.items():
         for y, d in image.items():
             # e_u replaced by [e_x, e_u] = sum c e_k gives s e_k ^ e_v, v the other factor

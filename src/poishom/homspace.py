@@ -7,13 +7,15 @@ feasibility test for multiplicative unimodularity.  Group-level exactness of
 the resulting 1-cocycle is not decidable here; reports carry an explicit
 "assumes simply connected group" flag instead.
 
-The semi-invariant system [closedness; h | rhs] is eliminated once.  The mu
-system is the same rows plus the horizontal-field rows, and its elimination
-starts from the semi-invariant system's nonzero reduced rows plus those
-rows.  Both stacks span the same row space, and the reduced row echelon form
-of a matrix is unique given its row space, so the pivot rows, hence the
-particular solution (free variables at 0) and the null basis, are exactly
-those of eliminating the full stack.  When the semi-invariant rows are
+The semi-invariant system [closedness; h | rhs] is built as sparse int rows
+and eliminated once, on ints (``linalg.int_rref``).  The mu system is the
+same rows plus the horizontal-field rows, and its elimination starts from
+the semi-invariant system's reduced rows plus those rows.  Each int row is
+a rational equation times a positive int, and both stacks span the row
+space of the full rational stack; the reduced row echelon form of a matrix
+is unique given its row space, so the pivot rows, hence the particular
+solution (free variables at 0) and the null basis, are exactly those of
+eliminating the full rational stack.  When the semi-invariant rows are
 already inconsistent, so is the mu system, and nothing more is eliminated.
 
 Volume data.  No verdict builds V0, the top wedge of h0 = ann(h).  Since h is
@@ -38,6 +40,7 @@ from . import linalg
 from .bialgebra import LieBialgebra
 from .exterior import ExteriorElement, top_wedge
 from .lie import Covector, LieAlgebra, Subalgebra, Vector, is_closed_one_form, sparse
+from .linalg import integer_row
 
 SIMPLY_CONNECTED_CAVEAT = (
     "algebra-level verdict: the closed 1-cocycle integrates to a multiplicative "
@@ -110,6 +113,8 @@ class SemiInvariantSolutions:
     def contains(self, theta: Covector) -> bool:
         if not self.feasible:
             return False
+        if theta.algebra is not self.particular.algebra:
+            raise ValueError("covector belongs to a different algebra")
         diff = [a - b for a, b in zip(theta.coords, self.particular.coords)]
         return linalg.in_span([list(v.coords) for v in self.homogeneous], diff)
 
@@ -119,16 +124,16 @@ class SemiInvariantSolutions:
 # ---------------------------------------------------------------------------
 
 
-def _closedness_rows(L: LieAlgebra) -> linalg.Matrix:
-    """theta is closed exactly when it kills every [e_i, e_j]: one row per
-    direction of a nonzero bracket, its int image divided by the gcd of its
-    entries and signed to lead positive (a row that is a multiple of an
-    earlier one adds nothing to the row space)."""
-    zero, n, directions = Fraction(0), L.dim, {}
+def _closedness_rows(L: LieAlgebra) -> list[dict]:
+    """theta is closed exactly when it kills every [e_i, e_j]: one sparse int
+    row per direction of a nonzero bracket, its int image divided by the gcd
+    of its entries and signed to lead positive (a row that is a multiple of
+    an earlier one adds nothing to the row space)."""
+    directions = {}
     for _, image in sorted(L.ints.items()):
         g = math.gcd(*image.values()) * (1 if image[min(image)] > 0 else -1)
         directions.setdefault(tuple((k, image[k] // g) for k in sorted(image)), None)
-    return [[Fraction(d[k]) if k in d else zero for k in range(n)] for d in map(dict, directions)]
+    return list(map(dict, directions))
 
 
 def _quotient_traces(h: Subalgebra) -> tuple[Fraction, ...]:
@@ -141,55 +146,55 @@ def _quotient_traces(h: Subalgebra) -> tuple[Fraction, ...]:
     return h.bracket_traces(free + [(a, p, -x) for p in scaled for a, x in scaled[p].items()])
 
 
-def _mu_rows(B: LieBialgebra, chi_g: Covector, chi_gs: Vector) -> tuple[linalg.Matrix, linalg.Row]:
+def _mu_rows(B: LieBialgebra, chi_g: Covector, chi_gs: Vector) -> list[dict]:
     """Linearized horizontal-field condition, one g-valued equation per basis
-    vector: 1/2 ([X, chi_g*] - i(chi_g) delta X) + i(theta0) delta X = 0."""
-    g, chi = B.g, chi_g.coords
-    rows, rhs = [], []
-    for i in range(g.dim):
-        bracket = sparse(g.bracket(g.basis_vector(i), chi_gs).coords)  # [X, chi_g*]
-        # component on e_k of i(theta) (e_a ^ e_b) = theta_a d_bk - theta_b d_ak
-        block: dict[int, dict[int, Fraction]] = {}
-        for (a, b), c in B.delta.images[i].terms.items():
-            row_b, row_a = block.setdefault(b, {}), block.setdefault(a, {})
-            row_b[a] = row_b.get(a, 0) + c
-            row_a[b] = row_a.get(b, 0) - c
-        for k in range(g.dim):
-            entries = block.get(k, {})
-            # -1/2 ([X, chi_g*] - i(chi_g) delta X) on e_k; i(chi_g) delta X is the block at chi_g
-            i_chi = sum((c * chi[a] for a, c in entries.items()), Fraction(0))
-            rhs_val = (i_chi - bracket.get(k, 0)) / 2
-            if any(entries.values()) or rhs_val:
-                row = [Fraction(0)] * g.dim
-                for a, c in entries.items():
-                    row[a] = c
-                rows.append(row)
-                rhs.append(rhs_val)
-    return rows, rhs
+    vector X: 1/2 ([X, chi_g*] - i(chi_g) delta X) + i(theta0) delta X = 0, as
+    int rows with the rhs in column g.dim, the e_k equation of X = e_i keyed
+    (i, k).  With delta X read off the dual's ints over D, [X, chi_g*] off
+    g's bracket rows over g.den, chi_g = chi / s and chi_g* = star / t on
+    ints, each equation is multiplied by 2 L, L = lcm(D s, g.den t)."""
+    g, D, cols = B.g, B.dual.den, B.g.dim
+    s, chi = integer_row(sparse(chi_g.coords))
+    t, star = integer_row(sparse(chi_gs.coords))
+    L = math.lcm(D * s, g.den * t)
+    eqs: dict[tuple[int, int], dict] = {}
+    # on e_k, i(theta) (e_a ^ e_b) = theta_a d_bk - theta_b d_ak, (delta e_i)^{ab} = c / D
+    for (a, b), image in B.dual.ints.items():
+        for i, c in image.items():
+            eqs.setdefault((i, b), {})[a] = c
+            eqs.setdefault((i, a), {})[b] = -c
+    for row in eqs.values():  # 2 L times the theta terms and 1/2 i(chi_g) delta e_i
+        i_chi = sum([c * chi[a] for a, c in row.items() if a in chi])
+        for a in row:
+            row[a] *= 2 * L // D
+        row[cols] = i_chi * (L // (D * s))
+    for i in range(cols):  # and -1/2 [e_i, chi_g*], from the brackets [e_j, e_i]
+        for j, bracket in g.bracket_rows[i]:
+            for k, c in bracket if j in star else ():
+                row = eqs.setdefault((i, k), {})
+                row[cols] = row.get(cols, 0) + star[j] * c * (L // (g.den * t))
+    return list(eqs.values())
 
 
 def _preferred_witness(
-    chi: Covector,
-    rows: linalg.Matrix,
-    rhs: linalg.Row,
-    reduced: tuple[linalg.Matrix, list[int]],
-    degenerate_first: bool,
+    chi: Covector, rows: list[dict], reduced: tuple[list[dict], list[int]], degenerate_first: bool
 ) -> tuple[Optional[Covector], linalg.Matrix]:
-    """Solve the affine system rows @ theta0 = rhs for theta0, preferring the
-    canonical cocycles chi_g and chi_g/2 over the raw pivot solution when
-    they are solutions.  ``reduced`` is the rref of a stack of augmented rows
-    with the same span as [rows | rhs].  Returns (theta0 or None when
-    infeasible, null space basis)."""
-    part, null = linalg.read_solution(*reduced, chi.algebra.dim)
+    """Solve the affine system given by the int rows (rhs in column g.dim)
+    for theta0, preferring the canonical cocycles chi_g and chi_g/2 over the
+    raw pivot solution when they are solutions.  ``reduced`` is ``int_rref``
+    of a stack of rows with the same span.  Each candidate is tested on ints,
+    scaled by the lcm s of its denominators: row . (s theta) = s rhs.
+    Returns (theta0 or None when infeasible, null space basis)."""
+    cols = chi.algebra.dim
+    part, null = linalg.read_solution(*reduced, cols)
     if part is None:
         return None, null
     half = Fraction(1, 2) * chi
-    candidates = [half, chi] if degenerate_first else [chi, half]
-    for cand in candidates:
-        support = [(k, x) for k, x in enumerate(cand.coords) if x]
+    for cand in [half, chi] if degenerate_first else [chi, half]:
+        s, theta = integer_row(sparse(cand.coords))
         if all(
-            sum((row[k] * x for k, x in support if row[k]), Fraction(0)) == b
-            for row, b in zip(rows, rhs)
+            sum([x * theta[k] for k, x in row.items() if k in theta]) == s * row.get(cols, 0)
+            for row in rows
         ):
             return cand, null
     return Covector(chi.algebra, part), null
@@ -262,39 +267,41 @@ class _Analysis:
         return VolumeCertificate(traces, "none" if any(traces) else "invariant")
 
     @cached_property
-    def semi_rows(self) -> tuple[linalg.Matrix, linalg.Row]:
-        """Closedness of theta0 and theta0|_h = chi_g|_h - chi_h."""
-        rows = _closedness_rows(self.g)
-        rhs = [Fraction(0)] * len(rows)
-        return rows + [list(v.coords) for v in self.S.h.basis], rhs + self.restriction_rhs
+    def semi_rows(self) -> list[dict]:
+        """Closedness of theta0 and theta0|_h = chi_g|_h - chi_h, as int rows
+        with the rhs in column g.dim: the row of h_i is s_i h_i on ints
+        (``int_basis``) times the denominator of s_i times its rhs value."""
+        rows, cols = _closedness_rows(self.g), self.g.dim
+        for (s, b), value in zip(self.S.h.int_basis, self.restriction_rhs):
+            value *= s
+            rows.append({**{k: x * value.denominator for k, x in b.items()}, cols: value.numerator})
+        return rows
 
     @cached_property
-    def semi_reduced(self) -> tuple[linalg.Matrix, list[int]]:
+    def semi_reduced(self) -> tuple[list[dict], list[int]]:
         """The one elimination of [closedness; h | rhs]: the semi-invariant
-        solve reads it, and the mu solve starts from its nonzero rows."""
-        rows, rhs = self.semi_rows
-        return linalg.rref([row + [b] for row, b in zip(rows, rhs)])
+        solve reads it, and the mu solve starts from its reduced rows."""
+        return linalg.int_rref(self.semi_rows, self.g.dim)
 
     @cached_property
     def semi_invariant(self) -> tuple[Optional[Covector], linalg.Matrix]:
         return _preferred_witness(
-            self.chi_g, *self.semi_rows, self.semi_reduced, degenerate_first=False
+            self.chi_g, self.semi_rows, self.semi_reduced, degenerate_first=False
         )
 
     @cached_property
     def mu(self) -> tuple[Optional[Covector], linalg.Matrix]:
         """The semi-invariant system extended by the horizontal-field rows.
-        Its reduced form is that of the semi-invariant system's nonzero
-        reduced rows stacked on the horizontal rows: the two stacks span the
-        same row space, and the reduced form depends on nothing else."""
+        Its reduced form is that of the semi-invariant system's reduced rows
+        stacked on the horizontal rows: the two stacks span the same row
+        space, and the reduced form depends on nothing else."""
         red, pivots = self.semi_reduced
         if self.g.dim in pivots:  # the semi-invariant rows alone are inconsistent
             return None, []
-        rows, rhs = self.semi_rows
-        r3, b3 = _mu_rows(self.S.bialgebra, self.chi_g, self.chi_gs)
-        reduced = linalg.rref(red[: len(pivots)] + [row + [b] for row, b in zip(r3, b3)])
+        horizontal = _mu_rows(self.S.bialgebra, self.chi_g, self.chi_gs)
+        reduced = linalg.int_rref(red + horizontal, self.g.dim)
         return _preferred_witness(
-            self.chi_g, rows + r3, rhs + b3, reduced, degenerate_first=self.S.h.dim == 0
+            self.chi_g, self.semi_rows + horizontal, reduced, degenerate_first=self.S.h.dim == 0
         )
 
     @cached_property

@@ -187,10 +187,11 @@ class LieAlgebra:
             full[(j, i)] = {k: -c for k, c in image.items()}
         return full
 
+    @cached_property
     def bracket_rows(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
         """For each basis index u, the pairs (x, [e_x, e_u]) over the x with
         a nonzero bracket, each bracket as (k, c) pairs on ``ints``, in the
-        order of ``ints``."""
+        order of ``ints``.  Built once and shared: readers must not mutate it."""
         rows: list[list] = [[] for _ in range(self.dim)]
         for (i, j), image in self.ints.items():
             rows[j].append((i, list(image.items())))
@@ -204,7 +205,7 @@ class LieAlgebra:
         terms: [e_c, [e_a, e_b]] with a < b and c != a, b is a term of the
         sorted triple's cyclic sum [e_k, [e_i, e_j]] + [e_i, [e_j, e_k]] +
         [e_j, [e_k, e_i]], with sign - when a < c < b."""
-        table, n, rows = self.ints, self.dim, self.bracket_rows()
+        table, n, rows = self.ints, self.dim, self.bracket_rows
         # the e_p component of triple (i, j, k) is keyed ((i n + j) n + k) n + p,
         # so the least key with a nonzero sum is on the first violating triple
         acc: dict[int, int] = {}

@@ -2,8 +2,11 @@
 
 Everything in this package that must decide a yes/no question (rank,
 membership, feasibility) goes through these routines, so every verdict is
-exact: matrices are lists of lists of ``Fraction`` and elimination never
-leaves the rationals.
+exact.  Matrices are lists of lists of ``Fraction``, but every elimination
+runs on sparse int rows in ``int_rref``: a row times a positive int spans
+the same line, and the reduced row echelon form depends only on the row
+space, so nothing is lost.  Fractions are made only when a reduced row, a
+solution or a null vector is read out.
 """
 
 from __future__ import annotations
@@ -46,45 +49,70 @@ def integer_row(row: dict) -> tuple[int, dict]:
     return scale, {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
 def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
+    zero, one = Fraction(0), Fraction(1)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _cleared(a: dict, b: dict, p: int) -> dict:
+    """m a - n b with m, n coprime ints, m of the sign of b[p], so that it is
+    0 at column p; zero entries dropped."""
+    g = math.gcd(a[p], b[p])
+    out = {c: b[p] // g * y for c, y in a.items()}
+    for c, y in b.items():
+        out[c] = out.get(c, 0) - a[p] // g * y
+    return {c: y for c, y in out.items() if y}
+
+
+def _primitive(row: dict) -> dict:
+    """The nonzero int row divided by the gcd of its entries, first one positive."""
+    g = math.gcd(*row.values()) * (1 if row[min(row)] > 0 else -1)
+    return {c: y // g for c, y in row.items()}
+
+
+def int_rref(rows: list[dict], cols: int) -> tuple[list[dict], list[int]]:
+    """Gauss-Jordan elimination of sparse int rows {column: int}, column
+    ``cols`` being a right-hand side: (reduced rows, their pivot columns),
+    sorted by pivot.  Each reduced row is its reduced row echelon form row
+    times the positive int that makes its entries coprime, so it is positive
+    at its pivot and 0 at every other pivot; zero rows are dropped.  Rows
+    enter one at a time and stay on ints: a new row is cleared at the pivots
+    it meets, and its own pivot, its first column, is then cleared from the
+    rows before it.  The input rows are not changed."""
+    reduced: dict[int, dict] = {}  # pivot column -> row
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        for p in [p for p in row if p in reduced]:
+            row = _cleared(row, reduced[p], p)
+        if row:
+            row = _primitive(row)
+            p = min(row)
+            for q, b in reduced.items():
+                if p in b:
+                    reduced[q] = _primitive(_cleared(b, row, p))
+            reduced[p] = row
+    pivots = sorted(reduced)
+    return [reduced[p] for p in pivots], pivots
+
+
+def int_rows(mat: Matrix) -> list[dict]:
+    """Each row of a Fraction matrix as its sparse int multiple (``integer_row``)."""
+    return [integer_row({c: x for c, x in enumerate(row) if x})[1] for row in mat]
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    m = [row[:] for row in mat]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv if x else x for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    """Reduced row echelon form; returns (rref matrix, pivot column list).
+    ``int_rref`` eliminates, and each reduced row is divided by its pivot."""
+    if not mat:
+        return [], []
+    cols, zero = len(mat[0]), Fraction(0)
+    red = int_rref(int_rows(mat), cols)
+    out = [[Fraction(r[c], r[p]) if c in r else zero for c in range(cols)] for r, p in zip(*red)]
+    return out + [[zero] * cols for _ in range(len(mat) - len(out))], red[1]
 
 
 def rank(mat: Matrix) -> int:
-    return len(rref(mat)[1])
+    return len(int_rref(int_rows(mat), len(mat[0]))[1]) if mat else 0
 
 
 def nullspace(mat: Matrix) -> list[Row]:
@@ -104,26 +132,29 @@ def solve_affine(mat: Matrix, rhs: Row) -> tuple[Row | None, list[Row]]:
     if not mat:
         return ([] if not any(rhs) else None), []
     cols = len(mat[0])
-    red, pivots = rref([row[:] + [b] for row, b in zip(mat, rhs)])
-    return read_solution(red, pivots, cols)
+    rows = int_rows([row[:] + [b] for row, b in zip(mat, rhs)])
+    return read_solution(*int_rref(rows, cols), cols)
 
 
-def read_solution(red: Matrix, pivots: list[int], cols: int) -> tuple[Row | None, list[Row]]:
-    """``solve_affine``'s answer read off the reduced row echelon form
-    (red, pivots) of an augmented [mat | rhs] with ``cols`` unknowns.  It
-    reads only the pivot rows, and the reduced form depends only on the row
-    space, so any stack of rows with the same span gives the same answer."""
+def read_solution(red: list[dict], pivots: list[int], cols: int) -> tuple[Row | None, list[Row]]:
+    """``solve_affine``'s answer read off ``int_rref``'s (red, pivots) for an
+    augmented [mat | rhs] with ``cols`` unknowns, the rhs in column ``cols``.
+    The reduced form depends only on the row space, so any stack of rows
+    with the same span gives the same answer; the Fractions are made here."""
     if cols in pivots:  # pivot in the rhs column: inconsistent
         return None, []
-    x = [Fraction(0)] * cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][cols]
+    zero = Fraction(0)
+    x = [zero] * cols
+    for row, p in zip(red, pivots):
+        if cols in row:
+            x[p] = Fraction(row[cols], row[p])
     null = []
     for f in (c for c in range(cols) if c not in pivots):
-        v = [Fraction(0)] * cols
+        v = [zero] * cols
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
+        for row, p in zip(red, pivots):
+            if f in row:
+                v[p] = Fraction(-row[f], row[p])
         null.append(v)
     return x, null
 

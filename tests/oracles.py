@@ -360,6 +360,94 @@ def is_closed_one_form_by_pairs(L: LieAlgebra, theta: Covector) -> bool:
     return True
 
 
+def rref_by_fractions(mat: linalg.Matrix) -> tuple[linalg.Matrix, list[int]]:
+    """Dense Gauss-Jordan elimination on Fractions: (rref matrix, pivots),
+    the zero rows kept at the bottom."""
+    m = [row[:] for row in mat]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv if x else x for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def read_solution_by_fractions(red: linalg.Matrix, pivots: list[int], cols: int):
+    """(particular solution with the free variables at 0 or None, null basis)
+    read off a Fraction rref of [mat | rhs]."""
+    if cols in pivots:
+        return None, []
+    x = [Fraction(0)] * cols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][cols]
+    null = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        null.append(v)
+    return x, null
+
+
+def semi_rows_by_fractions(S) -> tuple[linalg.Matrix, linalg.Row]:
+    """[closedness; h | rhs] on Fractions: one closedness row per nonzero
+    bracket [e_i, e_j], then the basis of h with rhs chi_g - chi_h on it."""
+    g = S.bialgebra.g
+    rows = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            image = g.bracket_basis(i, j)
+            if image:
+                rows.append([image.get(k, Fraction(0)) for k in range(g.dim)])
+    chi_g = g.modular_character()
+    rhs = [Fraction(0)] * len(rows)
+    rhs += [chi_g(v) - c for v, c in zip(S.h.basis, S.h.modular_character_values())]
+    return rows + [list(v.coords) for v in S.h.basis], rhs
+
+
+def mu_rows_by_fractions(B: LieBialgebra, chi_g: Covector, chi_gs: Vector):
+    """Linearized horizontal-field condition on Fractions, one g-valued
+    equation per basis vector: 1/2 ([X, chi_g*] - i(chi_g) delta X) +
+    i(theta0) delta X = 0, with X bracketed as a dense ``Vector``."""
+    g, chi = B.g, chi_g.coords
+    rows, rhs = [], []
+    for i in range(g.dim):
+        bracket = sparse(g.bracket(g.basis_vector(i), chi_gs).coords)  # [X, chi_g*]
+        # component on e_k of i(theta) (e_a ^ e_b) = theta_a d_bk - theta_b d_ak
+        block: dict[int, dict[int, Fraction]] = {}
+        for (a, b), c in B.delta.images[i].terms.items():
+            row_b, row_a = block.setdefault(b, {}), block.setdefault(a, {})
+            row_b[a] = row_b.get(a, 0) + c
+            row_a[b] = row_a.get(b, 0) - c
+        for k in range(g.dim):
+            entries = block.get(k, {})
+            i_chi = sum((c * chi[a] for a, c in entries.items()), Fraction(0))
+            rhs_val = (i_chi - bracket.get(k, 0)) / 2
+            if any(entries.values()) or rhs_val:
+                row = [Fraction(0)] * g.dim
+                for a, c in entries.items():
+                    row[a] = c
+                rows.append(row)
+                rhs.append(rhs_val)
+    return rows, rhs
+
+
 # ---------------------------------------------------------------------------
 # the group-level coordinate models as transcribed by hand, the reference the
 # generated ones (``catalog.model_on``) are compared with

@@ -191,6 +191,18 @@ def test_semi_invariant_unimodular_h_takes_modular_character():
         assert sols.particular == S.bialgebra.g.modular_character()
 
 
+def test_semi_invariant_contains_rejects_a_covector_of_another_algebra():
+    S = spec("subgroup-sphere")
+    sols = semi_invariant_solutions(S)
+    assert sols.feasible and sols.contains(sols.particular)
+    # an sl(3) covector that starts with the particular solution's coordinates
+    sl3 = spec("toda-n3").bialgebra.g
+    theta = sl3.covector(list(sols.particular.coords) + [0] * (sl3.dim - 3))
+    assert sl3.dim == 8 and S.bialgebra.g.dim == 3
+    with pytest.raises(ValueError, match="different algebra"):
+        sols.contains(theta)
+
+
 # ---------------------------------------------------------------------------
 # multiplicative unimodularity
 # ---------------------------------------------------------------------------
@@ -424,7 +436,7 @@ def test_invariant_volume_iff_annihilator_valued_solution():
         g = S.bialgebra.g
         chi_g = g.modular_character()
         chi_h = S.h.modular_character_values()
-        rows = _closedness_rows(g)
+        rows = [[Fraction(d.get(k, 0)) for k in range(g.dim)] for d in _closedness_rows(g)]
         rhs = [Fraction(0)] * len(rows)
         for v, c in zip(S.h.basis, chi_h):
             rows.append(list(v.coords))

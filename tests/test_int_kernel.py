@@ -26,7 +26,13 @@ from poishom.bialgebra import (
     sln_standard_bialgebra,
 )
 from poishom.exterior import ExteriorElement, ce_differential
-from poishom.homspace import HomogeneousSpaceSpec, _closedness_rows, _quotient_traces
+from poishom.homspace import (
+    HomogeneousSpaceSpec,
+    _Analysis,
+    _closedness_rows,
+    _mu_rows,
+    _quotient_traces,
+)
 from poishom.lie import LieAlgebra, Subalgebra, Vector, is_closed_one_form
 
 from oracles import (
@@ -167,7 +173,8 @@ def test_is_closed_one_form_matches_the_pairwise_loop(tables, data):
     else:
         B, _ = tables[choice]
         L = data.draw(st.sampled_from([B.g, B.dual, B.double]))
-    closed = linalg.nullspace(_closedness_rows(L)) if L.ints else []
+    rows = [[Fraction(d.get(k, 0)) for k in range(L.dim)] for d in _closedness_rows(L)]
+    closed = linalg.nullspace(rows) if rows else []
     coeffs = data.draw(st.lists(small_rational, min_size=len(closed), max_size=len(closed)))
     coords = [sum((c * v[a] for c, v in zip(coeffs, closed)), Fraction(0)) for a in range(L.dim)]
     if data.draw(st.booleans()):
@@ -292,6 +299,51 @@ def test_kernel_checks_make_no_fraction_in_their_loops(monkeypatch):
     d = ce_differential(B.g, omega)
     # one Fraction per term of the result, made after the int loop
     assert d.terms and len(made) == len(d.terms)
+
+
+def test_homspace_eliminations_make_no_fraction(monkeypatch):
+    """On a prebuilt sl(4) spec the horizontal rows are built, and the
+    semi-invariant and mu systems eliminated, on ints; only the solution
+    readout makes Fractions."""
+    B = sln_standard_bialgebra(4, Fraction(-5, 2))
+    S = HomogeneousSpaceSpec("so4", B, B.g.subalgebra(["Q12", "Q13", "Q14", "Q23", "Q24", "Q34"]))
+    A = _Analysis(S)
+    A.semi_rows, A.chi_g, A.chi_gs, B.g.bracket_rows  # prebuilt
+    made, eliminations = [], []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    int_rref = linalg.int_rref
+
+    def eliminate(rows, cols):
+        before = len(made)
+        out = int_rref(rows, cols)
+        eliminations.append(len(made) - before)
+        return out
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    monkeypatch.setattr(linalg, "int_rref", eliminate)
+    horizontal = _mu_rows(B, A.chi_g, A.chi_gs)
+    assert horizontal and A.semi_reduced[1]
+    assert made == []
+    assert A.mu == (None, [])  # inconsistent: no solution to read out
+    assert eliminations == [0, 0] and made == []
+    witness, null = A.semi_invariant
+    assert made  # the semi-invariant readout makes them
+    assert witness.is_zero() and null == []
+
+
+def test_sln_build_reads_one_copy_of_the_bracket_rows(monkeypatch):
+    """``bracket_rows`` is built once per algebra and shared by the
+    coboundary, the cocycle check (g's rows) and the dual's Jacobi check."""
+    built = []
+    prop = LieAlgebra.__dict__["bracket_rows"]
+    monkeypatch.setattr(prop, "func", lambda L, f=prop.func: built.append(L) or f(L))
+    B = sln_standard_bialgebra(4, Fraction(3, 2))
+    assert sorted(map(id, built)) == sorted([id(B.g), id(B.dual)])
 
 
 def test_verify_all_builds_the_catalog_bialgebras_once(monkeypatch):

@@ -8,11 +8,14 @@ brackets, ``ExteriorElement`` wedges for the adjoint action and the Schouten
 square, ``double_bracket`` on ``DoubleElement`` pairs, and sl(n) through dense
 n x n matrices, Gram inversion and trace loops.  The differential is checked
 against the alternating-sum formula, and the integer bitmask wedge and
-differential against the Fraction loops that sort index tuples.  Every
-result must agree exactly, including the first violating triple or pair.
+differential against the Fraction loops that sort index tuples, and the
+sparse int Gauss-Jordan kernel against the dense Fraction elimination.
+Every result must agree exactly, including the first violating triple or
+pair.
 """
 
 import functools
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -42,6 +45,8 @@ from oracles import (
     ce_differential_by_formula,
     cocycle_check_by_ad_terms,
     ce_differential_by_sorting,
+    read_solution_by_fractions,
+    rref_by_fractions,
     sln_bialgebra_by_fractions,
     wedge_by_sorting,
 )
@@ -445,6 +450,49 @@ def test_row_span_matches_rank_and_solve(data):
     w = [sum((c * r[k] for c, r in zip(coeffs, rows)), Fraction(0)) for k in range(cols)]
     assert span.coordinates(sparse(w)) == coeffs
     assert span.coordinates(dict(enumerate(w))) == coeffs  # explicit zeros are harmless
+
+
+@st.composite
+def augmented_matrices(draw):
+    """([mat | rhs], cols): sparse rows with small and near-10^50 rationals,
+    then zero rows, repeated rows, multiples and a combination of rows with
+    its rhs moved (an inconsistent row), in random places."""
+    cols = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)), small_rational, huge_rational)
+    rows = draw(st.lists(st.lists(entry, min_size=cols + 1, max_size=cols + 1), max_size=6))
+    kinds = st.sampled_from(["zero", "repeat", "multiple", "inconsistent"])
+    for kind in draw(st.lists(kinds, max_size=4)):
+        if kind == "zero" or not rows:
+            new = [Fraction(0)] * (cols + 1)
+        elif kind == "inconsistent":
+            coeffs = draw(st.lists(small_rational, min_size=len(rows), max_size=len(rows)))
+            new = [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)]
+            new[cols] += draw(small_rational.filter(bool))
+        else:
+            c = draw(small_rational.filter(bool)) if kind == "multiple" else 1
+            new = [c * x for x in draw(st.sampled_from(rows))]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(augmented_matrices())
+def test_int_rref_matches_the_fraction_elimination(case):
+    mat, cols = case
+    rows = linalg.int_rows(mat)
+    before = [dict(row) for row in rows]
+    red, pivots = linalg.int_rref(rows, cols)
+    assert rows == before  # the input rows are left as they were
+    want, want_pivots = rref_by_fractions(mat)
+    assert pivots == want_pivots
+    # each int row is its rref row times the positive int that makes it coprime
+    for row, p in zip(red, pivots):
+        assert row[p] > 0 and math.gcd(*row.values()) == 1
+        assert all(x for x in row.values()) and not set(row) & (set(pivots) - {p})
+    dense = [[Fraction(r.get(c, 0), r[p]) for c in range(cols + 1)] for r, p in zip(red, pivots)]
+    assert dense == want[: len(pivots)]
+    assert linalg.rref(mat) == (want, want_pivots)
+    assert linalg.read_solution(red, pivots, cols) == read_solution_by_fractions(want, pivots, cols)
 
 
 # ---------------------------------------------------------------------------
