@@ -115,8 +115,8 @@ class SemiInvariantSolutions:
             return False
         if theta.algebra is not self.particular.algebra:
             raise ValueError("covector belongs to a different algebra")
-        diff = [a - b for a, b in zip(theta.coords, self.particular.coords)]
-        return linalg.in_span([list(v.coords) for v in self.homogeneous], diff)
+        span = linalg.RowSpan([integer_row(sparse(v.coords)) for v in self.homogeneous])
+        return span.contains(sparse(a - b for a, b in zip(theta.coords, self.particular.coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +219,10 @@ class _Analysis:
 
     @cached_property
     def h0(self) -> Subalgebra:
-        """h0 inside (g*, [.,.]_*); its one RowSpan serves the closure and
-        ideal tests and the modular character."""
-        dual = self.S.bialgebra.dual
-        return Subalgebra(dual, [Vector(dual, xi.coords) for xi in self.ann], verify=False)
+        """h0 inside (g*, [.,.]_*), on the int rows of ann(h); its one
+        RowSpan serves the closure and ideal tests and the modular character."""
+        rows = [integer_row(sparse(xi.coords)) for xi in self.ann]
+        return Subalgebra.from_int_rows(self.S.bialgebra.dual, rows, verify=False)
 
     @cached_property
     def coisotropic(self) -> bool:
@@ -281,7 +281,7 @@ class _Analysis:
     def semi_reduced(self) -> tuple[list[dict], list[int]]:
         """The one elimination of [closedness; h | rhs]: the semi-invariant
         solve reads it, and the mu solve starts from its reduced rows."""
-        return linalg.int_rref(self.semi_rows, self.g.dim)
+        return linalg.int_rref(self.semi_rows)
 
     @cached_property
     def semi_invariant(self) -> tuple[Optional[Covector], linalg.Matrix]:
@@ -299,7 +299,7 @@ class _Analysis:
         if self.g.dim in pivots:  # the semi-invariant rows alone are inconsistent
             return None, []
         horizontal = _mu_rows(self.S.bialgebra, self.chi_g, self.chi_gs)
-        reduced = linalg.int_rref(red + horizontal, self.g.dim)
+        reduced = linalg.int_rref(red + horizontal)
         return _preferred_witness(
             self.chi_g, self.semi_rows + horizontal, reduced, degenerate_first=self.S.h.dim == 0
         )
@@ -394,21 +394,19 @@ def multiplicative_unimodularity_check(S: HomogeneousSpaceSpec) -> Unimodularity
 def lu_crosscheck(S: HomogeneousSpaceSpec) -> bool:
     """Check, on every annihilator basis covector xi, that the modular
     character of l = h (+) h0 inside the double agrees with the pairing
-    against -chi_g* + 2 x_h0.  l's basis is block diagonal in (e_i, e^a), so
-    its span is the direct sum of h's and h0's, with no elimination; l is
-    still tested for closure in the bialgebra's one copy of the double."""
+    against -chi_g* + 2 x_h0.  l's int rows are h's next to h0's moved by
+    m = dim g columns; they are block diagonal in (e_i, e^a), so l's span is
+    the direct sum of h's and h0's, with no elimination.  l is still tested
+    for closure in the bialgebra's one copy of the double."""
     A = _Analysis(S)
     if not A.coisotropic:
         raise ValueError("the Lagrangian subalgebra h + h0 needs a coisotropic quotient")
     D, m = S.bialgebra.double, S.bialgebra.dim
-    zeros = [Fraction(0)] * m
-    vectors = [Vector(D, list(v.coords) + zeros) for v in S.h.basis]
-    vectors += [Vector(D, zeros + list(xi.coords)) for xi in A.ann]
+    rows = S.h.int_basis + [(s, {k + m: x for k, x in b.items()}) for s, b in A.h0.int_basis]
     span = linalg.RowSpan.direct_sum(S.h.span, A.h0.span, m)
-    chi_l = Subalgebra(D, vectors, span=span).modular_character_values()
+    chi_l = Subalgebra.from_int_rows(D, rows, span=span).modular_character_values()
     target = -1 * A.chi_gs + 2 * A.chi_h0[1]
-    n = S.h.dim
-    return all(chi_l[n + r] == xi(target) for r, xi in enumerate(A.ann))
+    return all(c == xi(target) for c, xi in zip(chi_l[S.h.dim :], A.ann))
 
 
 def classification_row(S: HomogeneousSpaceSpec) -> dict:

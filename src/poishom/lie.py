@@ -244,36 +244,51 @@ class LieAlgebra:
         return Subalgebra(self, vecs, verify=verify)
 
     def annihilator(self, h: "Subalgebra") -> list[Covector]:
-        """Basis of {xi in g* : xi(X) = 0 for all X in h}."""
-        if h.dim == 0:
-            return [self.basis_covector(i) for i in range(self.dim)]
-        rows = [list(v.coords) for v in h.basis]
-        return [Covector(self, v) for v in linalg.nullspace(rows)]
+        """Basis of {xi in g* : xi(X) = 0 for all X in h}, read off h's span
+        with no elimination: the null vectors of its reduced rows, S R_p being
+        the int row {p: S, **scaled[p]}, one per free column, in order."""
+        scale, scaled = h.span.scale, h.span.scaled
+        rows = [{p: scale, **scaled[p]} for p in scaled]
+        return [Covector(self, v) for v in linalg.read_solution(rows, list(scaled), self.dim)[1]]
 
 
 class Subalgebra:
-    """A subalgebra of a parent algebra, given by an independent basis; ``span``
-    may pass in the ``RowSpan`` of exactly these rows, already eliminated.
-    ``int_basis`` holds each basis vector b as (s, s b), s b on ints."""
+    """A subalgebra of a parent algebra, given by an independent basis held
+    as ``int_basis``, each b as (s, s b) with s b on ints, and eliminated once
+    in ``span``, the ``RowSpan`` of those rows (or one passed in, of them)."""
 
     def __init__(self, parent: LieAlgebra, basis: Sequence[Vector], verify: bool = True, span=None):
-        self.parent = parent
         self.basis = tuple(basis)
+        self._build(parent, [integer_row(sparse(v.coords)) for v in self.basis], verify, span)
+
+    @classmethod
+    def from_int_rows(cls, parent: LieAlgebra, rows: list, verify: bool = True, span=None):
+        """The subalgebra with ``int_basis`` rows; ``basis`` is made if read."""
+        out = cls.__new__(cls)
+        out._build(parent, rows, verify, span)
+        return out
+
+    def _build(self, parent: LieAlgebra, rows: list, verify: bool, span):
+        self.parent, self.int_basis = parent, rows
         try:
-            # the basis eliminated once: membership and coordinates of brackets
-            self.span = span or linalg.RowSpan([list(v.coords) for v in self.basis])
+            self.span = span or linalg.RowSpan(rows)
         except ValueError:
             raise ValueError("subalgebra basis is linearly dependent") from None
-        self.int_basis = [integer_row(sparse(v.coords)) for v in self.basis]
-        self.verified = False
-        if verify:
-            if not self.is_closed():
-                raise ValueError("basis does not span a subalgebra")
-            self.verified = True
+        if verify and not self.is_closed():
+            raise ValueError("basis does not span a subalgebra")
+        self.verified = verify
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        dim = self.parent.dim
+        return tuple(
+            Vector(self.parent, [Fraction(row.get(k, 0), s) for k in range(dim)])
+            for s, row in self.int_basis
+        )
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.int_basis)
 
     def _brackets(self):
         """((i, j), den s_i s_j [b_i, b_j]) for i < j, as sparse int maps in

@@ -2,11 +2,13 @@
 
 Everything in this package that must decide a yes/no question (rank,
 membership, feasibility) goes through these routines, so every verdict is
-exact.  Matrices are lists of lists of ``Fraction``, but every elimination
-runs on sparse int rows in ``int_rref``: a row times a positive int spans
-the same line, and the reduced row echelon form depends only on the row
-space, so nothing is lost.  Fractions are made only when a reduced row, a
-solution or a null vector is read out.
+exact.  Every elimination runs on sparse int rows {column: int} in
+``int_rref``: a row times a positive int spans the same line, and the
+reduced row echelon form depends only on the row space, so nothing is lost.
+A subspace is held the same way, as the int rows of its eliminated basis
+(``RowSpan``).  The dense ``Fraction`` matrices of ``rref``, ``solve`` and
+``nullspace`` are adapters around the kernel: Fractions are made only when
+a reduced row, a solution or a null vector is read out.
 """
 
 from __future__ import annotations
@@ -49,11 +51,6 @@ def integer_row(row: dict) -> tuple[int, dict]:
     return scale, {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
 
 
-def identity(n: int) -> Matrix:
-    zero, one = Fraction(0), Fraction(1)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def _cleared(a: dict, b: dict, p: int) -> dict:
     """m a - n b with m, n coprime ints, m of the sign of b[p], so that it is
     0 at column p; zero entries dropped."""
@@ -70,15 +67,15 @@ def _primitive(row: dict) -> dict:
     return {c: y // g for c, y in row.items()}
 
 
-def int_rref(rows: list[dict], cols: int) -> tuple[list[dict], list[int]]:
-    """Gauss-Jordan elimination of sparse int rows {column: int}, column
-    ``cols`` being a right-hand side: (reduced rows, their pivot columns),
-    sorted by pivot.  Each reduced row is its reduced row echelon form row
-    times the positive int that makes its entries coprime, so it is positive
-    at its pivot and 0 at every other pivot; zero rows are dropped.  Rows
-    enter one at a time and stay on ints: a new row is cleared at the pivots
-    it meets, and its own pivot, its first column, is then cleared from the
-    rows before it.  The input rows are not changed."""
+def int_rref(rows: list[dict]) -> tuple[list[dict], list[int]]:
+    """Gauss-Jordan elimination of sparse int rows {column: int}: (reduced
+    rows, their pivot columns), sorted by pivot.  Each reduced row is its
+    reduced row echelon form row times the positive int that makes its
+    entries coprime, so it is positive at its pivot and 0 at every other
+    pivot; zero rows are dropped.  Rows enter one at a time and stay on ints:
+    a new row is cleared at the pivots it meets, and its own pivot, its first
+    column, is then cleared from the rows before it.  The input rows are not
+    changed."""
     reduced: dict[int, dict] = {}  # pivot column -> row
     for row in rows:
         row = {c: x for c, x in row.items() if x}
@@ -106,13 +103,13 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     if not mat:
         return [], []
     cols, zero = len(mat[0]), Fraction(0)
-    red = int_rref(int_rows(mat), cols)
+    red = int_rref(int_rows(mat))
     out = [[Fraction(r[c], r[p]) if c in r else zero for c in range(cols)] for r, p in zip(*red)]
     return out + [[zero] * cols for _ in range(len(mat) - len(out))], red[1]
 
 
 def rank(mat: Matrix) -> int:
-    return len(int_rref(int_rows(mat), len(mat[0]))[1]) if mat else 0
+    return len(int_rref(int_rows(mat))[1])
 
 
 def nullspace(mat: Matrix) -> list[Row]:
@@ -133,7 +130,7 @@ def solve_affine(mat: Matrix, rhs: Row) -> tuple[Row | None, list[Row]]:
         return ([] if not any(rhs) else None), []
     cols = len(mat[0])
     rows = int_rows([row[:] + [b] for row, b in zip(mat, rhs)])
-    return read_solution(*int_rref(rows, cols), cols)
+    return read_solution(*int_rref(rows), cols)
 
 
 def read_solution(red: list[dict], pivots: list[int], cols: int) -> tuple[Row | None, list[Row]]:
@@ -160,88 +157,78 @@ def read_solution(red: list[dict], pivots: list[int], cols: int) -> tuple[Row | 
 
 
 def invert(mat: Matrix) -> Matrix:
-    n = len(mat)
-    aug = [row[:] + ident_row for row, ident_row in zip(mat, identity(n))]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    """The inverse: the transform T of the rows' ``RowSpan``, as T @ mat = R = I."""
+    try:
+        span = RowSpan([integer_row({c: x for c, x in enumerate(row) if x}) for row in mat])
+    except ValueError:
+        raise ValueError("matrix is singular") from None
+    n, t = len(mat), span.transform
+    return [[Fraction(t[i].get(j, 0), span.scale) for j in range(n)] for i in range(n)]
 
 
 def det(mat: Matrix) -> Fraction:
-    n = len(mat)
-    m = [row[:] for row in mat]
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
+    """Bareiss's elimination of the rows, each scaled to ints by an s, over prod s."""
+    n, rows = len(mat), [integer_row(dict(enumerate(row))) for row in mat]
+    m, sign, prev = [[r[c] for c in range(n)] for _, r in rows], 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
         if pivot is None:
             return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return d
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return Fraction(sign * prev, math.prod(s for s, _ in rows))
 
 
 def in_span(vectors: list[Row], v: Row) -> bool:
     """Is v in the rational span of ``vectors``?"""
-    if not vectors:
-        return not any(v)
     base = [list(w) for w in vectors]
     return rank(base) == rank(base + [list(v)])
 
 
 class RowSpan:
-    """The span of independent rows, eliminated once.
+    """The span of independent rows b, given as ``Subalgebra.int_basis``
+    holds them, (s, s b) with s b a sparse int row, and eliminated once.
 
-    One ``rref`` of ``[rows | I]`` gives the reduced rows R and the transform
-    T with T @ rows = R.  A vector v is in the span exactly when it equals
-    sum_r v[p_r] R_r, p_r being the pivot columns, and its coefficients on
-    the original rows are then sum_r v[p_r] T_r.  Vectors are passed sparse,
-    as {column: value} maps, so a test costs in proportion to their support.
-    Membership runs on ints: ``scaled`` holds S R_r off its pivot, S being
-    ``scale``, and v is in the span when S v - sum_r v[p_r] S R_r vanishes.
+    One ``int_rref`` of the int rows [s b | s e_i] gives a positive int
+    multiple of each [R_r | T_r], R being the reduced rows and T the
+    transform with T @ rows = R.  With S (``scale``) the lcm of those
+    multiples, ``scaled`` and ``transform`` hold S R_r off its pivot and
+    S T_r on ints, keyed by the pivot column p_r.  A sparse {column: value}
+    vector v is in the span exactly when S v - sum_r v[p_r] S R_r vanishes,
+    and its coefficients on the rows are then sum_r v[p_r] T_r.
     """
 
-    def __init__(self, rows: Matrix):
-        n = len(rows)
-        cols = len(rows[0]) if rows else 0
-        red, pivots = rref([list(row) + e for row, e in zip(rows, identity(n))])
+    def __init__(self, rows: list[tuple[int, dict]]):
+        cols = 1 + max((c for _, row in rows for c in row), default=-1)
+        red, pivots = int_rref([{**row, cols + i: s} for i, (s, row) in enumerate(rows)])
         if pivots and pivots[-1] >= cols:
             raise ValueError("rows are linearly dependent")
-        # per pivot column p_r: the nonzero entries of R_r off the pivot, and T_r
-        self.reduced = {
-            p: [(c, x) for c, x in enumerate(row[:cols]) if x and c != p]
-            for p, row in zip(pivots, red)
-        }
-        self.transform = {
-            p: [(s, x) for s, x in enumerate(row[cols:]) if x] for p, row in zip(pivots, red)
-        }
-        self.dim = n
-        self._scale()
-
-    def _scale(self):
-        self.scale, self.scaled = integer_table({p: dict(t) for p, t in self.reduced.items()})
+        self.scale = math.lcm(*(r[p] for r, p in zip(red, pivots)))
+        self.scaled, self.transform = {}, {}
+        for r, p in zip(red, pivots):
+            k = self.scale // r[p]
+            self.scaled[p] = {c: k * x for c, x in r.items() if c < cols and c != p}
+            self.transform[p] = {c - cols: k * x for c, x in r.items() if c >= cols}
+        self.dim = len(rows)
 
     @classmethod
     def direct_sum(cls, first: "RowSpan", second: "RowSpan", shift: int) -> "RowSpan":
-        """``RowSpan`` of first's rows padded on the right and second's padded
-        on the left (``shift`` = first's column count), with no elimination:
-        the stack is block diagonal, so its reduced rows and transform are
-        first's next to second's, moved by ``shift`` columns and first.dim rows."""
+        """``RowSpan`` of first's rows and second's moved right by ``shift``
+        columns (first's column count), with no elimination: the stack is
+        block diagonal, so its reduced rows and transform are first's next to
+        second's, moved by ``shift`` columns and first.dim rows."""
         out = cls.__new__(cls)
-        out.reduced = dict(first.reduced)
-        out.transform = dict(first.transform)
-        for p, terms in second.reduced.items():
-            out.reduced[p + shift] = [(c + shift, x) for c, x in terms]
-            out.transform[p + shift] = [(s + first.dim, x) for s, x in second.transform[p]]
+        out.scale, out.scaled, out.transform = math.lcm(first.scale, second.scale), {}, {}
+        for span, dc, ds in ((first, 0, 0), (second, shift, first.dim)):
+            k = out.scale // span.scale
+            for p, terms in span.scaled.items():
+                out.scaled[p + dc] = {c + dc: k * x for c, x in terms.items()}
+                out.transform[p + dc] = {s + ds: k * x for s, x in span.transform[p].items()}
         out.dim = first.dim + second.dim
-        out._scale()
         return out
 
     def contains(self, v: dict) -> bool:
@@ -260,18 +247,18 @@ class RowSpan:
         """The x supported on the pivot columns with row_s . x = values[s] for
         every original row s, as {column: value}."""
         return {
-            p: sum((values[s] * y for s, y in terms), Fraction(0))
+            p: sum((values[s] * y for s, y in terms.items()), Fraction(0)) / self.scale
             for p, terms in self.transform.items()
         }
 
-    def coordinates(self, v: dict[int, Fraction]) -> Row | None:
+    def coordinates(self, v: dict) -> Row | None:
         """The coefficients of v on the original rows, or None when v is
         outside their span."""
         if not self.contains(v):
             return None
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for k, x in v.items():
             if x and k in self.transform:
-                for s, y in self.transform[k]:
+                for s, y in self.transform[k].items():
                     out[s] += x * y
-        return out
+        return [Fraction(x, self.scale) for x in out]

@@ -283,12 +283,19 @@ def jacobi_check_by_fractions(L: LieAlgebra) -> tuple[int, int, int] | None:
     return None
 
 
-def contains_by_fractions(span: linalg.RowSpan, v: dict) -> bool:
-    """Membership read off the Fraction reduced rows: v minus sum_p v_p R_p
-    vanishes."""
+def reduced_by_fractions(h: Subalgebra) -> dict[int, list[tuple[int, Fraction]]]:
+    """The Fraction reduced rows of h's basis, from the dense elimination
+    (``rref_by_fractions``), as {pivot: [(column, entry) off the pivot]}."""
+    red, pivots = rref_by_fractions([list(v.coords) for v in h.basis])
+    return {p: [(c, x) for c, x in enumerate(row) if x and c != p] for p, row in zip(pivots, red)}
+
+
+def contains_by_fractions(reduced: dict, v: dict) -> bool:
+    """Membership read off the Fraction reduced rows (``reduced_by_fractions``):
+    v minus sum_p v_p R_p vanishes."""
     rest: dict = {}
     for k, x in v.items():
-        terms = span.reduced.get(k)
+        terms = reduced.get(k)
         if terms is None:
             rest[k] = rest.get(k, 0) + x
         elif x:
@@ -298,18 +305,19 @@ def contains_by_fractions(span: linalg.RowSpan, v: dict) -> bool:
 
 
 def is_closed_by_fractions(h: Subalgebra) -> bool:
-    vecs = [sparse(v.coords) for v in h.basis]
+    vecs, reduced = [sparse(v.coords) for v in h.basis], reduced_by_fractions(h)
     return all(
-        contains_by_fractions(h.span, bracket_terms(h.parent._table, vecs[i], vecs[j]))
+        contains_by_fractions(reduced, bracket_terms(h.parent._table, vecs[i], vecs[j]))
         for i in range(len(vecs))
         for j in range(i + 1, len(vecs))
     )
 
 
 def is_ideal_by_fractions(h: Subalgebra) -> bool:
+    reduced = reduced_by_fractions(h)
     return all(
         contains_by_fractions(
-            h.span, bracket_terms(h.parent._table, sparse(v.coords), {a: Fraction(1)})
+            reduced, bracket_terms(h.parent._table, sparse(v.coords), {a: Fraction(1)})
         )
         for v in h.basis
         for a in range(h.parent.dim)
@@ -334,14 +342,14 @@ def bracket_traces_by_fractions(h: Subalgebra, weights) -> tuple[Fraction, ...]:
 
 
 def modular_character_values_by_fractions(h: Subalgebra) -> tuple[Fraction, ...]:
-    reduced = h.span.reduced
+    reduced = reduced_by_fractions(h)
     return bracket_traces_by_fractions(
         h, [(c, p, r) for p in reduced for c, r in [(p, Fraction(1)), *reduced[p]]]
     )
 
 
 def quotient_traces_by_fractions(h: Subalgebra) -> tuple[Fraction, ...]:
-    reduced = h.span.reduced
+    reduced = reduced_by_fractions(h)
     free = [(a, a, Fraction(1)) for a in range(h.parent.dim) if a not in reduced]
     return bracket_traces_by_fractions(
         h, free + [(a, p, -x) for p in reduced for a, x in reduced[p]]

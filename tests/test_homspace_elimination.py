@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from poishom import catalog, homspace, linalg
+from poishom import catalog, homspace, lie, linalg
 from poishom.homspace import HomogeneousSpaceSpec, _Analysis, _mu_rows
 from poishom.lie import Covector
 
@@ -111,9 +111,9 @@ def test_sl4_borel_never_eliminates_the_full_mu_stack(workloads, monkeypatch):
     heights = []
     int_rref = linalg.int_rref
 
-    def counted(rows, cols):
+    def counted(rows):
         heights.append(len(rows))
-        return int_rref(rows, cols)
+        return int_rref(rows)
 
     monkeypatch.setattr(linalg, "int_rref", counted)
     row = homspace.classification_row(S)
@@ -125,7 +125,7 @@ def test_sl4_borel_never_eliminates_the_full_mu_stack(workloads, monkeypatch):
 def rref_of_int_rows(rows, cols):
     """The Fraction rref rows (zero rows dropped) and pivots of int rows with
     the rhs in column ``cols``."""
-    red, pivots = linalg.int_rref(rows, cols)
+    red, pivots = linalg.int_rref(rows)
     dense = [[Fraction(r.get(c, 0), r[p]) for c in range(cols + 1)] for r, p in zip(red, pivots)]
     return dense, pivots
 
@@ -177,3 +177,39 @@ def test_sl_int_rows_match_fraction_rows(workloads, n):
     specs = sl_specs(workloads, n, Fraction(-2, 3), kinds)
     # chi_g* is nonzero, so every system's horizontal rows carry a rhs
     assert all([assert_int_rows_match_fraction_rows(S) for S in specs])
+
+
+DENSE_ADAPTERS = ("rref", "nullspace", "in_span", "solve", "rank")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_prebuilt_specs_use_no_dense_elimination(workloads, monkeypatch, n):
+    """On a prebuilt spec, classification_row and lu_crosscheck never call
+    the dense Fraction adapters of ``linalg``: h's span and h0's are
+    eliminated on int rows, ann(h) is read off h's span, and l is assembled
+    from int rows with no padded Vector of the double."""
+    specs = [catalog.build_homspace(name, Fraction(-5, 2)) for name in catalog.HOMSPACE_NAMES]
+    specs += sl_specs(workloads, n, Fraction(3, 2), ["cartan", "so", workloads.borels(n)[-1]])
+    calls, made = {name: 0 for name in DENSE_ADAPTERS}, []
+    for name in DENSE_ADAPTERS:
+
+        def counted(*args, _name=name, _f=getattr(linalg, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    init = lie.Vector.__init__
+
+    def vector(self, algebra, coords):
+        made.append(algebra)
+        init(self, algebra, coords)
+
+    monkeypatch.setattr(lie.Vector, "__init__", vector)
+    for S in specs:
+        row = homspace.classification_row(S)
+        assert calls == {name: 0 for name in DENSE_ADAPTERS}, S.name
+        if row["coisotropic"]:
+            made.clear()
+            assert homspace.lu_crosscheck(S), S.name
+            assert calls == {name: 0 for name in DENSE_ADAPTERS}, S.name
+            assert all(algebra is not S.bialgebra.double for algebra in made), S.name

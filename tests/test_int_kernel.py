@@ -318,9 +318,9 @@ def test_homspace_eliminations_make_no_fraction(monkeypatch):
 
     int_rref = linalg.int_rref
 
-    def eliminate(rows, cols):
+    def eliminate(rows):
         before = len(made)
-        out = int_rref(rows, cols)
+        out = int_rref(rows)
         eliminations.append(len(made) - before)
         return out
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from poishom import catalog, linalg
 from poishom.bialgebra import (
@@ -40,6 +40,7 @@ from poishom.exterior import (
     top_wedge,
 )
 from poishom.lie import LieAlgebra, sparse
+from poishom.linalg import integer_row
 
 from oracles import (
     ce_differential_by_formula,
@@ -429,6 +430,11 @@ def test_bracket_and_ad_extension_match_dense_reference(data):
     assert ad_extension(L, u, p) == ref_ad_extension(L, u, p)
 
 
+def int_basis(rows):
+    """The rows as ``Subalgebra.int_basis`` holds them: (s, s row) pairs."""
+    return [integer_row(sparse(row)) for row in rows]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_row_span_matches_rank_and_solve(data):
@@ -438,9 +444,9 @@ def test_row_span_matches_rank_and_solve(data):
     v = data.draw(row)
     if linalg.rank(rows) < len(rows):
         with pytest.raises(ValueError):
-            linalg.RowSpan(rows)
+            linalg.RowSpan(int_basis(rows))
         return
-    span = linalg.RowSpan(rows)
+    span = linalg.RowSpan(int_basis(rows))
     inside = linalg.in_span(rows, v)
     assert span.contains(sparse(v)) == inside
     want = linalg.solve([list(col) for col in zip(*rows)], v) if inside else None
@@ -450,6 +456,52 @@ def test_row_span_matches_rank_and_solve(data):
     w = [sum((c * r[k] for c, r in zip(coeffs, rows)), Fraction(0)) for k in range(cols)]
     assert span.coordinates(sparse(w)) == coeffs
     assert span.coordinates(dict(enumerate(w))) == coeffs  # explicit zeros are harmless
+
+
+@st.composite
+def independent_rows(draw):
+    """(rows, cols): 0 to cols independent sparse rows of small and
+    near-10^50 rationals, none (h = 0) and cols of them (h = g) included."""
+    cols = draw(st.integers(1, 5))
+    count = draw(st.one_of(st.just(0), st.just(cols), st.integers(0, cols)))
+    entry = st.one_of(st.just(Fraction(0)), small_rational, huge_rational)
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, min_size=count, max_size=count))
+    assume(linalg.rank(rows) == count)
+    return rows, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(independent_rows())
+def test_row_span_matches_the_fraction_elimination_of_rows_and_identity(case):
+    """``RowSpan`` holds S R off each pivot and S T, R and T being the two
+    halves of the rref of [rows | I] and S the lcm of their denominators."""
+    rows, cols = case
+    span = linalg.RowSpan(int_basis(rows))
+    n = len(rows)
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    red, pivots = rref_by_fractions([r + e for r, e in zip(rows, identity)])
+    assert list(span.scaled) == list(span.transform) == pivots and span.dim == n
+    assert span.scale == math.lcm(*(x.denominator for r in red for x in r))
+    S = span.scale
+    for r, p in zip(red, pivots):
+        assert span.scaled[p] == {c: S * x for c, x in enumerate(r[:cols]) if x and c != p}
+        assert span.transform[p] == {s: S * x for s, x in enumerate(r[cols:]) if x}
+    ints = [x for t in (span.scaled, span.transform) for r in t.values() for x in r.values()]
+    assert all(type(x) is int for x in ints)
+
+
+@settings(max_examples=150, deadline=None)
+@given(independent_rows())
+def test_annihilator_matches_the_fraction_null_space(case):
+    """ann(h), read off h's span, is the null space of h's rows from the
+    dense elimination: the same covectors in the same order."""
+    rows, cols = case
+    g = LieAlgebra([f"x{i}" for i in range(cols)], {})  # every subspace is a subalgebra
+    h = g.subalgebra([g.vector(r) for r in rows])
+    red, pivots = rref_by_fractions([r + [Fraction(0)] for r in rows])
+    _, null = read_solution_by_fractions(red, pivots, cols)
+    assert [list(xi.coords) for xi in g.annihilator(h)] == null
 
 
 @st.composite
@@ -481,7 +533,7 @@ def test_int_rref_matches_the_fraction_elimination(case):
     mat, cols = case
     rows = linalg.int_rows(mat)
     before = [dict(row) for row in rows]
-    red, pivots = linalg.int_rref(rows, cols)
+    red, pivots = linalg.int_rref(rows)
     assert rows == before  # the input rows are left as they were
     want, want_pivots = rref_by_fractions(mat)
     assert pivots == want_pivots

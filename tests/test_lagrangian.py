@@ -3,8 +3,9 @@
 ``LieBialgebra.double`` builds g (+) g* once, and both ``double_jacobi_check``
 and ``lu_crosscheck`` read it.  ``lu_crosscheck`` assembles the span of
 l = h + h0 from the spans of h and h0 (``RowSpan.direct_sum``) with no
-elimination; it must equal ``RowSpan`` of the stacked rows, key order
-included, and l must still be refused when it is not closed.
+elimination; it must equal ``RowSpan`` of the stacked rows eliminated, on
+``scale``, ``scaled`` and ``transform`` (pivot order included), and l must
+still be refused when it is not closed.
 """
 
 from fractions import Fraction
@@ -14,7 +15,8 @@ import pytest
 from poishom import catalog, homspace, linalg
 from poishom.bialgebra import double_jacobi_check, sln_standard_bialgebra
 from poishom.homspace import HomogeneousSpaceSpec, _Analysis
-from poishom.lie import LieAlgebra, Vector
+from poishom.lie import LieAlgebra, Vector, sparse
+from poishom.linalg import integer_row
 
 
 def stacked_rows(S):
@@ -25,9 +27,13 @@ def stacked_rows(S):
 
 
 def assert_span_is_the_eliminated_one(S):
-    built = linalg.RowSpan.direct_sum(S.h.span, _Analysis(S).h0.span, S.bialgebra.dim)
-    ref = linalg.RowSpan(stacked_rows(S))
-    assert list(built.reduced.items()) == list(ref.reduced.items())
+    A = _Analysis(S)
+    # h0 is held as int rows; its basis, made when read, is ann(h) in g*
+    assert [v.coords for v in A.h0.basis] == [xi.coords for xi in A.ann]
+    built = linalg.RowSpan.direct_sum(S.h.span, A.h0.span, S.bialgebra.dim)
+    ref = linalg.RowSpan([integer_row(sparse(row)) for row in stacked_rows(S)])
+    assert built.scale == ref.scale
+    assert list(built.scaled.items()) == list(ref.scaled.items())
     assert list(built.transform.items()) == list(ref.transform.items())
     assert built.dim == ref.dim == S.bialgebra.dim
 
@@ -40,10 +46,15 @@ def test_lagrangian_span_on_catalog_entries(eta):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_lagrangian_span_on_sln(workloads, n):
-    B = sln_standard_bialgebra(n, Fraction(-5, 2))
-    assert_span_is_the_eliminated_one(
-        HomogeneousSpaceSpec("so", B, B.g.subalgebra(workloads.so_labels(n)))
-    )
+    B, labels = sln_standard_bialgebra(n, Fraction(-5, 2)), workloads.so_labels(n)
+    assert_span_is_the_eliminated_one(HomogeneousSpaceSpec("so", B, B.g.subalgebra(labels)))
+    # a basis vector times 3 gives h's span a scale of its own, so that the
+    # direct sum rescales h0's rows to the common one
+    scaled = B.g.subalgebra([3 * B.g.basis_vector(labels[0])] + labels[1:])
+    S = HomogeneousSpaceSpec("so-scaled", B, scaled)
+    assert S.h.span.scale != _Analysis(S).h0.span.scale
+    assert_span_is_the_eliminated_one(S)
+    assert homspace.lu_crosscheck(S)
     # a Borel is not spanned by basis vectors: its reduced rows have entries
     # off their pivots
     ((_, S),) = workloads.sl_homspaces(n, Fraction(-5, 2), [workloads.borels(n)[-1]])

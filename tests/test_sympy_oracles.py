@@ -1,8 +1,8 @@
 """Exact arithmetic against sympy as an independent oracle.
 
 The ``Polynomial`` ring operations (+, -, *, **), ``diff`` and ``eval``, and
-``linalg.rank``/``nullspace``, are compared with sympy's results on random
-inputs.  sympy is a test-side oracle only; these tests are skipped where it is
+``linalg.rank``/``nullspace``/``det``/``invert``, are compared with sympy's
+results on random inputs.  sympy is a test-side oracle only; these tests are skipped where it is
 not installed.
 """
 
@@ -105,3 +105,25 @@ def test_rank_and_nullspace_match_sympy(mat):
     # free column with a 1 there, so they agree vector by vector
     want = [[Fraction(int(c.p), int(c.q)) for c in v] for v in ref.nullspace()]
     assert linalg.nullspace(mat) == want
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices with entries such as 7/3, some of them singular."""
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(Fraction(0)), coeffs)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(square_matrices())
+def test_det_and_invert_match_sympy(mat):
+    ref = to_sympy_matrix(mat)
+    assert linalg.det(mat) == Fraction(str(ref.det()))
+    if ref.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            linalg.invert(mat)
+    else:
+        inv = ref.inv()
+        n = len(mat)
+        assert linalg.invert(mat) == [[Fraction(str(inv[i, j])) for j in range(n)] for i in range(n)]
