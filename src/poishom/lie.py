@@ -255,11 +255,11 @@ class LieAlgebra:
 class Subalgebra:
     """A subalgebra of a parent algebra, given by an independent basis held
     as ``int_basis``, each b as (s, s b) with s b on ints, and eliminated once
-    in ``span``, the ``RowSpan`` of those rows (or one passed in, of them)."""
+    in ``span``, their ``RowSpan`` (``from_int_rows`` may take one built)."""
 
-    def __init__(self, parent: LieAlgebra, basis: Sequence[Vector], verify: bool = True, span=None):
+    def __init__(self, parent: LieAlgebra, basis: Sequence[Vector], verify: bool = True):
         self.basis = tuple(basis)
-        self._build(parent, [integer_row(sparse(v.coords)) for v in self.basis], verify, span)
+        self._build(parent, [integer_row(sparse(v.coords)) for v in self.basis], verify, None)
 
     @classmethod
     def from_int_rows(cls, parent: LieAlgebra, rows: list, verify: bool = True, span=None):
