@@ -214,14 +214,11 @@ class _Analysis:
         self.g = S.bialgebra.g
 
     @cached_property
-    def ann(self) -> list[Covector]:
-        return self.g.annihilator(self.S.h)
-
-    @cached_property
     def h0(self) -> Subalgebra:
-        """h0 inside (g*, [.,.]_*), on the int rows of ann(h); its one
-        RowSpan serves the closure and ideal tests and the modular character."""
-        rows = [integer_row(sparse(xi.coords)) for xi in self.ann]
+        """h0 = ann(h) inside (g*, [.,.]_*), on the int rows of ann(h) read
+        off h's span; its one RowSpan serves the closure and ideal tests and
+        the modular character."""
+        rows = self.g.annihilator_rows(self.S.h)
         return Subalgebra.from_int_rows(self.S.bialgebra.dual, rows, verify=False)
 
     @cached_property
@@ -394,10 +391,12 @@ def multiplicative_unimodularity_check(S: HomogeneousSpaceSpec) -> Unimodularity
 def lu_crosscheck(S: HomogeneousSpaceSpec) -> bool:
     """Check, on every annihilator basis covector xi, that the modular
     character of l = h (+) h0 inside the double agrees with the pairing
-    against -chi_g* + 2 x_h0.  l's int rows are h's next to h0's moved by
-    m = dim g columns; they are block diagonal in (e_i, e^a), so l's span is
-    the direct sum of h's and h0's, with no elimination.  l is still tested
-    for closure in the bialgebra's one copy of the double."""
+    against -chi_g* + 2 x_h0.  Each xi is read as h0's int row (s, s xi), and
+    s chi_l(xi) is compared with the pairing of s xi.  l's int rows are h's
+    next to h0's moved by m = dim g columns; they are block diagonal in
+    (e_i, e^a), so l's span is the direct sum of h's and h0's, with no
+    elimination.  l is still tested for closure in the bialgebra's one copy
+    of the double."""
     A = _Analysis(S)
     if not A.coisotropic:
         raise ValueError("the Lagrangian subalgebra h + h0 needs a coisotropic quotient")
@@ -405,8 +404,11 @@ def lu_crosscheck(S: HomogeneousSpaceSpec) -> bool:
     rows = S.h.int_basis + [(s, {k + m: x for k, x in b.items()}) for s, b in A.h0.int_basis]
     span = linalg.RowSpan.direct_sum(S.h.span, A.h0.span, m)
     chi_l = Subalgebra.from_int_rows(D, rows, span=span).modular_character_values()
-    target = -1 * A.chi_gs + 2 * A.chi_h0[1]
-    return all(c == xi(target) for c, xi in zip(chi_l[S.h.dim :], A.ann))
+    target = (-1 * A.chi_gs + 2 * A.chi_h0[1]).coords
+    return all(
+        c * s == sum(x * target[k] for k, x in row.items())
+        for c, (s, row) in zip(chi_l[S.h.dim :], A.h0.int_basis)
+    )
 
 
 def classification_row(S: HomogeneousSpaceSpec) -> dict:

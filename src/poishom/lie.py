@@ -243,13 +243,25 @@ class LieAlgebra:
             vecs.append(v)
         return Subalgebra(self, vecs, verify=verify)
 
+    def annihilator_rows(self, h: "Subalgebra") -> list[tuple[int, dict]]:
+        """ann(h) = {xi in g* : xi(X) = 0 for all X in h} as int rows (s, s xi),
+        read off h's span with no elimination: the null vectors of its reduced
+        rows, s R_p being the int row {p: s, **scaled[p]} (s the span's scale),
+        one per free column f, in order: s e^f - sum_p scaled[p][f] e^p."""
+        s, scaled = h.span.scale, h.span.scaled
+        return [
+            (s, {f: s, **{p: -r[f] for p, r in scaled.items() if f in r}})
+            for f in range(self.dim)
+            if f not in scaled
+        ]
+
     def annihilator(self, h: "Subalgebra") -> list[Covector]:
-        """Basis of {xi in g* : xi(X) = 0 for all X in h}, read off h's span
-        with no elimination: the null vectors of its reduced rows, S R_p being
-        the int row {p: S, **scaled[p]}, one per free column, in order."""
-        scale, scaled = h.span.scale, h.span.scaled
-        rows = [{p: scale, **scaled[p]} for p in scaled]
-        return [Covector(self, v) for v in linalg.read_solution(rows, list(scaled), self.dim)[1]]
+        """Basis of ann(h), on ``annihilator_rows``."""
+        zero = Fraction(0)
+        return [
+            Covector(self, [Fraction(row[k], s) if k in row else zero for k in range(self.dim)])
+            for s, row in self.annihilator_rows(h)
+        ]
 
 
 class Subalgebra:

@@ -26,9 +26,19 @@ Grammar (documented in the README; everything after '#' is a comment):
     mult x: 1 x x' + -1 y y'
     field left_chi: 1 eta y, -1 eta x, 1 eta t, -1 eta z
 
-Numeric literals are exact rationals ('p/q' or integers); the token ``eta``
-multiplies a term by the instantiation parameter.  Polynomial terms are
-coefficient-times-monomial with juxtaposed variable powers; no parentheses.
+Each rule is stated once.  A term (``_terms``) is one rational ('p/q' or an
+integer), ``eta`` tokens, each a factor of the parameter, and factors: a
+label, a wedge ``A^B`` or juxtaposed variable powers ``x^2 y``.  Terms are
+joined by '+' (no parentheses), summed per factor and zero sums dropped; the
+text ``0`` is the empty sum.  ``A,B -> terms`` gives the bracket of an
+unordered pair, in [algebra] and in the model (``_pair``).  A keyed line
+(``basis:``, a bracket pair, a [delta] image, ``variables:``, ``base:``,
+``poisson_lie:``, ``mult v:``, ``field name:``) given again with another
+value is an error at the second line; an equal repeat is accepted.  Labels
+and variables are names (``_names``): a letter, then letters, digits and
+``_+'-``, never ``eta`` and never with ``^``; a variable has no ``'``, which
+marks the second factor in ``mult`` lines.  Every error is a
+``SpecParseError`` reading ``line N: message``.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .bialgebra import CocommutatorMap, LieBialgebra
@@ -46,15 +57,14 @@ from .lie import LieAlgebra
 from .linalg import frac
 from .poly import Polynomial
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
-_NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_+'-]*(\^[A-Za-z0-9_+'-]+)?$")
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_+'-]*")
 
 
 class SpecParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int = 0):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 @dataclass
@@ -118,285 +128,262 @@ class SpecDocument:
         )
 
 
-# Each section header and the empty value it starts on the document; each
-# but [algebra] may appear once, and [rmatrix] and [delta] exclude each other.
-_SECTIONS = {
-    "algebra": None,
-    "rmatrix": dict,
-    "delta": dict,
-    "subalgebra": list,
-    "coordinate_model": CoordinateModelDoc,
-}
-
-
 # ---------------------------------------------------------------------------
-# tokenizing helpers
+# parsing: the grammar rules, then one handler per section
 # ---------------------------------------------------------------------------
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].rstrip()
-
-
-def _parse_rational(tok: str, lineno: int, col: int = 0) -> Fraction:
-    if not _RATIONAL.match(tok):
-        raise SpecParseError(f"expected a rational literal, got {tok!r}", lineno, col)
+def _rational(tok: str, lineno: int) -> Fraction:
+    match = _RATIONAL.fullmatch(tok)
+    if match is None:
+        raise SpecParseError(f"expected a rational literal, got {tok!r}", lineno)
+    if match[1] is None:
+        return Fraction(int(tok))
     try:
         return Fraction(tok)
     except ZeroDivisionError:
-        raise SpecParseError(f"zero denominator in {tok!r}", lineno, col) from None
+        raise SpecParseError(f"zero denominator in {tok!r}", lineno) from None
 
 
-def _parse_combo_terms(text: str, lineno: int):
-    """Split 'coeff factors + coeff factors + ...' into term token lists."""
-    out = []
+def _lookup(index: dict, name: str, what: str, lineno: int) -> int:
+    try:
+        return index[name]
+    except KeyError:
+        raise SpecParseError(f"unknown {what} {name!r}", lineno) from None
+
+
+def _terms(text: str, lineno: int, eta: Fraction, key) -> dict:
+    """The '+'-separated terms 'c [eta...] factor...' of ``text`` (the text
+    '0' being the empty sum), summed per key and without zero sums.
+    ``key(factors, lineno)`` reads a term's factors as (key, sign): the sign
+    multiplies the term, 0 dropping it."""
+    if text.strip() == "0":
+        return {}
+    out: dict = {}
     for chunk in text.split("+"):
-        toks = chunk.split()
-        if not toks:
-            raise SpecParseError("empty term", lineno)
-        out.append(toks)
-    return out
-
-
-def _term_coeff_and_factors(toks, lineno, eta: Fraction):
-    coeff = Fraction(1)
-    factors = []
-    seen_number = False
-    for t in toks:
-        if _RATIONAL.match(t):
-            if seen_number:
-                raise SpecParseError("two numeric literals in one term", lineno)
-            coeff *= _parse_rational(t, lineno)
-            seen_number = True
-        elif t == "eta":
-            coeff *= eta
-        else:
-            if not _NAME.match(t):
-                raise SpecParseError(f"bad token {t!r}", lineno)
-            factors.append(t)
-    if not seen_number:
-        raise SpecParseError("terms need an explicit rational coefficient", lineno)
-    return coeff, factors
-
-
-def _parse_poly(text: str, variables, lineno: int, eta: Fraction) -> Polynomial:
-    out = Polynomial.zero(variables)
-    for toks in _parse_combo_terms(text, lineno):
-        coeff, factors = _term_coeff_and_factors(toks, lineno, eta)
-        expo = [0] * len(variables)
-        for f in factors:
-            if "^" in f:
-                name, _, power = f.partition("^")
-                if not power.isdigit():
-                    raise SpecParseError(f"exponent must be an integer in {f!r}", lineno)
-                k = int(power)
+        coeff, etas, factors = None, 0, []
+        for tok in chunk.split():
+            if tok[0] in "+-0123456789":
+                if coeff is not None:
+                    raise SpecParseError("two numeric literals in one term", lineno)
+                coeff = _rational(tok, lineno)
+            elif tok == "eta":
+                etas += 1
             else:
-                name, k = f, 1
-            if name not in variables:
-                raise SpecParseError(f"unknown variable {name!r}", lineno)
-            expo[list(variables).index(name)] += k
-        out = out + Polynomial.monomial(variables, expo, coeff)
-    return out
+                factors.append(tok)
+        if coeff is None:
+            msg = "terms need an explicit rational coefficient" if chunk.strip() else "empty term"
+            raise SpecParseError(msg, lineno)
+        k, sign = key(factors, lineno)
+        if not sign:
+            continue
+        if etas:
+            coeff *= eta**etas
+        if sign < 0:
+            coeff = -coeff
+        out[k] = out[k] + coeff if k in out else coeff
+    return {k: c for k, c in out.items() if c}
 
 
-# ---------------------------------------------------------------------------
-# parsing
-# ---------------------------------------------------------------------------
+def _label(index: dict, factors: list, lineno: int):
+    if len(factors) != 1:
+        raise SpecParseError("each term must name exactly one basis vector", lineno)
+    return _lookup(index, factors[0], "label", lineno), 1
+
+
+def _wedge(index: dict, factors: list, lineno: int):
+    """A^B keyed (i, j) with i < j, B^A giving the sign of the swap."""
+    if len(factors) != 1 or factors[0].count("^") != 1:
+        raise SpecParseError("wedge terms look like 'coeff A^B'", lineno)
+    a, _, b = factors[0].partition("^")
+    i, j = _lookup(index, a, "label", lineno), _lookup(index, b, "label", lineno)
+    return (min(i, j), max(i, j)), (i < j) - (i > j)
+
+
+def _monomial(index: dict, factors: list, lineno: int):
+    expo = [0] * len(index)
+    for f in factors:
+        name, hat, power = f.partition("^")
+        if hat and not (power.isascii() and power.isdigit()):
+            raise SpecParseError(f"exponent must be an integer in {f!r}", lineno)
+        expo[_lookup(index, name, "variable", lineno)] += int(power) if hat else 1
+    return tuple(expo), 1
+
+
+def _pair(line: str, index: dict, what: str, lineno: int, eta: Fraction, key):
+    """An 'A,B -> terms' line as ((i, j), terms) with i < j, the terms of
+    B,A negated."""
+    head, arrow, tail = line.partition("->")
+    names = head.split(",")
+    if not arrow or len(names) != 2:
+        raise SpecParseError("bracket lines look like 'A,B -> terms'", lineno)
+    i, j = (_lookup(index, name.strip(), what, lineno) for name in names)
+    if i == j:
+        raise SpecParseError("bracket of an element with itself is zero", lineno)
+    terms = _terms(tail, lineno, eta, key)
+    return ((i, j), terms) if i < j else ((j, i), {k: -c for k, c in terms.items()})
+
+
+def _names(text: str, what: str, lineno: int, forbidden: str) -> tuple[str, ...]:
+    """The distinct names on a basis or variables line: each matches _NAME
+    (so has no '^'), is not eta and has none of the ``forbidden`` characters."""
+    names = tuple(text.split())
+    if not names:
+        raise SpecParseError(f"empty {what}", lineno)
+    if len(set(names)) != len(names):
+        raise SpecParseError(f"duplicate {what} name", lineno)
+    for name in names:
+        if not _NAME.fullmatch(name) or name == "eta" or any(c in name for c in forbidden):
+            raise SpecParseError(f"bad {what} name {name!r}", lineno)
+    return names
+
+
+class _Reader:
+    """One parse: the document, the label and variable indices, and the
+    first line and value of each keyed line."""
+
+    def __init__(self, eta: Fraction):
+        self.doc, self.eta = SpecDocument(), eta
+        self.labels: dict[str, int] = {}
+        self.variables: dict[str, int] = {}
+        self.seen: dict[str, tuple[int, object]] = {}
+
+    def keyed(self, key: str, value, lineno: int) -> None:
+        first = self.seen.get(key)
+        if first is None:
+            self.seen[key] = (lineno, value)
+        elif first[1] != value:
+            raise SpecParseError(
+                f"{key} given twice with inconsistent values (first at line {first[0]})", lineno
+            )
+
+    def label_index(self, lineno: int) -> dict:
+        if not self.labels:
+            raise SpecParseError("an [algebra] section with a basis must come first", lineno)
+        return self.labels
+
+    def algebra(self, line: str, lineno: int) -> None:
+        doc = self.doc
+        if line.startswith("basis:"):
+            labels = _names(line[len("basis:"):], "basis", lineno, "")
+            self.keyed("basis", labels, lineno)
+            doc.labels, self.labels = labels, {name: i for i, name in enumerate(labels)}
+            return
+        index = self.label_index(lineno)
+        key, image = _pair(line, index, "label", lineno, self.eta, partial(_label, index))
+        self.keyed(f"bracket pair {doc.labels[key[0]]},{doc.labels[key[1]]}", image, lineno)
+        if image:
+            doc.brackets[key] = image
+
+    def rmatrix(self, line: str, lineno: int) -> None:
+        index, r = self.label_index(lineno), self.doc.rmatrix
+        for k, c in _terms(line, lineno, self.eta, partial(_wedge, index)).items():
+            r[k] = r[k] + c if k in r else c
+        self.doc.rmatrix = {k: c for k, c in r.items() if c}
+
+    def delta(self, line: str, lineno: int) -> None:
+        index = self.label_index(lineno)
+        head, arrow, tail = line.partition("->")
+        if not arrow:
+            raise SpecParseError("expected 'X -> wedge terms'", lineno)
+        k = _lookup(index, head.strip(), "label", lineno)
+        image = _terms(tail, lineno, self.eta, partial(_wedge, index))
+        self.keyed(f"delta image of {self.doc.labels[k]}", image, lineno)
+        self.doc.delta[k] = image
+
+    def subalgebra(self, line: str, lineno: int) -> None:
+        index, zero, one = self.label_index(lineno), Fraction(0), Fraction(1)
+        label = partial(_label, index)
+        terms = {index[line]: one} if line in index else _terms(line, lineno, self.eta, label)
+        self.doc.subalgebra.append([terms.get(i, zero) for i in range(len(index))])
+
+    def coordinate_model(self, line: str, lineno: int) -> None:
+        m, eta = self.doc.model, self.eta
+        head, colon, tail = line.partition(":")
+        word, _, name = head.strip().partition(" ")
+        head, name = head.strip(), name.strip()
+        if colon and head == "variables":
+            names = _names(tail, "variable", lineno, "'")
+            self.keyed("variables", names, lineno)
+            m.variables, self.variables = names, {v: i for i, v in enumerate(names)}
+            return
+        if not self.variables:
+            raise SpecParseError("the model needs a variables line first", lineno)
+        poly = partial(_monomial, self.variables)
+        if not colon:
+            if "->" not in line:
+                raise SpecParseError("unrecognized model line", lineno)
+            key, terms = _pair(line, self.variables, "variable", lineno, eta, poly)
+            self.keyed(f"model bracket pair {m.variables[key[0]]},{m.variables[key[1]]}",
+                       terms, lineno)
+            m.brackets[key] = Polynomial(m.variables, terms)
+        elif head == "base":
+            vals = tail.split()
+            if len(vals) != len(m.variables):
+                raise SpecParseError("base point has the wrong length", lineno)
+            point = tuple(_rational(v, lineno) for v in vals)
+            self.keyed("base", point, lineno)
+            m.base_point = point
+        elif head == "poisson_lie":
+            flag = tail.strip()
+            if flag not in ("yes", "no"):
+                raise SpecParseError("poisson_lie takes 'yes' or 'no'", lineno)
+            self.keyed("poisson_lie", flag, lineno)
+            m.poisson_lie = flag == "yes"
+        elif head == "constraint":
+            m.constraints.append(Polynomial(m.variables, _terms(tail, lineno, eta, poly)))
+        elif word == "mult":
+            _lookup(self.variables, name, "variable", lineno)
+            names = m.variables + tuple(f"{v}'" for v in m.variables)
+            index = {v: i for i, v in enumerate(names)}
+            terms = _terms(tail, lineno, eta, partial(_monomial, index))
+            self.keyed(f"mult {name}", terms, lineno)
+            m.mult[name] = Polynomial(names, terms)
+        elif word == "field":
+            comps = tail.split(",")
+            if len(comps) != len(m.variables):
+                raise SpecParseError("field needs one component per variable", lineno)
+            value = tuple(Polynomial(m.variables, _terms(c, lineno, eta, poly)) for c in comps)
+            self.keyed(f"field {name}", value, lineno)
+            m.fields[name] = value
+        else:
+            raise SpecParseError("unrecognized model line", lineno)
+
+
+# Each section header: the document attribute it starts, with its empty
+# value, and the handler of its lines.  Every section but [algebra] may
+# appear once, and [rmatrix] and [delta] exclude each other.
+_SECTIONS = {
+    "algebra": (None, None, _Reader.algebra),
+    "rmatrix": ("rmatrix", dict, _Reader.rmatrix),
+    "delta": ("delta", dict, _Reader.delta),
+    "subalgebra": ("subalgebra", list, _Reader.subalgebra),
+    "coordinate_model": ("model", CoordinateModelDoc, _Reader.coordinate_model),
+}
 
 
 def parse_spec_text(text: str, eta=1) -> SpecDocument:
-    eta = frac(eta)
-    doc = SpecDocument()
-    section = None
-    label_index: dict[str, int] = {}
-    seen_pairs: dict[tuple[int, int], tuple[int, dict]] = {}
-
-    def need_algebra(lineno):
-        if not doc.labels:
-            raise SpecParseError("an [algebra] section with a basis must come first", lineno)
-
-    def label(tok: str, lineno: int) -> int:
-        if tok not in label_index:
-            raise SpecParseError(f"unknown label {tok!r}", lineno)
-        return label_index[tok]
-
-    def parse_vector_combo(text: str, lineno: int):
-        row = [Fraction(0)] * len(doc.labels)
-        toks_all = text.split()
-        if len(toks_all) == 1 and toks_all[0] in label_index:
-            row[label_index[toks_all[0]]] = Fraction(1)
-            return row
-        for toks in _parse_combo_terms(text, lineno):
-            coeff, factors = _term_coeff_and_factors(toks, lineno, eta)
-            if len(factors) != 1:
-                raise SpecParseError("each term must name exactly one basis vector", lineno)
-            row[label(factors[0], lineno)] += coeff
-        return row
-
-    def parse_wedge_terms(text: str, lineno: int) -> dict:
-        terms: dict[tuple[int, int], Fraction] = {}
-        for toks in _parse_combo_terms(text, lineno):
-            coeff, factors = _term_coeff_and_factors(toks, lineno, eta)
-            if len(factors) != 1 or "^" in factors[0] and factors[0].count("^") != 1:
-                raise SpecParseError("wedge terms look like 'coeff A^B'", lineno)
-            name = factors[0]
-            if "^" not in name:
-                raise SpecParseError("wedge terms look like 'coeff A^B'", lineno)
-            a, _, b = name.partition("^")
-            i, j = label(a, lineno), label(b, lineno)
-            if i == j:
-                continue
-            key, sign = ((i, j), 1) if i < j else ((j, i), -1)
-            terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-        return {k: v for k, v in terms.items() if v}
-
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw).strip()
+    reader = _Reader(frac(eta))
+    doc, handler = reader.doc, None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             section = line[1:-1].strip()
             if section not in _SECTIONS:
                 raise SpecParseError(f"unknown section {section!r}", lineno)
-            if section != "algebra":
-                attr = "model" if section == "coordinate_model" else section
+            attr, empty, handler = _SECTIONS[section]
+            if attr is not None:
                 if getattr(doc, attr) is not None:
                     raise SpecParseError(f"[{section}] section given twice", lineno)
                 if section in ("rmatrix", "delta") and (doc.rmatrix, doc.delta) != (None, None):
                     raise SpecParseError("give an [rmatrix] or a [delta] section, not both", lineno)
-                setattr(doc, attr, _SECTIONS[section]())
-            continue
-        if section is None:
+                setattr(doc, attr, empty())
+        elif handler is None:
             raise SpecParseError("content before the first section header", lineno)
-
-        if section == "algebra":
-            if line.startswith("basis:"):
-                if doc.labels:
-                    # brackets and labels read so far index the first basis
-                    raise SpecParseError("basis given twice", lineno)
-                labels = line[len("basis:"):].split()
-                if not labels:
-                    raise SpecParseError("empty basis", lineno)
-                if len(set(labels)) != len(labels):
-                    raise SpecParseError("duplicate basis label", lineno)
-                for tok in labels:
-                    if not _NAME.match(tok) or "^" in tok:
-                        raise SpecParseError(f"bad basis label {tok!r}", lineno)
-                doc.labels = tuple(labels)
-                label_index.update({l: i for i, l in enumerate(labels)})
-                continue
-            need_algebra(lineno)
-            if "->" not in line:
-                raise SpecParseError("expected 'A,B -> terms'", lineno)
-            head, _, tail = line.partition("->")
-            pair = [t.strip() for t in head.split(",")]
-            if len(pair) != 2:
-                raise SpecParseError("bracket lines start with 'A,B ->'", lineno)
-            i, j = label(pair[0], lineno), label(pair[1], lineno)
-            if i == j:
-                raise SpecParseError("bracket of a vector with itself is zero", lineno)
-            image: dict[int, Fraction] = {}
-            tail = tail.strip()
-            if tail != "0":
-                for toks in _parse_combo_terms(tail, lineno):
-                    coeff, factors = _term_coeff_and_factors(toks, lineno, eta)
-                    if len(factors) != 1:
-                        raise SpecParseError("bracket terms look like 'coeff X'", lineno)
-                    k = label(factors[0], lineno)
-                    image[k] = image.get(k, Fraction(0)) + coeff
-            image = {k: v for k, v in image.items() if v}
-            key = (i, j) if i < j else (j, i)
-            normalized = image if i < j else {k: -v for k, v in image.items()}
-            if key in seen_pairs:
-                prev_line, prev = seen_pairs[key]
-                if prev != normalized:
-                    raise SpecParseError(
-                        f"bracket pair given twice with inconsistent values "
-                        f"(first at line {prev_line})",
-                        lineno,
-                    )
-                continue
-            seen_pairs[key] = (lineno, normalized)
-            if normalized:
-                doc.brackets[key] = normalized
-        elif section == "rmatrix":
-            need_algebra(lineno)
-            terms = parse_wedge_terms(line, lineno)
-            for k, v in terms.items():
-                doc.rmatrix[k] = doc.rmatrix.get(k, Fraction(0)) + v
-            doc.rmatrix = {k: v for k, v in doc.rmatrix.items() if v}
-        elif section == "delta":
-            need_algebra(lineno)
-            if "->" not in line:
-                raise SpecParseError("expected 'X -> wedge terms'", lineno)
-            head, _, tail = line.partition("->")
-            k = label(head.strip(), lineno)
-            tail = tail.strip()
-            doc.delta[k] = {} if tail == "0" else parse_wedge_terms(tail, lineno)
-        elif section == "subalgebra":
-            need_algebra(lineno)
-            doc.subalgebra.append(parse_vector_combo(line, lineno))
-        elif section == "coordinate_model":
-            m = doc.model
-            if line.startswith("variables:"):
-                names = line[len("variables:"):].split()
-                if not names or len(set(names)) != len(names):
-                    raise SpecParseError("bad variable list", lineno)
-                m.variables = tuple(names)
-                continue
-            if not m.variables:
-                raise SpecParseError("the model needs a variables line first", lineno)
-            if line.startswith("base:"):
-                vals = line[len("base:"):].split()
-                if len(vals) != len(m.variables):
-                    raise SpecParseError("base point has the wrong length", lineno)
-                m.base_point = tuple(_parse_rational(v, lineno) for v in vals)
-            elif line.startswith("poisson_lie:"):
-                flag = line[len("poisson_lie:"):].strip()
-                if flag not in ("yes", "no"):
-                    raise SpecParseError("poisson_lie takes 'yes' or 'no'", lineno)
-                m.poisson_lie = flag == "yes"
-            elif line.startswith("constraint:"):
-                m.constraints.append(
-                    _parse_poly(line[len("constraint:"):].strip(), m.variables, lineno, eta)
-                )
-            elif line.startswith("mult "):
-                head, _, tail = line[len("mult "):].partition(":")
-                var = head.strip()
-                if var not in m.variables:
-                    raise SpecParseError(f"unknown variable {var!r}", lineno)
-                names = list(m.variables) + [f"{v}'" for v in m.variables]
-                m.mult[var] = _parse_poly(tail.strip(), tuple(names), lineno, eta)
-            elif line.startswith("field "):
-                head, _, tail = line[len("field "):].partition(":")
-                comps = [c.strip() for c in tail.split(",")]
-                if len(comps) != len(m.variables):
-                    raise SpecParseError("field needs one component per variable", lineno)
-                m.fields[head.strip()] = tuple(
-                    _parse_poly(c, m.variables, lineno, eta) for c in comps
-                )
-            elif "->" in line:
-                head, _, tail = line.partition("->")
-                pair = [t.strip() for t in head.split(",")]
-                if len(pair) != 2 or any(p not in m.variables for p in pair):
-                    raise SpecParseError("bracket lines look like 'x,y -> poly'", lineno)
-                i = m.variables.index(pair[0])
-                j = m.variables.index(pair[1])
-                if i == j:
-                    raise SpecParseError("bracket of a variable with itself", lineno)
-                p = _parse_poly(tail.strip(), m.variables, lineno, eta)
-                key = (i, j) if i < j else (j, i)
-                stored = p if i < j else -p
-                if key in m.brackets:
-                    if m.brackets[key] != stored:
-                        raise SpecParseError(
-                            "model bracket pair given twice with inconsistent values", lineno
-                        )
-                    continue
-                m.brackets[key] = stored
-            else:
-                raise SpecParseError("unrecognized model line", lineno)
+        else:
+            handler(reader, line, lineno)
     if not doc.labels and doc.model is None:
         raise SpecParseError("document defines neither an algebra nor a model", 1)
     return doc
@@ -407,58 +394,46 @@ def parse_spec_text(text: str, eta=1) -> SpecDocument:
 # ---------------------------------------------------------------------------
 
 
+def _fmt(terms: dict, name, reverse: bool = False) -> str:
+    """The terms {key: c} as 'c factors + ...' in key order, ``name(key)``
+    giving the factors ('' for a constant); '' for no terms."""
+    return " + ".join(
+        f"{c} {f}" if (f := name(k)) else str(c)
+        for k, c in sorted(terms.items(), reverse=reverse)
+    )
+
+
 def _fmt_poly(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for expo in sorted(p.terms, reverse=True):
-        factors = [str(p.terms[expo])]
-        for name, k in zip(p.vars, expo):
-            if k == 1:
-                factors.append(name)
-            elif k > 1:
-                factors.append(f"{name}^{k}")
-        parts.append(" ".join(factors))
-    return " + ".join(parts)
+    def monomial(expo) -> str:
+        return " ".join(v if k == 1 else f"{v}^{k}" for v, k in zip(p.vars, expo) if k)
+
+    return _fmt(p.terms, monomial, reverse=True) or "0"
 
 
 def serialize_spec(doc: SpecDocument) -> str:
-    out = []
-    if doc.labels:
-        out.append("[algebra]")
-        out.append("basis: " + " ".join(doc.labels))
+    labels, out = doc.labels, []
+    label = labels.__getitem__
+
+    def wedge(key) -> str:
+        return f"{labels[key[0]]}^{labels[key[1]]}"
+
+    if labels:
+        out += ["[algebra]", "basis: " + " ".join(labels)]
         for (i, j) in sorted(doc.brackets):
-            terms = " + ".join(
-                f"{c} {doc.labels[k]}" for k, c in sorted(doc.brackets[(i, j)].items())
-            )
-            out.append(f"{doc.labels[i]},{doc.labels[j]} -> {terms or '0'}")
+            out.append(f"{labels[i]},{labels[j]} -> {_fmt(doc.brackets[(i, j)], label) or '0'}")
     if doc.rmatrix is not None:
-        out.append("")
-        out.append("[rmatrix]")
-        line = " + ".join(
-            f"{c} {doc.labels[i]}^{doc.labels[j]}" for (i, j), c in sorted(doc.rmatrix.items())
-        )
-        out.append(line or "0 " + f"{doc.labels[0]}^{doc.labels[1]}")
+        out += ["", "[rmatrix]", _fmt(doc.rmatrix, wedge) or f"0 {wedge((0, 1))}"]
     if doc.delta is not None:
-        out.append("")
-        out.append("[delta]")
+        out += ["", "[delta]"]
         for k in sorted(doc.delta):
-            terms = " + ".join(
-                f"{c} {doc.labels[i]}^{doc.labels[j]}"
-                for (i, j), c in sorted(doc.delta[k].items())
-            )
-            out.append(f"{doc.labels[k]} -> {terms or '0'}")
+            out.append(f"{labels[k]} -> {_fmt(doc.delta[k], wedge) or '0'}")
     if doc.subalgebra is not None:
-        out.append("")
-        out.append("[subalgebra]")
+        out += ["", "[subalgebra]"]
         for row in doc.subalgebra:
-            terms = " + ".join(f"{c} {doc.labels[i]}" for i, c in enumerate(row) if c)
-            out.append(terms or f"0 {doc.labels[0]}")
+            out.append(_fmt({i: c for i, c in enumerate(row) if c}, label) or f"0 {labels[0]}")
     if doc.model is not None:
         m = doc.model
-        out.append("")
-        out.append("[coordinate_model]")
-        out.append("variables: " + " ".join(m.variables))
+        out += ["", "[coordinate_model]", "variables: " + " ".join(m.variables)]
         if m.base_point is not None:
             out.append("base: " + " ".join(str(c) for c in m.base_point))
         if m.poisson_lie:
@@ -471,6 +446,5 @@ def serialize_spec(doc: SpecDocument) -> str:
             if v in m.mult:
                 out.append(f"mult {v}: {_fmt_poly(m.mult[v])}")
         for name in sorted(m.fields):
-            comps = ", ".join(_fmt_poly(c) for c in m.fields[name])
-            out.append(f"field {name}: {comps}")
+            out.append(f"field {name}: " + ", ".join(_fmt_poly(c) for c in m.fields[name]))
     return "\n".join(out) + "\n"

@@ -83,7 +83,7 @@ def test_spec_zero_denominator_is_an_input_error(tmp_path, capsys, text, line):
     assert run(["analyze", str(path), "--file"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"input error: line {line},") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"input error: line {line}:") and captured.err.count("\n") == 1
     assert "zero denominator" in captured.err
 
 

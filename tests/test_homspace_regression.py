@@ -129,10 +129,11 @@ def test_recorded_results_recomputed():
 
 @pytest.fixture
 def analysis_counts(monkeypatch):
-    """Counts of annihilator computations and of closure tests on a
-    subalgebra of the dual algebra g* (the test that decides coisotropy)."""
+    """Counts of annihilator computations (its int rows, which the Covector
+    basis is also read from) and of closure tests on a subalgebra of the dual
+    algebra g* (the test that decides coisotropy)."""
     counts = {"annihilator": 0, "h0_closure": 0}
-    annihilator = lie.LieAlgebra.annihilator
+    annihilator = lie.LieAlgebra.annihilator_rows
     is_closed = lie.Subalgebra.is_closed
     watched = {}
 
@@ -145,7 +146,7 @@ def analysis_counts(monkeypatch):
             counts["h0_closure"] += 1
         return is_closed(self)
 
-    monkeypatch.setattr(lie.LieAlgebra, "annihilator", counted_annihilator)
+    monkeypatch.setattr(lie.LieAlgebra, "annihilator_rows", counted_annihilator)
     monkeypatch.setattr(lie.Subalgebra, "is_closed", counted_is_closed)
 
     def watch(S):

@@ -23,13 +23,23 @@ def stacked_rows(S):
     """The basis of l in the double: h padded on the right, h0 on the left."""
     zeros = [Fraction(0)] * S.bialgebra.dim
     rows = [list(v.coords) + zeros for v in S.h.basis]
-    return rows + [zeros + list(xi.coords) for xi in _Analysis(S).ann]
+    return rows + [zeros + list(xi.coords) for xi in S.bialgebra.g.annihilator(S.h)]
+
+
+def assert_h0_is_the_annihilator(S):
+    """h0's int rows are read off h's span; its basis, made when read, is
+    ``annihilator``'s basis of ann(h), Fraction for Fraction."""
+    basis, ann = _Analysis(S).h0.basis, S.bialgebra.g.annihilator(S.h)
+    assert [v.coords for v in basis] == [xi.coords for xi in ann]
+    assert all(type(c) is Fraction for v in basis for c in v.coords)
+    # both read the same rows, so check them against h itself too
+    assert len(ann) == S.bialgebra.dim - S.h.dim
+    assert all(xi(v) == 0 for xi in ann for v in S.h.basis)
 
 
 def assert_span_is_the_eliminated_one(S):
     A = _Analysis(S)
-    # h0 is held as int rows; its basis, made when read, is ann(h) in g*
-    assert [v.coords for v in A.h0.basis] == [xi.coords for xi in A.ann]
+    assert_h0_is_the_annihilator(S)
     built = linalg.RowSpan.direct_sum(S.h.span, A.h0.span, S.bialgebra.dim)
     ref = linalg.RowSpan([integer_row(sparse(row)) for row in stacked_rows(S)])
     assert built.scale == ref.scale
@@ -106,3 +116,21 @@ def test_lu_crosscheck_refuses_an_l_that_is_not_closed():
         homspace.lu_crosscheck(S)
     assert homspace.lu_crosscheck(catalog.build_homspace("toda-n3", 1))
 
+
+
+@pytest.mark.parametrize("eta", [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 2)])
+def test_h0_rows_are_the_annihilator_on_catalog_entries(eta):
+    for name in catalog.HOMSPACE_NAMES:
+        assert_h0_is_the_annihilator(catalog.build_homspace(name, eta))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_h0_rows_are_the_annihilator_on_sln(workloads, n):
+    kinds = ["cartan", "so"] + workloads.borels(n)
+    for _, S in workloads.sl_homspaces(n, Fraction(-5, 2), kinds):
+        assert_h0_is_the_annihilator(S)
+    B = sln_standard_bialgebra(n, Fraction(1, 3))
+    g, labels = B.g, workloads.so_labels(n)
+    # a scaled basis vector, h = g (no annihilator) and h = 0 (all of g*)
+    for h in ([3 * g.basis_vector(labels[0])] + labels[1:], list(g.labels), []):
+        assert_h0_is_the_annihilator(HomogeneousSpaceSpec("h", B, g.subalgebra(h)))

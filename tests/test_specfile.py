@@ -1,5 +1,7 @@
 import io
+import itertools
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -10,7 +12,10 @@ from hypothesis import event, example, given, settings, strategies as st
 from poishom import catalog
 from poishom.cli import run
 from poishom.homspace import classification_row
+from poishom.poly import Polynomial
 from poishom.specfile import (
+    CoordinateModelDoc,
+    SpecDocument,
     SpecParseError,
     parse_spec_text,
     serialize_spec,
@@ -234,14 +239,14 @@ def test_second_basis_line_rejected():
     ids=["delta-after-rmatrix", "rmatrix-after-delta", "delta", "rmatrix", "subalgebra", "model"],
 )
 def test_conflicting_section_headers_rejected(tmp_path, capsys, text, line, message):
-    with pytest.raises(SpecParseError, match=f"line {line},.*{message}"):
+    with pytest.raises(SpecParseError, match=f"line {line}:.*{message}"):
         parse_spec_text(text)
     path = tmp_path / "input.spec"
     path.write_text(text, encoding="utf-8")
     assert run(["analyze", str(path), "--file"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith(f"input error: line {line},")
+    assert captured.err.startswith(f"input error: line {line}:")
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +311,168 @@ def test_mutated_spec_text_exits_cleanly(text):
         assert out.getvalue() == ""
     else:
         assert errors == [] and out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# keyed lines: a second line with another value is refused at its line
+# ---------------------------------------------------------------------------
+
+MODEL_FULL = MODEL + "mult x1: 1 x1 + 1 x1'\nfield probe: 1 x2, -1 x1, 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        # the second image would silently replace the first (delta = 0)
+        (MU_PLANE.replace("X3 -> 1 X1^X2\n", "X3 -> 1 X1^X2\nX3 -> 0\n"), 10, "delta image of X3"),
+        # the polynomials read so far index the first variable list
+        (MODEL_FULL.replace("base:", "variables: x y\nbase:"), 3, "variables"),
+        (MODEL_FULL + "base: 0 0 1\n", 9, "base"),
+        (MODEL_FULL + "poisson_lie: no\n", 9, "poisson_lie"),
+        (MODEL_FULL + "mult x1: 1 x1' + 1 x1\nmult x1: 1 x1\n", 10, "mult x1"),
+        (MODEL_FULL + "field probe: 0, 0, 0\n", 9, "field probe"),
+        (MODEL_FULL + "x3,x2 -> 1 x3\n", 9, "model bracket pair x2,x3"),
+    ],
+    ids=["delta", "variables", "base", "poisson_lie", "mult", "field", "model-bracket"],
+)
+def test_keyed_line_given_twice_with_another_value_rejected(text, line, key):
+    with pytest.raises(SpecParseError, match=f"^line {line}: {key} given twice with inconsistent"):
+        parse_spec_text(text)
+
+
+def test_conflicting_delta_image_is_one_input_error(tmp_path, capsys):
+    path = tmp_path / "delta.spec"
+    path.write_text(MU_PLANE.replace("X3 -> 1 X1^X2\n", "X3 -> 1 X1^X2\nX3 -> 0\n"), "utf-8")
+    assert run(["analyze", str(path), "--file"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: line 10: delta image of X3 given twice with inconsistent values "
+        "(first at line 9)\n"
+    )
+
+
+def test_equal_keyed_lines_accepted():
+    repeated = MU_PLANE.replace("basis: X1 X2 X3\n", "basis: X1 X2 X3\nbasis: X1 X2 X3\n")
+    repeated = repeated.replace("X3 -> 1 X1^X2\n", "X3 -> 1 X1^X2\nX3 -> 1/2 X1^X2 + -1/2 X2^X1\n")
+    assert parse_spec_text(repeated) == parse_spec_text(MU_PLANE)
+    doubled = "".join(
+        line + "\n" + (line + "\n" if ":" in line else "") for line in MODEL_FULL.splitlines()
+    )
+    assert parse_spec_text(doubled) == parse_spec_text(MODEL_FULL)
+
+
+# ---------------------------------------------------------------------------
+# one name rule for basis labels and model variables
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        # eta always means the parameter: '1 eta' would read as 1 * eta
+        ("[algebra]\nbasis: a eta\n", "eta"),
+        ("[coordinate_model]\nvariables: x eta\n", "eta"),
+        # '^' is a power or a wedge: 'x^2' would read as x squared
+        ("[coordinate_model]\nvariables: x x^2\n", "x^2"),
+        ("[algebra]\nbasis: a a^b\n", "a^b"),
+        # a prime names the second factor: x' would be both a variable and
+        # the second copy of x in mult lines
+        ("[coordinate_model]\nvariables: x x'\nmult x: 1 x'\n", "x'"),
+    ],
+    ids=["label-eta", "variable-eta", "variable-power", "label-wedge", "variable-prime"],
+)
+def test_reserved_names_rejected(text, name):
+    with pytest.raises(SpecParseError, match=f"^line 2: bad .* name {re.escape(repr(name))}"):
+        parse_spec_text(text)
+
+
+def test_primed_basis_label_accepted():
+    doc = parse_spec_text("[algebra]\nbasis: a a'\na,a' -> 1 a\n")
+    assert doc.labels == ("a", "a'") and doc.brackets == {(0, 1): {0: Fraction(1)}}
+
+
+# ---------------------------------------------------------------------------
+# generated documents round-trip through serialize_spec
+# ---------------------------------------------------------------------------
+
+_COEFFS = st.builds(Fraction, st.integers(-5, -1) | st.integers(1, 5), st.integers(1, 4))
+
+
+def _sparse(keys, min_size=0):
+    return st.dictionaries(st.sampled_from(keys), _COEFFS, min_size=min_size, max_size=3)
+
+
+@st.composite
+def _polynomials(draw, variables):
+    expos = [tuple(e) for e in itertools.product(range(3), repeat=len(variables))]
+    return Polynomial(variables, draw(_sparse(expos)))
+
+
+@st.composite
+def _model_docs(draw):
+    variables = tuple(draw(st.lists(st.sampled_from(["x", "y2", "z_t", "w-1"]), min_size=1,
+                                     max_size=3, unique=True)))
+    n, poly = len(variables), _polynomials(variables)
+    primed = variables + tuple(f"{v}'" for v in variables)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return CoordinateModelDoc(
+        variables=variables,
+        base_point=draw(st.none() | st.tuples(*[_COEFFS | st.just(Fraction(0))] * n)),
+        poisson_lie=draw(st.booleans()),
+        brackets=draw(st.dictionaries(st.sampled_from(pairs), poly, max_size=3)) if pairs else {},
+        constraints=draw(st.lists(poly, max_size=2)),
+        mult=draw(st.dictionaries(st.sampled_from(variables), _polynomials(primed), max_size=n)),
+        fields=draw(st.dictionaries(st.sampled_from(["probe", "left_chi", "f1"]),
+                                    st.tuples(*[poly] * n), max_size=2)),
+    )
+
+
+@st.composite
+def _spec_documents(draw):
+    n = draw(st.integers(0, 4))
+    labels = tuple(draw(st.lists(st.sampled_from(["X1", "X2", "J3", "a", "b'", "Q_12", "e-1"]),
+                                 min_size=n, max_size=n, unique=True)))
+    model = draw(st.none() | _model_docs()) if labels else draw(_model_docs())
+    if not labels:
+        return SpecDocument(model=model)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    structure = draw(st.sampled_from(["none", "rmatrix", "delta"] if pairs else ["none"]))
+    return SpecDocument(
+        labels=labels,
+        brackets=draw(st.dictionaries(st.sampled_from(pairs), _sparse(range(n), 1), max_size=4))
+        if pairs else {},
+        rmatrix=draw(_sparse(pairs)) if structure == "rmatrix" else None,
+        delta=draw(st.dictionaries(st.sampled_from(range(n)), _sparse(pairs)))
+        if structure == "delta" else None,
+        subalgebra=draw(st.none() | st.lists(st.lists(_COEFFS | st.just(Fraction(0)),
+                                                      min_size=n, max_size=n), max_size=3)),
+        model=model,
+    )
+
+
+def _with_eta(text: str) -> str:
+    """The [rmatrix] line with each coefficient c written 'c eta'."""
+    lines = text.splitlines()
+    if "[rmatrix]" in lines:
+        i = lines.index("[rmatrix]") + 1
+        lines[i] = " + ".join(t.replace(" ", " eta ", 1) for t in lines[i].split(" + "))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spec_documents(), st.sampled_from([Fraction(1), Fraction(2), Fraction(-5, 2)]))
+def test_generated_documents_round_trip(doc, eta):
+    """parse(serialize(doc)) == doc at any eta, serialize is idempotent, and
+    'c eta' r-matrix terms read as c times eta."""
+    text = serialize_spec(doc)
+    sections = ["algebra"] * bool(doc.labels) + [
+        s for s in ("rmatrix", "delta", "subalgebra", "model") if getattr(doc, s) is not None
+    ]
+    event(" ".join(sections))
+    again = parse_spec_text(text, eta=eta)
+    assert again == doc
+    assert serialize_spec(again) == text
+    if doc.rmatrix is not None:
+        scaled = parse_spec_text(_with_eta(text), eta=eta)
+        assert scaled.rmatrix == {k: eta * c for k, c in doc.rmatrix.items()}
