@@ -3,7 +3,6 @@ coisotropic Poisson quotients, with coordinate-level Hamiltonian dynamics."""
 
 from .bialgebra import (
     CocommutatorMap,
-    DoubleElement,
     LieBialgebra,
     cocycle_check,
     double_algebra,

@@ -9,18 +9,21 @@ that the dual satisfies the Jacobi identity, both on the int tables.
 Every coboundary structure, the standard one on sl(n) included, is built
 one way: ``CocommutatorMap.from_rmatrix`` computes delta = ad r on g's int
 table and keeps r, from which ``LieBialgebra.yang_baxter`` is read.
+
+The double g (+) g* exists only as a structure-constant algebra,
+``LieBialgebra.double``, read off the two int tables by ``double_algebra``;
+``double_bracket`` is its bracket on vectors of the double.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .exterior import ExteriorElement, is_ad_invariant, schouten_square
-from .lie import Covector, LieAlgebra, Vector
+from .lie import LieAlgebra, Vector
 from .linalg import frac, integer_row
 
 
@@ -217,69 +220,6 @@ class LieBialgebra:
         """chi_{g*} reinterpreted as an element of g via the canonical pairing."""
         return Vector(self.g, self.dual.modular_character().coords)
 
-    def double_element(self, x: Vector | None = None, xi: Covector | None = None):
-        return DoubleElement(self, x or self.g.zero_vector(), xi or self.g.zero_covector())
-
-
-@dataclass
-class DoubleElement:
-    """Element X + xi of g (+) g*, the argument and value of ``double_bracket``."""
-
-    bialgebra: LieBialgebra
-    x: Vector
-    xi: Covector
-
-    def __post_init__(self):
-        if self.x.algebra is not self.bialgebra.g or self.xi.algebra is not self.bialgebra.g:
-            raise ValueError("components over a different algebra")
-
-    def __repr__(self):
-        return f"({self.x!r}) + ({self.xi!r})"
-
-
-def _coadjoint_dual_on_g(B: LieBialgebra, xi: Covector, x: Vector) -> Vector:
-    """(ad^{g*})*_xi X, the element of g with value <[xi', xi]_*, X> on xi'."""
-    dual = B.dual
-    comps = []
-    for a in range(B.dim):
-        bracket = dual.bracket(dual.basis_vector(a), Vector(dual, xi.coords))
-        comps.append(sum((c * x.coords[k] for k, c in enumerate(bracket.coords) if c), Fraction(0)))
-    return Vector(B.g, comps)
-
-
-def _coadjoint_g_on_dual(B: LieBialgebra, x: Vector, xi: Covector) -> Covector:
-    """(ad^g)*_X xi, the covector with value -<xi, [X, X']> on X'."""
-    comps = []
-    for a in range(B.dim):
-        bracket = B.g.bracket(x, B.g.basis_vector(a))
-        comps.append(
-            -sum((c * xi.coords[k] for k, c in enumerate(bracket.coords) if c), Fraction(0))
-        )
-    return Covector(B.g, comps)
-
-
-def double_bracket(B: LieBialgebra, a: DoubleElement, b: DoubleElement) -> DoubleElement:
-    """Bracket of the double g (+) g*:
-
-    [X1+xi1, X2+xi2] = [X1,X2] + ad*_{xi1} X2 - ad*_{xi2} X1
-                     + [xi1,xi2]_* + ad*_{X1} xi2 - ad*_{X2} xi1.
-    """
-    if a.bialgebra is not B or b.bialgebra is not B:
-        raise ValueError("elements of a different double")
-    dual = B.dual
-    g_part = (
-        B.g.bracket(a.x, b.x)
-        + _coadjoint_dual_on_g(B, a.xi, b.x)
-        - _coadjoint_dual_on_g(B, b.xi, a.x)
-    )
-    dual_bracket = dual.bracket(Vector(dual, a.xi.coords), Vector(dual, b.xi.coords))
-    dual_part = (
-        Covector(B.g, dual_bracket.coords)
-        + _coadjoint_g_on_dual(B, a.x, b.xi)
-        - _coadjoint_g_on_dual(B, b.x, a.xi)
-    )
-    return DoubleElement(B, g_part, dual_part)
-
 
 def double_algebra(B: LieBialgebra) -> LieAlgebra:
     """The double as a structure-constant algebra on basis (e_1..e_m, e^1..e^m).
@@ -290,8 +230,9 @@ def double_algebra(B: LieBialgebra) -> LieAlgebra:
         [e_i, e_j] = C_ij^k e_k,   [e^a, e^b] = F^ab_c e^c,
         [e_i, e^a] = F^ac_i e_c - C_ic^a e^c,
 
-    which is ``double_bracket`` on basis elements.  It is built on ints,
-    over the lcm of the denominators of g and g*.
+    the bracket [X1+xi1, X2+xi2] = [X1,X2] + ad*_{xi1} X2 - ad*_{xi2} X1 +
+    [xi1,xi2]_* + ad*_{X1} xi2 - ad*_{X2} xi1 on basis elements.  It is built
+    on ints, over the lcm of the denominators of g and g*.
     """
     m, g, dual = B.dim, B.g, B.dual
     den = math.lcm(g.den, dual.den)
@@ -312,6 +253,11 @@ def double_algebra(B: LieBialgebra) -> LieAlgebra:
     return LieAlgebra(
         labels, {key: dict(sorted(image.items())) for key, image in sorted(brackets.items())}, den
     )
+
+
+def double_bracket(B: LieBialgebra, u: Vector, v: Vector) -> Vector:
+    """The bracket of two vectors of the double, ``B.double.bracket(u, v)``."""
+    return B.double.bracket(u, v)
 
 
 def double_jacobi_check(B: LieBialgebra) -> Optional[tuple[int, int, int]]:

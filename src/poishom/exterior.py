@@ -11,6 +11,11 @@ Sign conventions, fixed once and verified by the calibration tests:
     i_a(e_{i1} ^ ... ^ e_{ik}) = sum_r (-1)^(r-1) a(e_{ir}) e_{i1} ^ .. ^ e_{ik};
   * the differential is the degree +1 derivation with
     (d theta)(X, Y) = -theta([X, Y]) on degree 1.
+
+The wedge, the differential and the adjoint action run on ints, over the
+algebra's one int table (``LieAlgebra.ints`` and its ``bracket_rows``).
+The Schouten square is built from the adjoint action, and theta0 is read
+off the coefficients of V0 and d V0.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
-from .lie import Covector, LieAlgebra, Subalgebra, Vector
+from .lie import Covector, LieAlgebra, Subalgebra, Vector, sparse
 from .linalg import frac, integer_row
 
 
@@ -200,19 +204,6 @@ def interior(arg: Vector, omega: ExteriorElement) -> ExteriorElement:
     return ExteriorElement(omega.algebra, omega.degree - 1, terms, omega.dual)
 
 
-def evaluate_form(omega: ExteriorElement, vectors: Sequence[Vector]) -> Fraction:
-    """Evaluate a k-form on k vectors (determinant expansion)."""
-    if not omega.dual:
-        raise ValueError("only dual elements evaluate on vectors")
-    if len(vectors) != omega.degree:
-        raise ValueError("wrong number of arguments")
-    total = Fraction(0)
-    for idx, c in omega.terms.items():
-        minor = [[v.coords[i] for i in idx] for v in vectors]
-        total += c * linalg.det(minor)
-    return total
-
-
 def ce_differential(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
     """Differential of the algebra on forms: the degree +1 derivation that
     replaces the factor X^a in slot r of each term by (-1)^r d X^a, with
@@ -253,67 +244,54 @@ def ce_differential(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
 
 
 def ad_extension(L: LieAlgebra, x: Vector, p: ExteriorElement) -> ExteriorElement:
-    """Adjoint action extended to multivectors as a derivation."""
+    """Adjoint action extended to multivectors as a derivation: the factor
+    e_i of each term becomes [x, e_i] = sum_s x_s [e_s, e_i], read off
+    ``bracket_rows`` on ints.  Putting e_k in e_i's place costs the sign
+    (-1)^#{rest between i and k}, rest being the term's other indices."""
     if p.dual:
         raise ValueError("the extended adjoint action acts on primal elements")
     if x.algebra is not L or p.algebra is not L:
         raise ValueError("mismatched algebra")
-    x_items = [(s, a) for s, a in enumerate(x.coords) if a]
-    return ExteriorElement(L, p.degree, ad_terms(L.full_table(), x_items, p.terms, {}), False)
-
-
-def ad_terms(full: dict, x_items, terms: dict, out: dict) -> dict:
-    """Accumulate the terms of ad_x p into ``out`` and return it.
-
-    ``full`` is the algebra's ``full_table()``, x is given by its nonzero
-    (index, coefficient) pairs and p by its sparse terms; the derivation
-    replaces each factor e_i by [x, e_i] = sum_s x_s C_si^k e_k in place.
-    """
-    empty: dict[int, Fraction] = {}
-    for idx, c in terms.items():
-        for r, i in enumerate(idx):
-            for s, xs in x_items:
-                for k, ck in full.get((s, i), empty).items():
-                    merged, sign = _sort_tuple(idx[:r] + (k,) + idx[r + 1:])
-                    if merged is not None:
-                        out[merged] = out.get(merged, 0) + sign * xs * ck * c
-    return out
+    xden, xs = integer_row(sparse(x.coords))
+    den, terms = _integer_terms(p.terms)
+    rows = L.bracket_rows
+    acc: dict[int, int] = {}
+    for idx, mask, c in terms:
+        for i in idx:
+            rest = mask ^ (1 << i)
+            for s, bracket in rows[i]:
+                if s not in xs:
+                    continue
+                v = xs[s] * c
+                for k, ck in bracket:
+                    if rest >> k & 1:
+                        continue
+                    w = v * ck
+                    if (rest & ((1 << max(i, k)) - (1 << min(i, k)))).bit_count() & 1:
+                        w = -w
+                    acc[rest | 1 << k] = acc.get(rest | 1 << k, 0) + w
+    return _from_masks(L, p.degree, acc, L.den * xden * den, False)
 
 
 def schouten_square(L: LieAlgebra, r: ExteriorElement) -> ExteriorElement:
-    """[r, r] in Lambda^3 g for r in Lambda^2 g, by bilinear expansion of
-
-    [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c
-
-    on the sparse bracket table.  Only vanishing and ad-invariance of the
-    result are consumed downstream, so the overall normalization is immaterial.
+    """[r, r] in Lambda^3 g for r in Lambda^2 g: the sum over r's terms
+    c e_a ^ e_b of c (e_a ^ ad_{e_b} r - e_b ^ ad_{e_a} r), which expands to
+    [a^b, c^d] = [a,c]^b^d - [a,d]^b^c - [b,c]^a^d + [b,d]^a^c summed over
+    pairs of terms.  Only vanishing and ad-invariance of the result are
+    consumed downstream, so the overall normalization is immaterial.
     """
     if r.dual or r.degree != 2:
         raise ValueError("expected a degree-2 primal element")
-    full = L.full_table()
-    empty: dict[int, Fraction] = {}
-    terms: dict[tuple[int, ...], Fraction] = {}
-    items = list(r.terms.items())
-    for (a, b), ca in items:
-        for (c, d), cb in items:
-            coeff = ca * cb
-            for pair, rest, weight in (
-                ((a, c), (b, d), coeff),
-                ((a, d), (b, c), -coeff),
-                ((b, c), (a, d), -coeff),
-                ((b, d), (a, c), coeff),
-            ):
-                for k, ck in full.get(pair, empty).items():
-                    merged, sign = _sort_tuple((k,) + rest)
-                    if merged is not None:
-                        terms[merged] = terms.get(merged, 0) + sign * weight * ck
-    return ExteriorElement(L, 3, terms, False)
+    ad = {i: ad_extension(L, L.basis_vector(i), r) for idx in r.terms for i in idx}
+    out = ExteriorElement.zero(L, 3, False)
+    for (a, b), c in r.terms.items():
+        ea, eb = ExteriorElement.basis(L, (a,), False), ExteriorElement.basis(L, (b,), False)
+        out = out + c * (ea.wedge(ad[b]) - eb.wedge(ad[a]))
+    return out
 
 
 def is_ad_invariant(L: LieAlgebra, p: ExteriorElement) -> bool:
-    return all(
-        ad_extension(L, L.basis_vector(i), p).is_zero() for i in range(L.dim)
-    )
+    return all(ad_extension(L, L.basis_vector(i), p).is_zero() for i in range(L.dim))
 
 
 def top_wedge(L: LieAlgebra, covectors: Sequence[Covector]) -> ExteriorElement:
@@ -328,12 +306,14 @@ def theta0_from_v0(
     L: LieAlgebra, h: Subalgebra, v0: ExteriorElement
 ) -> Covector:
     """The covector theta0 with d v0 = -theta0 ^ v0, for v0 a top element of
-    the annihilator of h.
+    the annihilator of h, read off the coefficients of v0 and d v0.
 
-    Built by basis completion: write v0 = c Y^1 ^ ... ^ Y^(m-n) on an
-    annihilator basis, complete to a basis of the dual, and read off
-    theta0 = -sum_i (d v0)(X_i, Y_1, ..., Y_(m-n)) X^i on the dual basis.
-    The defining identity is re-checked exactly before returning.
+    With P the pivot columns of ``h.span`` and F its free columns, the basis
+    dual to (e^p for p in P, then ann(h)) is (R_p, then e_f), R_p the
+    reduced rows.  On it theta0 = -sum_p (d v0)(R_p, e_F) / v0(e_F) e^p, and
+    R_p meets e_F only at p, so (d v0)(R_p, e_F) = (-1)^#{f < p} (d v0)[p u F]
+    and v0(e_F) = v0[F].  For h = g, v0 is a scalar and theta0 = 0.  The
+    defining identity is re-checked exactly before returning.
     """
     if not v0.dual:
         raise ValueError("v0 must be a dual element")
@@ -342,37 +322,18 @@ def theta0_from_v0(
     m, n = L.dim, h.dim
     if v0.degree != m - n:
         raise ValueError("v0 must have degree dim(g) - dim(h)")
-    for x in h.basis:
-        if not interior(x, v0).is_zero():
-            raise ValueError("v0 is not annihilated by the subalgebra")
-
-    ann = L.annihilator(h)
-    # rows of the dual-basis matrix: completion covectors first, then ann
-    rows = [list(xi.coords) for xi in ann]
-    completion: list[list[Fraction]] = []
-    for a in range(m):
-        cand = [Fraction(1 if b == a else 0) for b in range(m)]
-        if linalg.rank(rows + completion + [cand]) > len(rows) + len(completion):
-            completion.append(cand)
-        if len(completion) == n:
-            break
-    dual_basis_rows = completion + rows  # X^1..X^n, Y^1..Y^(m-n)
-    # dual vectors: columns of the inverse give the basis dual to these rows
-    inv = linalg.invert(dual_basis_rows)
-    dual_vectors = [Vector(L, [inv[r][c] for r in range(m)]) for c in range(m)]
-    xs = dual_vectors[:n]  # spans h
-    ys = dual_vectors[n:]
-
-    dv0 = ce_differential(L, v0)
-    coeffs = [evaluate_form(dv0, [x] + ys) for x in xs]
-    # normalize by v0(Y_1..Y_{m-n}), the coefficient of v0 on this ann basis
-    scale = evaluate_form(v0, ys)
-    if not scale:
-        raise ValueError("v0 does not span the top of the annihilator")
-    coeffs = [c / scale for c in coeffs]
-    theta = Covector(L, [-sum(coeffs[i] * completion[i][a] for i in range(n)) for a in range(m)])
-    lhs = dv0
-    rhs = -1 * ExteriorElement.from_vector(theta).wedge(v0)
-    if lhs != rhs:
+    if v0.degree and any(not interior(x, v0).is_zero() for x in h.basis):
+        raise ValueError("v0 is not annihilated by the subalgebra")
+    # annihilated by h, v0 is a nonzero multiple of ann(h)'s top wedge, and
+    # the ann(h) rows are S e^f plus pivot terms, so v0[F] is not 0
+    free = tuple(f for f in range(m) if f not in h.span.scaled)
+    scale, dv0 = v0.terms[free], ce_differential(L, v0)
+    coords = [Fraction(0)] * m
+    for p in h.span.scaled:
+        below = sum(f < p for f in free)
+        c = dv0.terms.get(tuple(sorted(free + (p,))), 0)
+        coords[p] = (c if below % 2 else -c) / scale
+    theta = Covector(L, coords)
+    if dv0 != -1 * ExteriorElement.from_vector(theta).wedge(v0):
         raise AssertionError("construction failed to satisfy d v0 = -theta0 ^ v0")
     return theta

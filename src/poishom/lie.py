@@ -179,14 +179,6 @@ class LieAlgebra:
             out[k] = c / self.den
         return Vector(self, out)
 
-    def full_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """[e_i, e_j] for every ordered pair (i, j) with a nonzero bracket."""
-        full = {}
-        for (i, j), image in self._table.items():
-            full[(i, j)] = image
-            full[(j, i)] = {k: -c for k, c in image.items()}
-        return full
-
     @cached_property
     def bracket_rows(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
         """For each basis index u, the pairs (x, [e_x, e_u]) over the x with

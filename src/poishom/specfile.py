@@ -36,8 +36,8 @@ unordered pair, in [algebra] and in the model (``_pair``).  A keyed line
 ``poisson_lie:``, ``mult v:``, ``field name:``) given again with another
 value is an error at the second line; an equal repeat is accepted.  Labels
 and variables are names (``_names``): a letter, then letters, digits and
-``_+'-``, never ``eta`` and never with ``^``; a variable has no ``'``, which
-marks the second factor in ``mult`` lines.  Every error is a
+``_'-``, never ``eta``, so never with ``^`` or ``+``; a variable has no
+``'``, which marks the second factor in ``mult`` lines.  Every error is a
 ``SpecParseError`` reading ``line N: message``.
 """
 
@@ -58,7 +58,7 @@ from .linalg import frac
 from .poly import Polynomial
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_+'-]*")
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_'-]*")
 
 
 class SpecParseError(ValueError):
@@ -226,7 +226,7 @@ def _pair(line: str, index: dict, what: str, lineno: int, eta: Fraction, key):
 
 def _names(text: str, what: str, lineno: int, forbidden: str) -> tuple[str, ...]:
     """The distinct names on a basis or variables line: each matches _NAME
-    (so has no '^'), is not eta and has none of the ``forbidden`` characters."""
+    (so has no '^' or '+'), is not eta and has none of the ``forbidden`` characters."""
     names = tuple(text.split())
     if not names:
         raise SpecParseError(f"empty {what}", lineno)
@@ -422,7 +422,7 @@ def serialize_spec(doc: SpecDocument) -> str:
         for (i, j) in sorted(doc.brackets):
             out.append(f"{labels[i]},{labels[j]} -> {_fmt(doc.brackets[(i, j)], label) or '0'}")
     if doc.rmatrix is not None:
-        out += ["", "[rmatrix]", _fmt(doc.rmatrix, wedge) or f"0 {wedge((0, 1))}"]
+        out += ["", "[rmatrix]", _fmt(doc.rmatrix, wedge) or "0"]
     if doc.delta is not None:
         out += ["", "[delta]"]
         for k in sorted(doc.delta):

@@ -17,9 +17,7 @@ from poishom.exterior import (
     ExteriorElement,
     _sort_tuple,
     ad_extension,
-    ad_terms,
     ce_differential,
-    evaluate_form,
     top_wedge,
 )
 from poishom.lie import Covector, LieAlgebra, Subalgebra, Vector, bracket_terms, sparse
@@ -40,6 +38,19 @@ def subs_vars(p: Polynomial, new_vars: Sequence[str], images: Sequence[Polynomia
                 term = term * img ** k
         out = out + term
     return out
+
+
+def evaluate_form(omega: ExteriorElement, vectors: Sequence[Vector]) -> Fraction:
+    """Evaluate a k-form on k vectors (determinant expansion)."""
+    if not omega.dual:
+        raise ValueError("only dual elements evaluate on vectors")
+    if len(vectors) != omega.degree:
+        raise ValueError("wrong number of arguments")
+    total = Fraction(0)
+    for idx, c in omega.terms.items():
+        minor = [[v.coords[i] for i in idx] for v in vectors]
+        total += c * linalg.det(minor)
+    return total
 
 
 def ce_differential_by_formula(L: LieAlgebra, omega: ExteriorElement) -> ExteriorElement:
@@ -114,12 +125,33 @@ def coboundary_by_ad_extension(g: LieAlgebra, r: ExteriorElement) -> list[Exteri
     return [ad_extension(g, g.basis_vector(i), r) for i in range(g.dim)]
 
 
+def ad_terms(full: dict, x_items, terms: dict, out: dict) -> dict:
+    """Accumulate the terms of ad_x p into ``out`` and return it.
+
+    ``full`` holds [e_i, e_j] for every ordered pair with a nonzero bracket,
+    x is given by its nonzero (index, coefficient) pairs and p by its sparse
+    terms; the derivation replaces each factor e_i by [x, e_i] =
+    sum_s x_s C_si^k e_k in place, sorting each tuple with ``_sort_tuple``.
+    """
+    empty: dict = {}
+    for idx, c in terms.items():
+        for r, i in enumerate(idx):
+            for s, xs in x_items:
+                for k, ck in full.get((s, i), empty).items():
+                    merged, sign = _sort_tuple(idx[:r] + (k,) + idx[r + 1:])
+                    if merged is not None:
+                        out[merged] = out.get(merged, 0) + sign * xs * ck * c
+    return out
+
+
 def cocycle_check_by_ad_terms(g: LieAlgebra, delta: CocommutatorMap) -> tuple[int, int] | None:
     """The pair-by-pair cocycle check: for each i < j in order, expand
     delta([e_i, e_j]) - ad_{e_i}(delta e_j) + ad_{e_j}(delta e_i) on the
     integer-scaled tables through ``ad_terms`` (one ``_sort_tuple`` per
     wedge term) and return the first pair with a nonzero residual."""
-    _, full = integer_table(g.full_table())
+    full = {}
+    for (i, j), image in g.ints.items():
+        full[(i, j)], full[(j, i)] = image, {k: -c for k, c in image.items()}
     _, images = integer_table({k: im.terms for k, im in enumerate(delta.images)})
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
@@ -132,6 +164,65 @@ def cocycle_check_by_ad_terms(g: LieAlgebra, delta: CocommutatorMap) -> tuple[in
             if any(diff.values()):
                 return (i, j)
     return None
+
+
+def theta0_by_completion(L: LieAlgebra, h: Subalgebra, v0: ExteriorElement) -> Covector:
+    """theta0 with d v0 = -theta0 ^ v0 by basis completion: complete an
+    annihilator basis Y^1..Y^(m-n) by unit covectors X^i, one ``linalg.rank``
+    test each, invert the stack for the dual basis (X_i, Y_j), and read
+    theta0 = -sum_i (d v0)(X_i, Y_1..Y_(m-n)) / v0(Y_1..Y_(m-n)) X^i."""
+    m, n = L.dim, h.dim
+    rows = [list(xi.coords) for xi in L.annihilator(h)]
+    completion: list[list[Fraction]] = []
+    for a in range(m):
+        if len(completion) == n:
+            break
+        cand = [Fraction(int(b == a)) for b in range(m)]
+        if linalg.rank(rows + completion + [cand]) > len(rows) + len(completion):
+            completion.append(cand)
+    inv = linalg.invert(completion + rows)
+    dual_vectors = [Vector(L, [inv[r][c] for r in range(m)]) for c in range(m)]
+    xs, ys = dual_vectors[:n], dual_vectors[n:]
+    dv0 = ce_differential(L, v0)
+    scale = evaluate_form(v0, ys)
+    coeffs = [evaluate_form(dv0, [x] + ys) / scale for x in xs]
+    return Covector(L, [-sum(coeffs[i] * completion[i][a] for i in range(n)) for a in range(m)])
+
+
+def double_bracket_by_pairings(B: LieBialgebra, a, b) -> tuple[Vector, Covector]:
+    """The bracket of the double on pairs a = (X1, xi1), b = (X2, xi2),
+    expanded term by term from the defining pairings:
+
+    [X1+xi1, X2+xi2] = [X1,X2] + ad*_{xi1} X2 - ad*_{xi2} X1
+                     + [xi1,xi2]_* + ad*_{X1} xi2 - ad*_{X2} xi1,
+
+    with (ad_{g*})*_xi X read off <[e^i, xi]_*, X> and (ad_g)*_X xi off
+    -<xi, [X, e_i]>.  Returns the (g, g*) parts."""
+    g, dual = B.g, B.dual
+    m = g.dim
+    (x1, xi1), (x2, xi2) = a, b
+
+    def coad_dual(xi, x):
+        comps = []
+        for i in range(m):
+            br = dual.bracket(dual.basis_vector(i), dual.vector(xi.coords))
+            comps.append(sum(br.coords[k] * x.coords[k] for k in range(m)))
+        return g.vector(comps)
+
+    def coad_g(x, xi):
+        comps = []
+        for i in range(m):
+            br = g.bracket(x, g.basis_vector(i))
+            comps.append(-sum(xi.coords[k] * br.coords[k] for k in range(m)))
+        return g.covector(comps)
+
+    gpart = g.bracket(x1, x2) + coad_dual(xi1, x2) - coad_dual(xi2, x1)
+    dpart = (
+        g.covector(dual.bracket(dual.vector(xi1.coords), dual.vector(xi2.coords)).coords)
+        + coad_g(x1, xi2)
+        - coad_g(x2, xi1)
+    )
+    return gpart, dpart
 
 
 def adjoint_matrix(L: LieAlgebra, x: Vector) -> list[list[Fraction]]:

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poishom import catalog
+from poishom import catalog, linalg
+from poishom.bialgebra import sln_algebra
 from poishom.exterior import (
     ExteriorElement,
     ad_extension,
     ce_differential,
-    evaluate_form,
     interior,
     is_ad_invariant,
     schouten_square,
@@ -16,10 +16,11 @@ from poishom.exterior import (
     top_wedge,
     wedge,
 )
-from poishom.lie import LieAlgebra
+from poishom.lie import LieAlgebra, sparse
+from poishom.linalg import integer_row
 
 from conftest import rational
-from oracles import ce_differential_by_formula
+from oracles import ce_differential_by_formula, evaluate_form, theta0_by_completion
 
 
 def dual_basis_elt(L, *indices, coeff=1):
@@ -308,6 +309,65 @@ def test_theta0_ambiguity_is_annihilator_valued(r2xr2, rng):
         shifted = theta + xi
         assert -1 * ExteriorElement.from_vector(shifted).wedge(v0) == dv0
         assert all(xi(b) == 0 for b in h.basis)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_theta0_is_zero_when_h_is_g(n):
+    """For h = g, v0 is a nonzero scalar, trivially annihilated by h, and
+    d v0 = 0, so theta0 = 0 (it used to raise on the degree-0 contraction)."""
+    g = sln_algebra(n)
+    h = g.subalgebra(g.labels)
+    for c in (1, Fraction(-3, 7)):
+        assert theta0_from_v0(g, h, ExteriorElement(g, 0, {(): c}, True)).is_zero()
+
+
+THETA0_ALGEBRAS = [
+    catalog.so3_algebra(),
+    catalog.sl2_boost_algebra(),
+    catalog.sl2_triangular_algebra(),
+    catalog.solvable3_algebra(),
+    catalog.r2xr2_algebra(),
+    sln_algebra(3),
+    sln_algebra(4),
+    sln_algebra(4),
+]
+
+
+def generated_subalgebra(g, vectors):
+    """An independent basis of the subalgebra that ``vectors`` generate."""
+    basis, span, queue = [], linalg.RowSpan([]), list(vectors)
+    while queue:
+        v = queue.pop()
+        if not span.contains(sparse(v.coords)):
+            queue += [g.bracket(b, v) for b in basis]
+            basis.append(v)
+            span = linalg.RowSpan([integer_row(sparse(b.coords)) for b in basis])
+    return basis
+
+
+@st.composite
+def subalgebras_with_v0(draw):
+    """(g, h, v0): h generated by 0 to 3 random vectors or basis vectors of
+    g, or h = g, and v0 a nonzero multiple of the top annihilator wedge."""
+    g = draw(st.sampled_from(THETA0_ALGEBRAS))
+    entry = st.sampled_from([0, 0, 1, -2, Fraction(1, 3)])
+    coords = st.lists(entry, min_size=g.dim, max_size=g.dim)
+    units = st.builds(g.basis_vector, st.integers(0, g.dim - 1))
+    gens = draw(st.lists(st.one_of(units, units, st.builds(g.vector, coords)), max_size=3))
+    everything = [g.basis_vector(i) for i in range(g.dim)]
+    basis = generated_subalgebra(g, gens) if draw(st.integers(0, 5)) else everything
+    h = g.subalgebra(basis)
+    c = draw(st.sampled_from([1, -1, Fraction(-3, 7), Fraction(5, 2)]))
+    return g, h, c * top_wedge(g, g.annihilator(h))
+
+
+@settings(max_examples=150, deadline=None)
+@given(subalgebras_with_v0())
+def test_theta0_matches_basis_completion(case):
+    """theta0 read off the coefficients is the covector the basis-completion
+    construction gives, on random subalgebras, h = 0 and h = g included."""
+    g, h, v0 = case
+    assert theta0_from_v0(g, h, v0) == theta0_by_completion(g, h, v0)
 
 
 def test_evaluate_form_determinant(r2xr2):

@@ -5,7 +5,8 @@ differential on forms, the Schouten square, the double and the sl(n) builder
 contract the sparse bracket tables directly.  The references below are the
 dense, object-level constructions they replaced: Jacobiators of ``Vector``
 brackets, ``ExteriorElement`` wedges for the adjoint action and the Schouten
-square, ``double_bracket`` on ``DoubleElement`` pairs, and sl(n) through dense
+square, the double's bracket expanded from its pairings
+(``double_bracket_by_pairings``), and sl(n) through dense
 n x n matrices, Gram inversion and trace loops.  The differential is checked
 against the alternating-sum formula, and the integer bitmask wedge and
 differential against the Fraction loops that sort index tuples, and the
@@ -27,7 +28,6 @@ from poishom.bialgebra import (
     CocommutatorMap,
     cocycle_check,
     double_algebra,
-    double_bracket,
     sln_algebra,
     sln_basis_matrices,
     sln_standard_bialgebra,
@@ -46,6 +46,7 @@ from oracles import (
     ce_differential_by_formula,
     cocycle_check_by_ad_terms,
     ce_differential_by_sorting,
+    double_bracket_by_pairings,
     read_solution_by_fractions,
     rref_by_fractions,
     sln_bialgebra_by_fractions,
@@ -135,16 +136,16 @@ def ref_cocycle_check(g, delta):
 
 
 def ref_double_table(B):
-    m = B.dim
-    basis = [B.double_element(x=B.g.basis_vector(i)) for i in range(m)] + [
-        B.double_element(xi=B.g.basis_covector(i)) for i in range(m)
+    m, zero, zero_cov = B.dim, B.g.zero_vector(), B.g.zero_covector()
+    basis = [(B.g.basis_vector(i), zero_cov) for i in range(m)] + [
+        (zero, B.g.basis_covector(i)) for i in range(m)
     ]
     brackets = {}
     for i in range(2 * m):
         for j in range(i + 1, 2 * m):
-            out = double_bracket(B, basis[i], basis[j])
-            entry = {k: c for k, c in enumerate(out.x.coords) if c}
-            entry.update({m + k: c for k, c in enumerate(out.xi.coords) if c})
+            x, xi = double_bracket_by_pairings(B, basis[i], basis[j])
+            entry = {k: c for k, c in enumerate(x.coords) if c}
+            entry.update({m + k: c for k, c in enumerate(xi.coords) if c})
             if entry:
                 brackets[(i, j)] = entry
     return LieAlgebra(list(B.g.labels) + list(B.g.dual_labels), brackets)._table

@@ -379,12 +379,37 @@ def test_equal_keyed_lines_accepted():
         # a prime names the second factor: x' would be both a variable and
         # the second copy of x in mult lines
         ("[coordinate_model]\nvariables: x x'\nmult x: 1 x'\n", "x'"),
+        # '+' joins terms: 'J3,J+ -> 2 J+' would read J+ as J and an empty term
+        ("[algebra]\nbasis: J3 J+ J-\nJ3,J+ -> 2 J+\n", "J+"),
+        ("[coordinate_model]\nvariables: x+y\n", "x+y"),
     ],
-    ids=["label-eta", "variable-eta", "variable-power", "label-wedge", "variable-prime"],
+    ids=[
+        "label-eta",
+        "variable-eta",
+        "variable-power",
+        "label-wedge",
+        "variable-prime",
+        "label-plus",
+        "variable-plus",
+    ],
 )
 def test_reserved_names_rejected(text, name):
     with pytest.raises(SpecParseError, match=f"^line 2: bad .* name {re.escape(repr(name))}"):
         parse_spec_text(text)
+
+
+def test_plus_in_a_label_is_refused_on_the_basis_line(tmp_path, capsys):
+    path = tmp_path / "sl2.spec"
+    path.write_text("[algebra]\nbasis: J3 J+ J-\nJ3,J+ -> 2 J+\n", "utf-8")
+    assert run(["analyze", str(path), "--file"]) == 2
+    assert capsys.readouterr().err == "input error: line 2: bad basis name 'J+'\n"
+
+
+def test_one_label_empty_rmatrix_round_trips():
+    doc = parse_spec_text("[algebra]\nbasis: a\n[rmatrix]\n")
+    text = serialize_spec(doc)
+    assert text == "[algebra]\nbasis: a\n\n[rmatrix]\n0\n"
+    assert parse_spec_text(text) == doc
 
 
 def test_primed_basis_label_accepted():
@@ -437,12 +462,12 @@ def _spec_documents(draw):
     if not labels:
         return SpecDocument(model=model)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    structure = draw(st.sampled_from(["none", "rmatrix", "delta"] if pairs else ["none"]))
+    structure = draw(st.sampled_from(["none", "rmatrix"] + ["delta"] * bool(pairs)))
     return SpecDocument(
         labels=labels,
         brackets=draw(st.dictionaries(st.sampled_from(pairs), _sparse(range(n), 1), max_size=4))
         if pairs else {},
-        rmatrix=draw(_sparse(pairs)) if structure == "rmatrix" else None,
+        rmatrix=(draw(_sparse(pairs)) if pairs else {}) if structure == "rmatrix" else None,
         delta=draw(st.dictionaries(st.sampled_from(range(n)), _sparse(pairs)))
         if structure == "delta" else None,
         subalgebra=draw(st.none() | st.lists(st.lists(_COEFFS | st.just(Fraction(0)),
