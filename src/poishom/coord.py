@@ -551,7 +551,7 @@ class ConstraintDriftError(RuntimeError):
 
 
 @functools.lru_cache(maxsize=None)
-def _rk4_loop(n: int, m: int):
+def _rk4_loop(n: int, m: int, zero_divergence: bool):
     """Compile rk4_flow's step loop for n coordinates and m constraints.
 
     The state lives in the locals x0..x{n-1}.  Each step makes two RK4
@@ -561,8 +561,13 @@ def _rk4_loop(n: int, m: int):
     ``dt / 6 * (f0 + 4 * fm + f1)`` and carries f1 into the next step.  The
     loop appends each accepted step to the trace lists and returns None, or
     ``(k, drift)`` at the first step k whose state or integral is not finite
-    (drift None) or whose drift passes the tolerance.  The source depends on
-    the shape only, so it is cached; the evaluators come in as arguments.
+    (drift None) or whose drift passes the tolerance.  With
+    ``zero_divergence`` (m = 0 and the divergence the zero polynomial),
+    every divergence value is the literal 0.0 and every Simpson term
+    ``simpson * 0.0`` adds 0.0 to 0.0, so the loop makes neither call nor
+    sum and records the integral 0.0.  The source depends on (n, m,
+    zero_divergence) only, so it is cached; the evaluators come in as
+    arguments.
     (``2.0 * b`` is ``2 * b``: the int converts to 2.0 exactly.)"""
 
     def row(fmt: str) -> str:
@@ -576,7 +581,17 @@ def _rk4_loop(n: int, m: int):
         f"{row('d{i}')} = rhs{row('x{i} + h * c{i}')}",
         f"{state} = {row('x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}",
     ]
-    residuals = "".join(f"r{j}, " for j in range(m))
+    if zero_divergence:
+        step = [*half_step, *half_step]
+    else:
+        step = [
+            *half_step,
+            f"fm = div_and_constraints{state}[0]",
+            *half_step,
+            f"(f1, {''.join(f'r{j}, ' for j in range(m))}) = div_and_constraints{state}",
+            "acc += simpson * (f0 + 4.0 * fm + f1)",
+            "f0 = f1",
+        ]
     drift = ", ".join(f"abs(r{j})" for j in range(m)) or "0.0"
     if m > 1:
         drift = f"max({drift})"
@@ -589,12 +604,7 @@ def _rk4_loop(n: int, m: int):
         "    simpson = dt / 6.0",
         "    acc = 0.0",
         "    for k in range(1, steps + 1):",
-        *(f"        {line}" for line in half_step),
-        f"        fm = div_and_constraints{state}[0]",
-        *(f"        {line}" for line in half_step),
-        f"        (f1, {residuals}) = div_and_constraints{state}",
-        "        acc += simpson * (f0 + 4.0 * fm + f1)",
-        "        f0 = f1",
+        *(f"        {line}" for line in step),
         f"        if not ({finite}):",
         "            return k, None",
         f"        drift = {drift}",
@@ -644,8 +654,10 @@ def rk4_flow(
     The field, and the divergence with the constraints, are each compiled
     once per call into one ``float_evaluator``, and the step loop is
     generated code over the coordinates (``_rk4_loop``), so an RK4 stage is
-    one call and the state is never a list.  T and dt are checked by
-    ``flow_steps``.
+    one call and the state is never a list.  An unconstrained model whose
+    divergence (log density included) is the zero polynomial has the
+    integral 0.0 at every step, so its loop evaluates the divergence only
+    once, at the start point.  T and dt are checked by ``flow_steps``.
     """
     steps = flow_steps(T, dt)
     field = hamiltonian_vf(model, h)
@@ -665,7 +677,7 @@ def rk4_flow(
         div_integral=[0.0],
         constraint_drift=[max(map(abs, residuals), default=0.0)],
     )
-    loop = _rk4_loop(model.dim, len(residuals))
+    loop = _rk4_loop(model.dim, len(residuals), div.is_zero() and not residuals)
     abort = loop(
         rhs, div_and_constraints, f0, dt, steps, drift_tolerance,
         trace.times, trace.states, trace.div_integral, trace.constraint_drift, *x,

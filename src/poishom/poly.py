@@ -7,7 +7,10 @@ point.  Code that evaluates a list of polynomials at many points compiles it
 once into generated straight-line code: ``exact_evaluator`` returns int
 numerators over one shared positive denominator, so the exact checks decide
 zero on ints and build a ``Fraction`` only for a value they report, and
-``float_evaluator`` returns floats, for the numerical integrators.
+``float_evaluator`` returns floats, for the numerical integrators.  Both
+generate only the arithmetic a term needs: a first power is read as the
+coordinate itself, higher powers are bound once per call, and a coefficient
+1 or -1 is a sign, not a factor.
 """
 
 from __future__ import annotations
@@ -130,13 +133,16 @@ class Polynomial:
                 out[tuple(de)] = out.get(tuple(de), Fraction(0)) + c * e[i]
         return Polynomial(self.vars, out)
 
-    def eval(self, point: Sequence) -> Fraction:
-        """Exact evaluation at a rational point with one coordinate per
-        variable."""
+    def _check_point(self, point: Sequence) -> None:
         if len(point) != len(self.vars):
             raise ValueError(
                 f"point has {len(point)} coordinates, the polynomial {len(self.vars)} variables"
             )
+
+    def eval(self, point: Sequence) -> Fraction:
+        """Exact evaluation at a rational point with one coordinate per
+        variable."""
+        self._check_point(point)
         pt = [frac(p) for p in point]
         total = Fraction(0)
         for e, c in self.terms.items():
@@ -148,8 +154,10 @@ class Polynomial:
         return total
 
     def eval_float(self, point: Sequence[float]) -> float:
-        """Float value at one point; compiles a one-off ``float_evaluator``,
-        so code evaluating many points builds the evaluator itself."""
+        """Float value at one float point, with one coordinate per variable;
+        compiles a one-off ``float_evaluator``, so code evaluating many
+        points builds the evaluator itself."""
+        self._check_point(point)
         return float_evaluator(self.vars, [self])(*point)[0]
 
     def __repr__(self):
@@ -187,14 +195,32 @@ def _check_vars(variables, polys) -> None:
         raise ValueError("polynomial over different variables")
 
 
+def _power(name: str, base: str, k: int, powers: dict) -> str:
+    """The factor base**k of a generated term: ``base`` itself for k = 1,
+    else the local ``name``, registered in ``powers`` to be bound once."""
+    if k == 1:
+        return base
+    powers.setdefault(name, f"{base}**{k}")
+    return name
+
+
+def _term(c, literal: str, factors: list) -> str:
+    """A generated term with its operator, ``" + literal * f * .."``; a unit
+    coefficient c = 1 or -1 before at least one factor is written as the
+    sign alone, ``" + f * .."`` or ``" - f * .."``."""
+    if factors and (c == 1 or c == -1):
+        return (" - " if c < 0 else " + ") + " * ".join(factors)
+    return " + " + " * ".join([literal, *factors])
+
+
 def _compile_sums(coefficients, params: str, term, zero: str, suffix: str, filename: str):
     """Generate and compile ``_evaluate(params)`` over a list of exponent ->
     coefficient maps: each power that ``term`` registers in ``powers`` (local
-    name -> power) is bound once at the top, in first-use order; map j is
-    summed in its own order from ``zero`` into v{j}, at most _SUM_CHUNK terms
-    per statement, each term the expression ``term(e, c, powers)``; the
-    function returns the tuple of the values, followed by ``suffix``, and
-    runs with empty builtins."""
+    name -> power, see ``_power``) is bound once at the top, in first-use
+    order; map j is summed in its own order from ``zero`` into v{j}, at most
+    _SUM_CHUNK terms per statement, each term the signed expression
+    ``term(e, c, powers)`` (see ``_term``); the function returns the tuple of
+    the values, followed by ``suffix``, and runs with empty builtins."""
     powers: dict[str, str] = {}
     sums = []
     values = []
@@ -202,7 +228,7 @@ def _compile_sums(coefficients, params: str, term, zero: str, suffix: str, filen
         terms = [term(e, c, powers) for e, c in coeffs.items()]
         total = zero
         for start in range(0, len(terms), _SUM_CHUNK):
-            sums.append(f"    v{j} = " + " + ".join([total, *terms[start:start + _SUM_CHUNK]]))
+            sums.append(f"    v{j} = {total}" + "".join(terms[start:start + _SUM_CHUNK]))
             total = f"v{j}"
         values.append(total)
     lines = [f"def _evaluate({params}):"]
@@ -215,25 +241,26 @@ def _compile_sums(coefficients, params: str, term, zero: str, suffix: str, filen
 
 
 def float_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):
-    """Compile ``polys`` once into a straight-line function of the n
+    """Compile ``polys`` once into a straight-line function of the n float
     coordinates that returns every polynomial's float value as a tuple.
 
-    Each distinct power x_i**k (``**`` kept for k = 1) is bound once, at the
-    top, to the local p{i}_{k}.  Each polynomial is summed in ``terms`` order,
-    from 0.0 (so -0.0 terms sum to 0.0), each term as ``float(c) * p * q ...``
-    left to right over the nonzero exponents.  Float ``**`` is pure, so every
-    value and every OverflowError is that of the term-by-term loop.  The
+    Each distinct power x_i**k with k > 1 is bound once, at the top, to the
+    local p{i}_{k}; a power x_i**1 is x_i itself.  Each polynomial is summed
+    in ``terms`` order, from 0.0 (so -0.0 terms sum to 0.0), each term as
+    ``+ float(c) * p * q ...`` left to right over the nonzero exponents, with
+    a coefficient 1.0 left out and -1.0 written as ``- p * q ...``.  These
+    are the values and exceptions of the term-by-term loop ``v = float(c);
+    v *= x_i**k ...; total += v``: float ``**`` is pure and x**1 is x, 1.0 *
+    p is p, and ``total - p`` is ``total + (-p)``, where -p is -1.0 * p
+    because rounding is sign-symmetric; every power with k > 1 is still
+    evaluated, so one that overflows raises the same OverflowError.  The
     generated source holds only ``repr(float(c))`` literals, the names
     x0..x{n-1}, p{i}_{k} and v0.., operators and int exponents."""
 
     def term(e, c, powers):
-        factors = [repr(float(c))]
-        for i, k in enumerate(e):
-            if k:
-                name = f"p{i}_{k}"
-                powers.setdefault(name, f"x{i}**{k}")
-                factors.append(name)
-        return " * ".join(factors)
+        factors = [_power(f"p{i}_{k}", f"x{i}", k, powers) for i, k in enumerate(e) if k]
+        value = float(c)
+        return _term(value, repr(value), factors)
 
     _check_vars(variables, polys)
     params = ", ".join(f"x{i}" for i in range(len(variables)))
@@ -253,28 +280,21 @@ def exact_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):
     n_i**k times D**(deg - |e|), and Q = L * D**deg.  Every product and sum
     is an int, so a value is zero exactly when its int is.  The generated
     function takes (D, n_0, .., n_{n-1}) as (D, x0, .., x{n-1}), binds each
-    distinct power n_i**k (k > 1) to p{i}_{k} and D**m to d{m} once, and
-    holds only int literals (in hex, which has no digit limit), those names,
-    v0.. and int exponents."""
+    distinct power n_i**k and D**m with k, m > 1 to p{i}_{k} and d{m} once
+    (a first power is its base), writes a coefficient +-1 as a sign (the
+    float evaluator's term rule, ``_term``), and holds only int literals (in
+    hex, which has no digit limit), those names, v0.. and int exponents."""
     _check_vars(variables, polys)
     n = len(variables)
     scale, coefficients = integer_table({j: p.terms for j, p in enumerate(polys)})
     deg = max((p.degree() for p in polys), default=0)
 
     def term(e, c, powers):
-        factors = [hex(c)]
-        for i, k in enumerate(e):
-            if k > 1:
-                name = f"p{i}_{k}"
-                powers.setdefault(name, f"x{i}**{k}")
-                factors.append(name)
-            elif k:
-                factors.append(f"x{i}")
+        factors = [_power(f"p{i}_{k}", f"x{i}", k, powers) for i, k in enumerate(e) if k]
         missing = deg - sum(e)
         if missing:
-            powers.setdefault(f"d{missing}", f"D**{missing}")
-            factors.append(f"d{missing}")
-        return " * ".join(factors)
+            factors.append(_power(f"d{missing}", "D", missing, powers))
+        return _term(c, hex(c), factors)
 
     params = "".join(f", x{i}" for i in range(n))
     suffix = f", {hex(scale)} * D**{deg}"

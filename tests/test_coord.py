@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from poishom import catalog
+from poishom import catalog, coord
 from poishom.coord import (
     ConstraintDriftError,
     FlowTrace,
@@ -26,7 +26,7 @@ from poishom.coord import (
     preservation_residual,
     rk4_flow,
 )
-from poishom.poly import Polynomial
+from poishom.poly import Polynomial, float_evaluator
 
 from float_reference import eval_field, eval_float, rk4_reference
 
@@ -615,6 +615,39 @@ def test_rk4_carried_divergence_is_bit_identical(comp):
         state, div_int = _rk4_fresh_simpson(model, h, x0, 200, 1e-3, rho)
         assert trace.states[-1] == state and trace.div_integral == div_int
         assert div_int[-1] != 0.0
+
+
+@pytest.mark.parametrize(
+    "case, log_density, div_calls",
+    [
+        ("compartmental", None, 1),
+        ("canonical2d", None, 1),
+        ("su2", None, 1 + 2 * 10),  # constrained: the drift is read every step
+        ("compartmental", "x2", 1 + 2 * 10),  # div + X(x2) is not zero
+    ],
+)
+def test_rk4_flow_skips_a_zero_divergence(monkeypatch, case, log_density, div_calls):
+    # an unconstrained flow with zero divergence evaluated it after every
+    # half-step, though each value was 0.0; the start point is still checked
+    calls = []
+
+    def counting(variables, polys):
+        evaluate = float_evaluator(variables, polys)
+        calls.append(0)
+        j = len(calls) - 1
+
+        def counted(*point):
+            calls[j] += 1
+            return evaluate(*point)
+
+        return counted
+
+    monkeypatch.setattr(coord, "float_evaluator", counting)
+    b = catalog.build_model(case, 1)
+    rho = None if log_density is None else Polynomial.variable(b.model.vars, log_density)
+    trace = rk4_flow(b.model, b.hamiltonian, b.flow_start, T=0.01, dt=1e-3, log_density=rho)
+    assert calls == [8 * 10, div_calls]
+    assert len(trace.div_integral) == 11
 
 
 def test_rk4_constraint_drift_abort():

@@ -3,6 +3,7 @@ import inspect
 import math
 import random
 import re
+import struct
 from fractions import Fraction
 
 import pytest
@@ -76,13 +77,17 @@ def test_eval_exact():
 
 def test_eval_rejects_a_point_of_the_wrong_length():
     # the point is not truncated or padded: x*y + 3 once gave 5 at (2,) and
-    # 13 at (2, 5, 7)
+    # 13 at (2, 5, 7); eval_float raised the generated code's TypeError
+    # "_evaluate() missing 1 required positional argument: 'x1'"
     xy = ("x", "y")
     p = Polynomial.variable(xy, "x") * Polynomial.variable(xy, "y") + 3
     assert p.eval((2, 5)) == 13
+    assert p.eval_float((2.0, 5.0)) == 13.0
     for point in ((2,), (2, 5, 7), ()):
-        with pytest.raises(ValueError, match="coordinates"):
-            p.eval(point)
+        message = f"point has {len(point)} coordinates, the polynomial 2 variables"
+        for evaluate in (p.eval, p.eval_float):
+            with pytest.raises(ValueError, match=message):
+                evaluate(point)
 
 
 def test_subs_vars_composition():
@@ -217,21 +222,55 @@ def test_float_evaluator_source_names_no_variable():
     # variable names never enter the generated code: it reads only its
     # positional arguments and locals, and looks up no global or builtin
     names = ("__import__", "os")
-    p = Polynomial(names, {(1, 2): 3, (0, 1): Fraction(-1, 3)})
+    p = Polynomial(names, {(1, 2): 3, (0, 1): Fraction(-1, 3), (1, 1): 1, (1, 0): -1})
     evaluate = float_evaluator(names, [p, p])
     code = evaluate.__code__
     assert code.co_names == ()
-    # the hoisted powers x0**1, x1**2 and x1**1 are its only other locals
-    assert set(code.co_varnames) <= {"x0", "x1", "v0", "v1", "p0_1", "p1_2", "p1_1"}
-    # each distinct power is computed once, though both polynomials use it
+    # the hoisted power x1**2 is its only other local
+    assert set(code.co_varnames) <= {"x0", "x1", "v0", "v1", "p1_2"}
+    # each distinct power with k > 1 is computed once, though both
+    # polynomials use it; a first power is the coordinate itself
     ops = list(dis.get_instructions(code))
     powers = [
         (base.argval, exponent.argval)
         for base, exponent, op in zip(ops, ops[1:], ops[2:])
         if op.opname == "BINARY_OP" and op.argrepr == "**"
     ]
-    assert sorted(powers) == [("x0", 1), ("x1", 1), ("x1", 2)]
+    assert powers == [("x1", 2)]
+    # a unit coefficient is a sign, not a 1.0 or -1.0 factor
+    floats = {c for c in code.co_consts if type(c) is float}
+    assert floats == {0.0, 3.0, float(Fraction(-1, 3))}
     assert evaluate(2.0, 0.5) == (eval_float(p, (2.0, 0.5)),) * 2
+
+
+def _bits(value):
+    return struct.pack("<d", value).hex()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("coordinate", [-0.0, 0.0, math.inf, -math.inf, math.nan, 1e160, -1e160])
+def test_float_evaluator_unit_coefficients_bit_for_bit(sign, coordinate):
+    # a coefficient 1 or -1 is left out or written as subtraction; every bit
+    # of the value, and the sign of a zero, is the reference's 1.0 * p or
+    # -1.0 * p term
+    point = (coordinate, 2.5, -0.0)
+    terms = [
+        {(1, 0, 0): sign},
+        {(1, 1, 0): sign},
+        {(0, 0, 1): sign},
+        {(1, 0, 1): sign, (0, 1, 0): sign},
+        {(1, 0, 0): sign, (0, 1, 0): -sign},
+        {(0, 1, 0): sign, (1, 0, 0): sign, (0, 0, 0): -sign},
+        {(1, 1, 1): sign, (1, 0, 0): 3},
+    ]
+    polys = [Polynomial(V, t) for t in terms]
+    got = float_evaluator(V, polys)(*point)
+    assert [_bits(v) for v in got] == [_bits(eval_float(p, point)) for p in polys]
+    # a squared 1e160 still overflows, as the reference's power does
+    square = Polynomial(V, {(2, 0, 0): sign})
+    assert _outcome(lambda: float_evaluator(V, [square])(*point)) == _outcome(
+        lambda: [eval_float(square, point)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +350,9 @@ def test_exact_evaluator_source_names_only_its_locals():
     local = re.compile(r"(D|x\d+|p\d+_\d+|d\d+|v\d+)")
     assert all(local.fullmatch(name) for name in code.co_varnames), code.co_varnames
     assert all(type(c) is int or c is None for c in code.co_consts)
+    # the scaled coefficient -1 of p is a sign, and D**1 is D: no 1 or -1 is
+    # a factor or an exponent
+    assert not {1, -1} & set(code.co_consts) and "d1" not in code.co_varnames
     point = (Fraction(2, 3), Fraction(-5, 7))
     ints, q = evaluate(*point)
     assert [Fraction(v, q) for v in ints] == [p.eval(point), (p * p).eval(point), 0]
