@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .linalg import frac, integer_table
-from .poly import Polynomial, exact_evaluator, float_evaluator
+from .poly import Polynomial, exact_evaluator, float_evaluator, poly_sum
 
 # seed of the spot checks' random draws when the caller passes no rng
 SPOTCHECK_SEED = 5571
@@ -45,11 +45,8 @@ class PolyVectorField:
 
     def __call__(self, h: Polynomial) -> Polynomial:
         """Directional derivative V(h) = sum_i V_i dh/dx_i."""
-        out = Polynomial.zero(self.vars)
-        for name, comp in zip(self.vars, self.components):
-            if not comp.is_zero():
-                out = out + comp * h.diff(name)
-        return out
+        pairs = zip(self.vars, self.components)
+        return poly_sum(self.vars, (c * h.diff(name) for name, c in pairs if not c.is_zero()))
 
     def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
         return PolyVectorField(
@@ -153,13 +150,11 @@ class PolynomialPoissonModel:
 
     def sharp(self, omega: Sequence[Polynomial]) -> PolyVectorField:
         """Pi#(omega), the field with components sum_i omega_i Pi[i][j]."""
-        comps = []
-        for j in range(self.dim):
-            p = Polynomial.zero(self.vars)
-            for i in range(self.dim):
-                if not omega[i].is_zero():
-                    p = p + omega[i] * self.bracket_entry(i, j)
-            comps.append(p)
+        live = [i for i in range(self.dim) if not omega[i].is_zero()]
+        comps = [
+            poly_sum(self.vars, (omega[i] * self.bracket_entry(i, j) for i in live))
+            for j in range(self.dim)
+        ]
         return PolyVectorField(self.vars, comps)
 
 
@@ -194,7 +189,10 @@ def jacobi_symbolic(
     (reported by its float magnitude).  Triples are visited in
     ``itertools.combinations`` order, each Jacobiator expanded into one
     exponent -> int dict over the integer-scaled table; the constrained
-    branch compiles all of them into one ``exact_evaluator``."""
+    branch compiles all of them into one ``exact_evaluator``, unless every
+    one is the zero polynomial: then the identity holds everywhere, and the
+    branch only draws its ``points`` samples, leaving ``rng`` in the state
+    the evaluation would."""
     n = model.dim
     # the table times the lcm L of its denominators, with int coefficients;
     # a Jacobiator is quadratic in the table, so on the scaled table it is
@@ -241,9 +239,14 @@ def jacobi_symbolic(
         raise ValueError("constrained model without a variety sampler")
     if rng is None:
         rng = random.Random(SPOTCHECK_SEED)
-    evaluate = exact_evaluator(
-        model.vars, [Polynomial(model.vars, jacobiator(*triple)) for triple in triples]
-    )
+    jacobiators = [jacobiator(*triple) for triple in triples]
+    if not any(any(j.values()) for j in jacobiators):
+        # the identity holds on all of space; the points are still drawn,
+        # so an rng shared with later checks is left where it would be
+        for _ in range(points):
+            model.sampler(rng)
+        return JacobiVerdict(True, False)
+    evaluate = exact_evaluator(model.vars, [Polynomial(model.vars, j) for j in jacobiators])
     for _ in range(points):
         values, q = evaluate(*model.sampler(rng))
         for triple, v in zip(triples, values):
@@ -257,12 +260,10 @@ def divergence(
 ) -> Polynomial:
     """div(X) + X(log_density); the Euclidean divergence when the density is
     trivial."""
-    out = Polynomial.zero(model.vars)
-    for name, comp in zip(model.vars, X.components):
-        out = out + comp.diff(name)
+    summands = [comp.diff(name) for name, comp in zip(model.vars, X.components)]
     if log_density is not None and not log_density.is_zero():
-        out = out + X(log_density)
-    return out
+        summands.append(X(log_density))
+    return poly_sum(model.vars, summands)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +304,7 @@ def kernel_obstruction_verify(
     for i, residual in enumerate(model.sharp(covector).components):
         if not residual.is_zero():
             raise ValueError(f"kernel residual is nonzero in row {i}: not a certificate")
-    obstruction = Polynomial.zero(model.vars)
-    for cj, tj in zip(covector, target.components):
-        obstruction = obstruction + cj * tj
+    obstruction = poly_sum(model.vars, (cj * tj for cj, tj in zip(covector, target.components)))
     point = None
     if witness_point is not None:
         cand = tuple(frac(c) for c in witness_point)

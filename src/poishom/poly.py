@@ -2,15 +2,22 @@
 
 Terms are stored as a map from exponent tuples to ``Fraction``; no zero
 coefficient is ever kept.  Polynomials over the same variable tuple form a
-ring under +, -, *.  ``Polynomial.eval`` is the exact value at one rational
-point.  Code that evaluates a list of polynomials at many points compiles it
-once into generated straight-line code: ``exact_evaluator`` returns int
+ring under +, -, *.  The public constructor checks and converts every term;
+the ring operations and ``diff`` build their results from terms that are
+already valid, in a new dict each, without that check.  A sum of many
+polynomials is built in one dict (``poly_sum``, through ``accumulate``),
+with the terms, and their order, of the chained ``+``.
+``Polynomial.eval`` is the exact value at one rational point.
+
+Code that evaluates a list of polynomials at many points compiles it once
+into generated straight-line code: ``exact_evaluator`` returns int
 numerators over one shared positive denominator, so the exact checks decide
 zero on ints and build a ``Fraction`` only for a value they report, and
 ``float_evaluator`` returns floats, for the numerical integrators.  Both
 generate only the arithmetic a term needs: a first power is read as the
-coordinate itself, higher powers are bound once per call, and a coefficient
-1 or -1 is a sign, not a factor.
+coordinate itself, higher powers are bound once per call, a coefficient
+1 or -1 is a sign, not a factor, and a polynomial whose generated sum
+repeats an earlier one's reads that one's value.
 """
 
 from __future__ import annotations
@@ -33,10 +40,21 @@ class Polynomial:
             if not c:
                 continue
             expo = tuple(expo)
-            if len(expo) != len(self.vars) or any(e < 0 for e in expo):
+            if len(expo) != len(self.vars) or not all(isinstance(e, int) and e >= 0 for e in expo):
                 raise ValueError("bad exponent tuple")
             cleaned[expo] = c
         self.terms = cleaned
+
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "Polynomial":
+        """The polynomial over the tuple ``variables`` that takes ``terms``
+        as is, without the public constructor's checks: every exponent a
+        valid int tuple, every coefficient a nonzero Fraction, and the dict a
+        new one that no other polynomial holds."""
+        p = cls.__new__(cls)
+        p.vars = variables
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -51,7 +69,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, variables, name: str) -> "Polynomial":
-        i = list(variables).index(name)
+        i = _index(tuple(variables), name)
         expo = tuple(1 if j == i else 0 for j in range(len(variables)))
         return cls(variables, {expo: 1})
 
@@ -69,15 +87,12 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(self.vars, terms)
+        return Polynomial._trusted(self.vars, accumulate(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -90,9 +105,12 @@ class Polynomial:
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.vars, out)
+                e = tuple([a + b for a, b in zip(e1, e2)])
+                c = c1 * c2
+                s = out.get(e)
+                out[e] = c if s is None else s + c
+        # a cancelled key keeps its place until here, as in one sum
+        return Polynomial._trusted(self.vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -111,6 +129,8 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.vars == other.vars and self.terms == other.terms
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return self.terms == Polynomial.constant(self.vars, other).terms
 
     def __hash__(self):
@@ -124,14 +144,12 @@ class Polynomial:
         return max((sum(e) for e in self.terms), default=0)
 
     def diff(self, var: str) -> "Polynomial":
-        i = self.vars.index(var)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                de = list(e)
-                de[i] -= 1
-                out[tuple(de)] = out.get(tuple(de), Fraction(0)) + c * e[i]
-        return Polynomial(self.vars, out)
+        i = _index(self.vars, var)
+        # e -> e - 1_i is injective, so every term lands on its own key
+        return Polynomial._trusted(
+            self.vars,
+            {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]},
+        )
 
     def _check_point(self, point: Sequence) -> None:
         if len(point) != len(self.vars):
@@ -184,6 +202,44 @@ class Polynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _index(variables: tuple, name: str) -> int:
+    if name not in variables:
+        raise ValueError(f"unknown variable {name!r}, not one of {', '.join(variables)}")
+    return variables.index(name)
+
+
+def accumulate(terms: dict, other: dict) -> dict:
+    """Add the exponent -> coefficient map ``other`` into ``terms`` in place,
+    in ``other``'s order, and return ``terms``: a new key goes to the end,
+    and a key whose sum cancels is deleted, so it goes to the end again if a
+    later sum brings it back.  That is the key order, and every coefficient,
+    of the chained ``+`` over the same summands, which is what
+    ``float_evaluator``'s summation order reads.  ``terms`` must be a dict
+    that no polynomial holds; nonzero coefficients in, nonzero out."""
+    for e, c in other.items():
+        s = terms.get(e)
+        if s is not None:
+            c = s + c
+            if not c:
+                del terms[e]
+                continue
+        terms[e] = c
+    return terms
+
+
+def poly_sum(variables: Sequence[str], summands) -> Polynomial:
+    """The sum of the polynomials ``summands`` over ``variables``, built in
+    one dict (``accumulate``) instead of one copy per ``+``; equal to the
+    chained ``+`` from zero term by term, key order included."""
+    variables = tuple(variables)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for p in summands:
+        if p.vars != variables:
+            raise ValueError("polynomials over different variables")
+        accumulate(terms, p.terms)
+    return Polynomial._trusted(variables, terms)
+
+
 # terms per generated sum; a sum of a few thousand terms overflows the
 # compiler's recursion limit, so longer polynomials are summed in statements
 _SUM_CHUNK = 256
@@ -220,16 +276,23 @@ def _compile_sums(coefficients, params: str, term, zero: str, suffix: str, filen
     order; map j is summed in its own order from ``zero`` into v{j}, at most
     _SUM_CHUNK terms per statement, each term the signed expression
     ``term(e, c, powers)`` (see ``_term``); the function returns the tuple of
-    the values, followed by ``suffix``, and runs with empty builtins."""
+    the values, followed by ``suffix``, and runs with empty builtins.  A map
+    whose generated terms equal an earlier map's gets no statement of its
+    own: its value is the earlier local, which the same expression over the
+    same locals would only have recomputed, bit for bit."""
     powers: dict[str, str] = {}
     sums = []
     values = []
+    local_of: dict[tuple[str, ...], str] = {}
     for j, coeffs in enumerate(coefficients):
-        terms = [term(e, c, powers) for e, c in coeffs.items()]
-        total = zero
-        for start in range(0, len(terms), _SUM_CHUNK):
-            sums.append(f"    v{j} = {total}" + "".join(terms[start:start + _SUM_CHUNK]))
-            total = f"v{j}"
+        terms = tuple([term(e, c, powers) for e, c in coeffs.items()])
+        total = local_of.get(terms)
+        if total is None:
+            total = zero
+            for start in range(0, len(terms), _SUM_CHUNK):
+                sums.append(f"    v{j} = {total}" + "".join(terms[start:start + _SUM_CHUNK]))
+                total = f"v{j}"
+            local_of[terms] = total
         values.append(total)
     lines = [f"def _evaluate({params}):"]
     lines += [f"    {name} = {power}" for name, power in powers.items()]

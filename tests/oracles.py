@@ -40,6 +40,78 @@ def subs_vars(p: Polynomial, new_vars: Sequence[str], images: Sequence[Polynomia
     return out
 
 
+# The exact polynomial layer as it was before results were built in place:
+# every result goes through the public constructor, which converts and
+# checks each term, and a sum of many terms is a chain of two-term sums from
+# zero.  The key order of ``terms`` is the float evaluator's summation
+# order, so the tests compare it as well as the terms.
+
+
+def add_by_constructor(p: Polynomial, q: Polynomial) -> Polynomial:
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        terms[e] = terms.get(e, Fraction(0)) + c
+    return Polynomial(p.vars, terms)
+
+
+def mul_by_constructor(p: Polynomial, q: Polynomial) -> Polynomial:
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return Polynomial(p.vars, out)
+
+
+def diff_by_constructor(p: Polynomial, var: str) -> Polynomial:
+    i = p.vars.index(var)
+    out = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            de = list(e)
+            de[i] -= 1
+            out[tuple(de)] = out.get(tuple(de), Fraction(0)) + c * e[i]
+    return Polynomial(p.vars, out)
+
+
+def sum_by_chained_adds(variables, summands) -> Polynomial:
+    out = Polynomial.zero(variables)
+    for p in summands:
+        out = add_by_constructor(out, p)
+    return out
+
+
+def apply_field_by_chained_sums(X, h: Polynomial) -> Polynomial:
+    """X(h) = sum_i X_i dh/dx_i, over the components that are not zero."""
+    out = Polynomial.zero(X.vars)
+    for name, comp in zip(X.vars, X.components):
+        if not comp.is_zero():
+            out = add_by_constructor(out, mul_by_constructor(comp, diff_by_constructor(h, name)))
+    return out
+
+
+def sharp_by_chained_sums(model, omega: Sequence[Polynomial]) -> list[Polynomial]:
+    """The components sum_i omega_i Pi[i][j] of Pi#(omega)."""
+    comps = []
+    for j in range(model.dim):
+        p = Polynomial.zero(model.vars)
+        for i in range(model.dim):
+            if not omega[i].is_zero():
+                p = add_by_constructor(p, mul_by_constructor(omega[i], model.bracket_entry(i, j)))
+        comps.append(p)
+    return comps
+
+
+def divergence_by_chained_sums(X, log_density: Polynomial = None) -> Polynomial:
+    """div(X) + X(log_density)."""
+    out = Polynomial.zero(X.vars)
+    for name, comp in zip(X.vars, X.components):
+        out = add_by_constructor(out, diff_by_constructor(comp, name))
+    if log_density is not None and not log_density.is_zero():
+        out = add_by_constructor(out, apply_field_by_chained_sums(X, log_density))
+    return out
+
+
 def evaluate_form(omega: ExteriorElement, vectors: Sequence[Vector]) -> Fraction:
     """Evaluate a k-form on k vectors (determinant expansion)."""
     if not omega.dual:

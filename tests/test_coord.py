@@ -26,9 +26,10 @@ from poishom.coord import (
     preservation_residual,
     rk4_flow,
 )
-from poishom.poly import Polynomial, float_evaluator
+from poishom.poly import Polynomial, exact_evaluator, float_evaluator
 
 from float_reference import eval_field, eval_float, rk4_reference
+from oracles import apply_field_by_chained_sums, divergence_by_chained_sums, sharp_by_chained_sums
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +184,28 @@ def test_jacobi_tiny_residual_on_variety_fails():
         constraints=[x * x + y * y + z * z - 1], sampler=_sphere_point,
     )
     assert jacobi_symbolic(exact, rng=random.Random(3), points=20).ok
+
+
+@pytest.mark.parametrize("name", ["su2", "toda-n3"])
+def test_jacobi_symbolic_compiles_no_evaluator_for_zero_jacobiators(monkeypatch, name):
+    # every Jacobiator of these models expands to the zero polynomial, yet
+    # one exact evaluator was compiled and run at every point
+    compiled = []
+
+    def counting(variables, polys):
+        compiled.append(len(polys))
+        return exact_evaluator(variables, polys)
+
+    monkeypatch.setattr(coord, "exact_evaluator", counting)
+    model = catalog.build_model(name, Fraction(3, 2)).model
+    rng = random.Random(4)
+    assert jacobi_symbolic(model, rng=rng, points=6) == JacobiVerdict(True, False)
+    assert compiled == []
+    # the points are still drawn, so a shared rng is left where it was
+    want = random.Random(4)
+    for _ in range(6):
+        model.sampler(want)
+    assert rng.getstate() == want.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -967,6 +990,34 @@ def test_multiplicativity_matches_full_matrix_formula(name):
         got = multiplicativity_spotcheck(m, pairs=4, rng=random.Random(5))
         assert got == _multiplicativity_full_matrix(m, pairs=4, rng=random.Random(5))
     assert got > 0.0
+
+
+# few exponents and unit-sized coefficients, so that the sums cancel terms
+_cancelling = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+    st.sampled_from([1, -1, 2, Fraction(-1, 2)]),
+    max_size=4,
+).map(lambda terms: Polynomial(("x", "y", "z"), terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_cancelling, min_size=7, max_size=7), _cancelling)
+def test_fields_match_the_chained_sum_oracle_in_key_order(polys, h):
+    # sharp, field application and divergence build each sum in one dict;
+    # the terms and their order (the float evaluator's summation order) are
+    # those of the chained two-term sums they replaced
+    def items(ps):
+        return [list(p.terms.items()) for p in ps]
+
+    brackets, omega, rho = polys[:3], polys[3:6], polys[6]
+    model = PolynomialPoissonModel("random", h.vars, dict(zip([(0, 1), (0, 2), (1, 2)], brackets)))
+    X = model.sharp(omega)
+    assert items(X.components) == items(sharp_by_chained_sums(model, omega))
+    assert items([X(h)]) == items([apply_field_by_chained_sums(X, h)])
+    for log_density in (None, rho):
+        assert items([divergence(model, X, log_density)]) == items(
+            [divergence_by_chained_sums(X, log_density)]
+        )
 
 
 def test_sl3_sampler_first_draws_are_pinned():

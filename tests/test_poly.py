@@ -9,10 +9,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poishom.poly import Polynomial, exact_evaluator, float_evaluator
+from poishom.poly import Polynomial, exact_evaluator, float_evaluator, poly_sum
 
 from float_reference import eval_float
-from oracles import subs_vars
+from oracles import (
+    add_by_constructor,
+    diff_by_constructor,
+    mul_by_constructor,
+    subs_vars,
+    sum_by_chained_adds,
+)
 
 V = ("x", "y", "z")
 
@@ -39,6 +45,29 @@ def test_bad_exponent_rejected():
         Polynomial(V, {(1, 0): 1})
     with pytest.raises(ValueError):
         Polynomial(V, {(-1, 0, 0): 1})
+    # a non-integer exponent once built x^1.5, whose exact eval at (2, 1)
+    # was the float 2.828...
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        Polynomial(("x", "y"), {(1.5, 0): 1})
+    for expo in ((1.0, 0, 0), (0, Fraction(1, 2), 0), (0, 0, "1")):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            Polynomial(V, {expo: 1})
+    # an unknown variable is named, not reported as a failed list or tuple
+    # lookup ("'q' is not in list", "tuple.index(x): x not in tuple")
+    for call in (lambda: Polynomial.variable(V, "q"), lambda: x().diff("q")):
+        with pytest.raises(ValueError, match=r"^unknown variable 'q', not one of x, y, z$"):
+            call()
+
+
+def test_equality_with_a_non_number_is_false():
+    # p == None raised TypeError and p == 'abc' ValueError, from coercing
+    # the operand to a constant polynomial
+    p = x() + 1
+    for other in (None, "abc", [1], object()):
+        assert not p == other
+        assert p != other
+    assert Polynomial.constant(V, 2) == 2
+    assert Polynomial.constant(V, Fraction(1, 2)) == Fraction(1, 2) != p
 
 
 def test_arithmetic_basics():
@@ -121,6 +150,64 @@ def test_ring_laws(p, q, r):
     assert (p + q) * r == p * r + q * r
     assert (p * q) * r == p * (q * r)
     assert (p - p).is_zero()
+
+
+# few exponents and unit-sized coefficients, so that sums and products
+# cancel terms often
+cancelling_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+    st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)]),
+    max_size=5,
+).map(lambda terms: Polynomial(V, terms))
+
+
+def _items(p):
+    """The terms in key order: the float evaluator sums in this order."""
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    return list(p.terms.items())
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(cancelling_polys, min_size=1, max_size=5))
+def test_results_match_the_constructor_oracle_in_key_order(summands):
+    before = [_items(p) for p in summands]
+    p, q = summands[0], summands[-1]
+    assert _items(p + q) == _items(add_by_constructor(p, q))
+    assert _items(p - q) == _items(add_by_constructor(p, -q))
+    assert _items(p * q) == _items(mul_by_constructor(p, q))
+    assert _items(p * q + q * p) == _items(
+        add_by_constructor(mul_by_constructor(p, q), mul_by_constructor(q, p))
+    )
+    for var in V:
+        assert _items(p.diff(var)) == _items(diff_by_constructor(p, var))
+    with_cancellations = [*summands, *(-s for s in summands[:2]), *summands[:1]]
+    assert _items(poly_sum(V, with_cancellations)) == _items(
+        sum_by_chained_adds(V, with_cancellations)
+    )
+    # no result holds, or changed, a dict of its operands
+    assert [_items(p) for p in summands] == before
+
+
+def test_a_cancelled_key_goes_to_the_end_when_it_returns():
+    # the chained + dropped a cancelled key, so a later summand that brings
+    # it back appends it, and the float evaluator adds it last
+    summands = [x() + y(), -x(), z(), 2 * x()]
+    got = poly_sum(V, summands)
+    assert list(got.terms) == [(0, 1, 0), (0, 0, 1), (1, 0, 0)]
+    assert _items(got) == _items(sum_by_chained_adds(V, summands))
+    assert poly_sum(V, []) == Polynomial.zero(V)
+    with pytest.raises(ValueError, match="different variables"):
+        poly_sum(V, [x(), Polynomial.variable(("a",), "a")])
+
+
+def test_results_never_share_a_terms_dict():
+    p = x() + 3 * y()
+    zero = Polynomial.zero(V)
+    one = Polynomial.constant(V, 1)
+    for got in (p + zero, zero + p, p - zero, -(-p), p * one, one * p, poly_sum(V, [p])):
+        assert got == p and got.terms is not p.terms
+    poly_sum(V, [p, -x()])
+    assert _items(p) == [((1, 0, 0), 1), ((0, 1, 0), 3)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -356,3 +443,36 @@ def test_exact_evaluator_source_names_only_its_locals():
     point = (Fraction(2, 3), Fraction(-5, 7))
     ints, q = evaluate(*point)
     assert [Fraction(v, q) for v in ints] == [p.eval(point), (p * p).eval(point), 0]
+
+
+def _value_stores(code):
+    """The value locals v{j} the generated statements assign, in order."""
+    return [
+        op.argval
+        for op in dis.get_instructions(code)
+        if op.opname == "STORE_FAST" and op.argval.startswith("v")
+    ]
+
+
+def test_repeated_polynomials_get_one_statement_each():
+    p = x() * y() - Fraction(1, 3) * z() ** 2 + 2
+    q = x() ** 2 + y()
+    # the same terms in another order are another float sum
+    q_reversed = Polynomial(V, dict(reversed(list(q.terms.items()))))
+    long = _long_poly(5)  # 300 terms, summed in two statements
+    zero = Polynomial.zero(V)
+    polys = [p, q, p, zero, q, long, p * 1, q_reversed, long, zero, q - 0]
+    # one assignment per distinct sum: p, q, both parts of long, q_reversed
+    stores = ["v0", "v1", "v5", "v5", "v7"]
+
+    evaluate = float_evaluator(V, polys)
+    assert _value_stores(evaluate.__code__) == stores
+    point = (0.75, -1.5, 2.25)
+    assert [_bits(v) for v in evaluate(*point)] == [_bits(eval_float(r, point)) for r in polys]
+
+    evaluate = exact_evaluator(V, polys)
+    compiled = inspect.getclosurevars(evaluate).nonlocals["compiled"]
+    assert _value_stores(compiled.__code__) == stores
+    point = (Fraction(3, 4), Fraction(-3, 2), Fraction(9, 4))
+    ints, q_all = evaluate(*point)
+    assert [Fraction(v, q_all) for v in ints] == [r.eval(point) for r in polys]
