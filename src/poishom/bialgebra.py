@@ -2,9 +2,10 @@
 
 The cocommutator delta: g -> Lambda^2 g and the dual bracket determine each
 other by transposition, <[xi, zeta]_*, X> = (delta X)(xi, zeta).  A
-``CocommutatorMap`` holds both, the dual built once with it, and a
-``LieBialgebra`` validates on construction that delta is a 1-cocycle and
-that the dual satisfies the Jacobi identity, both on the int tables.
+``CocommutatorMap`` stores only the dual, as an int table; its ``images``
+are a view transposed from it on first read.  A ``LieBialgebra`` validates
+on construction that delta is a 1-cocycle and that the dual satisfies the
+Jacobi identity, both on the int tables.
 
 Every coboundary structure, the standard one on sl(n) included, is built
 one way: ``CocommutatorMap.from_rmatrix`` computes delta = ad r on g's int
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exterior import ExteriorElement, is_ad_invariant, schouten_square
 from .lie import LieAlgebra, Vector
@@ -28,34 +29,28 @@ from .linalg import frac, integer_row
 
 
 class CocommutatorMap:
-    """Linear map g -> Lambda^2 g given by its images on the basis, and the
-    bracket on g* it transposes to (``dual_constants``), built once or passed
-    in.  ``r`` is the r-matrix of a coboundary map, None for one given by its
-    images."""
+    """Linear map g -> Lambda^2 g, held once as the bracket on g* it
+    transposes to, ``dual``: [e^a, e^b]_* = sum_y (delta e_y)^{ab} e^y.
+    ``images`` reads delta back on the basis.  ``r`` is the r-matrix of a
+    coboundary map, None for one given by its images."""
 
-    def __init__(self, algebra: LieAlgebra, images: Sequence[ExteriorElement], dual=None, r=None):
-        if len(images) != algebra.dim:
-            raise ValueError("one image per basis vector is required")
-        for im in images:
-            if im.dual or im.degree != 2 or im.algebra is not algebra:
-                raise ValueError("images must be degree-2 primal elements")
-        self.algebra = algebra
-        self.images = tuple(images)
-        self.dual = dual_constants(self) if dual is None else dual
-        self.r = r
+    def __init__(self, algebra: LieAlgebra, dual: LieAlgebra, r=None):
+        if dual.dim != algebra.dim:
+            raise ValueError("the dual must have the dimension of the algebra")
+        self.algebra, self.dual, self.r = algebra, dual, r
 
     @classmethod
     def zero(cls, algebra: LieAlgebra) -> "CocommutatorMap":
-        return cls(algebra, [ExteriorElement.zero(algebra, 2, False)] * algebra.dim)
+        return cls(algebra, LieAlgebra(algebra.dual_labels, {}, 1))
 
     @classmethod
     def from_rmatrix(cls, algebra: LieAlgebra, r: ExteriorElement) -> "CocommutatorMap":
         """Coboundary cocommutator delta(X) = ad_X r, in one pass over r's
         terms on the int table: ad_{e_x} (e_u ^ e_v) = [e_x, e_u] ^ e_v +
         e_u ^ [e_x, e_v], so a term w e_a ^ e_b meets the bracket row of e_a
-        with weight w and that of e_b with weight -w.  The images, their
-        terms sorted by key, and the dual, their transpose, are on ints over
-        g's den times r's."""
+        with weight w and that of e_b with weight -w.  The dual is the
+        transpose of the images, their terms sorted by key, on ints over g's
+        den times r's."""
         if r.dual or r.degree != 2 or r.algebra is not algebra:
             raise ValueError("r must be a degree-2 primal element over the algebra")
         rden, ints = integer_row(r.terms)
@@ -71,30 +66,35 @@ class CocommutatorMap:
                         elif k > v:
                             image[(v, k)] = image.get((v, k), 0) - s * c
         terms = {x: {key: c for key, c in sorted(im.items()) if c} for x, im in enumerate(acc)}
-        den = algebra.den * rden
-        images = [
-            ExteriorElement(algebra, 2, {key: Fraction(c, den) for key, c in t.items()}, False)
-            for t in terms.values()
-        ]
-        return cls(algebra, images, LieAlgebra(algebra.dual_labels, _transpose(terms), den), r)
+        dual = LieAlgebra(algebra.dual_labels, _transpose(terms), algebra.den * rden)
+        return cls(algebra, dual, r)
 
     @classmethod
     def from_images(cls, algebra: LieAlgebra, table: dict) -> "CocommutatorMap":
-        """table maps basis index (or label) to {(i, j): coeff} with i < j."""
-        images = [ExteriorElement.zero(algebra, 2, False) for _ in range(algebra.dim)]
-        for key, terms in table.items():
-            idx = algebra.index(key) if isinstance(key, str) else key
-            images[idx] = ExteriorElement(algebra, 2, terms, False)
-        return cls(algebra, images)
+        """table maps basis index (or label) to {(i, j): coeff} with i < j;
+        the dual's constructor rejects a key or an index off the basis."""
+        images = {algebra.index(k) if isinstance(k, str) else k: t for k, t in table.items()}
+        dual = _transpose(dict(sorted(images.items())))
+        return cls(algebra, LieAlgebra(algebra.dual_labels, dual))
+
+    @cached_property
+    def images(self) -> tuple[ExteriorElement, ...]:
+        """delta on the basis, the dual transposed, each image's terms in key order."""
+        g, den = self.algebra, self.dual.den
+        terms = _transpose(dict(sorted(self.dual.ints.items())))  # {y: {(a, b): c}}
+        return tuple(
+            ExteriorElement(g, 2, {ab: Fraction(c, den) for ab, c in t.items()}, False)
+            for t in (terms.get(y, {}) for y in range(g.dim))
+        )
 
     def is_zero(self) -> bool:
-        return all(im.is_zero() for im in self.images)
+        return not self.dual.ints
 
     def __eq__(self, other):
         return (
             isinstance(other, CocommutatorMap)
             and self.algebra is other.algebra
-            and self.images == other.images
+            and self.dual._table == other.dual._table
         )
 
 
@@ -145,24 +145,10 @@ def _transpose(table: dict) -> dict:
 
 
 def dual_constants(delta: CocommutatorMap) -> LieAlgebra:
-    """The bracket on g* transposed from delta's images:
+    """The bracket on g* transposed afresh from delta's images, on Fractions:
     [X^i, X^j]_* = sum_k (delta X_k)^{ij} X^k."""
     g = delta.algebra
     return LieAlgebra(g.dual_labels, _transpose({k: im.terms for k, im in enumerate(delta.images)}))
-
-
-def delta_from_dual(g: LieAlgebra, dual: LieAlgebra) -> CocommutatorMap:
-    """Transpose a dual-algebra bracket table back to a cocommutator on g.
-    The map keeps the dual, on the same ints, in ``dual_constants``' order."""
-    if dual.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    terms = _transpose(dict(sorted(dual.ints.items())))
-    terms = {k: terms.get(k, {}) for k in range(g.dim)}
-    images = [
-        ExteriorElement(g, 2, {key: Fraction(c, dual.den) for key, c in t.items()}, False)
-        for t in terms.values()
-    ]
-    return CocommutatorMap(g, images, LieAlgebra(g.dual_labels, _transpose(terms), dual.den))
 
 
 def _named(indices: tuple[int, ...], L: LieAlgebra) -> str:

@@ -174,17 +174,21 @@ def cmd_dynamics(args) -> int:
         "divergence_zero": div.is_zero(),
     }
     if args.case == "toda-n3":
-        value = bundle.horizontal_field()(h).eval(catalog.toda_singular_point(2))
+        a, point = 2, catalog.toda_singular_point(2)
+        value = bundle.horizontal_field()(h).eval(point)
+        if value == 0:
+            print(f"{args.case}: horizontal pairing 0 at a = {a}, no certificate", file=sys.stderr)
+            return EXIT_VERIFICATION
         out["certificate"] = {
             "kind": "nonzero_horizontal_pairing",
-            "point": [str(c) for c in catalog.toda_singular_point(2)],
+            "point": [str(c) for c in point],
             "value": str(value),
         }
         out["verdict"] = "no preserved volume (certificate)"
         lines = [
             f"{args.case}: {out['verdict']}",
             f"  horizontal field applied to the Hamiltonian is {value} != 0 at the "
-            f"singular point with a = 2, so no volume form is preserved.",
+            f"singular point with a = {a}, so no volume form is preserved.",
         ]
         if args.out:
             print(f"note: {args.case} integrates no flow; no trace written", file=sys.stderr)
@@ -235,15 +239,19 @@ def cmd_verify_all(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    print("homogeneous-space entries:")
-    for name in catalog.HOMSPACE_NAMES:
-        print(f"  {name}")
-    print("coordinate models:")
-    for name in catalog.MODEL_NAMES:
-        print(f"  {name}")
-    print("dynamics cases:")
-    for name in sorted(catalog.DYNAMICS_CASES):
-        print(f"  {name}")
+    lists = {
+        "entries": list(catalog.HOMSPACE_NAMES),
+        "models": list(catalog.MODEL_NAMES),
+        "dynamics_cases": sorted(catalog.DYNAMICS_CASES),
+    }
+    if args.json:
+        print(json.dumps(lists, indent=2))
+        return EXIT_OK
+    headings = ("homogeneous-space entries", "coordinate models", "dynamics cases")
+    for heading, names in zip(headings, lists.values()):
+        print(f"{heading}:")
+        for name in names:
+            print(f"  {name}")
     return EXIT_OK
 
 

@@ -116,9 +116,13 @@ class LieAlgebra:
         if den is not None and den < 1:
             raise ValueError("the denominator must be a positive int")
         table: dict[tuple[int, int], dict] = {}
+        n = len(self.labels)
         for (i, j), image in brackets.items():
-            if not (0 <= i < j < len(self.labels)):
-                raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
+            if not (0 <= i < j < n):
+                raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < {n}")
+            if image and (min(image) < 0 or max(image) >= n):
+                k = min(image) if min(image) < 0 else max(image)
+                raise ValueError(f"bracket ({i},{j}) has a term on index {k}, outside 0..{n - 1}")
             pairs = image.items() if den else zip(image, map(frac, image.values()))
             cleaned = {k: c for k, c in pairs if c}
             if cleaned:
@@ -139,6 +143,8 @@ class LieAlgebra:
         return len(self.labels)
 
     def index(self, label: str) -> int:
+        if label not in self.labels:
+            raise ValueError(f"unknown basis label {label!r} (basis: {', '.join(self.labels)})")
         return self.labels.index(label)
 
     def basis_vector(self, i) -> Vector:

@@ -22,7 +22,7 @@ from importlib import resources
 from itertools import combinations
 
 from . import catalog, homspace
-from .bialgebra import cocycle_check, delta_from_dual, double_jacobi_check, dual_constants
+from .bialgebra import CocommutatorMap, cocycle_check, double_jacobi_check, dual_constants
 from .coord import (
     basic_function_check,
     divergence,
@@ -126,7 +126,7 @@ BIALGEBRA_CHECKS = (
     ("dual-jacobi", lambda B: B.dual.jacobi_check() is None),
     ("cocycle", lambda B: cocycle_check(B.g, B.delta) is None),
     ("double-jacobi", lambda B: double_jacobi_check(B) is None),
-    ("delta-roundtrip", lambda B: delta_from_dual(B.g, dual_constants(B.delta)) == B.delta),
+    ("delta-roundtrip", lambda B: CocommutatorMap(B.g, dual_constants(B.delta)) == B.delta),
 )
 
 # (bialgebra, its Yang-Baxter class)

@@ -9,7 +9,6 @@ from poishom import linalg
 from poishom.bialgebra import (
     CocommutatorMap,
     LieBialgebra,
-    delta_from_dual,
     sln_basis_matrices,
     sln_standard_bialgebra,
 )
@@ -372,7 +371,7 @@ def sln_bialgebra_by_fractions(n: int, eta) -> LieBialgebra:
     ``linalg.invert`` of the trace-form Gram matrix, and [RA, B] + [A, RB]
     read back through traces.  Same basis order and insertion order as
     ``sln_standard_bialgebra``."""
-    labels, mats = _sparse_sln_matrices(n)
+    _, mats = _sparse_sln_matrices(n)
     dim = len(mats)
 
     def traces(m):
@@ -403,7 +402,17 @@ def sln_bialgebra_by_fractions(n: int, eta) -> LieBialgebra:
             entry = {k: eta * v for k, v in traces(res).items()}
             if entry:
                 dual_brackets[(a, b)] = entry
-    return LieBialgebra(g, delta_from_dual(g, LieAlgebra(labels, dual_brackets)), check=False)
+    # from_rmatrix's insertion order: the dual is the transpose of the images
+    # taken in index order, each image's terms in key order
+    images: dict[int, dict] = {}
+    for key, entry in sorted(dual_brackets.items()):
+        for k, c in entry.items():
+            images.setdefault(k, {})[key] = c
+    dual: dict[tuple[int, int], dict] = {}
+    for k in sorted(images):
+        for key, c in images[k].items():
+            dual.setdefault(key, {})[k] = c
+    return LieBialgebra(g, CocommutatorMap(g, LieAlgebra(g.dual_labels, dual)), check=False)
 
 
 # ---------------------------------------------------------------------------

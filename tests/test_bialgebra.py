@@ -7,7 +7,6 @@ from poishom.bialgebra import (
     CocommutatorMap,
     LieBialgebra,
     cocycle_check,
-    delta_from_dual,
     double_algebra,
     double_bracket,
     double_jacobi_check,
@@ -49,6 +48,45 @@ def test_cocommutator_sl2_triangular_hyperbolic(sl2_tri):
     assert delta.images[1] == wedge2(sl2_tri, 0, 1, -eta)
     assert delta.images[2] == wedge2(sl2_tri, 0, 2, -eta)
     assert delta.images[0].is_zero()
+
+
+def test_cocommutator_stores_only_its_dual(so3):
+    """Each constructor stores the dual alone; the images are a view, built
+    on first read and kept, with each image's terms in key order."""
+    table = {0: {(1, 2): Fraction(1, 3)}, "J3": {(0, 2): 2, (0, 1): -1}}
+    for delta in (
+        CocommutatorMap.from_rmatrix(so3, wedge2(so3, 0, 1, 2)),
+        CocommutatorMap.from_images(so3, table),
+        CocommutatorMap.zero(so3),
+    ):
+        assert "images" not in vars(delta)
+        assert set(vars(delta)) == {"algebra", "dual", "r"}
+        images = delta.images
+        assert vars(delta)["images"] is images
+    assert [list(im.terms.items()) for im in images] == [[], [], []]
+    images = CocommutatorMap.from_images(so3, table).images
+    assert [list(im.terms.items()) for im in images] == [
+        [((1, 2), Fraction(1, 3))],
+        [],
+        [((0, 1), -1), ((0, 2), 2)],
+    ]
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({0: {(1, 0): 1}}, r"bracket key \(1,0\) must satisfy 0 <= i < j < 3"),
+        ({0: {(0, 3): 1}}, r"bracket key \(0,3\) must satisfy 0 <= i < j < 3"),
+        ({3: {(0, 1): 1}}, r"bracket \(0,1\) has a term on index 3, outside 0..2"),
+        ({-1: {(0, 1): 1}}, r"bracket \(0,1\) has a term on index -1, outside 0..2"),
+        ({"Z": {(0, 1): 1}}, r"unknown basis label 'Z' \(basis: J1, J2, J3\)"),
+    ],
+    ids=["reversed-key", "key-off-basis", "index-3", "index-minus-1", "unknown-label"],
+)
+def test_from_images_rejects_a_key_or_an_image_off_the_basis(so3, table, message):
+    with pytest.raises(ValueError, match=message) as err:
+        CocommutatorMap.from_images(so3, table)
+    assert "\n" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +270,7 @@ def test_delta_dual_roundtrip():
         catalog.r2xr2_bialgebra(),
         catalog.sl2_bialgebra("elliptic", "boost", 2),
     ):
-        assert delta_from_dual(B.g, dual_constants(B.delta)) == B.delta
+        assert CocommutatorMap(B.g, dual_constants(B.delta)) == B.delta
 
 
 def test_sl2_from_triangular_split_matches_triangular_constants():

@@ -248,6 +248,16 @@ def test_dynamics_toda_certificate(capsys):
     assert data["certificate"]["value"] == "-15"
 
 
+def test_dynamics_toda_zero_certificate_is_a_verification_failure(monkeypatch, capsys):
+    """At a = 1 the horizontal pairing is exactly 0: no certificate, exit 1."""
+    singular_point = catalog.toda_singular_point
+    monkeypatch.setattr(catalog, "toda_singular_point", lambda a: singular_point(1))
+    assert run(["dynamics", "toda-n3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "toda-n3: horizontal pairing 0 at a = 2, no certificate\n"
+
+
 def test_dynamics_sphere_morse(capsys):
     assert run(["dynamics", "sphere-morse", "--T", "1", "--dt", "0.001", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -279,6 +289,31 @@ def test_catalog_list(capsys):
     out = capsys.readouterr().out
     for name in ("subgroup-sphere", "toda-n3", "sphere-morse", "su2"):
         assert name in out
+
+
+def test_catalog_list_json(capsys):
+    assert run(["catalog", "list", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "entries": list(catalog.HOMSPACE_NAMES),
+        "models": list(catalog.MODEL_NAMES),
+        "dynamics_cases": sorted(catalog.DYNAMICS_CASES),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "toda-n3"],
+        ["tables"],
+        ["dynamics", "compartmental", "--T", "0.01"],
+        ["dynamics", "toda-n3"],
+        ["verify-all"],
+        ["catalog", "list"],
+    ],
+)
+def test_every_verb_prints_one_json_document(argv, capsys):
+    assert run([*argv, "--json"]) == 0
+    json.loads(capsys.readouterr().out)
 
 
 def test_python_dash_m_poishom(monkeypatch, capsys):

@@ -243,21 +243,40 @@ COBOUNDARY_ALGEBRAS = (
 )
 
 
+def assert_coboundary(g, r, delta):
+    """delta against one ``ad_extension`` of r per basis vector: its images
+    view entry for entry, with terms in key order, and the dual it stores as
+    their transpose, taken image by image."""
+    want = [dict(sorted(im.terms.items())) for im in coboundary_by_ad_extension(g, r)]
+    assert [list(im.terms.items()) for im in delta.images] == [list(t.items()) for t in want]
+    assert delta.r is r
+    dual: dict = {}
+    for k, t in enumerate(want):
+        for key, c in t.items():
+            dual.setdefault(key, {})[k] = c
+    assert_view(delta.dual, dual)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_coboundary_matches_ad_extension(data):
     """``from_rmatrix`` on a random r against one ``ad_extension`` per basis
-    vector: image values, with terms sorted by key, and the dual it keeps."""
+    vector."""
     g = data.draw(st.sampled_from(COBOUNDARY_ALGEBRAS))
     coeffs = st.one_of(small_rational, huge_rational).filter(bool)
     terms = {pair(data, g.dim): data.draw(coeffs) for _ in range(data.draw(st.integers(0, 6)))}
     r = ExteriorElement(g, 2, terms, False)
-    delta = CocommutatorMap.from_rmatrix(g, r)
-    want = [dict(sorted(im.terms.items())) for im in coboundary_by_ad_extension(g, r)]
-    assert [list(im.terms.items()) for im in delta.images] == [list(t.items()) for t in want]
-    assert delta.r is r
-    sorted_images = [ExteriorElement(g, 2, t, False) for t in want]
-    assert_view(delta.dual, dual_constants(CocommutatorMap(g, sorted_images))._table)
+    assert_coboundary(g, r, CocommutatorMap.from_rmatrix(g, r))
+
+
+def test_coboundary_matches_ad_extension_on_catalog_and_sln():
+    """The same on every catalog coboundary structure at two etas and on the
+    standard structure of sl(3..6)."""
+    sln = [sln_standard_bialgebra(n, eta) for n in range(3, 7) for eta in ETAS]
+    structures = [B for B in catalog_bialgebras() + sln if B.delta.r is not None]
+    assert len(structures) == 2 * 8 + 8
+    for B in structures:
+        assert_coboundary(B.g, B.delta.r, B.delta)
 
 
 def test_coboundary_rejects_an_r_off_lambda2_g():

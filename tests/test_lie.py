@@ -16,6 +16,20 @@ def test_bracket_so3(so3):
     assert so3.bracket(J3, J1) == J2
 
 
+@pytest.mark.parametrize("den", [None, 1])
+@pytest.mark.parametrize("k", [2, 5, -1])
+def test_bracket_image_off_the_basis_is_rejected(den, k):
+    with pytest.raises(ValueError, match=rf"bracket \(0,1\) has a term on index {k}, outside 0..1"):
+        LieAlgebra(("a", "b"), {(0, 1): {k: 1}}, den)
+
+
+def test_unknown_label_is_named(so3):
+    message = r"unknown basis label 'Z' \(basis: J1, J2, J3\)"
+    for read in (so3.index, so3.basis_vector, lambda z: so3.subalgebra([z])):
+        with pytest.raises(ValueError, match=message):
+            read("Z")
+
+
 def test_bracket_abelian():
     ab = LieAlgebra(("X1", "X2", "X3"), {})
     assert ab.bracket(ab.basis_vector(0), ab.basis_vector(1)).is_zero()
