@@ -550,27 +550,40 @@ class ConstraintDriftError(RuntimeError):
 
 
 @functools.lru_cache(maxsize=None)
-def _rk4_loop(n: int, m: int, zero_divergence: bool):
-    """Compile rk4_flow's step loop for n coordinates and m constraints.
+def _rk4_loop(frozen: tuple[bool, ...], m: int, zero_divergence: bool, drop_midpoint: bool):
+    """Compile rk4_flow's step loop for the coordinates x0..x{n-1} (n =
+    len(frozen)) and m constraints.
 
-    The state lives in the locals x0..x{n-1}.  Each step makes two RK4
-    half-steps of length h = dt / 2 (stages a, b, c, d: ``s + half * k``
-    twice, ``s + h * k``, then ``s + sixth * (a + 2 * b + 2 * c + d)``),
-    evaluating ``div_and_constraints`` after each, adds the Simpson term
-    ``dt / 6 * (f0 + 4 * fm + f1)`` and carries f1 into the next step.  The
-    loop appends each accepted step to the trace lists and returns None, or
-    ``(k, drift)`` at the first step k whose state or integral is not finite
-    (drift None) or whose drift passes the tolerance.  With
-    ``zero_divergence`` (m = 0 and the divergence the zero polynomial),
-    every divergence value is the literal 0.0 and every Simpson term
-    ``simpson * 0.0`` adds 0.0 to 0.0, so the loop makes neither call nor
-    sum and records the integral 0.0.  The source depends on (n, m,
-    zero_divergence) only, so it is cached; the evaluators come in as
-    arguments.
+    The state lives in the locals x0..x{n-1}.  A coordinate i with
+    ``frozen[i]`` (its field component is the zero polynomial) comes in
+    already normalised to ``x_i + 0.0`` and is never updated: its stage
+    increments would all be the literal 0.0, so every stage would only
+    recompute ``x_i + 0.0``.  The evaluators take the other coordinates,
+    the moving ones, and ``rhs`` returns their field components only.  Each
+    step makes two RK4 half-steps of length h = dt / 2 on the moving
+    coordinates (stages a, b, c, d: ``s + half * k`` twice, ``s + h * k``,
+    then ``s + sixth * (a + 2 * b + 2 * c + d)``), evaluating
+    ``div_and_constraints`` after each, adds the Simpson term ``dt / 6 * (f0
+    + 4 * fm + f1)`` and carries f1 into the next step.  The loop appends
+    each accepted step to the trace lists and returns None, or ``(k,
+    drift)`` at the first step k whose state or integral is not finite
+    (drift None) or whose drift passes the tolerance.
+
+    With ``zero_divergence`` every divergence value is the literal 0.0 and
+    every Simpson term ``simpson * 0.0`` adds 0.0 to 0.0, so the loop makes
+    no sum, records the integral 0.0 and ``div_and_constraints`` evaluates
+    the m constraints alone: after each step if m > 0, and also at the
+    midpoint unless ``drop_midpoint``.  The midpoint value is never read;
+    that call can only raise an OverflowError, which the caller may drop
+    when the next field call, at the same state, evaluates every power the
+    constraints would and so raises it.  The source depends on these
+    arguments only, so it is cached; the evaluators come in as arguments.
     (``2.0 * b`` is ``2 * b``: the int converts to 2.0 exactly.)"""
 
-    def row(fmt: str) -> str:
-        return "(" + "".join(fmt.format(i=i) + ", " for i in range(n)) + ")"
+    moving = [i for i, f in enumerate(frozen) if not f]
+
+    def row(fmt: str, indices=moving) -> str:
+        return "(" + "".join(fmt.format(i=i) + ", " for i in indices) + ")"
 
     state = row("x{i}")
     half_step = [
@@ -579,39 +592,48 @@ def _rk4_loop(n: int, m: int, zero_divergence: bool):
         f"{row('c{i}')} = rhs{row('x{i} + half * b{i}')}",
         f"{row('d{i}')} = rhs{row('x{i} + h * c{i}')}",
         f"{state} = {row('x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}",
-    ]
+    ] if moving else []
+    residuals = row("r{i}", range(m))
     if zero_divergence:
-        step = [*half_step, *half_step]
+        midpoint = [f"div_and_constraints{state}"] if m and not drop_midpoint else []
+        end = [f"{residuals} = div_and_constraints{state}"] if m else []
+        step = [*half_step, *midpoint, *half_step, *end]
     else:
         step = [
             *half_step,
             f"fm = div_and_constraints{state}[0]",
             *half_step,
-            f"(f1, {''.join(f'r{j}, ' for j in range(m))}) = div_and_constraints{state}",
+            f"(f1, {residuals[1:]} = div_and_constraints{state}",
             "acc += simpson * (f0 + 4.0 * fm + f1)",
             "f0 = f1",
         ]
     drift = ", ".join(f"abs(r{j})" for j in range(m)) or "0.0"
     if m > 1:
         drift = f"max({drift})"
-    finite = "".join(f"isfinite(x{i}) and " for i in range(n)) + "isfinite(acc)"
+    finite = [f"isfinite(x{i})" for i in moving]
+    prologue = ["h = dt / 2.0", "half, sixth = 0.5 * h, h / 6.0"]
+    if not zero_divergence:
+        prologue += ["simpson = dt / 6.0", "acc = 0.0"]
+        finite.append("isfinite(acc)")
+    if any(frozen):
+        held = " and ".join(f"isfinite(x{i})" for i, f in enumerate(frozen) if f)
+        prologue.append(f"held_finite = {held}")
+        finite.append("held_finite")
+    coordinates = "".join(f"x{i}, " for i in range(len(frozen)))
     body = [
         "def _loop(rhs, div_and_constraints, f0, dt, steps, drift_tolerance,",
-        f"          times, states, div_int, drifts, {state[1:]}:",
-        "    h = dt / 2.0",
-        "    half, sixth = 0.5 * h, h / 6.0",
-        "    simpson = dt / 6.0",
-        "    acc = 0.0",
+        f"          times, states, div_int, drifts, {coordinates}):",
+        *(f"    {line}" for line in prologue),
         "    for k in range(1, steps + 1):",
         *(f"        {line}" for line in step),
-        f"        if not ({finite}):",
+        f"        if not ({' and '.join(finite) or 'True'}):",
         "            return k, None",
         f"        drift = {drift}",
         "        if drift > drift_tolerance:",
         "            return k, drift",
         "        times.append(k * dt)",
-        f"        states.append([{state[1:-1]}])",
-        "        div_int.append(acc)",
+        f"        states.append([{coordinates[:-2]}])",
+        f"        div_int.append({'0.0' if zero_divergence else 'acc'})",
         "        drifts.append(drift)",
         "    return None",
     ]
@@ -620,6 +642,14 @@ def _rk4_loop(n: int, m: int, zero_divergence: bool):
     }
     exec(compile("\n".join(body) + "\n", "<rk4_loop>", "exec"), namespace)
     return namespace["_loop"]
+
+
+def _moving_powers(polys, frozen) -> set[tuple[int, int]]:
+    """The powers (i, k), k > 1, of the coordinates not ``frozen`` that the
+    float evaluator of ``polys`` binds."""
+    return {
+        (i, k) for p in polys for e in p.terms for i, k in enumerate(e) if k > 1 and not frozen[i]
+    }
 
 
 def flow_steps(T: float, dt: float) -> int:
@@ -653,22 +683,48 @@ def rk4_flow(
     The field, and the divergence with the constraints, are each compiled
     once per call into one ``float_evaluator``, and the step loop is
     generated code over the coordinates (``_rk4_loop``), so an RK4 stage is
-    one call and the state is never a list.  An unconstrained model whose
-    divergence (log density included) is the zero polynomial has the
-    integral 0.0 at every step, so its loop evaluates the divergence only
-    once, at the start point.  T and dt are checked by ``flow_steps``.
+    one call and the state is never a list.  Two facts of the exact field
+    hold for the whole run:
+
+    - A coordinate whose field component is the zero polynomial is frozen:
+      from the first stage on it is ``x_i + 0.0`` (which turns a -0.0 start
+      into 0.0), so both evaluators bind it and its powers once.  A frozen
+      value differs from the start value at most in the sign of a zero,
+      which changes no sum started from 0.0.  The field binds after the
+      start-point constraint check, so a violated start still raises
+      ValueError before a frozen power can overflow.
+    - With the divergence (log density included) the zero polynomial, the
+      integral is 0.0 at every step: only the constraints are evaluated,
+      after each step, and at the midpoint only where the field does not
+      evaluate every power of a moving coordinate that they use.  Without
+      constraints no such evaluator is compiled.
+
+    T and dt are checked by ``flow_steps``.
     """
     steps = flow_steps(T, dt)
     field = hamiltonian_vf(model, h)
     div = divergence(model, field, log_density)
-    rhs = float_evaluator(model.vars, field.components)
-    div_and_constraints = float_evaluator(model.vars, [div, *model.constraints])
+    frozen = tuple(c.is_zero() for c in field.components)
+    held = [i for i, f in enumerate(frozen) if f]
+    moving_field = [c for c, f in zip(field.components, frozen) if not f]
+    zero_divergence = div.is_zero()
+    checks = list(model.constraints) if zero_divergence else [div, *model.constraints]
+    bind_rhs = float_evaluator(model.vars, moving_field, held)
+    bind_checks = float_evaluator(model.vars, checks, held) if checks else None
     x = [float(c) for c in x0]
     if len(x) != model.dim:
         raise ValueError("start point length does not match the model dimension")
-    f0, *residuals = div_and_constraints(*x)
+    start = [xi + 0.0 if f else xi for xi, f in zip(x, frozen)]
+    held_values = [start[i] for i in held]
+    div_and_constraints, f0, residuals = None, 0.0, ()
+    if checks:
+        div_and_constraints = bind_checks(*held_values)
+        residuals = div_and_constraints(*[xi for xi, f in zip(x, frozen) if not f])
+        if not zero_divergence:
+            f0, *residuals = residuals
     if any(abs(r) > 1e-12 for r in residuals):
         raise ValueError("initial point violates the constraints")
+    rhs = bind_rhs(*held_values)
     trace = FlowTrace(
         variables=model.vars,
         times=[0.0],
@@ -676,10 +732,13 @@ def rk4_flow(
         div_integral=[0.0],
         constraint_drift=[max(map(abs, residuals), default=0.0)],
     )
-    loop = _rk4_loop(model.dim, len(residuals), div.is_zero() and not residuals)
+    drop_midpoint = bool(model.constraints) and zero_divergence and (
+        _moving_powers(model.constraints, frozen) <= _moving_powers(moving_field, frozen)
+    )
+    loop = _rk4_loop(frozen, len(model.constraints), zero_divergence, drop_midpoint)
     abort = loop(
         rhs, div_and_constraints, f0, dt, steps, drift_tolerance,
-        trace.times, trace.states, trace.div_integral, trace.constraint_drift, *x,
+        trace.times, trace.states, trace.div_integral, trace.constraint_drift, *start,
     )
     if abort is None:
         return trace

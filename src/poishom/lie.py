@@ -108,7 +108,9 @@ class LieAlgebra:
 
     def __init__(self, labels: Sequence[str], brackets: dict, den: Optional[int] = None):
         """brackets maps (i, j) with i < j to {k: coefficient} for [e_i, e_j]:
-        rationals, or int numerators over the positive int ``den``."""
+        rationals, or int numerators over the positive int ``den``.  A key or
+        index off the basis is a ValueError, and so, in a rational table, is
+        a key that is not a pair of ints or an index that is not an int."""
         self.labels = tuple(labels)
         self.dual_labels = tuple(_dual_label(l) for l in labels)
         if len(set(self.labels)) != len(self.labels):
@@ -117,9 +119,22 @@ class LieAlgebra:
             raise ValueError("the denominator must be a positive int")
         table: dict[tuple[int, int], dict] = {}
         n = len(self.labels)
-        for (i, j), image in brackets.items():
+        # a rational table is the public input form, so its keys and indices
+        # are type-tested; an int table over ``den`` is built inside the
+        # package and its types taken as given, as are its values
+        rational = den is None
+        for key, image in brackets.items():
+            if rational and not (
+                type(key) is tuple and len(key) == 2 and all(type(i) is int for i in key)
+            ):
+                raise ValueError(f"bracket key {key!r} must be a pair of ints")
+            i, j = key
             if not (0 <= i < j < n):
                 raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < {n}")
+            if rational:
+                for k in image:
+                    if type(k) is not int:
+                        raise ValueError(f"bracket ({i},{j}) has a term on index {k!r}, not an int")
             if image and (min(image) < 0 or max(image) >= n):
                 k = min(image) if min(image) < 0 else max(image)
                 raise ValueError(f"bracket ({i},{j}) has a term on index {k}, outside 0..{n - 1}")

@@ -15,9 +15,11 @@ numerators over one shared positive denominator, so the exact checks decide
 zero on ints and build a ``Fraction`` only for a value they report, and
 ``float_evaluator`` returns floats, for the numerical integrators.  Both
 generate only the arithmetic a term needs: a first power is read as the
-coordinate itself, higher powers are bound once per call, a coefficient
-1 or -1 is a sign, not a factor, and a polynomial whose generated sum
-repeats an earlier one's reads that one's value.
+coordinate itself, higher powers are bound once per call (or, for the
+coordinates a float evaluator is told are frozen, once per bind), a
+coefficient 1 or -1 is a sign, not a factor, and a polynomial whose
+coefficients (as the evaluator reads them) repeat an earlier one's reads
+that one's value.
 """
 
 from __future__ import annotations
@@ -253,10 +255,11 @@ def _check_vars(variables, polys) -> None:
 
 def _power(name: str, base: str, k: int, powers: dict) -> str:
     """The factor base**k of a generated term: ``base`` itself for k = 1,
-    else the local ``name``, registered in ``powers`` to be bound once."""
+    else the local ``name``, registered in ``powers`` (as ``(base, k)``) to
+    be bound once."""
     if k == 1:
         return base
-    powers.setdefault(name, f"{base}**{k}")
+    powers.setdefault(name, (base, k))
     return name
 
 
@@ -269,41 +272,62 @@ def _term(c, literal: str, factors: list) -> str:
     return " + " + " * ".join([literal, *factors])
 
 
-def _compile_sums(coefficients, params: str, term, zero: str, suffix: str, filename: str):
+def _compile_sums(
+    coefficients, params: str, term, zero: str, suffix: str, filename: str, bound=None
+):
     """Generate and compile ``_evaluate(params)`` over a list of exponent ->
     coefficient maps: each power that ``term`` registers in ``powers`` (local
-    name -> power, see ``_power``) is bound once at the top, in first-use
-    order; map j is summed in its own order from ``zero`` into v{j}, at most
-    _SUM_CHUNK terms per statement, each term the signed expression
-    ``term(e, c, powers)`` (see ``_term``); the function returns the tuple of
-    the values, followed by ``suffix``, and runs with empty builtins.  A map
-    whose generated terms equal an earlier map's gets no statement of its
-    own: its value is the earlier local, which the same expression over the
-    same locals would only have recomputed, bit for bit."""
-    powers: dict[str, str] = {}
+    name -> (base, k), see ``_power``) is bound once at the top, in
+    first-use order; map j is summed in its own order from ``zero`` into
+    v{j}, at most _SUM_CHUNK terms per statement, each term the signed
+    expression ``term(e, c, powers)`` (see ``_term``); the function returns
+    the tuple of the values, followed by ``suffix``, and runs with empty
+    builtins.  A map equal item for item to an earlier one gets no statement
+    of its own, and no call to ``term``: its value is the earlier local.
+    Equal items give the same expression over the same locals, which would
+    only recompute that value bit for bit; the one pair of equal but
+    distinct coefficients, the floats 0.0 and -0.0, give terms that are
+    +-0.0 or the same NaN, which a sum from 0.0 (never -0.0) adds alike.
+
+    With ``bound`` (a sequence of parameter names, possibly empty) the
+    result is instead ``_bind(bound)``, which binds the powers of those
+    names once and returns ``_evaluate(params)`` over the rest, reading
+    the bound names and powers from the enclosing call; with no name bound
+    it is a plain function that returns ``_evaluate``."""
+    powers: dict[str, tuple[str, int]] = {}
     sums = []
     values = []
-    local_of: dict[tuple[str, ...], str] = {}
+    local_of: dict[tuple, str] = {}
     for j, coeffs in enumerate(coefficients):
-        terms = tuple([term(e, c, powers) for e, c in coeffs.items()])
-        total = local_of.get(terms)
+        items = tuple(coeffs.items())
+        total = local_of.get(items)
         if total is None:
+            terms = [term(e, c, powers) for e, c in items]
             total = zero
             for start in range(0, len(terms), _SUM_CHUNK):
                 sums.append(f"    v{j} = {total}" + "".join(terms[start:start + _SUM_CHUNK]))
                 total = f"v{j}"
-            local_of[terms] = total
+            local_of[items] = total
         values.append(total)
+    outer = set(bound or ())
     lines = [f"def _evaluate({params}):"]
-    lines += [f"    {name} = {power}" for name, power in powers.items()]
+    lines += [f"    {name} = {b}**{k}" for name, (b, k) in powers.items() if b not in outer]
     lines += sums
     lines.append(f"    return ({''.join(f'{v}, ' for v in values)}){suffix}")
+    if bound:
+        binds = [f"{name} = {b}**{k}" for name, (b, k) in powers.items() if b in outer]
+        lines = [f"def _bind({', '.join(bound)}):", *(f"    {line}" for line in binds),
+                 *(f"    {line}" for line in lines), "    return _evaluate"]
     namespace: dict = {"__builtins__": {}}
     exec(compile("\n".join(lines) + "\n", filename, "exec"), namespace)
-    return namespace["_evaluate"]
+    if bound is None:
+        return namespace["_evaluate"]
+    return namespace["_bind"] if bound else lambda: namespace["_evaluate"]
 
 
-def float_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):
+def float_evaluator(
+    variables: Sequence[str], polys: Sequence[Polynomial], frozen: Sequence[int] | None = None
+):
     """Compile ``polys`` once into a straight-line function of the n float
     coordinates that returns every polynomial's float value as a tuple.
 
@@ -318,17 +342,28 @@ def float_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):
     because rounding is sign-symmetric; every power with k > 1 is still
     evaluated, so one that overflows raises the same OverflowError.  The
     generated source holds only ``repr(float(c))`` literals, the names
-    x0..x{n-1}, p{i}_{k} and v0.., operators and int exponents."""
+    x0..x{n-1}, p{i}_{k} and v0.., operators and int exponents.
+
+    ``frozen``, a sequence of coordinate indices (possibly empty), is for
+    coordinates that hold one value over many evaluations.  The result is
+    then ``bind(*their values)``, in index order, which evaluates their
+    powers once and returns the evaluator of the other coordinates, in
+    index order.  Its values are those of the evaluator without
+    ``frozen`` at the same point, bit for bit, and a frozen power that
+    overflows raises its OverflowError at the bind."""
 
     def term(e, c, powers):
         factors = [_power(f"p{i}_{k}", f"x{i}", k, powers) for i, k in enumerate(e) if k]
-        value = float(c)
-        return _term(value, repr(value), factors)
+        return _term(c, repr(c), factors)
 
     _check_vars(variables, polys)
-    params = ", ".join(f"x{i}" for i in range(len(variables)))
-    coefficients = [p.terms for p in polys]
-    return _compile_sums(coefficients, params, term, "0.0", "", "<float_evaluator>")
+    held = set(frozen or ())
+    params = ", ".join(f"x{i}" for i in range(len(variables)) if i not in held)
+    bound = None if frozen is None else [f"x{i}" for i in sorted(held)]
+    # float coefficients, so that polynomials whose coefficients round alike
+    # share one sum
+    coefficients = [{e: float(c) for e, c in p.terms.items()} for p in polys]
+    return _compile_sums(coefficients, params, term, "0.0", "", "<float_evaluator>", bound)
 
 
 def exact_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):

@@ -80,8 +80,15 @@ def test_cocommutator_stores_only_its_dual(so3):
         ({3: {(0, 1): 1}}, r"bracket \(0,1\) has a term on index 3, outside 0..2"),
         ({-1: {(0, 1): 1}}, r"bracket \(0,1\) has a term on index -1, outside 0..2"),
         ({"Z": {(0, 1): 1}}, r"unknown basis label 'Z' \(basis: J1, J2, J3\)"),
+        ({1.0: {(0, 1): 1}}, r"bracket \(0,1\) has a term on index 1.0, not an int"),
+        ({0: {(0.0, 1): 1}}, r"bracket key \(0.0, 1\) must be a pair of ints"),
+        ({0: {(0, 1, 2): 1}}, r"bracket key \(0, 1, 2\) must be a pair of ints"),
+        ({0: {("J1", "J2"): 1}}, r"bracket key \('J1', 'J2'\) must be a pair of ints"),
     ],
-    ids=["reversed-key", "key-off-basis", "index-3", "index-minus-1", "unknown-label"],
+    ids=[
+        "reversed-key", "key-off-basis", "index-3", "index-minus-1", "unknown-label",
+        "float-index", "float-key", "triple-key", "label-key",
+    ],
 )
 def test_from_images_rejects_a_key_or_an_image_off_the_basis(so3, table, message):
     with pytest.raises(ValueError, match=message) as err:

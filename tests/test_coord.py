@@ -641,36 +641,60 @@ def test_rk4_carried_divergence_is_bit_identical(comp):
 
 
 @pytest.mark.parametrize(
-    "case, log_density, div_calls",
+    "case, log_density, check_calls",
     [
-        ("compartmental", None, 1),
-        ("canonical2d", None, 1),
-        ("su2", None, 1 + 2 * 10),  # constrained: the drift is read every step
+        ("compartmental", None, 0),  # no divergence evaluator is compiled
+        ("canonical2d", None, 0),
+        ("su2", None, 1 + 10),  # the constraints, at the start and after each step
         ("compartmental", "x2", 1 + 2 * 10),  # div + X(x2) is not zero
     ],
 )
-def test_rk4_flow_skips_a_zero_divergence(monkeypatch, case, log_density, div_calls):
-    # an unconstrained flow with zero divergence evaluated it after every
-    # half-step, though each value was 0.0; the start point is still checked
+def test_rk4_flow_skips_a_zero_divergence(monkeypatch, case, log_density, check_calls):
+    # a zero divergence is never evaluated: an unconstrained flow compiles
+    # only its field, and su2, whose field evaluates x**2 and y**2, reads
+    # its constraints only at the start and after each step
     calls = []
 
-    def counting(variables, polys):
-        evaluate = float_evaluator(variables, polys)
+    def counting(variables, polys, frozen=None):
+        bind = float_evaluator(variables, polys, frozen)
         calls.append(0)
         j = len(calls) - 1
 
-        def counted(*point):
-            calls[j] += 1
-            return evaluate(*point)
+        def counted_bind(*held):
+            evaluate = bind(*held)
 
-        return counted
+            def counted(*point):
+                calls[j] += 1
+                return evaluate(*point)
+
+            return counted
+
+        return counted_bind
 
     monkeypatch.setattr(coord, "float_evaluator", counting)
     b = catalog.build_model(case, 1)
     rho = None if log_density is None else Polynomial.variable(b.model.vars, log_density)
     trace = rk4_flow(b.model, b.hamiltonian, b.flow_start, T=0.01, dt=1e-3, log_density=rho)
-    assert calls == [8 * 10, div_calls]
+    assert calls == [8 * 10] + ([check_calls] if check_calls else [])
     assert len(trace.div_integral) == 11
+
+
+def test_rk4_loop_cache_keys_are_shape_only(monkeypatch):
+    # the cached step loops are keyed by shape (frozen mask, constraint
+    # count, zero divergence, dropped midpoint), never by model data
+    keys, loop = [], coord._rk4_loop
+    monkeypatch.setattr(coord, "_rk4_loop", lambda *key: keys.append(key) or loop(*key))
+    for case in ("su2", "compartmental", "canonical2d"):
+        b = catalog.build_model(case, 1)
+        rk4_flow(b.model, b.hamiltonian, b.flow_start, T=0.01, dt=1e-3)
+    assert keys == [
+        ((False, False, True, True), 1, True, True),
+        ((False, False, False), 0, True, False),
+        ((False, False), 0, True, False),
+    ]
+    for key in keys:
+        flat = [v for part in key for v in (part if type(part) is tuple else (part,))]
+        assert all(type(v) in (int, bool) for v in flat), key
 
 
 def test_rk4_constraint_drift_abort():
@@ -718,7 +742,13 @@ def _flow_problems(draw):
         expo = st.tuples(*[st.integers(0, max_degree)] * n)
         return Polynomial(names, draw(st.dictionaries(expo, _small_coeffs, max_size=max_terms)))
 
-    brackets = {(i, j): poly(2, 2) for i in range(n) for j in range(i + 1, n)}
+    # a Casimir coordinate brackets to zero with every other, so its field
+    # component is the zero polynomial and the step loop holds it frozen
+    casimirs = draw(st.sets(st.integers(0, n - 1), max_size=n)) if draw(st.booleans()) else set()
+    brackets = {
+        (i, j): poly(2, 2) if not casimirs & {i, j} else Polynomial(names)
+        for i in range(n) for j in range(i + 1, n)
+    }
     x0 = draw(st.tuples(*[_starts] * n))
     constraints = [q - q.eval(x0) for q in (poly(2, 3) for _ in range(draw(st.integers(0, 2))))]
     model = PolynomialPoissonModel("random", names, brackets, constraints=constraints)
@@ -727,6 +757,8 @@ def _flow_problems(draw):
     dt = draw(st.sampled_from([1e-3, 0.01, 0.05, 0.1, 0.3, 1.0, 3.0]))
     steps = draw(st.integers(0, 40))
     tolerance = draw(st.sampled_from([1e-6, 1e-2, math.inf]))
+    # a zero start coordinate may come in as -0.0
+    x0 = tuple(-0.0 if c == 0 and draw(st.booleans()) else c for c in x0)
     return model, h, x0, steps * dt, dt, log_density, tolerance
 
 
@@ -739,7 +771,81 @@ def test_rk4_flow_matches_list_based_reference(problem):
     kw = dict(log_density=rho, drift_tolerance=tol)
     want = _flow_outcome(lambda: rk4_reference(model, h, x0, T, dt, **kw))
     event(want[1].split(" at step")[0] if want[0] == "ValueError" else want[0])
+    event(f"frozen coordinates: {sum(c.is_zero() for c in hamiltonian_vf(model, h).components)}")
     assert _rk4_outcome(model, h, x0, T, dt, **kw) == want
+
+
+def _casimir_model(constraint=None):
+    """{a, b} = c + c**2 on (a, b, c): c is a Casimir, frozen in every flow,
+    and its first power and its square enter the field.  ``constraint``, a
+    function of the coordinates a, b, c, gives the model's one constraint."""
+    v = ("a", "b", "c")
+    a, b, c = (Polynomial.variable(v, name) for name in v)
+    constraints = [] if constraint is None else [constraint(a, b, c)]
+    model = PolynomialPoissonModel("casimir", v, {(0, 1): c + c * c}, constraints=constraints)
+    return model, a * a + b * b * b
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {},
+        {"log_density": lambda a, b, c: a},  # the divergence X(a) is not zero
+        {"constraint": lambda a, b, c: c * c * c},  # a frozen power, bound once
+    ],
+    ids=["plain", "density", "constraint"],
+)
+@pytest.mark.parametrize(
+    "frozen_start, kind",
+    [(-0.0, "ok"), (math.inf, "ValueError"), (-math.inf, "ValueError"), (math.nan, "ValueError")],
+    ids=["minus-zero", "inf", "minus-inf", "nan"],
+)
+def test_rk4_flow_frozen_start_matches_reference(frozen_start, kind, extra):
+    # a frozen -0.0 is recorded as 0.0 from step 1 on, and a frozen inf or
+    # nan aborts at step 1 (or, where the constraint is inf, at the start),
+    # as in the list-based loop
+    model, h = _casimir_model(extra.get("constraint"))
+    rho = extra["log_density"](*map(model.variable, model.vars)) if "log_density" in extra else None
+    x0 = (0.0, 0.5, frozen_start)
+    want = _flow_outcome(lambda: rk4_reference(model, h, x0, 0.05, 0.01, log_density=rho))
+    assert want[0] == kind
+    assert _rk4_outcome(model, h, x0, 0.05, 0.01, log_density=rho) == want
+
+
+def test_rk4_flow_violated_start_raises_before_a_frozen_power_overflows():
+    # c**2 overflows at c = 1e200, but only the field evaluates it: the start
+    # check comes first and raises ValueError
+    model, h = _casimir_model(lambda a, b, c: a)
+    x0 = (1.0, 0.5, 1e200)
+    want = _flow_outcome(lambda: rk4_reference(model, h, x0, 0.05, 0.01))
+    assert want == ("ValueError", "initial point violates the constraints")
+    assert _rk4_outcome(model, h, x0, 0.05, 0.01) == want
+
+
+def test_rk4_flow_keeps_the_midpoint_call_for_a_power_the_field_lacks():
+    # a' = -C a, b' = C b: a linear field that grows b by about 1e250 a
+    # half-step.  The constraint b**4 - 1 overflows at the first midpoint;
+    # the field evaluates no power of b, so only that call raises: without
+    # it the step would end on b = inf and abort on a non-finite state
+    v = ("a", "b")
+    a, b = (Polynomial.variable(v, name) for name in v)
+    model = PolynomialPoissonModel(
+        "linear", v, {(0, 1): Polynomial.constant(v, 1)}, constraints=[b**4 - 1]
+    )
+    h = -(10**63) * a * b
+    kw = dict(drift_tolerance=math.inf)
+    want = _flow_outcome(lambda: rk4_reference(model, h, (0, 1), 2.0, 1.0, **kw))
+    assert want[0] == "OverflowError"
+    assert _rk4_outcome(model, h, (0, 1), 2.0, 1.0, **kw) == want
+
+
+def test_rk4_flow_su2_from_a_signed_zero_start():
+    # z and t are frozen; z starts at -0.0 and is 0.0 from step 1 on
+    su2 = catalog.build_model("su2", 1)
+    x0 = (1.0, 0.0, -0.0, 0.0)
+    want = _flow_outcome(lambda: rk4_reference(su2.model, su2.hamiltonian, x0, 0.1, 1e-3))
+    assert want[0] == "ok" and want[1][1][3] == (0.0).hex()
+    assert _rk4_outcome(su2.model, su2.hamiltonian, x0, 0.1, 1e-3) == want
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,24 @@ def test_bracket_image_off_the_basis_is_rejected(den, k):
         LieAlgebra(("a", "b"), {(0, 1): {k: 1}}, den)
 
 
+@pytest.mark.parametrize(
+    "brackets, message",
+    [
+        ({(0, 1, 2): {0: 1}}, r"bracket key \(0, 1, 2\) must be a pair of ints"),
+        ({("a", "b"): {0: 1}}, r"bracket key \('a', 'b'\) must be a pair of ints"),
+        ({(0.0, 1): {0: 1}}, r"bracket key \(0.0, 1\) must be a pair of ints"),
+        ({0: {0: 1}}, r"bracket key 0 must be a pair of ints"),
+        ({(0, 1): {2.0: 1}}, r"bracket \(0,1\) has a term on index 2.0, not an int"),
+        ({(0, 1): {"a": 1}}, r"bracket \(0,1\) has a term on index 'a', not an int"),
+    ],
+    ids=["triple", "str-pair", "float-pair", "int", "float-index", "str-index"],
+)
+def test_bracket_key_that_is_not_an_int_is_rejected(brackets, message):
+    with pytest.raises(ValueError, match=message) as err:
+        LieAlgebra(("a", "b", "c"), brackets)
+    assert "\n" not in str(err.value)
+
+
 def test_unknown_label_is_named(so3):
     message = r"unknown basis label 'Z' \(basis: J1, J2, J3\)"
     for read in (so3.index, so3.basis_vector, lambda z: so3.subalgebra([z])):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poishom import poly
 from poishom.poly import Polynomial, exact_evaluator, float_evaluator, poly_sum
 
 from float_reference import eval_float
@@ -271,6 +272,42 @@ def test_float_evaluator_matches_interpretive_loop(polys, point):
         assert _outcome(lambda: [p.eval_float(point)]) == single
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(float_polys, max_size=4),
+    st.tuples(coordinates, coordinates, coordinates),
+    st.sets(st.integers(0, 2)),
+)
+def test_float_evaluator_with_frozen_coordinates_matches_plain(polys, point, frozen):
+    # bound once, then evaluated on the other coordinates: the same bits, or
+    # the same OverflowError, raised at the bind for a frozen power
+    def run():
+        bind = float_evaluator(V, polys, frozen)
+        evaluate = bind(*[c for i, c in enumerate(point) if i in frozen])
+        return evaluate(*[c for i, c in enumerate(point) if i not in frozen])
+
+    assert _outcome(run) == _outcome(lambda: float_evaluator(V, polys)(*point))
+
+
+def test_float_evaluator_binds_frozen_powers_once():
+    p = Polynomial(V, {(2, 0, 3): 2, (1, 1, 4): 1, (0, 0, 1): -1})
+    bind = float_evaluator(V, [p], frozen=[2])
+    evaluate = bind(0.5)
+    # z**3 and z**4 are computed in the bind; the evaluator powers only x
+    ops = list(dis.get_instructions(evaluate.__code__))
+    powers = [
+        (base.argval, exponent.argval)
+        for base, exponent, op in zip(ops, ops[1:], ops[2:])
+        if op.opname == "BINARY_OP" and op.argrepr == "**"
+    ]
+    assert powers == [("x0", 2)]
+    assert evaluate(1.5, -2.0) == float_evaluator(V, [p])(1.5, -2.0, 0.5)
+    with pytest.raises(OverflowError):
+        bind(1e100)
+    # with nothing frozen the bind returns the plain evaluator
+    assert float_evaluator(V, [p], frozen=[])()(1.5, -2.0, 0.5) == evaluate(1.5, -2.0)
+
+
 def test_float_evaluator_edge_cases():
     zero = Polynomial.zero(V)
     assert float_evaluator(V, [zero])(1.0, 2.0, 3.0) == (0.0,)
@@ -452,6 +489,36 @@ def _value_stores(code):
         for op in dis.get_instructions(code)
         if op.opname == "STORE_FAST" and op.argval.startswith("v")
     ]
+
+
+@pytest.mark.parametrize("compile_", [float_evaluator, exact_evaluator])
+def test_repeated_polynomial_generates_its_terms_once(monkeypatch, compile_):
+    # a repeat is recognised from its coefficient items, before its terms
+    # are generated
+    calls = []
+    term = poly._term
+    monkeypatch.setattr(poly, "_term", lambda *a: calls.append(0) or term(*a))
+    p = x() * y() - Fraction(1, 3) * z() ** 2 + 2
+    compile_(V, [p, p * 1, p])
+    assert len(calls) == len(p.terms)
+
+
+def test_float_equal_coefficients_share_one_sum():
+    # coefficients that round to the same float, and the two signs of an
+    # underflowed coefficient, give one statement and the values of each
+    # polynomial evaluated alone, at every point
+    tiny = Fraction(1, 10**400)
+    polys = [
+        Polynomial(V, {(1, 0, 0): Fraction(1, 3), (0, 1, 0): tiny}),
+        Polynomial(V, {(1, 0, 0): Fraction(1, 3) + tiny, (0, 1, 0): -tiny}),
+    ]
+    evaluate = float_evaluator(V, polys)
+    assert _value_stores(evaluate.__code__) == ["v0"]
+    points = [(0.75, -1.5, 2.0), (1.0, math.inf, 0.0), (1.0, -math.inf, 0.0), (1.0, math.nan, 0.0)]
+    for point in points:
+        got = [_bits(v) for v in evaluate(*point)]
+        assert got == [_bits(float_evaluator(V, [r])(*point)[0]) for r in polys]
+        assert got == [_bits(eval_float(r, point)) for r in polys]
 
 
 def test_repeated_polynomials_get_one_statement_each():
