@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, homspace, verify
+from .bialgebra import _named
 from .coord import (
     ConstraintDriftError,
     divergence,
@@ -114,7 +115,11 @@ def cmd_analyze(args) -> int:
     eta = _parse_eta(args.eta)
     if args.file:
         with _open(args.target, "r") as fh:
-            S = parse_spec_text(fh.read(), eta=eta).build_homspace(name=args.target)
+            doc = parse_spec_text(fh.read(), eta=eta)
+        g = doc.build_algebra()
+        if (bad := g.jacobi_check()) is not None:
+            raise ValueError(f"algebra fails the Jacobi identity at {_named(bad, g)}")
+        S = doc.build_homspace(name=args.target)
         anchors = [f"file:{args.target}"]
     else:
         try:
@@ -136,6 +141,12 @@ def cmd_tables(args) -> int:
     if args.golden:
         with _open(args.golden, "r") as fh:
             golden = json.load(fh)
+        if not isinstance(golden, dict) or not all(
+            isinstance(t := golden.get(s, {}), dict)
+            and all(isinstance(row, dict) for row in t.values())
+            for s in ("table1", "table2")
+        ):
+            raise ValueError(f"{args.golden}: table1 and table2 must be objects of row objects")
     else:
         golden = verify.load_golden()
     rows, failures = [], []
@@ -194,14 +205,19 @@ def cmd_dynamics(args) -> int:
             print(f"note: {args.case} integrates no flow; no trace written", file=sys.stderr)
     else:
         # --out is opened before the first step: an unwritable path costs no run
-        with _open(args.out, "w") if args.out else contextlib.nullcontext() as sink:
-            try:
-                trace = rk4_flow(model, h, bundle.flow_start, T=args.T, dt=args.dt)
-            except (ConstraintDriftError, ValueError, OverflowError) as exc:
-                print(f"integrator abort: {exc}", file=sys.stderr)
-                return EXIT_VERIFICATION
-            if sink:
-                sink.write(trace.csv())
+        try:
+            with _open(args.out, "w") if args.out else contextlib.nullcontext() as sink:
+                try:
+                    trace = rk4_flow(model, h, bundle.flow_start, T=args.T, dt=args.dt)
+                except (ConstraintDriftError, ValueError, OverflowError) as exc:
+                    print(f"integrator abort: {exc}", file=sys.stderr)
+                    return EXIT_VERIFICATION
+                if sink:
+                    sink.write(trace.csv())
+        except BrokenPipeError:  # --out is a pipe its reader closed, as for stdout
+            raise
+        except OSError as exc:  # the write or the close of --out failed
+            raise ValueError(f"cannot write {args.out}: {exc}") from None
         out["div_integral"] = trace.final_div_integral()
         out["max_constraint_drift"] = trace.max_drift()
         out["verdict"] = "volume preserved" if out["divergence_zero"] else "no preserved volume"

@@ -63,28 +63,34 @@ def test_analyze_bad_file(tmp_path, capsys):
 
 SPEC_ALGEBRA = "[algebra]\nbasis: J1 J2 J3\n{b12}\nJ2,J3 -> 1 J1\nJ3,J1 -> 1 J2\n"
 SPEC_REST = "[rmatrix]\n1 eta J1^J2\n[subalgebra]\n{sub}\n"
+ZERO = "zero denominator"
 
 
 @pytest.mark.parametrize(
-    "text, line",
+    "text, line, message",
     [
         # a [subalgebra] coefficient
-        (SPEC_ALGEBRA.format(b12="J1,J2 -> 1 J3") + SPEC_REST.format(sub="1/0 J3"), 9),
+        (SPEC_ALGEBRA.format(b12="J1,J2 -> 1 J3") + SPEC_REST.format(sub="1/0 J3"), 9, ZERO),
         # an [algebra] bracket coefficient
-        (SPEC_ALGEBRA.format(b12="J1,J2 -> 3/0 J3") + SPEC_REST.format(sub="J3"), 3),
-        # a [coordinate_model] base point
-        ("[coordinate_model]\nvariables: x y\nbase: 1/0 0\n", 3),
+        (SPEC_ALGEBRA.format(b12="J1,J2 -> 3/0 J3") + SPEC_REST.format(sub="J3"), 3, ZERO),
+        # a [coordinate_model] base point: no such section exists, so its header is refused
+        ("[coordinate_model]\nvariables: x y\nbase: 1/0 0\n", 1, "unknown section"),
     ],
     ids=["subalgebra", "algebra-bracket", "model-base"],
 )
-def test_spec_zero_denominator_is_an_input_error(tmp_path, capsys, text, line):
+def test_spec_zero_denominator_is_an_input_error(tmp_path, capsys, text, line, message):
     path = tmp_path / "zero.spec"
     path.write_text(text, encoding="utf-8")
     assert run(["analyze", str(path), "--file"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"input error: line {line}:") and captured.err.count("\n") == 1
-    assert "zero denominator" in captured.err
+    assert message in captured.err
+
+
+NON_LIE = (
+    "[algebra]\nbasis: X1 X2 X3\nX1,X2 -> 1 X3\nX1,X3 -> 1 X1\n[delta]\n{delta}[subalgebra]\nX2\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -102,8 +108,15 @@ def test_spec_zero_denominator_is_an_input_error(tmp_path, capsys, text, line):
             "[delta]\nX1 -> 1 X1^X2\nX2 -> 1 X2^X3\nX3 -> 1 X1^X3\n[subalgebra]\nX1\n",
             "dual constants fail the Jacobi identity at (X^1, X^2, X^3) = (0, 1, 2)",
         ),
+        # g is no Lie algebra: the Jacobiator of (X1, X2, X3) is [X2, [X3, X1]] = X3
+        (NON_LIE.format(delta=""), "algebra fails the Jacobi identity at (X1, X2, X3) = (0, 1, 2)"),
+        # the same g with a delta that is no cocycle: g is reported first
+        (
+            NON_LIE.format(delta="X3 -> 1 X1^X2\n"),
+            "algebra fails the Jacobi identity at (X1, X2, X3) = (0, 1, 2)",
+        ),
     ],
-    ids=["cocycle", "dual-jacobi"],
+    ids=["cocycle", "dual-jacobi", "g-jacobi", "g-jacobi-before-cocycle"],
 )
 def test_invalid_bialgebra_names_the_basis_elements(tmp_path, capsys, text, message):
     path = tmp_path / "delta.spec"
@@ -208,6 +221,32 @@ def test_tables_unreadable_golden(tmp_path):
     assert run(["tables", "--golden", str(tmp_path / "missing.json")]) == 2
 
 
+def test_tables_golden_that_is_not_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text('{"table1": ', encoding="utf-8")
+    assert run(["tables", "--golden", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("input error: Expecting value")
+
+
+@pytest.mark.parametrize(
+    "golden",
+    [[], {"table1": {"subgroup-sphere": 3}}, {"table2": []}, {"table1": {}, "table2": "rows"}],
+    ids=["list", "row-not-object", "table-not-object", "table-is-text"],
+)
+def test_tables_badly_shaped_golden_is_an_input_error(tmp_path, capsys, golden):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden), encoding="utf-8")
+    assert run(["tables", "--golden", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: {path}: table1 and table2 must be objects of row objects\n"
+    )
+
+
 def test_dynamics_compartmental(tmp_path, capsys):
     out_csv = tmp_path / "trace.csv"
     assert run(
@@ -230,6 +269,18 @@ def test_dynamics_unwritable_out_exits_before_integrating(tmp_path, capsys, monk
     assert captured.out == "" and not steps
     (line,) = captured.err.splitlines()
     assert line.startswith("input error:") and str(bad) in line
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("T", ["0.01", "2"], ids=["fails-on-close", "fails-on-write"])
+def test_dynamics_out_write_failure_is_an_input_error(capsys, T):
+    # a short trace fits the file buffer and fails when it is flushed on close
+    assert run(["dynamics", "canonical2d", "--T", T, "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: cannot write /dev/full: [Errno 28] No space left on device\n"
+    )
 
 
 def test_dynamics_out_without_a_flow_says_so(tmp_path, capsys):

@@ -517,6 +517,27 @@ def test_model_rejects_a_base_point_of_the_wrong_length():
     assert PolynomialPoissonModel("ok", v, {(0, 1): x * y}, base_point=(0, 0)).base_point == (0, 0)
 
 
+def test_model_base_point_constraint_enforced():
+    v = ("x", "y")
+    x, y = (Polynomial.variable(v, n) for n in v)
+    circle = x * x + y * y - Polynomial.constant(v, 1)
+    with pytest.raises(ValueError, match="base point violates a constraint"):
+        PolynomialPoissonModel("off", v, {(0, 1): x}, constraints=[circle], base_point=(1, 1))
+    on = PolynomialPoissonModel("on", v, {(0, 1): x}, constraints=[circle], base_point=(1, 0))
+    assert on.constraints == (circle,)
+
+
+def test_poisson_lie_flag_enforced_at_base():
+    v = ("x", "y")
+    x = Polynomial.variable(v, "x")
+    one = Polynomial.constant(v, 1)
+    with pytest.raises(ValueError, match="bracket does not vanish at the base point"):
+        PolynomialPoissonModel("bad", v, {(0, 1): one}, base_point=(0, 0), poisson_lie=True)
+    # a bracket vanishing at the base point, or a model that is not Poisson-Lie
+    PolynomialPoissonModel("ok", v, {(0, 1): x}, base_point=(0, 0), poisson_lie=True)
+    PolynomialPoissonModel("plain", v, {(0, 1): one}, base_point=(0, 0))
+
+
 def test_multiplicativity_requires_data(comp):
     with pytest.raises(ValueError):
         multiplicativity_spotcheck(comp.model, pairs=1, rng=random.Random(0))

@@ -1,5 +1,4 @@
 import io
-import itertools
 import os
 import re
 import tempfile
@@ -12,14 +11,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from poishom import catalog
 from poishom.cli import run
 from poishom.homspace import classification_row
-from poishom.poly import Polynomial
-from poishom.specfile import (
-    CoordinateModelDoc,
-    SpecDocument,
-    SpecParseError,
-    parse_spec_text,
-    serialize_spec,
-)
+from poishom.specfile import SpecDocument, SpecParseError, parse_spec_text, serialize_spec
 
 MU_PLANE = """\
 # two-dimensional quotient of the three-dimensional solvable group
@@ -50,13 +42,12 @@ J3,J1 -> 1 J2
 J3
 """
 
+# a coordinate-model section, which the format does not have: catalog
+# models carry their Hamiltonian, start point and frames in code
 MODEL = """\
 [coordinate_model]
 variables: x1 x2 x3
 base: 1 0 0
-poisson_lie: yes
-x1,x2 -> 1 x1 + -1
-x2,x3 -> 1 x3
 """
 
 
@@ -110,8 +101,8 @@ def test_unknown_label_diagnostic():
 
 
 def test_non_rational_literal_rejected():
-    text = "[coordinate_model]\nvariables: x y\nbase: 0.5 0\n"
-    with pytest.raises(SpecParseError, match="rational"):
+    text = "[algebra]\nbasis: a b\na,b -> 0.5 a\n"
+    with pytest.raises(SpecParseError, match="line 3: expected a rational"):
         parse_spec_text(text)
 
 
@@ -125,64 +116,8 @@ def test_content_before_section_rejected():
         parse_spec_text("basis: a b\n")
 
 
-def test_coordinate_model_build_and_dynamics():
-    doc = parse_spec_text(MODEL)
-    model = doc.build_model("compartmental")
-    from poishom.coord import divergence, hamiltonian_vf
-    from poishom.poly import Polynomial
-
-    h = (
-        Polynomial.variable(model.vars, "x1")
-        + Polynomial.variable(model.vars, "x2")
-        + Polynomial.variable(model.vars, "x3")
-    )
-    X = hamiltonian_vf(model, h)
-    assert divergence(model, X).is_zero()
-    assert X.eval((1, 1, 1)) == (0, -1, 1)
-
-
-def test_model_base_point_constraint_enforced():
-    text = (
-        "[coordinate_model]\nvariables: x y\nbase: 1 1\n"
-        "constraint: 1 x^2 + 1 y^2 + -1\nx,y -> 1 x\n"
-    )
-    doc = parse_spec_text(text)
-    with pytest.raises(ValueError, match="constraint"):
-        doc.build_model()
-
-
-def test_poisson_lie_flag_enforced_at_base():
-    text = "[coordinate_model]\nvariables: x y\nbase: 0 0\npoisson_lie: yes\nx,y -> 1\n"
-    # constant nonzero bracket cannot vanish at the base point
-    with pytest.raises(SpecParseError):
-        parse_spec_text(text + "bad\n")
-    doc = parse_spec_text(
-        "[coordinate_model]\nvariables: x y\nbase: 0 0\npoisson_lie: yes\nx,y -> 1 x\n"
-    )
-    doc.build_model()  # vanishing bracket at base: fine
-    bad = parse_spec_text(
-        "[coordinate_model]\nvariables: x y\nbase: 0 0\npoisson_lie: yes\nx,y -> 1\n"
-    )
-    with pytest.raises(ValueError, match="vanish"):
-        bad.build_model()
-
-
-def test_mult_and_field_sections():
-    text = (
-        "[coordinate_model]\nvariables: x y\nbase: 0 0\n"
-        "x,y -> 1 x\n"
-        "mult x: 1 x + 1 x'\n"
-        "mult y: 1 y + 1 y'\n"
-        "field probe: 1 y, -1 x\n"
-    )
-    doc = parse_spec_text(text)
-    model = doc.build_model()
-    assert model.group_mult is not None
-    assert len(doc.model.fields["probe"]) == 2
-
-
 def test_round_trip_identity():
-    for text in (MU_PLANE, SPHERE, MODEL):
+    for text in (MU_PLANE, SPHERE):
         doc = parse_spec_text(text)
         again = parse_spec_text(serialize_spec(doc))
         assert again == doc
@@ -234,7 +169,8 @@ def test_second_basis_line_rejected():
         (MU_PLANE + "[delta]\n", 13, r"\[delta\] section given twice"),
         (SPHERE + "[rmatrix]\n1 J2^J3\n", 12, r"\[rmatrix\] section given twice"),
         (SPHERE + "[subalgebra]\nJ1\n", 12, r"\[subalgebra\] section given twice"),
-        (MODEL + MODEL, 7, r"\[coordinate_model\] section given twice"),
+        # no coordinate-model section exists: its first header is refused
+        (MODEL + MODEL, 1, "unknown section 'coordinate_model'"),
     ],
     ids=["delta-after-rmatrix", "rmatrix-after-delta", "delta", "rmatrix", "subalgebra", "model"],
 )
@@ -249,6 +185,18 @@ def test_conflicting_section_headers_rejected(tmp_path, capsys, text, line, mess
     assert captured.err.startswith(f"input error: line {line}:")
 
 
+def test_coordinate_model_header_is_an_unknown_section(tmp_path, capsys):
+    text = MU_PLANE + MODEL
+    with pytest.raises(SpecParseError, match="^line 13: unknown section 'coordinate_model'$"):
+        parse_spec_text(text)
+    path = tmp_path / "model.spec"
+    path.write_text(text, encoding="utf-8")
+    assert run(["analyze", str(path), "--file"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: line 13: unknown section 'coordinate_model'\n"
+
+
 # ---------------------------------------------------------------------------
 # mutated spec text: every input is parsed or refused with one input error
 # ---------------------------------------------------------------------------
@@ -258,14 +206,13 @@ _FUZZ_TOKENS = (
     "#", "[", "]", "->", "X1 ->", "-> 1 X1", "X9", "X1^X1", "J1^J2^J3", "1 X1 + 1 X1", "0 X1",
     "X1,X1 ->", "X1,X2 -> 1 X1^X2", "X3 -> 0", "X3 -> 1 X3^X3", "basis:", "basis: X1",
     "basis: X1 X2 X3 X4", "[algebra]", "[delta]", "[rmatrix]", "[subalgebra]",
-    "[coordinate_model]", "variables: x", "base: 1 0", "x1^", "x1^99", "mult x1: 1 x1",
-    "field f: 1 x1",
+    "[coordinate_model]", "X1^", "X1^X2 + 1",
 )
 
 
 @st.composite
 def _mutated_specs(draw):
-    lines = draw(st.sampled_from([MU_PLANE, SPHERE, MODEL + "\n" + MU_PLANE])).splitlines()
+    lines = draw(st.sampled_from([MU_PLANE, SPHERE])).splitlines()
     for _ in range(draw(st.integers(1, 4))):
         op = draw(st.sampled_from(["delete", "duplicate", "replace token", "insert", "edit"]))
         i = draw(st.integers(0, len(lines) - 1))
@@ -317,23 +264,15 @@ def test_mutated_spec_text_exits_cleanly(text):
 # keyed lines: a second line with another value is refused at its line
 # ---------------------------------------------------------------------------
 
-MODEL_FULL = MODEL + "mult x1: 1 x1 + 1 x1'\nfield probe: 1 x2, -1 x1, 0\n"
-
-
 @pytest.mark.parametrize(
     "text, line, key",
     [
         # the second image would silently replace the first (delta = 0)
         (MU_PLANE.replace("X3 -> 1 X1^X2\n", "X3 -> 1 X1^X2\nX3 -> 0\n"), 10, "delta image of X3"),
-        # the polynomials read so far index the first variable list
-        (MODEL_FULL.replace("base:", "variables: x y\nbase:"), 3, "variables"),
-        (MODEL_FULL + "base: 0 0 1\n", 9, "base"),
-        (MODEL_FULL + "poisson_lie: no\n", 9, "poisson_lie"),
-        (MODEL_FULL + "mult x1: 1 x1' + 1 x1\nmult x1: 1 x1\n", 10, "mult x1"),
-        (MODEL_FULL + "field probe: 0, 0, 0\n", 9, "field probe"),
-        (MODEL_FULL + "x3,x2 -> 1 x3\n", 9, "model bracket pair x2,x3"),
+        # X3,X2 -> -1 X2 reads as X2,X3 -> 1 X2, against line 6
+        (MU_PLANE.replace("-1 X2\n", "-1 X2\nX3,X2 -> -1 X2\n"), 7, "bracket pair X2,X3"),
     ],
-    ids=["delta", "variables", "base", "poisson_lie", "mult", "field", "model-bracket"],
+    ids=["delta", "bracket"],
 )
 def test_keyed_line_given_twice_with_another_value_rejected(text, line, key):
     with pytest.raises(SpecParseError, match=f"^line {line}: {key} given twice with inconsistent"):
@@ -356,14 +295,10 @@ def test_equal_keyed_lines_accepted():
     repeated = MU_PLANE.replace("basis: X1 X2 X3\n", "basis: X1 X2 X3\nbasis: X1 X2 X3\n")
     repeated = repeated.replace("X3 -> 1 X1^X2\n", "X3 -> 1 X1^X2\nX3 -> 1/2 X1^X2 + -1/2 X2^X1\n")
     assert parse_spec_text(repeated) == parse_spec_text(MU_PLANE)
-    doubled = "".join(
-        line + "\n" + (line + "\n" if ":" in line else "") for line in MODEL_FULL.splitlines()
-    )
-    assert parse_spec_text(doubled) == parse_spec_text(MODEL_FULL)
 
 
 # ---------------------------------------------------------------------------
-# one name rule for basis labels and model variables
+# one name rule for basis labels
 # ---------------------------------------------------------------------------
 
 
@@ -372,26 +307,12 @@ def test_equal_keyed_lines_accepted():
     [
         # eta always means the parameter: '1 eta' would read as 1 * eta
         ("[algebra]\nbasis: a eta\n", "eta"),
-        ("[coordinate_model]\nvariables: x eta\n", "eta"),
-        # '^' is a power or a wedge: 'x^2' would read as x squared
-        ("[coordinate_model]\nvariables: x x^2\n", "x^2"),
+        # '^' is a wedge: 'a^b' would read as a wedge b
         ("[algebra]\nbasis: a a^b\n", "a^b"),
-        # a prime names the second factor: x' would be both a variable and
-        # the second copy of x in mult lines
-        ("[coordinate_model]\nvariables: x x'\nmult x: 1 x'\n", "x'"),
         # '+' joins terms: 'J3,J+ -> 2 J+' would read J+ as J and an empty term
         ("[algebra]\nbasis: J3 J+ J-\nJ3,J+ -> 2 J+\n", "J+"),
-        ("[coordinate_model]\nvariables: x+y\n", "x+y"),
     ],
-    ids=[
-        "label-eta",
-        "variable-eta",
-        "variable-power",
-        "label-wedge",
-        "variable-prime",
-        "label-plus",
-        "variable-plus",
-    ],
+    ids=["label-eta", "label-wedge", "label-plus"],
 )
 def test_reserved_names_rejected(text, name):
     with pytest.raises(SpecParseError, match=f"^line 2: bad .* name {re.escape(repr(name))}"):
@@ -429,38 +350,10 @@ def _sparse(keys, min_size=0):
 
 
 @st.composite
-def _polynomials(draw, variables):
-    expos = [tuple(e) for e in itertools.product(range(3), repeat=len(variables))]
-    return Polynomial(variables, draw(_sparse(expos)))
-
-
-@st.composite
-def _model_docs(draw):
-    variables = tuple(draw(st.lists(st.sampled_from(["x", "y2", "z_t", "w-1"]), min_size=1,
-                                     max_size=3, unique=True)))
-    n, poly = len(variables), _polynomials(variables)
-    primed = variables + tuple(f"{v}'" for v in variables)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return CoordinateModelDoc(
-        variables=variables,
-        base_point=draw(st.none() | st.tuples(*[_COEFFS | st.just(Fraction(0))] * n)),
-        poisson_lie=draw(st.booleans()),
-        brackets=draw(st.dictionaries(st.sampled_from(pairs), poly, max_size=3)) if pairs else {},
-        constraints=draw(st.lists(poly, max_size=2)),
-        mult=draw(st.dictionaries(st.sampled_from(variables), _polynomials(primed), max_size=n)),
-        fields=draw(st.dictionaries(st.sampled_from(["probe", "left_chi", "f1"]),
-                                    st.tuples(*[poly] * n), max_size=2)),
-    )
-
-
-@st.composite
 def _spec_documents(draw):
-    n = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 4))
     labels = tuple(draw(st.lists(st.sampled_from(["X1", "X2", "J3", "a", "b'", "Q_12", "e-1"]),
                                  min_size=n, max_size=n, unique=True)))
-    model = draw(st.none() | _model_docs()) if labels else draw(_model_docs())
-    if not labels:
-        return SpecDocument(model=model)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     structure = draw(st.sampled_from(["none", "rmatrix"] + ["delta"] * bool(pairs)))
     return SpecDocument(
@@ -472,7 +365,6 @@ def _spec_documents(draw):
         if structure == "delta" else None,
         subalgebra=draw(st.none() | st.lists(st.lists(_COEFFS | st.just(Fraction(0)),
                                                       min_size=n, max_size=n), max_size=3)),
-        model=model,
     )
 
 
@@ -491,8 +383,8 @@ def test_generated_documents_round_trip(doc, eta):
     """parse(serialize(doc)) == doc at any eta, serialize is idempotent, and
     'c eta' r-matrix terms read as c times eta."""
     text = serialize_spec(doc)
-    sections = ["algebra"] * bool(doc.labels) + [
-        s for s in ("rmatrix", "delta", "subalgebra", "model") if getattr(doc, s) is not None
+    sections = ["algebra"] + [
+        s for s in ("rmatrix", "delta", "subalgebra") if getattr(doc, s) is not None
     ]
     event(" ".join(sections))
     again = parse_spec_text(text, eta=eta)
