@@ -23,7 +23,14 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .linalg import frac, integer_table
-from .poly import Polynomial, exact_evaluator, float_evaluator, poly_sum
+from .poly import (
+    Polynomial,
+    diff_terms,
+    exact_evaluator,
+    float_evaluator,
+    poly_sum,
+    scaled_evaluator,
+)
 
 # seed of the spot checks' random draws when the caller passes no rng
 SPOTCHECK_SEED = 5571
@@ -183,16 +190,19 @@ def jacobi_symbolic(
     model: PolynomialPoissonModel, rng=None, points: int = 100
 ) -> JacobiVerdict:
     """Jacobi identity of the bracket.  Unconstrained models are checked by
-    full symbolic expansion; constrained models at exact rational points on
-    the variety drawn from the model's sampler (with ``rng``, by default one
-    seeded with SPOTCHECK_SEED), failing on the first nonzero exact residual
-    (reported by its float magnitude).  Triples are visited in
-    ``itertools.combinations`` order, each Jacobiator expanded into one
-    exponent -> int dict over the integer-scaled table; the constrained
-    branch compiles all of them into one ``exact_evaluator``, unless every
-    one is the zero polynomial: then the identity holds everywhere, and the
+    full symbolic expansion; constrained models at ``points`` >= 1 exact
+    rational points on the variety drawn from the model's sampler (with
+    ``rng``, by default one seeded with SPOTCHECK_SEED), failing on the
+    first nonzero exact residual (reported by its float magnitude).  Triples
+    are visited in ``itertools.combinations`` order, each Jacobiator
+    expanded into one exponent -> int dict over the integer-scaled table;
+    the constrained branch evaluates all of them through one
+    ``exact_evaluator`` (planned once, no code generated), unless every one
+    is the zero polynomial: then the identity holds everywhere, and the
     branch only draws its ``points`` samples, leaving ``rng`` in the state
     the evaluation would."""
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points}")
     n = model.dim
     # the table times the lcm L of its denominators, with int coefficients;
     # a Jacobiator is quadratic in the table, so on the scaled table it is
@@ -202,10 +212,7 @@ def jacobi_symbolic(
     # nonzero entry; each entry is differentiated once
     pi, grads = {}, {}
     for (a, b), terms in table.items():
-        grad = [
-            {e[:l] + (e[l] - 1,) + e[l + 1:]: c * e[l] for e, c in terms.items() if e[l]}
-            for l in range(n)
-        ]
+        grad = [diff_terms(terms, l) for l in range(n)]
         pi[a, b], grads[a, b] = terms, grad
         pi[b, a] = {e: -c for e, c in terms.items()}
         grads[b, a] = [{e: -c for e, c in d.items()} for d in grad]
@@ -419,18 +426,25 @@ def hessian_at(
 def multiplicativity_spotcheck(
     model: PolynomialPoissonModel, pairs: int = 100, rng=None
 ) -> float:
-    """At random variety pairs (g, h): compare Pi(gh) with
+    """At ``pairs`` >= 1 random variety pairs (g, h): compare Pi(gh) with
     JL Pi(h) JL^T + JR Pi(g) JR^T, the Jacobians taken of the multiplication
     map in each argument, at pairs drawn with ``rng`` (by default one seeded
     with SPOTCHECK_SEED).  Also asserts Pi vanishes at the base point.
     Returns the float magnitude of the max absolute entry residual; the
     residuals are exact, so it is 0.0 exactly when every one vanishes.
 
-    Two ``exact_evaluator``s do the evaluation: one for the product and both
-    Jacobian blocks at (g, h), over the shared denominator Q_J, and one for
-    the table at g, h, gh and the base point (Q_g, Q_h, Q_gh).  Each residual
+    Two exact evaluators do the evaluation, planned once per call with no
+    code generated.  One (``poly.scaled_evaluator``) covers the product and
+    both Jacobian blocks at (g, h), over the shared denominator Q_J: the
+    product map is scaled to ints once, by the lcm L of its denominators,
+    and each Jacobian entry is differentiated on those ints (e -> e - 1_l,
+    c * e_l), which is L times the true derivative, so L and the degree are
+    those of the product.  The other (``poly.exact_evaluator``) covers the
+    table at g, h, gh and the base point (Q_g, Q_h, Q_gh).  Each residual
     times the positive Q_J^2 Q_h Q_g Q_gh is an int, decided on ints; a
     Fraction is built only for a nonzero one."""
+    if pairs < 1:
+        raise ValueError(f"pairs must be at least 1, got {pairs}")
     if model.group_mult is None:
         raise ValueError("model carries no group multiplication map")
     if model.sampler is None:
@@ -443,9 +457,14 @@ def multiplicativity_spotcheck(
     if model.base_point is not None and any(entries(*model.base_point)[0]):
         raise AssertionError("bracket does not vanish at the identity")
     mvars = model.group_mult[0].vars  # x-block then y-block
-    d_left = [m.diff(mvars[n + j]) for m in model.group_mult for j in range(n)]
-    d_right = [m.diff(mvars[j]) for m in model.group_mult for j in range(n)]
-    product_and_jacobians = exact_evaluator(mvars, [*model.group_mult, *d_left, *d_right])
+    if any(m.vars != mvars for m in model.group_mult):
+        raise ValueError("group multiplication over different variables")
+    scale, scaled = integer_table({a: m.terms for a, m in enumerate(model.group_mult)})
+    mult = list(scaled.values())
+    d_left = [diff_terms(m, n + j) for m in mult for j in range(n)]
+    d_right = [diff_terms(m, j) for m in mult for j in range(n)]
+    deg = max((m.degree() for m in model.group_mult), default=0)
+    product_and_jacobians = scaled_evaluator(len(mvars), scale, deg, [*mult, *d_left, *d_right])
 
     def times_pi(jac, pi):
         """J Pi, with Pi given by its table values (Pi[j][i] = -Pi[i][j])."""

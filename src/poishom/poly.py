@@ -9,23 +9,29 @@ polynomials is built in one dict (``poly_sum``, through ``accumulate``),
 with the terms, and their order, of the chained ``+``.
 ``Polynomial.eval`` is the exact value at one rational point.
 
-Code that evaluates a list of polynomials at many points compiles it once
-into generated straight-line code: ``exact_evaluator`` returns int
-numerators over one shared positive denominator, so the exact checks decide
-zero on ints and build a ``Fraction`` only for a value they report, and
-``float_evaluator`` returns floats, for the numerical integrators.  Both
-generate only the arithmetic a term needs: a first power is read as the
-coordinate itself, higher powers are bound once per call (or, for the
-coordinates a float evaluator is told are frozen, once per bind), a
-coefficient 1 or -1 is a sign, not a factor, and a polynomial whose
-coefficients (as the evaluator reads them) repeat an earlier one's reads
-that one's value.
+Code that evaluates a list of polynomials at many points prepares it once.
+``exact_evaluator`` returns int numerators over one shared positive
+denominator, so the exact checks decide zero on ints and build a
+``Fraction`` only for a value they report.  It generates no code: it plans
+the list once per call (each distinct power bound once per point, terms
+grouped by their number of factors, and a polynomial whose coefficients
+repeat an earlier one's planned once) and runs the plan at each point in
+``map`` passes over ``itemgetter`` columns, with no Python loop per term.
+``float_evaluator`` returns floats, for the numerical integrators; it
+compiles the list into generated straight-line code that holds only the
+arithmetic a term needs: a first power is read as the coordinate itself,
+higher powers are bound once per call (or, for the coordinates it is told
+are frozen, once per bind), a coefficient 1.0 or -1.0 is a sign, not a
+factor, and a polynomial whose float coefficients repeat an earlier one's
+reads that one's value.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, itemgetter, mul
 from typing import Sequence
 
 from .linalg import frac, integer_table
@@ -146,12 +152,7 @@ class Polynomial:
         return max((sum(e) for e in self.terms), default=0)
 
     def diff(self, var: str) -> "Polynomial":
-        i = _index(self.vars, var)
-        # e -> e - 1_i is injective, so every term lands on its own key
-        return Polynomial._trusted(
-            self.vars,
-            {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]},
-        )
+        return Polynomial._trusted(self.vars, diff_terms(self.terms, _index(self.vars, var)))
 
     def _check_point(self, point: Sequence) -> None:
         if len(point) != len(self.vars):
@@ -210,6 +211,14 @@ def _index(variables: tuple, name: str) -> int:
     return variables.index(name)
 
 
+def diff_terms(terms: dict, i: int) -> dict:
+    """The exponent -> coefficient map of the derivative in variable i of
+    the map ``terms`` (Fraction or int coefficients), in a new dict: e -> e -
+    1_i is injective, so every term lands on its own key, and a coefficient
+    times the int e_i scales exactly as the map does."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in terms.items() if e[i]}
+
+
 def accumulate(terms: dict, other: dict) -> dict:
     """Add the exponent -> coefficient map ``other`` into ``terms`` in place,
     in ``other``'s order, and return ``terms``: a new key goes to the end,
@@ -253,41 +262,39 @@ def _check_vars(variables, polys) -> None:
         raise ValueError("polynomial over different variables")
 
 
-def _power(name: str, base: str, k: int, powers: dict) -> str:
-    """The factor base**k of a generated term: ``base`` itself for k = 1,
-    else the local ``name``, registered in ``powers`` (as ``(base, k)``) to
-    be bound once."""
-    if k == 1:
-        return base
-    powers.setdefault(name, (base, k))
-    return name
-
-
-def _term(c, literal: str, factors: list) -> str:
-    """A generated term with its operator, ``" + literal * f * .."``; a unit
-    coefficient c = 1 or -1 before at least one factor is written as the
-    sign alone, ``" + f * .."`` or ``" - f * .."``."""
+def _term(e, c, powers: dict) -> str:
+    """The generated float term c x^e with its operator,
+    ``" + repr(c) * f * .."`` over the factors f of its nonzero exponents: a
+    first power x_i**1 is ``x{i}`` itself, and a higher one is the local
+    ``p{i}_{k}``, registered in ``powers`` (as ``(x{i}, k)``) to be bound
+    once.  A coefficient 1.0 or -1.0 before at least one factor is written
+    as the sign alone, ``" + f * .."`` or ``" - f * .."``."""
+    factors = []
+    for i, k in enumerate(e):
+        if k == 1:
+            factors.append(f"x{i}")
+        elif k:
+            name = f"p{i}_{k}"
+            powers.setdefault(name, (f"x{i}", k))
+            factors.append(name)
     if factors and (c == 1 or c == -1):
         return (" - " if c < 0 else " + ") + " * ".join(factors)
-    return " + " + " * ".join([literal, *factors])
+    return " + " + " * ".join([repr(c), *factors])
 
 
-def _compile_sums(
-    coefficients, params: str, term, zero: str, suffix: str, filename: str, bound=None
-):
-    """Generate and compile ``_evaluate(params)`` over a list of exponent ->
-    coefficient maps: each power that ``term`` registers in ``powers`` (local
-    name -> (base, k), see ``_power``) is bound once at the top, in
-    first-use order; map j is summed in its own order from ``zero`` into
-    v{j}, at most _SUM_CHUNK terms per statement, each term the signed
-    expression ``term(e, c, powers)`` (see ``_term``); the function returns
-    the tuple of the values, followed by ``suffix``, and runs with empty
-    builtins.  A map equal item for item to an earlier one gets no statement
-    of its own, and no call to ``term``: its value is the earlier local.
-    Equal items give the same expression over the same locals, which would
-    only recompute that value bit for bit; the one pair of equal but
-    distinct coefficients, the floats 0.0 and -0.0, give terms that are
-    +-0.0 or the same NaN, which a sum from 0.0 (never -0.0) adds alike.
+def _compile_sums(coefficients, params: str, bound=None):
+    """Generate and compile the float ``_evaluate(params)`` over a list of
+    exponent -> float coefficient maps: each power that ``_term`` registers
+    is bound once at the top, in first-use order; map j is summed in its own
+    order from 0.0 into v{j}, at most _SUM_CHUNK terms per statement, each
+    term ``_term(e, c, powers)``; the function returns the tuple of the
+    values and runs with empty builtins.  A map equal item for item to an
+    earlier one gets no statement of its own, and no call to ``_term``: its
+    value is the earlier local.  Equal items give the same expression over
+    the same locals, which would only recompute that value bit for bit; the
+    one pair of equal but distinct coefficients, 0.0 and -0.0, give terms
+    that are +-0.0 or the same NaN, which a sum from 0.0 (never -0.0) adds
+    alike.
 
     With ``bound`` (a sequence of parameter names, possibly empty) the
     result is instead ``_bind(bound)``, which binds the powers of those
@@ -302,8 +309,8 @@ def _compile_sums(
         items = tuple(coeffs.items())
         total = local_of.get(items)
         if total is None:
-            terms = [term(e, c, powers) for e, c in items]
-            total = zero
+            terms = [_term(e, c, powers) for e, c in items]
+            total = "0.0"
             for start in range(0, len(terms), _SUM_CHUNK):
                 sums.append(f"    v{j} = {total}" + "".join(terms[start:start + _SUM_CHUNK]))
                 total = f"v{j}"
@@ -313,13 +320,13 @@ def _compile_sums(
     lines = [f"def _evaluate({params}):"]
     lines += [f"    {name} = {b}**{k}" for name, (b, k) in powers.items() if b not in outer]
     lines += sums
-    lines.append(f"    return ({''.join(f'{v}, ' for v in values)}){suffix}")
+    lines.append(f"    return ({''.join(f'{v}, ' for v in values)})")
     if bound:
         binds = [f"{name} = {b}**{k}" for name, (b, k) in powers.items() if b in outer]
         lines = [f"def _bind({', '.join(bound)}):", *(f"    {line}" for line in binds),
                  *(f"    {line}" for line in lines), "    return _evaluate"]
     namespace: dict = {"__builtins__": {}}
-    exec(compile("\n".join(lines) + "\n", filename, "exec"), namespace)
+    exec(compile("\n".join(lines) + "\n", "<float_evaluator>", "exec"), namespace)
     if bound is None:
         return namespace["_evaluate"]
     return namespace["_bind"] if bound else lambda: namespace["_evaluate"]
@@ -351,11 +358,6 @@ def float_evaluator(
     index order.  Its values are those of the evaluator without
     ``frozen`` at the same point, bit for bit, and a frozen power that
     overflows raises its OverflowError at the bind."""
-
-    def term(e, c, powers):
-        factors = [_power(f"p{i}_{k}", f"x{i}", k, powers) for i, k in enumerate(e) if k]
-        return _term(c, repr(c), factors)
-
     _check_vars(variables, polys)
     held = set(frozen or ())
     params = ", ".join(f"x{i}" for i in range(len(variables)) if i not in held)
@@ -363,47 +365,118 @@ def float_evaluator(
     # float coefficients, so that polynomials whose coefficients round alike
     # share one sum
     coefficients = [{e: float(c) for e, c in p.terms.items()} for p in polys]
-    return _compile_sums(coefficients, params, term, "0.0", "", "<float_evaluator>", bound)
+    return _compile_sums(coefficients, params, bound)
 
 
 def exact_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):
-    """Compile ``polys`` once into a function of the n int or Fraction
-    coordinates that returns ``(ints, Q)``: value j is ``ints[j] / Q``, with
-    one int Q > 0 shared by every value.  A point of the wrong length raises
-    TypeError.
-
-    With D the lcm of the coordinates' denominators, n_i = x_i * D, deg the
-    largest degree in ``polys`` and L the lcm of all coefficient
-    denominators (``linalg.integer_table``), each term c x^e is the int ``c * L`` times the powers
-    n_i**k times D**(deg - |e|), and Q = L * D**deg.  Every product and sum
-    is an int, so a value is zero exactly when its int is.  The generated
-    function takes (D, n_0, .., n_{n-1}) as (D, x0, .., x{n-1}), binds each
-    distinct power n_i**k and D**m with k, m > 1 to p{i}_{k} and d{m} once
-    (a first power is its base), writes a coefficient +-1 as a sign (the
-    float evaluator's term rule, ``_term``), and holds only int literals (in
-    hex, which has no digit limit), those names, v0.. and int exponents."""
+    """A function of the n int or Fraction coordinates that returns
+    ``(ints, Q)`` for ``polys``: value j is ``ints[j] / Q``, with one int
+    Q > 0 shared by every value.  With L the lcm of all coefficient
+    denominators (``linalg.integer_table``) and deg the largest degree in
+    ``polys``, it is ``scaled_evaluator`` of the coefficients times L."""
     _check_vars(variables, polys)
-    n = len(variables)
     scale, coefficients = integer_table({j: p.terms for j, p in enumerate(polys)})
     deg = max((p.degree() for p in polys), default=0)
+    return scaled_evaluator(len(variables), scale, deg, coefficients.values())
 
-    def term(e, c, powers):
-        factors = [_power(f"p{i}_{k}", f"x{i}", k, powers) for i, k in enumerate(e) if k]
-        missing = deg - sum(e)
-        if missing:
-            factors.append(_power(f"d{missing}", "D", missing, powers))
-        return _term(c, hex(c), factors)
 
-    params = "".join(f", x{i}" for i in range(n))
-    suffix = f", {hex(scale)} * D**{deg}"
-    compiled = _compile_sums(
-        coefficients.values(), f"D{params}", term, "0", suffix, "<exact_evaluator>"
-    )
+def _picker(slots):
+    """``itemgetter(*slots)``, returning a tuple for any number of slots."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return lambda values: tuple([values[s] for s in slots])
+
+
+def scaled_evaluator(arity: int, scale: int, deg: int, maps):
+    """The exact evaluator of int polynomials scaled by ``scale``: ``maps``
+    is a list of exponent -> nonzero int maps over ``arity`` coordinates,
+    map j being L = ``scale`` times polynomial j, of degree at most ``deg``.
+    The result takes the int or Fraction coordinates and returns
+    ``(ints, Q)``: value j is ``ints[j] / Q``, with Q = L * D**deg > 0 shared
+    by every value.  A point of the wrong length, or a coordinate without a
+    denominator (a float), raises TypeError.
+
+    With D the lcm of the coordinates' denominators and n_i = x_i * D, each
+    term c x^e is the int c times the factors n_i**k and D**(deg - |e|) of
+    its nonzero exponents, so every product and sum is an int and a value is
+    zero exactly when its int is.  Nothing is generated or cached: the list
+    is planned once per call, and each point runs the plan in ``map``
+    passes, with no Python loop per term.  The bases D, n_0, .. and then the
+    distinct powers with exponent > 1, each computed once per point, fill
+    one list of factors.  The distinct terms (c, e) of the maps are grouped
+    by their number of factors; a group's values are its coefficients times
+    each factor column in turn, read from the factor list by one
+    ``itemgetter`` per column.  A map equal item for item to an earlier one
+    is planned once and reads that one's value; a map of one term is that
+    term's value, and a longer one is one sum over its terms."""
+    # factor slots: D is slot 0, n_i slot 1 + i, then the powers from slot `first`
+    first = 1 + arity
+    powers: dict[tuple[int, int], int] = {}  # (base slot, k > 1) -> slot
+    groups: dict[int, dict[tuple, int]] = {}  # factor count -> (factors, c) -> index
+    planned: dict[tuple, list] = {}  # coefficient items -> their terms' (count, index)
+    out = []
+
+    def factor(base: int, k: int) -> int:
+        return base if k == 1 else powers.setdefault((base, k), first + len(powers))
+
+    for coeffs in maps:
+        items = tuple(coeffs.items())
+        if items not in planned:
+            refs = planned[items] = []
+            for e, c in items:
+                factors = [factor(1 + i, k) for i, k in enumerate(e) if k]
+                missing = deg - sum(e)
+                if missing:
+                    factors.append(factor(0, missing))
+                group = groups.setdefault(len(factors), {})
+                refs.append((len(factors), group.setdefault((tuple(factors), c), len(group))))
+        out.append(items)
+
+    # the value list: 0 (the zero polynomial's value), each group's terms in
+    # factor-count order, then the sums of the maps of more than one term
+    products = []
+    offset = {}
+    size = 1
+    for count in sorted(groups):
+        terms = list(groups[count])
+        offset[count] = size
+        size += len(terms)
+        columns = [_picker([factors[k] for factors, _ in terms]) for k in range(count)]
+        products.append((tuple([c for _, c in terms]), columns))
+    sums = []
+    slot = {}
+    for items, refs in planned.items():
+        slots = [offset[count] + index for count, index in refs]
+        if len(slots) > 1:
+            slot[items] = size + len(sums)
+            sums.append(itemgetter(*slots))
+        else:
+            slot[items] = slots[0] if slots else 0
+    pick = _picker([slot[items] for items in out])
+    bases = _picker([base for base, _ in powers])
+    exponents = tuple([k for _, k in powers])
 
     def evaluate(*point):
-        if len(point) != n:
-            raise TypeError(f"expected {n} coordinates, got {len(point)}")
-        D = math.lcm(*[x.denominator for x in point])
-        return compiled(D, *[x.numerator * (D // x.denominator) for x in point])
+        if len(point) != arity:
+            raise TypeError(f"expected {arity} coordinates, got {len(point)}")
+        try:
+            denominators = [x.denominator for x in point]
+        except AttributeError:
+            i, x = next((i, x) for i, x in enumerate(point) if not hasattr(x, "denominator"))
+            raise TypeError(
+                f"coordinate {i} is a {type(x).__name__}, not an int or Fraction"
+            ) from None
+        D = math.lcm(*denominators)
+        numerators = [x.numerator for x in point]
+        factor_values = [D, *map(mul, numerators, map(floordiv, repeat(D), denominators))]
+        factor_values += map(pow, bases(factor_values), exponents)
+        values = [0]
+        for coefficients, columns in products:
+            column_values = coefficients
+            for column in columns:
+                column_values = map(mul, column_values, column(factor_values))
+            values += column_values
+        values += [sum(terms(values)) for terms in sums]
+        return pick(values), scale * D**deg
 
     return evaluate

@@ -1,3 +1,5 @@
+import builtins
+import contextlib
 import importlib.util
 import random
 import sys
@@ -21,6 +23,31 @@ def workloads():
         mp.setitem(sys.modules, spec.name, module)
         spec.loader.exec_module(module)
     return module
+
+
+def _recorded(real, calls: list):
+    def call(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    return call
+
+
+@contextlib.contextmanager
+def _recording_code_generation():
+    generated = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("compile", "exec"):
+            mp.setattr(builtins, name, _recorded(getattr(builtins, name), generated))
+        yield generated
+
+
+@pytest.fixture
+def code_generation():
+    """``with code_generation() as generated:`` runs its block with
+    ``compile`` and ``exec`` working as usual and each call recorded in
+    ``generated``; they are restored on leaving the block."""
+    return _recording_code_generation
 
 
 @pytest.fixture

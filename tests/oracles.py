@@ -1,6 +1,8 @@
 """Test-side oracles: independent, slower formulas the library's fast paths
 are compared against.  None of them is used by the library itself."""
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -12,6 +14,7 @@ from poishom.bialgebra import (
     sln_basis_matrices,
     sln_standard_bialgebra,
 )
+from poishom.coord import SPOTCHECK_SEED, _magnitude
 from poishom.exterior import (
     ExteriorElement,
     _sort_tuple,
@@ -626,6 +629,92 @@ def mu_rows_by_fractions(B: LieBialgebra, chi_g: Covector, chi_gs: Vector):
                 rows.append(row)
                 rhs.append(rhs_val)
     return rows, rhs
+
+
+# ---------------------------------------------------------------------------
+# exact evaluation by generated code, the form ``poly.exact_evaluator`` and
+# ``coord.multiplicativity_spotcheck`` had before they planned their terms
+# ---------------------------------------------------------------------------
+
+
+def exact_evaluator_by_codegen(variables, polys):
+    """``poly.exact_evaluator``'s contract, ``(ints, Q)`` with Q = L D**deg,
+    by compiled code: one generated statement per term, ``v{j} += c *
+    x_i**k * .. * D**m``, each coefficient a hex literal of c times L."""
+    n = len(variables)
+    if any(p.vars != tuple(variables) for p in polys):
+        raise ValueError("polynomial over different variables")
+    scale, table = integer_table({j: p.terms for j, p in enumerate(polys)})
+    deg = max((p.degree() for p in polys), default=0)
+    lines = [f"def _evaluate(D{''.join(f', x{i}' for i in range(n))}):"]
+    for j, terms in table.items():
+        lines.append(f"    v{j} = 0")
+        for e, c in terms.items():
+            factors = [f"x{i}**{k}" for i, k in enumerate(e) if k]
+            lines.append(f"    v{j} += {hex(c)} * {' * '.join([*factors, f'D**{deg - sum(e)}'])}")
+    lines.append(f"    return ({''.join(f'v{j}, ' for j in table)})")
+    namespace: dict = {"__builtins__": {}}
+    exec(compile("\n".join(lines) + "\n", "<exact_evaluator_by_codegen>", "exec"), namespace)
+    compiled = namespace["_evaluate"]
+
+    def evaluate(*point):
+        if len(point) != n:
+            raise TypeError(f"expected {n} coordinates, got {len(point)}")
+        D = math.lcm(*[x.denominator for x in point])
+        return compiled(D, *[x.numerator * (D // x.denominator) for x in point]), scale * D**deg
+
+    return evaluate
+
+
+def multiplicativity_spotcheck_by_codegen(model, pairs: int = 100, rng=None) -> float:
+    """``coord.multiplicativity_spotcheck`` with the Jacobian blocks taken by
+    ``Polynomial.diff`` and every list evaluated by
+    ``exact_evaluator_by_codegen``: the same draws, residual ints and
+    returned magnitude."""
+    if rng is None:
+        rng = random.Random(SPOTCHECK_SEED)
+    n = model.dim
+    keys = list(model._table)
+    entries = exact_evaluator_by_codegen(model.vars, [model._table[key] for key in keys])
+    if model.base_point is not None and any(entries(*model.base_point)[0]):
+        raise AssertionError("bracket does not vanish at the identity")
+    mvars = model.group_mult[0].vars
+    d_left = [m.diff(mvars[n + j]) for m in model.group_mult for j in range(n)]
+    d_right = [m.diff(mvars[j]) for m in model.group_mult for j in range(n)]
+    product_and_jacobians = exact_evaluator_by_codegen(
+        mvars, [*model.group_mult, *d_left, *d_right]
+    )
+
+    def times_pi(jac, pi):
+        out = [[0] * n for _ in range(n)]
+        for (i, j), p in zip(keys, pi):
+            if p:
+                for row, out_row in zip(jac, out):
+                    out_row[j] += row[i] * p
+                    out_row[i] -= row[j] * p
+        return out
+
+    worst = 0.0
+    for _ in range(pairs):
+        g = model.sampler(rng)
+        h = model.sampler(rng)
+        values, q_j = product_and_jacobians(*g, *h)
+        jl = [values[n + a * n:n + (a + 1) * n] for a in range(n)]
+        jr = [values[n + (n + a) * n:n + (n + a + 1) * n] for a in range(n)]
+        pi_gh, q_gh = entries(*[Fraction(v, q_j) for v in values[:n]])
+        pi_h, q_h = entries(*h)
+        pi_g, q_g = entries(*g)
+        lhs = dict(zip(keys, pi_gh))
+        jl_pi, jr_pi = times_pi(jl, pi_h), times_pi(jr, pi_g)
+        q_rhs = q_j * q_j * q_h * q_g
+        for a in range(n):
+            for b in range(a + 1, n):
+                left = sum(x * y for x, y in zip(jl_pi[a], jl[b]))
+                right = sum(x * y for x, y in zip(jr_pi[a], jr[b]))
+                num = lhs.get((a, b), 0) * q_rhs - q_gh * (q_g * left + q_h * right)
+                if num:
+                    worst = max(worst, _magnitude(Fraction(num, q_rhs * q_gh)))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import itertools
+import json
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -29,7 +31,15 @@ from poishom.coord import (
 from poishom.poly import Polynomial, exact_evaluator, float_evaluator
 
 from float_reference import eval_field, eval_float, rk4_reference
-from oracles import apply_field_by_chained_sums, divergence_by_chained_sums, sharp_by_chained_sums
+from oracles import (
+    apply_field_by_chained_sums,
+    divergence_by_chained_sums,
+    exact_evaluator_by_codegen,
+    multiplicativity_spotcheck_by_codegen,
+    sharp_by_chained_sums,
+)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -506,6 +516,92 @@ def test_multiplicativity_residual_below_float_range_is_nonzero():
         sampler=lambda rng: (Fraction(rng.randint(1, 3)), Fraction(rng.randint(1, 3))),
     )
     assert multiplicativity_spotcheck(M, pairs=3, rng=random.Random(0)) > 0.0
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_spot_checks_refuse_to_check_nothing(su2, count):
+    # zero pairs or points would report a pass without a single evaluation
+    with pytest.raises(ValueError, match="pairs must be at least 1"):
+        multiplicativity_spotcheck(su2.model, pairs=count)
+    with pytest.raises(ValueError, match="points must be at least 1"):
+        jacobi_symbolic(su2.model, points=count)
+
+
+GROUP_MODEL_NAMES = ("su2", "sl2-hyperbolic", "sl2-elliptic", "sl2-parabolic", "toda-n3")
+
+
+def _perturbed(model, brackets=None, group_mult=None):
+    return PolynomialPoissonModel(
+        "perturbed", model.vars, brackets or model._table, constraints=model.constraints,
+        base_point=model.base_point, poisson_lie=True,
+        group_mult=group_mult or model.group_mult, sampler=model.sampler,
+    )
+
+
+@pytest.mark.parametrize("name", GROUP_MODEL_NAMES)
+def test_multiplicativity_matches_the_generated_code_oracle(name):
+    # the int-planned product and Jacobians give the residuals of the
+    # compiled form bit for bit: on the models, where every one is 0, and
+    # with one bracket or product coefficient changed, where they are not
+    for eta in (1, 2, Fraction(1, 3), Fraction(-5, 2)):
+        model = catalog.build_model(name, eta).model
+        v = model.vars
+        # x_k**2 for a coordinate that is 0 at the identity, so the bracket
+        # still vanishes there
+        k = next(i for i, c in enumerate(model.base_point) if c == 0)
+        key = next(iter(model._table))
+        bump = Polynomial.monomial(v, [2 if i == k else 0 for i in range(len(v))])
+        brackets = {**model._table, key: model._table[key] + bump}
+        first = model.group_mult[0]
+        e, c = next(iter(first.terms.items()))
+        product = [Polynomial(first.vars, {**first.terms, e: c + 1}), *model.group_mult[1:]]
+        perturbed = (_perturbed(model, brackets=brackets), _perturbed(model, group_mult=product))
+        for m in (model, *perturbed):
+            got = multiplicativity_spotcheck(m, pairs=3, rng=random.Random(9))
+            assert got == multiplicativity_spotcheck_by_codegen(m, pairs=3, rng=random.Random(9))
+            assert (got > 0.0) == (m is not model), (name, eta)
+
+
+def test_exact_evaluator_matches_the_generated_code_oracle_on_model_lists():
+    # the table and product-and-Jacobian lists of every model give the ints
+    # and the Q of the compiled form
+    for name in catalog.MODEL_NAMES:
+        model = catalog.build_model(name, Fraction(3, 2)).model
+        lists = [(model.vars, [model._table[key] for key in model._table])]
+        if model.group_mult is not None:
+            mvars = model.group_mult[0].vars
+            diffs = [m.diff(w) for m in model.group_mult for w in mvars]
+            lists.append((mvars, [*model.group_mult, *diffs]))
+        rng = random.Random(name)
+        for variables, polys in lists:
+            planned = exact_evaluator(variables, polys)
+            compiled = exact_evaluator_by_codegen(variables, polys)
+            for _ in range(3):
+                point = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in variables]
+                assert planned(*point) == compiled(*point), name
+
+
+def test_exact_checks_compile_no_code(workloads, code_generation):
+    # one certify round's multiplicativity ops, and a Jacobi check whose
+    # Jacobiators are not zero, evaluate their exact polynomials without
+    # compiling or executing any generated code
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    ops = [
+        op for op in workloads.setup_certify(7, reference) if op.label.endswith("|multiplicativity")
+    ]
+    inputs = [op.prepare() for op in ops]
+    v = ("x", "y", "z")
+    x, y, z = (Polynomial.variable(v, n) for n in v)
+    bad = PolynomialPoissonModel(
+        "perturbed-sphere", v, {(0, 1): z + Fraction(1, 7) * x, (1, 2): x, (0, 2): -1 * y},
+        constraints=[x * x + y * y + z * z - 1], sampler=_sphere_point,
+    )
+    with code_generation() as generated:
+        results = [op.run(arg) for op, arg in zip(ops, inputs)]
+        verdict = jacobi_symbolic(bad, rng=random.Random(3), points=5)
+    assert generated == []
+    assert len(ops) == 5 and all(op.check(r) for op, r in zip(ops, results))
+    assert not verdict.ok and not verdict.symbolic
 
 
 def test_model_rejects_a_base_point_of_the_wrong_length():

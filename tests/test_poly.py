@@ -2,7 +2,6 @@ import dis
 import inspect
 import math
 import random
-import re
 import struct
 from fractions import Fraction
 
@@ -462,24 +461,38 @@ def test_exact_evaluator_rejects_a_point_of_the_wrong_length():
             evaluate(*point)
 
 
-def test_exact_evaluator_source_names_only_its_locals():
-    # variable names and coefficient text never enter the generated code: it
-    # reads its arguments and locals only, and looks up no global or builtin
+def test_exact_evaluator_rejects_a_float_coordinate():
+    evaluate = exact_evaluator(V, [x() * y() + 3])
+    for point, index in (((0.5, 1, 2), 0), ((1, Fraction(1, 2), 2.0), 2)):
+        with pytest.raises(TypeError, match=f"coordinate {index} is a float"):
+            evaluate(*point)
+
+
+def _plan(evaluate):
+    """The term groups, the sums and the output slots of an exact evaluator."""
+    plan = inspect.getclosurevars(evaluate).nonlocals
+    return plan["products"], plan["sums"], plan["pick"].__reduce__()[1]
+
+
+def test_exact_evaluator_plan_holds_only_ints_and_slots(code_generation):
+    # variable names and coefficient text never enter the plan, and nothing
+    # is compiled or executed: the plan is int coefficients and slot indices
     names = ("__import__", "os")
     p = Polynomial(names, {(1, 2): 3, (0, 1): Fraction(-1, 3), (0, 0): 7})
-    evaluate = exact_evaluator(names, [p, p * p, Polynomial.zero(names)])
-    code = inspect.getclosurevars(evaluate).nonlocals["compiled"].__code__
-    assert code.co_names == ()
-    assert code.co_varnames[:3] == ("D", "x0", "x1")
-    local = re.compile(r"(D|x\d+|p\d+_\d+|d\d+|v\d+)")
-    assert all(local.fullmatch(name) for name in code.co_varnames), code.co_varnames
-    assert all(type(c) is int or c is None for c in code.co_consts)
-    # the scaled coefficient -1 of p is a sign, and D**1 is D: no 1 or -1 is
-    # a factor or an exponent
-    assert not {1, -1} & set(code.co_consts) and "d1" not in code.co_varnames
+    polys = [p, p * p, Polynomial.zero(names), p]
     point = (Fraction(2, 3), Fraction(-5, 7))
-    ints, q = evaluate(*point)
-    assert [Fraction(v, q) for v in ints] == [p.eval(point), (p * p).eval(point), 0]
+    with code_generation() as generated:
+        evaluate = exact_evaluator(names, polys)
+        ints, q = evaluate(*point)
+    assert generated == []
+    products, sums, out = _plan(evaluate)
+    assert all(type(c) is int for coefficients, _ in products for c in coefficients)
+    assert all(type(s) is int for _, columns in products for column in columns
+               for s in column.__reduce__()[1])
+    # p and p * p are one sum each; the zero polynomial reads the 0 slot and
+    # the repeat of p reads p's value
+    assert len(sums) == 2 and out[2] == 0 and out[3] == out[0]
+    assert [Fraction(v, q) for v in ints] == [r.eval(point) for r in polys]
 
 
 def _value_stores(code):
@@ -491,16 +504,28 @@ def _value_stores(code):
     ]
 
 
-@pytest.mark.parametrize("compile_", [float_evaluator, exact_evaluator])
-def test_repeated_polynomial_generates_its_terms_once(monkeypatch, compile_):
+def test_repeated_polynomial_generates_its_terms_once(monkeypatch):
     # a repeat is recognised from its coefficient items, before its terms
     # are generated
     calls = []
     term = poly._term
     monkeypatch.setattr(poly, "_term", lambda *a: calls.append(0) or term(*a))
     p = x() * y() - Fraction(1, 3) * z() ** 2 + 2
-    compile_(V, [p, p * 1, p])
+    float_evaluator(V, [p, p * 1, p])
     assert len(calls) == len(p.terms)
+
+
+def test_repeated_polynomial_is_planned_once():
+    # a repeat is recognised from its coefficient items: its terms are
+    # planned once, it gets no sum of its own, and it reads the first value
+    p = x() * y() - Fraction(1, 3) * z() ** 2 + 2
+    evaluate = exact_evaluator(V, [p, p * 1, p])
+    products, sums, out = _plan(evaluate)
+    assert sum(len(coefficients) for coefficients, _ in products) == len(p.terms)
+    assert len(sums) == 1 and out[0] == out[1] == out[2]
+    point = (Fraction(3, 4), Fraction(-3, 2), Fraction(9, 4))
+    ints, q = evaluate(*point)
+    assert [Fraction(v, q) for v in ints] == [p.eval(point)] * 3
 
 
 def test_float_equal_coefficients_share_one_sum():
@@ -537,9 +562,14 @@ def test_repeated_polynomials_get_one_statement_each():
     point = (0.75, -1.5, 2.25)
     assert [_bits(v) for v in evaluate(*point)] == [_bits(eval_float(r, point)) for r in polys]
 
+    # one sum per distinct polynomial of more than one term: p, q, long and
+    # q_reversed, whose terms are q's and are planned once
     evaluate = exact_evaluator(V, polys)
-    compiled = inspect.getclosurevars(evaluate).nonlocals["compiled"]
-    assert _value_stores(compiled.__code__) == stores
+    products, sums, out = _plan(evaluate)
+    assert len(sums) == 4
+    distinct_terms = {(e, c) for r in polys for e, c in r.terms.items()}
+    assert sum(len(coefficients) for coefficients, _ in products) == len(distinct_terms)
+    assert [out.index(s) for s in out] == [0, 1, 0, 3, 1, 5, 0, 7, 5, 3, 1]
     point = (Fraction(3, 4), Fraction(-3, 2), Fraction(9, 4))
     ints, q_all = evaluate(*point)
     assert [Fraction(v, q_all) for v in ints] == [r.eval(point) for r in polys]
