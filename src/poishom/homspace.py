@@ -396,14 +396,20 @@ def lu_crosscheck(S: HomogeneousSpaceSpec) -> bool:
     next to h0's moved by m = dim g columns; they are block diagonal in
     (e_i, e^a), so l's span is the direct sum of h's and h0's, with no
     elimination.  l is still tested for closure in the bialgebra's one copy
-    of the double."""
+    of the double, and a violation raises.  Only the pairs with a factor in
+    h0 are bracketed: the double's bracket on g is g's, and the spec refuses
+    an h not verified closed in g.  The h0 x h0 pairs stay; they decide
+    coisotropy again, in the double, apart from ``_Analysis``."""
     A = _Analysis(S)
     if not A.coisotropic:
         raise ValueError("the Lagrangian subalgebra h + h0 needs a coisotropic quotient")
     D, m = S.bialgebra.double, S.bialgebra.dim
     rows = S.h.int_basis + [(s, {k + m: x for k, x in b.items()}) for s, b in A.h0.int_basis]
     span = linalg.RowSpan.direct_sum(S.h.span, A.h0.span, m)
-    chi_l = Subalgebra.from_int_rows(D, rows, span=span).modular_character_values()
+    lag = Subalgebra.from_int_rows(D, rows, verify=False, span=span)
+    if not lag.is_closed(known=S.h.dim):
+        raise ValueError("basis does not span a subalgebra")
+    chi_l = lag.modular_character_values()
     target = (-1 * A.chi_gs + 2 * A.chi_h0[1]).coords
     return all(
         c * s == sum(x * target[k] for k, x in row.items())

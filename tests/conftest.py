@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import functools
 import importlib.util
 import random
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from poishom import catalog
+from poishom.bialgebra import sln_standard_bialgebra
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -73,6 +75,22 @@ def r2xr2():
 @pytest.fixture(scope="session")
 def sl2_tri():
     return catalog.sl2_triangular_algebra()
+
+
+def valid_bialgebras():
+    """(id, build) for every catalog structure at eta 1, 2, 1/3 and -5/2 and
+    for the standard sl(3), sl(4) and sl(5) at two etas each."""
+    cases = [
+        (f"{name}-{eta}", functools.partial(build, eta))
+        for eta in (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 2))
+        for name, build in catalog.BIALGEBRAS.items()
+    ]
+    cases += [
+        (f"sl{n}-{eta}", functools.partial(sln_standard_bialgebra, n, eta))
+        for n in (3, 4, 5)
+        for eta in (Fraction(3, 2), Fraction(-1, 3))
+    ]
+    return cases
 
 
 def rational(rng, num=6, den=4):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poishom import bialgebra, catalog
 from poishom.bialgebra import (
@@ -14,8 +15,9 @@ from poishom.bialgebra import (
     sln_standard_bialgebra,
 )
 from poishom.exterior import ExteriorElement
+from poishom.lie import LieAlgebra
 
-from conftest import rational
+from conftest import rational, valid_bialgebras
 from oracles import double_bracket_by_pairings
 
 
@@ -236,7 +238,99 @@ def test_double_jacobi_incompatible_pair():
     delta = CocommutatorMap.from_images(so3, {2: {(0, 1): 1}})
     assert cocycle_check(so3, delta) is not None
     bad = LieBialgebra(so3, delta, check=False)
-    assert double_jacobi_check(bad) is not None
+    first = double_jacobi_check(bad)
+    assert first is not None and first == bad.double.jacobi_check()
+
+
+VALID = valid_bialgebras()
+
+
+@pytest.mark.parametrize("build", [b for _, b in VALID], ids=[i for i, _ in VALID])
+def test_double_jacobi_check_matches_the_full_sweep(build):
+    B = build()
+    assert double_jacobi_check(B) is None
+    assert B.double.jacobi_check() is None
+
+
+PERTURBED = [
+    catalog.so3_bialgebra(1),
+    catalog.sl2_bialgebra("hyperbolic", "boost", 1),
+    catalog.sl2_bialgebra("parabolic", "triangular", Fraction(-5, 2)),
+    sln_standard_bialgebra(2, 1),
+    sln_standard_bialgebra(3, Fraction(1, 3)),
+]
+
+
+def edited(L, key, k, step):
+    """L with step added to the int constant ints[key][k]."""
+    table = {pair: dict(image) for pair, image in L.ints.items()}
+    image = table.setdefault(key, {})
+    image[k] = image.get(k, 0) + step
+    return LieAlgebra(L.labels, table, L.den)
+
+
+def one_constant(data, L):
+    i, j = sorted(data.draw(st.sets(st.integers(0, L.dim - 1), min_size=2, max_size=2)))
+    k = data.draw(st.integers(0, L.dim - 1))
+    return (i, j), k, data.draw(st.integers(-3, 3).filter(bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_double_jacobi_check_matches_the_full_sweep_on_perturbed_tables(data):
+    """One int constant of g or of g* moved, with no validation: the double
+    is built from the two tables, so its pairing stays invariant and the
+    4-form decides; the first violating triple must be the full sweep's."""
+    B = data.draw(st.sampled_from(PERTURBED))
+    if data.draw(st.booleans()):
+        g = edited(B.g, *one_constant(data, B.g))
+        bad = LieBialgebra(g, CocommutatorMap(g, B.dual), check=False)
+    else:
+        dual = edited(B.dual, *one_constant(data, B.dual))
+        bad = LieBialgebra(B.g, CocommutatorMap(B.g, dual), check=False)
+    expected = double_algebra(bad).jacobi_check()
+    assert double_jacobi_check(bad) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_double_jacobi_check_matches_the_full_sweep_on_an_edited_double(data):
+    """One int constant of a double moved in its own table, which breaks
+    the invariance of the pairing; the gate must send it to the full sweep."""
+    A = data.draw(st.sampled_from(PERTURBED))
+    B = LieBialgebra(A.g, A.delta, check=False)  # its own cache for the edited double
+    D = edited(B.double, *one_constant(data, B.double))
+    B.__dict__["double"] = D  # the bialgebra's cached double
+    assert double_jacobi_check(B) == D.jacobi_check()
+
+
+def abelian_r2_double_edited():
+    """The double of the abelian R^2 edited to [e_x, e_y] = e_x and
+    [e_x, e^y] = e_y.  Both entries lie on g and none on g*, so no two
+    entries meet and every 4-set sums to 0, yet (x, y, y^) violates Jacobi;
+    the gate finds [e_x, e_y] on e_x but [e_y, e^x] = 0."""
+    B = LieBialgebra.trivial(LieAlgebra(["x", "y"], {}))
+    return B, LieAlgebra(B.double.labels, {(0, 1): {0: 1}, (0, 3): {1: 1}})
+
+
+def so3_double_without_j3_in_j1_j2():
+    """The so(3) double with [J1, J2] = J3 deleted.  Of the three constants
+    of the triple (J1, J2, J^3), X = <[J1, J2], J^3> is now 0, while
+    Y = <[J1, J^3], J2> and Z = <[J2, J^3], J1> still satisfy Z = -Y.  Every
+    4-set sums to 0, yet (J1, J2, J^1) violates Jacobi: only the second
+    cyclic images of Y and Z, which are X up to sign, see it."""
+    A = catalog.so3_bialgebra(1)
+    B = LieBialgebra(A.g, A.delta)
+    return B, edited(B.double, (0, 1), 2, -1)
+
+
+@pytest.mark.parametrize("case", [abelian_r2_double_edited, so3_double_without_j3_in_j1_j2])
+def test_double_jacobi_check_gate_sees_a_pairing_that_is_not_invariant(case):
+    """Only the gate sends these to the full sweep."""
+    B, D = case()
+    B.__dict__["double"] = D  # the bialgebra's cached double
+    first = D.jacobi_check()
+    assert first is not None and double_jacobi_check(B) == first
 
 
 def test_double_algebra_labels():

@@ -141,10 +141,10 @@ def analysis_counts(monkeypatch):
         counts["annihilator"] += 1
         return annihilator(self, h)
 
-    def counted_is_closed(self):
+    def counted_is_closed(self, *args, **kwargs):
         if self.parent is watched.get("dual"):
             counts["h0_closure"] += 1
-        return is_closed(self)
+        return is_closed(self, *args, **kwargs)
 
     monkeypatch.setattr(lie.LieAlgebra, "annihilator_rows", counted_annihilator)
     monkeypatch.setattr(lie.Subalgebra, "is_closed", counted_is_closed)

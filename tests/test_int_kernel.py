@@ -21,6 +21,7 @@ from poishom.bialgebra import (
     CocommutatorMap,
     LieBialgebra,
     cocycle_check,
+    double_jacobi_check,
     dual_constants,
     sln_algebra,
     sln_standard_bialgebra,
@@ -35,6 +36,7 @@ from poishom.homspace import (
 )
 from poishom.lie import LieAlgebra, Subalgebra, Vector, is_closed_one_form
 
+from conftest import valid_bialgebras
 from oracles import (
     coboundary_by_ad_extension,
     cocycle_check_by_ad_terms,
@@ -290,13 +292,8 @@ def test_coboundary_rejects_an_r_off_lambda2_g():
             CocommutatorMap.from_rmatrix(g, r)
 
 
-def test_kernel_checks_make_no_fraction_in_their_loops(monkeypatch):
-    B = sln_standard_bialgebra(4, Fraction(-5, 2))
-    D = B.double
-    h = B.g.subalgebra(["Q12", "Q13", "Q14", "Q23", "Q24", "Q34"])
-    omega = ExteriorElement(
-        B.g, 2, {(0, 1): Fraction(1, 3), (2, 7): Fraction(-5, 2), (4, 9): 2}, True
-    )
+def counted_fractions(monkeypatch) -> list:
+    """The list that records the arguments of every Fraction made from now on."""
     made = []
     new = Fraction.__new__
 
@@ -310,7 +307,19 @@ def test_kernel_checks_make_no_fraction_in_their_loops(monkeypatch):
         monkeypatch.setattr(
             Fraction, "_from_coprime_ints", classmethod(lambda _, *a: made.append(a) or coprime(*a))
         )
+    return made
+
+
+def test_kernel_checks_make_no_fraction_in_their_loops(monkeypatch):
+    B = sln_standard_bialgebra(4, Fraction(-5, 2))
+    D = B.double
+    h = B.g.subalgebra(["Q12", "Q13", "Q14", "Q23", "Q24", "Q34"])
+    omega = ExteriorElement(
+        B.g, 2, {(0, 1): Fraction(1, 3), (2, 7): Fraction(-5, 2), (4, 9): 2}, True
+    )
+    made = counted_fractions(monkeypatch)
     assert B.g.jacobi_check() is None and B.dual.jacobi_check() is None
+    assert double_jacobi_check(B) is None
     assert D.jacobi_check() is None
     assert cocycle_check(B.g, B.delta) is None
     assert h.is_closed()
@@ -328,13 +337,7 @@ def test_homspace_eliminations_make_no_fraction(monkeypatch):
     S = HomogeneousSpaceSpec("so4", B, B.g.subalgebra(["Q12", "Q13", "Q14", "Q23", "Q24", "Q34"]))
     A = _Analysis(S)
     A.semi_rows, A.chi_g, A.chi_gs, B.g.bracket_rows  # prebuilt
-    made, eliminations = [], []
-    new = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
+    eliminations = []
     int_rref = linalg.int_rref
 
     def eliminate(rows):
@@ -343,7 +346,7 @@ def test_homspace_eliminations_make_no_fraction(monkeypatch):
         eliminations.append(len(made) - before)
         return out
 
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    made = counted_fractions(monkeypatch)
     monkeypatch.setattr(linalg, "int_rref", eliminate)
     horizontal = _mu_rows(B, A.chi_g, A.chi_gs)
     assert horizontal and A.semi_reduced[1]
@@ -353,6 +356,23 @@ def test_homspace_eliminations_make_no_fraction(monkeypatch):
     witness, null = A.semi_invariant
     assert made  # the semi-invariant readout makes them
     assert witness.is_zero() and null == []
+
+
+VALID = valid_bialgebras()
+
+
+@pytest.mark.parametrize("build", [b for _, b in VALID], ids=[i for i, _ in VALID])
+def test_double_jacobi_check_sweeps_nothing_on_a_valid_bialgebra(build, monkeypatch):
+    """On a valid bialgebra the invariant pairing's 4-form decides: no
+    ``LieAlgebra.jacobi_check`` call, no ``bracket_rows`` of the double and
+    no Fraction."""
+    B = build()
+    D = B.double
+    sweeps = []
+    monkeypatch.setattr(LieAlgebra, "jacobi_check", lambda L: sweeps.append(L))
+    made = counted_fractions(monkeypatch)
+    assert double_jacobi_check(B) is None
+    assert sweeps == [] and made == [] and "bracket_rows" not in D.__dict__
 
 
 def test_sln_build_reads_one_copy_of_the_bracket_rows(monkeypatch):

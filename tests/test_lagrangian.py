@@ -97,15 +97,16 @@ def test_double_is_built_once_for_both_checks(monkeypatch):
     assert built.count(True) == 1
 
 
-def test_lu_crosscheck_refuses_an_l_that_is_not_closed():
-    # toda-n3: h = so(3) = <Q12, Q13, Q23>, so e^S12 is in h0 and e_D1 is in
-    # neither h nor g*; adding e_D1 to [e_Q12, e^S12] takes l out of itself
+def assert_refused_with_e_d1_in(first, second):
+    """toda-n3: h = so(3) = <Q12, Q13, Q23>, so e^S12 and e^S13 are in h0,
+    and e_D1 is in neither h nor g*; adding e_D1 to [first, second] of the
+    double takes l out of itself, and lu_crosscheck must raise."""
     S = catalog.build_homspace("toda-n3", 1)
-    B, m = S.bialgebra, S.bialgebra.dim
+    B = S.bialgebra
     D = B.double
-    q12, s12, d1 = (B.g.index(label) for label in ("Q12", "S12", "D1"))
+    i, j, d1 = (D.index(label) for label in (first, second, "D1"))
     table = {key: dict(image) for key, image in D._table.items()}
-    image = table.setdefault((q12, m + s12), {})
+    image = table.setdefault((i, j), {})
     image[d1] = image.get(d1, 0) + 1
     broken = LieAlgebra(D.labels, table)
     vectors = [Vector(broken, row) for row in stacked_rows(S)]
@@ -115,6 +116,16 @@ def test_lu_crosscheck_refuses_an_l_that_is_not_closed():
     with pytest.raises(ValueError, match="does not span a subalgebra"):
         homspace.lu_crosscheck(S)
     assert homspace.lu_crosscheck(catalog.build_homspace("toda-n3", 1))
+
+
+def test_lu_crosscheck_refuses_an_l_that_is_not_closed():
+    assert_refused_with_e_d1_in("Q12", "S^12")  # an h x h0 pair
+
+
+def test_lu_crosscheck_decides_the_closure_of_h0_in_the_double():
+    """The h0 x h0 pairs re-decide coisotropy in the double, apart from
+    ``_Analysis``, which reads g*: they are still bracketed."""
+    assert_refused_with_e_d1_in("S^12", "S^13")
 
 
 
