@@ -45,7 +45,7 @@ class CocommutatorMap:
 
     @classmethod
     def zero(cls, algebra: LieAlgebra) -> "CocommutatorMap":
-        return cls(algebra, LieAlgebra(algebra.dual_labels, {}, 1))
+        return cls(algebra, LieAlgebra._trusted(algebra.dual_labels, {}, 1))
 
     @classmethod
     def from_rmatrix(cls, algebra: LieAlgebra, r: ExteriorElement) -> "CocommutatorMap":
@@ -53,8 +53,8 @@ class CocommutatorMap:
         terms on the int table: ad_{e_x} (e_u ^ e_v) = [e_x, e_u] ^ e_v +
         e_u ^ [e_x, e_v], so a term w e_a ^ e_b meets the bracket row of e_a
         with weight w and that of e_b with weight -w.  The dual is the
-        transpose of the images, their terms sorted by key, on ints over g's
-        den times r's."""
+        transpose of the images, their terms sorted by key and zeros dropped,
+        on ints over g's den times r's, so it is taken as built."""
         if r.dual or r.degree != 2 or r.algebra is not algebra:
             raise ValueError("r must be a degree-2 primal element over the algebra")
         rden, ints = integer_row(r.terms)
@@ -70,7 +70,7 @@ class CocommutatorMap:
                         elif k > v:
                             image[(v, k)] = image.get((v, k), 0) - s * c
         terms = {x: {key: c for key, c in sorted(im.items()) if c} for x, im in enumerate(acc)}
-        dual = LieAlgebra(algebra.dual_labels, _transpose(terms), algebra.den * rden)
+        dual = LieAlgebra._trusted(algebra.dual_labels, _transpose(terms), algebra.den * rden)
         return cls(algebra, dual, r)
 
     @classmethod
@@ -222,7 +222,7 @@ def double_algebra(B: LieBialgebra) -> LieAlgebra:
 
     the bracket [X1+xi1, X2+xi2] = [X1,X2] + ad*_{xi1} X2 - ad*_{xi2} X1 +
     [xi1,xi2]_* + ad*_{X1} xi2 - ad*_{X2} xi1 on basis elements.  It is built
-    on ints, over the lcm of the denominators of g and g*.
+    on ints over the lcm of the denominators of g and g*, and taken as built.
     """
     m, g, dual = B.dim, B.g, B.dual
     den = math.lcm(g.den, dual.den)
@@ -240,7 +240,7 @@ def double_algebra(B: LieBialgebra) -> LieAlgebra:
             brackets.setdefault((i, m + a), {})[m + c] = -f  # -C_ic^a e^c in [e_i, e^a]
             brackets.setdefault((c, m + a), {})[m + i] = f  # -C_ci^a e^i in [e_c, e^a]
     labels = list(g.labels) + list(g.dual_labels)
-    return LieAlgebra(
+    return LieAlgebra._trusted(
         labels, {key: dict(sorted(image.items())) for key, image in sorted(brackets.items())}, den
     )
 
@@ -384,7 +384,7 @@ def _sln_coords(m: dict, n: int) -> dict[int, int]:
 
 
 def sln_algebra(n: int) -> LieAlgebra:
-    """sl(n) on the D/S/Q basis, on ints over the denominator 2."""
+    """sl(n) on the D/S/Q basis: nonzero ints over the denominator 2, taken as built."""
     labels, mats = _sln_basis(n)
     dim = len(labels)
     brackets = {}
@@ -393,7 +393,7 @@ def sln_algebra(n: int) -> LieAlgebra:
             entry = _sln_coords(_commutator(mats[i], mats[j]), n)
             if entry:
                 brackets[(i, j)] = entry
-    return LieAlgebra(labels, brackets, 2)
+    return LieAlgebra._trusted(labels, brackets, 2)
 
 
 def sln_standard_bialgebra(n: int, eta=1) -> LieBialgebra:

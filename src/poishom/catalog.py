@@ -236,7 +236,6 @@ class CoordModelBundle:
     kernel_witness: Optional[tuple] = None
     hamiltonian: Optional[Polynomial] = None
     flow_start: Optional[tuple] = None
-    notes: str = ""
 
     def horizontal_field(self) -> PolyVectorField:
         return field_from_character_data(self.model, self.left_chi, self.right_chi)
@@ -326,7 +325,6 @@ class GroupModel:
     witness: Optional[tuple] = None
     flow_start: Optional[tuple] = None
     eta: Optional[int] = None  # a fixed eta; None takes the eta asked for
-    notes: str = "coordinate bracket realizes the opposite r-matrix orientation"
 
 
 _SU2_FRAME = ((0, 0, 0, HALF), (0, 0, HALF, 0), (0, HALF, 0, 0))  # J1, J2, J3
@@ -379,6 +377,8 @@ GROUP_MODELS = {
     "sl2-parabolic": _sl2(
         "sl2-parabolic-tri", _TRIANGULAR_FRAME, lambda x, y, z, t: (-z, 0, x - t, z), (0, -1, 1, 0)
     ),
+    # fixed at eta = 1; the vanishing-corner typo in the displayed horizontal
+    # field is corrected by assembling (right - left)/2
     "toda-n3": GroupModel(
         structure="sl3-standard-structure",
         variables=tuple(f"a{i}{j}" for i in range(1, 4) for j in range(1, 4)),
@@ -394,8 +394,6 @@ GROUP_MODELS = {
         sampler=_sl3_sampler,
         hamiltonian=lambda *a: sum(x * x for x in a),
         eta=1,
-        notes="fixed at eta = 1; vanishing-corner typo in the displayed "
-        "horizontal field corrected by assembling (right - left)/2",
     ),
 }
 
@@ -499,7 +497,6 @@ def model_on(name: str, B: LieBialgebra) -> CoordModelBundle:
         kernel_witness=row.witness,
         hamiltonian=row.hamiltonian(*X),
         flow_start=row.flow_start,
-        notes=row.notes,
     )
 
 
@@ -515,7 +512,7 @@ def _build_compartmental() -> CoordModelBundle:
         "compartmental",
         v,
         {(0, 1): x1 - 1, (1, 2): x3},
-        base_point=(1, 0, 0),
+        base_point=(1, 0, 0),  # coordinates shifted so the base point sits at (1, 0, 0)
         poisson_lie=True,
     )
     return CoordModelBundle(
@@ -525,7 +522,6 @@ def _build_compartmental() -> CoordModelBundle:
         cocommutator_sign=1,
         hamiltonian=x1 + x2 + x3,
         flow_start=(1, 1, 1),
-        notes="coordinates shifted so the base point sits at (1, 0, 0)",
     )
 
 

@@ -39,7 +39,6 @@ MAX_STEPS = 10**6  # 100 times the default dynamics run; every state is kept
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--eta", default="1", help="rational instantiation of the scaling parameter")
-    p.add_argument("--seed", type=int, default=catalog.DEFAULT_SEED, help="sampling seed")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -68,11 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify-all", help="run the full re-verification manifest")
+    p.add_argument("--seed", type=int, default=catalog.DEFAULT_SEED, help="sampling seed")
     _add_common(p)
 
     p = sub.add_parser("catalog", help="catalog inspection")
     p.add_argument("action", choices=["list"])
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     return ap
 
 
@@ -140,7 +140,10 @@ def cmd_tables(args) -> int:
     eta = _parse_eta(args.eta)
     if args.golden:
         with _open(args.golden, "r") as fh:
-            golden = json.load(fh)
+            try:
+                golden = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"{args.golden}: {exc}") from None
         if not isinstance(golden, dict) or not all(
             isinstance(t := golden.get(s, {}), dict)
             and all(isinstance(row, dict) for row in t.values())
@@ -271,6 +274,15 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+COMMANDS = {
+    "analyze": cmd_analyze,
+    "tables": cmd_tables,
+    "dynamics": cmd_dynamics,
+    "verify-all": cmd_verify_all,
+    "catalog": cmd_catalog,
+}
+
+
 def _attach_eta(argv: list[str]) -> list[str]:
     """Write ``--eta V`` as ``--eta=V`` for a negative V: argparse takes a
     value such as -5/2, which starts with '-' and is no plain number, for an
@@ -288,20 +300,10 @@ def run(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(_attach_eta(sys.argv[1:] if argv is None else list(argv)))
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "tables":
-            return cmd_tables(args)
-        if args.command == "dynamics":
-            return cmd_dynamics(args)
-        if args.command == "verify-all":
-            return cmd_verify_all(args)
-        if args.command == "catalog":
-            return cmd_catalog(args)
+        return COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_INPUT
 
 
 def main() -> None:

@@ -4,6 +4,8 @@ A ``LieAlgebra`` stores a sparse table C with [e_i, e_j] = sum_k C[i][j][k] e_k
 for i < j; the (j, i) entries are implied by antisymmetry, so antisymmetry
 holds by construction.  C is held once as ints over one positive ``den``,
 and every check and trace reads those ints; ``_table`` is C on Fractions.
+The constructor validates a rational table from outside the package; an
+int table the package builds is taken as built by ``_trusted``.
 Vectors and covectors are exact rational coefficient tuples tagged with the
 space they live in, and every operation is a pure function on immutable data.
 """
@@ -106,50 +108,50 @@ def bracket_terms(table: dict, u: dict, v: dict) -> dict:
 class LieAlgebra:
     """Lie algebra with rational structure constants on a labeled basis."""
 
-    def __init__(self, labels: Sequence[str], brackets: dict, den: Optional[int] = None):
-        """brackets maps (i, j) with i < j to {k: coefficient} for [e_i, e_j]:
-        rationals, or int numerators over the positive int ``den``.  A key or
-        index off the basis is a ValueError, and so, in a rational table, is
-        a key that is not a pair of ints or an index that is not an int."""
-        self.labels = tuple(labels)
-        self.dual_labels = tuple(_dual_label(l) for l in labels)
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate basis labels")
-        if den is not None and den < 1:
-            raise ValueError("the denominator must be a positive int")
+    def __init__(self, labels: Sequence[str], brackets: dict):
+        """brackets maps (i, j) with i < j to {k: rational} for [e_i, e_j].  A
+        key that is not a pair of ints, an index that is not an int and a key
+        or index off the basis are ValueErrors; zero entries are dropped."""
+        self._set_labels(labels)
         table: dict[tuple[int, int], dict] = {}
         n = len(self.labels)
-        # a rational table is the public input form, so its keys and indices
-        # are type-tested; an int table over ``den`` is built inside the
-        # package and its types taken as given, as are its values
-        rational = den is None
         for key, image in brackets.items():
-            if rational and not (
-                type(key) is tuple and len(key) == 2 and all(type(i) is int for i in key)
-            ):
+            if not (type(key) is tuple and len(key) == 2 and all(type(i) is int for i in key)):
                 raise ValueError(f"bracket key {key!r} must be a pair of ints")
             i, j = key
             if not (0 <= i < j < n):
                 raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < {n}")
-            if rational:
-                for k in image:
-                    if type(k) is not int:
-                        raise ValueError(f"bracket ({i},{j}) has a term on index {k!r}, not an int")
+            for k in image:
+                if type(k) is not int:
+                    raise ValueError(f"bracket ({i},{j}) has a term on index {k!r}, not an int")
             if image and (min(image) < 0 or max(image) >= n):
                 k = min(image) if min(image) < 0 else max(image)
                 raise ValueError(f"bracket ({i},{j}) has a term on index {k}, outside 0..{n - 1}")
-            pairs = image.items() if den else zip(image, map(frac, image.values()))
-            cleaned = {k: c for k, c in pairs if c}
+            cleaned = {k: c for k, c in zip(image, map(frac, image.values())) if c}
             if cleaned:
                 table[(i, j)] = cleaned
-        if den is None:
-            self._table = table
-            den, table = integer_table(table)
-        self.den, self.ints = den, table
+        self._table = table
+        self.den, self.ints = integer_table(table)
+
+    @classmethod
+    def _trusted(cls, labels: Sequence[str], ints: dict, den: int) -> "LieAlgebra":
+        """The algebra on ``ints`` over the positive int ``den`` as built, with
+        no checks: keys i < j and indices on the basis, nonzero int entries,
+        and dicts that no other object holds."""
+        L = cls.__new__(cls)
+        L._set_labels(labels)
+        L.den, L.ints = den, ints
+        return L
+
+    def _set_labels(self, labels: Sequence[str]):
+        self.labels = tuple(labels)
+        self.dual_labels = tuple(_dual_label(l) for l in labels)
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("duplicate basis labels")
 
     @cached_property
     def _table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """The table on Fractions, in the order of ``ints``."""
+        """The table on Fractions, in ``ints`` order; built on first read for a trusted algebra."""
         den = self.den
         return {key: {k: Fraction(c, den) for k, c in im.items()} for key, im in self.ints.items()}
 

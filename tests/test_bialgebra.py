@@ -262,11 +262,12 @@ PERTURBED = [
 
 
 def edited(L, key, k, step):
-    """L with step added to the int constant ints[key][k]."""
-    table = {pair: dict(image) for pair, image in L.ints.items()}
+    """L with step added to the int constant ints[key][k], that is step / den
+    to the rational one, rebuilt from its rational table."""
+    table = {pair: dict(image) for pair, image in L._table.items()}
     image = table.setdefault(key, {})
-    image[k] = image.get(k, 0) + step
-    return LieAlgebra(L.labels, table, L.den)
+    image[k] = image.get(k, 0) + Fraction(step, L.den)
+    return LieAlgebra(L.labels, table)
 
 
 def one_constant(data, L):

@@ -221,14 +221,23 @@ def test_tables_unreadable_golden(tmp_path):
     assert run(["tables", "--golden", str(tmp_path / "missing.json")]) == 2
 
 
-def test_tables_golden_that_is_not_json_is_an_input_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"table1": ', "Expecting value"),
+        (b"", "Expecting value"),
+        (b"\xff\xfe", "'utf-8' codec can't decode"),
+    ],
+    ids=["truncated", "empty", "not-utf8"],
+)
+def test_tables_golden_that_is_not_json_is_an_input_error(tmp_path, capsys, content, message):
     path = tmp_path / "golden.json"
-    path.write_text('{"table1": ', encoding="utf-8")
+    path.write_bytes(content)
     assert run(["tables", "--golden", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith("input error: Expecting value")
+    assert line.startswith(f"input error: {path}: {message}")
 
 
 @pytest.mark.parametrize(
@@ -340,6 +349,24 @@ def test_catalog_list(capsys):
     out = capsys.readouterr().out
     for name in ("subgroup-sphere", "toda-n3", "sphere-morse", "su2"):
         assert name in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "list", "--eta", "0"],
+        ["catalog", "list", "--eta", "abc"],
+        ["catalog", "list", "--seed", "3"],
+        ["analyze", "toda-n3", "--seed", "3"],
+        ["tables", "--seed", "3"],
+        ["dynamics", "canonical2d", "--seed", "3"],
+    ],
+)
+def test_a_flag_the_verb_does_not_read_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as done:
+        run(argv)
+    assert done.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_catalog_list_json(capsys):

@@ -8,7 +8,10 @@ catalog subalgebras, the sl(3..5) Cartan, so(n) and Borels, h0 in g* and
 l = h + h0 in the double, perturbed bases and tables, and constants with
 coprime denominators near 10^50.  The ``_table`` view is pinned entry for
 entry, in insertion order, and a guard counts the Fractions the checks make
-on a prebuilt sl(4).
+on a prebuilt sl(4).  The int tables the package builds (sl(n), the dual of
+a coboundary or of zero, the double) skip the validating constructor; they
+are pinned to its rules and to its rebuild of them, and a guard counts its
+runs on the sl(n) ladder.
 """
 
 from fractions import Fraction
@@ -16,7 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from poishom import catalog, linalg, verify
+from poishom import catalog, homspace, linalg, verify
 from poishom.bialgebra import (
     CocommutatorMap,
     LieBialgebra,
@@ -143,19 +146,18 @@ def test_jacobi_and_cocycle_match_the_fraction_paths(tables, data):
         algebras = [B.g, B.dual] + ([B.double] if with_double else [])
     L = data.draw(st.sampled_from(algebras))
     if data.draw(st.booleans()):
-        # one constant moved, on the int table or on the Fraction one
+        # one constant moved, by an int step on the int table (a step of
+        # 1/den) or by a rational one, and the table rebuilt
         i, j = pair(data, L.dim)
         k = data.draw(st.integers(0, L.dim - 1))
         if data.draw(st.booleans()):
-            ints = {key: dict(image) for key, image in L.ints.items()}
-            image = ints.setdefault((i, j), {})
-            image[k] = image.get(k, 0) + data.draw(st.integers(-3, 3))
-            L = LieAlgebra(L.labels, ints, L.den)
+            step = Fraction(data.draw(st.integers(-3, 3)), L.den)
         else:
-            table = {key: dict(image) for key, image in L._table.items()}
-            image = table.setdefault((i, j), {})
-            image[k] = image.get(k, 0) + data.draw(st.one_of(small_rational, huge_rational))
-            L = LieAlgebra(L.labels, table)
+            step = data.draw(st.one_of(small_rational, huge_rational))
+        table = {key: dict(image) for key, image in L._table.items()}
+        image = table.setdefault((i, j), {})
+        image[k] = image.get(k, 0) + step
+        L = LieAlgebra(L.labels, table)
     assert L.jacobi_check() == jacobi_check_by_fractions(L)
     if data.draw(st.booleans()):
         k = data.draw(st.integers(0, g.dim - 1))
@@ -231,6 +233,62 @@ def test_table_view_of_sln_at_the_digest_etas(n):
         assert_view(B.g, g)
         assert_view(B.dual, dual_constants(B.delta)._table)
         assert_view(B.double, double_table_by_fractions(B))
+
+
+def assert_as_built(L, sources):
+    """L's int table holds what ``LieAlgebra._trusted`` takes as given: keys
+    i < j and indices on the basis, nonzero int entries and no empty image,
+    in dicts that no table of ``sources`` holds.  Rebuilt from its rational
+    table by the validating constructor, it has the same entries in the same
+    order, on ints over a den that divides L's (sl(n)'s den 2 is not reduced
+    on its even constants): L's ints are the rebuilt ones times the quotient."""
+    n, table = L.dim, L.ints
+    assert type(L.den) is int and L.den >= 1
+    assert all(type(i) is int and type(j) is int and 0 <= i < j < n for i, j in table)
+    assert all(image for image in table.values())
+    assert all(
+        type(k) is int and 0 <= k < n and type(c) is int and c
+        for image in table.values()
+        for k, c in image.items()
+    )
+    held = {id(t) for M in sources for t in (M.ints, *M.ints.values())}
+    assert not held & {id(table), *map(id, table.values())}
+    R = LieAlgebra(L.labels, L._table)
+    assert L.den % R.den == 0
+    s = L.den // R.den
+    rebuilt = [(key, [(k, c * s) for k, c in im.items()]) for key, im in R.ints.items()]
+    assert [(key, list(im.items())) for key, im in table.items()] == rebuilt
+
+
+@pytest.mark.parametrize("eta", [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 2)])
+def test_trusted_tables_of_the_catalog_bialgebras_are_as_built(eta):
+    for build in catalog.BIALGEBRAS.values():
+        B = build(eta)
+        assert_as_built(B.dual, [B.g])
+        assert_as_built(B.double, [B.g, B.dual])
+        assert_as_built(CocommutatorMap.zero(B.g).dual, [B.g])
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_trusted_tables_of_sln_are_as_built(n):
+    B = sln_standard_bialgebra(n)
+    assert_as_built(B.g, [])
+    assert_as_built(B.dual, [B.g])
+    assert_as_built(B.double, [B.g, B.dual])
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_sln_ladder_op_runs_no_validating_constructor(n, monkeypatch):
+    """sl(n), its dual, its double and the Lagrangian cross-check on the
+    so(n) quotient build every algebra they use through ``_trusted``."""
+    validated = []
+    init = LieAlgebra.__init__
+    monkeypatch.setattr(LieAlgebra, "__init__", lambda L, *a: validated.append(1) or init(L, *a))
+    B = sln_standard_bialgebra(n)
+    so = [f"Q{i + 1}{j + 1}" for i in range(n) for j in range(i + 1, n)]
+    assert B.double.dim == 2 * B.dim
+    assert homspace.lu_crosscheck(HomogeneousSpaceSpec(f"sl{n}-so", B, B.g.subalgebra(so)))
+    assert validated == []
 
 
 COBOUNDARY_ALGEBRAS = (
