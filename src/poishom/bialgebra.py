@@ -54,7 +54,8 @@ class CocommutatorMap:
         e_u ^ [e_x, e_v], so a term w e_a ^ e_b meets the bracket row of e_a
         with weight w and that of e_b with weight -w.  The dual is the
         transpose of the images, their terms sorted by key and zeros dropped,
-        on ints over g's den times r's, so it is taken as built."""
+        on ints over g's den times r's divided by the gcd of that den and
+        every entry, so it is taken as built at its least den."""
         if r.dual or r.degree != 2 or r.algebra is not algebra:
             raise ValueError("r must be a degree-2 primal element over the algebra")
         rden, ints = integer_row(r.terms)
@@ -69,8 +70,10 @@ class CocommutatorMap:
                             image[(k, v)] = image.get((k, v), 0) + s * c
                         elif k > v:
                             image[(v, k)] = image.get((v, k), 0) - s * c
-        terms = {x: {key: c for key, c in sorted(im.items()) if c} for x, im in enumerate(acc)}
-        dual = LieAlgebra._trusted(algebra.dual_labels, _transpose(terms), algebra.den * rden)
+        den = algebra.den * rden
+        q = math.gcd(den, *(c for im in acc for c in im.values()))
+        terms = {x: {key: c // q for key, c in sorted(im.items()) if c} for x, im in enumerate(acc)}
+        dual = LieAlgebra._trusted(algebra.dual_labels, _transpose(terms), den // q)
         return cls(algebra, dual, r)
 
     @classmethod
@@ -366,8 +369,9 @@ def _commutator(a: dict, b: dict) -> dict:
 
 
 def _sln_coords(m: dict, n: int) -> dict[int, int]:
-    """Twice the coordinates of a sparse traceless int matrix on the D/S/Q
-    basis, as {index: coordinate} over the nonzero ones in index order."""
+    """The coordinates of a sparse traceless int matrix on the D/S/Q basis,
+    as {index: coordinate} over the nonzero ones in index order; they are
+    summed doubled, and halve to ints on a commutator of basis matrices."""
     pairs = n * (n - 1) // 2
     coords: dict[int, int] = {}
     for (r, c), x in m.items():
@@ -380,11 +384,11 @@ def _sln_coords(m: dict, n: int) -> dict[int, int]:
         s = n - 1 + i * n - i * (i + 1) // 2 + (j - i - 1)
         coords[s] = coords.get(s, 0) + x
         coords[s + pairs] = coords.get(s + pairs, 0) + (x if r < c else -x)
-    return {k: x for k, x in sorted(coords.items()) if x}
+    return {k: x // 2 for k, x in sorted(coords.items()) if x}
 
 
 def sln_algebra(n: int) -> LieAlgebra:
-    """sl(n) on the D/S/Q basis: nonzero ints over the denominator 2, taken as built."""
+    """sl(n) on the D/S/Q basis: nonzero ints over the denominator 1, taken as built."""
     labels, mats = _sln_basis(n)
     dim = len(labels)
     brackets = {}
@@ -393,7 +397,7 @@ def sln_algebra(n: int) -> LieAlgebra:
             entry = _sln_coords(_commutator(mats[i], mats[j]), n)
             if entry:
                 brackets[(i, j)] = entry
-    return LieAlgebra._trusted(labels, brackets, 2)
+    return LieAlgebra._trusted(labels, brackets, 1)
 
 
 def sln_standard_bialgebra(n: int, eta=1) -> LieBialgebra:

@@ -2,11 +2,15 @@
 homogeneous quotients, and the coordinate Poisson models used by the dynamics
 commands.
 
-Every entry is built from an r-matrix (``R_MATRICES``, or the standard one
-of ``sln_standard_bialgebra`` for sl(3)) or an explicit cocommutator and is
-re-validated on construction (dual Jacobi, cocycle condition).  The scaling
-parameter ``eta`` is instantiated as an exact rational (default 1); all
-catalog verdicts are generic in eta != 0.
+Each Lie algebra is one row of ``ALGEBRAS`` (labels, brackets) and each
+bialgebra structure one row of ``STRUCTURES`` (its algebra and an r-matrix,
+the cocommutator images, or the standard structure of
+``sln_standard_bialgebra`` for sl(3)); ``algebra(name)`` and
+``bialgebra(name, eta)`` build them, and every structure is re-validated on
+construction (dual Jacobi, cocycle condition).  The scaling parameter
+``eta`` is instantiated as an exact rational (default 1); all catalog
+verdicts are generic in eta != 0, and a structure that scales with eta
+refuses eta = 0.
 
 Each group-level coordinate model is generated by ``model_on`` from its row
 of ``GROUP_MODELS`` (structure, product table, frame) and its structure B,
@@ -21,7 +25,6 @@ compartmental model is written out and carries sign +1.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -46,132 +49,74 @@ DEFAULT_SEED = 20250810
 
 
 # ---------------------------------------------------------------------------
-# Lie algebras
+# Lie algebras and their bialgebra structures
 # ---------------------------------------------------------------------------
 
 
-def so3_algebra() -> LieAlgebra:
+# Each Lie algebra: (basis labels, {(i, j): {k: c}} for [e_i, e_j] = sum c e_k).
+ALGEBRAS = {
     # [J1,J2] = J3, [J2,J3] = J1, [J3,J1] = J2
-    return LieAlgebra(
-        ("J1", "J2", "J3"),
-        {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}},
-    )
+    "so3": (("J1", "J2", "J3"), {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}),
+    # sl(2, R): [P1,J12] = -P2, [P2,J12] = -P1, [P1,P2] = J12
+    "sl2-boost": (("P1", "P2", "J12"), {(0, 2): {1: -1}, (1, 2): {0: -1}, (0, 1): {2: 1}}),
+    # sl(2, R): [J3,J+] = 2J+, [J3,J-] = -2J-, [J+,J-] = J3
+    "sl2-triangular": (("J3", "J+", "J-"), {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}),
+    # solvable: [X1,X3] = X2, [X2,X3] = -X2
+    "solvable3": (("X1", "X2", "X3"), {(0, 2): {1: 1}, (1, 2): {1: -1}}),
+    # R^2 x r_2: the only bracket is [X3,X4] = -X3
+    "r2xr2": (("X1", "X2", "X3", "X4"), {(2, 3): {2: -1}}),
+}
 
-
-def sl2_boost_algebra() -> LieAlgebra:
-    """sl(2, R) on the (P1, P2, J12) basis:
-    [P1,J12] = -P2, [P2,J12] = -P1, [P1,P2] = J12."""
-    return LieAlgebra(
-        ("P1", "P2", "J12"),
-        {(0, 2): {1: -1}, (1, 2): {0: -1}, (0, 1): {2: 1}},
-    )
-
-
-def sl2_triangular_algebra() -> LieAlgebra:
-    """sl(2, R) on the (J3, J+, J-) basis:
-    [J3,J+] = 2J+, [J3,J-] = -2J-, [J+,J-] = J3."""
-    return LieAlgebra(
-        ("J3", "J+", "J-"),
-        {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}},
-    )
-
-
-def solvable3_algebra() -> LieAlgebra:
-    """Three-dimensional solvable algebra with [X1,X3] = X2, [X2,X3] = -X2."""
-    return LieAlgebra(
-        ("X1", "X2", "X3"),
-        {(0, 2): {1: 1}, (1, 2): {1: -1}},
-    )
-
-
-def r2xr2_algebra() -> LieAlgebra:
-    """R^2 x r_2: four-dimensional with the only bracket [X3,X4] = -X3."""
-    return LieAlgebra(
-        ("X1", "X2", "X3", "X4"),
-        {(2, 3): {2: -1}},
-    )
-
-
-# ---------------------------------------------------------------------------
-# bialgebras (eta-parametrized)
-# ---------------------------------------------------------------------------
-
-
-# The r-matrix of each so(3) and sl(2) coboundary structure at eta = 1, by
-# structure name, as {(X, Y): c} for the terms c X ^ Y.  The two presentations of one named sl(2)
-# structure are separate catalog objects, identified only up to rescaling eta.
-R_MATRICES = {
-    "so3-structure": {("J1", "J2"): 1},
-    "sl2-hyperbolic": {("P1", "P2"): 2},
-    "sl2-elliptic": {("J12", "P2"): 2},
-    "sl2-parabolic": {("J12", "P1"): 1, ("J12", "P2"): 1},
-    "sl2-hyperbolic-tri": {("J+", "J-"): 1},
-    "sl2-elliptic-tri": {("J3", "J+"): 1, ("J3", "J-"): 1},
-    "sl2-parabolic-tri": {("J3", "J+"): Fraction(1, 2)},
+# Each bialgebra structure: (its algebra, how delta is given).  "r" is the
+# coboundary of eta times the r-matrix {(X, Y): c}, sum c X ^ Y; the two
+# presentations of one named sl(2) structure are separate catalog objects,
+# identified only up to rescaling eta.  "images" gives delta by its images
+# {index: {(i, j): c}} and carries no eta.  "standard" is the standard
+# structure of ``sln_standard_bialgebra`` on sl(n), n given, which builds
+# sl(n) itself.
+STRUCTURES = {
+    "so3-structure": ("so3", "r", {("J1", "J2"): 1}),
+    "sl2-hyperbolic": ("sl2-boost", "r", {("P1", "P2"): 2}),
+    "sl2-elliptic": ("sl2-boost", "r", {("J12", "P2"): 2}),
+    "sl2-parabolic": ("sl2-boost", "r", {("J12", "P1"): 1, ("J12", "P2"): 1}),
+    "sl2-hyperbolic-tri": ("sl2-triangular", "r", {("J+", "J-"): 1}),
+    "sl2-elliptic-tri": ("sl2-triangular", "r", {("J3", "J+"): 1, ("J3", "J-"): 1}),
+    "sl2-parabolic-tri": ("sl2-triangular", "r", {("J3", "J+"): Fraction(1, 2)}),
+    # delta(X3) = X1 ^ X2: the dual is the Heisenberg algebra
+    "solvable3-structure": ("solvable3", "images", {2: {(0, 1): 1}}),
+    "r2xr2-structure": ("r2xr2", "images", {0: {(0, 1): 1}, 2: {(1, 2): 1}}),
+    "sl3-standard-structure": ("sl3", "standard", 3),
 }
 
 
-def _rmatrix(L: LieAlgebra, structure: str, eta) -> ExteriorElement:
-    """eta times the r-matrix of ``structure``, on L."""
+def algebra(name: str) -> LieAlgebra:
+    """The algebra ``name`` of ``ALGEBRAS``."""
+    labels, brackets = ALGEBRAS[name]
+    return LieAlgebra(labels, brackets)
+
+
+def bialgebra(name: str, eta=1) -> LieBialgebra:
+    """The structure ``name`` of ``STRUCTURES`` at eta, which must be
+    nonzero for a structure that scales with it."""
+    algebra_name, kind, data = STRUCTURES[name]
+    eta = frac(eta)
+    if kind != "images" and eta == 0:
+        raise ValueError(f"{name}: eta must be nonzero")
+    if kind == "standard":
+        return sln_standard_bialgebra(data, eta)
+    L = algebra(algebra_name)
+    if kind == "images":
+        return LieBialgebra(L, CocommutatorMap.from_images(L, data))
     r = ExteriorElement.zero(L, 2, False)
-    for (a, b), c in R_MATRICES[structure].items():
-        r = r + ExteriorElement.basis(L, (L.index(a), L.index(b)), False, frac(eta) * c)
-    return r
-
-
-def so3_bialgebra(eta=1) -> LieBialgebra:
-    L = so3_algebra()
-    return LieBialgebra.from_rmatrix(L, _rmatrix(L, "so3-structure", eta))
-
-
-def sl2_bialgebra(structure: str, basis: str, eta=1) -> LieBialgebra:
-    """The hyperbolic, elliptic or parabolic coboundary structure on the boost
-    or the triangular basis."""
-    if basis == "boost":
-        L, suffix = sl2_boost_algebra(), ""
-    elif basis == "triangular":
-        L, suffix = sl2_triangular_algebra(), "-tri"
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return LieBialgebra.from_rmatrix(L, _rmatrix(L, f"sl2-{structure}{suffix}", eta))
-
-
-def solvable3_bialgebra() -> LieBialgebra:
-    """delta(X3) = X1 ^ X2 on the 3-dimensional solvable algebra (dual is the
-    Heisenberg algebra)."""
-    L = solvable3_algebra()
-    delta = CocommutatorMap.from_images(L, {2: {(0, 1): 1}})
-    return LieBialgebra(L, delta)
-
-
-def r2xr2_bialgebra() -> LieBialgebra:
-    """delta(X1) = X1 ^ X2, delta(X3) = X2 ^ X3 on R^2 x r_2."""
-    L = r2xr2_algebra()
-    delta = CocommutatorMap.from_images(L, {0: {(0, 1): 1}, 2: {(1, 2): 1}})
-    return LieBialgebra(L, delta)
-
-
-def toda_bialgebra(n: int = 3, eta=1) -> LieBialgebra:
-    return sln_standard_bialgebra(n, eta)
+    for (a, b), c in data.items():
+        r = r + ExteriorElement.basis(L, (L.index(a), L.index(b)), False, eta * c)
+    return LieBialgebra.from_rmatrix(L, r)
 
 
 # ---------------------------------------------------------------------------
 # homogeneous-space specs
 # ---------------------------------------------------------------------------
 
-
-# Each bialgebra at eta, by name; solvable3 and r2xr2 carry no eta.
-BIALGEBRAS = {
-    "so3-structure": so3_bialgebra,
-    **{
-        f"sl2-{structure}{suffix}": functools.partial(sl2_bialgebra, structure, basis)
-        for suffix, basis in (("", "boost"), ("-tri", "triangular"))
-        for structure in ("hyperbolic", "elliptic", "parabolic")
-    },
-    "solvable3-structure": lambda eta: solvable3_bialgebra(),
-    "r2xr2-structure": lambda eta: r2xr2_bialgebra(),
-    "sl3-standard-structure": lambda eta: toda_bialgebra(3, eta),
-}
 
 # Each homogeneous space: (the name of its bialgebra, the basis labels of h).
 HOMSPACES = {
@@ -200,7 +145,7 @@ def homspace_on(name: str, B: LieBialgebra) -> HomogeneousSpaceSpec:
 def build_homspace(name: str, eta=1) -> HomogeneousSpaceSpec:
     if name not in HOMSPACES:
         raise KeyError(f"unknown catalog entry {name!r}")
-    return homspace_on(name, BIALGEBRAS[HOMSPACES[name][0]](frac(eta)))
+    return homspace_on(name, bialgebra(HOMSPACES[name][0], eta))
 
 
 TABLE1_NAMES = ("subgroup-sphere", "coisotropic-sphere")
@@ -546,7 +491,7 @@ def build_model(name: str, eta=1) -> CoordModelBundle:
     or at its own fixed eta."""
     if name in GROUP_MODELS:
         row = GROUP_MODELS[name]
-        return model_on(name, BIALGEBRAS[row.structure](eta if row.eta is None else row.eta))
+        return model_on(name, bialgebra(row.structure, eta if row.eta is None else row.eta))
     if name not in MODELS:
         raise KeyError(f"unknown coordinate model {name!r}")
     return MODELS[name]()

@@ -519,6 +519,8 @@ def linearization_vs_cocommutator(
     if model.base_point is None:
         raise ValueError("model needs a base point")
     n = model.dim
+    if len(delta_images) != len(frame) or any(len(d) != n for d in frame):
+        raise ValueError(f"need one delta image per frame direction, each direction of length {n}")
     base = [float(c) for c in model.base_point]
     fr = [[float(c) for c in direction] for direction in frame]
     pairs = list(itertools.combinations(range(n), 2))

@@ -126,13 +126,12 @@ class SemiInvariantSolutions:
 
 def _closedness_rows(L: LieAlgebra) -> list[dict]:
     """theta is closed exactly when it kills every [e_i, e_j]: one sparse int
-    row per direction of a nonzero bracket, its int image divided by the gcd
-    of its entries and signed to lead positive (a row that is a multiple of
-    an earlier one adds nothing to the row space)."""
+    row per direction of a nonzero bracket, its int image made primitive by
+    ``linalg._primitive`` (a row that is a multiple of an earlier one adds
+    nothing to the row space)."""
     directions = {}
     for _, image in sorted(L.ints.items()):
-        g = math.gcd(*image.values()) * (1 if image[min(image)] > 0 else -1)
-        directions.setdefault(tuple((k, image[k] // g) for k in sorted(image)), None)
+        directions.setdefault(tuple(sorted(linalg._primitive(image).items())), None)
     return list(map(dict, directions))
 
 

@@ -3,12 +3,14 @@ table, re-checked from scratch.  The command line's ``verify-all`` runs this
 and prints one line per check with its anchor into the catalog/golden data.
 
 ``run_all`` is one loop over the ``(name, anchor, thunk)`` rows of
-``_checks``, which builds each structure of ``catalog.BIALGEBRAS``, each
+``_checks``, which builds each structure of ``catalog.STRUCTURES``, each
 homogeneous space of ``catalog.HOMSPACES`` (on those same bialgebras, so one
 double serves the double-Jacobi and Lu cross-checks of a structure) and each
 coordinate model once at eta, a group model on its bialgebra unless it fixes
-its own eta.  ``golden_table`` is the one comparison of recomputed
-classification rows with the golden data; ``tables`` uses it too.
+its own eta.  The algebra checks run on the g of the first structure on
+each catalog algebra, in table order.  ``golden_table`` is the one
+comparison of recomputed classification rows with the golden data;
+``tables`` uses it too.
 """
 
 from __future__ import annotations
@@ -99,16 +101,6 @@ def run_all(eta=1, seed: int = catalog.DEFAULT_SEED) -> list[CheckResult]:
         results.append(CheckResult(name, anchor, ok, detail))
     return results
 
-
-# (algebra name, the catalog bialgebra whose g it is)
-ALGEBRAS = (
-    ("so3", "so3-structure"),
-    ("sl2-boost", "sl2-hyperbolic"),
-    ("sl2-triangular", "sl2-hyperbolic-tri"),
-    ("solvable3", "solvable3-structure"),
-    ("r2xr2", "r2xr2-structure"),
-    ("sl3", "sl3-standard-structure"),
-)
 
 # (check, test of a Lie algebra L given the shared rng), run on each algebra
 ALGEBRA_CHECKS = (
@@ -215,9 +207,11 @@ def _checks(eta: Fraction, seed: int):
     bialgebra, homogeneous space and model is built once at eta; the thunks
     that draw from the shared ``rng`` run in the order they are yielded."""
     rng = random.Random(seed)
-    bialgebras = {name: build(eta) for name, build in catalog.BIALGEBRAS.items()}
-    for name, structure in ALGEBRAS:
-        L = bialgebras[structure].g
+    bialgebras = {name: catalog.bialgebra(name, eta) for name in catalog.STRUCTURES}
+    algebras = {}  # each catalog algebra, as the g of the first structure on it
+    for name, (algebra, *_) in catalog.STRUCTURES.items():
+        algebras.setdefault(algebra, bialgebras[name].g)
+    for name, L in algebras.items():
         for check, test in ALGEBRA_CHECKS:
             yield f"{check}:{name}", f"catalog:{name}", functools.partial(test, L, rng)
     for name, B in bialgebras.items():
@@ -266,7 +260,7 @@ def _checks(eta: Fraction, seed: int):
 
 def _dual_character_holds(structure: str, index: int, coeff) -> bool:
     for ev in (Fraction(1), Fraction(2), Fraction(1, 3)):
-        coords = catalog.BIALGEBRAS[structure](ev).dual_modular_character().coords
+        coords = catalog.bialgebra(structure, ev).dual_modular_character().coords
         if list(coords) != [coeff * ev if k == index else 0 for k in range(len(coords))]:
             return False
     return True

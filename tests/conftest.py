@@ -59,31 +59,31 @@ def rng():
 
 @pytest.fixture(scope="session")
 def so3():
-    return catalog.so3_algebra()
+    return catalog.algebra("so3")
 
 
 @pytest.fixture(scope="session")
 def solvable3():
-    return catalog.solvable3_algebra()
+    return catalog.algebra("solvable3")
 
 
 @pytest.fixture(scope="session")
 def r2xr2():
-    return catalog.r2xr2_algebra()
+    return catalog.algebra("r2xr2")
 
 
 @pytest.fixture(scope="session")
 def sl2_tri():
-    return catalog.sl2_triangular_algebra()
+    return catalog.algebra("sl2-triangular")
 
 
 def valid_bialgebras():
     """(id, build) for every catalog structure at eta 1, 2, 1/3 and -5/2 and
     for the standard sl(3), sl(4) and sl(5) at two etas each."""
     cases = [
-        (f"{name}-{eta}", functools.partial(build, eta))
+        (f"{name}-{eta}", functools.partial(catalog.bialgebra, name, eta))
         for eta in (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 2))
-        for name, build in catalog.BIALGEBRAS.items()
+        for name in catalog.STRUCTURES
     ]
     cases += [
         (f"sl{n}-{eta}", functools.partial(sln_standard_bialgebra, n, eta))

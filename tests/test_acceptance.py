@@ -76,7 +76,7 @@ def test_criterion_02_sl2_table():
 
 def test_criterion_03_calibration_identities():
     # top-annihilator differential on the 4-dimensional solvable algebra
-    L = catalog.r2xr2_algebra()
+    L = catalog.algebra("r2xr2")
     lam = Fraction(11, 7)
     v0 = ExteriorElement(L, 3, {(0, 1, 2): lam}, True)
     dv0 = ce_differential(L, v0)
@@ -99,13 +99,13 @@ def test_criterion_03_calibration_identities():
 
 @pytest.mark.parametrize("eta", [Fraction(1), Fraction(2), Fraction(1, 3)])
 def test_criterion_04_dual_modular_characters(eta):
-    B = catalog.so3_bialgebra(eta)
+    B = catalog.bialgebra("so3-structure", eta)
     assert B.dual_modular_character() == -2 * eta * B.g.basis_vector("J3")
-    B = catalog.sl2_bialgebra("hyperbolic", "boost", eta)
+    B = catalog.bialgebra("sl2-hyperbolic", eta)
     assert B.dual_modular_character() == -4 * eta * B.g.basis_vector("J12")
-    B = catalog.sl2_bialgebra("elliptic", "boost", eta)
+    B = catalog.bialgebra("sl2-elliptic", eta)
     assert B.dual_modular_character() == -4 * eta * B.g.basis_vector("P1")
-    B = catalog.sl2_bialgebra("parabolic", "triangular", eta)
+    B = catalog.bialgebra("sl2-parabolic-tri", eta)
     assert B.dual_modular_character() == -2 * eta * B.g.basis_vector("J+")
     _announce(4, f"dual modular characters at eta = {eta}, exact")
 

@@ -105,7 +105,7 @@ def test_from_images_rejects_a_key_or_an_image_off_the_basis(so3, table, message
 
 def test_dual_constants_so3():
     eta = Fraction(5, 2)
-    B = catalog.so3_bialgebra(eta)
+    B = catalog.bialgebra("so3-structure", eta)
     d = B.dual
     assert d.bracket(d.basis_vector(0), d.basis_vector(2)) == eta * d.basis_vector(0)
     assert d.bracket(d.basis_vector(1), d.basis_vector(2)) == eta * d.basis_vector(1)
@@ -124,7 +124,7 @@ def test_dual_constants_zero_delta_abelian(so3):
 
 def test_dual_constants_hyperbolic_triangular():
     eta = Fraction(3)
-    B = catalog.sl2_bialgebra("hyperbolic", "triangular", eta)
+    B = catalog.bialgebra("sl2-hyperbolic-tri", eta)
     d = B.dual
     # [J^3, J^+-] = -eta J^+-, [J^+, J^-] = 0
     assert d.bracket(d.basis_vector(0), d.basis_vector(1)) == -eta * d.basis_vector(1)
@@ -133,7 +133,7 @@ def test_dual_constants_hyperbolic_triangular():
 
 
 def test_dual_labels(so3):
-    B = catalog.so3_bialgebra(1)
+    B = catalog.bialgebra("so3-structure", 1)
     assert B.dual.labels == ("J^1", "J^2", "J^3")
 
 
@@ -141,7 +141,7 @@ def test_invalid_dual_reported():
     # delta(J1) = J2 ^ J3 on the rotation algebra is not a cobracket: the
     # bialgebra constructor reports the failed compatibility instead of
     # silently accepting the constants
-    so3 = catalog.so3_algebra()
+    so3 = catalog.algebra("so3")
     delta = CocommutatorMap.from_images(so3, {0: {(1, 2): 1}})
     with pytest.raises(ValueError):
         LieBialgebra(so3, delta)
@@ -164,7 +164,7 @@ def test_coboundaries_are_cocycles(so3, sl2_tri, rng):
 
 
 def test_r2xr2_delta_is_cocycle():
-    B = catalog.r2xr2_bialgebra()
+    B = catalog.bialgebra("r2xr2-structure")
     assert cocycle_check(B.g, B.delta) is None
 
 
@@ -197,7 +197,7 @@ def by_pairings(B, u, v):
 
 
 def test_double_bracket_restricts_to_summands():
-    B = catalog.so3_bialgebra(1)
+    B = catalog.bialgebra("so3-structure", 1)
     g = B.g
     a, b = in_double(B, x=g.basis_vector(0)), in_double(B, x=g.basis_vector(1))
     out = double_bracket(B, a, b)
@@ -208,7 +208,7 @@ def test_double_bracket_restricts_to_summands():
 
 
 def test_double_bracket_mixed_so3():
-    B = catalog.so3_bialgebra(1)
+    B = catalog.bialgebra("so3-structure", 1)
     g = B.g
     a = in_double(B, x=g.basis_vector(2))  # J3
     b = in_double(B, xi=g.basis_covector(0))  # J^1
@@ -218,23 +218,47 @@ def test_double_bracket_mixed_so3():
 
 
 def test_double_bracket_matches_reference_on_random_pairs(rng):
-    for B in (catalog.so3_bialgebra(Fraction(1, 2)), catalog.r2xr2_bialgebra()):
+    for B in (
+        catalog.bialgebra("so3-structure", Fraction(1, 2)),
+        catalog.bialgebra("r2xr2-structure"),
+    ):
         for _ in range(15):
             u = B.double.vector([rational(rng) for _ in range(2 * B.dim)])
             v = B.double.vector([rational(rng) for _ in range(2 * B.dim)])
             assert double_bracket(B, u, v) == by_pairings(B, u, v)
 
 
+@pytest.mark.parametrize("name", list(catalog.STRUCTURES))
+def test_catalog_structure_refuses_eta_zero_where_it_scales_with_eta(name):
+    if catalog.STRUCTURES[name][1] == "images":  # carries no eta
+        assert catalog.bialgebra(name, 0).dual._table == catalog.bialgebra(name, 1).dual._table
+    else:
+        with pytest.raises(ValueError, match="eta must be nonzero"):
+            catalog.bialgebra(name, 0)
+
+
+def test_catalog_entries_and_models_refuse_eta_zero():
+    """At eta = 0 a coboundary structure has the zero cocommutator, on which
+    no verdict of the catalog is generic."""
+    with pytest.raises(ValueError, match="eta must be nonzero"):
+        catalog.build_homspace("subgroup-sphere", 0)
+    with pytest.raises(ValueError, match="eta must be nonzero"):
+        catalog.build_model("su2", 0)
+    # an entry without eta and a model that fixes its own still build
+    assert catalog.build_homspace("mu-plane", 0).h.dim == 1
+    assert catalog.build_model("toda-n3", 0).model._table
+
+
 def test_double_jacobi_catalog():
-    assert double_jacobi_check(catalog.so3_bialgebra(1)) is None
-    assert double_jacobi_check(LieBialgebra.trivial(catalog.so3_algebra())) is None
-    assert double_jacobi_check(catalog.solvable3_bialgebra()) is None
+    assert double_jacobi_check(catalog.bialgebra("so3-structure", 1)) is None
+    assert double_jacobi_check(LieBialgebra.trivial(catalog.algebra("so3"))) is None
+    assert double_jacobi_check(catalog.bialgebra("solvable3-structure")) is None
 
 
 def test_double_jacobi_incompatible_pair():
     # the solvable cobracket transplanted onto the rotation algebra is not a
     # bialgebra; the double must fail the Jacobi identity
-    so3 = catalog.so3_algebra()
+    so3 = catalog.algebra("so3")
     delta = CocommutatorMap.from_images(so3, {2: {(0, 1): 1}})
     assert cocycle_check(so3, delta) is not None
     bad = LieBialgebra(so3, delta, check=False)
@@ -253,9 +277,9 @@ def test_double_jacobi_check_matches_the_full_sweep(build):
 
 
 PERTURBED = [
-    catalog.so3_bialgebra(1),
-    catalog.sl2_bialgebra("hyperbolic", "boost", 1),
-    catalog.sl2_bialgebra("parabolic", "triangular", Fraction(-5, 2)),
+    catalog.bialgebra("so3-structure", 1),
+    catalog.bialgebra("sl2-hyperbolic", 1),
+    catalog.bialgebra("sl2-parabolic-tri", Fraction(-5, 2)),
     sln_standard_bialgebra(2, 1),
     sln_standard_bialgebra(3, Fraction(1, 3)),
 ]
@@ -320,7 +344,7 @@ def so3_double_without_j3_in_j1_j2():
     Y = <[J1, J^3], J2> and Z = <[J2, J^3], J1> still satisfy Z = -Y.  Every
     4-set sums to 0, yet (J1, J2, J^1) violates Jacobi: only the second
     cyclic images of Y and Z, which are X up to sign, see it."""
-    A = catalog.so3_bialgebra(1)
+    A = catalog.bialgebra("so3-structure", 1)
     B = LieBialgebra(A.g, A.delta)
     return B, edited(B.double, (0, 1), 2, -1)
 
@@ -335,7 +359,7 @@ def test_double_jacobi_check_gate_sees_a_pairing_that_is_not_invariant(case):
 
 
 def test_double_algebra_labels():
-    D = double_algebra(catalog.so3_bialgebra(1))
+    D = double_algebra(catalog.bialgebra("so3-structure", 1))
     assert D.labels == ("J1", "J2", "J3", "J^1", "J^2", "J^3")
     assert D.jacobi_check() is None
 
@@ -347,13 +371,13 @@ def test_double_algebra_labels():
 
 @pytest.mark.parametrize("eta", [Fraction(1), Fraction(2), Fraction(1, 3)])
 def test_dual_modular_characters(eta):
-    so3 = catalog.so3_bialgebra(eta)
+    so3 = catalog.bialgebra("so3-structure", eta)
     assert so3.dual_modular_character() == -2 * eta * so3.g.basis_vector("J3")
-    hyp = catalog.sl2_bialgebra("hyperbolic", "boost", eta)
+    hyp = catalog.bialgebra("sl2-hyperbolic", eta)
     assert hyp.dual_modular_character() == -4 * eta * hyp.g.basis_vector("J12")
-    ell = catalog.sl2_bialgebra("elliptic", "boost", eta)
+    ell = catalog.bialgebra("sl2-elliptic", eta)
     assert ell.dual_modular_character() == -4 * eta * ell.g.basis_vector("P1")
-    par = catalog.sl2_bialgebra("parabolic", "triangular", eta)
+    par = catalog.bialgebra("sl2-parabolic-tri", eta)
     assert par.dual_modular_character() == -2 * eta * par.g.basis_vector("J+")
 
 
@@ -368,9 +392,9 @@ def test_trivial_bialgebra_character_zero(so3):
 
 def test_delta_dual_roundtrip():
     for B in (
-        catalog.so3_bialgebra(Fraction(5, 7)),
-        catalog.r2xr2_bialgebra(),
-        catalog.sl2_bialgebra("elliptic", "boost", 2),
+        catalog.bialgebra("so3-structure", Fraction(5, 7)),
+        catalog.bialgebra("r2xr2-structure"),
+        catalog.bialgebra("sl2-elliptic", 2),
     ):
         assert CocommutatorMap(B.g, dual_constants(B.delta)) == B.delta
 
@@ -409,7 +433,7 @@ def test_sln_standard_rmatrix_solves_the_modified_yang_baxter_equation(n, eta):
 
 
 def test_yang_baxter_is_none_without_an_rmatrix():
-    B = catalog.solvable3_bialgebra()
+    B = catalog.bialgebra("solvable3-structure")
     assert B.delta.r is None and B.yang_baxter is None
 
 
@@ -417,7 +441,7 @@ def test_yang_baxter_is_computed_once_when_read(monkeypatch):
     calls = []
     square = bialgebra.schouten_square
     monkeypatch.setattr(bialgebra, "schouten_square", lambda g, r: calls.append(r) or square(g, r))
-    B = catalog.so3_bialgebra()
+    B = catalog.bialgebra("so3-structure")
     assert calls == []
     assert B.yang_baxter == "mcybe" and B.yang_baxter == "mcybe"
     assert calls == [B.delta.r]

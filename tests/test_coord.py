@@ -655,6 +655,14 @@ def test_linearization_all_calibrated_models():
     )
 
 
+def test_linearization_rejects_mismatched_shapes(su2):
+    images, frame = su2.delta_images, su2.frame
+    long_frame = (frame[0] + (0,),) + frame[1:]  # a direction with an extra coordinate
+    for imgs, fr in ((images, long_frame), (images[:2], frame), (images + ({},), frame)):
+        with pytest.raises(ValueError, match="one delta image per frame direction"):
+            linearization_vs_cocommutator(su2.model, imgs, fr, su2.cocommutator_sign)
+
+
 def test_linearization_wrong_sign_fails(su2):
     res = linearization_vs_cocommutator(
         su2.model, su2.delta_images, su2.frame, -su2.cocommutator_sign

@@ -62,7 +62,7 @@ def test_wedge_mixed_spaces_rejected(so3):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_wedge_graded_commutative_and_associative(data):
-    L = catalog.r2xr2_algebra()
+    L = catalog.algebra("r2xr2")
     coeffs = st.fractions(max_denominator=6, min_value=-5, max_value=5)
 
     def elem(degree):
@@ -102,7 +102,7 @@ def test_interior_squares_to_zero(r2xr2, rng):
 
 
 def test_interior_with_zero_character_is_zero():
-    B = catalog.so3_bialgebra(1)
+    B = catalog.bialgebra("so3-structure", 1)
     chi = B.g.modular_character()  # zero for the rotation algebra
     assert interior(chi, B.delta.images[0]).is_zero()
 
@@ -154,7 +154,7 @@ def test_differential_abelian_vanishes(rng):
 def test_differential_squares_to_zero(rng):
     from itertools import combinations
 
-    for L in (catalog.so3_algebra(), catalog.r2xr2_algebra(), catalog.sl2_boost_algebra()):
+    for L in (catalog.algebra("so3"), catalog.algebra("r2xr2"), catalog.algebra("sl2-boost")):
         for deg in range(0, L.dim):
             terms = {idx: rational(rng) for idx in combinations(range(L.dim), deg)}
             w = ExteriorElement(L, deg, terms, True)
@@ -164,7 +164,7 @@ def test_differential_squares_to_zero(rng):
 def test_differential_matches_alternating_sum_oracle(rng):
     from itertools import combinations
 
-    for L in (catalog.so3_algebra(), catalog.r2xr2_algebra(), catalog.sl2_triangular_algebra()):
+    for L in (catalog.algebra("so3"), catalog.algebra("r2xr2"), catalog.algebra("sl2-triangular")):
         for deg in range(1, L.dim):
             terms = {idx: rational(rng) for idx in combinations(range(L.dim), deg)}
             w = ExteriorElement(L, deg, terms, True)
@@ -322,11 +322,11 @@ def test_theta0_is_zero_when_h_is_g(n):
 
 
 THETA0_ALGEBRAS = [
-    catalog.so3_algebra(),
-    catalog.sl2_boost_algebra(),
-    catalog.sl2_triangular_algebra(),
-    catalog.solvable3_algebra(),
-    catalog.r2xr2_algebra(),
+    catalog.algebra("so3"),
+    catalog.algebra("sl2-boost"),
+    catalog.algebra("sl2-triangular"),
+    catalog.algebra("solvable3"),
+    catalog.algebra("r2xr2"),
     sln_algebra(3),
     sln_algebra(4),
     sln_algebra(4),

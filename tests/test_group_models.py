@@ -50,7 +50,7 @@ def test_su2_bracket_keeps_the_hand_written_term_order():
 def test_toda_rmatrix_coboundary_is_the_standard_cocommutator(eta):
     """The r-matrix toda-n3 reads off its structure, -eta/2 sum S_ij ^ Q_ij,
     has the cocommutator of the triangular R-map under the trace pairing."""
-    B = catalog.BIALGEBRAS["sl3-standard-structure"](eta)
+    B = catalog.bialgebra("sl3-standard-structure", eta)
     r = {(B.g.labels[a], B.g.labels[b]): c for (a, b), c in B.delta.r.terms.items()}
     assert r == {(f"S{p}", f"Q{p}"): -eta / 2 for p in ("12", "13", "23")}
     R = sln_bialgebra_by_fractions(3, eta)

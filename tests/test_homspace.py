@@ -60,7 +60,7 @@ def test_non_coisotropic_case():
     # the elliptic structure with h = <P2>: h0 = <P^1, J^12> and
     # [P^1, J^12]_* = -2 eta J^12... stays inside, but [P^1,P^2]_* = -2 eta P^2
     # leaves the annihilator test to the bracket with the missing direction.
-    B = catalog.sl2_bialgebra("elliptic", "boost", 1)
+    B = catalog.bialgebra("sl2-elliptic", 1)
     S = HomogeneousSpaceSpec("ell-p2", B, B.g.subalgebra(["P2"]))
     if not coisotropy_check(S):
         assert subgroup_type(S) == "not_coisotropic"
@@ -71,7 +71,7 @@ def test_non_coisotropic_case():
         assert rep.mu_status in (MU_OK, MU_FAILS_I, MU_FAILS_II)
 
     # h = <X1 + X2 + X3> in the solvable3 structure: h0 is not closed under [.,.]_*
-    B = catalog.solvable3_bialgebra()
+    B = catalog.bialgebra("solvable3-structure")
     S = HomogeneousSpaceSpec("diagonal", B, B.g.subalgebra([B.g.vector([1, 1, 1])]))
     assert not coisotropy_check(S)
     assert classification_row(S) == {
@@ -118,7 +118,7 @@ def test_chi_h0_toda_lift():
 
 def test_chi_h0_of_the_whole_group():
     # h = g: h0 = 0, so chi_h0 has no values and its lift is 0
-    B = catalog.so3_bialgebra(1)
+    B = catalog.bialgebra("so3-structure", 1)
     S = HomogeneousSpaceSpec("point", B, B.g.subalgebra(["J1", "J2", "J3"]))
     assert chi_h0(S) == ((), B.g.zero_vector())
     assert classification_row(S)["mu_status"] == MU_FAILS_II
@@ -126,7 +126,7 @@ def test_chi_h0_of_the_whole_group():
 
 
 def test_chi_h0_requires_coisotropy(so3):
-    B = catalog.sl2_bialgebra("elliptic", "boost", 1)
+    B = catalog.bialgebra("sl2-elliptic", 1)
     S = HomogeneousSpaceSpec("bad", B, B.g.subalgebra(["P2"]))
     if not coisotropy_check(S):
         with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ def test_semi_invariant_r2xr2_quotient():
 def test_semi_invariant_infeasible_semisimple_nonunimodular_h():
     # perfect algebra (no nonzero closed covectors) with a non-unimodular h:
     # the restriction condition cannot be met
-    B = catalog.sl2_bialgebra("hyperbolic", "triangular", 1)
+    B = catalog.bialgebra("sl2-hyperbolic-tri", 1)
     g = B.g
     # h spanned by J3 and J+: [J3, J+] = 2 J+, chi_h != 0
     h = g.subalgebra(["J3", "J+"])

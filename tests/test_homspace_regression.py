@@ -67,7 +67,7 @@ def specs():
             yield f"sl3|{kind}|{eta}", homspace.HomogeneousSpaceSpec(
                 f"sl3-{kind}", B, B.g.subalgebra(basis)
             )
-    B = catalog.solvable3_bialgebra()
+    B = catalog.bialgebra("solvable3-structure")
     yield "solvable3|X1+X2+X3", homspace.HomogeneousSpaceSpec(
         "solvable3-diagonal", B, B.g.subalgebra([B.g.vector([1, 1, 1])])
     )

@@ -258,10 +258,10 @@ def sparse_cocommutators(draw, g, density=0.3):
 
 
 VALID_ALGEBRAS = [
-    catalog.so3_algebra(),
-    catalog.sl2_boost_algebra(),
-    catalog.solvable3_algebra(),
-    catalog.r2xr2_algebra(),
+    catalog.algebra("so3"),
+    catalog.algebra("sl2-boost"),
+    catalog.algebra("solvable3"),
+    catalog.algebra("r2xr2"),
 ]
 
 
@@ -641,9 +641,9 @@ def test_ce_differential_matches_alternating_sum_on_sl3_volumes():
 
 
 SCHOUTEN_ALGEBRAS = [
-    catalog.so3_algebra(),
-    catalog.sl2_boost_algebra(),
-    catalog.sl2_triangular_algebra(),
+    catalog.algebra("so3"),
+    catalog.algebra("sl2-boost"),
+    catalog.algebra("sl2-triangular"),
     sln_algebra(3),
 ]
 

@@ -124,7 +124,7 @@ def test_is_subalgebra(so3):
 
 
 def test_dual_subgroup_sphere_annihilator_is_subalgebra():
-    B = catalog.so3_bialgebra(1)
+    B = catalog.bialgebra("so3-structure", 1)
     h = B.g.subalgebra(["J3"])
     ann = B.g.annihilator(h)
     assert [list(x.coords) for x in ann] == [[1, 0, 0], [0, 1, 0]]
@@ -142,7 +142,7 @@ def test_annihilator_dimensions(so3):
 
 
 def test_annihilator_sl2_boost():
-    L = catalog.sl2_boost_algebra()
+    L = catalog.algebra("sl2-boost")
     h = L.subalgebra(["J12"])
     ann = L.annihilator(h)
     assert [list(x.coords) for x in ann] == [[1, 0, 0], [0, 1, 0]]  # P^1, P^2
@@ -167,7 +167,7 @@ def test_is_closed_one_form(so3, r2xr2):
 
 
 def test_modular_character_always_closed(so3, solvable3, r2xr2, sl2_tri):
-    for L in (so3, solvable3, r2xr2, sl2_tri, catalog.toda_bialgebra(3, 1).g):
+    for L in (so3, solvable3, r2xr2, sl2_tri, catalog.bialgebra("sl3-standard-structure", 1).g):
         assert is_closed_one_form(L, L.modular_character())
 
 

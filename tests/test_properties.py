@@ -28,12 +28,12 @@ SEED = catalog.DEFAULT_SEED
 
 def _algebras():
     return [
-        catalog.so3_algebra(),
-        catalog.sl2_boost_algebra(),
-        catalog.sl2_triangular_algebra(),
-        catalog.solvable3_algebra(),
-        catalog.r2xr2_algebra(),
-        catalog.toda_bialgebra(3, 1).g,
+        catalog.algebra("so3"),
+        catalog.algebra("sl2-boost"),
+        catalog.algebra("sl2-triangular"),
+        catalog.algebra("solvable3"),
+        catalog.algebra("r2xr2"),
+        catalog.bialgebra("sl3-standard-structure", 1).g,
     ]
 
 
@@ -97,13 +97,13 @@ def test_jacobi_on_random_vectors_suite():
     rng = random.Random(SEED + 2)
     spaces = []
     for B in (
-        catalog.so3_bialgebra(1),
-        catalog.sl2_bialgebra("hyperbolic", "boost", 1),
-        catalog.sl2_bialgebra("elliptic", "boost", 1),
-        catalog.sl2_bialgebra("parabolic", "triangular", 1),
-        catalog.solvable3_bialgebra(),
-        catalog.r2xr2_bialgebra(),
-        catalog.toda_bialgebra(3, 1),
+        catalog.bialgebra("so3-structure", 1),
+        catalog.bialgebra("sl2-hyperbolic", 1),
+        catalog.bialgebra("sl2-elliptic", 1),
+        catalog.bialgebra("sl2-parabolic-tri", 1),
+        catalog.bialgebra("solvable3-structure"),
+        catalog.bialgebra("r2xr2-structure"),
+        catalog.bialgebra("sl3-standard-structure", 1),
     ):
         spaces.extend([B.g, B.dual, double_algebra(B)])
     for L in spaces:

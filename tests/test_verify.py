@@ -56,7 +56,7 @@ def test_run_all_builds_each_structure_once(monkeypatch):
     results = verify.run_all()
     assert len(results) == 133 and all(r.ok for r in results)
     # one double per catalog bialgebra, shared by its double-Jacobi and Lu checks
-    assert len(doubles) == len(catalog.BIALGEBRAS) == 10
+    assert len(doubles) == len(catalog.STRUCTURES) == 10
     assert set(models) == set(verify.CHECKED_MODELS) and max(models.values()) == 1
 
 
