@@ -187,27 +187,31 @@ class CoordModelBundle:
 
 
 def _sphere_sampler(rng: random.Random):
-    u = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-    v = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-    w = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-    s = u * u + v * v + w * w
-    d = 1 + s
-    return ((1 - s) / d, 2 * u / d, 2 * v / d, 2 * w / d)
+    """The inverse stereographic image of (U, V, W) / 60.  The samplers work
+    on ints over their draws' common denominator, one Fraction a coordinate."""
+    U, V, W = (rng.randint(-5, 5) * (60 // rng.randint(1, 5)) for _ in range(3))
+    S = U * U + V * V + W * W
+    d = 3600 + S
+    return (Fraction(3600 - S, d), Fraction(120 * U, d), Fraction(120 * V, d), Fraction(120 * W, d))
 
 
 def _sl2_sampler(rng: random.Random):
+    """(x, y, z, (1 + y z) / x) for x = a/b != 0, y = c/d and z = e/f."""
     while True:
-        x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        if x:
+        a, b = rng.randint(-5, 5), rng.randint(1, 4)
+        if a:
             break
-    y = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-    z = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-    return (x, y, z, (1 + y * z) / x)
+    c, d = rng.randint(-4, 4), rng.randint(1, 4)
+    e, f = rng.randint(-4, 4), rng.randint(1, 4)
+    return Fraction(a, b), Fraction(c, d), Fraction(e, f), Fraction(b * (d * f + c * e), a * d * f)
 
 
 def _sl3_sampler(rng: random.Random):
+    """L diag(d1, d2, 1/(d1 d2)) U, L and U unit triangular, each of their
+    entries k/6, so that a product of r of them is over 6^r."""
+
     def small():
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return rng.randint(-3, 3) * (6 // rng.randint(1, 3))
 
     def small_nonzero():
         while True:
@@ -218,15 +222,14 @@ def _sl3_sampler(rng: random.Random):
     d1, d2 = small_nonzero(), small_nonzero()
     l21, l31, l32 = small(), small(), small()
     u12, u13, u23 = small(), small(), small()
-    d3 = 1 / (d1 * d2)
     # lower @ diag(d1, d2, d3) @ upper, expanded over the zero entries of the
-    # unit triangular factors
-    a, b = l21 * d1, l31 * d1
-    c = l32 * d2
+    # unit triangular factors; a = 36 l21 d1 and so on
+    a, b, c = l21 * d1, l31 * d1, l32 * d2
     return (
-        d1, d1 * u12, d1 * u13,
-        a, a * u12 + d2, a * u13 + d2 * u23,
-        b, b * u12 + c, b * u13 + c * u23 + d3,
+        Fraction(d1, 6), Fraction(d1 * u12, 36), Fraction(d1 * u13, 36),
+        Fraction(a, 36), Fraction(a * u12 + 36 * d2, 216), Fraction(a * u13 + 6 * d2 * u23, 216),
+        Fraction(b, 36), Fraction(b * u12 + 6 * c, 216),
+        Fraction(d1 * d2 * (b * u13 + c * u23) + 7776, 216 * d1 * d2),
     )
 
 

@@ -20,12 +20,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .linalg import frac, integer_table
 from .poly import (
     Polynomial,
+    _picker,
     diff_terms,
+    eval_terms,
     exact_evaluator,
     float_evaluator,
     poly_sum,
@@ -402,19 +405,35 @@ def hessian_at(
     frame: Sequence[PolyVectorField],
 ) -> list[list[Fraction]]:
     """Hessian matrix H[i][j] = V_i(V_j(h)) at a critical point of h along the
-    frame.  Raises if the point is not critical along the frame; the result is
-    checked to be symmetric (true at critical points)."""
+    frame, by the product rule from point values: with g = grad h, the sum
+    over k in K (some V_i^k(p) != 0) of V_i^k(p) d_k(V_j h)(p).  Raises
+    ValueError if the point is off the model's variety or not critical along
+    the frame; the result is checked to be symmetric (true at critical points)."""
     pt = tuple(frac(c) for c in point)
-    firsts = [V(h) for V in frame]
-    for k, first in enumerate(firsts):
-        if first.eval(pt) != 0:
-            raise ValueError(f"dh does not vanish along frame direction {k} at the point")
-    n = len(frame)
-    H = [[frame[i](firsts[j]).eval(pt) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if H[i][j] != H[j][i]:
-                raise AssertionError("Hessian is not symmetric at the critical point")
+    h._check_point(pt)
+    for k, c in enumerate(model.constraints):
+        if eval_terms(c.terms, pt):
+            raise ValueError(f"the point is off the variety: constraint {k} is nonzero there")
+    n = len(pt)
+    V = [[eval_terms(c.terms, pt) for c in field.components] for field in frame]
+    grad = [diff_terms(h.terms, l) for l in range(n)]
+    g = [eval_terms(d, pt) for d in grad]
+    for j, v in enumerate(V):
+        if sum(a * b for a, b in zip(v, g)):
+            raise ValueError(f"dh does not vanish along frame direction {j} at the point")
+    K = [k for k in range(n) if any(v[k] for v in V)]
+    G = [l for l in range(n) if g[l]]
+    second = {(k, l): eval_terms(diff_terms(grad[l], k), pt) for k in K for l in K}
+    # d_k(V_j h)(p) = sum_l d_k V_j^l(p) g_l(p) + V_j^l(p) d_k d_l h(p)
+    dVh = [
+        {k: sum(eval_terms(diff_terms(field.components[l].terms, k), pt) * g[l] for l in G)
+         + sum(v[l] * second[k, l] for l in K) for k in K}
+        for field, v in zip(frame, V)
+    ]
+    H = [[sum((u[k] * d[k] for k in K), Fraction(0)) for d in dVh] for u in V]
+    for i, j in itertools.combinations(range(len(H)), 2):
+        if H[i][j] != H[j][i]:
+            raise AssertionError("Hessian is not symmetric at the critical point")
     return H
 
 
@@ -466,39 +485,47 @@ def multiplicativity_spotcheck(
     deg = max((m.degree() for m in model.group_mult), default=0)
     product_and_jacobians = scaled_evaluator(len(mvars), scale, deg, [*mult, *d_left, *d_right])
 
-    def times_pi(jac, pi):
-        """J Pi, with Pi given by its table values (Pi[j][i] = -Pi[i][j])."""
-        out = [[0] * n for _ in range(n)]
-        for (i, j), p in zip(keys, pi):
-            if p:
-                for row, out_row in zip(jac, out):
-                    out_row[j] += row[i] * p
-                    out_row[i] -= row[j] * p
-        return out
+    # (J Pi J^T)_ab, a < b, as one run of terms Pi_ij J_ai J_bj per entry, over the nonzero
+    # Pi_ij (= -Pi_ji), J_ai and J_bj; Pi_ij is read from [Q_g Pi(h), Q_h Pi(g)] or its negative
+    count = len(keys)
+    at = [None] * (n * n)  # the weight slot of Pi_ij in the block JL
+    for k, (i, j) in enumerate(keys):
+        at[i * n + j], at[j * n + i] = k, 2 * count + k
+    blocks = [  # per block, per row a: (i, the value slot of J_ai) where J_ai != 0
+        (shift, [[(i, offset + a * n + i) for i in range(n) if jac[a * n + i]] for a in range(n)])
+        for shift, offset, jac in ((0, n, d_left), (count, n + n * n, d_right))
+    ]
+    plan, upper = [], []
+    for a, b in itertools.combinations(range(n), 2):
+        start = len(plan)
+        for shift, rows in blocks:
+            for i, s in rows[a]:
+                for j, t in rows[b]:
+                    if at[i * n + j] is not None:
+                        plan.append((at[i * n + j] + shift, s, t))
+        upper.append(((a, b), start, len(plan)))
+    pick_w, pick_s, pick_t = (_picker([term[c] for term in plan]) for c in range(3))
 
     worst = 0.0
     for _ in range(pairs):
         g = model.sampler(rng)
         h = model.sampler(rng)
         values, q_j = product_and_jacobians(*g, *h)
-        jl = [values[n + a * n:n + (a + 1) * n] for a in range(n)]
-        jr = [values[n + (n + a) * n:n + (n + a + 1) * n] for a in range(n)]
         pi_gh, q_gh = entries(*[Fraction(v, q_j) for v in values[:n]])
         pi_h, q_h = entries(*h)
         pi_g, q_g = entries(*g)
         lhs = dict(zip(keys, pi_gh))
-        jl_pi, jr_pi = times_pi(jl, pi_h), times_pi(jr, pi_g)
+        weights = [q_g * p for p in pi_h] + [q_h * p for p in pi_g]
+        weights += [-w for w in weights]
+        terms = list(map(mul, map(mul, pick_w(weights), pick_s(values)), pick_t(values)))
         # Pi(gh) - JL Pi(h) JL^T - JR Pi(g) JR^T times q_rhs * q_gh, where
         # JL Pi(h) JL^T has denominator q_j^2 q_h and JR Pi(g) JR^T q_j^2 q_g
         q_rhs = q_j * q_j * q_h * q_g
         # the residual matrix is antisymmetric, so its upper triangle decides it
-        for a in range(n):
-            for b in range(a + 1, n):
-                left = sum(x * y for x, y in zip(jl_pi[a], jl[b]))
-                right = sum(x * y for x, y in zip(jr_pi[a], jr[b]))
-                num = lhs.get((a, b), 0) * q_rhs - q_gh * (q_g * left + q_h * right)
-                if num:
-                    worst = max(worst, _magnitude(Fraction(num, q_rhs * q_gh)))
+        for key, start, stop in upper:
+            num = lhs.get(key, 0) * q_rhs - q_gh * sum(terms[start:stop])
+            if num:
+                worst = max(worst, _magnitude(Fraction(num, q_rhs * q_gh)))
     return worst
 
 

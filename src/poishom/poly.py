@@ -164,15 +164,7 @@ class Polynomial:
         """Exact evaluation at a rational point with one coordinate per
         variable."""
         self._check_point(point)
-        pt = [frac(p) for p in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for p, k in zip(pt, e):
-                if k:
-                    v *= p ** k
-            total += v
-        return total
+        return eval_terms(self.terms, [frac(p) for p in point])
 
     def eval_float(self, point: Sequence[float]) -> float:
         """Float value at one float point, with one coordinate per variable;
@@ -209,6 +201,21 @@ def _index(variables: tuple, name: str) -> int:
     if name not in variables:
         raise ValueError(f"unknown variable {name!r}, not one of {', '.join(variables)}")
     return variables.index(name)
+
+
+def eval_terms(terms: dict, point: Sequence[Fraction]) -> Fraction:
+    """The value of the map ``terms`` at a point of Fractions, skipping each
+    term with a positive power of a zero coordinate."""
+    total = Fraction(0)
+    for e, c in terms.items():
+        for p, k in zip(point, e):
+            if k:
+                if not p:
+                    break
+                c *= p**k
+        else:
+            total += c
+    return total
 
 
 def diff_terms(terms: dict, i: int) -> dict:

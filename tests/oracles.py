@@ -872,3 +872,70 @@ def toda3_by_hand() -> dict:
         "delta_images": [dict(im.terms) for im in sln_standard_bialgebra(3, 1).delta.images],
         "group_mult": _matrix_mult(v, 3),
     }
+
+
+# ---------------------------------------------------------------------------
+# the variety samplers and the Hessian in Fraction arithmetic, the forms
+# ``catalog``'s int samplers and ``coord.hessian_at`` had before
+# ---------------------------------------------------------------------------
+
+
+def sphere_sampler_by_fractions(rng: random.Random):
+    u = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+    v = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+    w = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+    s = u * u + v * v + w * w
+    d = 1 + s
+    return ((1 - s) / d, 2 * u / d, 2 * v / d, 2 * w / d)
+
+
+def sl2_sampler_by_fractions(rng: random.Random):
+    while True:
+        x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        if x:
+            break
+    y = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+    z = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+    return (x, y, z, (1 + y * z) / x)
+
+
+def sl3_sampler_by_fractions(rng: random.Random):
+    def small():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def small_nonzero():
+        while True:
+            c = small()
+            if c:
+                return c
+
+    d1, d2 = small_nonzero(), small_nonzero()
+    l21, l31, l32 = small(), small(), small()
+    u12, u13, u23 = small(), small(), small()
+    d3 = 1 / (d1 * d2)
+    a, b = l21 * d1, l31 * d1
+    c = l32 * d2
+    return (
+        d1, d1 * u12, d1 * u13,
+        a, a * u12 + d2, a * u13 + d2 * u23,
+        b, b * u12 + c, b * u13 + c * u23 + d3,
+    )
+
+
+def hessian_by_composition(h: Polynomial, point, frame) -> list[list[Fraction]]:
+    """H[i][j] = V_i(V_j(h)) at the point, each V_j(h) and V_i(V_j(h)) built
+    as a polynomial and evaluated; the criticality test and symmetry check,
+    with their messages, of ``coord.hessian_at`` (which also checks the
+    model's constraints at the point)."""
+    pt = tuple(linalg.frac(c) for c in point)
+    firsts = [V(h) for V in frame]
+    for k, first in enumerate(firsts):
+        if first.eval(pt) != 0:
+            raise ValueError(f"dh does not vanish along frame direction {k} at the point")
+    n = len(frame)
+    H = [[frame[i](firsts[j]).eval(pt) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if H[i][j] != H[j][i]:
+                raise AssertionError("Hessian is not symmetric at the critical point")
+    return H

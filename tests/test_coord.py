@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from poishom import catalog, coord
+from poishom import catalog, coord, linalg
 from poishom.coord import (
     ConstraintDriftError,
     FlowTrace,
@@ -33,10 +33,14 @@ from poishom.poly import Polynomial, exact_evaluator, float_evaluator
 from float_reference import eval_field, eval_float, rk4_reference
 from oracles import (
     apply_field_by_chained_sums,
+    hessian_by_composition,
     divergence_by_chained_sums,
     exact_evaluator_by_codegen,
     multiplicativity_spotcheck_by_codegen,
     sharp_by_chained_sums,
+    sl2_sampler_by_fractions,
+    sl3_sampler_by_fractions,
+    sphere_sampler_by_fractions,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -467,6 +471,92 @@ def test_hessian_indefinite_case():
     from poishom import linalg
 
     assert linalg.det([[Fraction(c) for c in row] for row in H]) != 0
+
+
+def test_hessian_rejects_a_point_off_the_variety(su2):
+    # the origin is critical along the Morse frame, but su2 lives on the
+    # unit sphere
+    with pytest.raises(ValueError, match="off the variety: constraint 0"):
+        hessian_at(su2.model, su2.hamiltonian, (0, 0, 0, 0), su2.morse_frame)
+
+
+def _hessian_outcome(run):
+    try:
+        H = run()
+    except (ValueError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+    assert all(type(c) is Fraction for row in H for c in row)
+    return "ok", H
+
+
+@st.composite
+def _hessian_problems(draw):
+    """A random h, frame of 1-3 fields and point over 2-4 variables.  Three
+    times in four h is shifted by a linear function so that the point is
+    critical along the frame, with the gradient there a kernel vector w of
+    the frame's and its brackets' values: not zero when there is one, and
+    the Hessian symmetric."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    names = _NAMES[:n]
+
+    def poly(max_degree, max_terms):
+        expo = st.tuples(*[st.integers(0, max_degree)] * n)
+        return Polynomial(names, draw(st.dictionaries(expo, _small_coeffs, max_size=max_terms)))
+
+    frame = [PolyVectorField(names, [poly(2, 2) for _ in names]) for _ in range(m)]
+    h = poly(3, 4)
+    point = draw(st.tuples(*[_starts] * n))
+    critical = draw(st.integers(0, 3)) > 0
+    if critical:
+        rows = [V.eval(point) for V in frame]
+        rows += [
+            tuple(U(c).eval(point) - V(b).eval(point) for b, c in zip(U.components, V.components))
+            for U, V in itertools.combinations(frame, 2)
+        ]
+        kernel = linalg.nullspace([list(r) for r in rows])
+        w = [sum(draw(st.integers(-2, 2)) * v[l] for v in kernel) for l in range(n)]
+        event(f"gradient {'nonzero' if any(w) else 'zero'}")
+        grad = [h.diff(name).eval(point) for name in names]
+        h = h - sum((Polynomial.variable(names, x) * (g - c) for x, g, c in zip(names, grad, w)),
+                    Polynomial.zero(names))
+    event(f"critical: {critical}")
+    return PolynomialPoissonModel("random", names, {}), h, point, frame
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hessian_problems())
+def test_hessian_matches_composition_oracle(problem):
+    # the product rule at the point gives the matrix, or the error, of
+    # building V_j(h) and V_i(V_j(h)) as polynomials
+    model, h, point, frame = problem
+    want = _hessian_outcome(lambda: hessian_by_composition(h, point, frame))
+    event(want[0])
+    assert _hessian_outcome(lambda: hessian_at(model, h, point, frame)) == want
+
+
+def test_hessian_multiplies_no_polynomial(su2, monkeypatch):
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted)
+    v = ("x", "y")
+    x, y = (Polynomial.variable(v, n) for n in v)
+    # at (1, 1) the field y d/dx + x d/dy is (1, 1) and dh = (1, -1) kills
+    # it without vanishing, so the field's derivatives enter
+    h = x * y * y - 3 * y
+    assert calls  # the wrapper counts
+    calls.clear()
+    plane = PolynomialPoissonModel("plane", v, {})
+    assert hessian_at(plane, h, (1, 1), [PolyVectorField(v, [y, x])]) == [[6]]
+    assert hessian_at(su2.model, su2.hamiltonian, (1, 0, 0, 0), su2.morse_frame) == [
+        [Fraction(1, 2), 0], [0, Fraction(1, 2)]
+    ]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -1249,6 +1339,50 @@ def test_fields_match_the_chained_sum_oracle_in_key_order(polys, h):
         assert items([divergence(model, X, log_density)]) == items(
             [divergence_by_chained_sums(X, log_density)]
         )
+
+
+@pytest.mark.parametrize(
+    "sampler, oracle",
+    [
+        (catalog._sphere_sampler, sphere_sampler_by_fractions),
+        (catalog._sl2_sampler, sl2_sampler_by_fractions),
+        (catalog._sl3_sampler, sl3_sampler_by_fractions),
+    ],
+)
+def test_int_samplers_match_the_fraction_samplers(sampler, oracle):
+    # the same points, all Fractions, from the same randint calls
+    for seed in (0, 1, catalog.DEFAULT_SEED, coord.SPOTCHECK_SEED):
+        rng, want_rng = random.Random(seed), random.Random(seed)
+        for _ in range(1000):
+            point = sampler(rng)
+            assert point == oracle(want_rng)
+            assert all(type(c) is Fraction for c in point)
+        assert rng.getstate() == want_rng.getstate()
+
+
+def test_sphere_and_sl2_sampler_first_draws_are_pinned():
+    """The su2 and sl2 samplers' points from Random(DEFAULT_SEED), and the
+    state each leaves, as recorded from the Fraction samplers."""
+    pins = {
+        catalog._sphere_sampler: (
+            [
+                "-344/569 180/569 -375/569 180/569",
+                "-29/61 48/61 24/61 0",
+                "-25/43 -30/43 18/43 0",
+                "-11/15 0 2/15 -2/3",
+                "-17/67 -40/67 50/67 -10/67",
+            ],
+            251449,
+        ),
+        catalog._sl2_sampler: (
+            ["4 1/2 1 3/8", "-5/3 2 1 -9/5", "1/2 -2 -1 6", "2 0 -2/3 1/2", "-3 1/2 -2 0"],
+            283510,
+        ),
+    }
+    for sampler, (points, after) in pins.items():
+        rng = random.Random(catalog.DEFAULT_SEED)
+        assert [" ".join(map(str, sampler(rng))) for _ in range(5)] == points
+        assert rng.randint(0, 10**6) == after
 
 
 def test_sl3_sampler_first_draws_are_pinned():
