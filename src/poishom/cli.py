@@ -216,7 +216,7 @@ def cmd_dynamics(args) -> int:
                     print(f"integrator abort: {exc}", file=sys.stderr)
                     return EXIT_VERIFICATION
                 if sink:
-                    sink.write(trace.csv())
+                    trace.write_csv(sink)
         except BrokenPipeError:  # --out is a pipe its reader closed, as for stdout
             raise
         except OSError as exc:  # the write or the close of --out failed

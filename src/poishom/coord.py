@@ -27,10 +27,12 @@ from .linalg import frac, integer_table
 from .poly import (
     Polynomial,
     _picker,
+    _sum_lines,
     diff_terms,
     eval_terms,
     exact_evaluator,
     float_evaluator,
+    float_shape,
     poly_sum,
     scaled_evaluator,
 )
@@ -584,93 +586,152 @@ class FlowTrace:
     def max_drift(self) -> float:
         return max(self.constraint_drift)
 
-    def csv(self) -> str:
-        header = "t," + ",".join(self.variables) + ",divint,constraint_drift"
-        lines = [header]
+    def _lines(self):
+        """The CSV lines, header first, each ending in a newline."""
+        yield "t," + ",".join(self.variables) + ",divint,constraint_drift\n"
         for t, x, dv, cd in zip(self.times, self.states, self.div_integral, self.constraint_drift):
-            cells = [f"{t:.17g}"] + [f"{c:.17g}" for c in x] + [f"{dv:.17g}", f"{cd:.17g}"]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+            yield ",".join([f"{t:.17g}", *[f"{c:.17g}" for c in x], f"{dv:.17g}", f"{cd:.17g}"]) + "\n"
+
+    def csv(self) -> str:
+        return "".join(self._lines())
+
+    def write_csv(self, fh) -> None:
+        """Write ``csv()`` to the text file ``fh`` one line at a time, without
+        building the whole text."""
+        for line in self._lines():
+            fh.write(line)
 
 
 class ConstraintDriftError(RuntimeError):
     pass
 
 
-@functools.lru_cache(maxsize=None)
-def _rk4_loop(frozen: tuple[bool, ...], m: int, zero_divergence: bool, drop_midpoint: bool):
-    """Compile rk4_flow's step loop for the coordinates x0..x{n-1} (n =
-    len(frozen)) and m constraints.
+@functools.lru_cache(maxsize=64)
+def _rk4_loop(frozen: tuple[bool, ...], field: tuple, checks: tuple, zero_divergence: bool):
+    """Compile rk4_flow's run for one shape: the frozen mask, the
+    ``float_shape`` of the moving field components and that of the checks,
+    the divergence (unless ``zero_divergence``) and the constraints.  The
+    source holds no model data, so it is cached by shape.
 
-    The state lives in the locals x0..x{n-1}.  A coordinate i with
-    ``frozen[i]`` (its field component is the zero polynomial) comes in
-    already normalised to ``x_i + 0.0`` and is never updated: its stage
-    increments would all be the literal 0.0, so every stage would only
-    recompute ``x_i + 0.0``.  The evaluators take the other coordinates,
-    the moving ones, and ``rhs`` returns their field components only.  Each
-    step makes two RK4 half-steps of length h = dt / 2 on the moving
-    coordinates (stages a, b, c, d: ``s + half * k`` twice, ``s + h * k``,
-    then ``s + sixth * (a + 2 * b + 2 * c + d)``), evaluating
-    ``div_and_constraints`` after each, adds the Simpson term ``dt / 6 * (f0
-    + 4 * fm + f1)`` and carries f1 into the next step.  The loop appends
-    each accepted step to the trace lists and returns None, or ``(k,
-    drift)`` at the first step k whose state or integral is not finite
-    (drift None) or whose drift passes the tolerance.
+    The generated ``_loop(w, dt, steps, drift_tolerance, times, states,
+    div_int, drifts, x0, .., x{n-1})`` unpacks the coefficients the shapes
+    leave out, the field's then the checks', from the tuple w to the locals
+    w0.., and inlines every sum as straight-line code over them
+    (``poly._sum_lines``).  The state lives in the locals x0..x{n-1}.  A
+    frozen coordinate (its field component is the zero polynomial) is set to
+    ``x_i + 0.0`` and never updated, since every stage would only recompute
+    that; its powers are bound once to locals q{i}_{k}, the checks' before
+    the start check and the field's after it.
 
-    With ``zero_divergence`` every divergence value is the literal 0.0 and
-    every Simpson term ``simpson * 0.0`` adds 0.0 to 0.0, so the loop makes
-    no sum, records the integral 0.0 and ``div_and_constraints`` evaluates
-    the m constraints alone: after each step if m > 0, and also at the
-    midpoint unless ``drop_midpoint``.  The midpoint value is never read;
-    that call can only raise an OverflowError, which the caller may drop
-    when the next field call, at the same state, evaluates every power the
-    constraints would and so raises it.  The source depends on these
-    arguments only, so it is cached; the evaluators come in as arguments.
-    (``2.0 * b`` is ``2 * b``: the int converts to 2.0 exactly.)"""
+    The checks at the start point return ``(0, None)`` when a residual is
+    above 1e-12, and otherwise append its drift.  Each step makes two RK4
+    half-steps of length h = dt / 2 on the moving coordinates (stages a, b,
+    c, d at ``s``, ``y = s + half * a``, ``y = s + half * b`` and ``y = s +
+    h * c``, then ``s + sixth * (a + 2.0 * b + 2.0 * c + d)``), each stage
+    binding its powers p{i}_{k} and summing the field; it sums the checks
+    after the step, adds the Simpson term ``simpson * (f0 + 4.0 * fm +
+    f1)`` and carries f1 into the next step.  The loop appends each accepted
+    step to the trace lists and returns None, or ``(k, drift)`` at the first
+    step k whose state or integral is not finite (drift None) or whose drift
+    passes the tolerance.
 
+    At the midpoint only the divergence fm is read, so only its sum is
+    formed, beside each power of a moving coordinate that a constraint uses
+    and that neither that sum nor the next stage, the field at the same
+    state, binds.  Float ``+`` and ``*`` never raise and only ``**`` can
+    raise OverflowError, so every abort stays where it was.  With
+    ``zero_divergence`` every divergence value and Simpson term is 0.0, so
+    no divergence sum is formed and the integral recorded is 0.0.  (``2.0 *
+    b`` is ``2 * b``: the int converts to 2.0 exactly.)"""
     moving = [i for i, f in enumerate(frozen) if not f]
+    state = [f"x{i}" for i in range(len(frozen))]
+    shifted = [f"x{i}" if f else f"y{i}" for i, f in enumerate(frozen)]
+    held: dict[tuple[int, int], str] = {}  # frozen powers, bound once a run
 
-    def row(fmt: str, indices=moving) -> str:
-        return "(" + "".join(fmt.format(i=i) + ", " for i in indices) + ")"
+    def left_out(shape) -> int:
+        return sum(1 for terms in shape if type(terms) is tuple for _, s in terms if not s)
 
-    state = row("x{i}")
-    half_step = [
-        f"{row('a{i}')} = rhs{state}",
-        f"{row('b{i}')} = rhs{row('x{i} + half * a{i}')}",
-        f"{row('c{i}')} = rhs{row('x{i} + half * b{i}')}",
-        f"{row('d{i}')} = rhs{row('x{i} + h * c{i}')}",
-        f"{state} = {row('x{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}",
-    ] if moving else []
-    residuals = row("r{i}", range(m))
-    if zero_divergence:
-        midpoint = [f"div_and_constraints{state}"] if m and not drop_midpoint else []
-        end = [f"{residuals} = div_and_constraints{state}"] if m else []
-        step = [*half_step, *midpoint, *half_step, *end]
-    else:
-        step = [
-            *half_step,
-            f"fm = div_and_constraints{state}[0]",
-            *half_step,
-            f"(f1, {residuals[1:]} = div_and_constraints{state}",
-            "acc += simpson * (f0 + 4.0 * fm + f1)",
-            "f0 = f1",
-        ]
-    drift = ", ".join(f"abs(r{j})" for j in range(m)) or "0.0"
-    if m > 1:
-        drift = f"max({drift})"
-    finite = [f"isfinite(x{i})" for i in moving]
-    prologue = ["h = dt / 2.0", "half, sixth = 0.5 * h, h / 6.0"]
+    def block(shape, first, point, value):
+        """The statements that bind the moving powers at ``point`` and sum
+        the maps of ``shape``, whose left-out coefficients are w{first}..,
+        with the maps' values and the moving powers bound."""
+        powers: dict[tuple[int, int], str] = {}
+
+        def power(i: int, k: int) -> str:
+            if k == 1:
+                return point[i]
+            if frozen[i]:
+                return held.setdefault((i, k), f"q{i}_{k}")
+            return powers.setdefault((i, k), f"p{i}_{k}")
+
+        sums, values = _sum_lines(shape, (f"w{t}" for t in itertools.count(first)), power, value)
+        return [f"{name} = {point[i]}**{k}" for (i, k), name in powers.items()] + sums, values, powers
+
+    # the checks: the divergence f (unless zero), then the residuals r0..
+    first = left_out(field)
+    m = len(checks) - (not zero_divergence)
+
+    def checked_at(suffix: str):
+        names = ([] if zero_divergence else [f"f{suffix}"]) + [f"r{j}" for j in range(m)]
+        lines, values, _ = block(checks, first, state, names.__getitem__)
+        residuals = [f"abs({r})" for r in values[len(checks) - m:]]
+        drift = f"max({', '.join(residuals)})" if m > 1 else "".join(residuals) or "0.0"
+        return lines, residuals, drift
+
+    start, residuals, start_drift = checked_at("0")
+    check_powers = dict(held)
+    end, _, drift = checked_at("1")
+
+    # stage a at the state; b, c and d at y, one source with the letter
+    # left as a format field (the arithmetic has no braces)
+    a_lines, a, field_powers = block(field, 0, state, lambda j: f"a{moving[j]}")
+    y_lines, y, _ = block(field, 0, shifted, lambda j: f"{{0}}{moving[j]}")
+    (b_lines, b), (c_lines, c), (d_lines, d) = (
+        ([line.format(letter) for line in y_lines], [v.format(letter) for v in y]) for letter in "bcd"
+    )
+    half_step = [*a_lines]
+    for lines, previous, size in ((b_lines, a, "half"), (c_lines, b, "half"), (d_lines, c, "h")):
+        half_step += [f"y{i} = x{i} + {size} * {v}" for i, v in zip(moving, previous)] + lines
+    half_step += [
+        f"x{i} = x{i} + sixth * ({ai} + 2.0 * {bi} + 2.0 * {ci} + {di})"
+        for i, ai, bi, ci, di in zip(moving, a, b, c, d)
+    ]
+    # the midpoint: the divergence sum, and the constraints' moving powers
+    # that neither it nor the next stage binds
+    midpoint, covered = [], set(field_powers)
     if not zero_divergence:
+        midpoint, _, div_powers = block(checks[:1], first, state, lambda j: "fm")
+        covered |= div_powers.keys()
+    constraint_powers = dict.fromkeys(
+        (i, k) for terms in checks[len(checks) - m:] if type(terms) is tuple
+        for e, _ in terms for i, k in enumerate(e) if k > 1 and not frozen[i]
+    )
+    midpoint += [f"p{i}_{k} = x{i}**{k}" for i, k in constraint_powers if (i, k) not in covered]
+
+    step = [*half_step, *midpoint, *half_step, *end]
+    prologue = ["h = dt / 2.0", "half, sixth = 0.5 * h, h / 6.0"]
+    finite = [f"isfinite(x{i})" for i in moving]
+    if not zero_divergence:
+        step += ["acc += simpson * (f0 + 4.0 * fm + f1)", "f0 = f1"]
         prologue += ["simpson = dt / 6.0", "acc = 0.0"]
         finite.append("isfinite(acc)")
     if any(frozen):
-        held = " and ".join(f"isfinite(x{i})" for i, f in enumerate(frozen) if f)
-        prologue.append(f"held_finite = {held}")
+        held_finite = " and ".join(f"isfinite(x{i})" for i, f in enumerate(frozen) if f)
+        prologue.append(f"held_finite = {held_finite}")
         finite.append("held_finite")
-    coordinates = "".join(f"x{i}, " for i in range(len(frozen)))
+    unpack = "".join(f"w{t}, " for t in range(first + left_out(checks)))
+    coordinates = ", ".join(state)
     body = [
-        "def _loop(rhs, div_and_constraints, f0, dt, steps, drift_tolerance,",
-        f"          times, states, div_int, drifts, {coordinates}):",
+        "def _loop(w, dt, steps, drift_tolerance, times, states, div_int, drifts,",
+        f"          {coordinates}):",
+        *([f"    ({unpack}) = w"] if unpack else []),
+        *(f"    x{i} = x{i} + 0.0" for i, f in enumerate(frozen) if f),
+        *(f"    {name} = x{i}**{k}" for (i, k), name in check_powers.items()),
+        *(f"    {line}" for line in start),
+        *([f"    if {' or '.join(f'{r} > 1e-12' for r in residuals)}:", "        return 0, None"]
+          if m else []),
+        f"    drifts.append({start_drift})",
+        *(f"    {name} = x{i}**{k}" for (i, k), name in held.items() if (i, k) not in check_powers),
         *(f"    {line}" for line in prologue),
         "    for k in range(1, steps + 1):",
         *(f"        {line}" for line in step),
@@ -680,7 +741,7 @@ def _rk4_loop(frozen: tuple[bool, ...], m: int, zero_divergence: bool, drop_midp
         "        if drift > drift_tolerance:",
         "            return k, drift",
         "        times.append(k * dt)",
-        f"        states.append([{coordinates[:-2]}])",
+        f"        states.append([{coordinates}])",
         f"        div_int.append({'0.0' if zero_divergence else 'acc'})",
         "        drifts.append(drift)",
         "    return None",
@@ -690,14 +751,6 @@ def _rk4_loop(frozen: tuple[bool, ...], m: int, zero_divergence: bool, drop_midp
     }
     exec(compile("\n".join(body) + "\n", "<rk4_loop>", "exec"), namespace)
     return namespace["_loop"]
-
-
-def _moving_powers(polys, frozen) -> set[tuple[int, int]]:
-    """The powers (i, k), k > 1, of the coordinates not ``frozen`` that the
-    float evaluator of ``polys`` binds."""
-    return {
-        (i, k) for p in polys for e in p.terms for i, k in enumerate(e) if k > 1 and not frozen[i]
-    }
 
 
 def flow_steps(T: float, dt: float) -> int:
@@ -728,69 +781,49 @@ def rk4_flow(
     passes the tolerance.  Each step's end-of-step divergence value starts the
     next step's Simpson sum.
 
-    The field, and the divergence with the constraints, are each compiled
-    once per call into one ``float_evaluator``, and the step loop is
-    generated code over the coordinates (``_rk4_loop``), so an RK4 stage is
-    one call and the state is never a list.  Two facts of the exact field
-    hold for the whole run:
+    The whole run, start-point check included, is one generated function
+    (``_rk4_loop``) with the field, divergence and constraint sums inlined
+    as straight-line float code, so the state is never a list and no stage
+    is a call.  Its source depends only on the shape of those polynomials
+    (``poly.float_shape``): it is compiled once per shape and cached, and
+    each call passes its model's float coefficients in.  Two facts of the
+    exact field hold for the whole run:
 
     - A coordinate whose field component is the zero polynomial is frozen:
       from the first stage on it is ``x_i + 0.0`` (which turns a -0.0 start
-      into 0.0), so both evaluators bind it and its powers once.  A frozen
-      value differs from the start value at most in the sign of a zero,
-      which changes no sum started from 0.0.  The field binds after the
-      start-point constraint check, so a violated start still raises
+      into 0.0), and its powers are bound once.  The field's are bound after
+      the start-point constraint check, so a violated start still raises
       ValueError before a frozen power can overflow.
     - With the divergence (log density included) the zero polynomial, the
-      integral is 0.0 at every step: only the constraints are evaluated,
-      after each step, and at the midpoint only where the field does not
-      evaluate every power of a moving coordinate that they use.  Without
-      constraints no such evaluator is compiled.
+      integral is 0.0 at every step and no divergence sum is formed.  At the
+      midpoint only the divergence is summed; a constraint is not, but each
+      power of a moving coordinate it uses is still evaluated there unless
+      the divergence or the next stage evaluates it.
 
     T and dt are checked by ``flow_steps``.
     """
     steps = flow_steps(T, dt)
     field = hamiltonian_vf(model, h)
     div = divergence(model, field, log_density)
-    frozen = tuple(c.is_zero() for c in field.components)
-    held = [i for i, f in enumerate(frozen) if f]
-    moving_field = [c for c, f in zip(field.components, frozen) if not f]
-    zero_divergence = div.is_zero()
-    checks = list(model.constraints) if zero_divergence else [div, *model.constraints]
-    bind_rhs = float_evaluator(model.vars, moving_field, held)
-    bind_checks = float_evaluator(model.vars, checks, held) if checks else None
     x = [float(c) for c in x0]
     if len(x) != model.dim:
         raise ValueError("start point length does not match the model dimension")
-    start = [xi + 0.0 if f else xi for xi, f in zip(x, frozen)]
-    held_values = [start[i] for i in held]
-    div_and_constraints, f0, residuals = None, 0.0, ()
-    if checks:
-        div_and_constraints = bind_checks(*held_values)
-        residuals = div_and_constraints(*[xi for xi, f in zip(x, frozen) if not f])
-        if not zero_divergence:
-            f0, *residuals = residuals
-    if any(abs(r) > 1e-12 for r in residuals):
-        raise ValueError("initial point violates the constraints")
-    rhs = bind_rhs(*held_values)
-    trace = FlowTrace(
-        variables=model.vars,
-        times=[0.0],
-        states=[x],
-        div_integral=[0.0],
-        constraint_drift=[max(map(abs, residuals), default=0.0)],
-    )
-    drop_midpoint = bool(model.constraints) and zero_divergence and (
-        _moving_powers(model.constraints, frozen) <= _moving_powers(moving_field, frozen)
-    )
-    loop = _rk4_loop(frozen, len(model.constraints), zero_divergence, drop_midpoint)
+    frozen = tuple(c.is_zero() for c in field.components)
+    zero_divergence = div.is_zero()
+    field_shape, coefficients = float_shape([c for c, f in zip(field.components, frozen) if not f])
+    checks = model.constraints if zero_divergence else [div, *model.constraints]
+    checks_shape, check_coefficients = float_shape(checks)
+    loop = _rk4_loop(frozen, field_shape, checks_shape, zero_divergence)
+    trace = FlowTrace(model.vars, times=[0.0], states=[x], div_integral=[0.0], constraint_drift=[])
     abort = loop(
-        rhs, div_and_constraints, f0, dt, steps, drift_tolerance,
-        trace.times, trace.states, trace.div_integral, trace.constraint_drift, *start,
+        (*coefficients, *check_coefficients), dt, steps, drift_tolerance,
+        trace.times, trace.states, trace.div_integral, trace.constraint_drift, *x,
     )
     if abort is None:
         return trace
     k, drift = abort
+    if not k:
+        raise ValueError("initial point violates the constraints")
     if drift is None:
         raise ValueError(
             f"non-finite state or divergence integral at step {k} (t = {k * dt:g}, dt = {dt})"

@@ -17,13 +17,15 @@ the list once per call (each distinct power bound once per point, terms
 grouped by their number of factors, and a polynomial whose coefficients
 repeat an earlier one's planned once) and runs the plan at each point in
 ``map`` passes over ``itemgetter`` columns, with no Python loop per term.
-``float_evaluator`` returns floats, for the numerical integrators; it
-compiles the list into generated straight-line code that holds only the
-arithmetic a term needs: a first power is read as the coordinate itself,
-higher powers are bound once per call (or, for the coordinates it is told
-are frozen, once per bind), a coefficient 1.0 or -1.0 is a sign, not a
-factor, and a polynomial whose float coefficients repeat an earlier one's
-reads that one's value.
+``float_evaluator`` returns floats, for the finite differences and
+``Polynomial.eval_float``; it compiles the list into generated straight-line
+code that holds only the arithmetic a term needs: a first power is read as
+the coordinate itself, higher powers are bound once per call, a coefficient
+1.0 or -1.0 is a sign, not a factor, and a polynomial whose float
+coefficients repeat an earlier one's reads that one's value.  The sums are
+generated from the list's ``float_shape``, which leaves the other
+coefficients out, so the RK4 loop in ``coord`` inlines the same sums over
+coefficients it takes as arguments.
 """
 
 from __future__ import annotations
@@ -269,79 +271,76 @@ def _check_vars(variables, polys) -> None:
         raise ValueError("polynomial over different variables")
 
 
-def _term(e, c, powers: dict) -> str:
-    """The generated float term c x^e with its operator,
-    ``" + repr(c) * f * .."`` over the factors f of its nonzero exponents: a
-    first power x_i**1 is ``x{i}`` itself, and a higher one is the local
-    ``p{i}_{k}``, registered in ``powers`` (as ``(x{i}, k)``) to be bound
-    once.  A coefficient 1.0 or -1.0 before at least one factor is written
-    as the sign alone, ``" + f * .."`` or ``" - f * .."``."""
-    factors = []
-    for i, k in enumerate(e):
-        if k == 1:
-            factors.append(f"x{i}")
-        elif k:
-            name = f"p{i}_{k}"
-            powers.setdefault(name, (f"x{i}", k))
-            factors.append(name)
-    if factors and (c == 1 or c == -1):
-        return (" - " if c < 0 else " + ") + " * ".join(factors)
-    return " + " + " * ".join([repr(c), *factors])
+def float_shape(polys: Sequence[Polynomial]) -> tuple[tuple, list[float]]:
+    """The shape of the float maps of ``polys``, and the coefficients it
+    leaves out, in order.
 
-
-def _compile_sums(coefficients, params: str, bound=None):
-    """Generate and compile the float ``_evaluate(params)`` over a list of
-    exponent -> float coefficient maps: each power that ``_term`` registers
-    is bound once at the top, in first-use order; map j is summed in its own
-    order from 0.0 into v{j}, at most _SUM_CHUNK terms per statement, each
-    term ``_term(e, c, powers)``; the function returns the tuple of the
-    values and runs with empty builtins.  A map equal item for item to an
-    earlier one gets no statement of its own, and no call to ``_term``: its
-    value is the earlier local.  Equal items give the same expression over
-    the same locals, which would only recompute that value bit for bit; the
+    Map j rounds each coefficient to a float.  Its shape is the index of the
+    first earlier map whose items equal its own (a repeat), or else the
+    tuple of its terms ``(e, s)`` in ``terms`` order: s is the sign 1 or -1
+    of a coefficient 1.0 or -1.0 before at least one factor (e nonzero), and
+    0 for any other coefficient, whose float goes to the list.  The shape
+    holds only ints and tuples, so two lists of one shape differ only in
+    their coefficient lists.  A repeat has the value of the map it repeats:
+    equal items give the same sum over the same values bit for bit, and the
     one pair of equal but distinct coefficients, 0.0 and -0.0, give terms
     that are +-0.0 or the same NaN, which a sum from 0.0 (never -0.0) adds
-    alike.
+    alike."""
+    shape: list = []
+    coefficients: list[float] = []
+    first: dict[tuple, int] = {}
+    for p in polys:
+        items = tuple([(e, float(c)) for e, c in p.terms.items()])
+        j = first.setdefault(items, len(shape))
+        if j < len(shape):
+            shape.append(j)
+            continue
+        terms = []
+        for e, c in items:
+            sign = int(c) if (c == 1 or c == -1) and any(e) else 0
+            if not sign:
+                coefficients.append(c)
+            terms.append((e, sign))
+        shape.append(tuple(terms))
+    return tuple(shape), coefficients
 
-    With ``bound`` (a sequence of parameter names, possibly empty) the
-    result is instead ``_bind(bound)``, which binds the powers of those
-    names once and returns ``_evaluate(params)`` over the rest, reading
-    the bound names and powers from the enclosing call; with no name bound
-    it is a plain function that returns ``_evaluate``."""
-    powers: dict[str, tuple[str, int]] = {}
-    sums = []
-    values = []
-    local_of: dict[tuple, str] = {}
-    for j, coeffs in enumerate(coefficients):
-        items = tuple(coeffs.items())
-        total = local_of.get(items)
-        if total is None:
-            terms = [_term(e, c, powers) for e, c in items]
-            total = "0.0"
-            for start in range(0, len(terms), _SUM_CHUNK):
-                sums.append(f"    v{j} = {total}" + "".join(terms[start:start + _SUM_CHUNK]))
-                total = f"v{j}"
-            local_of[items] = total
+
+def _term(e, c, power) -> str:
+    """The generated float term c x^e with its operator: ``" + c * f * .."``
+    over the factors f = ``power(i, k)`` of the nonzero exponents k of e,
+    for c the spelling of a coefficient (a literal or a local name), or
+    ``" + f * .."`` and ``" - f * .."`` for c the sign 1 or -1."""
+    factors = [power(i, k) for i, k in enumerate(e) if k]
+    if type(c) is int:
+        return (" - " if c < 0 else " + ") + " * ".join(factors)
+    return " + " + " * ".join([c, *factors])
+
+
+def _sum_lines(shape, coefficient, power, value) -> tuple[list[str], list[str]]:
+    """The statements that sum the maps of ``shape`` (``float_shape``), and
+    each map's value: ``"0.0"`` for an empty map, the local ``value(j)`` for
+    a map j with terms, and the earlier map's value for a repeat, which gets
+    no statement and no ``_term`` call.  Map j is summed in its order from
+    0.0, at most _SUM_CHUNK terms per statement, each term ``_term(e, s or
+    next(coefficient), power)``: the iterator ``coefficient`` spells the
+    coefficients the shape leaves out, in order, and ``power(i, k)`` names
+    the factor x_i**k."""
+    lines: list[str] = []
+    values: list[str] = []
+    for j, terms in enumerate(shape):
+        if type(terms) is int:
+            values.append(values[terms])
+            continue
+        spelled = [_term(e, s or next(coefficient), power) for e, s in terms]
+        total = "0.0"
+        for start in range(0, len(spelled), _SUM_CHUNK):
+            lines.append(f"{value(j)} = {total}" + "".join(spelled[start:start + _SUM_CHUNK]))
+            total = value(j)
         values.append(total)
-    outer = set(bound or ())
-    lines = [f"def _evaluate({params}):"]
-    lines += [f"    {name} = {b}**{k}" for name, (b, k) in powers.items() if b not in outer]
-    lines += sums
-    lines.append(f"    return ({''.join(f'{v}, ' for v in values)})")
-    if bound:
-        binds = [f"{name} = {b}**{k}" for name, (b, k) in powers.items() if b in outer]
-        lines = [f"def _bind({', '.join(bound)}):", *(f"    {line}" for line in binds),
-                 *(f"    {line}" for line in lines), "    return _evaluate"]
-    namespace: dict = {"__builtins__": {}}
-    exec(compile("\n".join(lines) + "\n", "<float_evaluator>", "exec"), namespace)
-    if bound is None:
-        return namespace["_evaluate"]
-    return namespace["_bind"] if bound else lambda: namespace["_evaluate"]
+    return lines, values
 
 
-def float_evaluator(
-    variables: Sequence[str], polys: Sequence[Polynomial], frozen: Sequence[int] | None = None
-):
+def float_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):
     """Compile ``polys`` once into a straight-line function of the n float
     coordinates that returns every polynomial's float value as a tuple.
 
@@ -349,30 +348,33 @@ def float_evaluator(
     local p{i}_{k}; a power x_i**1 is x_i itself.  Each polynomial is summed
     in ``terms`` order, from 0.0 (so -0.0 terms sum to 0.0), each term as
     ``+ float(c) * p * q ...`` left to right over the nonzero exponents, with
-    a coefficient 1.0 left out and -1.0 written as ``- p * q ...``.  These
-    are the values and exceptions of the term-by-term loop ``v = float(c);
-    v *= x_i**k ...; total += v``: float ``**`` is pure and x**1 is x, 1.0 *
-    p is p, and ``total - p`` is ``total + (-p)``, where -p is -1.0 * p
-    because rounding is sign-symmetric; every power with k > 1 is still
-    evaluated, so one that overflows raises the same OverflowError.  The
-    generated source holds only ``repr(float(c))`` literals, the names
-    x0..x{n-1}, p{i}_{k} and v0.., operators and int exponents.
-
-    ``frozen``, a sequence of coordinate indices (possibly empty), is for
-    coordinates that hold one value over many evaluations.  The result is
-    then ``bind(*their values)``, in index order, which evaluates their
-    powers once and returns the evaluator of the other coordinates, in
-    index order.  Its values are those of the evaluator without
-    ``frozen`` at the same point, bit for bit, and a frozen power that
-    overflows raises its OverflowError at the bind."""
+    a coefficient 1.0 left out and -1.0 written as ``- p * q ...``
+    (``float_shape``, ``_sum_lines``); a polynomial whose float
+    coefficients repeat an earlier one's reads that one's value.  These are
+    the values and exceptions of the term-by-term loop ``v = float(c); v *=
+    x_i**k ...; total += v``: float ``**`` is pure and x**1 is x, 1.0 * p is
+    p, and ``total - p`` is ``total + (-p)``, where -p is -1.0 * p because
+    rounding is sign-symmetric; every power with k > 1 is still evaluated,
+    so one that overflows raises the same OverflowError.  The generated
+    source holds only ``repr(float(c))`` literals, the names x0..x{n-1},
+    p{i}_{k} and v0.., operators and int exponents."""
     _check_vars(variables, polys)
-    held = set(frozen or ())
-    params = ", ".join(f"x{i}" for i in range(len(variables)) if i not in held)
-    bound = None if frozen is None else [f"x{i}" for i in sorted(held)]
-    # float coefficients, so that polynomials whose coefficients round alike
-    # share one sum
-    coefficients = [{e: float(c) for e, c in p.terms.items()} for p in polys]
-    return _compile_sums(coefficients, params, bound)
+    shape, coefficients = float_shape(polys)
+    powers: dict[tuple[int, int], str] = {}
+
+    def power(i: int, k: int) -> str:
+        return f"x{i}" if k == 1 else powers.setdefault((i, k), f"p{i}_{k}")
+
+    sums, values = _sum_lines(shape, map(repr, coefficients), power, "v{}".format)
+    lines = [
+        f"def _evaluate({', '.join(f'x{i}' for i in range(len(variables)))}):",
+        *(f"    {name} = x{i}**{k}" for (i, k), name in powers.items()),
+        *(f"    {line}" for line in sums),
+        f"    return ({''.join(f'{v}, ' for v in values)})",
+    ]
+    namespace: dict = {"__builtins__": {}}
+    exec(compile("\n".join(lines) + "\n", "<float_evaluator>", "exec"), namespace)
+    return namespace["_evaluate"]
 
 
 def exact_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):

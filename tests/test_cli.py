@@ -267,6 +267,17 @@ def test_dynamics_compartmental(tmp_path, capsys):
     assert header == "t,x1,x2,x3,divint,constraint_drift"
 
 
+def test_dynamics_out_streams_the_trace_csv(tmp_path):
+    # the streamed file is the trace's csv() byte for byte
+    from poishom import catalog, coord
+
+    out_csv = tmp_path / "trace.csv"
+    assert run(["dynamics", "sphere-morse", "--T", "0.5", "--out", str(out_csv)]) == 0
+    b = catalog.build_model("su2")
+    trace = coord.rk4_flow(b.model, b.hamiltonian, b.flow_start, T=0.5, dt=1e-3)
+    assert out_csv.read_bytes() == trace.csv().encode()
+
+
 def test_dynamics_unwritable_out_exits_before_integrating(tmp_path, capsys, monkeypatch):
     from poishom import cli
 

@@ -3,11 +3,12 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from poishom import catalog, coord, linalg
 from poishom.coord import (
@@ -28,7 +29,7 @@ from poishom.coord import (
     preservation_residual,
     rk4_flow,
 )
-from poishom.poly import Polynomial, exact_evaluator, float_evaluator
+from poishom.poly import Polynomial, exact_evaluator
 
 from float_reference import eval_field, eval_float, rk4_reference
 from oracles import (
@@ -855,61 +856,92 @@ def test_rk4_carried_divergence_is_bit_identical(comp):
         assert div_int[-1] != 0.0
 
 
+def _loop_source(generated) -> tuple[str, str]:
+    """The prologue and the step-loop body of the one step loop compiled in
+    ``generated`` (``code_generation``'s record)."""
+    (source,) = [args[0] for args in generated if args[1:2] == ("<rk4_loop>",)]
+    prologue, body = source.split("    for k in range(1, steps + 1):\n")
+    return prologue, body
+
+
+def _summed(source: str) -> Counter:
+    """How often the source sums into each local: the lines ``name = 0.0 +
+    ...`` and ``name = 0.0 - ...``."""
+    return Counter(re.findall(r"^ *(\w+) = 0\.0 [-+] ", source, re.M))
+
+
 @pytest.mark.parametrize(
-    "case, log_density, check_calls",
+    "case, log_density, at_start, per_step",
     [
-        ("compartmental", None, 0),  # no divergence evaluator is compiled
-        ("canonical2d", None, 0),
-        ("su2", None, 1 + 10),  # the constraints, at the start and after each step
-        ("compartmental", "x2", 1 + 2 * 10),  # div + X(x2) is not zero
+        ("compartmental", None, {}, {}),  # the field only
+        ("canonical2d", None, {}, {}),
+        ("su2", None, {"r0": 1}, {"r0": 1}),  # the constraint, after each step
+        ("compartmental", "x2", {"f0": 1}, {"fm": 1, "f1": 1}),  # div + X(x2) is not zero
     ],
 )
-def test_rk4_flow_skips_a_zero_divergence(monkeypatch, case, log_density, check_calls):
-    # a zero divergence is never evaluated: an unconstrained flow compiles
-    # only its field, and su2, whose field evaluates x**2 and y**2, reads
-    # its constraints only at the start and after each step
-    calls = []
-
-    def counting(variables, polys, frozen=None):
-        bind = float_evaluator(variables, polys, frozen)
-        calls.append(0)
-        j = len(calls) - 1
-
-        def counted_bind(*held):
-            evaluate = bind(*held)
-
-            def counted(*point):
-                calls[j] += 1
-                return evaluate(*point)
-
-            return counted
-
-        return counted_bind
-
-    monkeypatch.setattr(coord, "float_evaluator", counting)
+def test_rk4_flow_skips_a_zero_divergence(code_generation, case, log_density, at_start, per_step):
+    # a zero divergence is never summed: an unconstrained flow sums only its
+    # field, 8 times a step (2 half-steps of 4 stages), and su2, whose field
+    # binds x**2 and y**2, sums its constraint once at the start and once a
+    # step, binding no power at the midpoint
+    coord._rk4_loop.cache_clear()
     b = catalog.build_model(case, 1)
     rho = None if log_density is None else Polynomial.variable(b.model.vars, log_density)
-    trace = rk4_flow(b.model, b.hamiltonian, b.flow_start, T=0.01, dt=1e-3, log_density=rho)
-    assert calls == [8 * 10] + ([check_calls] if check_calls else [])
+    with code_generation() as generated:
+        trace = rk4_flow(b.model, b.hamiltonian, b.flow_start, T=0.01, dt=1e-3, log_density=rho)
     assert len(trace.div_integral) == 11
+    prologue, body = _loop_source(generated)
+    moving = [f"{s}{i}" for i, c in enumerate(hamiltonian_vf(b.model, b.hamiltonian).components)
+              if not c.is_zero() for s in "abcd"]
+    assert _summed(body) == Counter({**dict.fromkeys(moving, 2), **per_step})
+    assert _summed(prologue) == Counter(at_start)
+    if case == "su2":
+        # x**2 and y**2 at the state x: in stage a of each half-step and in
+        # the check after the step, none at the midpoint
+        assert len(re.findall(r"= x[01]\*\*2$", body, re.M)) == 2 + 2 + 2
+
+
+def _flat(key):
+    for part in key:
+        if type(part) is tuple:
+            yield from _flat(part)
+        else:
+            yield part
 
 
 def test_rk4_loop_cache_keys_are_shape_only(monkeypatch):
-    # the cached step loops are keyed by shape (frozen mask, constraint
-    # count, zero divergence, dropped midpoint), never by model data
+    # the cached step loops are keyed by shape (frozen mask, exponents, signs
+    # of unit coefficients, repeats), never by model data: the key holds only
+    # ints, bools and tuples, no float or Fraction
     keys, loop = [], coord._rk4_loop
     monkeypatch.setattr(coord, "_rk4_loop", lambda *key: keys.append(key) or loop(*key))
-    for case in ("su2", "compartmental", "canonical2d"):
-        b = catalog.build_model(case, 1)
-        rk4_flow(b.model, b.hamiltonian, b.flow_start, T=0.01, dt=1e-3)
-    assert keys == [
-        ((False, False, True, True), 1, True, True),
-        ((False, False, False), 0, True, False),
-        ((False, False), 0, True, False),
+    # the last run has a divergence, div + X(x2)
+    for case, density in (("su2", None), ("compartmental", None), ("canonical2d", None),
+                          ("compartmental", "x2")):
+        b = catalog.build_model(case, Fraction(3, 2))
+        rho = density and Polynomial.variable(b.model.vars, density)
+        rk4_flow(b.model, b.hamiltonian, b.flow_start, T=0.01, dt=1e-3, log_density=rho)
+    assert [key[0] for key in keys] == [
+        (False, False, True, True), (False, False, False), (False, False), (False, False, False)
     ]
+    assert [key[-1] for key in keys] == [True, True, True, False]
     for key in keys:
-        flat = [v for part in key for v in (part if type(part) is tuple else (part,))]
-        assert all(type(v) in (int, bool) for v in flat), key
+        assert {type(v) for v in _flat(key)} <= {int, bool}, key
+
+
+def test_rk4_flow_shares_one_loop_across_coefficients(code_generation):
+    # su2 at eta 3/2 and at eta 3 is one shape: the second run compiles
+    # nothing, and each trace is the list-based loop's bit for bit
+    coord._rk4_loop.cache_clear()
+    for eta, compiled in ((Fraction(3, 2), 1), (Fraction(3), 0)):
+        su2 = catalog.build_model("su2", eta)
+        x0 = su2.flow_start
+        want = _flow_outcome(lambda: rk4_reference(su2.model, su2.hamiltonian, x0, 0.2, 1e-3))
+        with code_generation() as generated:
+            got = _rk4_outcome(su2.model, su2.hamiltonian, x0, 0.2, 1e-3)
+        assert len(generated) == 2 * compiled  # one compile and one exec
+        assert want[0] == "ok" and got == want
+    assert coord._rk4_loop.cache_info().currsize == 1
 
 
 def test_rk4_constraint_drift_abort():
@@ -1040,8 +1072,9 @@ def test_rk4_flow_violated_start_raises_before_a_frozen_power_overflows():
 def test_rk4_flow_keeps_the_midpoint_call_for_a_power_the_field_lacks():
     # a' = -C a, b' = C b: a linear field that grows b by about 1e250 a
     # half-step.  The constraint b**4 - 1 overflows at the first midpoint;
-    # the field evaluates no power of b, so only that call raises: without
-    # it the step would end on b = inf and abort on a non-finite state
+    # the field evaluates no power of b, so only the midpoint's b**4
+    # raises: without it the step would end on b = inf and abort on a
+    # non-finite state
     v = ("a", "b")
     a, b = (Polynomial.variable(v, name) for name in v)
     model = PolynomialPoissonModel(
@@ -1052,6 +1085,122 @@ def test_rk4_flow_keeps_the_midpoint_call_for_a_power_the_field_lacks():
     want = _flow_outcome(lambda: rk4_reference(model, h, (0, 1), 2.0, 1.0, **kw))
     assert want[0] == "OverflowError"
     assert _rk4_outcome(model, h, (0, 1), 2.0, 1.0, **kw) == want
+
+
+def test_rk4_flow_binds_a_constraint_power_at_the_midpoint_beside_a_divergence():
+    # the linear field above with the log density a: the divergence -C a is
+    # not zero, so the midpoint sums it, and it powers no b either.  Only the
+    # constraint's b**4, bound at the midpoint beside that sum, overflows
+    # there; without it the step would end on b = inf
+    v = ("a", "b")
+    a, b = (Polynomial.variable(v, name) for name in v)
+    model = PolynomialPoissonModel(
+        "linear", v, {(0, 1): Polynomial.constant(v, 1)}, constraints=[b**4 - 1]
+    )
+    h = -(10**63) * a * b
+    kw = dict(log_density=a, drift_tolerance=math.inf)
+    assert not divergence(model, hamiltonian_vf(model, h), a).is_zero()
+    want = _flow_outcome(lambda: rk4_reference(model, h, (0, 1), 2.0, 1.0, **kw))
+    assert want[0] == "OverflowError"
+    assert _rk4_outcome(model, h, (0, 1), 2.0, 1.0, **kw) == want
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {},
+        {"log_density": lambda a, b, c: a},
+        {"constraint": lambda a, b, c: c * c * c},
+    ],
+    ids=["plain", "density", "constraint"],
+)
+@pytest.mark.parametrize("frozen_start", [1e-200, -3e-170, 1e60, -2e55, 1e160, -1e160])
+def test_rk4_flow_frozen_powers_match_reference(frozen_start, extra):
+    # a frozen coordinate's powers are bound once a run, where the list-based
+    # loop powers it at every evaluation: the same bits, or the same abort,
+    # an OverflowError of a frozen power included
+    model, h = _casimir_model(extra.get("constraint"))
+    rho = extra["log_density"](*map(model.variable, model.vars)) if "log_density" in extra else None
+    x0 = (0.0, 0.5, frozen_start)
+    want = _flow_outcome(lambda: rk4_reference(model, h, x0, 0.05, 0.01, log_density=rho))
+    if abs(frozen_start) > 1e100:  # (c + c**2) overflows in the field or the check
+        assert want[0] == "OverflowError"
+    assert _rk4_outcome(model, h, x0, 0.05, 0.01, log_density=rho) == want
+
+
+def test_rk4_loop_binds_frozen_powers_once(code_generation):
+    # c is frozen: the prologue powers it once per exponent, and the step
+    # loop powers only the moving a and b
+    model, h = _casimir_model(lambda a, b, c: c * c * c - Fraction(1, 64))
+    a = model.variable("a")
+    coord._rk4_loop.cache_clear()
+    with code_generation() as generated:
+        trace = rk4_flow(model, h, (0.0, 0.5, 0.25), 0.05, 0.01, log_density=a)
+    prologue, body = _loop_source(generated)
+    assert sorted(re.findall(r"x2\*\*\d+", prologue)) == ["x2**2", "x2**3"]
+    assert {base for base in re.findall(r"(\w+)\*\*\d+", body)} <= {"x0", "x1", "y0", "y1"}
+    want = rk4_reference(model, h, (0.0, 0.5, 0.25), 0.05, 0.01, log_density=a)
+    assert _flow_outcome(lambda: want) == _flow_outcome(
+        lambda: (trace.times, trace.states, trace.div_integral, trace.constraint_drift)
+    )
+
+
+_units = st.sampled_from([1, -1])
+_non_units = st.sampled_from(
+    sorted({Fraction(p, q) for p in range(-12, 13) for q in range(1, 5)} - {0, 1, -1})
+)
+
+
+@st.composite
+def _same_shape_problems(draw):
+    """Two flows whose loops may share one shape: h is the last coordinate,
+    so the field is minus the brackets {x_j, x_last}, drawn with 1, -1 and
+    other coefficients.  The second flow keeps each unit coefficient of the
+    first (brackets and constraint) and redraws the others."""
+    n = draw(st.integers(2, 4))
+    names = _NAMES[:n]
+    expo = st.tuples(*[st.integers(0, 2)] * n)
+    terms = st.dictionaries(expo, st.one_of(_units, _non_units), min_size=1, max_size=3)
+    brackets = [draw(terms) for _ in range(n - 1)]
+    constraint = draw(st.one_of(st.none(), terms))
+    x0 = draw(st.tuples(*[_starts] * n))
+    dt = draw(st.sampled_from([1e-3, 0.01, 0.1, 1.0]))
+    steps = draw(st.integers(1, 20))
+
+    def redraw(coefficients):
+        return {e: c if abs(c) == 1 else draw(_non_units) for e, c in coefficients.items()}
+
+    def flow(bracket_terms, constraint_terms):
+        table = {(j, n - 1): Polynomial(names, t) for j, t in enumerate(bracket_terms)}
+        constraints = []
+        if constraint_terms is not None:
+            q = Polynomial(names, constraint_terms)
+            constraints.append(q - q.eval(x0))
+        model = PolynomialPoissonModel("shape", names, table, constraints=constraints)
+        return model, Polynomial.variable(names, names[-1])
+
+    second = None if constraint is None else redraw(constraint)
+    return flow(brackets, constraint), flow([redraw(t) for t in brackets], second), x0, steps * dt, dt
+
+
+@settings(max_examples=100, deadline=None)
+@given(_same_shape_problems())
+def test_rk4_flow_same_shape_problems_match_reference(problems):
+    # two runs of one cached loop, each with its own coefficients, give the
+    # list-based loop's traces and aborts bit for bit: the loop keeps no
+    # coefficient of an earlier run
+    first, second, x0, T, dt = problems
+    keys, loop = [], coord._rk4_loop
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coord, "_rk4_loop", lambda *key: keys.append(key) or loop(*key))
+        got = [_rk4_outcome(model, h, x0, T, dt, drift_tolerance=math.inf) for model, h in (first, second)]
+    assume(keys[0] == keys[1])
+    event("zero divergence" if keys[0][-1] else "divergence")
+    event(f"first flow: {got[0][0]}")
+    for (model, h), outcome in zip((first, second), got):
+        assert outcome == _flow_outcome(
+            lambda: rk4_reference(model, h, x0, T, dt, drift_tolerance=math.inf)
+        )
 
 
 def test_rk4_flow_su2_from_a_signed_zero_start():
@@ -1087,6 +1236,21 @@ def test_flow_trace_csv(comp):
     assert len(lines) == 12
     cells = lines[1].split(",")
     assert len(cells) == 6 and cells[0] == "0"
+
+
+def test_flow_trace_write_csv_streams_the_csv_lines(su2):
+    # write_csv writes csv()'s bytes, one line per write, header first
+    trace = rk4_flow(su2.model, su2.hamiltonian, su2.flow_start, T=0.01, dt=1e-3)
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+
+    trace.write_csv(Sink())
+    assert "".join(writes) == trace.csv()
+    assert len(writes) == 1 + len(trace.times)
+    assert all(line.count("\n") == 1 and line.endswith("\n") for line in writes)
 
 
 def test_divergence_matches_monodromy_log_volume(comp):

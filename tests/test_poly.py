@@ -271,42 +271,6 @@ def test_float_evaluator_matches_interpretive_loop(polys, point):
         assert _outcome(lambda: [p.eval_float(point)]) == single
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(float_polys, max_size=4),
-    st.tuples(coordinates, coordinates, coordinates),
-    st.sets(st.integers(0, 2)),
-)
-def test_float_evaluator_with_frozen_coordinates_matches_plain(polys, point, frozen):
-    # bound once, then evaluated on the other coordinates: the same bits, or
-    # the same OverflowError, raised at the bind for a frozen power
-    def run():
-        bind = float_evaluator(V, polys, frozen)
-        evaluate = bind(*[c for i, c in enumerate(point) if i in frozen])
-        return evaluate(*[c for i, c in enumerate(point) if i not in frozen])
-
-    assert _outcome(run) == _outcome(lambda: float_evaluator(V, polys)(*point))
-
-
-def test_float_evaluator_binds_frozen_powers_once():
-    p = Polynomial(V, {(2, 0, 3): 2, (1, 1, 4): 1, (0, 0, 1): -1})
-    bind = float_evaluator(V, [p], frozen=[2])
-    evaluate = bind(0.5)
-    # z**3 and z**4 are computed in the bind; the evaluator powers only x
-    ops = list(dis.get_instructions(evaluate.__code__))
-    powers = [
-        (base.argval, exponent.argval)
-        for base, exponent, op in zip(ops, ops[1:], ops[2:])
-        if op.opname == "BINARY_OP" and op.argrepr == "**"
-    ]
-    assert powers == [("x0", 2)]
-    assert evaluate(1.5, -2.0) == float_evaluator(V, [p])(1.5, -2.0, 0.5)
-    with pytest.raises(OverflowError):
-        bind(1e100)
-    # with nothing frozen the bind returns the plain evaluator
-    assert float_evaluator(V, [p], frozen=[])()(1.5, -2.0, 0.5) == evaluate(1.5, -2.0)
-
-
 def test_float_evaluator_edge_cases():
     zero = Polynomial.zero(V)
     assert float_evaluator(V, [zero])(1.0, 2.0, 3.0) == (0.0,)
