@@ -183,6 +183,24 @@ def _magnitude(x: Fraction) -> float:
     return abs(float(x)) or math.ulp(0.0)
 
 
+def _add_product(out: dict, p: dict, q: dict, sign: int = 1) -> None:
+    """Add sign * p * q, for exponent -> int maps p and q, into ``out`` in
+    place; a cancelled key is kept with the value 0."""
+    for e1, c1 in p.items():
+        c1 *= sign
+        for e2, c2 in q.items():
+            e = tuple([x + y for x, y in zip(e1, e2)])
+            out[e] = out.get(e, 0) + c1 * c2
+
+
+def _check_count(name: str, count) -> None:
+    """Refuse a count that is not an int (a float or a bool) or is below 1."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError(f"{name} must be an int >= 1, got {count!r}")
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 @dataclass
 class JacobiVerdict:
     ok: bool
@@ -199,69 +217,55 @@ def jacobi_symbolic(
     rational points on the variety drawn from the model's sampler (with
     ``rng``, by default one seeded with SPOTCHECK_SEED), failing on the
     first nonzero exact residual (reported by its float magnitude).  Triples
-    are visited in ``itertools.combinations`` order, each Jacobiator
-    expanded into one exponent -> int dict over the integer-scaled table;
-    the constrained branch evaluates all of them through one
-    ``exact_evaluator`` (planned once, no code generated), unless every one
-    is the zero polynomial: then the identity holds everywhere, and the
-    branch only draws its ``points`` samples, leaving ``rng`` in the state
-    the evaluation would."""
-    if points < 1:
-        raise ValueError(f"points must be at least 1, got {points}")
+    are visited in ``itertools.combinations`` order.  The Jacobiators are
+    expanded in one pass over the nonzero pattern of the integer-scaled
+    table, each into one exponent -> int dict; the constrained branch
+    evaluates all of them through one ``exact_evaluator`` (planned once, no
+    code generated), unless every one is the zero polynomial: then the
+    identity holds everywhere, and the branch only draws its ``points``
+    samples, leaving ``rng`` in the state the evaluation would."""
+    _check_count("points", points)
     n = model.dim
     # the table times the lcm L of its denominators, with int coefficients;
     # a Jacobiator is quadratic in the table, so on the scaled table it is
     # L^2 times the true one and vanishes exactly where the true one does
     scale, table = integer_table({key: p.terms for key, p in model._table.items()})
-    # Pi[a][b] and its gradient, as scaled int dicts, for both orders of each
-    # nonzero entry; each entry is differentiated once
-    pi, grads = {}, {}
+    columns = [[] for _ in range(n)]  # column l: (a, Pi[a][l]) per nonzero entry
     for (a, b), terms in table.items():
-        grad = [diff_terms(terms, l) for l in range(n)]
-        pi[a, b], grads[a, b] = terms, grad
-        pi[b, a] = {e: -c for e, c in terms.items()}
-        grads[b, a] = [{e: -c for e, c in d.items()} for d in grad]
-    rows = [[(l, pi[a, l]) for l in range(n) if (a, l) in pi] for a in range(n)]
+        columns[b].append((a, terms))
+        columns[a].append((b, {e: -c for e, c in terms.items()}))
+    # {x_a, {x_b, x_c}} = sum_l Pi[a][l] d_l Pi[b][c] for each entry b < c,
+    # each variable l it contains and each a outside {b, c}, added into the
+    # Jacobiator of the sorted triple, where (a, b, c) is cyclic unless b < a < c
+    acc: dict[tuple[int, int, int], dict] = {}
+    for (b, c), terms in table.items():
+        for l in {w for e in terms for w, k in enumerate(e) if k}:
+            d = diff_terms(terms, l)
+            for a, outer in columns[l]:
+                if a == b or a == c:
+                    continue
+                out = acc.setdefault(tuple(sorted((a, b, c))), {})
+                _add_product(out, outer, d, -1 if b < a < c else 1)
 
-    def jacobiator(i, j, k) -> dict[tuple[int, ...], int]:
-        """L^2 times the Jacobiator of (i, j, k) as exponent -> int, zeros
-        kept: {x_a, {x_b, x_c}} = sum_l Pi[a][l] d Pi[b][c] / dx_l, summed
-        over the cyclic (a, b, c) into one dict."""
-        acc: dict[tuple[int, ...], int] = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            grad = grads.get((b, c))
-            if grad is None:
-                continue
-            for l, outer in rows[a]:
-                d = grad[l]
-                for e1, c1 in outer.items():
-                    for e2, c2 in d.items():
-                        e = tuple([x + y for x, y in zip(e1, e2)])
-                        acc[e] = acc.get(e, 0) + c1 * c2
-        return acc
-
-    triples = list(itertools.combinations(range(n), 3))
+    # the triples of the nonzero Jacobiators, sorted: in combinations order
+    live = [triple for triple in sorted(acc) if any(acc[triple].values())]
     if not model.constraints:
-        for triple in triples:
-            if any(jacobiator(*triple).values()):
-                return JacobiVerdict(False, True, math.inf, triple)
-        return JacobiVerdict(True, True)
+        return JacobiVerdict(False, True, math.inf, live[0]) if live else JacobiVerdict(True, True)
 
     if model.sampler is None:
         raise ValueError("constrained model without a variety sampler")
     if rng is None:
         rng = random.Random(SPOTCHECK_SEED)
-    jacobiators = [jacobiator(*triple) for triple in triples]
-    if not any(any(j.values()) for j in jacobiators):
+    if not live:
         # the identity holds on all of space; the points are still drawn,
         # so an rng shared with later checks is left where it would be
         for _ in range(points):
             model.sampler(rng)
         return JacobiVerdict(True, False)
-    evaluate = exact_evaluator(model.vars, [Polynomial(model.vars, j) for j in jacobiators])
+    evaluate = exact_evaluator(model.vars, [Polynomial(model.vars, acc[t]) for t in live])
     for _ in range(points):
         values, q = evaluate(*model.sampler(rng))
-        for triple, v in zip(triples, values):
+        for triple, v in zip(live, values):
             if v:
                 return JacobiVerdict(False, False, _magnitude(Fraction(v, q * scale**2)), triple)
     return JacobiVerdict(True, False)
@@ -312,9 +316,20 @@ def kernel_obstruction_verify(
     n = model.dim
     if len(covector) != n:
         raise ValueError("covector length must match the model dimension")
-    # by antisymmetry, row i of the residual is minus component i of Pi#(c)
-    for i, residual in enumerate(model.sharp(covector).components):
-        if not residual.is_zero():
+    if any(c.vars != model.vars for c in covector):
+        raise ValueError("polynomials over different variables")
+    # row i of the residual is bilinear in the covector and the table, so it
+    # is decided on both scaled to ints: sum_j c_j Pi[i][j] over the nonzero c_j
+    _, c = integer_table({j: cj.terms for j, cj in enumerate(covector) if cj.terms})
+    _, table = integer_table({key: p.terms for key, p in model._table.items()})
+    residuals: list[dict] = [{} for _ in range(n)]
+    for (i, j), terms in table.items():
+        if j in c:
+            _add_product(residuals[i], c[j], terms)
+        if i in c:
+            _add_product(residuals[j], c[i], terms, -1)
+    for i, residual in enumerate(residuals):
+        if any(residual.values()):
             raise ValueError(f"kernel residual is nonzero in row {i}: not a certificate")
     obstruction = poly_sum(model.vars, (cj * tj for cj, tj in zip(covector, target.components)))
     point = None
@@ -411,6 +426,11 @@ def hessian_at(
     over k in K (some V_i^k(p) != 0) of V_i^k(p) d_k(V_j h)(p).  Raises
     ValueError if the point is off the model's variety or not critical along
     the frame; the result is checked to be symmetric (true at critical points)."""
+    if h.vars != model.vars:
+        raise ValueError("hamiltonian over different variables")
+    for j, field in enumerate(frame):
+        if field.vars != model.vars:
+            raise ValueError(f"frame field {j} is over different variables")
     pt = tuple(frac(c) for c in point)
     h._check_point(pt)
     for k, c in enumerate(model.constraints):
@@ -464,8 +484,7 @@ def multiplicativity_spotcheck(
     table at g, h, gh and the base point (Q_g, Q_h, Q_gh).  Each residual
     times the positive Q_J^2 Q_h Q_g Q_gh is an int, decided on ints; a
     Fraction is built only for a nonzero one."""
-    if pairs < 1:
-        raise ValueError(f"pairs must be at least 1, got {pairs}")
+    _check_count("pairs", pairs)
     if model.group_mult is None:
         raise ValueError("model carries no group multiplication map")
     if model.sampler is None:
@@ -482,8 +501,12 @@ def multiplicativity_spotcheck(
         raise ValueError("group multiplication over different variables")
     scale, scaled = integer_table({a: m.terms for a, m in enumerate(model.group_mult)})
     mult = list(scaled.values())
-    d_left = [diff_terms(m, n + j) for m in mult for j in range(n)]
-    d_right = [diff_terms(m, j) for m in mult for j in range(n)]
+    # a Jacobian entry is differentiated only in a variable its map contains
+    used = [{w for e in m for w, k in enumerate(e) if k} for m in mult]
+    d_left, d_right = (
+        [diff_terms(m, w) if w in u else {} for m, u in zip(mult, used) for w in block]
+        for block in (range(n, 2 * n), range(n))
+    )
     deg = max((m.degree() for m in model.group_mult), default=0)
     product_and_jacobians = scaled_evaluator(len(mvars), scale, deg, [*mult, *d_left, *d_right])
 

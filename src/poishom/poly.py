@@ -105,12 +105,27 @@ class Polynomial:
         return Polynomial._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        return self + (-self._coerce(other))
+        # self + (-other) in one pass, a cancelled key deleted as in accumulate
+        terms = dict(self.terms)
+        for e, c in self._coerce(other).terms.items():
+            s = terms.get(e)
+            if s is None:
+                terms[e] = -c
+            elif s == c:
+                del terms[e]
+            else:
+                terms[e] = s - c
+        return Polynomial._trusted(self.vars, terms)
 
     def __rsub__(self, other) -> "Polynomial":
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            # a scalar scales each term; no key can collide
+            c = frac(other)
+            terms = {e: a * c for e, a in self.terms.items()} if c else {}
+            return Polynomial._trusted(self.vars, terms)
         other = self._coerce(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():

@@ -14,7 +14,7 @@ from poishom.bialgebra import (
     sln_basis_matrices,
     sln_standard_bialgebra,
 )
-from poishom.coord import SPOTCHECK_SEED, _magnitude
+from poishom.coord import SPOTCHECK_SEED, JacobiVerdict, _magnitude
 from poishom.exterior import (
     ExteriorElement,
     _sort_tuple,
@@ -24,7 +24,7 @@ from poishom.exterior import (
 )
 from poishom.lie import Covector, LieAlgebra, Subalgebra, Vector, bracket_terms, sparse
 from poishom.linalg import integer_table
-from poishom.poly import Polynomial
+from poishom.poly import Polynomial, diff_terms, exact_evaluator
 
 
 def subs_vars(p: Polynomial, new_vars: Sequence[str], images: Sequence[Polynomial]) -> Polynomial:
@@ -715,6 +715,74 @@ def multiplicativity_spotcheck_by_codegen(model, pairs: int = 100, rng=None) -> 
                 if num:
                     worst = max(worst, _magnitude(Fraction(num, q_rhs * q_gh)))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the per-triple Jacobiator expansion and the Pi#-based kernel residual that
+# ``coord.jacobi_symbolic`` and ``coord.kernel_obstruction_verify`` had before
+# they visited only the nonzero pattern of the table
+# ---------------------------------------------------------------------------
+
+
+def jacobi_symbolic_by_triples(model, rng=None, points: int = 100) -> JacobiVerdict:
+    """``coord.jacobi_symbolic`` with each Jacobiator expanded on its own,
+    triple by triple in ``combinations`` order, over the dense gradients of
+    both orders of every scaled table entry: the same verdict, triple and
+    magnitude, and the same draws."""
+    n = model.dim
+    scale, table = integer_table({key: p.terms for key, p in model._table.items()})
+    pi, grads = {}, {}
+    for (a, b), terms in table.items():
+        grad = [diff_terms(terms, l) for l in range(n)]
+        pi[a, b], grads[a, b] = terms, grad
+        pi[b, a] = {e: -c for e, c in terms.items()}
+        grads[b, a] = [{e: -c for e, c in d.items()} for d in grad]
+    rows = [[(l, pi[a, l]) for l in range(n) if (a, l) in pi] for a in range(n)]
+
+    def jacobiator(i, j, k) -> dict:
+        acc: dict = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            grad = grads.get((b, c))
+            if grad is None:
+                continue
+            for l, outer in rows[a]:
+                for e1, c1 in outer.items():
+                    for e2, c2 in grad[l].items():
+                        e = tuple([x + y for x, y in zip(e1, e2)])
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        return acc
+
+    triples = list(combinations(range(n), 3))
+    if not model.constraints:
+        for triple in triples:
+            if any(jacobiator(*triple).values()):
+                return JacobiVerdict(False, True, math.inf, triple)
+        return JacobiVerdict(True, True)
+    if rng is None:
+        rng = random.Random(SPOTCHECK_SEED)
+    jacobiators = [jacobiator(*triple) for triple in triples]
+    if not any(any(j.values()) for j in jacobiators):
+        for _ in range(points):
+            model.sampler(rng)
+        return JacobiVerdict(True, False)
+    evaluate = exact_evaluator(model.vars, [Polynomial(model.vars, j) for j in jacobiators])
+    for _ in range(points):
+        values, q = evaluate(*model.sampler(rng))
+        for triple, v in zip(triples, values):
+            if v:
+                return JacobiVerdict(False, False, _magnitude(Fraction(v, q * scale**2)), triple)
+    return JacobiVerdict(True, False)
+
+
+def kernel_residual_row_by_sharp(model, covector) -> int | None:
+    """The first row i whose kernel residual sum_j c_j Pi[i][j] is not the
+    zero polynomial, read off Pi#(c) as Fraction polynomials (by
+    antisymmetry row i is minus component i), or None for a kernel
+    covector."""
+    for i, residual in enumerate(model.sharp(covector).components):
+        if not residual.is_zero():
+            return i
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from poishom.coord import (
     preservation_residual,
     rk4_flow,
 )
-from poishom.poly import Polynomial, exact_evaluator
+from poishom.poly import Polynomial, diff_terms, exact_evaluator
 
 from float_reference import eval_field, eval_float, rk4_reference
 from oracles import (
@@ -37,6 +37,8 @@ from oracles import (
     hessian_by_composition,
     divergence_by_chained_sums,
     exact_evaluator_by_codegen,
+    jacobi_symbolic_by_triples,
+    kernel_residual_row_by_sharp,
     multiplicativity_spotcheck_by_codegen,
     sharp_by_chained_sums,
     sl2_sampler_by_fractions,
@@ -481,6 +483,19 @@ def test_hessian_rejects_a_point_off_the_variety(su2):
         hessian_at(su2.model, su2.hamiltonian, (0, 0, 0, 0), su2.morse_frame)
 
 
+def test_hessian_refuses_a_frame_or_h_over_other_variables(su2):
+    # a frame field over other variables used to end in an IndexError, and an
+    # h over other variables was read as if it were over the model's
+    m = su2.model
+    other = ("p", "q", "r")
+    foreign = PolyVectorField(other, [Polynomial.variable(other, "p")] * 3)
+    with pytest.raises(ValueError, match="^frame field 1 is over different variables$"):
+        hessian_at(m, su2.hamiltonian, m.base_point, [su2.morse_frame[0], foreign])
+    renamed = Polynomial(("p", "q", "r", "s"), su2.hamiltonian.terms)
+    with pytest.raises(ValueError, match="^hamiltonian over different variables$"):
+        hessian_at(m, renamed, m.base_point, su2.morse_frame)
+
+
 def _hessian_outcome(run):
     try:
         H = run()
@@ -616,6 +631,38 @@ def test_spot_checks_refuse_to_check_nothing(su2, count):
         multiplicativity_spotcheck(su2.model, pairs=count)
     with pytest.raises(ValueError, match="points must be at least 1"):
         jacobi_symbolic(su2.model, points=count)
+
+
+@pytest.mark.parametrize("count", [2.5, True, 0])
+def test_spot_checks_check_the_count_before_any_work(su2, monkeypatch, count):
+    # a float or a bool is not a count: 2.5 used to expand every Jacobiator
+    # (or plan both evaluators) before range() refused it, and True ran as 1
+    work = []
+    monkeypatch.setattr(coord, "integer_table", lambda *args: work.append(args))
+    want = "must be at least 1, got 0" if type(count) is int else f"must be an int >= 1, got {count!r}"
+    with pytest.raises(ValueError, match=re.escape(f"pairs {want}")):
+        multiplicativity_spotcheck(su2.model, pairs=count)
+    with pytest.raises(ValueError, match=re.escape(f"points {want}")):
+        jacobi_symbolic(su2.model, points=count)
+    assert work == []
+
+
+def test_certify_differentiates_only_contained_variables(toda, monkeypatch):
+    # toda-n3's 27 table entries and 9 product entries hold 54 (entry,
+    # variable) pairs each; the parent differentiated 27 entries in all 9
+    # variables (243 calls) and the product in all 18 (162 calls)
+    results = []
+
+    def counting(terms, i):
+        results.append(diff_terms(terms, i))
+        return results[-1]
+
+    monkeypatch.setattr(coord, "diff_terms", counting)
+    assert jacobi_symbolic(toda.model, rng=random.Random(1), points=2).ok
+    assert len(results) == 54 and all(results)
+    results.clear()
+    assert multiplicativity_spotcheck(toda.model, pairs=1, rng=random.Random(1)) == 0.0
+    assert len(results) == 54 and all(results)
 
 
 GROUP_MODEL_NAMES = ("su2", "sl2-hyperbolic", "sl2-elliptic", "sl2-parabolic", "toda-n3")
@@ -1389,6 +1436,7 @@ def test_jacobi_symbolic_matches_nested_brackets_on_random_models():
         for model in candidates:
             got = jacobi_symbolic(model, rng=random.Random(trial), points=5)
             assert got == _jacobi_nested(model, rng=random.Random(trial), points=5)
+            assert got == jacobi_symbolic_by_triples(model, rng=random.Random(trial), points=5)
             outcomes.add((got.ok, got.symbolic))
     assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
 
@@ -1398,6 +1446,88 @@ def test_jacobi_symbolic_matches_nested_brackets_on_catalog_models():
         model = catalog.build_model(name, Fraction(-5, 2)).model
         got = jacobi_symbolic(model, rng=random.Random(7), points=5)
         assert got.ok and got == _jacobi_nested(model, rng=random.Random(7), points=5)
+        assert got == jacobi_symbolic_by_triples(model, rng=random.Random(7), points=5)
+
+
+@pytest.mark.parametrize("name", ["su2", "sl2-elliptic", "toda-n3"])
+def test_jacobi_symbolic_matches_the_oracles_on_perturbed_constrained_models(name):
+    # one table entry plus a small polynomial breaks the identity on the
+    # variety; the first violating triple at the first violating point, and
+    # its float magnitude, are those of the nested brackets and of the
+    # per-triple expansion
+    model = catalog.build_model(name, Fraction(3, 2)).model
+    rng = random.Random(name)
+    for key in list(model._table)[:3]:
+        bump = Fraction(1, 10**6) * _random_poly(rng, model.vars)
+        perturbed = PolynomialPoissonModel(
+            "perturbed", model.vars, {**model._table, key: model._table[key] + bump},
+            constraints=model.constraints, sampler=model.sampler,
+        )
+        got = jacobi_symbolic(perturbed, rng=random.Random(5), points=4)
+        assert not got.ok and not got.symbolic and 0 < got.max_residual < 1
+        assert got == _jacobi_nested(perturbed, rng=random.Random(5), points=4)
+        assert got == jacobi_symbolic_by_triples(perturbed, rng=random.Random(5), points=4)
+
+
+def _kernel_row(model, covector, target):
+    """The row of kernel_obstruction_verify's residual error, or None when
+    the residual check passes (whatever the witness search then finds)."""
+    try:
+        kernel_obstruction_verify(model, covector, target, rng=random.Random(0))
+    except ValueError as exc:
+        found = re.fullmatch(r"kernel residual is nonzero in row (\d+): not a certificate", str(exc))
+        if found:
+            return int(found.group(1))
+    return None
+
+
+@st.composite
+def _kernel_problems(draw):
+    """A model, a covector and a target: a catalog group model with its
+    kernel covector, a Nambu bracket with the gradient of its Casimir, or a
+    random table and covector; half the time one covector entry is shifted
+    by a random polynomial."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["catalog", "nambu", "random"]))
+    if kind == "catalog":
+        name = draw(st.sampled_from(GROUP_MODEL_NAMES[:4]))
+        b = catalog.build_model(name, draw(st.sampled_from([1, 2, Fraction(1, 3), Fraction(-5, 2)])))
+        model, covector = b.model, list(b.kernel_covector)
+    elif kind == "nambu":
+        v = ("x", "y", "z")
+        f, C = _random_poly(rng, v), _random_poly(rng, v, degree=3)
+        model = PolynomialPoissonModel("nambu", v, _nambu_brackets(f, C))
+        covector = [C.diff(x) for x in v]
+    else:
+        v = _NAMES[:draw(st.integers(2, 4))]
+        brackets = {key: _random_poly(rng, v) for key in itertools.combinations(range(len(v)), 2)}
+        model = PolynomialPoissonModel("random", v, brackets)
+        covector = [_random_poly(rng, v, terms=rng.randint(0, 2)) for _ in v]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, model.dim - 1))
+        covector[j] = covector[j] + _random_poly(rng, model.vars)
+    target = PolyVectorField(model.vars, [model.constant(1)] * model.dim)
+    return model, covector, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_problems())
+def test_kernel_residual_matches_the_sharp_oracle(problem):
+    # the int residual accepts exactly the covectors whose Pi#(c) is the
+    # zero polynomial, and otherwise names the same first nonzero row
+    model, covector, target = problem
+    want = kernel_residual_row_by_sharp(model, covector)
+    event("kernel" if want is None else "not a kernel")
+    assert _kernel_row(model, covector, target) == want
+
+
+def test_kernel_covector_over_other_variables_is_refused_up_front(su2):
+    # a zero entry over other variables is refused before the residual,
+    # which the constant in entry 1 would fail
+    v, other = su2.model.vars, ("p", "q", "r", "s")
+    covector = [Polynomial.zero(other), Polynomial.constant(v, 1), *su2.kernel_covector[2:]]
+    with pytest.raises(ValueError, match="^polynomials over different variables$"):
+        kernel_obstruction_verify(su2.model, covector, su2.horizontal_field())
 
 
 def _preservation_by_pairing(model, h, sigma, tau, left, right, chi_g_form):

@@ -188,6 +188,29 @@ def test_results_match_the_constructor_oracle_in_key_order(summands):
     assert [_items(p) for p in summands] == before
 
 
+@pytest.mark.parametrize("c", [0, 1, -1, 6, Fraction(-5, 3), "1/3"])
+def test_scalar_products_match_the_constructor_oracle(c):
+    # a scalar scales the terms in place of a product with a constant
+    # polynomial: the same terms in the same key order, zero for c = 0
+    p = Fraction(3, 2) * x() * y() - z() * z() + 4
+    want = _items(mul_by_constructor(p, Polynomial.constant(V, c)))
+    assert _items(p * c) == want == _items(c * p)
+    assert (p * c).is_zero() == (c == 0)
+    assert p * Fraction(c) == mul_by_constructor(p, Polynomial.constant(V, c))
+
+
+def test_differences_match_the_constructor_oracle():
+    # one pass, with the key order of p + (-q): a cancelled key is deleted,
+    # the others keep their places, and q's new keys follow in q's order
+    p = x() + 2 * y() - z() * z()
+    for q in (x() - z(), x() + 2 * y(), p, z() * z() + x() * y(), Polynomial.zero(V)):
+        assert _items(p - q) == _items(add_by_constructor(p, -q))
+    assert list((p - (x() - z())).terms) == [(0, 1, 0), (0, 0, 2), (0, 0, 1)]
+    assert _items(p - Fraction(1, 2)) == _items(add_by_constructor(p, Polynomial.constant(V, "-1/2")))
+    with pytest.raises(ValueError, match="different variables"):
+        p - Polynomial.variable(("a",), "a")
+
+
 def test_a_cancelled_key_goes_to_the_end_when_it_returns():
     # the chained + dropped a cancelled key, so a later summand that brings
     # it back appends it, and the float evaluator adds it last
