@@ -12,6 +12,8 @@ from poishom.bialgebra import (
     double_bracket,
     double_jacobi_check,
     dual_constants,
+    sln_algebra,
+    sln_basis_matrices,
     sln_standard_bialgebra,
 )
 from poishom.exterior import ExteriorElement
@@ -247,6 +249,27 @@ def test_catalog_entries_and_models_refuse_eta_zero():
     # an entry without eta and a model that fixes its own still build
     assert catalog.build_homspace("mu-plane", 0).h.dim == 1
     assert catalog.build_model("toda-n3", 0).model._table
+
+
+@pytest.mark.parametrize("n", [1, 0, -1, True, False, "3", 2.0, None])
+def test_sln_builders_refuse_an_n_that_is_not_an_int_of_at_least_2(n):
+    for build in (sln_algebra, sln_basis_matrices, sln_standard_bialgebra):
+        with pytest.raises(ValueError, match=f"^n must be an int >= 2, got {n!r}$"):
+            build(n)
+
+
+@pytest.mark.parametrize("eta", [0, Fraction(0), "0", "0/7"])
+def test_sln_standard_bialgebra_refuses_eta_zero(eta):
+    with pytest.raises(ValueError, match="^eta must be nonzero$"):
+        sln_standard_bialgebra(3, eta)
+    assert sln_standard_bialgebra(2, "-5/2").yang_baxter == "mcybe"
+
+
+def test_cocycle_check_refuses_a_delta_over_another_algebra():
+    B2, B3 = sln_standard_bialgebra(2), sln_standard_bialgebra(3)
+    for g, delta in ((B3.g, B2.delta), (B2.g, B3.delta), (sln_algebra(3), B3.delta)):
+        with pytest.raises(ValueError, match="^cocommutator is over a different algebra$"):
+            cocycle_check(g, delta)
 
 
 def test_double_jacobi_catalog():

@@ -225,7 +225,7 @@ def test_table_view_of_every_catalog_algebra_dual_and_double():
         assert_view(B.double, double_table_by_fractions(B))
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_table_view_of_sln_at_the_digest_etas(n):
     g = sln_algebra_by_fractions(n)._table
     for eta in ("1", "-5/2", "2/3"):
@@ -267,7 +267,7 @@ def test_trusted_tables_of_the_catalog_bialgebras_are_as_built(eta):
         assert_as_built(CocommutatorMap.zero(B.g).dual, [B.g])
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
 def test_trusted_tables_of_sln_are_as_built(n):
     B = sln_standard_bialgebra(n)
     assert_as_built(B.g, [])

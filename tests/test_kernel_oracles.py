@@ -561,7 +561,7 @@ def test_double_algebra_matches_double_bracket_catalog(name):
     assert list(table.items()) == list(ref.items())
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_double_algebra_matches_double_bracket_sln(n):
     B = sln_standard_bialgebra(n, Fraction(-2, 3))
     table = double_algebra(B)._table

@@ -3,9 +3,11 @@
 ``tests/data/sln_digests.json`` holds, for n = 2..7 and eta in {1, -5/2, 2/3},
 the sha256 of the bracket tables of sl(n) and of its standard dual, written
 entry by entry (i < j, then k) with exact rational values.  The dense
-construction in ``test_kernel_oracles.py`` is too slow past n = 4, so these
-digests are what pin the builder on larger n.  Re-record (only for an
-intended change of output) with
+construction in ``test_kernel_oracles.py`` is too slow past n = 4; on larger
+n these digests and the Fraction oracles of ``test_int_kernel.py``
+(``test_table_view_of_sln_at_the_digest_etas``: g, its dual and the double,
+entry for entry and in order, up to n = 9) pin the builder.  Re-record (only
+for an intended change of output) with
 
     PYTHONPATH=src python tests/test_sln_digests.py > tests/data/sln_digests.json
 """
