@@ -238,23 +238,15 @@ def double_algebra(B: LieBialgebra) -> LieAlgebra:
     den = math.lcm(g.den, dual.den)
     sg, sf = den // g.den, den // dual.den
     C, F = sorted(g.ints.items()), sorted(dual.ints.items())
-
-    def mixed():  # (i m + a, index, entry) in [e_i, e^a]; each reached once
-        for (a, b), image in F:
-            for i, f in image.items():
-                yield i * m + a, b, f * sf  # F^ab_i e_b
-                yield i * m + b, a, -f * sf  # F^ba_i e_a in [e_i, e^b]
-        for (i, c), image in C:
-            for a, f in image.items():
-                yield i * m + a, m + c, -f * sg  # -C_ic^a e^c
-                yield c * m + a, m + i, f * sg  # -C_ci^a e^i in [e_c, e^a]
-
-    slots: list = [None] * (m * m)
-    for s, k, x in mixed():
-        slot = slots[s]
-        if slot is None:
-            slots[s] = slot = {}
-        slot[k] = x
+    slots: list[dict[int, int]] = [{} for _ in range(m * m)]  # [e_i, e^a] at i m + a
+    for (a, b), image in F:
+        for i, f in image.items():
+            slots[i * m + a][b] = f * sf  # F^ab_i e_b
+            slots[i * m + b][a] = -f * sf  # F^ba_i e_a in [e_i, e^b]
+    for (i, c), image in C:
+        for a, f in image.items():
+            slots[i * m + a][m + c] = -f * sg  # -C_ic^a e^c
+            slots[c * m + a][m + i] = f * sg  # -C_ci^a e^i in [e_c, e^a]
     rows: list[list] = [[] for _ in range(m)]
     for key, image in C:
         rows[key[0]].append((key, image))
@@ -263,7 +255,7 @@ def double_algebra(B: LieBialgebra) -> LieAlgebra:
         for key, image in row:
             brackets[key] = {k: c * sg for k, c in sorted(image.items())}
         for a, slot in enumerate(slots[i * m : i * m + m]):
-            if slot is not None:
+            if slot:
                 brackets[(i, m + a)] = slot
     for (a, b), image in F:
         brackets[(m + a, m + b)] = {m + c: f * sf for c, f in sorted(image.items())}
@@ -380,49 +372,47 @@ def sln_basis_matrices(n: int) -> tuple[list[str], list[list[list[Fraction]]]]:
     return labels, dense
 
 
+def _commutator(a: dict, b: dict) -> dict:
+    """AB - BA for sparse {(row, col): entry} matrices."""
+    out: dict[tuple[int, int], int] = {}
+    for (r, t), x in a.items():
+        for (u, c), y in b.items():
+            if t == u:
+                out[(r, c)] = out.get((r, c), 0) + x * y
+            if c == r:
+                out[(u, t)] = out.get((u, t), 0) - y * x
+    return out
+
+
+def _sln_coords(m: dict, n: int) -> dict[int, int]:
+    """The coordinates of a sparse traceless int matrix on the D/S/Q basis,
+    as {index: coordinate} over the nonzero ones in index order; they are
+    summed doubled, and halve to ints on a commutator of basis matrices."""
+    pairs = n * (n - 1) // 2
+    coords: dict[int, int] = {}
+    for (r, c), x in m.items():
+        if r == c:
+            # the D coordinates are the partial sums of the diagonal
+            for k in range(r, n - 1):
+                coords[k] = coords.get(k, 0) + 2 * x
+            continue
+        i, j = min(r, c), max(r, c)
+        s = n - 1 + i * n - i * (i + 1) // 2 + (j - i - 1)
+        coords[s] = coords.get(s, 0) + x
+        coords[s + pairs] = coords.get(s + pairs, 0) + (x if r < c else -x)
+    return {k: x // 2 for k, x in sorted(coords.items()) if x}
+
+
 def sln_algebra(n: int) -> LieAlgebra:
-    """sl(n) on the D/S/Q basis, int constants over the denominator 1 read
-    from closed forms, only where nonzero, in sorted key order, taken as
-    built.  With Q'_xy = E_xy - E_yx (Q_xy if x < y, else -Q_yx):
-    [D_k, S_ij] = c Q_ij and [D_k, Q_ij] = c S_ij, c = [i = k] - [i = k+1] -
-    [j = k] + [j = k+1]; [S_ij, Q_ij] = -2 sum_{i <= k < j} D_k; pairs {a, m}
-    and {m, b} sharing one index m give [S_am, S_mb] = [Q'_am, Q'_mb] = Q'_ab
-    and [S_am, Q'_mb] = [Q'_am, S_mb] = S_ab; all other brackets are 0."""
-    labels, _ = _sln_basis(n)
-    d, pairs = n - 1, [(i, j) for i in range(n) for j in range(i + 1, n)]
-    q, index = d + len(pairs), {pair: p for p, pair in enumerate(pairs)}  # S_p: d + p, Q_p: q + p
-    brackets: dict[tuple[int, int], dict[int, int]] = {}
-    for k in range(d):
-        cs = [
-            (p, (i == k) - (i == k + 1) - (j == k) + (j == k + 1)) for p, (i, j) in enumerate(pairs)
-        ]
-        brackets.update({(k, d + p): {q + p: c} for p, c in cs if c})
-        brackets.update({(k, q + p): {d + p: c} for p, c in cs if c})
-
-    def sign(x, y):
-        return 1 if x < y else -1
-
-    later = []  # per pair {a, m}: (pair {m, b}, a, m, b, pair {a, b}) after it
-    for p, (i, j) in enumerate(pairs):
-        near = sorted(
-            (index[min(m, b), max(m, b)], a, m, b, index[min(a, b), max(a, b)])
-            for b in range(n)
-            if b != i and b != j
-            for m, a in ((i, j), (j, i))
-        )
-        later.append([e for e in near if e[0] > p])
-        for r, a, m, b, s in later[-1]:  # [S_p, S_r] = Q'_ab
-            brackets[(d + p, d + r)] = {q + s: sign(a, b)}
-        for r, a, m, b, s in near:  # [S_p, Q_r] = +-S_ab, r < p
-            if r > p:
-                break
-            brackets[(d + p, q + r)] = {d + s: sign(m, b)}
-        brackets[(d + p, q + p)] = dict.fromkeys(range(i, j), -2)
-        for r, a, m, b, s in later[-1]:  # r > p
-            brackets[(d + p, q + r)] = {d + s: sign(m, b)}
-    for p, after in enumerate(later):
-        for r, a, m, b, s in after:  # [Q_p, Q_r] = +-Q'_ab
-            brackets[(q + p, q + r)] = {q + s: sign(a, m) * sign(m, b) * sign(a, b)}
+    """sl(n) on the D/S/Q basis: nonzero ints over the denominator 1, taken as built."""
+    labels, mats = _sln_basis(n)
+    dim = len(labels)
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            entry = _sln_coords(_commutator(mats[i], mats[j]), n)
+            if entry:
+                brackets[(i, j)] = entry
     return LieAlgebra._trusted(labels, brackets, 1)
 
 
