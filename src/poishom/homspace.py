@@ -7,6 +7,14 @@ feasibility test for multiplicative unimodularity.  Group-level exactness of
 the resulting 1-cocycle is not decidable here; reports carry an explicit
 "assumes simply connected group" flag instead.
 
+Coisotropy by the coideal criterion: h0 = ann(h) is a subalgebra of
+(g*, [.,.]_*) exactly when delta(h) lies in h ^ g, and an ideal exactly when
+it lies in h ^ h (Lu, "Multiplicative and affine Poisson structures on Lie
+groups", 1990; Drinfeld, "On Poisson homogeneous spaces of Poisson-Lie
+groups", 1993), since [xi, eta]_*(X) = (xi ^ eta)(delta X).  h0's span is read
+off h's with no elimination; the lift x_h0 of chi_h0 is built only for a
+returned report or ``chi_h0``.
+
 The semi-invariant system [closedness; h | rhs] is built as sparse int rows
 and eliminated once, on ints (``linalg.int_rref``).  The mu system is the
 same rows plus the horizontal-field rows, and its elimination starts from
@@ -145,16 +153,15 @@ def _quotient_traces(h: Subalgebra) -> tuple[Fraction, ...]:
     return h.bracket_traces(free + [(a, p, -x) for p in scaled for a, x in scaled[p].items()])
 
 
-def _mu_rows(B: LieBialgebra, chi_g: Covector, chi_gs: Vector) -> list[dict]:
+def _mu_rows(B: LieBialgebra, chi_g: tuple[int, dict], chi_gs: tuple[int, dict]) -> list[dict]:
     """Linearized horizontal-field condition, one g-valued equation per basis
     vector X: 1/2 ([X, chi_g*] - i(chi_g) delta X) + i(theta0) delta X = 0, as
     int rows with the rhs in column g.dim, the e_k equation of X = e_i keyed
     (i, k).  With delta X read off the dual's ints over D, [X, chi_g*] off
-    g's bracket rows over g.den, chi_g = chi / s and chi_g* = star / t on
-    ints, each equation is multiplied by 2 L, L = lcm(D s, g.den t)."""
+    g's bracket rows over g.den, chi_g = (s, chi) and chi_g* = (t, star) as
+    int rows, each equation is multiplied by 2 L, L = lcm(D s, g.den t)."""
     g, D, cols = B.g, B.dual.den, B.g.dim
-    s, chi = integer_row(sparse(chi_g.coords))
-    t, star = integer_row(sparse(chi_gs.coords))
+    (s, chi), (t, star) = chi_g, chi_gs
     L = math.lcm(D * s, g.den * t)
     eqs: dict[tuple[int, int], dict] = {}
     # on e_k, i(theta) (e_a ^ e_b) = theta_a d_bk - theta_b d_ak, (delta e_i)^{ab} = c / D
@@ -176,27 +183,26 @@ def _mu_rows(B: LieBialgebra, chi_g: Covector, chi_gs: Vector) -> list[dict]:
 
 
 def _preferred_witness(
-    chi: Covector, rows: list[dict], reduced: tuple[list[dict], list[int]], degenerate_first: bool
+    g: LieAlgebra, chi_g: tuple[int, dict], rows: list[dict], reduced: tuple, degenerate_first: bool
 ) -> tuple[Optional[Covector], linalg.Matrix]:
     """Solve the affine system given by the int rows (rhs in column g.dim)
     for theta0, preferring the canonical cocycles chi_g and chi_g/2 over the
     raw pivot solution when they are solutions.  ``reduced`` is ``int_rref``
-    of a stack of rows with the same span.  Each candidate is tested on ints,
-    scaled by the lcm s of its denominators: row . (s theta) = s rhs.
+    of a stack of rows with the same span.  With chi_g = chi / s on ints, the
+    candidate chi / t (t = s or 2 s) is tested on ints: row . chi = t rhs.
     Returns (theta0 or None when infeasible, null space basis)."""
-    cols = chi.algebra.dim
+    cols = g.dim
     part, null = linalg.read_solution(*reduced, cols)
     if part is None:
         return None, null
-    half = Fraction(1, 2) * chi
-    for cand in [half, chi] if degenerate_first else [chi, half]:
-        s, theta = integer_row(sparse(cand.coords))
+    s, chi = chi_g
+    for t in [2 * s, s] if degenerate_first else [s, 2 * s]:
         if all(
-            sum([x * theta[k] for k, x in row.items() if k in theta]) == s * row.get(cols, 0)
+            sum([x * chi[k] for k, x in row.items() if k in chi]) == t * row.get(cols, 0)
             for row in rows
         ):
-            return cand, null
-    return Covector(chi.algebra, part), null
+            return Covector(g, [Fraction(chi.get(k, 0), t) for k in range(cols)]), null
+    return Covector(g, part), null
 
 
 # ---------------------------------------------------------------------------
@@ -214,44 +220,82 @@ class _Analysis:
 
     @cached_property
     def h0(self) -> Subalgebra:
-        """h0 = ann(h) inside (g*, [.,.]_*), on the int rows of ann(h) read
-        off h's span; its one RowSpan serves the closure and ideal tests and
-        the modular character."""
-        rows = self.g.annihilator_rows(self.S.h)
-        return Subalgebra.from_int_rows(self.S.bialgebra.dual, rows, verify=False)
+        """h0 = ann(h) in g*: row f, s e^f - sum_p scaled[p][f] e^p, is 0 at h's
+        other free columns, so the rows are reduced and need no elimination."""
+        span, rows = self.S.h.span, self.g.annihilator_rows(self.S.h)
+        free = [f for f in range(self.g.dim) if f not in span.scaled]
+        reduced = {f: {p: x for p, x in row.items() if p != f} for f, (_, row) in zip(free, rows)}
+        h0span = linalg.RowSpan.reduced(span.scale, reduced)
+        return Subalgebra.from_int_rows(self.S.bialgebra.dual, rows, verify=False, span=h0span)
 
     @cached_property
-    def coisotropic(self) -> bool:
-        """h0 is a subalgebra of g* exactly when the quotient is coisotropic."""
-        return self.h0.is_closed()
+    def coideal(self) -> tuple[bool, bool]:
+        """(h0 closed, h0 an ideal) in g*: (pi ^ pi) delta X = 0 and (pi (x) 1)
+        delta X = 0 on each reduced row X = s R_p of h, with delta(e_i)^{ab} =
+        c / D off the dual's ints, and s pi(e_a), pi: g -> g/h, s e_a on h's
+        free columns and -sum_f scaled[a][f] e_f on its pivots."""
+        s, scaled = self.S.h.span.scale, self.S.h.span.scaled
+        pi = {a: [(a, s)] for a in range(self.g.dim) if a not in scaled}
+        pi.update((p, [(f, -x) for f, x in r.items()]) for p, r in scaled.items())
+        cobracket: dict[int, list] = {}
+        for ab, image in self.S.bialgebra.dual.ints.items():
+            for i, c in image.items():
+                cobracket.setdefault(i, []).append((ab, c))
+        ideal = True
+        for p, r in scaled.items():
+            left: dict[tuple[int, int], int] = {}  # (pi (x) 1) delta X
+            for i, x in [(p, s), *r.items()]:
+                for (a, b), c in cobracket.get(i, ()):
+                    for f, y in pi[a]:
+                        left[f, b] = left.get((f, b), 0) + x * c * y
+                    for f, y in pi[b]:
+                        left[f, a] = left.get((f, a), 0) - x * c * y
+            if any(left.values()):
+                ideal, both = False, {}
+                for (f, k), v in left.items():
+                    for e, z in pi[k] if v else ():
+                        both[f, e] = both.get((f, e), 0) + v * z
+                if any(both.values()):
+                    return False, False
+        return True, ideal
+
+    @property
+    def coisotropic(self) -> bool:  # h0 is a subalgebra of g*
+        return self.coideal[0]
 
     @cached_property
     def subgroup_type(self) -> str:
-        if not self.coisotropic:
-            return NOT_COISOTROPIC
-        return PL_SUBGROUP if self.h0.is_ideal() else COISOTROPIC_ONLY
+        closed, ideal = self.coideal
+        return PL_SUBGROUP if ideal else COISOTROPIC_ONLY if closed else NOT_COISOTROPIC
 
     @cached_property
-    def chi_g(self) -> Covector:
-        return self.g.modular_character()
+    def chi_g(self) -> tuple[int, dict]:
+        return self.g.modular_character_row()
 
     @cached_property
-    def chi_gs(self) -> Vector:
-        return self.S.bialgebra.dual_modular_character()
+    def chi_gs(self) -> tuple[int, dict]:  # chi_{g*}, an element of g by the pairing
+        return self.S.bialgebra.dual.modular_character_row()
 
     @cached_property
     def restriction_rhs(self) -> linalg.Row:
-        """chi_g - chi_h on the basis of h."""
-        chi_h = self.S.h.modular_character_values()
-        return [self.chi_g(v) - c for v, c in zip(self.S.h.basis, chi_h)]
+        """chi_g - chi_h on the basis of h: chi_g(b) = chi . (t b) / (s t)."""
+        (s, chi), chi_h = self.chi_g, self.S.h.modular_character_values()
+        return [
+            Fraction(sum([x * chi[k] for k, x in b.items() if k in chi]), s * t) - c
+            for (t, b), c in zip(self.S.h.int_basis, chi_h)
+        ]
+
+    @cached_property
+    def chi_h0_values(self) -> tuple[Fraction, ...]:
+        if not self.coisotropic:
+            raise ValueError("h0 is not a subalgebra: the quotient is not coisotropic")
+        return self.h0.modular_character_values()
 
     @cached_property
     def chi_h0(self) -> tuple[tuple[Fraction, ...], Vector]:
-        if not self.coisotropic:
-            raise ValueError("h0 is not a subalgebra: the quotient is not coisotropic")
-        values = self.h0.modular_character_values()
-        lift = [Fraction(0)] * self.g.dim
-        for p, x in self.h0.span.lift(values).items():
+        """chi_h0 and its lift x_h0, on the pivots ``int_rref`` picks for h0."""
+        values, lift = self.chi_h0_values, [Fraction(0)] * self.g.dim
+        for p, x in linalg.RowSpan(self.h0.int_basis).lift(values).items():
             lift[p] = x
         return values, Vector(self.g, lift)
 
@@ -282,7 +326,7 @@ class _Analysis:
     @cached_property
     def semi_invariant(self) -> tuple[Optional[Covector], linalg.Matrix]:
         return _preferred_witness(
-            self.chi_g, self.semi_rows, self.semi_reduced, degenerate_first=False
+            self.g, self.chi_g, self.semi_rows, self.semi_reduced, degenerate_first=False
         )
 
     @cached_property
@@ -296,14 +340,13 @@ class _Analysis:
             return None, []
         horizontal = _mu_rows(self.S.bialgebra, self.chi_g, self.chi_gs)
         reduced = linalg.int_rref(red + horizontal)
-        return _preferred_witness(
-            self.chi_g, self.semi_rows + horizontal, reduced, degenerate_first=self.S.h.dim == 0
-        )
+        rows, degenerate = self.semi_rows + horizontal, self.S.h.dim == 0
+        return _preferred_witness(self.g, self.chi_g, rows, reduced, degenerate_first=degenerate)
 
     @cached_property
-    def report(self) -> UnimodularityReport:
-        values, lift = self.chi_h0
-        unimodular = not any(values)
+    def verdict(self) -> tuple[bool, str, Optional[Covector], int]:
+        """(h0 unimodular, mu status, witness, cocycle space dim), with no lift."""
+        unimodular = not any(self.chi_h0_values)
         witness, null = self.mu if unimodular else (None, [])
         if witness is not None:
             # re-verify the witness before reporting: theta0|_h equals the
@@ -313,15 +356,13 @@ class _Analysis:
             if not is_closed_one_form(self.g, witness):
                 raise AssertionError("witness is not closed")
         status = MU_FAILS_I if not unimodular else MU_FAILS_II if witness is None else MU_OK
-        return UnimodularityReport(
-            chi_h0=values,
-            x_h0=lift,
-            x_h0_in_h=self.S.h.span.contains(sparse(lift.coords)),
-            h0_unimodular=unimodular,
-            mu_status=status,
-            mu_witness_theta0=witness,
-            cocycle_solution_space_dim=len(null),
-        )
+        return unimodular, status, witness, len(null)
+
+    @cached_property
+    def report(self) -> UnimodularityReport:
+        (values, lift), (unimodular, status, witness, dim) = self.chi_h0, self.verdict
+        in_h = self.S.h.span.contains(sparse(lift.coords))
+        return UnimodularityReport(values, lift, in_h, unimodular, status, witness, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +431,10 @@ def multiplicative_unimodularity_check(S: HomogeneousSpaceSpec) -> Unimodularity
 def lu_crosscheck(S: HomogeneousSpaceSpec) -> bool:
     """Check, on every annihilator basis covector xi, that the modular
     character of l = h (+) h0 inside the double agrees with the pairing
-    against -chi_g* + 2 x_h0.  Each xi is read as h0's int row (s, s xi), and
-    s chi_l(xi) is compared with the pairing of s xi.  l's int rows are h's
-    next to h0's moved by m = dim g columns; they are block diagonal in
+    against -chi_g* + 2 x_h0, i.e. chi_l(xi) = 2 chi_h0(xi) - xi(chi_g*), with
+    no lift: on h0's int row (s, s xi) and chi_g* = (t, star) on ints, s t (2
+    chi_h0(xi) - chi_l(xi)) is compared with (s xi) . star.  l's int rows are
+    h's next to h0's moved by m = dim g columns; they are block diagonal in
     (e_i, e^a), so l's span is the direct sum of h's and h0's, with no
     elimination.  l is still tested for closure in the bialgebra's one copy
     of the double, and a violation raises.  Only the pairs with a factor in
@@ -408,11 +450,10 @@ def lu_crosscheck(S: HomogeneousSpaceSpec) -> bool:
     lag = Subalgebra.from_int_rows(D, rows, verify=False, span=span)
     if not lag.is_closed(known=S.h.dim):
         raise ValueError("basis does not span a subalgebra")
-    chi_l = lag.modular_character_values()
-    target = (-1 * A.chi_gs + 2 * A.chi_h0[1]).coords
+    chi_l, (t, star) = lag.modular_character_values(), A.chi_gs
     return all(
-        c * s == sum(x * target[k] for k, x in row.items())
-        for c, (s, row) in zip(chi_l[S.h.dim :], A.h0.int_basis)
+        (2 * v - c) * s * t == sum([x * star[k] for k, x in row.items() if k in star])
+        for c, v, (s, row) in zip(chi_l[S.h.dim :], A.chi_h0_values, A.h0.int_basis)
     )
 
 
@@ -428,10 +469,9 @@ def classification_row(S: HomogeneousSpaceSpec) -> dict:
     if not A.coisotropic:
         row.update(chi_h0_zero=None, mu_status=None, witness_theta0=None)
         return row
-    report, witness = A.report, A.report.mu_witness_theta0
-    row["chi_h0_zero"] = report.h0_unimodular
-    row["mu_status"] = report.mu_status
-    row["witness_theta0"] = repr(witness) if witness is not None else None
+    unimodular, status, witness, _ = A.verdict
+    witness = repr(witness) if witness is not None else None
+    row.update(chi_h0_zero=unimodular, mu_status=status, witness_theta0=witness)
     return row
 
 

@@ -12,6 +12,7 @@ space they live in, and every operation is a pure function on immutable data.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -236,15 +237,21 @@ class LieAlgebra:
         first = min((key for key, v in acc.items() if v), default=None)
         return None if first is None else (first // n**3, first // n**2 % n, first // n % n)
 
-    def modular_character(self) -> Covector:
-        """chi(e_a) = tr(ad_{e_a}) = sum_b C_ab^b; zero exactly when the
-        algebra is unimodular.  One pass over the table: C_ij^j counts for
-        e_i and C_ji^i = -C_ij^i for e_j, on ints, divided once at the end."""
+    def modular_character_row(self) -> tuple[int, dict[int, int]]:
+        """chi(e_a) = tr(ad_{e_a}) = sum_b C_ab^b as the int row (s, s chi) in
+        lowest terms, as ``integer_row`` gives it.  One pass over the table:
+        C_ij^j counts for e_i and C_ji^i = -C_ij^i for e_j, on ints."""
         vals = [0] * self.dim
         for (i, j), image in self.ints.items():
             vals[i] += image.get(j, 0)
             vals[j] -= image.get(i, 0)
-        return Covector(self, [Fraction(v, self.den) for v in vals])
+        g = math.gcd(self.den, *vals)
+        return self.den // g, {k: v // g for k, v in enumerate(vals) if v}
+
+    def modular_character(self) -> Covector:
+        """chi on Fractions; zero exactly when the algebra is unimodular."""
+        s, chi = self.modular_character_row()
+        return Covector(self, [Fraction(chi.get(k, 0), s) for k in range(self.dim)])
 
     def is_subalgebra(self, basis: Sequence[Vector]) -> bool:
         """True iff the span of ``basis`` is closed under the bracket."""
@@ -330,13 +337,6 @@ class Subalgebra:
         given that the first ``known`` basis vectors span a subalgebra: their
         pairs are not bracketed."""
         return all(self.span.contains(image) for _, image in self._brackets(known))
-
-    def is_ideal(self) -> bool:
-        """True iff [b, e_a] lies in the span for every basis vector b and
-        every parent basis vector e_a."""
-        table, units = self.parent.ints, [{a: 1} for a in range(self.parent.dim)]
-        rows = [row for _, row in self.int_basis]
-        return all(self.span.contains(bracket_terms(table, b, e)) for b in rows for e in units)
 
     def induced_algebra(self, labels: Sequence[str] | None = None) -> LieAlgebra:
         """The abstract Lie algebra on this basis, with induced constants."""

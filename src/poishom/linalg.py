@@ -231,6 +231,16 @@ class RowSpan:
         out.dim = first.dim + second.dim
         return out
 
+    @classmethod
+    def reduced(cls, scale: int, rows: dict[int, dict]) -> "RowSpan":
+        """``RowSpan`` of reduced rows, with no elimination: row r is {p: scale,
+        **rows[p]} for the r-th key p, 0 at every other key, so ``scaled`` is
+        ``rows`` and the transform is scale times the identity."""
+        out = cls.__new__(cls)
+        out.scale, out.scaled, out.dim = scale, rows, len(rows)
+        out.transform = {p: {r: scale} for r, p in enumerate(rows)}
+        return out
+
     def contains(self, v: dict) -> bool:
         """Is the sparse v (int or Fraction values) in the span?"""
         rest: dict = {}

@@ -271,23 +271,29 @@ def double_bracket_by_pairings(B: LieBialgebra, a, b) -> tuple[Vector, Covector]
                      + [xi1,xi2]_* + ad*_{X1} xi2 - ad*_{X2} xi1,
 
     with (ad_{g*})*_xi X read off <[e^i, xi]_*, X> and (ad_g)*_X xi off
-    -<xi, [X, e_i]>.  Returns the (g, g*) parts."""
+    -<xi, [X, e_i]>.  Each pairing of a Fraction table entry, <[e^i, e^j]_*, X>
+    or <xi, [e_j, e_i]>, is made once and added to both components it enters,
+    with the sign of the swapped pair.  Returns the (g, g*) parts."""
     g, dual = B.g, B.dual
     m = g.dim
     (x1, xi1), (x2, xi2) = a, b
 
     def coad_dual(xi, x):
-        comps = []
-        for i in range(m):
-            br = dual.bracket(dual.basis_vector(i), dual.vector(xi.coords))
-            comps.append(sum(br.coords[k] * x.coords[k] for k in range(m)))
+        comps = [Fraction(0)] * m
+        for (i, j), image in dual._table.items():
+            if xi.coords[i] or xi.coords[j]:
+                pair = sum(c * x.coords[k] for k, c in image.items())  # <[e^i, e^j]_*, X>
+                comps[i] += xi.coords[j] * pair
+                comps[j] -= xi.coords[i] * pair
         return g.vector(comps)
 
     def coad_g(x, xi):
-        comps = []
-        for i in range(m):
-            br = g.bracket(x, g.basis_vector(i))
-            comps.append(-sum(xi.coords[k] * br.coords[k] for k in range(m)))
+        comps = [Fraction(0)] * m
+        for (j, i), image in g._table.items():
+            if x.coords[i] or x.coords[j]:
+                pair = sum(c * xi.coords[k] for k, c in image.items())  # <xi, [e_j, e_i]>
+                comps[i] -= x.coords[j] * pair
+                comps[j] += x.coords[i] * pair
         return g.covector(comps)
 
     gpart = g.bracket(x1, x2) + coad_dual(xi1, x2) - coad_dual(xi2, x1)
@@ -497,6 +503,16 @@ def is_ideal_by_fractions(h: Subalgebra) -> bool:
         for v in h.basis
         for a in range(h.parent.dim)
     )
+
+
+def is_ideal_on_ints(h: Subalgebra) -> bool:
+    """True iff [b, e_a] lies in h's span for every basis vector b and every
+    parent basis vector e_a, bracketed on the int table: the ideal test
+    ``Subalgebra.is_ideal`` ran before the subgroup type was read off
+    delta(h)."""
+    table, units = h.parent.ints, [{a: 1} for a in range(h.parent.dim)]
+    rows = [row for _, row in h.int_basis]
+    return all(h.span.contains(bracket_terms(table, b, e)) for b in rows for e in units)
 
 
 def bracket_traces_by_fractions(h: Subalgebra, weights) -> tuple[Fraction, ...]:

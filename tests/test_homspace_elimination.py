@@ -7,7 +7,8 @@ compared with the plain path: one Fraction elimination
 (``oracles.rref_by_fractions``) of the full stacked Fraction rows of
 ``oracles.semi_rows_by_fractions`` and ``mu_rows_by_fractions``, with one
 closedness row per nonzero bracket [e_i, e_j], then the preference for chi_g
-and chi_g/2.  Inputs are every catalog entry at several etas of the
+and chi_g/2.  The int path reads chi_g and chi_g* as the int rows of
+``modular_character_row``; the Fraction path reads the Covectors.  Inputs are every catalog entry at several etas of the
 benchmark's pool, and the sl(3)/sl(4) Cartan, so(n) and Borel subalgebras the
 benchmark classifies, built from ``perfbench/workloads.py`` (read-only).
 """
@@ -60,14 +61,19 @@ def full_solve(chi, rows, rhs, degenerate_first):
     return Covector(chi.algebra, part), null
 
 
+def characters(B):
+    """chi_g and chi_g* on Fractions, as the Fraction builders take them."""
+    return B.g.modular_character(), B.dual_modular_character()
+
+
 def assert_matches_full_solves(S):
     """Both solves of one pair agree with the full ones; returns whether the
     semi-invariant system was consistent."""
-    A = _Analysis(S)
+    A, (chi_g, chi_gs) = _Analysis(S), characters(S.bialgebra)
     rows, rhs = semi_rows_by_fractions(S)
-    assert A.semi_invariant == full_solve(A.chi_g, rows, rhs, False), S.name
-    r3, b3 = mu_rows_by_fractions(S.bialgebra, A.chi_g, A.chi_gs)
-    assert A.mu == full_solve(A.chi_g, rows + r3, rhs + b3, S.h.dim == 0), S.name
+    assert A.semi_invariant == full_solve(chi_g, rows, rhs, False), S.name
+    r3, b3 = mu_rows_by_fractions(S.bialgebra, chi_g, chi_gs)
+    assert A.mu == full_solve(chi_g, rows + r3, rhs + b3, S.h.dim == 0), S.name
     return A.semi_invariant[0] is not None
 
 
@@ -157,7 +163,7 @@ def assert_int_rows_match_fraction_rows(S):
     horizontal = _mu_rows(B, A.chi_g, A.chi_gs)
     for ints, (rows, rhs) in (
         (A.semi_rows, semi_rows_by_fractions(S)),
-        (horizontal, mu_rows_by_fractions(B, A.chi_g, A.chi_gs)),
+        (horizontal, mu_rows_by_fractions(B, *characters(B))),
     ):
         assert rref_of_int_rows(ints, cols) == rref_of_fraction_rows(rows, rhs), S.name
         dense = [[Fraction(r.get(c, 0)) for c in range(cols + 1)] for r in ints]

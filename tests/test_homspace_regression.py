@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from poishom import catalog, homspace, lie
+from poishom import catalog, homspace, lie, linalg
 from poishom.bialgebra import sln_standard_bialgebra
 
 DATA = Path(__file__).resolve().parent / "data" / "homspace_regression.json"
@@ -130,11 +130,13 @@ def test_recorded_results_recomputed():
 @pytest.fixture
 def analysis_counts(monkeypatch):
     """Counts of annihilator computations (its int rows, which the Covector
-    basis is also read from) and of closure tests on a subalgebra of the dual
-    algebra g* (the test that decides coisotropy)."""
-    counts = {"annihilator": 0, "h0_closure": 0}
+    basis is also read from), of ``RowSpan`` eliminations and lifts, and of
+    closure tests on a subalgebra of the dual algebra g* and of the double."""
+    keys = ("annihilator", "dual_closure", "double_closure", "eliminated_span", "lift")
+    counts = dict.fromkeys(keys, 0)
     annihilator = lie.LieAlgebra.annihilator_rows
     is_closed = lie.Subalgebra.is_closed
+    span_init, lift = linalg.RowSpan.__init__, linalg.RowSpan.lift
     watched = {}
 
     def counted_annihilator(self, h):
@@ -142,35 +144,52 @@ def analysis_counts(monkeypatch):
         return annihilator(self, h)
 
     def counted_is_closed(self, *args, **kwargs):
-        if self.parent is watched.get("dual"):
-            counts["h0_closure"] += 1
+        for name in ("dual", "double"):
+            if self.parent is watched.get(name):
+                counts[f"{name}_closure"] += 1
         return is_closed(self, *args, **kwargs)
+
+    def counted_span(self, rows):
+        counts["eliminated_span"] += 1
+        span_init(self, rows)
+
+    def counted_lift(self, values):
+        counts["lift"] += 1
+        return lift(self, values)
 
     monkeypatch.setattr(lie.LieAlgebra, "annihilator_rows", counted_annihilator)
     monkeypatch.setattr(lie.Subalgebra, "is_closed", counted_is_closed)
+    monkeypatch.setattr(linalg.RowSpan, "__init__", counted_span)
+    monkeypatch.setattr(linalg.RowSpan, "lift", counted_lift)
 
     def watch(S):
-        watched["dual"] = S.bialgebra.dual
-        counts.update(annihilator=0, h0_closure=0)
+        watched.update(dual=S.bialgebra.dual, double=S.bialgebra.double)
+        counts.update(dict.fromkeys(keys, 0))
         return S
 
     return counts, watch
 
 
-def test_one_classification_row_runs_each_analysis_step_once(analysis_counts):
-    """One classification_row computes the annihilator once and decides
-    whether h0 is closed under [.,.]_* once."""
+def test_classification_row_eliminates_no_span_and_lifts_nothing(analysis_counts):
+    """One classification_row reads h0's rows off h's span once, and decides
+    coisotropy from delta(h): no span of h0 (or of anything else) is
+    eliminated, no closure test runs in g* or in the double, and chi_h0 is
+    not lifted to g."""
     counts, watch = analysis_counts
     for name in catalog.HOMSPACE_NAMES:
-        homspace.classification_row(watch(catalog.build_homspace(name, 1)))
-        assert counts == {"annihilator": 1, "h0_closure": 1}, name
+        row = homspace.classification_row(watch(catalog.build_homspace(name, 1)))
+        want = {"annihilator": int(row["coisotropic"]), "dual_closure": 0, "double_closure": 0}
+        assert counts == {**want, "eliminated_span": 0, "lift": 0}, name
 
 
-def test_lu_crosscheck_decides_h0_closure_once(analysis_counts):
+def test_lu_crosscheck_closes_the_lagrangian_once_in_the_double(analysis_counts):
+    """lu_crosscheck re-decides the closure of h0 once, in the double, with
+    no closure test in g*, no eliminated span and no lift."""
     counts, watch = analysis_counts
     for name in catalog.HOMSPACE_NAMES:
         assert homspace.lu_crosscheck(watch(catalog.build_homspace(name, 1)))
-        assert counts == {"annihilator": 1, "h0_closure": 1}, name
+        want = {"annihilator": 1, "dual_closure": 0, "double_closure": 1}
+        assert counts == {**want, "eliminated_span": 0, "lift": 0}, name
 
 
 if __name__ == "__main__":

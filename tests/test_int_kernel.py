@@ -37,16 +37,19 @@ from poishom.homspace import (
     _mu_rows,
     _quotient_traces,
 )
-from poishom.lie import LieAlgebra, Subalgebra, Vector, is_closed_one_form
+from poishom.lie import LieAlgebra, Subalgebra, Vector, is_closed_one_form, sparse
+from poishom.linalg import integer_row
 
 from conftest import valid_bialgebras
 from oracles import (
+    adjoint_matrix,
     coboundary_by_ad_extension,
     cocycle_check_by_ad_terms,
     double_table_by_fractions,
     is_closed_by_fractions,
     is_closed_one_form_by_pairs,
     is_ideal_by_fractions,
+    is_ideal_on_ints,
     jacobi_check_by_fractions,
     modular_character_values_by_fractions,
     quotient_traces_by_fractions,
@@ -114,7 +117,7 @@ def test_closure_ideal_and_traces_match_the_fraction_paths(subspaces, data):
     except ValueError:  # the perturbation made the basis dependent
         assume(False)
     assert h.is_closed() == is_closed_by_fractions(h)
-    assert h.is_ideal() == is_ideal_by_fractions(h)
+    assert is_ideal_on_ints(h) == is_ideal_by_fractions(h)
     assert h.modular_character_values() == modular_character_values_by_fractions(h)
     assert _quotient_traces(h) == quotient_traces_by_fractions(h)
 
@@ -394,6 +397,7 @@ def test_homspace_eliminations_make_no_fraction(monkeypatch):
     A = _Analysis(S)
     A.semi_rows, A.chi_g, A.chi_gs, B.g.bracket_rows  # prebuilt
     eliminations = []
+    fresh = _Analysis(S)
     int_rref = linalg.int_rref
 
     def eliminate(rows):
@@ -404,6 +408,10 @@ def test_homspace_eliminations_make_no_fraction(monkeypatch):
 
     made = counted_fractions(monkeypatch)
     monkeypatch.setattr(linalg, "int_rref", eliminate)
+    # chi_g and chi_g* as int rows, the coideal test (coisotropy and the
+    # subgroup type) and h0's span read off h's: no Fraction, no elimination
+    fresh.chi_g, fresh.chi_gs, fresh.coideal, fresh.h0.span
+    assert made == [] and eliminations == []
     horizontal = _mu_rows(B, A.chi_g, A.chi_gs)
     assert horizontal and A.semi_reduced[1]
     assert made == []
@@ -415,6 +423,27 @@ def test_homspace_eliminations_make_no_fraction(monkeypatch):
 
 
 VALID = valid_bialgebras()
+
+
+def assert_lowest_terms_trace_row(L):
+    """(s, s chi) is ``integer_row`` of the Fraction character, and chi is the
+    trace of each adjoint matrix."""
+    chi = L.modular_character()
+    assert L.modular_character_row() == integer_row(sparse(chi.coords))
+    traces = [adjoint_matrix(L, L.basis_vector(a)) for a in range(L.dim)]
+    assert list(chi.coords) == [sum(m[k][k] for k in range(L.dim)) for m in traces]
+
+
+@pytest.mark.parametrize("build", [b for _, b in VALID], ids=[i for i, _ in VALID])
+def test_modular_character_row_is_the_lowest_terms_trace_row(build):
+    B = build()
+    assert_lowest_terms_trace_row(B.g)
+    assert_lowest_terms_trace_row(B.dual)
+
+
+def test_modular_character_row_with_coprime_huge_denominators():
+    assert_lowest_terms_trace_row(HUGE)
+    assert HUGE.modular_character_row()[0] > 10**100
 
 
 @pytest.mark.parametrize("build", [b for _, b in VALID], ids=[i for i, _ in VALID])

@@ -3,7 +3,12 @@
 ``LieBialgebra.double`` builds g (+) g* once, and both ``double_jacobi_check``
 and ``lu_crosscheck`` read it.  ``lu_crosscheck`` assembles the span of
 l = h + h0 from the spans of h and h0 (``RowSpan.direct_sum``) with no
-elimination; it must equal ``RowSpan`` of the stacked rows eliminated, on
+elimination.  h0's span is read off h's reduced rows, on h's free columns,
+which are not always the pivots an elimination picks (a Borel's are not), so
+the span ``lu_crosscheck`` builds must be the eliminated one as a subspace
+(each contains the other's reduced rows) and give the same modular
+character values and the same cross-check.  ``direct_sum`` itself, on h0's
+eliminated span, must equal ``RowSpan`` of the stacked rows eliminated on
 ``scale``, ``scaled`` and ``transform`` (pivot order included), and l must
 still be refused when it is not closed.
 """
@@ -15,7 +20,7 @@ import pytest
 from poishom import bialgebra, catalog, homspace, linalg
 from poishom.bialgebra import double_jacobi_check, sln_standard_bialgebra
 from poishom.homspace import HomogeneousSpaceSpec, _Analysis
-from poishom.lie import LieAlgebra, Vector, sparse
+from poishom.lie import LieAlgebra, Subalgebra, Vector, sparse
 from poishom.linalg import integer_row
 
 
@@ -37,15 +42,49 @@ def assert_h0_is_the_annihilator(S):
     assert all(xi(v) == 0 for xi in ann for v in S.h.basis)
 
 
+def reduced_rows(span):
+    """The int rows {p: scale, **scaled[p]} of a span's reduced rows."""
+    return [{p: span.scale, **terms} for p, terms in span.scaled.items()]
+
+
+def eliminated(scale, rows):
+    """``RowSpan.reduced``'s rows given to the elimination instead."""
+    return linalg.RowSpan([(scale, {p: scale, **terms}) for p, terms in rows.items()])
+
+
+def assert_same_subspace(built, ref):
+    assert built.dim == ref.dim == len(built.scaled) == len(ref.scaled)
+    assert all(ref.contains(row) for row in reduced_rows(built))
+    assert all(built.contains(row) for row in reduced_rows(ref))
+
+
 def assert_span_is_the_eliminated_one(S):
-    A = _Analysis(S)
+    A, m = _Analysis(S), S.bialgebra.dim
     assert_h0_is_the_annihilator(S)
-    built = linalg.RowSpan.direct_sum(S.h.span, A.h0.span, S.bialgebra.dim)
+    h0_ref = linalg.RowSpan(A.h0.int_basis)
+    assert_same_subspace(A.h0.span, h0_ref)
     ref = linalg.RowSpan([integer_row(sparse(row)) for row in stacked_rows(S)])
+    built = linalg.RowSpan.direct_sum(S.h.span, A.h0.span, m)
+    assert_same_subspace(built, ref)
+    rows = S.h.int_basis + [(s, {k + m: x for k, x in b.items()}) for s, b in A.h0.int_basis]
+    for parent, rows, span, span_ref in (
+        (S.bialgebra.dual, A.h0.int_basis, A.h0.span, h0_ref),
+        (S.bialgebra.double, rows, built, ref),
+    ):
+        chi = Subalgebra.from_int_rows(parent, rows, verify=False, span=span)
+        chi_ref = Subalgebra.from_int_rows(parent, rows, verify=False, span=span_ref)
+        assert chi.modular_character_values() == chi_ref.modular_character_values()
+    if A.coisotropic:
+        got = homspace.lu_crosscheck(S)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg.RowSpan, "reduced", eliminated)
+            assert homspace.lu_crosscheck(S) == got
+    # the direct sum itself, on h0's eliminated span, is the eliminated stack
+    built = linalg.RowSpan.direct_sum(S.h.span, h0_ref, m)
     assert built.scale == ref.scale
     assert list(built.scaled.items()) == list(ref.scaled.items())
     assert list(built.transform.items()) == list(ref.transform.items())
-    assert built.dim == ref.dim == S.bialgebra.dim
+    assert built.dim == ref.dim == m
 
 
 @pytest.mark.parametrize("eta", [Fraction(1), Fraction(2), Fraction(-5, 2)])
@@ -58,16 +97,20 @@ def test_lagrangian_span_on_catalog_entries(eta):
 def test_lagrangian_span_on_sln(workloads, n):
     B, labels = sln_standard_bialgebra(n, Fraction(-5, 2)), workloads.so_labels(n)
     assert_span_is_the_eliminated_one(HomogeneousSpaceSpec("so", B, B.g.subalgebra(labels)))
-    # a basis vector times 3 gives h's span a scale of its own, so that the
-    # direct sum rescales h0's rows to the common one
+    # a basis vector times 3 gives h's span a scale of its own; h0's span is
+    # read at it, and h0's eliminated span, at a scale of its own, makes
+    # the direct sum rescale it to the common one
     scaled = B.g.subalgebra([3 * B.g.basis_vector(labels[0])] + labels[1:])
     S = HomogeneousSpaceSpec("so-scaled", B, scaled)
-    assert S.h.span.scale != _Analysis(S).h0.span.scale
+    A = _Analysis(S)
+    assert S.h.span.scale == A.h0.span.scale != linalg.RowSpan(A.h0.int_basis).scale
     assert_span_is_the_eliminated_one(S)
     assert homspace.lu_crosscheck(S)
     # a Borel is not spanned by basis vectors: its reduced rows have entries
-    # off their pivots
+    # off their pivots, and an elimination of h0's rows picks other pivots
     ((_, S),) = workloads.sl_homspaces(n, Fraction(-5, 2), [workloads.borels(n)[-1]])
+    A = _Analysis(S)
+    assert list(A.h0.span.scaled) != list(linalg.RowSpan(A.h0.int_basis).scaled)
     assert_span_is_the_eliminated_one(S)
 
 
@@ -144,3 +187,38 @@ def test_h0_rows_are_the_annihilator_on_sln(workloads, n):
     # a scaled basis vector, h = g (no annihilator) and h = 0 (all of g*)
     for h in ([3 * g.basis_vector(labels[0])] + labels[1:], list(g.labels), []):
         assert_h0_is_the_annihilator(HomogeneousSpaceSpec("h", B, g.subalgebra(h)))
+
+
+def eliminated_lift(S) -> tuple:
+    """chi_h0 lifted through the eliminated span of ann(h)'s basis in g*,
+    each covector scaled to its own lowest-terms int row."""
+    dual, g = S.bialgebra.dual, S.bialgebra.g
+    h0 = Subalgebra(dual, [Vector(dual, xi.coords) for xi in g.annihilator(S.h)], verify=False)
+    lift = [Fraction(0)] * g.dim
+    for p, x in h0.span.lift(h0.modular_character_values()).items():
+        lift[p] = x
+    return tuple(lift)
+
+
+def test_x_h0_is_the_eliminated_span_lift(workloads):
+    """The reported x_h0 sits on the pivots an elimination of h0's rows
+    picks, on the catalog at 4 etas and on the classify workload's Borels
+    of seed 3, where h0's own span has other pivots."""
+    specs = [
+        catalog.build_homspace(name, eta)
+        for eta in (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 2))
+        for name in catalog.HOMSPACE_NAMES
+    ]
+    inputs, borels = workloads.classify_inputs(3), []
+    for n in (3, 4):
+        eta, kinds = inputs[f"sl{n}"]
+        borels += [S for _, S in workloads.sl_homspaces(n, eta, kinds) if "borel" in S.name]
+    assert len(borels) == 4
+    for S in borels:
+        A = _Analysis(S)
+        assert list(A.h0.span.scaled) != list(linalg.RowSpan(A.h0.int_basis).scaled), S.name
+    for S in specs + borels:
+        if _Analysis(S).coisotropic:
+            rep = homspace.multiplicative_unimodularity_check(S)
+            assert rep.x_h0.coords == eliminated_lift(S), S.name
+            assert homspace.chi_h0(S) == (rep.chi_h0, rep.x_h0), S.name
