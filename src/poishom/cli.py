@@ -177,6 +177,11 @@ def cmd_dynamics(args) -> int:
     if flow_steps(args.T, args.dt) > MAX_STEPS:
         raise ValueError(f"--T {args.T} and --dt {args.dt} give more than {MAX_STEPS} steps")
     case = catalog.DYNAMICS_CASES[args.case]
+    row = catalog.GROUP_MODELS.get(case["model"])
+    if row is None or row.eta is not None:  # a model built at no eta, or at a fixed one
+        built = "carries no eta" if row is None else f"is fixed at eta {row.eta}"
+        if eta != (1 if row is None else row.eta):
+            print(f"note: {args.case} {built}; --eta {eta} is not used", file=sys.stderr)
     bundle = catalog.build_model(case["model"], eta)
     model = bundle.model
     h = bundle.hamiltonian

@@ -7,9 +7,9 @@ of it live Hamiltonian fields with the convention X_h(f) = sum_i dh/dx_i
 Hessians at critical points, and an RK4 integrator that monitors the
 accumulated divergence (the log-volume drift) along the flow.
 
-Exact questions (kernel residuals, symbolic Jacobi, Hessians) stay in
-rational arithmetic; only the integrator and the finite-difference spot
-check run in floating point.
+Exact questions (kernel residuals, Jacobi, multiplicativity, the
+linearization at the identity, Hessians) stay in rational arithmetic; only
+the integrator runs in floating point.
 """
 
 from __future__ import annotations
@@ -20,18 +20,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .linalg import frac, integer_table
 from .poly import (
     Polynomial,
-    _picker,
     _sum_lines,
     diff_terms,
     eval_terms,
     exact_evaluator,
-    float_evaluator,
     float_shape,
     poly_sum,
     scaled_evaluator,
@@ -220,10 +217,11 @@ def jacobi_symbolic(
     are visited in ``itertools.combinations`` order.  The Jacobiators are
     expanded in one pass over the nonzero pattern of the integer-scaled
     table, each into one exponent -> int dict; the constrained branch
-    evaluates all of them through one ``exact_evaluator`` (planned once, no
-    code generated), unless every one is the zero polynomial: then the
-    identity holds everywhere, and the branch only draws its ``points``
-    samples, leaving ``rng`` in the state the evaluation would."""
+    evaluates all of them through one ``exact_evaluator`` (plain int loops
+    over a plan made once, no code generated), unless every one is the zero
+    polynomial: then the identity holds everywhere, and the branch only
+    draws its ``points`` samples, leaving ``rng`` in the state the
+    evaluation would."""
     _check_count("points", points)
     n = model.dim
     # the table times the lcm L of its denominators, with int coefficients;
@@ -460,7 +458,7 @@ def hessian_at(
 
 
 # ---------------------------------------------------------------------------
-# numerical spot checks
+# exact spot checks
 # ---------------------------------------------------------------------------
 
 
@@ -481,9 +479,12 @@ def multiplicativity_spotcheck(
     and each Jacobian entry is differentiated on those ints (e -> e - 1_l,
     c * e_l), which is L times the true derivative, so L and the degree are
     those of the product.  The other (``poly.exact_evaluator``) covers the
-    table at g, h, gh and the base point (Q_g, Q_h, Q_gh).  Each residual
-    times the positive Q_J^2 Q_h Q_g Q_gh is an int, decided on ints; a
-    Fraction is built only for a nonzero one."""
+    table at g, h, gh and the base point (Q_g, Q_h, Q_gh).  Each upper
+    entry (a, b) of J Pi J^T is planned once per call as its own list of
+    (weight slot, Jacobian slot, Jacobian slot) triples, one per nonzero
+    product, and summed over them at each pair.  Each residual times the
+    positive Q_J^2 Q_h Q_g Q_gh is an int, decided on ints; a Fraction is
+    built only for a nonzero one."""
     _check_count("pairs", pairs)
     if model.group_mult is None:
         raise ValueError("model carries no group multiplication map")
@@ -510,7 +511,7 @@ def multiplicativity_spotcheck(
     deg = max((m.degree() for m in model.group_mult), default=0)
     product_and_jacobians = scaled_evaluator(len(mvars), scale, deg, [*mult, *d_left, *d_right])
 
-    # (J Pi J^T)_ab, a < b, as one run of terms Pi_ij J_ai J_bj per entry, over the nonzero
+    # (J Pi J^T)_ab, a < b, as the terms Pi_ij J_ai J_bj of entry (a, b), over the nonzero
     # Pi_ij (= -Pi_ji), J_ai and J_bj; Pi_ij is read from [Q_g Pi(h), Q_h Pi(g)] or its negative
     count = len(keys)
     at = [None] * (n * n)  # the weight slot of Pi_ij in the block JL
@@ -520,16 +521,11 @@ def multiplicativity_spotcheck(
         (shift, [[(i, offset + a * n + i) for i in range(n) if jac[a * n + i]] for a in range(n)])
         for shift, offset, jac in ((0, n, d_left), (count, n + n * n, d_right))
     ]
-    plan, upper = [], []
-    for a, b in itertools.combinations(range(n), 2):
-        start = len(plan)
-        for shift, rows in blocks:
-            for i, s in rows[a]:
-                for j, t in rows[b]:
-                    if at[i * n + j] is not None:
-                        plan.append((at[i * n + j] + shift, s, t))
-        upper.append(((a, b), start, len(plan)))
-    pick_w, pick_s, pick_t = (_picker([term[c] for term in plan]) for c in range(3))
+    upper = [
+        ((a, b), [(at[i * n + j] + shift, s, t) for shift, rows in blocks
+                  for i, s in rows[a] for j, t in rows[b] if at[i * n + j] is not None])
+        for a, b in itertools.combinations(range(n), 2)
+    ]
 
     worst = 0.0
     for _ in range(pairs):
@@ -542,13 +538,13 @@ def multiplicativity_spotcheck(
         lhs = dict(zip(keys, pi_gh))
         weights = [q_g * p for p in pi_h] + [q_h * p for p in pi_g]
         weights += [-w for w in weights]
-        terms = list(map(mul, map(mul, pick_w(weights), pick_s(values)), pick_t(values)))
         # Pi(gh) - JL Pi(h) JL^T - JR Pi(g) JR^T times q_rhs * q_gh, where
         # JL Pi(h) JL^T has denominator q_j^2 q_h and JR Pi(g) JR^T q_j^2 q_g
         q_rhs = q_j * q_j * q_h * q_g
         # the residual matrix is antisymmetric, so its upper triangle decides it
-        for key, start, stop in upper:
-            num = lhs.get(key, 0) * q_rhs - q_gh * sum(terms[start:stop])
+        for key, terms in upper:
+            rhs = sum([weights[w] * values[s] * values[t] for w, s, t in terms])
+            num = lhs.get(key, 0) * q_rhs - q_gh * rhs
             if num:
                 worst = max(worst, _magnitude(Fraction(num, q_rhs * q_gh)))
     return worst
@@ -559,34 +555,34 @@ def linearization_vs_cocommutator(
     delta_images: Sequence,
     frame: Sequence[Sequence],
     sign: int = 1,
-    step: float = 1e-4,
 ) -> float:
-    """Central finite differences of Pi at the base point along the frame
-    directions, against the cocommutator images pushed through the frame.
+    """The exact derivative of Pi at the base point along each frame
+    direction, against the cocommutator image pushed through the frame.
 
     ``delta_images`` holds, per algebra basis vector, the sparse terms
     {(i, j): coeff} of delta(X_k); ``frame`` maps basis vectors to coordinate
     directions at the identity.  ``sign`` records the orientation calibration
-    between the coordinate bracket and the cocommutator."""
+    between the coordinate bracket and the cocommutator.  Each upper entry
+    Pi_ab is differentiated exactly (``diff_terms``) and its gradient taken
+    at the base point; the residuals are Fractions, and the float magnitude
+    of the worst one is returned, 0.0 exactly when every one vanishes."""
     if model.base_point is None:
         raise ValueError("model needs a base point")
     n = model.dim
     if len(delta_images) != len(frame) or any(len(d) != n for d in frame):
         raise ValueError(f"need one delta image per frame direction, each direction of length {n}")
-    base = [float(c) for c in model.base_point]
-    fr = [[float(c) for c in direction] for direction in frame]
+    fr = [[frac(c) for c in direction] for direction in frame]
     pairs = list(itertools.combinations(range(n), 2))
-    entries = float_evaluator(model.vars, [model.bracket_entry(a, b) for a, b in pairs])
+    grads = [[eval_terms(diff_terms(model.bracket_entry(a, b).terms, l), model.base_point)
+              for l in range(n)] for a, b in pairs]
     worst = 0.0
-    for k, image in enumerate(delta_images):
-        plus = entries(*[b + step * d for b, d in zip(base, fr[k])])
-        minus = entries(*[b - step * d for b, d in zip(base, fr[k])])
-        for (a, b), p_plus, p_minus in zip(pairs, plus, minus):
-            numeric = (p_plus - p_minus) / (2 * step)
-            expected = 0.0
-            for (i, j), c in image.items():
-                expected += float(c) * (fr[i][a] * fr[j][b] - fr[i][b] * fr[j][a])
-            worst = max(worst, abs(numeric - sign * expected))
+    for direction, image in zip(fr, delta_images):
+        for (a, b), grad in zip(pairs, grads):
+            derivative = sum([d * g for d, g in zip(direction, grad)])
+            residual = derivative - sign * sum(
+                [c * (fr[i][a] * fr[j][b] - fr[i][b] * fr[j][a]) for (i, j), c in image.items()])
+            if residual:
+                worst = max(worst, _magnitude(residual))
     return worst
 
 

@@ -220,14 +220,16 @@ class RowSpan:
         """``RowSpan`` of first's rows and second's moved right by ``shift``
         columns (first's column count), with no elimination: the stack is
         block diagonal, so its reduced rows and transform are first's next to
-        second's, moved by ``shift`` columns and first.dim rows."""
+        second's, moved by ``shift`` columns and first.dim rows.  Both spans
+        must hold their rows at one scale; ValueError otherwise."""
+        if first.scale != second.scale:
+            raise ValueError(f"spans at scales {first.scale} and {second.scale}")
         out = cls.__new__(cls)
-        out.scale, out.scaled, out.transform = math.lcm(first.scale, second.scale), {}, {}
+        out.scale, out.scaled, out.transform = first.scale, {}, {}
         for span, dc, ds in ((first, 0, 0), (second, shift, first.dim)):
-            k = out.scale // span.scale
             for p, terms in span.scaled.items():
-                out.scaled[p + dc] = {c + dc: k * x for c, x in terms.items()}
-                out.transform[p + dc] = {s + ds: k * x for s, x in span.transform[p].items()}
+                out.scaled[p + dc] = {c + dc: x for c, x in terms.items()}
+                out.transform[p + dc] = {s + ds: x for s, x in span.transform[p].items()}
         out.dim = first.dim + second.dim
         return out
 

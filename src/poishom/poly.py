@@ -13,27 +13,24 @@ Code that evaluates a list of polynomials at many points prepares it once.
 ``exact_evaluator`` returns int numerators over one shared positive
 denominator, so the exact checks decide zero on ints and build a
 ``Fraction`` only for a value they report.  It generates no code: it plans
-the list once per call (each distinct power bound once per point, terms
-grouped by their number of factors, and a polynomial whose coefficients
-repeat an earlier one's planned once) and runs the plan at each point in
-``map`` passes over ``itemgetter`` columns, with no Python loop per term.
-``float_evaluator`` returns floats, for the finite differences and
-``Polynomial.eval_float``; it compiles the list into generated straight-line
-code that holds only the arithmetic a term needs: a first power is read as
-the coordinate itself, higher powers are bound once per call, a coefficient
-1.0 or -1.0 is a sign, not a factor, and a polynomial whose float
-coefficients repeat an earlier one's reads that one's value.  The sums are
-generated from the list's ``float_shape``, which leaves the other
-coefficients out, so the RK4 loop in ``coord`` inlines the same sums over
-coefficients it takes as arguments.
+the list once per call, each polynomial as its list of int coefficients
+and factor slots, and at each point computes every distinct power once and
+sums each polynomial term by term on ints.
+``float_evaluator`` returns floats, for ``Polynomial.eval_float``; it
+compiles the list into generated straight-line code that holds only the
+arithmetic a term needs: a first power is read as the coordinate itself,
+higher powers are bound once per call, a coefficient 1.0 or -1.0 is a
+sign, not a factor, and a polynomial whose float coefficients repeat an
+earlier one's reads that one's value.  The sums are generated from the
+list's ``float_shape``, which leaves the other coefficients out, so the RK4
+loop in ``coord`` inlines the same sums over coefficients it takes as
+arguments.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
-from operator import floordiv, itemgetter, mul
 from typing import Sequence
 
 from .linalg import frac, integer_table
@@ -404,13 +401,6 @@ def exact_evaluator(variables: Sequence[str], polys: Sequence[Polynomial]):
     return scaled_evaluator(len(variables), scale, deg, coefficients.values())
 
 
-def _picker(slots):
-    """``itemgetter(*slots)``, returning a tuple for any number of slots."""
-    if len(slots) > 1:
-        return itemgetter(*slots)
-    return lambda values: tuple([values[s] for s in slots])
-
-
 def scaled_evaluator(arity: int, scale: int, deg: int, maps):
     """The exact evaluator of int polynomials scaled by ``scale``: ``maps``
     is a list of exponent -> nonzero int maps over ``arity`` coordinates,
@@ -421,64 +411,21 @@ def scaled_evaluator(arity: int, scale: int, deg: int, maps):
     denominator (a float), raises TypeError.
 
     With D the lcm of the coordinates' denominators and n_i = x_i * D, each
-    term c x^e is the int c times the factors n_i**k and D**(deg - |e|) of
-    its nonzero exponents, so every product and sum is an int and a value is
-    zero exactly when its int is.  Nothing is generated or cached: the list
-    is planned once per call, and each point runs the plan in ``map``
-    passes, with no Python loop per term.  The bases D, n_0, .. and then the
-    distinct powers with exponent > 1, each computed once per point, fill
-    one list of factors.  The distinct terms (c, e) of the maps are grouped
-    by their number of factors; a group's values are its coefficients times
-    each factor column in turn, read from the factor list by one
-    ``itemgetter`` per column.  A map equal item for item to an earlier one
-    is planned once and reads that one's value; a map of one term is that
-    term's value, and a longer one is one sum over its terms."""
-    # factor slots: D is slot 0, n_i slot 1 + i, then the powers from slot `first`
-    first = 1 + arity
+    term c x^e is the int c times D**(deg - |e|) and the n_i**e_i, so every
+    product and sum is an int and a value is zero exactly when its int is.
+    Nothing is generated or cached: the list is planned once per call, map j
+    as the list of its terms (c, factor slots), and at each point the factors
+    D, n_0, .. and then each distinct power with exponent > 1 are computed
+    once, into one list, over which each map is summed term by term."""
+    # slot 0 is D and slot 1 + i is n_i, so a term's exponents on the slots
+    # are (deg - |e|, *e); the powers with exponent > 1 follow, from 1 + arity
     powers: dict[tuple[int, int], int] = {}  # (base slot, k > 1) -> slot
-    groups: dict[int, dict[tuple, int]] = {}  # factor count -> (factors, c) -> index
-    planned: dict[tuple, list] = {}  # coefficient items -> their terms' (count, index)
-    out = []
-
-    def factor(base: int, k: int) -> int:
-        return base if k == 1 else powers.setdefault((base, k), first + len(powers))
-
-    for coeffs in maps:
-        items = tuple(coeffs.items())
-        if items not in planned:
-            refs = planned[items] = []
-            for e, c in items:
-                factors = [factor(1 + i, k) for i, k in enumerate(e) if k]
-                missing = deg - sum(e)
-                if missing:
-                    factors.append(factor(0, missing))
-                group = groups.setdefault(len(factors), {})
-                refs.append((len(factors), group.setdefault((tuple(factors), c), len(group))))
-        out.append(items)
-
-    # the value list: 0 (the zero polynomial's value), each group's terms in
-    # factor-count order, then the sums of the maps of more than one term
-    products = []
-    offset = {}
-    size = 1
-    for count in sorted(groups):
-        terms = list(groups[count])
-        offset[count] = size
-        size += len(terms)
-        columns = [_picker([factors[k] for factors, _ in terms]) for k in range(count)]
-        products.append((tuple([c for _, c in terms]), columns))
-    sums = []
-    slot = {}
-    for items, refs in planned.items():
-        slots = [offset[count] + index for count, index in refs]
-        if len(slots) > 1:
-            slot[items] = size + len(sums)
-            sums.append(itemgetter(*slots))
-        else:
-            slot[items] = slots[0] if slots else 0
-    pick = _picker([slot[items] for items in out])
-    bases = _picker([base for base, _ in powers])
-    exponents = tuple([k for _, k in powers])
+    plan = [
+        [(c, tuple([i if k == 1 else powers.setdefault((i, k), 1 + arity + len(powers))
+                    for i, k in enumerate((deg - sum(e), *e)) if k]))
+         for e, c in coeffs.items()]
+        for coeffs in maps
+    ]
 
     def evaluate(*point):
         if len(point) != arity:
@@ -491,16 +438,16 @@ def scaled_evaluator(arity: int, scale: int, deg: int, maps):
                 f"coordinate {i} is a {type(x).__name__}, not an int or Fraction"
             ) from None
         D = math.lcm(*denominators)
-        numerators = [x.numerator for x in point]
-        factor_values = [D, *map(mul, numerators, map(floordiv, repeat(D), denominators))]
-        factor_values += map(pow, bases(factor_values), exponents)
-        values = [0]
-        for coefficients, columns in products:
-            column_values = coefficients
-            for column in columns:
-                column_values = map(mul, column_values, column(factor_values))
-            values += column_values
-        values += [sum(terms(values)) for terms in sums]
-        return pick(values), scale * D**deg
+        f = [D, *[x.numerator * (D // d) for x, d in zip(point, denominators)]]
+        f += [f[base] ** k for base, k in powers]
+        values = []
+        for terms in plan:
+            total = 0
+            for c, factors in terms:
+                for s in factors:
+                    c *= f[s]
+                total += c
+            values.append(total)
+        return tuple(values), scale * D**deg
 
     return evaluate

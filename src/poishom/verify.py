@@ -245,7 +245,7 @@ def _checks(eta: Fraction, seed: int):
     for name, b in models.items():
         yield f"linearization:{name}", f"model:{name}", lambda b=b: linearization_vs_cocommutator(
             b.model, b.delta_images, b.frame, b.cocommutator_sign
-        ) < 1e-6
+        ) == 0.0
     for check, name, test in MODEL_IDENTITIES:
         yield check, f"model:{name}", functools.partial(test, models[name])
     so3 = bialgebras["so3-structure"].g

@@ -312,6 +312,28 @@ def test_dynamics_out_without_a_flow_says_so(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("eta", ["7", "-5/2"])
+def test_dynamics_says_when_eta_is_not_used(capsys, eta):
+    # toda-n3 is fixed at eta 1 and the quotient models carry no eta: each
+    # prints the stdout of the eta 1 run and one note; su2 is built at eta
+    notes = {
+        "toda-n3": f"note: toda-n3 is fixed at eta 1; --eta {eta} is not used\n",
+        "compartmental": f"note: compartmental carries no eta; --eta {eta} is not used\n",
+        "canonical2d": f"note: canonical2d carries no eta; --eta {eta} is not used\n",
+        "sphere-morse": "",
+    }
+    assert set(notes) == set(catalog.DYNAMICS_CASES)
+    for case, note in notes.items():
+        assert run(["dynamics", case, "--T", "0.01"]) == 0
+        default = capsys.readouterr()
+        assert default.err == ""
+        assert run(["dynamics", case, "--T", "0.01", "--eta", eta]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == note
+        if note:
+            assert captured.out == default.out
+
+
 def test_dynamics_toda_certificate(capsys):
     assert run(["dynamics", "toda-n3", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from poishom import catalog, coord, linalg
+from poishom import catalog, coord, linalg, verify
 from poishom.coord import (
     ConstraintDriftError,
     FlowTrace,
@@ -777,20 +777,26 @@ def test_multiplicativity_requires_data(comp):
         multiplicativity_spotcheck(comp.model, pairs=1, rng=random.Random(0))
 
 
-def test_linearization_all_calibrated_models():
-    for name in ("su2", "sl2-hyperbolic", "sl2-elliptic", "sl2-parabolic"):
-        bundle = catalog.build_model(name, 1)
+@pytest.mark.parametrize("eta", [1, 2, Fraction(1, 3), Fraction(-5, 2)])
+def test_linearization_all_calibrated_models(eta):
+    # the exact derivative of the table at the identity is the pushed
+    # cocommutator: every residual is exactly zero
+    for name in verify.CHECKED_MODELS:
+        bundle = catalog.build_model(name, eta)
         res = linearization_vs_cocommutator(
             bundle.model, bundle.delta_images, bundle.frame, bundle.cocommutator_sign
         )
-        assert res < 1e-6
-    compb = catalog.build_model("compartmental")
-    assert (
-        linearization_vs_cocommutator(
-            compb.model, compb.delta_images, compb.frame, compb.cocommutator_sign
-        )
-        < 1e-6
-    )
+        assert res == 0.0, (name, eta)
+
+
+def test_linearization_sees_a_residual_below_any_float_step(su2):
+    # one cocommutator coefficient off by 10**-30: the residual is exact, so
+    # it is nonzero, and reported at its own magnitude
+    images = [dict(image) for image in su2.delta_images]
+    key = next(iter(images[0]))
+    images[0][key] += Fraction(1, 10**30)
+    res = linearization_vs_cocommutator(su2.model, images, su2.frame, su2.cocommutator_sign)
+    assert 0.0 < res < 1e-29
 
 
 def test_linearization_rejects_mismatched_shapes(su2):

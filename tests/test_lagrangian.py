@@ -9,8 +9,9 @@ the span ``lu_crosscheck`` builds must be the eliminated one as a subspace
 (each contains the other's reduced rows) and give the same modular
 character values and the same cross-check.  ``direct_sum`` itself, on h0's
 eliminated span, must equal ``RowSpan`` of the stacked rows eliminated on
-``scale``, ``scaled`` and ``transform`` (pivot order included), and l must
-still be refused when it is not closed.
+``scale``, ``scaled`` and ``transform`` (pivot order included) when that
+span is at h's scale, and refuse it when it is not; l must still be refused
+when it is not closed.
 """
 
 from fractions import Fraction
@@ -48,8 +49,16 @@ def reduced_rows(span):
 
 
 def eliminated(scale, rows):
-    """``RowSpan.reduced``'s rows given to the elimination instead."""
-    return linalg.RowSpan([(scale, {p: scale, **terms}) for p, terms in rows.items()])
+    """``RowSpan.reduced``'s rows given to the elimination instead, and the
+    result held at ``scale`` (h's, which ``direct_sum`` requires): the
+    elimination only divides rows already reduced, so its scale divides it."""
+    span = linalg.RowSpan([(scale, {p: scale, **terms}) for p, terms in rows.items()])
+    k, rest = divmod(scale, span.scale)
+    assert not rest
+    span.scale = scale
+    span.scaled = {p: {c: k * x for c, x in t.items()} for p, t in span.scaled.items()}
+    span.transform = {p: {c: k * x for c, x in t.items()} for p, t in span.transform.items()}
+    return span
 
 
 def assert_same_subspace(built, ref):
@@ -80,6 +89,11 @@ def assert_span_is_the_eliminated_one(S):
             mp.setattr(linalg.RowSpan, "reduced", eliminated)
             assert homspace.lu_crosscheck(S) == got
     # the direct sum itself, on h0's eliminated span, is the eliminated stack
+    # when that span is at h's scale, and is refused when it is not
+    if h0_ref.scale != S.h.span.scale:
+        with pytest.raises(ValueError, match="spans at scales"):
+            linalg.RowSpan.direct_sum(S.h.span, h0_ref, m)
+        return
     built = linalg.RowSpan.direct_sum(S.h.span, h0_ref, m)
     assert built.scale == ref.scale
     assert list(built.scaled.items()) == list(ref.scaled.items())
@@ -98,8 +112,8 @@ def test_lagrangian_span_on_sln(workloads, n):
     B, labels = sln_standard_bialgebra(n, Fraction(-5, 2)), workloads.so_labels(n)
     assert_span_is_the_eliminated_one(HomogeneousSpaceSpec("so", B, B.g.subalgebra(labels)))
     # a basis vector times 3 gives h's span a scale of its own; h0's span is
-    # read at it, and h0's eliminated span, at a scale of its own, makes
-    # the direct sum rescale it to the common one
+    # read at it, and h0's eliminated span, at a scale of its own, is
+    # refused by the direct sum
     scaled = B.g.subalgebra([3 * B.g.basis_vector(labels[0])] + labels[1:])
     S = HomogeneousSpaceSpec("so-scaled", B, scaled)
     A = _Analysis(S)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poishom import poly
+from poishom.linalg import integer_table
 from poishom.poly import Polynomial, exact_evaluator, float_evaluator, poly_sum
 
 from float_reference import eval_float
@@ -432,6 +433,23 @@ def test_exact_evaluator_matches_eval(polys, point):
     assert [Fraction(v, q) for v in ints] == [p.eval(point) for p in polys]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(exact_polys, max_size=3),
+    st.integers(1, 3),
+    st.tuples(*[exact_coordinates] * 3),
+)
+def test_scaled_evaluator_above_every_degree_matches_eval(polys, extra, point):
+    # as the multiplicativity check calls it on derivatives: deg is above
+    # every map's degree, and every value is still over Q = L D**deg
+    scale, maps = integer_table({j: p.terms for j, p in enumerate(polys)})
+    deg = max((p.degree() for p in polys), default=0) + extra
+    ints, q = poly.scaled_evaluator(3, scale, deg, maps.values())(*point)
+    assert type(ints) is tuple and all(type(v) is int for v in ints)
+    assert q == scale * math.lcm(*[Fraction(c).denominator for c in point]) ** deg
+    assert [Fraction(v, q) for v in ints] == [p.eval(point) for p in polys]
+
+
 def test_exact_evaluator_edge_cases():
     assert exact_evaluator(V, [])(1, 2, 3) == ((), 1)
     assert exact_evaluator((), [Polynomial.constant((), Fraction(3, 4))])() == ((3,), 4)
@@ -455,10 +473,13 @@ def test_exact_evaluator_rejects_a_float_coordinate():
             evaluate(*point)
 
 
-def _plan(evaluate):
-    """The term groups, the sums and the output slots of an exact evaluator."""
-    plan = inspect.getclosurevars(evaluate).nonlocals
-    return plan["products"], plan["sums"], plan["pick"].__reduce__()[1]
+def _leaves(x):
+    """Every value that is not a list, tuple or dict inside x, keys included."""
+    if isinstance(x, dict):
+        x = [*x.keys(), *x.values()]
+    if isinstance(x, (list, tuple)):
+        return [leaf for item in x for leaf in _leaves(item)]
+    return [x]
 
 
 def test_exact_evaluator_plan_holds_only_ints_and_slots(code_generation):
@@ -472,13 +493,15 @@ def test_exact_evaluator_plan_holds_only_ints_and_slots(code_generation):
         evaluate = exact_evaluator(names, polys)
         ints, q = evaluate(*point)
     assert generated == []
-    products, sums, out = _plan(evaluate)
-    assert all(type(c) is int for coefficients, _ in products for c in coefficients)
-    assert all(type(s) is int for _, columns in products for column in columns
-               for s in column.__reduce__()[1])
-    # p and p * p are one sum each; the zero polynomial reads the 0 slot and
-    # the repeat of p reads p's value
-    assert len(sums) == 2 and out[2] == 0 and out[3] == out[0]
+    # the plan is one list of (c, factor slots) per polynomial, and no name,
+    # nor any other str, is anywhere in what the evaluator keeps
+    kept = inspect.getclosurevars(evaluate).nonlocals
+    plan = kept["plan"]
+    assert [len(terms) for terms in plan] == [len(r.terms) for r in polys]
+    assert all(type(c) is int and all(type(s) is int for s in slots)
+               for terms in plan for c, slots in terms)
+    assert all(type(leaf) is int for leaf in _leaves(list(kept.values())) if not callable(leaf))
+    assert type(ints) is tuple
     assert [Fraction(v, q) for v in ints] == [r.eval(point) for r in polys]
 
 
@@ -502,17 +525,16 @@ def test_repeated_polynomial_generates_its_terms_once(monkeypatch):
     assert len(calls) == len(p.terms)
 
 
-def test_repeated_polynomial_is_planned_once():
-    # a repeat is recognised from its coefficient items: its terms are
-    # planned once, it gets no sum of its own, and it reads the first value
+def test_repeated_polynomial_gets_the_value_of_each():
+    # a repeat, equal item for item or only as a polynomial, is evaluated as
+    # its own map and reads the value of the polynomial evaluated alone
     p = x() * y() - Fraction(1, 3) * z() ** 2 + 2
     evaluate = exact_evaluator(V, [p, p * 1, p])
-    products, sums, out = _plan(evaluate)
-    assert sum(len(coefficients) for coefficients, _ in products) == len(p.terms)
-    assert len(sums) == 1 and out[0] == out[1] == out[2]
     point = (Fraction(3, 4), Fraction(-3, 2), Fraction(9, 4))
     ints, q = evaluate(*point)
     assert [Fraction(v, q) for v in ints] == [p.eval(point)] * 3
+    (alone,), q_alone = exact_evaluator(V, [p])(*point)
+    assert ints == (alone,) * 3 and q == q_alone
 
 
 def test_float_equal_coefficients_share_one_sum():
@@ -549,14 +571,8 @@ def test_repeated_polynomials_get_one_statement_each():
     point = (0.75, -1.5, 2.25)
     assert [_bits(v) for v in evaluate(*point)] == [_bits(eval_float(r, point)) for r in polys]
 
-    # one sum per distinct polynomial of more than one term: p, q, long and
-    # q_reversed, whose terms are q's and are planned once
+    # the exact evaluator gives every polynomial of the list its value
     evaluate = exact_evaluator(V, polys)
-    products, sums, out = _plan(evaluate)
-    assert len(sums) == 4
-    distinct_terms = {(e, c) for r in polys for e, c in r.terms.items()}
-    assert sum(len(coefficients) for coefficients, _ in products) == len(distinct_terms)
-    assert [out.index(s) for s in out] == [0, 1, 0, 3, 1, 5, 0, 7, 5, 3, 1]
     point = (Fraction(3, 4), Fraction(-3, 2), Fraction(9, 4))
     ints, q_all = evaluate(*point)
     assert [Fraction(v, q_all) for v in ints] == [r.eval(point) for r in polys]
