@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 from .exterior import ExteriorElement, is_ad_invariant, schouten_square
-from .lie import LieAlgebra, Vector
+from .lie import LieAlgebra, Vector, cached_attribute
 from .linalg import frac, integer_row
 
 
@@ -84,7 +83,7 @@ class CocommutatorMap:
         dual = _transpose(dict(sorted(images.items())))
         return cls(algebra, LieAlgebra(algebra.dual_labels, dual))
 
-    @cached_property
+    @cached_attribute
     def images(self) -> tuple[ExteriorElement, ...]:
         """delta on the basis, the dual transposed, each image's terms in key order."""
         g, den = self.algebra, self.dual.den
@@ -192,7 +191,7 @@ class LieBialgebra:
     def from_rmatrix(cls, g: LieAlgebra, r: ExteriorElement) -> "LieBialgebra":
         return cls(g, CocommutatorMap.from_rmatrix(g, r))
 
-    @cached_property
+    @cached_attribute
     def yang_baxter(self) -> Optional[str]:
         """The equation r satisfies, by its Schouten square [r, r]: "cybe" if
         it vanishes, "mcybe" if it is ad-invariant, else "other"; None when
@@ -207,7 +206,7 @@ class LieBialgebra:
     def dim(self) -> int:
         return self.g.dim
 
-    @cached_property
+    @cached_attribute
     def double(self) -> LieAlgebra:
         """The double g (+) g*, built once for its Jacobi and Lagrangian checks."""
         return double_algebra(self)

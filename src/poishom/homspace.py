@@ -25,6 +25,12 @@ is unique given its row space, so the pivot rows, hence the particular
 solution (free variables at 0) and the null basis, are exactly those of
 eliminating the full rational stack.  When the semi-invariant rows are
 already inconsistent, so is the mu system, and nothing more is eliminated.
+When their pivots cover every unknown, their solution theta0 is unique and
+nothing more is eliminated either: the mu system is consistent exactly when
+every horizontal row holds at theta0, and its row space is then the
+semi-invariant one (the horizontal rows lie in it), so its reduced form,
+particular solution and empty null basis are those of the semi-invariant
+system; a row that fails at theta0 makes it inconsistent.
 
 Volume data.  No verdict builds V0, the top wedge of h0 = ann(h).  Since h is
 closed, ann(h) generates a differential ideal, so d V0 = -alpha ^ V0 with
@@ -41,13 +47,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
 from .bialgebra import LieBialgebra
 from .exterior import ExteriorElement, top_wedge
-from .lie import Covector, LieAlgebra, Subalgebra, Vector, is_closed_one_form, sparse
+from .lie import (
+    Covector,
+    LieAlgebra,
+    Subalgebra,
+    Vector,
+    cached_attribute,
+    is_closed_one_form,
+    sparse,
+)
 from .linalg import integer_row
 
 SIMPLY_CONNECTED_CAVEAT = (
@@ -134,13 +147,18 @@ class SemiInvariantSolutions:
 
 def _closedness_rows(L: LieAlgebra) -> list[dict]:
     """theta is closed exactly when it kills every [e_i, e_j]: one sparse int
-    row per direction of a nonzero bracket, its int image made primitive by
-    ``linalg._primitive`` (a row that is a multiple of an earlier one adds
-    nothing to the row space)."""
-    directions = {}
-    for _, image in sorted(L.ints.items()):
-        directions.setdefault(tuple(sorted(linalg._primitive(image).items())), None)
-    return list(map(dict, directions))
+    row per direction of a nonzero bracket.  A one-term image {k: c} is the
+    unit row {k: 1}; a longer one is made primitive by ``linalg._primitive``
+    and kept once (a row that is a multiple of an earlier one adds nothing
+    to the row space).  The unit rows come first; the order of the rows
+    does not matter, since the reduced form depends only on their span."""
+    units = dict.fromkeys(k for image in L.ints.values() if len(image) == 1 for k in image)
+    longer = dict.fromkeys(
+        tuple(sorted(linalg._primitive(image).items()))
+        for image in L.ints.values()
+        if len(image) > 1
+    )
+    return [{k: 1} for k in units] + list(map(dict, longer))
 
 
 def _quotient_traces(h: Subalgebra) -> tuple[Fraction, ...]:
@@ -218,7 +236,7 @@ class _Analysis:
         self.S = S
         self.g = S.bialgebra.g
 
-    @cached_property
+    @cached_attribute
     def h0(self) -> Subalgebra:
         """h0 = ann(h) in g*: row f, s e^f - sum_p scaled[p][f] e^p, is 0 at h's
         other free columns, so the rows are reduced and need no elimination."""
@@ -228,7 +246,7 @@ class _Analysis:
         h0span = linalg.RowSpan.reduced(span.scale, reduced)
         return Subalgebra.from_int_rows(self.S.bialgebra.dual, rows, verify=False, span=h0span)
 
-    @cached_property
+    @cached_attribute
     def coideal(self) -> tuple[bool, bool]:
         """(h0 closed, h0 an ideal) in g*: (pi ^ pi) delta X = 0 and (pi (x) 1)
         delta X = 0 on each reduced row X = s R_p of h, with delta(e_i)^{ab} =
@@ -263,20 +281,20 @@ class _Analysis:
     def coisotropic(self) -> bool:  # h0 is a subalgebra of g*
         return self.coideal[0]
 
-    @cached_property
+    @cached_attribute
     def subgroup_type(self) -> str:
         closed, ideal = self.coideal
         return PL_SUBGROUP if ideal else COISOTROPIC_ONLY if closed else NOT_COISOTROPIC
 
-    @cached_property
+    @cached_attribute
     def chi_g(self) -> tuple[int, dict]:
         return self.g.modular_character_row()
 
-    @cached_property
+    @cached_attribute
     def chi_gs(self) -> tuple[int, dict]:  # chi_{g*}, an element of g by the pairing
         return self.S.bialgebra.dual.modular_character_row()
 
-    @cached_property
+    @cached_attribute
     def restriction_rhs(self) -> linalg.Row:
         """chi_g - chi_h on the basis of h: chi_g(b) = chi . (t b) / (s t)."""
         (s, chi), chi_h = self.chi_g, self.S.h.modular_character_values()
@@ -285,13 +303,13 @@ class _Analysis:
             for (t, b), c in zip(self.S.h.int_basis, chi_h)
         ]
 
-    @cached_property
+    @cached_attribute
     def chi_h0_values(self) -> tuple[Fraction, ...]:
         if not self.coisotropic:
             raise ValueError("h0 is not a subalgebra: the quotient is not coisotropic")
         return self.h0.modular_character_values()
 
-    @cached_property
+    @cached_attribute
     def chi_h0(self) -> tuple[tuple[Fraction, ...], Vector]:
         """chi_h0 and its lift x_h0, on the pivots ``int_rref`` picks for h0."""
         values, lift = self.chi_h0_values, [Fraction(0)] * self.g.dim
@@ -299,14 +317,14 @@ class _Analysis:
             lift[p] = x
         return values, Vector(self.g, lift)
 
-    @cached_property
+    @cached_attribute
     def volume(self) -> VolumeCertificate:
         traces = _quotient_traces(self.S.h)
         if list(traces) != self.restriction_rhs:  # t + chi_h = chi_g on h
             raise AssertionError("the traces on g/h and on h do not add up to chi_g on h")
         return VolumeCertificate(traces, "none" if any(traces) else "invariant")
 
-    @cached_property
+    @cached_attribute
     def semi_rows(self) -> list[dict]:
         """Closedness of theta0 and theta0|_h = chi_g|_h - chi_h, as int rows
         with the rhs in column g.dim: the row of h_i is s_i h_i on ints
@@ -317,33 +335,45 @@ class _Analysis:
             rows.append({**{k: x * value.denominator for k, x in b.items()}, cols: value.numerator})
         return rows
 
-    @cached_property
+    @cached_attribute
     def semi_reduced(self) -> tuple[list[dict], list[int]]:
         """The one elimination of [closedness; h | rhs]: the semi-invariant
         solve reads it, and the mu solve starts from its reduced rows."""
         return linalg.int_rref(self.semi_rows)
 
-    @cached_property
+    @cached_attribute
     def semi_invariant(self) -> tuple[Optional[Covector], linalg.Matrix]:
         return _preferred_witness(
             self.g, self.chi_g, self.semi_rows, self.semi_reduced, degenerate_first=False
         )
 
-    @cached_property
+    @cached_attribute
     def mu(self) -> tuple[Optional[Covector], linalg.Matrix]:
-        """The semi-invariant system extended by the horizontal-field rows.
-        Its reduced form is that of the semi-invariant system's reduced rows
-        stacked on the horizontal rows: the two stacks span the same row
-        space, and the reduced form depends on nothing else."""
+        """The semi-invariant system extended by the horizontal-field rows
+        (module docstring): the semi-invariant reduced rows and the
+        horizontal rows eliminated together, or, when theta0 is unique, the
+        horizontal rows tested at L theta0 on ints, L the lcm of the pivot
+        entries, with the semi-invariant reduced form kept if all hold."""
         red, pivots = self.semi_reduced
-        if self.g.dim in pivots:  # the semi-invariant rows alone are inconsistent
+        cols = self.g.dim
+        if cols in pivots:  # the semi-invariant rows alone are inconsistent
             return None, []
         horizontal = _mu_rows(self.S.bialgebra, self.chi_g, self.chi_gs)
-        reduced = linalg.int_rref(red + horizontal)
+        if len(pivots) == cols:
+            L = math.lcm(*(r[p] for r, p in zip(red, pivots)))
+            theta = {p: r[cols] * (L // r[p]) for r, p in zip(red, pivots) if cols in r}
+            if not all(
+                sum([x * theta[k] for k, x in row.items() if k in theta]) == L * row.get(cols, 0)
+                for row in horizontal
+            ):
+                return None, []
+            reduced = red, pivots
+        else:
+            reduced = linalg.int_rref(red + horizontal)
         rows, degenerate = self.semi_rows + horizontal, self.S.h.dim == 0
         return _preferred_witness(self.g, self.chi_g, rows, reduced, degenerate_first=degenerate)
 
-    @cached_property
+    @cached_attribute
     def verdict(self) -> tuple[bool, str, Optional[Covector], int]:
         """(h0 unimodular, mu status, witness, cocycle space dim), with no lift."""
         unimodular = not any(self.chi_h0_values)
@@ -358,7 +388,7 @@ class _Analysis:
         status = MU_FAILS_I if not unimodular else MU_FAILS_II if witness is None else MU_OK
         return unimodular, status, witness, len(null)
 
-    @cached_property
+    @cached_attribute
     def report(self) -> UnimodularityReport:
         (values, lift), (unimodular, status, witness, dim) = self.chi_h0, self.verdict
         in_h = self.S.h.span.contains(sparse(lift.coords))

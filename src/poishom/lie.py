@@ -14,11 +14,32 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .linalg import frac, integer_row, integer_table
+
+
+class cached_attribute:
+    """A lazily computed attribute: the first read on an instance calls
+    ``func`` and stores the value in the instance's ``__dict__`` under the
+    attribute's name, where later reads find it before the descriptor.  On
+    the class it returns itself, with ``func`` and ``__doc__``.  It is
+    ``functools.cached_property`` without the ``RLock`` that Python 3.11
+    takes on every first read (3.12 removed it); the package starts no
+    threads."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class Vector:
@@ -150,7 +171,7 @@ class LieAlgebra:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate basis labels")
 
-    @cached_property
+    @cached_attribute
     def _table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """The table on Fractions, in ``ints`` order; built on first read for a trusted algebra."""
         den = self.den
@@ -203,7 +224,7 @@ class LieAlgebra:
             out[k] = c / self.den
         return Vector(self, out)
 
-    @cached_property
+    @cached_attribute
     def bracket_rows(self) -> list[list[tuple[int, list[tuple[int, int]]]]]:
         """For each basis index u, the pairs (x, [e_x, e_u]) over the x with
         a nonzero bracket, each bracket as (k, c) pairs on ``ints``, in the
@@ -312,7 +333,7 @@ class Subalgebra:
             raise ValueError("basis does not span a subalgebra")
         self.verified = verify
 
-    @cached_property
+    @cached_attribute
     def basis(self) -> tuple[Vector, ...]:
         dim = self.parent.dim
         return tuple(

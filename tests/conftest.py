@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from poishom import catalog
+from poishom import catalog, homspace
 from poishom.bialgebra import sln_standard_bialgebra
+
+from oracles import mu_by_elimination
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -91,6 +93,17 @@ def valid_bialgebras():
         for eta in (Fraction(3, 2), Fraction(-1, 3))
     ]
     return cases
+
+
+def assert_mu_matches_elimination(S) -> bool:
+    """``homspace._Analysis.mu`` gives the verdict, the witness's ``repr``
+    and the null dimension of ``oracles.mu_by_elimination``; returns whether
+    the semi-invariant solution theta0 is unique."""
+    A = homspace._Analysis(S)
+    got, want = ((w is None, repr(w), len(null)) for w, null in (A.mu, mu_by_elimination(A)))
+    assert got == want, S.name
+    pivots, dim = A.semi_reduced[1], S.bialgebra.dim
+    return len(pivots) == dim and dim not in pivots
 
 
 def rational(rng, num=6, den=4):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from poishom import linalg
+from poishom import homspace, linalg
 from poishom.bialgebra import (
     CocommutatorMap,
     LieBialgebra,
@@ -618,6 +618,30 @@ def semi_rows_by_fractions(S) -> tuple[linalg.Matrix, linalg.Row]:
     rhs = [Fraction(0)] * len(rows)
     rhs += [chi_g(v) - c for v, c in zip(S.h.basis, S.h.modular_character_values())]
     return rows + [list(v.coords) for v in S.h.basis], rhs
+
+
+def closedness_rows_by_sorting(L: LieAlgebra) -> list[dict]:
+    """The closedness rows as ``homspace._closedness_rows`` built them before
+    it split off the one-term images: the table sorted by key, every image
+    made primitive and keyed by its sorted items, one row per direction."""
+    directions = {}
+    for _, image in sorted(L.ints.items()):
+        directions.setdefault(tuple(sorted(linalg._primitive(image).items())), None)
+    return list(map(dict, directions))
+
+
+def mu_by_elimination(A) -> tuple:
+    """``homspace._Analysis.mu`` with the mu stack always eliminated, also
+    when the semi-invariant solution theta0 is unique: the semi-invariant
+    reduced rows plus the horizontal rows through ``int_rref``, then the
+    preferred witness of the full row stack."""
+    red, pivots = A.semi_reduced
+    if A.g.dim in pivots:
+        return None, []
+    horizontal = homspace._mu_rows(A.S.bialgebra, A.chi_g, A.chi_gs)
+    reduced = linalg.int_rref(red + horizontal)
+    rows, degenerate = A.semi_rows + horizontal, A.S.h.dim == 0
+    return homspace._preferred_witness(A.g, A.chi_g, rows, reduced, degenerate_first=degenerate)
 
 
 def mu_rows_by_fractions(B: LieBialgebra, chi_g: Covector, chi_gs: Vector):

@@ -47,6 +47,7 @@ from poishom.bialgebra import sln_standard_bialgebra
 from poishom.homspace import HomogeneousSpaceSpec
 from poishom.lie import Subalgebra, Vector
 
+from conftest import assert_mu_matches_elimination
 from oracles import (
     is_closed_by_fractions,
     is_ideal_by_fractions,
@@ -186,6 +187,43 @@ def test_census_verdicts_and_cross_checks(n, eta):
         assert lift.coords == tuple(want_lift), S.name
     assert dict(sorted(tally.items())) == recorded
     assert not any(json.loads(v)[-1] == homspace.MU_OK for v in tally)
+
+
+@pytest.mark.parametrize("eta", ETAS, ids=str)
+@pytest.mark.parametrize("n", [3, 4])
+def test_census_mu_matches_the_full_elimination(n, eta):
+    """On every census row, coisotropic or not, ``_Analysis.mu`` gives the
+    verdict, witness and null dimension of the always-eliminated mu stack,
+    with the semi-invariant solution unique on some rows and not on others."""
+    assert {assert_mu_matches_elimination(S) for S in census(n, eta)} == {True, False}
+
+
+def test_a_flipped_quotient_trace_is_caught(monkeypatch):
+    """One quotient trace of the wrong sign breaks t + chi_h = chi_g on h,
+    and the census raises before it reports a volume verdict."""
+    traces = homspace._quotient_traces
+
+    def flipped(h):
+        t = list(traces(h))
+        i = next((i for i, x in enumerate(t) if x), None)
+        if i is not None:
+            t[i] = -t[i]
+        return tuple(t)
+
+    monkeypatch.setattr(homspace, "_quotient_traces", flipped)
+    with pytest.raises(AssertionError, match="do not add up to chi_g"):
+        counts(3, ETAS[0])
+
+
+def test_dropping_the_restriction_rows_changes_the_counts(monkeypatch):
+    """With h's rows theta0|_h = chi_g|_h - chi_h gone from the semi-invariant
+    stack, only closedness is left and the census counts move off the
+    recorded ones at both etas."""
+    recorded = json.loads(DATA.read_text(encoding="utf-8"))
+    prop = homspace._Analysis.__dict__["semi_rows"]
+    monkeypatch.setattr(prop, "func", lambda A: homspace._closedness_rows(A.g))
+    for eta in ETAS:
+        assert counts(3, eta) != recorded[key(3, eta)]
 
 
 if __name__ == "__main__":

@@ -21,10 +21,13 @@ from pathlib import Path
 import pytest
 
 from poishom import catalog, homspace, lie, linalg
+from poishom.bialgebra import CocommutatorMap, LieBialgebra
 from poishom.homspace import HomogeneousSpaceSpec, _Analysis, _mu_rows
-from poishom.lie import Covector
+from poishom.lie import Covector, LieAlgebra
 
+from conftest import assert_mu_matches_elimination
 from oracles import (
+    mu_by_elimination,
     mu_rows_by_fractions,
     read_solution_by_fractions,
     rref_by_fractions,
@@ -126,6 +129,70 @@ def test_sl4_borel_never_eliminates_the_full_mu_stack(workloads, monkeypatch):
     assert row["mu_status"] == homspace.MU_FAILS_II
     assert heights and full_height not in heights
     assert max(heights) < full_height
+
+
+@pytest.mark.parametrize("eta", [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 2)])
+def test_mu_matches_the_full_elimination(workloads, eta):
+    """Over the catalog and the benchmark's sl(3)/sl(4) Cartan, so(n) and
+    Borel rows both ways of reading the mu system occur: theta0 unique (no
+    second elimination) and not."""
+    specs = [catalog.build_homspace(name, eta) for name in catalog.HOMSPACE_NAMES]
+    for n in (3, 4):
+        specs += sl_specs(workloads, n, eta, ["cartan", "so"] + workloads.borels(n)[::5])
+    unique = [assert_mu_matches_elimination(S) for S in specs]
+    assert True in unique and False in unique
+
+
+def r2_half() -> HomogeneousSpaceSpec:
+    """r_2 with [X1, X2] = X2 / 2, delta X1 = X1 ^ X2 / 3 and delta X2 = 2 X1 ^ X2
+    (on r_2 every delta is a cocycle), over h = <X1>.  [g, g] + h = g, so
+    theta0 is unique: theta0 = chi_g = X^1 / 2, a row with pivot entry 2,
+    and it solves every horizontal row, some with a nonzero rhs."""
+    g = LieAlgebra(("X1", "X2"), {(0, 1): {1: Fraction(1, 2)}})
+    delta = CocommutatorMap.from_images(g, {0: {(0, 1): Fraction(1, 3)}, 1: {(0, 1): 2}})
+    h = g.subalgebra([g.basis_vector(0)])
+    return HomogeneousSpaceSpec("r2-half", LieBialgebra(g, delta), h)
+
+
+def test_mu_holds_at_a_unique_fractional_theta0():
+    S = r2_half()
+    A, cols = _Analysis(S), S.bialgebra.dim
+    assert assert_mu_matches_elimination(S)
+    assert max(r[p] for r, p in zip(*A.semi_reduced)) > 1
+    assert any(row.get(cols) for row in _mu_rows(S.bialgebra, A.chi_g, A.chi_gs))
+    assert repr(A.mu[0]) == "1/2 X^1" and A.mu[1] == []
+    assert homspace.classification_row(S)["mu_status"] == homspace.MU_OK
+
+
+def test_one_failing_horizontal_row_makes_the_unique_theta0_infeasible(monkeypatch):
+    """Whichever horizontal row theta0 fails, the mu system has no solution."""
+    S = r2_half()
+    A, cols, mu_rows = _Analysis(S), S.bialgebra.dim, homspace._mu_rows
+    for i in range(len(mu_rows(S.bialgebra, A.chi_g, A.chi_gs))):
+
+        def moved(*args, i=i):
+            rows = [dict(row) for row in mu_rows(*args)]
+            rows[i][cols] = rows[i].get(cols, 0) + 1
+            return rows
+
+        monkeypatch.setattr(homspace, "_mu_rows", moved)
+        assert _Analysis(S).mu == mu_by_elimination(_Analysis(S)) == (None, []), i
+
+
+def test_classification_row_eliminates_once_when_theta0_is_unique(workloads, monkeypatch):
+    """One ``int_rref`` a row on the sl(4) Cartan, whose semi-invariant
+    solution is unique, and two on compartmental-quotient, whose semi
+    null space has dimension 2; both rows reach the mu system."""
+    (cartan,) = sl_specs(workloads, 4, Fraction(3, 2), ["cartan"])
+    compartmental = catalog.build_homspace("compartmental-quotient", 1)
+    calls, int_rref = [], linalg.int_rref
+    monkeypatch.setattr(linalg, "int_rref", lambda rows: calls.append(rows) or int_rref(rows))
+    for S, want, null in ((cartan, 1, 0), (compartmental, 2, 2)):
+        calls.clear()
+        row = homspace.classification_row(S)
+        assert row["coisotropic"] and row["chi_h0_zero"], S.name
+        assert len(calls) == want, S.name
+        assert len(_Analysis(S).semi_invariant[1]) == null, S.name
 
 
 def rref_of_int_rows(rows, cols):

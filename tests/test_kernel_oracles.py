@@ -23,7 +23,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from poishom import catalog, linalg
+from poishom import catalog, homspace, linalg
 from poishom.bialgebra import (
     CocommutatorMap,
     cocycle_check,
@@ -42,8 +42,10 @@ from poishom.exterior import (
 from poishom.lie import LieAlgebra, sparse
 from poishom.linalg import integer_row
 
+from conftest import valid_bialgebras
 from oracles import (
     ce_differential_by_formula,
+    closedness_rows_by_sorting,
     cocycle_check_by_ad_terms,
     ce_differential_by_sorting,
     double_bracket_by_pairings,
@@ -546,6 +548,51 @@ def test_int_rref_matches_the_fraction_elimination(case):
     assert dense == want[: len(pivots)]
     assert linalg.rref(mat) == (want, want_pivots)
     assert linalg.read_solution(red, pivots, cols) == read_solution_by_fractions(want, pivots, cols)
+
+
+# ---------------------------------------------------------------------------
+# the closedness rows against the sorted-table builder
+# ---------------------------------------------------------------------------
+
+
+def assert_closedness_rows_match(L):
+    """The same primitive rows as the oracle's, in another order, so the
+    same ``int_rref``."""
+    rows, want = homspace._closedness_rows(L), closedness_rows_by_sorting(L)
+    assert sorted(sorted(r.items()) for r in rows) == sorted(sorted(r.items()) for r in want)
+    assert linalg.int_rref(rows) == linalg.int_rref(want)
+
+
+def closedness_tables():
+    """(id, build) for every catalog algebra, sl(2..6), the double of sl(3)
+    at 3/2, and g and g* of every ``valid_bialgebras`` case (its duals are
+    rich in multi-term images)."""
+    cases = [(name, functools.partial(catalog.algebra, name)) for name in catalog.ALGEBRAS]
+    cases += [(f"sl{n}", functools.partial(sln_algebra, n)) for n in range(2, 7)]
+    cases.append(("double-sl3", lambda: sln_standard_bialgebra(3, Fraction(3, 2)).double))
+    cases += [(f"{i}-g", lambda b=b: b().g) for i, b in valid_bialgebras()]
+    cases += [(f"{i}-dual", lambda b=b: b().dual) for i, b in valid_bialgebras()]
+    return cases
+
+
+CLOSEDNESS = closedness_tables()
+
+
+@pytest.mark.parametrize("build", [b for _, b in CLOSEDNESS], ids=[i for i, _ in CLOSEDNESS])
+def test_closedness_rows_match_the_sorted_table(build):
+    assert_closedness_rows_match(build())
+
+
+def test_closedness_tables_mix_unit_and_multi_term_images():
+    tables = [build() for _, build in CLOSEDNESS]
+    sizes = {min(len(image), 2) for L in tables for image in L.ints.values()}
+    assert sizes == {1, 2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sparse_algebras(), perturbed_algebras()))
+def test_closedness_rows_match_the_sorted_table_on_random_tables(L):
+    assert_closedness_rows_match(L)
 
 
 # ---------------------------------------------------------------------------
